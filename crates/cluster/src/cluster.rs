@@ -348,3 +348,72 @@ impl Drop for Cluster {
         self.shutdown();
     }
 }
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use presto_common::{DataType, Schema, Value};
+    use presto_connectors::MemoryConnector;
+    use std::sync::Weak;
+
+    /// What a finished query leaves behind is bounded: its state and tasks
+    /// are freed (they used to keep each other alive until process exit,
+    /// ≈ 20 KB a query), and telemetry keeps a record only as long as the
+    /// history ring keeps the entry.
+    #[test]
+    fn finished_queries_are_freed_and_their_records_bounded_by_the_history_ring() {
+        let mem = MemoryConnector::new();
+        let schema = Schema::of(&[("k", DataType::Bigint)]);
+        let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Bigint(i)]).collect();
+        mem.load_rows("t", schema, &rows);
+        let mut catalogs = CatalogManager::new();
+        catalogs.register("memory", mem as Arc<dyn presto_connector::Connector>);
+        let config = ClusterConfig {
+            query_history_capacity: 4,
+            ..ClusterConfig::test()
+        };
+        let c = Cluster::start(config, catalogs).unwrap();
+        let eventually = |what: &str, cond: &dyn Fn() -> bool| {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while !cond() {
+                assert!(Instant::now() < deadline, "timed out waiting until {what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+
+        // Hold the first query in flight — its workers hung — to get at its
+        // state and tasks.
+        (0..c.worker_count()).for_each(|w| c.hang_worker(w));
+        let first = c.submit("SELECT COUNT(*) FROM t", Session::default());
+        eventually("every worker has a task of it", &|| {
+            c.worker_live_tasks().iter().all(|&n| n > 0)
+        });
+        let live: Vec<_> = c.workers.iter().flat_map(|w| w.live_tasks()).collect();
+        let states: Vec<Weak<_>> = live
+            .iter()
+            .map(|h| Arc::downgrade(&h.query_state))
+            .collect();
+        let tasks: Vec<Weak<_>> = live.iter().map(|h| Arc::downgrade(&h.task)).collect();
+        let handles: Vec<Weak<_>> = live.iter().map(Arc::downgrade).collect();
+        drop(live);
+        (0..c.worker_count()).for_each(|w| c.resume_worker(w));
+        assert_eq!(first.join().unwrap().unwrap().row_count(), 1);
+
+        for _ in 0..8 {
+            c.execute("SELECT COUNT(*) FROM t").unwrap();
+        }
+        eventually("the first query is freed", &|| {
+            states.iter().all(|s| s.upgrade().is_none())
+                && tasks.iter().all(|t| t.upgrade().is_none())
+                && handles.iter().all(|h| h.upgrade().is_none())
+        });
+        assert_eq!(c.query_history().len(), 4);
+        assert_eq!(c.query_history().evicted(), 5);
+        let records = c.telemetry().all_query_records();
+        assert_eq!(records.len(), 4, "no live query: only the ring's");
+        for (query, _) in records {
+            assert!(c.query_history().get(query).is_some(), "{query}");
+        }
+    }
+}

@@ -2,6 +2,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use presto_common::id::QueryIdGenerator;
+use presto_common::wake::{Watcher, SAFETY_NET};
 use presto_common::{
     DataType, PrestoError, QueryId, Result, Schema, Session, TaskId, TraceBuffer, Value,
 };
@@ -349,7 +350,7 @@ impl Coordinator {
             state,
             at_nanos: now,
         });
-        self.history.record(QueryHistoryEntry {
+        let evicted = self.history.record(QueryHistoryEntry {
             query,
             state,
             error_tag: error.map(|e| e.code.tag()),
@@ -366,6 +367,11 @@ impl Coordinator {
             events,
             finished_at_nanos: now,
         });
+        // One retention policy: what leaves the history ring leaves the
+        // telemetry's per-query records with it.
+        if let Some(evicted) = evicted {
+            self.telemetry.forget_query(evicted);
+        }
     }
 
     fn run_admitted(
@@ -491,8 +497,9 @@ impl Coordinator {
         let run = self.run_tasks(query, &plan, session, &state, drain_for_stats);
         // Cleanup regardless of outcome: cancel first so stragglers (e.g.
         // leaf drivers of a LIMIT query that finished early) stop before
-        // their memory registration disappears.
-        state.cancel();
+        // their memory registration disappears — and drop the task list, or
+        // the state ↔ task cycle keeps every task of every query alive.
+        state.retire();
         self.active.lock().remove(&query);
         for w in &self.workers {
             w.pool.unregister_query(query);
@@ -640,8 +647,13 @@ impl Coordinator {
         for fid in order {
             if phased {
                 // Wait for build-side source fragments to finish first.
+                let mut watcher = Watcher::new();
                 for &dep in &deps[fid as usize] {
                     loop {
+                        let seen = watcher.arm(|w| {
+                            state.on_cancel(w);
+                            state.on_task_done(w);
+                        });
                         if state.is_cancelled() {
                             break;
                         }
@@ -650,7 +662,7 @@ impl Coordinator {
                         if done {
                             break;
                         }
-                        std::thread::sleep(Duration::from_micros(200));
+                        watcher.wait(seen, SAFETY_NET);
                     }
                 }
             }
@@ -680,12 +692,26 @@ impl Coordinator {
         // All tasks are submitted; drains may proceed (running tasks still
         // hold the worker via live_tasks()).
         drop(lease);
-        // Drive: poll root output, monitor writer scaling, watch errors.
+        // Drive: long-poll the root output (§IV-E2), monitor writer scaling,
+        // watch errors. The poll is held on the root buffer's data event
+        // and the query's failure event, not re-issued on a timer.
         let root_handles = &handles[plan.root as usize];
         let root_output = Arc::clone(&root_handles[0].task.output);
         let mut pages = Vec::new();
         let mut token = 0u64;
+        let mut watcher = Watcher::new();
+        // Writer scaling samples buffer utilization, which announces
+        // nothing: while there is a buffer to sample, keep its tick.
+        let tick = if scaling_buffers.is_empty() {
+            SAFETY_NET
+        } else {
+            Duration::from_micros(200)
+        };
         loop {
+            let seen = watcher.arm(|w| {
+                root_output.on_data(0, w);
+                state.on_cancel(w);
+            });
             if let Some(e) = state.error() {
                 return Err(e);
             }
@@ -707,7 +733,7 @@ impl Coordinator {
                 }
             }
             if response.pages.is_empty() {
-                std::thread::sleep(Duration::from_micros(200));
+                watcher.wait(seen, tick);
             }
         }
         if let Some(e) = state.error() {
@@ -733,8 +759,14 @@ impl Coordinator {
             // leaf drivers running until cancellation, and those report
             // whatever they had when cancelled.
             let deadline = Instant::now() + Duration::from_millis(500);
-            while !handles.iter().flatten().all(|h| h.is_done()) && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(200));
+            let mut watcher = Watcher::new();
+            loop {
+                let seen = watcher.arm(|w| state.on_task_done(w));
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() || handles.iter().flatten().all(|h| h.is_done()) {
+                    break;
+                }
+                watcher.wait(seen, left.min(SAFETY_NET));
             }
         }
         // Final statistics are always assembled (§VII: "Presto collects

@@ -178,20 +178,26 @@ impl QueryHistory {
     }
 
     /// Record a finished query. The entry should be fully built before the
-    /// call; the lock is held only for the ring push.
-    pub fn record(&self, entry: QueryHistoryEntry) {
+    /// call; the lock is held only for the ring push. Returns the query
+    /// this one pushed out of the ring, if any: the ring is the one
+    /// retention policy, so whoever keeps other per-query state drops it
+    /// for that query too.
+    pub fn record(&self, entry: QueryHistoryEntry) -> Option<QueryId> {
         self.recorded.fetch_add(1, Ordering::Relaxed);
         if self.capacity == 0 {
             self.evicted.fetch_add(1, Ordering::Relaxed);
-            return;
+            return Some(entry.query);
         }
         let entry = Arc::new(entry);
         let mut entries = self.entries.lock();
-        if entries.len() >= self.capacity {
-            entries.pop_front();
+        let evicted = if entries.len() >= self.capacity {
             self.evicted.fetch_add(1, Ordering::Relaxed);
-        }
+            entries.pop_front().map(|e| e.query)
+        } else {
+            None
+        };
         entries.push_back(entry);
+        evicted
     }
 
     /// Every retained entry, oldest first.
@@ -247,7 +253,8 @@ mod tests {
     fn retains_last_n_and_counts_evictions() {
         let h = QueryHistory::new(3);
         for i in 0..10 {
-            h.record(entry(i));
+            let evicted = h.record(entry(i));
+            assert_eq!(evicted, i.checked_sub(3).map(QueryId), "oldest goes first");
         }
         assert_eq!(h.len(), 3);
         assert_eq!(h.recorded(), 10);
@@ -261,7 +268,7 @@ mod tests {
     #[test]
     fn zero_capacity_disables_retention() {
         let h = QueryHistory::new(0);
-        h.record(entry(1));
+        assert_eq!(h.record(entry(1)), Some(QueryId(1)), "never retained");
         assert!(h.is_empty());
         assert_eq!(h.recorded(), 1);
         assert_eq!(h.evicted(), 1);

@@ -17,7 +17,7 @@ use crate::mlfq::{LevelSnapshot, SchedulerSnapshot};
 use crate::telemetry::{
     ClusterTelemetry, DynamicFilterMetrics, FusionMetrics, QueryLatencyMetrics, SpillMetrics,
 };
-use crate::worker::Worker;
+use crate::worker::{WakeupSnapshot, Worker};
 
 /// One worker's runtime state.
 #[derive(Debug, Clone, PartialEq)]
@@ -35,6 +35,9 @@ pub struct WorkerMetrics {
     /// Drivers waiting in the scheduling queue.
     pub queued_drivers: u64,
     pub scheduler: SchedulerSnapshot,
+    /// How blocked drivers waited: parked on events, re-polled on a timer,
+    /// and — zero unless there is a bug — lost wakeups.
+    pub wakeups: WakeupSnapshot,
     pub memory: PoolSnapshot,
 }
 
@@ -147,6 +150,7 @@ impl ClusterSnapshot {
                     blocked_drivers: w.blocked_drivers() as u64,
                     queued_drivers: w.scheduler_queue().len() as u64,
                     scheduler: w.scheduler_queue().snapshot(),
+                    wakeups: w.wakeups(),
                     memory: w.pool.snapshot(),
                 }
             })
@@ -182,6 +186,17 @@ impl ClusterSnapshot {
             trace_events: trace.map_or(0, |t| t.recorded()),
             trace_overwritten: trace.map_or(0, |t| t.overwritten_events()),
         }
+    }
+
+    /// Drivers, cluster-wide, that slept to their safety-net deadline
+    /// through an event nothing woke them for. A lost wakeup stalls a query
+    /// instead of hanging it, so this count is the only place one shows;
+    /// tests hold it at zero.
+    pub fn lost_wakeups(&self) -> u64 {
+        self.workers
+            .iter()
+            .map(|w| w.wakeups.safety_net_fires)
+            .sum()
     }
 
     pub fn to_json(&self) -> Json {
@@ -421,6 +436,15 @@ fn worker_to_json(w: &WorkerMetrics) -> Json {
             ]),
         ),
         (
+            "wakeups",
+            Json::obj([
+                ("parks", int(w.wakeups.parks)),
+                ("event_wakeups", int(w.wakeups.event_wakeups)),
+                ("timed_repolls", int(w.wakeups.timed_repolls)),
+                ("safety_net_fires", int(w.wakeups.safety_net_fires)),
+            ]),
+        ),
+        (
             "memory",
             Json::obj([
                 ("general_used", Json::Int(w.memory.general_used)),
@@ -446,6 +470,7 @@ fn worker_to_json(w: &WorkerMetrics) -> Json {
 
 fn worker_from_json(v: &Json) -> Result<WorkerMetrics> {
     let scheduler = v.field("scheduler")?;
+    let wakeups = v.field("wakeups")?;
     let memory = v.field("memory")?;
     Ok(WorkerMetrics {
         node: v.field_u64("node")? as u32,
@@ -469,6 +494,12 @@ fn worker_from_json(v: &Json) -> Result<WorkerMetrics> {
                 .collect::<Result<Vec<_>>>()?,
             demotions: scheduler.field_u64("demotions")?,
             promotions: scheduler.field_u64("promotions")?,
+        },
+        wakeups: WakeupSnapshot {
+            parks: wakeups.field_u64("parks")?,
+            event_wakeups: wakeups.field_u64("event_wakeups")?,
+            timed_repolls: wakeups.field_u64("timed_repolls")?,
+            safety_net_fires: wakeups.field_u64("safety_net_fires")?,
         },
         memory: PoolSnapshot {
             general_used: memory.field_i64("general_used")?,
@@ -509,6 +540,12 @@ mod tests {
                     }],
                     demotions: 2,
                     promotions: 0,
+                },
+                wakeups: WakeupSnapshot {
+                    parks: 40,
+                    event_wakeups: 38,
+                    timed_repolls: 5,
+                    safety_net_fires: 0,
                 },
                 memory: PoolSnapshot {
                     general_used: 1024,

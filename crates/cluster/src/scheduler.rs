@@ -1,5 +1,6 @@
 //! Stage, task, and split scheduling (§IV-D).
 
+use presto_common::wake::{Watcher, SAFETY_NET};
 use presto_common::{PrestoError, Result};
 use presto_connector::CatalogManager;
 use presto_exec::scan::SplitQueue;
@@ -208,8 +209,20 @@ impl SplitFeeder<'_> {
                     }
                 };
                 // Shortest queue wins; wait while all candidates are full
-                // ("Keeping these queues small allows the system to adapt").
+                // ("Keeping these queues small allows the system to adapt"),
+                // for a scan driver to take a split or the query to end.
+                let mut watcher: Option<Watcher> = None;
                 loop {
+                    // Once there is something to wait for, register before
+                    // looking.
+                    let seen = watcher.as_mut().map(|watcher| {
+                        watcher.arm(|w| {
+                            query.on_cancel(w);
+                            for &i in &candidates {
+                                queues[i].1.on_space(w);
+                            }
+                        })
+                    });
                     if query.is_cancelled() {
                         return Ok(assigned);
                     }
@@ -223,7 +236,13 @@ impl SplitFeeder<'_> {
                         assigned += 1;
                         break;
                     }
-                    std::thread::sleep(Duration::from_micros(100));
+                    match (&watcher, seen) {
+                        (Some(watcher), Some(seen)) => {
+                            watcher.wait(seen, SAFETY_NET);
+                        }
+                        // All full on the first look: look again, registered.
+                        _ => watcher = Some(Watcher::new()),
+                    }
                 }
             }
         }

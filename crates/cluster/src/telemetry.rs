@@ -32,7 +32,8 @@ struct Inner {
     /// Completed queries.
     finished_queries: AtomicU64,
     failed_queries: AtomicU64,
-    /// Per-query records.
+    /// Per-query records: every live query, plus the finished ones the
+    /// coordinator's history ring still retains.
     queries: Mutex<HashMap<QueryId, QueryRecord>>,
     /// Errors by code tag.
     errors: Mutex<HashMap<&'static str, u64>>,
@@ -364,6 +365,11 @@ impl ClusterTelemetry {
 
     pub fn failed_queries(&self) -> u64 {
         self.inner.failed_queries.load(Ordering::SeqCst)
+    }
+
+    /// Drop a finished query's record (it left the history ring).
+    pub fn forget_query(&self, query: QueryId) {
+        self.inner.queries.lock().remove(&query);
     }
 
     pub fn query_record(&self, query: QueryId) -> Option<QueryRecord> {

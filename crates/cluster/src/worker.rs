@@ -9,8 +9,9 @@
 //! processing another task."
 
 use parking_lot::Mutex;
+use presto_common::wake::{Bell, WakeList, Waker, SAFETY_NET};
 use presto_common::{NodeId, PrestoError, QueryId, TaskId, TraceBuffer, TraceKind};
-use presto_exec::{Driver, DriverState, Task};
+use presto_exec::{BlockedReason, Driver, DriverState, Task};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -70,7 +71,16 @@ pub struct QueryState {
     error: Mutex<Option<PrestoError>>,
     cancelled: AtomicBool,
     cpu_nanos: AtomicU64,
+    /// The query's tasks, for the cancel fan-out. Tasks point back at this
+    /// state, so [`retire`](Self::retire) empties the list when the query
+    /// ends — otherwise the cycle keeps every task alive for good.
     tasks: Mutex<Vec<Arc<TaskHandle>>>,
+    /// Threads that must hear of the query's end (the coordinator's drain,
+    /// split feeders): fired by a failure or cancel.
+    cancel_waiters: WakeList,
+    /// Threads waiting for tasks to complete (the phased-stage wait, the
+    /// stats drain): fired by each task that does.
+    task_done_waiters: WakeList,
 }
 
 impl QueryState {
@@ -81,7 +91,21 @@ impl QueryState {
             cancelled: AtomicBool::new(false),
             cpu_nanos: AtomicU64::new(0),
             tasks: Mutex::new(Vec::new()),
+            cancel_waiters: WakeList::new(),
+            task_done_waiters: WakeList::new(),
         })
+    }
+
+    /// `waker` fires when the query fails or is cancelled. Look at the
+    /// state again after registering.
+    pub fn on_cancel(&self, waker: &Waker) {
+        self.cancel_waiters.register(waker);
+    }
+
+    /// `waker` fires whenever one of the query's tasks completes. Look at
+    /// the tasks again after registering.
+    pub fn on_task_done(&self, waker: &Waker) {
+        self.task_done_waiters.register(waker);
     }
 
     pub fn register_task(&self, task: Arc<TaskHandle>) {
@@ -105,6 +129,14 @@ impl QueryState {
         for task in self.tasks.lock().iter() {
             task.cancel();
         }
+        self.cancel_waiters.wake_all();
+    }
+
+    /// End of the query: cancel whatever still runs, then let go of the
+    /// tasks.
+    pub fn retire(&self) {
+        self.cancel();
+        self.tasks.lock().clear();
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -123,11 +155,6 @@ impl QueryState {
     pub fn cpu(&self) -> Duration {
         Duration::from_nanos(self.cpu_nanos.load(Ordering::Relaxed))
     }
-
-    /// All registered tasks have completed (successfully or not).
-    pub fn all_tasks_done(&self) -> bool {
-        self.tasks.lock().iter().all(|t| t.is_done())
-    }
 }
 
 /// One task as the worker sees it.
@@ -143,6 +170,9 @@ pub struct TaskHandle {
     done: AtomicBool,
     quanta: Duration,
     spill_enabled: bool,
+    /// The bell of the worker running this task: a cancel must reach its
+    /// parked drivers.
+    bell: Arc<Bell>,
 }
 
 impl TaskHandle {
@@ -160,6 +190,11 @@ impl TaskHandle {
         self.task.output.close();
         for e in &self.task.exchanges {
             e.client.cancel();
+        }
+        // Every query ends by cancelling its tasks; only one that still
+        // has drivers has any to call back.
+        if !self.is_done() {
+            self.bell.ring();
         }
     }
 
@@ -181,7 +216,9 @@ impl TaskHandle {
             // published hash table) is deleted here, not when the last Arc
             // happens to drop.
             self.task.spill.remove_all();
+            self.query_state.task_done_waiters.wake_all();
         }
+        self.bell.ring();
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -204,6 +241,7 @@ impl TaskHandle {
             self.task.memory.release_all();
             // All drivers retired: no operator can read a spill run again.
             self.task.spill.remove_all();
+            self.query_state.task_done_waiters.wake_all();
         }
     }
 }
@@ -214,6 +252,52 @@ impl TaskHandle {
 pub struct DriverRun {
     driver: Driver,
     task: Arc<TaskHandle>,
+    /// The waker registered for the wait this driver is in, with the
+    /// operators it covers ([`Driver::blocked_on`]). Set when a `Blocked`
+    /// return arms it; the driver sleeps on it only if the quantum after
+    /// that blocks on the same operators with the waker still silent.
+    armed: Option<(Waker, u64)>,
+    /// Re-admitted because its safety-net deadline passed, not because its
+    /// waker fired: progress now means an event went missing.
+    overslept: bool,
+}
+
+/// A driver off the run queue until `deadline` — or, when it is
+/// [`armed`](DriverRun::armed), until its waker fires.
+struct Parked {
+    deadline: Instant,
+    run: DriverRun,
+}
+
+/// Re-poll interval of a wait no event announces: memory, injected
+/// exchange latency, retry backoff, the dynamic-filter deadline.
+const TIMED_REPOLL: Duration = Duration::from_micros(200);
+
+/// Longest an executor thread sleeps with nothing to do. It heartbeats
+/// each time round, so this must stay well under any `liveness_timeout`.
+const IDLE_WAIT: Duration = Duration::from_millis(10);
+
+/// How this worker's drivers have waited, since startup (§IV-F1).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WakeupSnapshot {
+    /// Drivers put to sleep on an event.
+    pub parks: u64,
+    /// Sleeping drivers brought back by their event.
+    pub event_wakeups: u64,
+    /// Waits no event announces, re-polled on a timer.
+    pub timed_repolls: u64,
+    /// Drivers that slept to their safety-net deadline and could then make
+    /// progress although nothing had woken them: lost wakeups. Zero unless
+    /// there is a bug.
+    pub safety_net_fires: u64,
+}
+
+#[derive(Default)]
+struct WakeupCounters {
+    parks: AtomicU64,
+    event_wakeups: AtomicU64,
+    timed_repolls: AtomicU64,
+    safety_net_fires: AtomicU64,
 }
 
 /// A worker node: N executor threads over a multilevel feedback queue.
@@ -221,7 +305,12 @@ pub struct Worker {
     pub node: NodeId,
     pub pool: Arc<NodeMemoryPool>,
     queue: Arc<MultilevelQueue<DriverRun>>,
-    blocked: Arc<Mutex<VecDeque<(Instant, DriverRun)>>>,
+    blocked: Arc<Mutex<VecDeque<Parked>>>,
+    /// What idle executor threads sleep on. Rung once per driver that
+    /// becomes runnable (a submit, a re-queue, a fired waker) and for
+    /// everything else that ends a wait: cancel, kill, resume, shutdown.
+    bell: Arc<Bell>,
+    wakeups: WakeupCounters,
     shutdown: Arc<AtomicBool>,
     dead: Arc<AtomicBool>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -260,6 +349,8 @@ impl Worker {
             pool,
             queue: Arc::new(MultilevelQueue::new()),
             blocked: Arc::new(Mutex::new(VecDeque::new())),
+            bell: Bell::new(),
+            wakeups: WakeupCounters::default(),
             shutdown: Arc::new(AtomicBool::new(false)),
             dead: Arc::new(AtomicBool::new(false)),
             threads: Mutex::new(Vec::new()),
@@ -306,6 +397,7 @@ impl Worker {
             done: AtomicBool::new(drivers.is_empty()),
             quanta,
             spill_enabled,
+            bell: Arc::clone(&self.bell),
         });
         query_state.register_task(Arc::clone(&handle));
         // A dead or stopped worker will never run these drivers; fail the
@@ -327,10 +419,12 @@ impl Worker {
             tasks.push(Arc::clone(&handle));
         }
         for driver in drivers {
-            self.queue.push(
+            self.enqueue(
                 DriverRun {
                     driver,
                     task: Arc::clone(&handle),
+                    armed: None,
+                    overslept: false,
                 },
                 Duration::ZERO,
             );
@@ -363,6 +457,17 @@ impl Worker {
     /// Drivers parked on a blocked condition (backoff pending).
     pub fn blocked_drivers(&self) -> usize {
         self.blocked.lock().len()
+    }
+
+    /// How drivers have waited on this worker, for metrics snapshots.
+    pub fn wakeups(&self) -> WakeupSnapshot {
+        let c = &self.wakeups;
+        WakeupSnapshot {
+            parks: c.parks.load(Ordering::Relaxed),
+            event_wakeups: c.event_wakeups.load(Ordering::Relaxed),
+            timed_repolls: c.timed_repolls.load(Ordering::Relaxed),
+            safety_net_fires: c.safety_net_fires.load(Ordering::Relaxed),
+        }
     }
 
     /// The worker's MLFQ, for metrics snapshots.
@@ -409,6 +514,7 @@ impl Worker {
         }
         drop(self.queue.drain());
         self.blocked.lock().clear();
+        self.bell.ring_all();
     }
 
     pub fn is_dead(&self) -> bool {
@@ -454,6 +560,7 @@ impl Worker {
     /// process to the failure detector.
     pub fn set_paused(&self, paused: bool) {
         self.paused.store(paused, Ordering::SeqCst);
+        self.bell.ring_all();
     }
 
     pub fn is_paused(&self) -> bool {
@@ -480,46 +587,104 @@ impl Worker {
         if self.state() != WorkerState::Lost {
             self.set_state(WorkerState::Shutdown);
         }
+        self.bell.ring_all();
         let handles = std::mem::take(&mut *self.threads.lock());
         for h in handles {
             let _ = h.join();
         }
     }
 
-    fn run_executor(&self, thread_index: u32) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            if self.dead.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(1));
+    /// Make a driver runnable and call one executor thread to it.
+    fn enqueue(&self, run: DriverRun, task_cpu: Duration) {
+        self.queue.push(run, task_cpu);
+        self.bell.ring();
+    }
+
+    /// Take a blocked driver off the run queue until its waker fires (when
+    /// it is armed) or `wait` passes.
+    fn park(&self, run: DriverRun, wait: Duration) {
+        let timed = run.armed.is_none();
+        self.blocked.lock().push_back(Parked {
+            deadline: Instant::now() + wait,
+            run,
+        });
+        if timed {
+            // Idle threads sized their sleep before this deadline existed.
+            self.bell.ring();
+        }
+    }
+
+    /// Move every parked driver that was woken, is cancelled or is due
+    /// back to the run queue. Returns the earliest deadline still pending.
+    fn readmit_parked(&self) -> Option<Instant> {
+        let mut blocked = self.blocked.lock();
+        if blocked.is_empty() {
+            return None;
+        }
+        let now = Instant::now();
+        let mut next: Option<Instant> = None;
+        let mut readmitted = 0usize;
+        for _ in 0..blocked.len() {
+            let Some(mut parked) = blocked.pop_front() else {
+                break;
+            };
+            let run = &mut parked.run;
+            let woken = run.armed.as_ref().is_some_and(|(w, _)| w.is_woken());
+            let cancelled = run.task.is_cancelled() || run.task.query_state.is_cancelled();
+            if !woken && !cancelled && parked.deadline > now {
+                next = Some(next.map_or(parked.deadline, |d| d.min(parked.deadline)));
+                blocked.push_back(parked);
                 continue;
             }
-            // A hung scheduler (chaos injection) stops taking quanta AND
-            // stops heartbeating — the detector must notice.
-            if self.paused.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_micros(200));
+            if woken {
+                self.wakeups.event_wakeups.fetch_add(1, Ordering::Relaxed);
+            }
+            run.overslept = !woken && !cancelled && run.armed.is_some();
+            self.queue.push(parked.run, Duration::ZERO);
+            readmitted += 1;
+        }
+        drop(blocked);
+        // The caller runs one of them; each other one needs a thread too.
+        for _ in 1..readmitted {
+            self.bell.ring();
+        }
+        next
+    }
+
+    fn run_executor(&self, thread_index: u32) {
+        while !self.shutdown.load(Ordering::SeqCst) {
+            // Read before looking for work: a ring from here on ends the
+            // wait below at once.
+            let seen = self.bell.seq();
+            // A dead worker runs nothing. A hung scheduler (chaos
+            // injection) stops taking quanta AND stops heartbeating — the
+            // detector must notice.
+            if self.dead.load(Ordering::SeqCst) || self.paused.load(Ordering::SeqCst) {
+                self.bell.wait(seen, IDLE_WAIT);
                 continue;
             }
             self.heartbeat.fetch_add(1, Ordering::Relaxed);
-            // Re-admit blocked drivers whose backoff elapsed.
-            {
-                let mut blocked = self.blocked.lock();
-                let now = Instant::now();
-                let mut rest = VecDeque::new();
-                while let Some((at, run)) = blocked.pop_front() {
-                    if at <= now {
-                        self.queue.push(run, Duration::ZERO);
-                    } else {
-                        rest.push_back((at, run));
-                    }
-                }
-                *blocked = rest;
-            }
-            let Some(mut run) = self.queue.pop() else {
-                std::thread::sleep(Duration::from_micros(200));
+            let next_deadline = self.readmit_parked();
+            let Some(run) = self.queue.pop() else {
+                let idle = next_deadline.map_or(IDLE_WAIT, |at| {
+                    at.saturating_duration_since(Instant::now()).min(IDLE_WAIT)
+                });
+                self.bell.wait(seen, idle);
                 continue;
             };
+            self.run_driver(run, thread_index);
+        }
+    }
+
+    /// Give `run` a quantum and act on how it ends. A driver that blocks
+    /// gets a waker registered with what it waits for and a second quantum
+    /// right away: only if that one blocks on the same operators with the
+    /// waker still silent does it sleep on the event.
+    fn run_driver(&self, mut run: DriverRun, thread_index: u32) {
+        for look in 0..2 {
             if run.task.is_cancelled() || run.task.query_state.is_cancelled() {
                 run.task.driver_done(Some(&run.driver));
-                continue;
+                return;
             }
             self.running_drivers.fetch_add(1, Ordering::Relaxed);
             let cpu_before = run.task.cpu();
@@ -560,39 +725,64 @@ impl Worker {
                     run.task.id.stage.stage as u64,
                 );
             }
-            match result {
-                Ok(DriverState::Ready) => {
-                    self.queue.push(run, cpu_before + elapsed);
-                }
-                Ok(DriverState::Blocked(reason)) => {
-                    use presto_exec::BlockedReason;
-                    if reason == BlockedReason::Memory && run.task.spill_enabled {
-                        // Revoke (spill) and retry immediately (§IV-F2).
-                        match run.driver.revoke_memory() {
-                            Ok(freed) if freed > 0 => {
-                                self.queue.push(run, cpu_before + elapsed);
-                                continue;
-                            }
-                            Ok(_) => {}
-                            Err(e) => {
-                                run.task.query_state.fail(e);
-                                run.task.driver_done(Some(&run.driver));
-                                continue;
-                            }
-                        }
-                    }
-                    let backoff = Duration::from_micros(200);
-                    self.blocked
-                        .lock()
-                        .push_back((Instant::now() + backoff, run));
-                }
-                Ok(DriverState::Finished) => {
-                    run.task.driver_done(Some(&run.driver));
-                }
+            let task_cpu = cpu_before + elapsed;
+            // The waker of the previous look stays only if this one sleeps
+            // on it.
+            let armed = run.armed.take().filter(|(waker, _)| !waker.is_woken());
+            let overslept = std::mem::take(&mut run.overslept) && armed.is_some();
+            let stuck =
+                matches!(result, Ok(DriverState::Blocked(_))) && !run.driver.made_progress();
+            if overslept && !stuck {
+                // Nothing woke this driver, yet it had work: a lost wakeup.
+                self.wakeups
+                    .safety_net_fires
+                    .fetch_add(1, Ordering::Relaxed);
+            }
+            let reason = match result {
+                Ok(DriverState::Blocked(reason)) => reason,
+                Ok(DriverState::Ready) => return self.enqueue(run, task_cpu),
+                Ok(DriverState::Finished) => return run.task.driver_done(Some(&run.driver)),
                 Err(e) => {
                     run.task.query_state.fail(e);
-                    run.task.driver_done(Some(&run.driver));
+                    return run.task.driver_done(Some(&run.driver));
                 }
+            };
+            if reason == BlockedReason::Memory && run.task.spill_enabled {
+                // Revoke (spill) and retry immediately (§IV-F2).
+                match run.driver.revoke_memory() {
+                    Ok(freed) if freed > 0 => return self.enqueue(run, task_cpu),
+                    Ok(_) => {}
+                    Err(e) => {
+                        run.task.query_state.fail(e);
+                        return run.task.driver_done(Some(&run.driver));
+                    }
+                }
+            }
+            // Sleep only on what was registered: the waker must cover the
+            // operators blocked now, and must not have fired since.
+            let covers = run.driver.blocked_on(reason);
+            if armed
+                .as_ref()
+                .is_some_and(|(_, covered)| *covered == covers)
+            {
+                if !overslept {
+                    self.wakeups.parks.fetch_add(1, Ordering::Relaxed);
+                }
+                run.armed = armed;
+                return self.park(run, SAFETY_NET);
+            }
+            let waker = Waker::new(&self.bell);
+            if !run.driver.park(covers, &waker) {
+                // On a clock (or on memory): no event to sleep on.
+                self.wakeups.timed_repolls.fetch_add(1, Ordering::Relaxed);
+                return self.park(run, TIMED_REPOLL);
+            }
+            // Registered after the driver's last look, so it looks again
+            // before it sleeps: now, or from the queue once it has had its
+            // turn.
+            run.armed = Some((waker, covers));
+            if look == 1 {
+                return self.enqueue(run, task_cpu);
             }
         }
     }
@@ -601,5 +791,400 @@ impl Worker {
 impl Drop for Worker {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use crate::memory::ReservedPoolLock;
+    use presto_common::wake::Watcher;
+    use presto_common::{DataType, Result, Schema, Value};
+    use presto_exec::stats::{PipelineMeta, TaskStatsCollector};
+    use presto_exec::{Operator, SpillManager, TaskMemoryContext, UnlimitedPool};
+    use presto_page::Page;
+    use presto_shuffle::OutputBuffer;
+
+    /// A condition a test operator waits on: a flag, and the list fired
+    /// when it is set.
+    #[derive(Default)]
+    struct Gate {
+        open: AtomicBool,
+        waiters: WakeList,
+    }
+
+    impl Gate {
+        fn open(&self) {
+            self.open.store(true, Ordering::SeqCst);
+            self.waiters.wake_all();
+        }
+
+        fn is_open(&self) -> bool {
+            self.open.load(Ordering::SeqCst)
+        }
+    }
+
+    /// How a test operator answers [`Operator::park`].
+    #[derive(Clone)]
+    enum OnPark {
+        /// Register with the gate's list.
+        Register,
+        /// The gate opens in the window between the driver's last look and
+        /// the registration: nobody is registered yet, so nothing fires.
+        OpenThenRegister,
+        /// The wait is on a clock: no event, re-poll on a timer.
+        Decline,
+    }
+
+    /// Emits one row once its gate is open, then finishes.
+    struct GatedSource {
+        gate: Arc<Gate>,
+        on_park: OnPark,
+        done: bool,
+    }
+
+    impl Operator for GatedSource {
+        fn name(&self) -> &'static str {
+            "GatedSource"
+        }
+        fn needs_input(&self) -> bool {
+            false
+        }
+        fn add_input(&mut self, _page: Page) -> Result<()> {
+            unreachable!("source")
+        }
+        fn finish(&mut self) {}
+        fn output(&mut self) -> Result<Option<Page>> {
+            if self.done || !self.gate.is_open() {
+                return Ok(None);
+            }
+            self.done = true;
+            let schema = Schema::of(&[("x", DataType::Bigint)]);
+            Ok(Some(Page::from_rows(&schema, &[vec![Value::Bigint(1)]])))
+        }
+        fn is_finished(&self) -> bool {
+            self.done
+        }
+        fn blocked(&self) -> Option<BlockedReason> {
+            (!self.done && !self.gate.is_open()).then_some(BlockedReason::WaitingForInput)
+        }
+        fn park(&self, waker: &Waker) -> bool {
+            match self.on_park {
+                OnPark::Register => self.gate.waiters.register(waker),
+                OnPark::OpenThenRegister => {
+                    self.gate.open();
+                    self.gate.waiters.register(waker);
+                }
+                OnPark::Decline => return false,
+            }
+            true
+        }
+    }
+
+    /// A sink whose output is full until its gate opens — from the start,
+    /// or only once `full_once` has opened.
+    struct GatedSink {
+        gate: Arc<Gate>,
+        full_once: Option<Arc<Gate>>,
+        done: bool,
+    }
+
+    impl GatedSink {
+        fn full(&self) -> bool {
+            !self.gate.is_open() && self.full_once.as_ref().is_none_or(|g| g.is_open())
+        }
+    }
+
+    impl Operator for GatedSink {
+        fn name(&self) -> &'static str {
+            "GatedSink"
+        }
+        fn needs_input(&self) -> bool {
+            !self.done && !self.full()
+        }
+        fn add_input(&mut self, _page: Page) -> Result<()> {
+            Ok(())
+        }
+        fn finish(&mut self) {
+            self.done = true;
+        }
+        fn output(&mut self) -> Result<Option<Page>> {
+            Ok(None)
+        }
+        fn is_finished(&self) -> bool {
+            self.done
+        }
+        fn blocked(&self) -> Option<BlockedReason> {
+            (!self.done && self.full()).then_some(BlockedReason::OutputFull)
+        }
+        fn park(&self, waker: &Waker) -> bool {
+            self.gate.waiters.register(waker);
+            true
+        }
+    }
+
+    struct Rig {
+        worker: Arc<Worker>,
+        state: Arc<QueryState>,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let pool =
+                NodeMemoryPool::new(NodeId(0), 1 << 30, 1 << 30, false, ReservedPoolLock::new());
+            Rig {
+                worker: Worker::start(NodeId(0), 0, 2, pool, ClusterTelemetry::new(1), None),
+                state: QueryState::new(QueryId(1)),
+            }
+        }
+
+        /// One task of one driver: `source` feeding `sink`.
+        fn submit(&self, source: GatedSource, sink: GatedSink) -> Arc<TaskHandle> {
+            let id = TaskId {
+                stage: QueryId(1).stage(0),
+                task: 0,
+            };
+            let memory = || TaskMemoryContext::new(QueryId(1), Arc::new(UnlimitedPool));
+            let driver = Driver::new(vec![Box::new(source), Box::new(sink)], memory());
+            let task = Task {
+                id,
+                output: OutputBuffer::new(1, 1 << 20),
+                scans: Vec::new(),
+                exchanges: Vec::new(),
+                drivers: Mutex::new(vec![driver]),
+                memory: memory(),
+                spill: SpillManager::new(None, 0),
+                stats: TaskStatsCollector::new(vec![PipelineMeta {
+                    description: "test".to_string(),
+                    driver_count: 1,
+                }]),
+            };
+            self.worker.submit_task(
+                task,
+                Arc::clone(&self.state),
+                Duration::from_millis(10),
+                false,
+            )
+        }
+    }
+
+    impl Drop for Rig {
+        fn drop(&mut self) {
+            self.worker.shutdown();
+        }
+    }
+
+    fn open_gate() -> Arc<Gate> {
+        let gate = Arc::new(Gate::default());
+        gate.open();
+        gate
+    }
+
+    fn source(gate: &Arc<Gate>, on_park: OnPark) -> GatedSource {
+        GatedSource {
+            gate: Arc::clone(gate),
+            on_park,
+            done: false,
+        }
+    }
+
+    fn sink(gate: &Arc<Gate>) -> GatedSink {
+        GatedSink {
+            gate: Arc::clone(gate),
+            full_once: None,
+            done: false,
+        }
+    }
+
+    /// Poll `cond` until it holds; panics after a generous bound.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_micros(200));
+        }
+    }
+
+    #[test]
+    fn parked_driver_wakes_on_its_event() {
+        let rig = Rig::new();
+        let gate = Arc::new(Gate::default());
+        let handle = rig.submit(source(&gate, OnPark::Register), sink(&open_gate()));
+        eventually("the driver parks", || rig.worker.blocked_drivers() == 1);
+        let parked = rig.worker.wakeups();
+        assert_eq!((parked.parks, parked.timed_repolls), (1, 0));
+        gate.open();
+        eventually("the task finishes", || handle.is_done());
+        let end = rig.worker.wakeups();
+        assert_eq!((end.parks, end.event_wakeups), (1, 1));
+        assert_eq!(end.safety_net_fires, 0);
+        assert!(rig.state.error().is_none());
+    }
+
+    /// Hazard 1: a waker registered after the driver's last look loses
+    /// whatever happened in between — unless the driver looks again before
+    /// it sleeps.
+    #[test]
+    fn event_between_the_last_look_and_the_registration_is_not_lost() {
+        let rig = Rig::new();
+        let gate = Arc::new(Gate::default());
+        let handle = rig.submit(source(&gate, OnPark::OpenThenRegister), sink(&open_gate()));
+        eventually("the task finishes", || handle.is_done());
+        let end = rig.worker.wakeups();
+        assert_eq!(end.parks, 0, "the second look saw the gate open");
+        assert_eq!(end.safety_net_fires, 0);
+    }
+
+    /// Hazard 2: armed on its input, the driver next blocks on its output.
+    /// It must sleep on what the output registers, not on the input waker
+    /// it happens to hold.
+    #[test]
+    fn driver_sleeps_only_on_a_waker_that_covers_what_blocks_it() {
+        let rig = Rig::new();
+        let (input, output) = (Arc::new(Gate::default()), Arc::new(Gate::default()));
+        // First look: input closed, armed on it — and it opens before the
+        // registration, so that waker stays silent. Second look: the source
+        // has its page, and with it the sink is full.
+        let full_sink = GatedSink {
+            full_once: Some(Arc::clone(&input)),
+            ..sink(&output)
+        };
+        let handle = rig.submit(source(&input, OnPark::OpenThenRegister), full_sink);
+        eventually("the driver parks on the output", || {
+            rig.worker.blocked_drivers() == 1 && !output.waiters.is_empty()
+        });
+        output.open();
+        eventually("the task finishes", || handle.is_done());
+        let end = rig.worker.wakeups();
+        assert_eq!(end.safety_net_fires, 0, "woken by the output event");
+        assert_eq!((end.parks, end.event_wakeups), (1, 1));
+    }
+
+    /// Hazard 3: a wait no event announces stays a timed re-poll.
+    #[test]
+    fn wait_on_a_clock_is_repolled_not_parked() {
+        let rig = Rig::new();
+        let gate = Arc::new(Gate::default());
+        let handle = rig.submit(source(&gate, OnPark::Decline), sink(&open_gate()));
+        eventually("it has been re-polled a few times", || {
+            rig.worker.wakeups().timed_repolls >= 3
+        });
+        gate.open();
+        eventually("the task finishes", || handle.is_done());
+        let end = rig.worker.wakeups();
+        assert_eq!(
+            (end.parks, end.event_wakeups, end.safety_net_fires),
+            (0, 0, 0)
+        );
+    }
+
+    /// The counter the other tests hold at zero does count: an operator
+    /// whose event never fires its list is found by the safety net.
+    #[test]
+    fn lost_wakeup_is_caught_by_the_safety_net_and_counted() {
+        let rig = Rig::new();
+        let gate = Arc::new(Gate::default());
+        let handle = rig.submit(source(&gate, OnPark::Register), sink(&open_gate()));
+        eventually("the driver parks", || rig.worker.blocked_drivers() == 1);
+        gate.open.store(true, Ordering::SeqCst); // state changes, nobody rings
+        eventually("the task finishes", || handle.is_done());
+        let end = rig.worker.wakeups();
+        assert_eq!((end.safety_net_fires, end.event_wakeups), (1, 0));
+    }
+
+    /// A long wait is not a lost wakeup: the safety net looks, finds
+    /// nothing, and the driver sleeps on the same waker again — and the
+    /// whole of it is charged to the operator that waited, as it was when
+    /// the wait was a string of re-polls.
+    #[test]
+    fn long_wait_passes_the_safety_net_without_firing_it() {
+        let rig = Rig::new();
+        let gate = Arc::new(Gate::default());
+        let handle = rig.submit(source(&gate, OnPark::Register), sink(&open_gate()));
+        eventually("the driver parks", || rig.worker.blocked_drivers() == 1);
+        std::thread::sleep(SAFETY_NET * 3);
+        assert_eq!(gate.waiters.len(), 1, "re-parked on the waker it had");
+        gate.open();
+        eventually("the task finishes", || handle.is_done());
+        let stats = handle.task.stats_snapshot();
+        let source = &stats.pipelines[0].operators[0];
+        assert_eq!(source.name, "GatedSource");
+        assert!(source.stats.blocked_on_input >= SAFETY_NET * 3);
+        assert_eq!(source.stats.blocked_on_output, Duration::ZERO);
+        let end = rig.worker.wakeups();
+        assert_eq!(
+            (end.parks, end.event_wakeups, end.safety_net_fires),
+            (1, 1, 0)
+        );
+    }
+
+    /// Hazard 4: everything that ends a wait rings the worker's bell.
+    #[test]
+    fn cancel_abort_kill_resume_and_shutdown_ring_the_bell() {
+        let rig = Rig::new();
+        let gate = Arc::new(Gate::default());
+        let rung_by = |what: &str, act: &dyn Fn()| {
+            let seen = rig.worker.bell.seq();
+            act();
+            assert_ne!(rig.worker.bell.seq(), seen, "{what} must ring");
+        };
+        let a = rig.submit(source(&gate, OnPark::Register), sink(&open_gate()));
+        let b = rig.submit(source(&gate, OnPark::Register), sink(&open_gate()));
+        eventually("both drivers park", || rig.worker.blocked_drivers() == 2);
+        rung_by("cancel", &|| a.cancel());
+        eventually("the cancelled task retires", || a.is_done());
+        assert_eq!(
+            rig.worker.blocked_drivers(),
+            1,
+            "only the cancelled one left"
+        );
+        rung_by("abort", &|| b.abort());
+        rung_by("pause", &|| rig.worker.set_paused(true));
+        rung_by("resume", &|| rig.worker.set_paused(false));
+        rung_by("kill", &|| rig.worker.kill());
+        rung_by("shutdown", &|| rig.worker.shutdown());
+        assert_eq!(rig.worker.wakeups().safety_net_fires, 0);
+    }
+
+    /// Hazard 4, seen from outside: a cancelled query's parked drivers
+    /// retire at once, not at their safety-net deadline.
+    #[test]
+    fn query_cancel_retires_parked_drivers_and_wakes_watchers() {
+        let rig = Rig::new();
+        let gate = Arc::new(Gate::default());
+        let handle = rig.submit(source(&gate, OnPark::Register), sink(&open_gate()));
+        eventually("the driver parks", || rig.worker.blocked_drivers() == 1);
+        let (mut ended, mut task_done) = (Watcher::new(), Watcher::new());
+        let seen = task_done.arm(|w| rig.state.on_task_done(w));
+        let cancelled = ended.arm(|w| rig.state.on_cancel(w));
+        rig.state.fail(PrestoError::killed("test"));
+        assert!(ended.wait(cancelled, Duration::from_secs(20)));
+        assert!(task_done.wait(seen, Duration::from_secs(20)));
+        eventually("the task retires", || handle.is_done());
+        assert_eq!(rig.worker.blocked_drivers(), 0);
+    }
+
+    /// Hazard 5: an idle worker keeps heartbeating from its bounded idle
+    /// wait; a paused one stops.
+    #[test]
+    fn idle_worker_heartbeats_and_paused_worker_does_not() {
+        let rig = Rig::new();
+        let start = rig.worker.heartbeat();
+        eventually("an idle worker heartbeats", || {
+            rig.worker.heartbeat() >= start + 4
+        });
+        rig.worker.set_paused(true);
+        // Each thread may have been past the pause check once.
+        std::thread::sleep(IDLE_WAIT * 3);
+        let frozen = rig.worker.heartbeat();
+        std::thread::sleep(IDLE_WAIT * 5);
+        assert_eq!(
+            rig.worker.heartbeat(),
+            frozen,
+            "a hung worker must look hung"
+        );
+        rig.worker.set_paused(false);
+        eventually("it resumes", || rig.worker.heartbeat() > frozen);
     }
 }

@@ -420,6 +420,7 @@ fn spilling_query_matches_unconstrained_run_and_cleans_up() {
     assert_eq!(a, b, "spilled results must match the unconstrained run");
 
     let snap = c.metrics_snapshot();
+    assert_eq!(snap.lost_wakeups(), 0);
     assert!(snap.spill.spilled_bytes > 0, "query should have spilled");
     assert!(snap.spill.spill_events > 0);
     assert!(snap.spill.queries_spilled >= 1);

@@ -59,6 +59,8 @@ fn assert_clean(c: &Cluster, grace: Duration) {
         let clean = live.iter().all(|&n| n == 0)
             && residual.iter().all(|&(g, r)| g == 0 && r == 0);
         if clean {
+            // Faults end waits from outside; none may have been slept through.
+            assert_eq!(snap.lost_wakeups(), 0);
             return;
         }
         assert!(

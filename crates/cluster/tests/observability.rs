@@ -6,6 +6,7 @@
 use presto_cluster::metrics::{CacheLayerMetrics, ClusterSnapshot, QueryGauges, ShuffleMetrics, WorkerMetrics};
 use presto_cluster::memory::PoolSnapshot;
 use presto_cluster::mlfq::{LevelSnapshot, SchedulerSnapshot};
+use presto_cluster::worker::WakeupSnapshot;
 use presto_cluster::{Cluster, ClusterConfig, DynamicFilterMetrics, FusionMetrics, QueryLatencyMetrics, SpillMetrics};
 use presto_common::json::Json;
 use presto_common::{DataType, LatencySummary, Schema, Session, Value};
@@ -122,7 +123,9 @@ fn explain_analyze_fused_chain_shows_per_stage_rows() {
     assert!(text.contains("Fused pipelines:"), "{text}");
     assert!(text.contains("[fused]"), "{text}");
     // The per-query totals rolled into the cluster-lifetime counters.
-    let fusion = c.metrics_snapshot().fusion;
+    let snap = c.metrics_snapshot();
+    assert_eq!(snap.lost_wakeups(), 0);
+    let fusion = snap.fusion;
     assert!(fusion.pipelines >= 1, "{fusion:?}");
     assert_eq!(fusion.scan_rows, 1000, "{fusion:?}");
     assert_eq!(fusion.filter_rows, 100, "{fusion:?}");
@@ -172,6 +175,7 @@ fn metrics_snapshot_changes_across_mid_query_samples() {
     handle.join().unwrap().unwrap();
     // After completion the gauges settle and the invariant holds.
     let end = c.metrics_snapshot();
+    assert_eq!(end.lost_wakeups(), 0);
     assert_eq!(end.queries.queued, 0);
     assert_eq!(end.queries.running, 0);
     assert_eq!(
@@ -197,6 +201,7 @@ fn collected_snapshot_round_trips_through_json() {
     let c = cluster();
     c.execute("SELECT COUNT(*) FROM orders").unwrap();
     let snap = c.metrics_snapshot();
+    assert_eq!(snap.lost_wakeups(), 0);
     let text = snap.to_json().to_string();
     let back = ClusterSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, snap);
@@ -258,6 +263,7 @@ fn failed_queries_settle_gauges_and_tag_errors() {
     assert!(c.execute("SELECT nosuch FROM orders").is_err());
     assert!(c.execute("not even sql").is_err());
     let snap = c.metrics_snapshot();
+    assert_eq!(snap.lost_wakeups(), 0);
     assert_eq!(snap.queries.queued, 0);
     assert_eq!(snap.queries.running, 0);
     assert_eq!(snap.queries.failed, 2);
@@ -288,6 +294,7 @@ fn populated_snapshot_round_trips_with_df_fusion_and_latency() {
     )
     .unwrap();
     let snap = c.metrics_snapshot();
+    assert_eq!(snap.lost_wakeups(), 0);
     assert!(snap.fusion.pipelines >= 1, "{:?}", snap.fusion);
     assert!(snap.fusion.scan_rows >= 1000, "{:?}", snap.fusion);
     assert!(
@@ -349,6 +356,7 @@ fn concurrent_scrape_under_load_is_consistent() {
     });
     // Settled: every query accounted for, histograms saw all 48.
     let end = c.metrics_snapshot();
+    assert_eq!(end.lost_wakeups(), 0);
     assert_eq!(end.queries.finished, 48);
     assert_eq!(end.latency.execution.count, 48);
     assert_eq!(
@@ -383,6 +391,7 @@ fn arb_worker() -> impl Strategy<Value = WorkerMetrics> {
             counter(),
             counter(),
         ),
+        (counter(), counter(), counter(), counter()),
         (
             proptest::collection::vec(any::<i64>(), 9..10),
             0..100_000usize,
@@ -393,6 +402,7 @@ fn arb_worker() -> impl Strategy<Value = WorkerMetrics> {
             |(
                 (node, busy_nanos, running_drivers, blocked_drivers, queued_drivers),
                 (levels, demotions, promotions),
+                (parks, event_wakeups, timed_repolls, safety_net_fires),
                 (mem, active_queries, state),
             )| WorkerMetrics {
                 node,
@@ -405,6 +415,12 @@ fn arb_worker() -> impl Strategy<Value = WorkerMetrics> {
                     levels,
                     demotions,
                     promotions,
+                },
+                wakeups: WakeupSnapshot {
+                    parks,
+                    event_wakeups,
+                    timed_repolls,
+                    safety_net_fires,
                 },
                 memory: PoolSnapshot {
                     general_used: mem[0],

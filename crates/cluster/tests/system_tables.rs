@@ -135,6 +135,7 @@ fn system_tables_agree_with_snapshot_after_workload() {
     max_id = max_id.max(parse_err.query.0);
 
     let snap = c.metrics_snapshot();
+    assert_eq!(snap.lost_wakeups(), 0);
     assert_eq!(snap.queries.finished, 7);
     assert_eq!(snap.queries.failed, 2);
     let history = c.query_history();

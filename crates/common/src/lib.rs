@@ -21,6 +21,7 @@ pub mod time;
 pub mod trace;
 pub mod types;
 pub mod value;
+pub mod wake;
 
 pub use error::{ErrorCode, PrestoError, Result};
 pub use histogram::{LatencyHistogram, LatencySummary};

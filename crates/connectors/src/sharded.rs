@@ -13,7 +13,7 @@
 
 use parking_lot::RwLock;
 use presto_cache::MetadataCache;
-use presto_common::{PrestoError, Result, Schema, TableStatistics, Value};
+use presto_common::{DataType, PrestoError, Result, Schema, TableStatistics, Value};
 use presto_connector::{
     Connector, ConnectorMetadata, DataLayout, Domain, FixedSplitSource, IndexSource,
     PageSinkFactory, PageSource, PageSourceFactory, Partitioning, ScanOptions, Split, SplitSource,
@@ -29,7 +29,10 @@ struct ShardData {
     rows: Vec<Vec<Value>>,
 }
 
-#[derive(Debug, Clone)]
+/// One loaded table. Immutable once built and shared behind an `Arc`:
+/// planning, split enumeration, scans and index lookups all read the same
+/// copy.
+#[derive(Debug)]
 struct ShardedTable {
     schema: Schema,
     /// The sharding key column.
@@ -39,9 +42,35 @@ struct ShardedTable {
     indexes: Vec<HashMap<Value, Vec<usize>>>,
 }
 
+impl ShardedTable {
+    /// The slots of `shard` a scan under `predicate` has to look at, in
+    /// row order, when the key index can name them: the key domain is a
+    /// value set whose members are all of the key's own type. (The index
+    /// matches by `Value` equality, the predicate by SQL comparison; the
+    /// two agree within one type, except for doubles.)
+    fn indexed_slots(&self, shard: usize, predicate: &TupleDomain) -> Option<Vec<usize>> {
+        let Some(Domain::Set(keys)) = predicate.domain(self.key_column) else {
+            return None;
+        };
+        let key_type = self.schema.data_type(self.key_column);
+        if key_type == DataType::Double || keys.iter().any(|k| k.data_type() != Some(key_type)) {
+            return None;
+        }
+        let mut slots: Vec<usize> = keys
+            .iter()
+            .filter_map(|k| self.indexes[shard].get(k))
+            .flatten()
+            .copied()
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        Some(slots)
+    }
+}
+
 #[derive(Default)]
 struct Inner {
-    tables: HashMap<String, ShardedTable>,
+    tables: HashMap<String, Arc<ShardedTable>>,
 }
 
 /// The connector.
@@ -94,12 +123,12 @@ impl ShardedSqlConnector {
         }
         self.inner.write().tables.insert(
             name.to_string(),
-            ShardedTable {
+            Arc::new(ShardedTable {
                 schema,
                 key_column,
                 shards,
                 indexes,
-            },
+            }),
         );
         self.cache.invalidate_table(&self.catalog_key, name, None);
     }
@@ -116,7 +145,7 @@ impl ShardedSqlConnector {
         self.rows_scanned.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    fn table(&self, name: &str) -> Result<ShardedTable> {
+    fn table(&self, name: &str) -> Result<Arc<ShardedTable>> {
         self.inner
             .read()
             .tables
@@ -186,12 +215,12 @@ impl ConnectorMetadata for ShardedSqlConnector {
         }
         inner.tables.insert(
             table.to_string(),
-            ShardedTable {
+            Arc::new(ShardedTable {
                 schema: schema.clone(),
                 key_column: 0,
                 shards: vec![ShardData::default(); self.shard_count],
                 indexes: vec![HashMap::new(); self.shard_count],
-            },
+            }),
         );
         drop(inner);
         self.cache.invalidate_table(&self.catalog_key, table, None);
@@ -280,12 +309,17 @@ impl PageSourceFactory for ShardedSqlConnector {
         let t = self.table(&split.table)?;
         let shard = &t.shards[payload.shard];
         // Shard-side predicate evaluation: only matching rows leave the
-        // "MySQL instance".
-        let matching: Vec<&Vec<Value>> = shard
-            .rows
-            .iter()
-            .filter(|row| options.predicate.matches(|c| row[c].clone()))
-            .collect();
+        // "MySQL instance" — and under a point or IN predicate on the key,
+        // only the rows its index names are looked at.
+        let matches = |row: &&Vec<Value>| options.predicate.matches(|c| row[c].clone());
+        let matching: Vec<&Vec<Value>> = match t.indexed_slots(payload.shard, &options.predicate) {
+            Some(slots) => slots
+                .iter()
+                .map(|&s| &shard.rows[s])
+                .filter(matches)
+                .collect(),
+            None => shard.rows.iter().filter(matches).collect(),
+        };
         self.rows_scanned
             .fetch_add(matching.len() as u64, std::sync::atomic::Ordering::Relaxed);
         let mut pages = Vec::new();
@@ -315,7 +349,7 @@ impl PageSourceFactory for ShardedSqlConnector {
 }
 
 struct ShardedIndexSource {
-    table: ShardedTable,
+    table: Arc<ShardedTable>,
     shard_count: usize,
     output_columns: Vec<usize>,
 }
@@ -477,5 +511,86 @@ mod tests {
         let layouts = c.table_layouts("ads");
         assert!(layouts[0].has_index_on(&[0]));
         assert_eq!(layouts[0].partitioning.as_ref().unwrap().bucket_count, 8);
+    }
+
+    #[test]
+    fn reads_share_the_loaded_table_instead_of_copying_it() {
+        let c = connector();
+        let loaded = Arc::clone(&c.inner.read().tables["ads"]);
+        let held = Arc::strong_count(&loaded);
+        let mut predicate = TupleDomain::all();
+        predicate.constrain(0, Domain::point(Value::Bigint(7)));
+        // Planning, split enumeration and a scan borrow the table and give
+        // it back…
+        c.table_layouts("ads");
+        assert_eq!(scan_all(&c, &predicate, vec![0, 1]), 10);
+        assert_eq!(Arc::strong_count(&loaded), held);
+        // …and an index source keeps a reference to that same table, not a
+        // copy of its rows and indexes.
+        let index = c.index_source("ads", &[0], &[1]).unwrap().unwrap();
+        assert_eq!(Arc::strong_count(&loaded), held + 1);
+        drop(index);
+        assert_eq!(Arc::strong_count(&loaded), held);
+    }
+
+    #[test]
+    fn key_lookups_touch_only_the_slots_the_index_names() {
+        let c = connector();
+        let t = c.table("ads").unwrap();
+        let on_key = |d: Domain| {
+            let mut p = TupleDomain::all();
+            p.constrain(0, d);
+            p
+        };
+        let shard = ShardedSqlConnector::shard_of(&Value::Bigint(7), 8);
+        // A point lookup: the ten rows of key 7 out of the shard's ~1 250.
+        let point = on_key(Domain::point(Value::Bigint(7)));
+        let slots = t.indexed_slots(shard, &point).unwrap();
+        assert_eq!(slots.len(), 10);
+        assert!(slots.windows(2).all(|w| w[0] < w[1]), "row order kept");
+        assert!(slots
+            .iter()
+            .all(|&s| t.shards[shard].rows[s][0] == Value::Bigint(7)));
+        // IN: each shard is asked only for the keys it holds.
+        let keys: Vec<Value> = (0..16).map(Value::Bigint).collect();
+        let here = keys
+            .iter()
+            .filter(|k| ShardedSqlConnector::shard_of(k, 8) == shard)
+            .count();
+        let slots = t.indexed_slots(shard, &on_key(Domain::Set(keys))).unwrap();
+        assert_eq!(slots.len(), here * 10);
+        // Ranges, other columns and keys the index cannot match by plain
+        // equality fall back to filtering the shard — with the same rows.
+        assert!(t
+            .indexed_slots(shard, &on_key(Domain::at_least(Value::Bigint(7))))
+            .is_none());
+        assert!(t.indexed_slots(shard, &TupleDomain::all()).is_none());
+        let as_double = on_key(Domain::point(Value::Double(7.0)));
+        assert!(t.indexed_slots(shard, &as_double).is_none());
+        let split = Split {
+            catalog: "sharded-sql".into(),
+            table: "ads".into(),
+            payload: Arc::new(ShardSplit { shard }),
+            addresses: vec![],
+            estimated_rows: 0,
+            bucket: Some(shard),
+            domain: None,
+            info: String::new(),
+        };
+        for predicate in [point, as_double] {
+            let before = c.rows_scanned();
+            let options = ScanOptions {
+                columns: vec![1],
+                predicate,
+                ..Default::default()
+            };
+            let mut source = c.create_source(&split, &options).unwrap();
+            let mut clicks = Vec::new();
+            while let Some(page) = source.next_page().unwrap() {
+                clicks.extend((0..page.row_count()).map(|r| page.block(0).i64_at(r)));
+            }
+            assert_eq!(clicks, (0..10).map(|i| 7 + 1000 * i).collect::<Vec<i64>>());
+            assert_eq!(c.rows_scanned() - before, 10, "accounting unchanged");
+        }
     }
 }

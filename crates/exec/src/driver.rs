@@ -6,6 +6,7 @@
 //! thread instead of blocking indefinitely … Every iteration of the loop
 //! moves data between all pairs of operators that can make progress."
 
+use presto_common::wake::Waker;
 use presto_common::{PrestoError, Result};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -40,6 +41,8 @@ pub struct Driver {
     /// Set when `process` returns Blocked: the park began then, for this
     /// reason, attributable to this operator. Charged on the next entry.
     last_block: Option<(Instant, BlockedReason, usize)>,
+    /// Whether the last quantum moved a page or finished an operator.
+    progressed: bool,
 }
 
 impl Driver {
@@ -55,6 +58,7 @@ impl Driver {
             pipeline: 0,
             stats_enabled: true,
             last_block: None,
+            progressed: false,
         }
     }
 
@@ -136,6 +140,7 @@ impl Driver {
         if self.memory.revocation().take_request() {
             self.revoke_memory()?;
         }
+        self.progressed = false;
         let result = self.process_until(start, quanta);
         self.cpu_time += start.elapsed();
         if let Ok(DriverState::Blocked(reason)) = &result {
@@ -159,6 +164,48 @@ impl Driver {
             .iter()
             .position(|op| op.blocked() == Some(reason))
             .unwrap_or(0)
+    }
+
+    /// Whether the last quantum moved a page or finished an operator. A
+    /// driver that does so after a wait nothing woke it from had an event
+    /// go missing.
+    pub fn made_progress(&self) -> bool {
+        self.progressed
+    }
+
+    /// The operators a `Blocked(reason)` return waits on, as a bit mask
+    /// over the chain: every operator that reports [`Operator::blocked`],
+    /// whatever its reason — a source that waits for input while the sink
+    /// is full must hear of both. Zero when no operator event ends the
+    /// wait: memory (the pool announces no release) or a dry source that
+    /// reports nothing.
+    pub fn blocked_on(&self, reason: BlockedReason) -> u64 {
+        if reason == BlockedReason::Memory || self.operators.len() > u64::BITS as usize {
+            return 0;
+        }
+        self.operators
+            .iter()
+            .enumerate()
+            .filter(|(_, op)| op.blocked().is_some())
+            .fold(0, |mask, (i, _)| mask | 1 << i)
+    }
+
+    /// Register `waker` with every operator in `mask` (from
+    /// [`blocked_on`](Self::blocked_on)) and with a revocation request for
+    /// this driver's spillable memory. False when some operator's wait is
+    /// on a clock and the driver must be re-polled on a timer. Run one more
+    /// quantum after this before sleeping on the waker.
+    pub fn park(&self, mask: u64, waker: &Waker) -> bool {
+        if self.memory.revocation().bytes() > 0 {
+            self.memory.revocation().on_request(waker);
+        }
+        let mut evented = mask != 0;
+        for (i, op) in self.operators.iter().enumerate() {
+            if mask & (1 << i) != 0 {
+                evented &= op.park(waker);
+            }
+        }
+        evented
     }
 
     /// Transfer one page from operator `i` to `i+1`, timing both sides
@@ -231,6 +278,7 @@ impl Driver {
                     page.row_count()
                 )));
             }
+            self.progressed |= progressed;
             // Reconcile memory with the pool, tracking per-operator peaks
             // and publishing how much of the reservation is revocable
             // (spillable) so the pool's arbiter can request spill instead
@@ -416,5 +464,93 @@ mod tests {
         let stats = driver.operator_stats();
         assert_eq!(stats[0].1.output_rows, 7);
         assert_eq!(stats[1].1.input_rows, 7);
+    }
+
+    /// A source with nothing to give and a sink with no room, each with a
+    /// list its `park` registers on.
+    struct Stuck {
+        reason: BlockedReason,
+        waiters: Arc<presto_common::wake::WakeList>,
+        evented: bool,
+    }
+
+    impl crate::operator::Operator for Stuck {
+        fn name(&self) -> &'static str {
+            "Stuck"
+        }
+        fn needs_input(&self) -> bool {
+            false
+        }
+        fn add_input(&mut self, _page: Page) -> Result<()> {
+            Ok(())
+        }
+        fn finish(&mut self) {}
+        fn output(&mut self) -> Result<Option<Page>> {
+            Ok(None)
+        }
+        fn is_finished(&self) -> bool {
+            false
+        }
+        fn blocked(&self) -> Option<BlockedReason> {
+            Some(self.reason)
+        }
+        fn user_memory_bytes(&self) -> usize {
+            64
+        }
+        fn can_revoke_memory(&self) -> bool {
+            true
+        }
+        fn park(&self, waker: &Waker) -> bool {
+            self.waiters.register(waker);
+            self.evented
+        }
+    }
+
+    #[test]
+    fn park_covers_every_blocked_operator_and_a_revocation_request() {
+        use presto_common::wake::{Bell, WakeList};
+        let lists = [Arc::new(WakeList::new()), Arc::new(WakeList::new())];
+        let stuck = |i: usize, reason, evented| {
+            Box::new(Stuck {
+                reason,
+                waiters: Arc::clone(&lists[i]),
+                evented,
+            }) as Box<dyn crate::operator::Operator>
+        };
+        let memory = memory();
+        let mut driver = Driver::new(
+            vec![
+                stuck(0, BlockedReason::WaitingForInput, true),
+                Box::new(LimitOperator::new(1)),
+                stuck(1, BlockedReason::OutputFull, true),
+            ],
+            Arc::clone(&memory),
+        );
+        let state = driver.process(Duration::from_secs(1)).unwrap();
+        assert_eq!(state, DriverState::Blocked(BlockedReason::WaitingForInput));
+        assert!(!driver.made_progress());
+        // The source waits for input *and* the sink is full: whichever
+        // clears, the driver must hear of it.
+        assert_eq!(driver.blocked_on(BlockedReason::WaitingForInput), 0b101);
+        // Memory has no event: nothing to sleep on.
+        assert_eq!(driver.blocked_on(BlockedReason::Memory), 0);
+        let bell = Bell::new();
+        let waker = Waker::new(&bell);
+        assert!(driver.park(0b101, &waker));
+        assert_eq!((lists[0].len(), lists[1].len()), (1, 1));
+        // The arbiter asking this driver to spill wakes it as well.
+        memory.revocation().request();
+        assert!(waker.is_woken());
+        assert!(!driver.park(0, &Waker::new(&bell)), "no operator, no event");
+
+        // One operator on a clock makes the whole wait a timed one.
+        let driver = Driver::new(
+            vec![
+                stuck(0, BlockedReason::WaitingForInput, true),
+                stuck(1, BlockedReason::OutputFull, false),
+            ],
+            memory,
+        );
+        assert!(!driver.park(0b11, &Waker::new(&bell)));
     }
 }

@@ -1,5 +1,6 @@
 //! Exchange operators: the task-side ends of a shuffle.
 
+use presto_common::wake::Waker;
 use presto_common::{Result, TraceBuffer, TraceKind};
 use presto_page::Page;
 use presto_shuffle::{ExchangeClient, OutputBuffer};
@@ -84,6 +85,10 @@ impl Operator for ExchangeSourceOperator {
         } else {
             Some(BlockedReason::WaitingForInput)
         }
+    }
+
+    fn park(&self, waker: &Waker) -> bool {
+        self.client.park(waker)
     }
 
     fn system_memory_bytes(&self) -> usize {
@@ -264,6 +269,11 @@ impl Operator for PartitionedOutputOperator {
         } else {
             None
         }
+    }
+
+    fn park(&self, waker: &Waker) -> bool {
+        self.buffer.on_space(waker);
+        true
     }
 
     fn system_memory_bytes(&self) -> usize {

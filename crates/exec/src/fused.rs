@@ -523,6 +523,10 @@ impl Operator for FusedPipelineOperator {
         }
     }
 
+    fn park(&self, waker: &presto_common::wake::Waker) -> bool {
+        crate::scan::park_on_splits(&self.queue, self.dyn_filter.as_deref(), waker)
+    }
+
     fn user_memory_bytes(&self) -> usize {
         self.agg.as_ref().map_or(0, |a| a.op.user_memory_bytes())
     }

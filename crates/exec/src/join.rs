@@ -10,6 +10,7 @@
 //! key once per page instead of once per row.
 
 use parking_lot::Mutex;
+use presto_common::wake::{WakeList, Waker};
 use presto_common::{DataType, Schema, Value};
 use presto_common::{PrestoError, Result};
 use presto_expr::{CompiledExpr, Expr};
@@ -282,6 +283,10 @@ pub struct JoinBridge {
     /// operator counters (survives the BuildSpill → table hand-off).
     spill_written: AtomicU64,
     spill_events: AtomicU64,
+    /// Drivers waiting on the build: finished builders (woken when the
+    /// finalize work queue appears, so they join the parallel partition
+    /// build) and probes (woken when the table publishes).
+    waiters: WakeList,
 }
 
 impl JoinBridge {
@@ -311,7 +316,14 @@ impl JoinBridge {
             finalize_participants: AtomicUsize::new(0),
             spill_written: AtomicU64::new(0),
             spill_events: AtomicU64::new(0),
+            waiters: WakeList::new(),
         })
+    }
+
+    /// `waker` fires when finalize work appears and when the table
+    /// publishes. Look at the bridge again after registering.
+    fn on_progress(&self, waker: &Waker) {
+        self.waiters.register(waker);
     }
 
     /// Arm grace-join spill: under memory revocation the build side can
@@ -566,6 +578,7 @@ impl JoinBridge {
             spill: Mutex::new(spill),
         }));
         drop(s);
+        self.waiters.wake_all();
         if let Some((src, collected)) = publish {
             src.registry.report(src.join, collected);
         }
@@ -625,6 +638,8 @@ impl JoinBridge {
         s.bytes = 0;
         s.finalize = None;
         s.table = Some(table);
+        drop(s);
+        self.waiters.wake_all();
     }
 }
 
@@ -780,6 +795,11 @@ impl Operator for HashBuilderOperator {
         } else {
             None
         }
+    }
+
+    fn park(&self, waker: &Waker) -> bool {
+        self.bridge.on_progress(waker);
+        true
     }
 
     fn user_memory_bytes(&self) -> usize {
@@ -1436,6 +1456,11 @@ impl Operator for LookupJoinOperator {
         }
     }
 
+    fn park(&self, waker: &Waker) -> bool {
+        self.bridge.on_progress(waker);
+        true
+    }
+
     fn counters(&self) -> Vec<(&'static str, u64)> {
         let (spilled_bytes, spill_events) = self
             .grace
@@ -1762,19 +1787,30 @@ mod tests {
         let borrowed: Vec<(i64, &str)> = rows.iter().map(|(k, s)| (*k, s.as_str())).collect();
         let mut b = HashBuilderOperator::new(Arc::clone(&bridge));
         b.add_input(kv_page(&borrowed)).unwrap();
+        // A finished builder parked on the bridge is called back when the
+        // work queue appears — to help build — and a probe when the table
+        // publishes.
+        let bell = presto_common::wake::Bell::new();
+        let helper = Waker::new(&bell);
+        bridge.on_progress(&helper);
         // Go through the bridge directly so no operator drains the queue.
         bridge.builder_finished_with(None);
+        assert!(helper.is_woken(), "finalize work is an event");
         assert!(bridge.table().is_none(), "nothing built under the lock");
+        let probe = Waker::new(&bell);
+        bridge.on_progress(&probe);
         let mut built = 0;
         while bridge.claim_and_build_one() {
             built += 1;
             if bridge.table().is_none() {
                 // Poll mid-finalize: must not deadlock or publish early.
                 assert!(built < 64 + 1);
+                assert!(!probe.is_woken(), "not before the table exists");
             }
         }
         assert!(built >= 8, "keyed builds use multiple partitions");
         assert_eq!(bridge.table().unwrap().row_count(), 100);
+        assert!(probe.is_woken(), "publication is an event");
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! which forwards to whatever [`MemoryPool`] the worker installed (the real
 //! general/reserved pool arbitration lives in `presto-cluster`).
 
+use presto_common::wake::{WakeList, Waker};
 use presto_common::{QueryId, Result};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -35,6 +36,9 @@ pub struct RevocationHandle {
     bytes: AtomicU64,
     /// Set by the arbiter; cleared by the driver when it spills.
     requested: AtomicBool,
+    /// The owning driver, when it is parked on some other event: a request
+    /// must bring it back to spill.
+    owner: WakeList,
 }
 
 impl RevocationHandle {
@@ -54,6 +58,13 @@ impl RevocationHandle {
     /// Arbiter side: ask the owner to spill.
     pub fn request(&self) {
         self.requested.store(true, Ordering::SeqCst);
+        self.owner.wake_all();
+    }
+
+    /// `waker` fires on the next [`request`](Self::request). Check
+    /// [`is_requested`](Self::is_requested) again after registering.
+    pub fn on_request(&self, waker: &Waker) {
+        self.owner.register(waker);
     }
 
     pub fn is_requested(&self) -> bool {

@@ -5,6 +5,7 @@
 //! page-in/page-out state machines; the driver moves pages between them and
 //! reacts to blocked states without parking threads.
 
+use presto_common::wake::Waker;
 use presto_common::Result;
 use presto_page::Page;
 use std::time::Duration;
@@ -49,6 +50,17 @@ pub trait Operator: Send {
     /// If the operator cannot progress, why.
     fn blocked(&self) -> Option<BlockedReason> {
         None
+    }
+
+    /// Arrange for `waker` to fire once the condition
+    /// [`blocked`](Self::blocked) reports may have cleared, and return
+    /// true. Return false — the default — when no event announces that
+    /// (the wait is on a clock: a deadline, a backoff), so the scheduler
+    /// re-polls on a timer instead. The scheduler runs the operator once
+    /// more after this call, so an event just before the registration is
+    /// not lost.
+    fn park(&self, _waker: &Waker) -> bool {
+        false
     }
 
     /// *User* memory retained (proportional to data, §IV-F2): hash tables,

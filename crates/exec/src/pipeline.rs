@@ -13,6 +13,7 @@
 //! the intra-node parallelism of §IV-C4.
 
 use parking_lot::Mutex;
+use presto_common::wake::{WakeList, Waker};
 use presto_common::Result;
 use presto_page::Page;
 use std::collections::VecDeque;
@@ -46,6 +47,10 @@ pub struct LocalQueue {
     producers: AtomicUsize,
     bytes: AtomicUsize,
     capacity: usize,
+    /// The source driver, waiting for a page or the last producer.
+    readers: WakeList,
+    /// Sink drivers, waiting for the queue to drop under capacity.
+    writers: WakeList,
 }
 
 impl LocalQueue {
@@ -55,6 +60,8 @@ impl LocalQueue {
             producers: AtomicUsize::new(producers.max(1)),
             bytes: AtomicUsize::new(0),
             capacity,
+            readers: WakeList::new(),
+            writers: WakeList::new(),
         })
     }
 
@@ -62,12 +69,16 @@ impl LocalQueue {
         self.bytes
             .fetch_add(page.size_in_bytes(), Ordering::Relaxed);
         self.pages.lock().push_back(page);
+        self.readers.wake_all();
     }
 
     fn pop(&self) -> Option<Page> {
         let page = self.pages.lock().pop_front()?;
         self.bytes
             .fetch_sub(page.size_in_bytes(), Ordering::Relaxed);
+        if self.has_capacity() {
+            self.writers.wake_all();
+        }
         Some(page)
     }
 
@@ -77,6 +88,7 @@ impl LocalQueue {
 
     fn producer_done(&self) {
         self.producers.fetch_sub(1, Ordering::SeqCst);
+        self.readers.wake_all();
     }
 
     fn all_producers_done(&self) -> bool {
@@ -132,6 +144,11 @@ impl Operator for LocalQueueSink {
             None
         }
     }
+
+    fn park(&self, waker: &Waker) -> bool {
+        self.queue.writers.register(waker);
+        true
+    }
 }
 
 /// Source reading from a [`LocalQueue`].
@@ -174,6 +191,11 @@ impl Operator for LocalQueueSource {
         } else {
             Some(BlockedReason::WaitingForInput)
         }
+    }
+
+    fn park(&self, waker: &Waker) -> bool {
+        self.queue.readers.register(waker);
+        true
     }
 }
 
@@ -221,5 +243,38 @@ mod tests {
         // Draining below capacity unblocks eventually.
         while q.pop().is_some() {}
         assert!(sink.needs_input());
+    }
+
+    #[test]
+    fn parked_ends_of_the_queue_are_woken_by_the_other_end() {
+        use presto_common::wake::Bell;
+        let bell = Bell::new();
+        let q = LocalQueue::new(2, 16);
+        let mut sink = LocalQueueSink::new(Arc::clone(&q));
+        let mut last = LocalQueueSink::new(Arc::clone(&q));
+        let mut src = LocalQueueSource::new(Arc::clone(&q));
+        // Reader first: a page wakes it, and so does the last producer.
+        let reader = Waker::new(&bell);
+        assert!(src.park(&reader));
+        sink.add_input(page(1)).unwrap();
+        assert!(reader.is_woken());
+        // Writer: parked on a full queue, woken when a pop makes room.
+        while sink.needs_input() {
+            sink.add_input(page(7)).unwrap();
+        }
+        let writer = Waker::new(&bell);
+        assert!(sink.park(&writer));
+        while !q.has_capacity() {
+            assert!(!writer.is_woken(), "still full");
+            src.output().unwrap();
+        }
+        assert!(writer.is_woken());
+        while src.output().unwrap().is_some() {}
+        let reader = Waker::new(&bell);
+        src.park(&reader);
+        sink.finish();
+        assert!(reader.is_woken(), "each producer that ends may be the last");
+        last.finish();
+        assert!(src.is_finished());
     }
 }

@@ -8,6 +8,7 @@
 //! [`SplitQueue`].
 
 use crossbeam::queue::SegQueue;
+use presto_common::wake::{WakeList, Waker};
 use presto_common::{Result, Session};
 use presto_connector::{Connector, ScanOptions, Split};
 use presto_expr::{Expr, PageProcessor};
@@ -28,6 +29,10 @@ pub struct SplitQueue {
     /// Completed split count + CPU, reported to the coordinator for the
     /// shortest-queue assignment heuristic.
     completed: AtomicU64,
+    /// Scan drivers waiting for a split or for the end of enumeration.
+    split_waiters: WakeList,
+    /// The split feeder, waiting for this queue to shorten.
+    space_waiters: WakeList,
 }
 
 impl SplitQueue {
@@ -40,18 +45,33 @@ impl SplitQueue {
         // re-add happens before the exhaustion check, so no split is lost.
         self.splits.push(split);
         self.queued.fetch_add(1, Ordering::SeqCst);
+        self.split_waiters.wake_all();
     }
 
     pub fn no_more_splits(&self) {
         self.no_more.store(true, Ordering::SeqCst);
+        self.split_waiters.wake_all();
     }
 
     pub fn pop(&self) -> Option<Split> {
         let s = self.splits.pop();
         if s.is_some() {
             self.queued.fetch_sub(1, Ordering::SeqCst);
+            self.space_waiters.wake_all();
         }
         s
+    }
+
+    /// `waker` fires when a split is added or enumeration ends. Look at the
+    /// queue again after registering.
+    pub fn on_split(&self, waker: &Waker) {
+        self.split_waiters.register(waker);
+    }
+
+    /// `waker` fires when a split is taken. Look at
+    /// [`queued_len`](Self::queued_len) again after registering.
+    pub fn on_space(&self, waker: &Waker) {
+        self.space_waiters.register(waker);
     }
 
     /// Splits waiting to run — the coordinator assigns new splits to the
@@ -71,6 +91,22 @@ impl SplitQueue {
     pub fn completed(&self) -> u64 {
         self.completed.load(Ordering::Relaxed)
     }
+}
+
+/// [`Operator::park`] of a split-driven source: sleep on the queue — unless
+/// it is still waiting for a dynamic filter, which ends on a deadline
+/// (`dynamic_filter_wait`), not only on publication, and so stays a timed
+/// re-poll.
+pub(crate) fn park_on_splits(
+    queue: &SplitQueue,
+    dyn_filter: Option<&ScanDynamicFilter>,
+    waker: &Waker,
+) -> bool {
+    if dyn_filter.is_some_and(|df| !df.ready()) {
+        return false;
+    }
+    queue.on_split(waker);
+    true
 }
 
 /// Fused scan → filter → project operator.
@@ -312,6 +348,10 @@ impl Operator for ScanOperator {
         } else {
             None
         }
+    }
+
+    fn park(&self, waker: &Waker) -> bool {
+        park_on_splits(&self.queue, self.dyn_filter.as_deref(), waker)
     }
 
     fn system_memory_bytes(&self) -> usize {
@@ -629,5 +669,26 @@ mod tests {
         let c = data_connector(300);
         feed_splits(c.as_ref(), &queue);
         assert!(queue.queued_len() > 0);
+    }
+
+    #[test]
+    fn split_queue_wakes_scans_on_add_and_end_and_the_feeder_on_pop() {
+        use presto_common::wake::Bell;
+        let bell = Bell::new();
+        let c = data_connector(10);
+        let queue = SplitQueue::new();
+        let scan = Waker::new(&bell);
+        queue.on_split(&scan);
+        feed_splits(c.as_ref(), &queue);
+        assert!(scan.is_woken(), "a split arrived");
+        let feeder = Waker::new(&bell);
+        queue.on_space(&feeder);
+        assert!(queue.pop().is_some());
+        assert!(feeder.is_woken(), "a split was taken");
+        while queue.pop().is_some() {}
+        let scan = Waker::new(&bell);
+        queue.on_split(&scan);
+        queue.no_more_splits();
+        assert!(scan.is_woken(), "end of enumeration finishes the scan");
     }
 }

@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 use parking_lot::Mutex;
+use presto_common::wake::{WakeList, Waker};
 use presto_page::{frame_payload, serialize_page, Page};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -62,6 +63,12 @@ pub struct OutputBuffer {
     total_pages: AtomicU64,
     total_wire_bytes: AtomicU64,
     total_logical_bytes: AtomicU64,
+    /// Consumers holding a long-poll on one partition (§IV-E2): fired when
+    /// a frame lands there or the stream ends, cleanly or not.
+    data_waiters: Vec<WakeList>,
+    /// Producers stalled on a full buffer: fired when an acknowledgement
+    /// or a teardown brings it back under capacity.
+    space_waiters: WakeList,
 }
 
 impl OutputBuffer {
@@ -93,7 +100,22 @@ impl OutputBuffer {
             total_pages: AtomicU64::new(0),
             total_wire_bytes: AtomicU64::new(0),
             total_logical_bytes: AtomicU64::new(0),
+            data_waiters: (0..consumer_count).map(|_| WakeList::new()).collect(),
+            space_waiters: WakeList::new(),
         })
+    }
+
+    /// Hold a long-poll on `partition`: `waker` fires when a frame is
+    /// enqueued there or the buffer finishes, closes or aborts. Poll again
+    /// after registering.
+    pub fn on_data(&self, partition: usize, waker: &Waker) {
+        self.data_waiters[partition].register(waker);
+    }
+
+    /// Wait for room: `waker` fires when [`can_add`](Self::can_add) turns
+    /// true again. Check it again after registering.
+    pub fn on_space(&self, waker: &Waker) {
+        self.space_waiters.register(waker);
     }
 
     pub fn consumer_count(&self) -> usize {
@@ -158,6 +180,7 @@ impl OutputBuffer {
             .fetch_add(wire_len as u64, Ordering::Relaxed);
         self.total_logical_bytes
             .fetch_add(logical_len as u64, Ordering::Relaxed);
+        self.data_waiters[partition].wake_all();
     }
 
     /// Broadcast a page to every partition (replicated joins). The page is
@@ -174,6 +197,9 @@ impl OutputBuffer {
     /// Declare that no further pages will be enqueued.
     pub fn set_no_more_pages(&self) {
         self.no_more_pages.store(true, Ordering::SeqCst);
+        for waiters in &self.data_waiters {
+            waiters.wake_all();
+        }
     }
 
     /// Teardown: stop accepting pages and release every retained frame
@@ -190,6 +216,7 @@ impl OutputBuffer {
         if freed > 0 {
             self.buffered_bytes.fetch_sub(freed, Ordering::Relaxed);
         }
+        self.space_waiters.wake_all();
     }
 
     /// Source-lost teardown: like [`close`](Self::close), but consumers must
@@ -233,6 +260,9 @@ impl OutputBuffer {
         }
         if freed > 0 {
             self.buffered_bytes.fetch_sub(freed, Ordering::Relaxed);
+            if self.can_add() {
+                self.space_waiters.wake_all();
+            }
         }
         // Collect the next batch (without removing: retained until acked).
         let mut pages = Vec::new();
@@ -425,5 +455,53 @@ mod tests {
         buf.enqueue(0, &page(1));
         assert_eq!(buf.poll(0, 0, usize::MAX).pages.len(), 1);
         assert_eq!(buf.poll(1, 0, usize::MAX).pages.len(), 0);
+    }
+
+    fn waker() -> Waker {
+        Waker::new(&presto_common::wake::Bell::new())
+    }
+
+    #[test]
+    fn long_poll_fires_on_data_finish_close_and_abort() {
+        type End = fn(&OutputBuffer);
+        let ends: [(&str, End); 4] = [
+            ("enqueue", |b| b.enqueue(0, &page(1))),
+            ("no more pages", |b| b.set_no_more_pages()),
+            ("close", |b| b.close()),
+            ("abort", |b| b.abort()),
+        ];
+        for (what, end) in ends {
+            let buf = OutputBuffer::new(2, 1 << 20);
+            let held = waker();
+            buf.on_data(0, &held);
+            // Another partition's data is not this consumer's event.
+            buf.enqueue(1, &page(7));
+            assert!(!held.is_woken(), "{what}: partition 1 is someone else's");
+            end(&buf);
+            assert!(held.is_woken(), "{what} must end the long-poll");
+        }
+    }
+
+    #[test]
+    fn stalled_producer_is_woken_when_an_ack_or_a_close_makes_room() {
+        let buf = OutputBuffer::new(1, 64);
+        for i in 0..10 {
+            buf.enqueue(0, &page(i));
+        }
+        assert!(!buf.can_add());
+        let stalled = waker();
+        buf.on_space(&stalled);
+        // Fetching without acknowledging frees nothing.
+        let r = buf.poll(0, 0, usize::MAX);
+        assert!(!stalled.is_woken());
+        buf.poll(0, r.next_token, usize::MAX);
+        assert!(buf.can_add() && stalled.is_woken(), "the ack made room");
+        for i in 0..10 {
+            buf.enqueue(0, &page(i));
+        }
+        let stalled = waker();
+        buf.on_space(&stalled);
+        buf.close();
+        assert!(stalled.is_woken(), "teardown frees the producer too");
     }
 }

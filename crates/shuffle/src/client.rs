@@ -17,6 +17,7 @@
 
 use crossbeam::queue::SegQueue;
 use parking_lot::{Mutex, RwLock};
+use presto_common::wake::{WakeList, Waker};
 use presto_common::{ErrorCode, PrestoError, Result};
 use presto_page::{decode_framed_page, Page};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -111,6 +112,10 @@ pub struct ExchangeClient {
     cancelled: AtomicBool,
     /// Base of the per-source exponential retry backoff, in nanoseconds.
     retry_backoff_nanos: AtomicU64,
+    /// Exchange drivers parked on this client: fired when one of them
+    /// changes what the others would see — pages delivered to `ready`, a
+    /// source finished, added or put into retry backoff, or a cancel.
+    waiters: WakeList,
 }
 
 impl ExchangeClient {
@@ -146,6 +151,7 @@ impl ExchangeClient {
             decode_attempts: AtomicUsize::new(0),
             cancelled: AtomicBool::new(false),
             retry_backoff_nanos: AtomicU64::new(200_000), // 200µs
+            waiters: WakeList::new(),
         }
     }
 
@@ -166,6 +172,31 @@ impl ExchangeClient {
                 retry_after: None,
             }),
         }));
+        self.waiters.wake_all();
+    }
+
+    /// Park a driver that found nothing to take: registers `waker` with
+    /// every unfinished source's long-poll and with this client, and
+    /// returns true when an event will announce the next page. Returns
+    /// false when the wait is on a clock instead — injected request
+    /// latency or a retry backoff — and the caller must re-poll on a timer.
+    /// Either way, poll once more after calling.
+    pub fn park(&self, waker: &Waker) -> bool {
+        self.waiters.register(waker);
+        let mut evented = self.poll_latency.is_zero();
+        for source in self.sources.read().iter() {
+            // A source another driver is working holds its lock through the
+            // decode; that driver fires `waiters` if what it finds matters.
+            if !source.busy.load(Ordering::Acquire) {
+                let progress = source.progress.lock();
+                if progress.finished {
+                    continue;
+                }
+                evented &= progress.retry_after.is_none();
+            }
+            source.buffer.on_data(source.partition, waker);
+        }
+        evented
     }
 
     /// Number of sources still producing.
@@ -194,6 +225,7 @@ impl ExchangeClient {
         while let Some((_page, wire_len)) = self.ready.pop() {
             self.buffered_bytes.fetch_sub(wire_len, Ordering::SeqCst);
         }
+        self.waiters.wake_all();
     }
 
     pub fn is_cancelled(&self) -> bool {
@@ -384,6 +416,10 @@ impl ExchangeClient {
                     // after a jittered exponential backoff.
                     progress.retry_after =
                         Some(Instant::now() + self.retry_delay(progress.consecutive_failures));
+                    drop(progress);
+                    // This source is on a clock now: whoever parked on its
+                    // long-poll must come back and re-poll on a timer.
+                    self.waiters.wake_all();
                     return Ok(PollOutcome::Idle);
                 }
             }
@@ -412,6 +448,7 @@ impl ExchangeClient {
             }
         }
         if delivered || newly_finished {
+            self.waiters.wake_all();
             Ok(PollOutcome::Delivered)
         } else {
             Ok(PollOutcome::Idle)
@@ -739,5 +776,81 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(got, 4);
+    }
+
+    fn waker() -> Waker {
+        Waker::new(&presto_common::wake::Bell::new())
+    }
+
+    #[test]
+    fn parked_driver_is_woken_by_upstream_data_and_end_of_stream() {
+        let (a, b) = (OutputBuffer::new(2, 1 << 20), OutputBuffer::new(2, 1 << 20));
+        let client = ExchangeClient::new(1 << 20, Duration::ZERO);
+        client.add_source(Arc::clone(&a), 1);
+        client.add_source(Arc::clone(&b), 1);
+        assert!(!client.poll_progress().unwrap());
+        let parked = waker();
+        assert!(client.park(&parked), "nothing is on a clock");
+        a.enqueue(0, &page(1));
+        assert!(!parked.is_woken(), "partition 0 feeds another consumer");
+        b.enqueue(1, &page(2));
+        assert!(parked.is_woken());
+        assert!(client.poll_progress().unwrap());
+        assert!(client.next_page().is_some());
+        // End of stream is an event too, and a finished source is no
+        // longer waited on.
+        let parked = waker();
+        assert!(client.park(&parked));
+        a.set_no_more_pages();
+        assert!(parked.is_woken());
+    }
+
+    #[test]
+    fn delivery_and_cancel_wake_parked_siblings() {
+        let a = OutputBuffer::new(1, 1 << 20);
+        let client = ExchangeClient::new(1 << 20, Duration::ZERO);
+        client.add_source(Arc::clone(&a), 0);
+        // The sibling parked after the pages were enqueued: only the
+        // delivering driver can tell it.
+        a.enqueue(0, &page(1));
+        a.enqueue(0, &page(2));
+        let sibling = waker();
+        client.waiters.register(&sibling);
+        assert!(client.poll_progress().unwrap());
+        assert!(sibling.is_woken(), "pages were delivered");
+        let parked = waker();
+        client.park(&parked);
+        client.cancel();
+        assert!(parked.is_woken(), "a cancelled client reports finished");
+    }
+
+    /// Timed conditions stay timed: injected latency and retry backoff are
+    /// deadlines no event announces.
+    #[test]
+    fn park_declines_while_a_request_or_a_retry_is_on_a_clock() {
+        let w = waker();
+        let slow = ExchangeClient::new(1 << 20, Duration::from_millis(50));
+        slow.add_source(OutputBuffer::new(1, 1 << 20), 0);
+        assert!(!slow.park(&w), "injected latency is a deadline");
+
+        let a = OutputBuffer::new(1, 1 << 20);
+        a.enqueue(0, &page(1));
+        let client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 100);
+        client.set_retry_backoff(Duration::from_millis(20));
+        client.add_source(a, 0);
+        let parked = waker();
+        assert!(client.park(&parked));
+        client.set_chaos_decode_every(1);
+        client.poll_progress().unwrap();
+        assert_eq!(client.retries(), 1);
+        assert!(parked.is_woken(), "a backoff recalls parked drivers");
+        assert!(!client.park(&w), "the backoff is a deadline");
+        client.set_chaos_decode_every(0);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while client.next_page().is_none() {
+            assert!(Instant::now() < deadline, "retry must happen post-backoff");
+            client.poll_progress().unwrap();
+        }
+        assert!(client.park(&w), "on events again after the retry");
     }
 }
