@@ -203,7 +203,9 @@ pub fn ms(d: Duration) -> String {
 
 /// One summary line per metadata-cache layer, from cluster telemetry.
 pub fn print_cache_summary(cluster: &Cluster) {
-    for (name, c) in cluster.telemetry().cache_counters_by_layer() {
+    let telemetry = cluster.telemetry();
+    let total = [("TOTAL", telemetry.cache_counters())];
+    for (name, c) in telemetry.cache_counters_by_layer().into_iter().chain(total) {
         println!(
             "cache {name:<16} hits {:>6}  misses {:>6}  hit_rate {:>5.1}%  evictions {:>4}  bytes {:>9}",
             c.hits,
@@ -213,16 +215,6 @@ pub fn print_cache_summary(cluster: &Cluster) {
             c.bytes,
         );
     }
-    let total = cluster.telemetry().cache_counters();
-    println!(
-        "cache {:<16} hits {:>6}  misses {:>6}  hit_rate {:>5.1}%  evictions {:>4}  bytes {:>9}",
-        "TOTAL",
-        total.hits,
-        total.misses,
-        total.hit_rate() * 100.0,
-        total.evictions,
-        total.bytes,
-    );
 }
 
 #[cfg(test)]

@@ -1,46 +1,24 @@
 //! Hit/miss/eviction/insert counters, shared by every cache layer.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use presto_common::counter_set;
+use std::sync::atomic::Ordering;
 
-/// Live counters for one cache. Cheap to share (`Arc`), lock-free to
-/// update; telemetry snapshots them via [`CacheStats::counters`].
-#[derive(Debug, Default)]
-pub struct CacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    expirations: AtomicU64,
-    inserts: AtomicU64,
-    invalidations: AtomicU64,
-    /// Weighted bytes currently retained.
-    bytes: AtomicI64,
-}
-
-/// A point-in-time copy of a cache's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheCounters {
-    pub hits: u64,
-    pub misses: u64,
-    /// Capacity evictions (LRU) plus TTL expirations.
-    pub evictions: u64,
-    pub inserts: u64,
-    pub invalidations: u64,
-    pub bytes: u64,
+counter_set! {
+    /// A point-in-time copy of a cache's counters.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheCounters[json, columns, atomic(CacheCells)] {
+        hits: u64,
+        misses: u64,
+        /// Capacity evictions (LRU) plus TTL expirations.
+        evictions: u64,
+        inserts: u64,
+        invalidations: u64,
+        /// Weighted bytes currently retained.
+        bytes: u64,
+    }
 }
 
 impl CacheCounters {
-    /// Merge counters from another cache layer (for combined telemetry).
-    pub fn merge(&self, other: &CacheCounters) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            evictions: self.evictions + other.evictions,
-            inserts: self.inserts + other.inserts,
-            invalidations: self.invalidations + other.invalidations,
-            bytes: self.bytes + other.bytes,
-        }
-    }
-
     /// Hit fraction in [0, 1]; 0 when the cache was never consulted.
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
@@ -52,49 +30,47 @@ impl CacheCounters {
     }
 }
 
+/// Live counters for one cache. Cheap to share (`Arc`), lock-free to
+/// update; telemetry snapshots them via [`CacheStats::counters`].
+#[derive(Debug, Default)]
+pub struct CacheStats(CacheCells);
+
 impl CacheStats {
     pub fn record_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.0.hits.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn record_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.0.misses.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn record_eviction(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        self.0.evictions.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn record_expiration(&self) {
-        self.expirations.fetch_add(1, Ordering::Relaxed);
+        self.record_eviction();
     }
 
     pub fn record_insert(&self) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.0.inserts.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn record_invalidation(&self) {
-        self.invalidations.fetch_add(1, Ordering::Relaxed);
+        self.0.invalidations.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Deltas land outside the shard lock, so a removal can be counted
+    /// before the insertion it undoes: the cell holds a two's-complement
+    /// balance and reads clamp it at zero.
     pub fn add_bytes(&self, delta: i64) {
-        self.bytes.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed).max(0) as u64
+        self.0.bytes.fetch_add(delta as u64, Ordering::Relaxed);
     }
 
     pub fn counters(&self) -> CacheCounters {
-        CacheCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed)
-                + self.expirations.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            bytes: self.bytes(),
-        }
+        let mut counters = self.0.snapshot();
+        counters.bytes = (counters.bytes as i64).max(0) as u64;
+        counters
     }
 }
 

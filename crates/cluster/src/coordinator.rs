@@ -742,16 +742,8 @@ impl Coordinator {
         // Roll this query's dynamic-filtering savings into the
         // cluster-lifetime counters exported by `ClusterSnapshot`.
         if let Some(df) = &dyn_filters {
-            use std::sync::atomic::Ordering::Relaxed;
-            let t = df.registry.totals();
             self.telemetry
-                .record_dynamic_filters(crate::telemetry::DynamicFilterMetrics {
-                    filters_published: t.filters_published.load(Relaxed),
-                    splits_pruned: t.splits_pruned.load(Relaxed),
-                    stripes_pruned: t.stripes_pruned.load(Relaxed),
-                    rows_filtered: t.rows_filtered.load(Relaxed),
-                    wait_nanos: t.wait_nanos.load(Relaxed),
-                });
+                .record_dynamic_filters(df.registry.totals().snapshot());
         }
         if drain_for_stats {
             // Give in-flight drivers a moment to retire so their final
@@ -789,33 +781,13 @@ impl Coordinator {
             wall_time: started.elapsed(),
             phases: QueryPhases::default(),
         };
-        // Roll this query's pipeline-fusion totals into the cluster-lifetime
-        // counters exported by `ClusterSnapshot`. Fused operators export
-        // their per-stage row counts as uniform OperatorStats counters, so
-        // the rollup just sums them out of the same snapshot.
+        // Roll this query's pipeline-fusion and spill totals into the
+        // cluster-lifetime counters exported by `ClusterSnapshot`. Fused
+        // operators export their per-stage row counts, and every spilling
+        // operator (grace-join build/probe, agg, sort) its
+        // `spilled_bytes`/`spill_events`, as uniform OperatorStats
+        // counters, so one pass over the same snapshot sums both.
         let mut fusion = crate::telemetry::FusionMetrics::default();
-        for task in stats.stages.iter().flat_map(|s| &s.tasks) {
-            for pipeline in &task.pipelines {
-                for op in &pipeline.operators {
-                    if op.name != "FusedPipeline" {
-                        continue;
-                    }
-                    let c = |n: &str| op.stats.counter(n).unwrap_or(0);
-                    fusion.pipelines += 1;
-                    fusion.scan_rows += c("fused_scan_rows");
-                    fusion.filter_rows += c("fused_filter_rows");
-                    fusion.project_rows += c("fused_project_rows");
-                    fusion.agg_rows += c("fused_agg_rows");
-                    fusion.rows_produced += op.stats.output_rows;
-                }
-            }
-        }
-        if fusion.pipelines > 0 {
-            self.telemetry.record_fusion(fusion);
-        }
-        // Roll this query's spill totals into the cluster-lifetime
-        // counters: every spilling operator (grace-join build/probe, agg,
-        // sort) exports uniform `spilled_bytes`/`spill_events` counters.
         let (mut spilled_bytes, mut spill_events) = (0u64, 0u64);
         for op in stats
             .stages
@@ -824,8 +796,20 @@ impl Coordinator {
             .flat_map(|t| &t.pipelines)
             .flat_map(|p| &p.operators)
         {
-            spilled_bytes += op.stats.counter("spilled_bytes").unwrap_or(0);
-            spill_events += op.stats.counter("spill_events").unwrap_or(0);
+            let c = |n: &str| op.stats.counter(n).unwrap_or(0);
+            spilled_bytes += c("spilled_bytes");
+            spill_events += c("spill_events");
+            if op.name == "FusedPipeline" {
+                fusion.pipelines += 1;
+                fusion.scan_rows += c("fused_scan_rows");
+                fusion.filter_rows += c("fused_filter_rows");
+                fusion.project_rows += c("fused_project_rows");
+                fusion.agg_rows += c("fused_agg_rows");
+                fusion.rows_produced += op.stats.output_rows;
+            }
+        }
+        if fusion.pipelines > 0 {
+            self.telemetry.record_fusion(fusion);
         }
         if spill_events > 0 || spilled_bytes > 0 {
             self.telemetry.record_spill(spilled_bytes, spill_events);

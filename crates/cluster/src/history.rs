@@ -12,7 +12,7 @@
 
 use parking_lot::Mutex;
 use presto_common::QueryId;
-use presto_exec::QueryStats;
+use presto_exec::{QueryStats, TaskStats};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,46 +93,56 @@ impl QueryHistoryEntry {
     }
 }
 
+/// Summarize one task's stats — final, or live for `system.runtime` — into
+/// retained form.
+pub fn summarize_task(t: &TaskStats) -> TaskSummary {
+    let operators = t
+        .pipelines
+        .iter()
+        .flat_map(|p| p.operators.iter().map(move |op| (p.pipeline, op)))
+        .map(|(pipeline, op)| {
+            let s = &op.stats;
+            OperatorSummary {
+                pipeline: pipeline as u32,
+                name: op.name,
+                input_rows: s.input_rows,
+                input_bytes: s.input_bytes,
+                output_rows: s.output_rows,
+                output_bytes: s.output_bytes,
+                cpu: s.cpu,
+                blocked: s.blocked_total(),
+                peak_memory_bytes: s.peak_user_memory_bytes + s.peak_system_memory_bytes,
+                spilled_bytes: s.counter("spilled_bytes").unwrap_or(0),
+                spill_events: s.counter("spill_events").unwrap_or(0),
+            }
+        })
+        .collect();
+    TaskSummary {
+        stage: t.task.stage.stage,
+        task: t.task.task,
+        cpu: t.cpu_time,
+        output_pages: t.output_pages,
+        output_wire_bytes: t.output_wire_bytes,
+        output_logical_bytes: t.output_logical_bytes,
+        exchange_bytes_received: t.exchange_bytes_received,
+        operators,
+    }
+}
+
 /// Summarize a final [`QueryStats`] tree into per-task retained form,
 /// returning the task summaries and the summed peak-memory account.
 pub fn summarize_stats(stats: &QueryStats) -> (Vec<TaskSummary>, u64) {
-    let mut tasks = Vec::new();
-    let mut peak = 0u64;
-    for stage in &stats.stages {
-        for t in &stage.tasks {
-            let mut operators = Vec::new();
-            for p in &t.pipelines {
-                for op in &p.operators {
-                    let s = &op.stats;
-                    let op_peak = s.peak_user_memory_bytes + s.peak_system_memory_bytes;
-                    peak += op_peak;
-                    operators.push(OperatorSummary {
-                        pipeline: p.pipeline as u32,
-                        name: op.name,
-                        input_rows: s.input_rows,
-                        input_bytes: s.input_bytes,
-                        output_rows: s.output_rows,
-                        output_bytes: s.output_bytes,
-                        cpu: s.cpu,
-                        blocked: s.blocked_total(),
-                        peak_memory_bytes: op_peak,
-                        spilled_bytes: s.counter("spilled_bytes").unwrap_or(0),
-                        spill_events: s.counter("spill_events").unwrap_or(0),
-                    });
-                }
-            }
-            tasks.push(TaskSummary {
-                stage: stage.stage,
-                task: t.task.task,
-                cpu: t.cpu_time,
-                output_pages: t.output_pages,
-                output_wire_bytes: t.output_wire_bytes,
-                output_logical_bytes: t.output_logical_bytes,
-                exchange_bytes_received: t.exchange_bytes_received,
-                operators,
-            });
-        }
-    }
+    let tasks: Vec<TaskSummary> = stats
+        .stages
+        .iter()
+        .flat_map(|stage| &stage.tasks)
+        .map(summarize_task)
+        .collect();
+    let peak = tasks
+        .iter()
+        .flat_map(|t| &t.operators)
+        .map(|op| op.peak_memory_bytes)
+        .sum();
     (tasks, peak)
 }
 

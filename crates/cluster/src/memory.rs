@@ -9,7 +9,7 @@
 //! cluster can be configured to kill that query instead.
 
 use parking_lot::Mutex;
-use presto_common::{PrestoError, QueryId, Result, TraceBuffer, TraceKind};
+use presto_common::{counter_set, PrestoError, QueryId, Result, TraceBuffer, TraceKind};
 use presto_exec::memory::{MemoryPool, ReservationResult, RevocationHandle};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -110,22 +110,24 @@ impl PoolState {
     }
 }
 
-/// Point-in-time view of one node pool, for metrics export.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PoolSnapshot {
-    pub general_used: i64,
-    pub reserved_used: i64,
-    pub system_used: i64,
-    pub peak_general: i64,
-    pub peak_reserved: i64,
-    pub general_limit: i64,
-    pub reserved_limit: i64,
-    pub blocked_reservations: i64,
-    /// Spill requests the arbiter issued to revocable reservations
-    /// (§IV-F2 revocable memory) instead of promoting or killing.
-    pub revocation_requests: i64,
-    /// Queries with non-zero accounting on this node right now.
-    pub active_queries: usize,
+counter_set! {
+    /// Point-in-time view of one node pool, for metrics export.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct PoolSnapshot[json] {
+        general_used: i64,
+        reserved_used: i64,
+        system_used: i64,
+        peak_general: i64,
+        peak_reserved: i64,
+        general_limit: i64,
+        reserved_limit: i64,
+        blocked_reservations: i64,
+        /// Spill requests the arbiter issued to revocable reservations
+        /// (§IV-F2 revocable memory) instead of promoting or killing.
+        revocation_requests: i64,
+        /// Queries with non-zero accounting on this node right now.
+        active_queries: usize,
+    }
 }
 
 /// One worker node's memory pool.
@@ -203,11 +205,6 @@ impl NodeMemoryPool {
             }
             None => false,
         }
-    }
-
-    /// Spill requests the arbiter has issued so far.
-    pub fn revocation_requests(&self) -> i64 {
-        self.revocation_requests.load(Ordering::Relaxed)
     }
 
     /// Attach a trace buffer; reservation grants and releases then emit
@@ -641,7 +638,7 @@ mod tests {
         assert!(big.is_requested());
         assert!(!small.is_requested());
         assert_eq!(lock.owner(), None, "no promotion while spill is pending");
-        assert_eq!(pool.revocation_requests(), 1);
+        assert_eq!(pool.snapshot().revocation_requests, 1);
         // The owner spills: frees memory, publishes the new balance,
         // clears the flag.
         assert!(big.take_request());
@@ -676,7 +673,7 @@ mod tests {
         pool.register_revocable(QueryId(1), Arc::clone(&h));
         pool.unregister_revocable(QueryId(1), &h);
         assert!(!pool.request_revocation(), "no revocable handles remain");
-        assert_eq!(pool.revocation_requests(), 0);
+        assert_eq!(pool.snapshot().revocation_requests, 0);
     }
 
     #[test]

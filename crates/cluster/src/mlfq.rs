@@ -7,6 +7,7 @@
 //! is assigned a configurable fraction of the available CPU time."
 
 use parking_lot::Mutex;
+use presto_common::counter_set;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -44,38 +45,37 @@ pub fn level_of(cpu: Duration) -> usize {
 /// level they were classified into at enqueue time.
 struct Level<T> {
     queue: VecDeque<T>,
-    /// CPU nanoseconds charged to this level so far (for deficit-based
-    /// level selection).
-    used_nanos: u64,
-    /// Entries ever enqueued at this level.
-    entries: u64,
-    /// Quanta dispatched from this level (pops).
-    quanta_granted: u64,
+    /// The level's counters, kept in their exported shape (`used_nanos`
+    /// also drives deficit-based level selection); `occupancy` is filled in
+    /// from `queue` when a snapshot is taken.
+    stats: LevelSnapshot,
 }
 
-/// Point-in-time view of one level, for metrics export.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LevelSnapshot {
-    /// Entries currently queued at this level.
-    pub occupancy: usize,
-    /// CPU nanoseconds charged to this level so far.
-    pub used_nanos: u64,
-    /// Entries ever enqueued at this level.
-    pub entries: u64,
-    /// Quanta dispatched from this level.
-    pub quanta_granted: u64,
-}
+counter_set! {
+    /// Point-in-time view of one level, for metrics export.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LevelSnapshot[json] {
+        /// Entries currently queued at this level.
+        occupancy: usize,
+        /// CPU nanoseconds charged to this level so far.
+        used_nanos: u64,
+        /// Entries ever enqueued at this level.
+        entries: u64,
+        /// Quanta dispatched from this level.
+        quanta_granted: u64,
+    }
 
-/// Point-in-time view of the whole queue.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SchedulerSnapshot {
-    pub levels: Vec<LevelSnapshot>,
-    /// Times a task crossed a CPU threshold into a lower-priority level.
-    pub demotions: u64,
-    /// Always zero under aggregate-CPU classification (CPU is monotonic,
-    /// so a task never moves back down); kept so dashboards watching for
-    /// scheduler-policy changes have a stable field.
-    pub promotions: u64,
+    /// Point-in-time view of the whole queue.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct SchedulerSnapshot[json] {
+        levels: Vec<LevelSnapshot>,
+        /// Times a task crossed a CPU threshold into a lower-priority level.
+        demotions: u64,
+        /// Always zero under aggregate-CPU classification (CPU is monotonic,
+        /// so a task never moves back down); kept so dashboards watching for
+        /// scheduler-policy changes have a stable field.
+        promotions: u64,
+    }
 }
 
 /// Deficit-weighted multi-level queue.
@@ -92,9 +92,7 @@ impl<T> Default for MultilevelQueue<T> {
                 (0..LEVELS)
                     .map(|_| Level {
                         queue: VecDeque::new(),
-                        used_nanos: 0,
-                        entries: 0,
-                        quanta_granted: 0,
+                        stats: LevelSnapshot::default(),
                     })
                     .collect(),
             ),
@@ -113,7 +111,7 @@ impl<T> MultilevelQueue<T> {
     pub fn push(&self, item: T, task_cpu: Duration) {
         let level = level_of(task_cpu);
         let mut levels = self.levels.lock();
-        levels[level].entries += 1;
+        levels[level].stats.entries += 1;
         levels[level].queue.push_back(item);
     }
 
@@ -121,14 +119,18 @@ impl<T> MultilevelQueue<T> {
     /// consumed CPU is furthest below its target share.
     pub fn pop(&self) -> Option<T> {
         let mut levels = self.levels.lock();
-        let total_used: u64 = levels.iter().map(|l| l.used_nanos).sum::<u64>().max(1);
+        let total_used: u64 = levels
+            .iter()
+            .map(|l| l.stats.used_nanos)
+            .sum::<u64>()
+            .max(1);
         let mut best: Option<usize> = None;
         let mut best_deficit = f64::MIN;
         for (i, level) in levels.iter().enumerate() {
             if level.queue.is_empty() {
                 continue;
             }
-            let share = level.used_nanos as f64 / total_used as f64;
+            let share = level.stats.used_nanos as f64 / total_used as f64;
             let deficit = LEVEL_SHARES[i] - share;
             if deficit > best_deficit {
                 best_deficit = deficit;
@@ -136,7 +138,7 @@ impl<T> MultilevelQueue<T> {
             }
         }
         let i = best?;
-        levels[i].quanta_granted += 1;
+        levels[i].stats.quanta_granted += 1;
         levels[i].queue.pop_front()
     }
 
@@ -152,7 +154,7 @@ impl<T> MultilevelQueue<T> {
         if level_of(task_cpu_before + elapsed) > level {
             self.demotions.fetch_add(1, Ordering::Relaxed);
         }
-        self.levels.lock()[level].used_nanos += elapsed.as_nanos() as u64;
+        self.levels.lock()[level].stats.used_nanos += elapsed.as_nanos() as u64;
     }
 
     /// Snapshot occupancy and counters for metrics export.
@@ -163,9 +165,7 @@ impl<T> MultilevelQueue<T> {
                 .iter()
                 .map(|l| LevelSnapshot {
                     occupancy: l.queue.len(),
-                    used_nanos: l.used_nanos,
-                    entries: l.entries,
-                    quanta_granted: l.quanta_granted,
+                    ..l.stats
                 })
                 .collect(),
             demotions: self.demotions.load(Ordering::Relaxed),

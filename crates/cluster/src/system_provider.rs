@@ -3,19 +3,24 @@
 //! and the query-history store, so `system.runtime.*` tables can be
 //! scanned with ordinary SQL.
 //!
-//! Row layouts must match [`SystemTable::schema`] positionally — the
-//! connector builds pages straight from these rows. Live and historical
-//! state merge per table: `queries` shows queued/running queries from
-//! telemetry plus finished/failed ones from history; `tasks` and
-//! `operators` show live task snapshots (worker attributed) plus retained
-//! summaries of completed queries (worker NULL — task placement is not
-//! kept after completion).
+//! Each table's rows are built as the connector's row type for it, field
+//! by name, so layout and schema come from one declaration. Live and
+//! historical state merge per table: `queries` shows queued/running
+//! queries from telemetry plus finished/failed ones from history; `tasks`
+//! and `operators` show live task snapshots (worker attributed) plus
+//! retained summaries of completed queries (worker NULL — task placement
+//! is not kept after completion).
 
+use presto_common::counters::Row;
 use presto_common::{TraceBuffer, Value};
-use presto_connectors::system::{SystemStateProvider, SystemTable};
+use presto_connectors::system::{
+    CacheRow, MemoryPoolRow, OperatorRow, QueryRow, SystemStateProvider, SystemTable, TaskRow,
+    TraceEventRow,
+};
 use std::sync::Arc;
+use std::time::Duration;
 
-use crate::history::QueryHistory;
+use crate::history::{self, QueryHistory, TaskSummary};
 use crate::telemetry::ClusterTelemetry;
 use crate::worker::Worker;
 
@@ -27,12 +32,8 @@ pub struct ClusterSystemState {
     trace: Option<Arc<TraceBuffer>>,
 }
 
-fn bigint(v: u64) -> Value {
-    Value::Bigint(i64::try_from(v).unwrap_or(i64::MAX))
-}
-
-fn nanos(d: std::time::Duration) -> Value {
-    bigint(d.as_nanos() as u64)
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos() as u64
 }
 
 impl ClusterSystemState {
@@ -50,162 +51,119 @@ impl ClusterSystemState {
         })
     }
 
-    /// `system.runtime.queries`: live queries from telemetry (history-only
-    /// columns NULL), then finished/failed queries from the history store.
+    /// `system.runtime.queries`: live queries from telemetry, then
+    /// finished/failed queries from the history store.
     fn queries(&self) -> Vec<Vec<Value>> {
         let mut rows = Vec::new();
         for (query, record) in self.telemetry.all_query_records() {
             if record.finished_at.is_some() {
                 continue; // terminal: the history store owns the final row
             }
-            let state = if record.started_at.is_some() {
-                "running"
-            } else {
-                "queued"
-            };
-            rows.push(vec![
-                bigint(query.0),
-                Value::varchar(state),
-                Value::Null,
-                Value::Null,
+            let live = QueryRow {
+                query_id: query.0,
+                state: if record.started_at.is_some() {
+                    "running"
+                } else {
+                    "queued"
+                },
                 // Still in flight: queued time is "so far".
-                bigint(record.queued_at.elapsed().as_nanos() as u64),
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-                Value::Null,
-            ]);
+                queued_nanos: nanos(record.queued_at.elapsed()),
+                ..QueryRow::default()
+            };
+            rows.push(live.row());
         }
         for e in self.history.snapshot() {
-            rows.push(vec![
-                bigint(e.query.0),
-                Value::varchar(e.state),
-                e.error_tag.map_or(Value::Null, Value::varchar),
-                e.error_message
-                    .as_deref()
-                    .map_or(Value::Null, Value::varchar),
-                nanos(e.queued),
-                nanos(e.planning),
-                nanos(e.executing),
-                nanos(e.cpu),
-                nanos(e.wall),
-                bigint(e.attempts as u64),
-                bigint(e.retries() as u64),
-                bigint(e.peak_memory_bytes),
-                bigint(e.rows_returned),
-            ]);
+            let ended = QueryRow {
+                query_id: e.query.0,
+                state: e.state,
+                error_tag: e.error_tag,
+                error_message: e.error_message.clone(),
+                queued_nanos: nanos(e.queued),
+                planning_nanos: Some(nanos(e.planning)),
+                execution_nanos: Some(nanos(e.executing)),
+                cpu_nanos: Some(nanos(e.cpu)),
+                wall_nanos: Some(nanos(e.wall)),
+                attempts: Some(e.attempts),
+                retries: Some(e.retries()),
+                peak_memory_bytes: Some(e.peak_memory_bytes),
+                rows_returned: Some(e.rows_returned),
+            };
+            rows.push(ended.row());
         }
         rows
     }
 
-    /// `system.runtime.tasks`: live tasks per worker, then retained task
-    /// summaries of completed queries.
+    /// Every task the tables show, as `f(query, worker, state, task)`:
+    /// live tasks per worker, summarised the way history will retain them,
+    /// then the retained tasks of completed queries.
+    fn for_each_task(&self, mut f: impl FnMut(u64, Option<u32>, &'static str, &TaskSummary)) {
+        for w in &self.workers {
+            for handle in w.live_tasks() {
+                let task = history::summarize_task(&handle.task.stats_snapshot());
+                f(handle.id.stage.query.0, Some(w.node.0), "running", &task);
+            }
+        }
+        for e in self.history.snapshot() {
+            for task in &e.tasks {
+                f(e.query.0, None, e.state, task);
+            }
+        }
+    }
+
+    /// `system.runtime.tasks`.
     fn tasks(&self) -> Vec<Vec<Value>> {
         let mut rows = Vec::new();
-        for w in &self.workers {
-            for handle in w.live_tasks() {
-                let stats = handle.task.stats_snapshot();
-                rows.push(vec![
-                    bigint(handle.id.stage.query.0),
-                    bigint(handle.id.stage.stage as u64),
-                    bigint(handle.id.task as u64),
-                    bigint(w.node.0 as u64),
-                    Value::varchar("running"),
-                    nanos(stats.cpu_time),
-                    bigint(stats.output_pages),
-                    bigint(stats.output_wire_bytes),
-                    bigint(stats.output_logical_bytes),
-                    bigint(stats.exchange_bytes_received),
-                ]);
-            }
-        }
-        for e in self.history.snapshot() {
-            for t in &e.tasks {
-                rows.push(vec![
-                    bigint(e.query.0),
-                    bigint(t.stage as u64),
-                    bigint(t.task as u64),
-                    Value::Null,
-                    Value::varchar(e.state),
-                    nanos(t.cpu),
-                    bigint(t.output_pages),
-                    bigint(t.output_wire_bytes),
-                    bigint(t.output_logical_bytes),
-                    bigint(t.exchange_bytes_received),
-                ]);
-            }
-        }
+        self.for_each_task(|query_id, worker, state, t| {
+            let task = TaskRow {
+                query_id,
+                stage: t.stage,
+                task: t.task,
+                worker,
+                state,
+                cpu_nanos: nanos(t.cpu),
+                output_pages: t.output_pages,
+                output_wire_bytes: t.output_wire_bytes,
+                output_logical_bytes: t.output_logical_bytes,
+                exchange_bytes_received: t.exchange_bytes_received,
+            };
+            rows.push(task.row());
+        });
         rows
     }
 
-    /// `system.runtime.operators`: the per-operator stats rollup, live and
-    /// retained.
+    /// `system.runtime.operators`: the per-operator stats rollup.
     fn operators(&self) -> Vec<Vec<Value>> {
         let mut rows = Vec::new();
-        for w in &self.workers {
-            for handle in w.live_tasks() {
-                let stats = handle.task.stats_snapshot();
-                for p in &stats.pipelines {
-                    for op in &p.operators {
-                        let s = &op.stats;
-                        rows.push(vec![
-                            bigint(handle.id.stage.query.0),
-                            bigint(handle.id.stage.stage as u64),
-                            bigint(handle.id.task as u64),
-                            bigint(p.pipeline as u64),
-                            Value::varchar(op.name),
-                            bigint(s.input_rows),
-                            bigint(s.input_bytes),
-                            bigint(s.output_rows),
-                            bigint(s.output_bytes),
-                            nanos(s.cpu),
-                            nanos(s.blocked_total()),
-                            bigint(s.peak_user_memory_bytes + s.peak_system_memory_bytes),
-                            bigint(s.counter("spilled_bytes").unwrap_or(0)),
-                            bigint(s.counter("spill_events").unwrap_or(0)),
-                        ]);
-                    }
-                }
+        self.for_each_task(|query_id, _, _, t| {
+            for op in &t.operators {
+                let operator = OperatorRow {
+                    query_id,
+                    stage: t.stage,
+                    task: t.task,
+                    pipeline: op.pipeline,
+                    operator: op.name,
+                    input_rows: op.input_rows,
+                    input_bytes: op.input_bytes,
+                    output_rows: op.output_rows,
+                    output_bytes: op.output_bytes,
+                    cpu_nanos: nanos(op.cpu),
+                    blocked_nanos: nanos(op.blocked),
+                    peak_memory_bytes: op.peak_memory_bytes,
+                    spilled_bytes: op.spilled_bytes,
+                    spill_events: op.spill_events,
+                };
+                rows.push(operator.row());
             }
-        }
-        for e in self.history.snapshot() {
-            for t in &e.tasks {
-                for op in &t.operators {
-                    rows.push(vec![
-                        bigint(e.query.0),
-                        bigint(t.stage as u64),
-                        bigint(t.task as u64),
-                        bigint(op.pipeline as u64),
-                        Value::varchar(op.name),
-                        bigint(op.input_rows),
-                        bigint(op.input_bytes),
-                        bigint(op.output_rows),
-                        bigint(op.output_bytes),
-                        nanos(op.cpu),
-                        nanos(op.blocked),
-                        bigint(op.peak_memory_bytes),
-                        bigint(op.spilled_bytes),
-                        bigint(op.spill_events),
-                    ]);
-                }
-            }
-        }
+        });
         rows
     }
 
-    /// `system.runtime.memory_pools`: one row per (worker, pool). The
-    /// system pool tracks cache retention — it has no separate peak or
-    /// limit, so those columns read 0.
+    /// `system.runtime.memory_pools`: one row per (worker, pool).
     fn memory_pools(&self) -> Vec<Vec<Value>> {
         let mut rows = Vec::new();
         for w in &self.workers {
             let p = w.pool.snapshot();
-            let worker = bigint(w.node.0 as u64);
-            for (name, used, peak, limit) in [
+            for (pool, used_bytes, peak_bytes, limit_bytes) in [
                 ("general", p.general_used, p.peak_general, p.general_limit),
                 (
                     "reserved",
@@ -215,16 +173,17 @@ impl ClusterSystemState {
                 ),
                 ("system", p.system_used, 0, 0),
             ] {
-                rows.push(vec![
-                    worker.clone(),
-                    Value::varchar(name),
-                    Value::Bigint(used),
-                    Value::Bigint(peak),
-                    Value::Bigint(limit),
-                    Value::Bigint(p.blocked_reservations),
-                    Value::Bigint(p.revocation_requests),
-                    bigint(p.active_queries as u64),
-                ]);
+                let row = MemoryPoolRow {
+                    worker: w.node.0,
+                    pool,
+                    used_bytes,
+                    peak_bytes,
+                    limit_bytes,
+                    blocked_reservations: p.blocked_reservations,
+                    revocation_requests: p.revocation_requests,
+                    active_queries: p.active_queries,
+                };
+                rows.push(row.row());
             }
         }
         rows
@@ -235,55 +194,32 @@ impl ClusterSystemState {
         self.telemetry
             .cache_counters_by_layer()
             .into_iter()
-            .map(|(layer, c)| {
-                vec![
-                    Value::varchar(layer),
-                    bigint(c.hits),
-                    bigint(c.misses),
-                    bigint(c.evictions),
-                    bigint(c.inserts),
-                    bigint(c.invalidations),
-                    bigint(c.bytes),
-                ]
-            })
+            .map(|(layer, counters)| CacheRow { layer, counters }.row())
             .collect()
     }
 
-    /// `system.runtime.dynamic_filters`: one row of cluster-lifetime
-    /// totals.
-    fn dynamic_filters(&self) -> Vec<Vec<Value>> {
-        let m = self.telemetry.dynamic_filter_metrics();
-        vec![vec![
-            bigint(m.filters_published),
-            bigint(m.splits_pruned),
-            bigint(m.stripes_pruned),
-            bigint(m.rows_filtered),
-            bigint(m.wait_nanos),
-        ]]
-    }
-
     /// `system.runtime.trace_events`: the retained trace ring, one row per
-    /// event, each carrying the current overwrite count so truncation is
-    /// visible from SQL. Empty when tracing is disabled.
+    /// event. Empty when tracing is disabled.
     fn trace_events(&self) -> Vec<Vec<Value>> {
         let Some(trace) = &self.trace else {
             return Vec::new();
         };
-        let overwritten = bigint(trace.overwritten_events());
+        let overwritten_events = trace.overwritten_events();
         trace
             .snapshot()
             .into_iter()
             .map(|e| {
-                vec![
-                    Value::varchar(e.kind.name()),
-                    bigint(e.ts_nanos),
-                    bigint(e.dur_nanos),
-                    bigint(e.pid as u64),
-                    bigint(e.tid as u64),
-                    bigint(e.a),
-                    bigint(e.b),
-                    overwritten.clone(),
-                ]
+                let event = TraceEventRow {
+                    kind: e.kind.name(),
+                    ts_nanos: e.ts_nanos,
+                    dur_nanos: e.dur_nanos,
+                    pid: e.pid,
+                    tid: e.tid,
+                    a: e.a,
+                    b: e.b,
+                    overwritten_events,
+                };
+                event.row()
             })
             .collect()
     }
@@ -297,7 +233,8 @@ impl SystemStateProvider for ClusterSystemState {
             SystemTable::Operators => self.operators(),
             SystemTable::MemoryPools => self.memory_pools(),
             SystemTable::Caches => self.caches(),
-            SystemTable::DynamicFilters => self.dynamic_filters(),
+            // One row of cluster-lifetime totals.
+            SystemTable::DynamicFilters => vec![self.telemetry.dynamic_filter_metrics().row()],
             SystemTable::TraceEvents => self.trace_events(),
         }
     }

@@ -7,7 +7,9 @@
 
 use parking_lot::Mutex;
 use presto_cache::{CacheCounters, CacheStats};
-use presto_common::{LatencyHistogram, LatencySummary, QueryId};
+use presto_common::{counter_set, LatencyHistogram, LatencySummary, QueryId};
+pub use presto_connector::DynamicFilterMetrics;
+use presto_connector::DynamicFilterTotals;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,22 +18,16 @@ use std::time::{Duration, Instant};
 /// Shared counters, cheap to clone.
 #[derive(Clone)]
 pub struct ClusterTelemetry {
+    started_at: Instant,
     inner: Arc<Inner>,
 }
 
+/// Everything starts at zero, so a new counter set is one field here.
+#[derive(Default)]
 struct Inner {
-    started_at: Instant,
     /// Busy nanoseconds per worker.
     worker_busy_nanos: Vec<AtomicU64>,
-    /// Every query ever submitted (queued + running + finished + failed).
-    submitted_queries: AtomicU64,
-    /// Currently running queries.
-    running_queries: AtomicU64,
-    /// Currently queued queries.
-    queued_queries: AtomicU64,
-    /// Completed queries.
-    finished_queries: AtomicU64,
-    failed_queries: AtomicU64,
+    gauges: QueryGaugeCells,
     /// Per-query records: every live query, plus the finished ones the
     /// coordinator's history ring still retains.
     queries: Mutex<HashMap<QueryId, QueryRecord>>,
@@ -42,25 +38,12 @@ struct Inner {
     /// live [`CacheStats`] handle.
     caches: Mutex<Vec<(&'static str, Arc<CacheStats>)>>,
     /// Dynamic-filtering totals, rolled in per query after it finishes.
-    df_filters_published: AtomicU64,
-    df_splits_pruned: AtomicU64,
-    df_stripes_pruned: AtomicU64,
-    df_rows_filtered: AtomicU64,
-    df_wait_nanos: AtomicU64,
+    dynamic_filters: DynamicFilterTotals,
     /// Pipeline-fusion totals, rolled in per query after it finishes.
-    fused_pipelines: AtomicU64,
-    fused_scan_rows: AtomicU64,
-    fused_filter_rows: AtomicU64,
-    fused_project_rows: AtomicU64,
-    fused_agg_rows: AtomicU64,
-    fused_rows_produced: AtomicU64,
-    /// Spill totals (§IV-F2), rolled in per query after it finishes.
-    spill_queries: AtomicU64,
-    spill_bytes: AtomicU64,
-    spill_events: AtomicU64,
-    /// Effective spill config of the most recent spill-enabled query:
-    /// (directory, disk budget). `None` until one runs.
-    spill_config: Mutex<Option<(String, u64)>>,
+    fusion: FusionTotals,
+    /// Spill totals (§IV-F2), rolled in per spilling query after it
+    /// finishes, and the config echo, noted per spill-enabled query.
+    spill: Mutex<SpillMetrics>,
     /// Per-phase wall-time histograms across all finished queries (§VI
     /// latency tables): queue wait, planning, and execution.
     queued_hist: LatencyHistogram,
@@ -68,69 +51,67 @@ struct Inner {
     execution_hist: LatencyHistogram,
 }
 
-/// Percentile summaries of the per-phase latency histograms, exported in
-/// [`crate::metrics::ClusterSnapshot`] and `system.runtime` views.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryLatencyMetrics {
-    pub queued: LatencySummary,
-    pub planning: LatencySummary,
-    pub execution: LatencySummary,
-}
+counter_set! {
+    /// Query lifecycle gauges. Invariant (asserted by the telemetry stress
+    /// test): `queued + running + finished + failed == submitted`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct QueryGauges[json, atomic(QueryGaugeCells)] {
+        /// Every query ever submitted.
+        submitted: u64,
+        queued: u64,
+        running: u64,
+        finished: u64,
+        failed: u64,
+    }
 
-/// Cluster-lifetime dynamic-filtering counters (§VII): how much work the
-/// build-side domains pushed into probe scans saved, across all queries.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DynamicFilterMetrics {
-    /// Filters completed and published by join builds.
-    pub filters_published: u64,
-    /// Splits discarded before a scan driver opened them.
-    pub splits_pruned: u64,
-    /// Stripes skipped by readers under a narrowed domain.
-    pub stripes_pruned: u64,
-    /// Rows dropped by the row-level membership check.
-    pub rows_filtered: u64,
-    /// Total time scans spent gated on filter arrival.
-    pub wait_nanos: u64,
-}
+    /// Percentile summaries of the per-phase latency histograms, exported in
+    /// [`crate::metrics::ClusterSnapshot`] and `system.runtime` views.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct QueryLatencyMetrics[json] {
+        queued: LatencySummary,
+        planning: LatencySummary,
+        execution: LatencySummary,
+    }
 
-/// Cluster-lifetime pipeline-fusion counters: how much data flowed
-/// through fused scan→filter→project[→partial-agg] loops, across all
-/// queries. Row counts are per fused stage, so the scan→filter→project
-/// cascade shows the selectivity the fused loop exploited.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FusionMetrics {
-    /// Fused pipeline instances (one per task-pipeline that ran fused).
-    pub pipelines: u64,
-    /// Rows read from splits by fused scan stages.
-    pub scan_rows: u64,
-    /// Rows surviving fused filter stages.
-    pub filter_rows: u64,
-    /// Rows emitted by fused projection stages.
-    pub project_rows: u64,
-    /// Rows fed into fused partial-aggregation stages.
-    pub agg_rows: u64,
-    /// Rows produced downstream by fused pipelines.
-    pub rows_produced: u64,
-}
+    /// Cluster-lifetime pipeline-fusion counters: how much data flowed
+    /// through fused scan→filter→project[→partial-agg] loops, across all
+    /// queries. Row counts are per fused stage, so the scan→filter→project
+    /// cascade shows the selectivity the fused loop exploited.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FusionMetrics[json, atomic(FusionTotals)] {
+        /// Fused pipeline instances (one per task-pipeline that ran fused).
+        pipelines: u64,
+        /// Rows read from splits by fused scan stages.
+        scan_rows: u64,
+        /// Rows surviving fused filter stages.
+        filter_rows: u64,
+        /// Rows emitted by fused projection stages.
+        project_rows: u64,
+        /// Rows fed into fused partial-aggregation stages.
+        agg_rows: u64,
+        /// Rows produced downstream by fused pipelines.
+        rows_produced: u64,
+    }
 
-/// Cluster-lifetime spill counters (§IV-F2): how much revocable state
-/// (grace-join builds, aggregation hash tables, sort runs) was written
-/// to disk under memory pressure, across all queries, plus the effective
-/// spill configuration — the `spill_dir`/`spill_max_bytes` session knobs
-/// of the most recent spill-enabled query (empty/zero until one runs).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SpillMetrics {
-    /// Queries that spilled at least once.
-    pub queries_spilled: u64,
-    /// Bytes written to spill run files.
-    pub spilled_bytes: u64,
-    /// Individual spill episodes (revocations and overflow flushes).
-    pub spill_events: u64,
-    /// Directory run files were written to ("" until a spill-enabled
-    /// query ran; the OS temp dir when the session left it unset).
-    pub spill_dir: String,
-    /// Per-task disk budget in bytes (0 = unlimited).
-    pub spill_max_bytes: u64,
+    /// Cluster-lifetime spill counters (§IV-F2): how much revocable state
+    /// (grace-join builds, aggregation hash tables, sort runs) was written
+    /// to disk under memory pressure, across all queries, plus the effective
+    /// spill configuration — the `spill_dir`/`spill_max_bytes` session knobs
+    /// of the most recent spill-enabled query (empty/zero until one runs).
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct SpillMetrics[json] {
+        /// Queries that spilled at least once.
+        queries_spilled: u64,
+        /// Bytes written to spill run files.
+        spilled_bytes: u64,
+        /// Individual spill episodes (revocations and overflow flushes).
+        spill_events: u64,
+        /// Directory run files were written to ("" until a spill-enabled
+        /// query ran; the OS temp dir when the session left it unset).
+        spill_dir: String,
+        /// Per-task disk budget in bytes (0 = unlimited).
+        spill_max_bytes: u64,
+    }
 }
 
 /// Lifecycle record for one query.
@@ -180,35 +161,10 @@ impl QueryRecord {
 impl ClusterTelemetry {
     pub fn new(workers: usize) -> ClusterTelemetry {
         ClusterTelemetry {
+            started_at: Instant::now(),
             inner: Arc::new(Inner {
-                started_at: Instant::now(),
                 worker_busy_nanos: (0..workers).map(|_| AtomicU64::new(0)).collect(),
-                submitted_queries: AtomicU64::new(0),
-                running_queries: AtomicU64::new(0),
-                queued_queries: AtomicU64::new(0),
-                finished_queries: AtomicU64::new(0),
-                failed_queries: AtomicU64::new(0),
-                queries: Mutex::new(HashMap::new()),
-                errors: Mutex::new(HashMap::new()),
-                caches: Mutex::new(Vec::new()),
-                df_filters_published: AtomicU64::new(0),
-                df_splits_pruned: AtomicU64::new(0),
-                df_stripes_pruned: AtomicU64::new(0),
-                df_rows_filtered: AtomicU64::new(0),
-                df_wait_nanos: AtomicU64::new(0),
-                fused_pipelines: AtomicU64::new(0),
-                fused_scan_rows: AtomicU64::new(0),
-                fused_filter_rows: AtomicU64::new(0),
-                fused_project_rows: AtomicU64::new(0),
-                fused_agg_rows: AtomicU64::new(0),
-                fused_rows_produced: AtomicU64::new(0),
-                spill_queries: AtomicU64::new(0),
-                spill_bytes: AtomicU64::new(0),
-                spill_events: AtomicU64::new(0),
-                spill_config: Mutex::new(None),
-                queued_hist: LatencyHistogram::new(),
-                planning_hist: LatencyHistogram::new(),
-                execution_hist: LatencyHistogram::new(),
+                ..Inner::default()
             }),
         }
     }
@@ -228,13 +184,13 @@ impl ClusterTelemetry {
     }
 
     pub fn uptime(&self) -> Duration {
-        self.inner.started_at.elapsed()
+        self.started_at.elapsed()
     }
 
     /// Nanoseconds since cluster start — the shared time domain lifecycle
     /// events and history entries are stamped in.
     pub fn now_nanos(&self) -> u64 {
-        self.inner.started_at.elapsed().as_nanos() as u64
+        self.started_at.elapsed().as_nanos() as u64
     }
 
     /// Record a finished query's explicit per-phase wall times (queue wait,
@@ -272,8 +228,8 @@ impl ClusterTelemetry {
     }
 
     pub fn query_queued(&self, query: QueryId) {
-        self.inner.submitted_queries.fetch_add(1, Ordering::SeqCst);
-        self.inner.queued_queries.fetch_add(1, Ordering::SeqCst);
+        self.inner.gauges.submitted.fetch_add(1, Ordering::SeqCst);
+        self.inner.gauges.queued.fetch_add(1, Ordering::SeqCst);
         self.inner.queries.lock().insert(
             query,
             QueryRecord {
@@ -292,8 +248,8 @@ impl ClusterTelemetry {
     }
 
     pub fn query_started(&self, query: QueryId) {
-        self.inner.queued_queries.fetch_sub(1, Ordering::SeqCst);
-        self.inner.running_queries.fetch_add(1, Ordering::SeqCst);
+        self.inner.gauges.queued.fetch_sub(1, Ordering::SeqCst);
+        self.inner.gauges.running.fetch_add(1, Ordering::SeqCst);
         if let Some(r) = self.inner.queries.lock().get_mut(&query) {
             r.started_at = Some(Instant::now());
         }
@@ -307,16 +263,11 @@ impl ClusterTelemetry {
         // concurrent snapshot can't observe the query in both states.
         let mut queries = self.inner.queries.lock();
         let started = queries.get(&query).is_none_or(|r| r.started_at.is_some());
-        if started {
-            self.inner.running_queries.fetch_sub(1, Ordering::SeqCst);
-        } else {
-            self.inner.queued_queries.fetch_sub(1, Ordering::SeqCst);
-        }
-        if failed {
-            self.inner.failed_queries.fetch_add(1, Ordering::SeqCst);
-        } else {
-            self.inner.finished_queries.fetch_add(1, Ordering::SeqCst);
-        }
+        let g = &self.inner.gauges;
+        let left = if started { &g.running } else { &g.queued };
+        left.fetch_sub(1, Ordering::SeqCst);
+        let entered = if failed { &g.failed } else { &g.finished };
+        entered.fetch_add(1, Ordering::SeqCst);
         if let Some(r) = queries.get_mut(&query) {
             r.finished_at = Some(Instant::now());
             r.cpu = cpu;
@@ -347,24 +298,29 @@ impl ClusterTelemetry {
         }
     }
 
+    /// The query lifecycle gauges, each read on its own.
+    pub fn query_gauges(&self) -> QueryGauges {
+        self.inner.gauges.snapshot()
+    }
+
     pub fn submitted_queries(&self) -> u64 {
-        self.inner.submitted_queries.load(Ordering::SeqCst)
+        self.inner.gauges.submitted.load(Ordering::SeqCst)
     }
 
     pub fn running_queries(&self) -> u64 {
-        self.inner.running_queries.load(Ordering::SeqCst)
+        self.inner.gauges.running.load(Ordering::SeqCst)
     }
 
     pub fn queued_queries(&self) -> u64 {
-        self.inner.queued_queries.load(Ordering::SeqCst)
+        self.inner.gauges.queued.load(Ordering::SeqCst)
     }
 
     pub fn finished_queries(&self) -> u64 {
-        self.inner.finished_queries.load(Ordering::SeqCst)
+        self.inner.gauges.finished.load(Ordering::SeqCst)
     }
 
     pub fn failed_queries(&self) -> u64 {
-        self.inner.failed_queries.load(Ordering::SeqCst)
+        self.inner.gauges.failed.load(Ordering::SeqCst)
     }
 
     /// Drop a finished query's record (it left the history ring).
@@ -395,86 +351,43 @@ impl ClusterTelemetry {
     /// Accumulate one query's dynamic-filtering totals into the
     /// cluster-lifetime counters.
     pub fn record_dynamic_filters(&self, totals: DynamicFilterMetrics) {
-        let i = &self.inner;
-        i.df_filters_published
-            .fetch_add(totals.filters_published, Ordering::Relaxed);
-        i.df_splits_pruned
-            .fetch_add(totals.splits_pruned, Ordering::Relaxed);
-        i.df_stripes_pruned
-            .fetch_add(totals.stripes_pruned, Ordering::Relaxed);
-        i.df_rows_filtered
-            .fetch_add(totals.rows_filtered, Ordering::Relaxed);
-        i.df_wait_nanos
-            .fetch_add(totals.wait_nanos, Ordering::Relaxed);
+        self.inner.dynamic_filters.add(&totals);
     }
 
     pub fn dynamic_filter_metrics(&self) -> DynamicFilterMetrics {
-        let i = &self.inner;
-        DynamicFilterMetrics {
-            filters_published: i.df_filters_published.load(Ordering::Relaxed),
-            splits_pruned: i.df_splits_pruned.load(Ordering::Relaxed),
-            stripes_pruned: i.df_stripes_pruned.load(Ordering::Relaxed),
-            rows_filtered: i.df_rows_filtered.load(Ordering::Relaxed),
-            wait_nanos: i.df_wait_nanos.load(Ordering::Relaxed),
-        }
+        self.inner.dynamic_filters.snapshot()
     }
 
     /// Accumulate one query's pipeline-fusion totals into the
     /// cluster-lifetime counters.
     pub fn record_fusion(&self, totals: FusionMetrics) {
-        let i = &self.inner;
-        i.fused_pipelines
-            .fetch_add(totals.pipelines, Ordering::Relaxed);
-        i.fused_scan_rows
-            .fetch_add(totals.scan_rows, Ordering::Relaxed);
-        i.fused_filter_rows
-            .fetch_add(totals.filter_rows, Ordering::Relaxed);
-        i.fused_project_rows
-            .fetch_add(totals.project_rows, Ordering::Relaxed);
-        i.fused_agg_rows
-            .fetch_add(totals.agg_rows, Ordering::Relaxed);
-        i.fused_rows_produced
-            .fetch_add(totals.rows_produced, Ordering::Relaxed);
+        self.inner.fusion.add(&totals);
     }
 
     pub fn fusion_metrics(&self) -> FusionMetrics {
-        let i = &self.inner;
-        FusionMetrics {
-            pipelines: i.fused_pipelines.load(Ordering::Relaxed),
-            scan_rows: i.fused_scan_rows.load(Ordering::Relaxed),
-            filter_rows: i.fused_filter_rows.load(Ordering::Relaxed),
-            project_rows: i.fused_project_rows.load(Ordering::Relaxed),
-            agg_rows: i.fused_agg_rows.load(Ordering::Relaxed),
-            rows_produced: i.fused_rows_produced.load(Ordering::Relaxed),
-        }
+        self.inner.fusion.snapshot()
     }
 
     /// Note the effective spill configuration of a spill-enabled query
     /// (called at admission, so the snapshot reflects it while the query
     /// is still running).
     pub fn record_spill_config(&self, dir: String, max_bytes: u64) {
-        *self.inner.spill_config.lock() = Some((dir, max_bytes));
+        let mut spill = self.inner.spill.lock();
+        spill.spill_dir = dir;
+        spill.spill_max_bytes = max_bytes;
     }
 
     /// Accumulate one query's spill totals into the cluster-lifetime
     /// counters.
     pub fn record_spill(&self, spilled_bytes: u64, spill_events: u64) {
-        let i = &self.inner;
-        i.spill_queries.fetch_add(1, Ordering::Relaxed);
-        i.spill_bytes.fetch_add(spilled_bytes, Ordering::Relaxed);
-        i.spill_events.fetch_add(spill_events, Ordering::Relaxed);
+        let mut spill = self.inner.spill.lock();
+        spill.queries_spilled += 1;
+        spill.spilled_bytes += spilled_bytes;
+        spill.spill_events += spill_events;
     }
 
     pub fn spill_metrics(&self) -> SpillMetrics {
-        let i = &self.inner;
-        let (spill_dir, spill_max_bytes) = i.spill_config.lock().clone().unwrap_or_default();
-        SpillMetrics {
-            queries_spilled: i.spill_queries.load(Ordering::Relaxed),
-            spilled_bytes: i.spill_bytes.load(Ordering::Relaxed),
-            spill_events: i.spill_events.load(Ordering::Relaxed),
-            spill_dir,
-            spill_max_bytes,
-        }
+        self.inner.spill.lock().clone()
     }
 
     /// Export a cache layer's live counters under `name`.
@@ -484,12 +397,9 @@ impl ClusterTelemetry {
 
     /// Merged counters across every registered cache layer.
     pub fn cache_counters(&self) -> CacheCounters {
-        let caches = self.inner.caches.lock();
-        let mut total = CacheCounters::default();
-        for (_, stats) in caches.iter() {
-            total = total.merge(&stats.counters());
-        }
-        total
+        self.cache_counters_by_layer()
+            .iter()
+            .fold(CacheCounters::default(), |total, (_, c)| total.merge(c))
     }
 
     /// Counter snapshot per registered cache layer.

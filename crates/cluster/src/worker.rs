@@ -10,7 +10,7 @@
 
 use parking_lot::Mutex;
 use presto_common::wake::{Bell, WakeList, Waker, SAFETY_NET};
-use presto_common::{NodeId, PrestoError, QueryId, TaskId, TraceBuffer, TraceKind};
+use presto_common::{counter_set, NodeId, PrestoError, QueryId, TaskId, TraceBuffer, TraceKind};
 use presto_exec::{BlockedReason, Driver, DriverState, Task};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -277,27 +277,21 @@ const TIMED_REPOLL: Duration = Duration::from_micros(200);
 /// each time round, so this must stay well under any `liveness_timeout`.
 const IDLE_WAIT: Duration = Duration::from_millis(10);
 
-/// How this worker's drivers have waited, since startup (§IV-F1).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WakeupSnapshot {
-    /// Drivers put to sleep on an event.
-    pub parks: u64,
-    /// Sleeping drivers brought back by their event.
-    pub event_wakeups: u64,
-    /// Waits no event announces, re-polled on a timer.
-    pub timed_repolls: u64,
-    /// Drivers that slept to their safety-net deadline and could then make
-    /// progress although nothing had woken them: lost wakeups. Zero unless
-    /// there is a bug.
-    pub safety_net_fires: u64,
-}
-
-#[derive(Default)]
-struct WakeupCounters {
-    parks: AtomicU64,
-    event_wakeups: AtomicU64,
-    timed_repolls: AtomicU64,
-    safety_net_fires: AtomicU64,
+counter_set! {
+    /// How this worker's drivers have waited, since startup (§IV-F1).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct WakeupSnapshot[json, atomic(WakeupCounters)] {
+        /// Drivers put to sleep on an event.
+        parks: u64,
+        /// Sleeping drivers brought back by their event.
+        event_wakeups: u64,
+        /// Waits no event announces, re-polled on a timer.
+        timed_repolls: u64,
+        /// Drivers that slept to their safety-net deadline and could then make
+        /// progress although nothing had woken them: lost wakeups. Zero unless
+        /// there is a bug.
+        safety_net_fires: u64,
+    }
 }
 
 /// A worker node: N executor threads over a multilevel feedback queue.
@@ -461,13 +455,7 @@ impl Worker {
 
     /// How drivers have waited on this worker, for metrics snapshots.
     pub fn wakeups(&self) -> WakeupSnapshot {
-        let c = &self.wakeups;
-        WakeupSnapshot {
-            parks: c.parks.load(Ordering::Relaxed),
-            event_wakeups: c.event_wakeups.load(Ordering::Relaxed),
-            timed_repolls: c.timed_repolls.load(Ordering::Relaxed),
-            safety_net_fires: c.safety_net_fires.load(Ordering::Relaxed),
-        }
+        self.wakeups.snapshot()
     }
 
     /// The worker's MLFQ, for metrics snapshots.
@@ -1103,7 +1091,10 @@ mod tests {
         let gate = Arc::new(Gate::default());
         let handle = rig.submit(source(&gate, OnPark::Register), sink(&open_gate()));
         eventually("the driver parks", || rig.worker.blocked_drivers() == 1);
-        std::thread::sleep(SAFETY_NET * 3);
+        // Open the gate between two safety-net looks, not on one: a look
+        // that lands between the gate's store and its wake finds progress
+        // under a silent waker, which is what the counter counts.
+        std::thread::sleep(SAFETY_NET * 7 / 2);
         assert_eq!(gate.waiters.len(), 1, "re-parked on the waker it had");
         gate.open();
         eventually("the task finishes", || handle.is_done());

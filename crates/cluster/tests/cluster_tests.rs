@@ -379,6 +379,29 @@ fn tiny_memory_config() -> ClusterConfig {
     }
 }
 
+/// Catalogs with one more table, `events`, whose `GROUP BY k` state no
+/// pool of [`tiny_memory_config`] can hold: 8 000 distinct keys are ≈ 2 000
+/// groups (tens of KB) per final-aggregation task against 8 KiB pools. The
+/// 1 000 groups of `orders` squeeze into the reserved pool when the query
+/// is promoted before any driver has published revocable bytes and its
+/// tasks happen not to overlap, and then nothing spills; here a final
+/// aggregation must spill to finish, whatever order drivers run in.
+fn catalogs_with_unholdable_groups() -> CatalogManager {
+    let (catalogs, mem) = test_catalogs();
+    let schema = Schema::of(&[("k", DataType::Bigint), ("v", DataType::Double)]);
+    let rows: Vec<Vec<Value>> = (0..8000)
+        .map(|i| vec![Value::Bigint(i), Value::Double(1.0)])
+        .collect();
+    let pages = rows
+        .chunks(100)
+        .map(|chunk| presto_page::Page::from_rows(&schema, chunk))
+        .collect();
+    mem.load_table("events", schema, pages);
+    catalogs
+}
+
+const UNHOLDABLE_GROUPS_SQL: &str = "SELECT k, COUNT(*), SUM(v) FROM events GROUP BY k";
+
 fn unique_spill_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("presto-spill-test-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -440,8 +463,7 @@ fn spilling_query_matches_unconstrained_run_and_cleans_up() {
 #[test]
 fn spill_write_failure_surfaces_retryable_error() {
     let dir = unique_spill_dir("chaos-write");
-    let (catalogs, _) = test_catalogs();
-    let c = Cluster::start(tiny_memory_config(), catalogs).unwrap();
+    let c = Cluster::start(tiny_memory_config(), catalogs_with_unholdable_groups()).unwrap();
     let session = Session {
         spill_enabled: true,
         spill_dir: Some(dir.clone()),
@@ -449,10 +471,7 @@ fn spill_write_failure_surfaces_retryable_error() {
         ..Session::default()
     };
     let err = c
-        .execute_with_session(
-            "SELECT orderkey, COUNT(*), SUM(totalprice) FROM orders GROUP BY orderkey",
-            &session,
-        )
+        .execute_with_session(UNHOLDABLE_GROUPS_SQL, &session)
         .unwrap_err();
     assert!(
         err.error.is_retryable(),
@@ -467,8 +486,7 @@ fn spill_write_failure_surfaces_retryable_error() {
 #[test]
 fn spill_disk_full_surfaces_retryable_error() {
     let dir = unique_spill_dir("chaos-full");
-    let (catalogs, _) = test_catalogs();
-    let c = Cluster::start(tiny_memory_config(), catalogs).unwrap();
+    let c = Cluster::start(tiny_memory_config(), catalogs_with_unholdable_groups()).unwrap();
     let session = Session {
         spill_enabled: true,
         spill_dir: Some(dir.clone()),
@@ -476,10 +494,7 @@ fn spill_disk_full_surfaces_retryable_error() {
         ..Session::default()
     };
     let err = c
-        .execute_with_session(
-            "SELECT orderkey, COUNT(*), SUM(totalprice) FROM orders GROUP BY orderkey",
-            &session,
-        )
+        .execute_with_session(UNHOLDABLE_GROUPS_SQL, &session)
         .unwrap_err();
     assert!(
         err.error.is_retryable(),

@@ -8,6 +8,8 @@ use presto_cluster::memory::PoolSnapshot;
 use presto_cluster::mlfq::{LevelSnapshot, SchedulerSnapshot};
 use presto_cluster::worker::WakeupSnapshot;
 use presto_cluster::{Cluster, ClusterConfig, DynamicFilterMetrics, FusionMetrics, QueryLatencyMetrics, SpillMetrics};
+use presto_cache::CacheCounters;
+use presto_common::counters::JsonCodec;
 use presto_common::json::Json;
 use presto_common::{DataType, LatencySummary, Schema, Session, Value};
 use presto_connector::CatalogManager;
@@ -372,156 +374,122 @@ fn counter() -> impl Strategy<Value = u64> {
     any::<u64>().prop_map(|v| v >> 1)
 }
 
-fn arb_level() -> impl Strategy<Value = LevelSnapshot> {
-    (0..100_000usize, counter(), counter(), counter()).prop_map(
-        |(occupancy, used_nanos, entries, quanta_granted)| LevelSnapshot {
-            occupancy,
-            used_nanos,
-            entries,
-            quanta_granted,
-        },
-    )
+/// An arbitrary value of any flat declared set, generated from the
+/// declaration itself: the keys of `T::default().to_json()` are its fields,
+/// a string leaf takes an arbitrary string, and an integer leaf takes any
+/// value the field's type accepts (signed where `from_json` takes -1,
+/// otherwise a counter). Checks on the way that every generated field
+/// survives `from_json` → `to_json`, so a field a codec dropped shows here.
+fn arb_set<T: JsonCodec + Default + 'static>() -> impl Strategy<Value = T> {
+    let Json::Obj(template) = T::default().to_json() else {
+        panic!("a declared set serializes as an object");
+    };
+    let fields: Vec<BoxedStrategy<(String, Json)>> = template
+        .iter()
+        .map(|(name, leaf)| {
+            let name = name.clone();
+            if matches!(leaf, Json::Str(_)) {
+                return "[a-z/_-]{0,16}"
+                    .prop_map(move |s| (name.clone(), Json::Str(s)))
+                    .boxed();
+            }
+            let mut probe = template.clone();
+            probe.insert(name.clone(), Json::Int(-1));
+            if T::from_json(&Json::Obj(probe)).is_ok() {
+                any::<i64>()
+                    .prop_map(move |v| (name.clone(), Json::Int(v)))
+                    .boxed()
+            } else {
+                counter()
+                    .prop_map(move |v| (name.clone(), Json::Int(v as i64)))
+                    .boxed()
+            }
+        })
+        .collect();
+    fields.prop_map(|fields| {
+        let object = Json::Obj(fields.into_iter().collect());
+        let set = T::from_json(&object).unwrap();
+        assert_eq!(set.to_json(), object);
+        set
+    })
 }
 
 fn arb_worker() -> impl Strategy<Value = WorkerMetrics> {
     (
-        (any::<u32>(), counter(), counter(), counter(), counter()),
+        (any::<u32>(), 0..4usize),
+        proptest::collection::vec(counter(), 4..5),
         (
-            proptest::collection::vec(arb_level(), 0..6),
+            proptest::collection::vec(arb_set::<LevelSnapshot>(), 0..6),
             counter(),
             counter(),
         ),
-        (counter(), counter(), counter(), counter()),
-        (
-            proptest::collection::vec(any::<i64>(), 9..10),
-            0..100_000usize,
-            0..4usize,
-        ),
+        arb_set::<WakeupSnapshot>(),
+        arb_set::<PoolSnapshot>(),
     )
         .prop_map(
-            |(
-                (node, busy_nanos, running_drivers, blocked_drivers, queued_drivers),
-                (levels, demotions, promotions),
-                (parks, event_wakeups, timed_repolls, safety_net_fires),
-                (mem, active_queries, state),
-            )| WorkerMetrics {
-                node,
-                state: ["active", "draining", "lost", "shutdown"][state].to_string(),
-                busy_nanos,
-                running_drivers,
-                blocked_drivers,
-                queued_drivers,
-                scheduler: SchedulerSnapshot {
-                    levels,
-                    demotions,
-                    promotions,
-                },
-                wakeups: WakeupSnapshot {
-                    parks,
-                    event_wakeups,
-                    timed_repolls,
-                    safety_net_fires,
-                },
-                memory: PoolSnapshot {
-                    general_used: mem[0],
-                    reserved_used: mem[1],
-                    system_used: mem[2],
-                    peak_general: mem[3],
-                    peak_reserved: mem[4],
-                    general_limit: mem[5],
-                    reserved_limit: mem[6],
-                    blocked_reservations: mem[7],
-                    revocation_requests: mem[8],
-                    active_queries,
-                },
+            |((node, state), drivers, (levels, demotions, promotions), wakeups, memory)| {
+                WorkerMetrics {
+                    node,
+                    state: ["active", "draining", "lost", "shutdown"][state].to_string(),
+                    busy_nanos: drivers[0],
+                    running_drivers: drivers[1],
+                    blocked_drivers: drivers[2],
+                    queued_drivers: drivers[3],
+                    scheduler: SchedulerSnapshot {
+                        levels,
+                        demotions,
+                        promotions,
+                    },
+                    wakeups,
+                    memory,
+                }
             },
         )
 }
 
 fn arb_cache() -> impl Strategy<Value = CacheLayerMetrics> {
-    ("[a-z_]{1,12}", proptest::collection::vec(counter(), 6..7)).prop_map(|(layer, vals)| {
-        CacheLayerMetrics {
-            layer,
-            hits: vals[0],
-            misses: vals[1],
-            evictions: vals[2],
-            inserts: vals[3],
-            invalidations: vals[4],
-            bytes: vals[5],
-        }
-    })
-}
-
-fn arb_summary() -> impl Strategy<Value = LatencySummary> {
-    proptest::collection::vec(counter(), 5..6).prop_map(|v| LatencySummary {
-        count: v[0],
-        p50_nanos: v[1],
-        p95_nanos: v[2],
-        p99_nanos: v[3],
-        max_nanos: v[4],
-    })
+    ("[a-z_]{1,12}", arb_set::<CacheCounters>())
+        .prop_map(|(layer, counters)| CacheLayerMetrics { layer, counters })
 }
 
 fn arb_snapshot() -> impl Strategy<Value = ClusterSnapshot> {
     (
-        counter(),
+        (counter(), counter(), counter()),
         proptest::collection::vec(arb_worker(), 0..4),
-        proptest::collection::vec(counter(), 6..7),
+        (arb_set::<ShuffleMetrics>(), arb_set::<QueryGauges>()),
         (
-            proptest::collection::vec(counter(), 5..6),
-            proptest::collection::vec(counter(), 5..6),
-            proptest::collection::vec(counter(), 6..7),
-            (proptest::collection::vec(counter(), 4..5), "[a-z/_-]{0,16}"),
+            arb_set::<DynamicFilterMetrics>(),
+            arb_set::<FusionMetrics>(),
+            arb_set::<SpillMetrics>(),
         ),
         proptest::collection::vec(arb_cache(), 0..3),
-        ((arb_summary(), arb_summary(), arb_summary()), counter(), counter()),
+        (
+            arb_set::<LatencySummary>(),
+            arb_set::<LatencySummary>(),
+            arb_set::<LatencySummary>(),
+        ),
     )
         .prop_map(
-            |(uptime_nanos, workers, shuffle, (queries, df, fu, (sp, spill_dir)), caches, ((lq, lp, le), trace_events, trace_overwritten))| ClusterSnapshot {
+            |(
+                (uptime_nanos, trace_events, trace_overwritten),
+                workers,
+                (shuffle, queries),
+                (dynamic_filters, fusion, spill),
+                caches,
+                (queued, planning, execution),
+            )| ClusterSnapshot {
                 uptime_nanos,
                 workers,
-                shuffle: ShuffleMetrics {
-                    output_buffered_bytes: shuffle[0],
-                    exchange_buffered_bytes: shuffle[1],
-                    in_flight_requests: shuffle[2],
-                    retries: shuffle[3],
-                    wire_bytes_received: shuffle[4],
-                    logical_bytes_received: shuffle[5],
-                },
-                queries: QueryGauges {
-                    submitted: queries[0],
-                    queued: queries[1],
-                    running: queries[2],
-                    finished: queries[3],
-                    failed: queries[4],
-                },
-                dynamic_filters: DynamicFilterMetrics {
-                    filters_published: df[0],
-                    splits_pruned: df[1],
-                    stripes_pruned: df[2],
-                    rows_filtered: df[3],
-                    wait_nanos: df[4],
-                },
-                fusion: FusionMetrics {
-                    pipelines: fu[0],
-                    scan_rows: fu[1],
-                    filter_rows: fu[2],
-                    project_rows: fu[3],
-                    agg_rows: fu[4],
-                    rows_produced: fu[5],
-                },
-                spill: SpillMetrics {
-                    queries_spilled: sp[0],
-                    spilled_bytes: sp[1],
-                    spill_events: sp[2],
-                    spill_dir,
-                    spill_max_bytes: sp[3],
-                },
+                shuffle,
+                queries,
+                dynamic_filters,
+                fusion,
+                spill,
                 caches,
                 latency: QueryLatencyMetrics {
-                    queued: lq,
-                    planning: lp,
-                    execution: le,
+                    queued,
+                    planning,
+                    execution,
                 },
                 trace_events,
                 trace_overwritten,
@@ -532,6 +500,8 @@ fn arb_snapshot() -> impl Strategy<Value = ClusterSnapshot> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// Walks every set declared with a JSON shape: each is a field of the
+    /// snapshot, generated over its own declaration by `arb_set`.
     #[test]
     fn snapshot_json_round_trip(snap in arb_snapshot()) {
         let text = snap.to_json().to_string();

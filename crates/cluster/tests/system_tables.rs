@@ -9,6 +9,7 @@
 use presto_cluster::{Cluster, ClusterConfig};
 use presto_common::{DataType, Schema, Session, Value};
 use presto_connector::CatalogManager;
+use presto_connectors::system::SystemTable;
 use presto_connectors::MemoryConnector;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -77,6 +78,12 @@ fn every_system_table_scans() {
         let out = c
             .execute(&format!("SELECT * FROM system.runtime.{table}"))
             .unwrap();
+        // `SELECT *` shows the row type's declared columns, in order.
+        let declared = SystemTable::from_name(&format!("runtime.{table}"))
+            .unwrap()
+            .schema();
+        assert_eq!(out.schema.fields(), declared.fields(), "{table}");
+        assert!(out.rows().iter().all(|r| r.len() == declared.len()));
         // Every table but the per-query ones is populated even on an idle
         // cluster; after one query they all have rows except (possibly)
         // operators of still-draining tasks.

@@ -275,10 +275,13 @@ fn no_wakeup_is_lost_under_mixed_load_and_disturbance() {
                 })
                 .collect();
             scope.spawn(|| disturbance.run(&c, &done));
-            for client in clients {
-                client.join().unwrap();
-            }
+            // Stop the disturbance before reporting a client's panic, or
+            // the scope would wait on its loop for ever.
+            let results: Vec<_> = clients.into_iter().map(|c| c.join()).collect();
             done.store(true, Ordering::SeqCst);
+            for result in results {
+                result.unwrap();
+            }
         });
         parks +=
             assert_quiescent_and_no_wakeup_lost(&c, &format!("round {round} ({disturbance:?})"));

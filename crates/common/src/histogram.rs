@@ -39,14 +39,16 @@ fn bucket_floor(index: usize) -> u64 {
     }
 }
 
-/// Derived percentiles of one histogram, cheap to copy and serialize.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LatencySummary {
-    pub count: u64,
-    pub p50_nanos: u64,
-    pub p95_nanos: u64,
-    pub p99_nanos: u64,
-    pub max_nanos: u64,
+crate::counter_set! {
+    /// Derived percentiles of one histogram, cheap to copy and serialize.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct LatencySummary[json] {
+        count: u64,
+        p50_nanos: u64,
+        p95_nanos: u64,
+        p99_nanos: u64,
+        max_nanos: u64,
+    }
 }
 
 /// A mergeable, constant-memory, lock-free latency histogram.

@@ -10,6 +10,7 @@
 //! optimizer.
 
 pub mod chaos;
+pub mod counters;
 pub mod error;
 pub mod histogram;
 pub mod id;

@@ -128,6 +128,7 @@ impl TableStatistics {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

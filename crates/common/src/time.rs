@@ -53,6 +53,7 @@ pub fn format_date(days: i64) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

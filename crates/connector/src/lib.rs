@@ -33,5 +33,8 @@ pub use domain::{Domain, TupleDomain};
 pub use index::IndexSource;
 pub use metadata::{ConnectorMetadata, DataLayout, Partitioning};
 pub use sink::{PageSink, PageSinkFactory};
-pub use source::{DynamicFilter, PageSource, PageSourceFactory, ScanOptions};
+pub use source::{
+    DynamicFilter, DynamicFilterMetrics, DynamicFilterTotals, PageSource, PageSourceFactory,
+    ScanOptions,
+};
 pub use split::{FixedSplitSource, Split, SplitPayload, SplitSource};

@@ -1,6 +1,6 @@
 //! The Data Source API: streaming page reads.
 
-use presto_common::Result;
+use presto_common::{counter_set, Result};
 use presto_page::Page;
 use std::sync::Arc;
 
@@ -20,6 +20,25 @@ pub trait DynamicFilter: Send + Sync {
     /// Connector reports stripes (or equivalent units) it skipped because
     /// of the dynamic domain, for the operator stats tree.
     fn record_stripes_pruned(&self, _n: u64) {}
+}
+
+counter_set! {
+    /// Dynamic-filtering savings (§VII): how much work the build-side domains
+    /// pushed into probe scans saved. The engine keeps one set per scan, one
+    /// per query and one for the cluster's lifetime.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DynamicFilterMetrics[json, columns, atomic(DynamicFilterTotals)] {
+        /// Filters completed and published by join builds.
+        filters_published: u64,
+        /// Splits discarded before a scan driver opened them.
+        splits_pruned: u64,
+        /// Stripes skipped by readers under a narrowed domain.
+        stripes_pruned: u64,
+        /// Rows dropped by the row-level membership check.
+        rows_filtered: u64,
+        /// Total time scans spent gated on filter arrival.
+        wait_nanos: u64,
+    }
 }
 
 /// Options the engine passes when opening a split for reading.

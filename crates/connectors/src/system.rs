@@ -14,10 +14,12 @@
 //! the rows in the split payload; the page source then streams them out
 //! in engine-sized pages, honoring column pruning and `target_page_rows`.
 
-use presto_common::{DataType, PrestoError, Result, Schema, Value};
+use presto_cache::CacheCounters;
+use presto_common::counters::Row;
+use presto_common::{counter_set, DataType, PrestoError, Result, Schema, Value};
 use presto_connector::{
-    Connector, ConnectorMetadata, FixedSplitSource, PageSource, PageSourceFactory, ScanOptions,
-    Split, SplitSource, TupleDomain,
+    Connector, ConnectorMetadata, DynamicFilterMetrics, FixedSplitSource, PageSource,
+    PageSourceFactory, ScanOptions, Split, SplitSource, TupleDomain,
 };
 use presto_page::Page;
 use std::sync::Arc;
@@ -74,96 +76,130 @@ impl SystemTable {
             .find(|t| t.table_name() == name)
     }
 
-    /// The fixed schema of this table.
+    /// The fixed schema of this table: the columns of its row type.
     pub fn schema(self) -> Schema {
-        use DataType::{Bigint, Varchar};
-        match self {
-            SystemTable::Queries => Schema::of(&[
-                ("query_id", Bigint),
-                ("state", Varchar),
-                ("error_tag", Varchar),
-                ("error_message", Varchar),
-                ("queued_nanos", Bigint),
-                ("planning_nanos", Bigint),
-                ("execution_nanos", Bigint),
-                ("cpu_nanos", Bigint),
-                ("wall_nanos", Bigint),
-                ("attempts", Bigint),
-                ("retries", Bigint),
-                ("peak_memory_bytes", Bigint),
-                ("rows_returned", Bigint),
-            ]),
-            SystemTable::Tasks => Schema::of(&[
-                ("query_id", Bigint),
-                ("stage", Bigint),
-                ("task", Bigint),
-                ("worker", Bigint),
-                ("state", Varchar),
-                ("cpu_nanos", Bigint),
-                ("output_pages", Bigint),
-                ("output_wire_bytes", Bigint),
-                ("output_logical_bytes", Bigint),
-                ("exchange_bytes_received", Bigint),
-            ]),
-            SystemTable::Operators => Schema::of(&[
-                ("query_id", Bigint),
-                ("stage", Bigint),
-                ("task", Bigint),
-                ("pipeline", Bigint),
-                ("operator", Varchar),
-                ("input_rows", Bigint),
-                ("input_bytes", Bigint),
-                ("output_rows", Bigint),
-                ("output_bytes", Bigint),
-                ("cpu_nanos", Bigint),
-                ("blocked_nanos", Bigint),
-                ("peak_memory_bytes", Bigint),
-                ("spilled_bytes", Bigint),
-                ("spill_events", Bigint),
-            ]),
-            SystemTable::MemoryPools => Schema::of(&[
-                ("worker", Bigint),
-                ("pool", Varchar),
-                ("used_bytes", Bigint),
-                ("peak_bytes", Bigint),
-                ("limit_bytes", Bigint),
-                ("blocked_reservations", Bigint),
-                ("revocation_requests", Bigint),
-                ("active_queries", Bigint),
-            ]),
-            SystemTable::Caches => Schema::of(&[
-                ("layer", Varchar),
-                ("hits", Bigint),
-                ("misses", Bigint),
-                ("evictions", Bigint),
-                ("inserts", Bigint),
-                ("invalidations", Bigint),
-                ("bytes", Bigint),
-            ]),
-            SystemTable::DynamicFilters => Schema::of(&[
-                ("filters_published", Bigint),
-                ("splits_pruned", Bigint),
-                ("stripes_pruned", Bigint),
-                ("rows_filtered", Bigint),
-                ("wait_nanos", Bigint),
-            ]),
-            SystemTable::TraceEvents => Schema::of(&[
-                ("kind", Varchar),
-                ("ts_nanos", Bigint),
-                ("dur_nanos", Bigint),
-                ("pid", Bigint),
-                ("tid", Bigint),
-                ("a", Bigint),
-                ("b", Bigint),
-                ("overwritten_events", Bigint),
-            ]),
-        }
+        Schema::of(&match self {
+            SystemTable::Queries => QueryRow::columns(),
+            SystemTable::Tasks => TaskRow::columns(),
+            SystemTable::Operators => OperatorRow::columns(),
+            SystemTable::MemoryPools => MemoryPoolRow::columns(),
+            SystemTable::Caches => CacheRow::columns(),
+            SystemTable::DynamicFilters => DynamicFilterMetrics::columns(),
+            SystemTable::TraceEvents => TraceEventRow::columns(),
+        })
+    }
+}
+
+counter_set! {
+    /// `runtime.queries`. A live query has only its id, state and queued
+    /// time so far; every `Option` column is NULL until it ends.
+    #[derive(Debug, Clone, Default)]
+    pub struct QueryRow[columns] {
+        query_id: u64,
+        state: &'static str,
+        error_tag: Option<&'static str>,
+        error_message: Option<String>,
+        queued_nanos: u64,
+        planning_nanos: Option<u64>,
+        execution_nanos: Option<u64>,
+        cpu_nanos: Option<u64>,
+        wall_nanos: Option<u64>,
+        attempts: Option<u32>,
+        retries: Option<u32>,
+        peak_memory_bytes: Option<u64>,
+        rows_returned: Option<u64>,
+    }
+
+    /// `runtime.tasks`. `worker` is NULL for tasks of completed queries:
+    /// task placement is not kept after completion.
+    #[derive(Debug, Clone)]
+    pub struct TaskRow[columns] {
+        query_id: u64,
+        stage: u32,
+        task: u32,
+        worker: Option<u32>,
+        state: &'static str,
+        cpu_nanos: u64,
+        output_pages: u64,
+        output_wire_bytes: u64,
+        output_logical_bytes: u64,
+        exchange_bytes_received: u64,
+    }
+
+    /// `runtime.operators`: the per-operator stats rollup.
+    #[derive(Debug, Clone)]
+    pub struct OperatorRow[columns] {
+        query_id: u64,
+        stage: u32,
+        task: u32,
+        pipeline: u32,
+        operator: &'static str,
+        input_rows: u64,
+        input_bytes: u64,
+        output_rows: u64,
+        output_bytes: u64,
+        cpu_nanos: u64,
+        blocked_nanos: u64,
+        peak_memory_bytes: u64,
+        spilled_bytes: u64,
+        spill_events: u64,
+    }
+
+    /// `runtime.memory_pools`: one (worker, pool) pair. The system pool
+    /// tracks cache retention — it has no separate peak or limit, so those
+    /// columns read 0.
+    #[derive(Debug, Clone)]
+    pub struct MemoryPoolRow[columns] {
+        worker: u32,
+        pool: &'static str,
+        used_bytes: i64,
+        peak_bytes: i64,
+        limit_bytes: i64,
+        blocked_reservations: i64,
+        revocation_requests: i64,
+        active_queries: usize,
+    }
+
+    /// `runtime.trace_events`: one retained event, carrying the ring's
+    /// current overwrite count so truncation is visible from SQL.
+    #[derive(Debug, Clone)]
+    pub struct TraceEventRow[columns] {
+        kind: &'static str,
+        ts_nanos: u64,
+        dur_nanos: u64,
+        pid: u32,
+        tid: u32,
+        a: u64,
+        b: u64,
+        overwritten_events: u64,
+    }
+}
+
+/// `runtime.caches`: a layer's name, then the cache crate's own counters.
+#[derive(Debug, Clone)]
+pub struct CacheRow {
+    pub layer: &'static str,
+    pub counters: CacheCounters,
+}
+
+impl Row for CacheRow {
+    fn columns() -> Vec<(&'static str, DataType)> {
+        let mut columns = vec![("layer", DataType::Varchar)];
+        columns.extend(CacheCounters::columns());
+        columns
+    }
+
+    fn row(&self) -> Vec<Value> {
+        let mut row = vec![Value::varchar(self.layer)];
+        row.extend(self.counters.row());
+        row
     }
 }
 
 /// What the connector reads: a point-in-time row snapshot of one table.
-/// Implemented by the cluster over its live runtime state; rows must match
-/// [`SystemTable::schema`] positionally.
+/// Implemented by the cluster over its live runtime state; each row is the
+/// [`Row::row`] of the table's row type, so it matches
+/// [`SystemTable::schema`] by construction.
 pub trait SystemStateProvider: Send + Sync {
     fn rows(&self, table: SystemTable) -> Vec<Vec<Value>>;
 }
@@ -340,6 +376,106 @@ mod tests {
         }
         assert_eq!(rows, 2500);
         assert_eq!(pages, 3, "chunked to target_page_rows");
+    }
+
+    /// Column names, order and types are what dashboards query by: they
+    /// may not move when a row type's declaration is touched. `v` marks a
+    /// varchar column, everything else is bigint.
+    #[test]
+    fn column_names_order_and_types_are_pinned() {
+        let pinned: [(SystemTable, &str); 7] = [
+            (
+                SystemTable::Queries,
+                "query_id state:v error_tag:v error_message:v queued_nanos planning_nanos \
+                 execution_nanos cpu_nanos wall_nanos attempts retries peak_memory_bytes \
+                 rows_returned",
+            ),
+            (
+                SystemTable::Tasks,
+                "query_id stage task worker state:v cpu_nanos output_pages output_wire_bytes \
+                 output_logical_bytes exchange_bytes_received",
+            ),
+            (
+                SystemTable::Operators,
+                "query_id stage task pipeline operator:v input_rows input_bytes output_rows \
+                 output_bytes cpu_nanos blocked_nanos peak_memory_bytes spilled_bytes \
+                 spill_events",
+            ),
+            (
+                SystemTable::MemoryPools,
+                "worker pool:v used_bytes peak_bytes limit_bytes blocked_reservations \
+                 revocation_requests active_queries",
+            ),
+            (
+                SystemTable::Caches,
+                "layer:v hits misses evictions inserts invalidations bytes",
+            ),
+            (
+                SystemTable::DynamicFilters,
+                "filters_published splits_pruned stripes_pruned rows_filtered wait_nanos",
+            ),
+            (
+                SystemTable::TraceEvents,
+                "kind:v ts_nanos dur_nanos pid tid a b overwritten_events",
+            ),
+        ];
+        for (table, columns) in pinned {
+            let got: Vec<String> = table
+                .schema()
+                .fields()
+                .iter()
+                .map(|f| match f.data_type {
+                    DataType::Varchar => format!("{}:v", f.name),
+                    DataType::Bigint => f.name.clone(),
+                    other => panic!("{table:?}.{}: unexpected type {other:?}", f.name),
+                })
+                .collect();
+            assert_eq!(got.join(" "), columns, "{table:?}");
+        }
+    }
+
+    /// A table whose row is a counter set has exactly that set's fields as
+    /// columns, and every row type is as wide as its schema.
+    #[test]
+    fn rows_and_schemas_come_from_the_same_declaration() {
+        use presto_common::counters::JsonCodec;
+        use presto_common::json::Json;
+
+        fn json_keys(set: Json) -> Vec<String> {
+            let Json::Obj(fields) = set else {
+                panic!("a set serializes as an object");
+            };
+            fields.into_keys().collect()
+        }
+        fn sorted_names(table: SystemTable) -> Vec<String> {
+            let schema = table.schema();
+            let mut names: Vec<String> = schema.fields().iter().map(|f| f.name.clone()).collect();
+            names.sort_unstable();
+            names
+        }
+        assert_eq!(
+            sorted_names(SystemTable::DynamicFilters),
+            json_keys(DynamicFilterMetrics::default().to_json())
+        );
+        let mut cache_columns = json_keys(CacheCounters::default().to_json());
+        cache_columns.push("layer".to_string());
+        cache_columns.sort_unstable();
+        assert_eq!(sorted_names(SystemTable::Caches), cache_columns);
+
+        let cache = CacheRow {
+            layer: "porc_footer",
+            counters: CacheCounters::default(),
+        };
+        for (table, row) in [
+            (SystemTable::Queries, QueryRow::default().row()),
+            (SystemTable::Caches, cache.row()),
+            (
+                SystemTable::DynamicFilters,
+                DynamicFilterMetrics::default().row(),
+            ),
+        ] {
+            assert_eq!(row.len(), table.schema().len(), "{table:?}");
+        }
     }
 
     #[test]

@@ -27,7 +27,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use presto_common::{DataType, PlanNodeId, Value};
-use presto_connector::{Domain, TupleDomain};
+use presto_connector::{Domain, DynamicFilterTotals, TupleDomain};
 use presto_page::hash::hash_columns;
 use presto_page::Page;
 use presto_planner::DynamicFilterSpec;
@@ -312,17 +312,6 @@ pub struct PublishedFilter {
     pub rows: u64,
 }
 
-/// Cumulative dynamic-filtering counters for a query, rolled into cluster
-/// telemetry by the coordinator.
-#[derive(Debug, Default)]
-pub struct DfTotals {
-    pub filters_published: AtomicU64,
-    pub splits_pruned: AtomicU64,
-    pub stripes_pruned: AtomicU64,
-    pub rows_filtered: AtomicU64,
-    pub wait_nanos: AtomicU64,
-}
-
 struct FilterSlot {
     expected: usize,
     received: usize,
@@ -337,7 +326,8 @@ struct FilterSlot {
 pub struct DynamicFilterRegistry {
     slots: Mutex<HashMap<PlanNodeId, FilterSlot>>,
     cond: Condvar,
-    totals: DfTotals,
+    /// Query-wide counters, rolled into cluster telemetry by the coordinator.
+    totals: DynamicFilterTotals,
 }
 
 impl DynamicFilterRegistry {
@@ -345,7 +335,7 @@ impl DynamicFilterRegistry {
         Arc::new(DynamicFilterRegistry::default())
     }
 
-    pub fn totals(&self) -> &DfTotals {
+    pub fn totals(&self) -> &DynamicFilterTotals {
         &self.totals
     }
 
@@ -420,10 +410,6 @@ impl DynamicFilterRegistry {
             self.cond.wait_for(&mut slots, deadline - now);
         }
     }
-
-    pub fn filters_published(&self) -> u64 {
-        self.totals.filters_published.load(Ordering::Relaxed)
-    }
 }
 
 /// Whether a split whose per-column min/max summary is `split` can be
@@ -478,10 +464,8 @@ pub struct ScanDynamicFilter {
     /// Cached effective domain, computed once every filter is in (or the
     /// deadline expired).
     cache: Mutex<Option<Option<TupleDomain>>>,
-    splits_pruned: AtomicU64,
-    stripes_pruned: AtomicU64,
-    rows_filtered: AtomicU64,
-    wait_nanos: AtomicU64,
+    /// This scan's own share of the registry's totals.
+    own: DynamicFilterTotals,
 }
 
 impl ScanDynamicFilter {
@@ -498,11 +482,14 @@ impl ScanDynamicFilter {
             deadline: started + wait,
             ready: AtomicBool::new(false),
             cache: Mutex::new(None),
-            splits_pruned: AtomicU64::new(0),
-            stripes_pruned: AtomicU64::new(0),
-            rows_filtered: AtomicU64::new(0),
-            wait_nanos: AtomicU64::new(0),
+            own: DynamicFilterTotals::default(),
         })
+    }
+
+    /// Count `n` on this scan and on the query-wide totals.
+    fn count(&self, counter: impl Fn(&DynamicFilterTotals) -> &AtomicU64, n: u64) {
+        counter(&self.own).fetch_add(n, Ordering::Relaxed);
+        counter(self.registry.totals()).fetch_add(n, Ordering::Relaxed);
     }
 
     /// Whether the scan may proceed: every expected filter arrived or the
@@ -523,12 +510,7 @@ impl ScanDynamicFilter {
             .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
             .is_ok()
         {
-            let waited = self.started.elapsed().as_nanos() as u64;
-            self.wait_nanos.store(waited, Ordering::Relaxed);
-            self.registry
-                .totals()
-                .wait_nanos
-                .fetch_add(waited, Ordering::Relaxed);
+            self.count(|t| &t.wait_nanos, self.started.elapsed().as_nanos() as u64);
         }
         true
     }
@@ -635,32 +617,22 @@ impl ScanDynamicFilter {
         if dropped == 0 {
             return page;
         }
-        self.rows_filtered.fetch_add(dropped, Ordering::Relaxed);
-        self.registry
-            .totals()
-            .rows_filtered
-            .fetch_add(dropped, Ordering::Relaxed);
+        self.count(|t| &t.rows_filtered, dropped);
         page.filter(&selection)
     }
 
     pub fn note_splits_pruned(&self, n: u64) {
-        self.splits_pruned.fetch_add(n, Ordering::Relaxed);
-        self.registry
-            .totals()
-            .splits_pruned
-            .fetch_add(n, Ordering::Relaxed);
+        self.count(|t| &t.splits_pruned, n);
     }
 
     /// Counters surfaced through the owning scan operator's stats.
     pub fn counters(&self) -> Vec<(&'static str, u64)> {
+        let own = self.own.snapshot();
         vec![
-            ("df_splits_pruned", self.splits_pruned.load(Ordering::Relaxed)),
-            ("df_stripes_pruned", self.stripes_pruned.load(Ordering::Relaxed)),
-            ("df_rows_filtered", self.rows_filtered.load(Ordering::Relaxed)),
-            (
-                "df_wait_ms",
-                self.wait_nanos.load(Ordering::Relaxed) / 1_000_000,
-            ),
+            ("df_splits_pruned", own.splits_pruned),
+            ("df_stripes_pruned", own.stripes_pruned),
+            ("df_rows_filtered", own.rows_filtered),
+            ("df_wait_ms", own.wait_nanos / 1_000_000),
         ]
     }
 }
@@ -671,11 +643,7 @@ impl presto_connector::DynamicFilter for ScanDynamicFilter {
     }
 
     fn record_stripes_pruned(&self, n: u64) {
-        self.stripes_pruned.fetch_add(n, Ordering::Relaxed);
-        self.registry
-            .totals()
-            .stripes_pruned
-            .fetch_add(n, Ordering::Relaxed);
+        self.count(|t| &t.stripes_pruned, n);
     }
 }
 
@@ -781,7 +749,7 @@ mod tests {
         registry.report(join, collect(&[1], 100)); // replica re-report: dropped
         let f = registry.completed(join).unwrap();
         assert_eq!(f.rows, 1);
-        assert_eq!(registry.filters_published(), 1);
+        assert_eq!(registry.totals().snapshot().filters_published, 1);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub fn reorder_joins(
     ids: &mut PlanNodeIdAllocator,
 ) -> Result<PlanNode> {
     // Bottom-up: rewrite children first so nested chains collapse.
-    let node = crate::optimizer::map_plan_children(node, &mut |c| {
+    let node = crate::optimizer::map_children(node, &mut |c| {
         reorder_joins(c, session, catalogs, ids)
     })?;
     if !session.join_reordering {
@@ -392,7 +392,7 @@ pub fn select_join_distribution(
     session: &Session,
     catalogs: &CatalogManager,
 ) -> PlanNode {
-    let node = crate::optimizer::map_plan_children(node, &mut |c| {
+    let node = crate::optimizer::map_children(node, &mut |c| {
         Ok(select_join_distribution(c, session, catalogs))
     })
     .expect("infallible");
@@ -457,7 +457,7 @@ pub fn select_index_joins(
     catalogs: &CatalogManager,
     ids: &mut PlanNodeIdAllocator,
 ) -> Result<PlanNode> {
-    let node = crate::optimizer::map_plan_children(node, &mut |c| {
+    let node = crate::optimizer::map_children(node, &mut |c| {
         select_index_joins(c, session, catalogs, ids)
     })?;
     let _ = session;

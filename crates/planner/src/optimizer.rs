@@ -10,7 +10,7 @@
 //! (join reordering, join distribution, index joins) live in [`crate::cbo`].
 
 use presto_common::id::PlanNodeIdAllocator;
-use presto_common::{PrestoError, Result, Session, Value};
+use presto_common::{Result, Session, Value};
 use presto_connector::{CatalogManager, Domain};
 use presto_expr::interpreter::evaluate_row;
 use presto_expr::{CmpOp, Expr};
@@ -681,15 +681,7 @@ fn push_filter_into(
 }
 
 /// Generic child-rewriting helper, shared with the CBO rules.
-pub fn map_plan_children(
-    node: PlanNode,
-    f: &mut dyn FnMut(PlanNode) -> Result<PlanNode>,
-) -> Result<PlanNode> {
-    map_children(node, f)
-}
-
-/// Generic child-rewriting helper.
-fn map_children(
+pub(crate) fn map_children(
     node: PlanNode,
     f: &mut dyn FnMut(PlanNode) -> Result<PlanNode>,
 ) -> Result<PlanNode> {
@@ -1464,7 +1456,3 @@ fn remap_keys(keys: &[SortKey], lookup: &dyn Fn(usize) -> usize) -> Vec<SortKey>
         })
         .collect()
 }
-
-// keep PrestoError in scope for future rules
-#[allow(unused)]
-fn _unused(e: PrestoError) {}

@@ -173,8 +173,13 @@ impl OutputBuffer {
         let seq = p.next_seq;
         p.next_seq += 1;
         p.pages.push_back((seq, frame));
-        drop(p);
+        // Count the bytes before unlocking: whoever can see the page can
+        // free it, and a subtraction that overtook this addition would wrap
+        // the counter (read back as `retained_bytes() / share`, ≈ 2^63
+        // bytes of system memory, which kills the query on its per-node
+        // limit).
         self.buffered_bytes.fetch_add(wire_len, Ordering::Relaxed);
+        drop(p);
         self.total_pages.fetch_add(1, Ordering::Relaxed);
         self.total_wire_bytes
             .fetch_add(wire_len as u64, Ordering::Relaxed);
@@ -332,6 +337,31 @@ mod tests {
             &Schema::of(&[("x", DataType::Bigint)]),
             &[vec![Value::Bigint(v)]],
         )
+    }
+
+    /// A consumer can free a page the moment it can see it, so the page's
+    /// bytes must be counted by then: a release that overtook the charge
+    /// would wrap `retained_bytes` (and, read through a sink's share of it,
+    /// kill the query on its memory limit).
+    #[test]
+    fn bytes_are_counted_before_the_page_is_visible() {
+        const PAGES: usize = 50_000;
+        let buf = OutputBuffer::new(1, usize::MAX);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..PAGES {
+                    buf.enqueue(0, &page(i as i64));
+                }
+            });
+            let (mut token, mut seen) = (0, 0);
+            while seen < PAGES {
+                let r = buf.poll(0, token, usize::MAX);
+                let held: usize = r.pages.iter().map(|b| b.len()).sum();
+                assert!(buf.retained_bytes() >= held, "visible page not yet counted");
+                seen += r.pages.len();
+                token = r.next_token;
+            }
+        });
     }
 
     #[test]
