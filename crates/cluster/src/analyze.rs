@@ -76,9 +76,9 @@ pub fn render_explain_analyze(
         }
         out.push('\n');
     }
-    // Which chains ran fused (and why the rest fell back); the per-stage
-    // row counts themselves print as fused_* counters on the
-    // FusedPipeline operator lines above.
+    // Which chains ran as one leaf operator; the per-stage row counts
+    // themselves print as fused_* counters on the FusedPipeline operator
+    // lines above.
     out.push_str(&presto_planner::fusion::explain_fused_chains(
         &plan.fused_chains,
     ));

@@ -73,7 +73,7 @@ fn explain_analyze_join_agg_has_populated_stats() {
     assert!(text.contains("Fragment"), "{text}");
     assert!(text.contains("Stage:"), "{text}");
     assert!(text.contains("Pipeline"), "{text}");
-    for op in ["ScanFilterProject", "HashBuilder", "LookupJoin", "Aggregate"] {
+    for op in ["FusedPipeline", "HashBuilder", "LookupJoin", "Aggregate"] {
         assert!(text.contains(op), "missing operator {op} in:\n{text}");
     }
     // Row counts reconcile with the data: the scans emit exactly the
@@ -133,8 +133,8 @@ fn explain_analyze_fused_chain_shows_per_stage_rows() {
     assert_eq!(fusion.filter_rows, 100, "{fusion:?}");
 }
 
-/// Disabling the session knob falls back to discrete operators with the
-/// same answer.
+/// Disabling the session knob leaves the partial aggregate out of the leaf
+/// operator: it runs as a discrete operator, with the same answer.
 #[test]
 fn fusion_knob_off_runs_discrete_operators() {
     let c = cluster();
@@ -154,8 +154,8 @@ fn fusion_knob_off_runs_discrete_operators() {
         .as_str()
         .unwrap()
         .to_string();
-    assert!(!text.contains("FusedPipeline"), "{text}");
-    assert!(text.contains("ScanFilterProject"), "{text}");
+    assert!(text.contains("FusedPipeline"), "{text}");
+    assert!(text.contains("AggregatePartial: in"), "{text}");
 }
 
 #[test]

@@ -119,10 +119,10 @@ pub struct Session {
     /// Build-side keys with at most this many distinct values publish an
     /// exact value set; larger domains degrade to min/max + Bloom.
     pub dynamic_filter_max_values: usize,
-    /// Fuse supported scan→filter→project[→partial-agg] chains into one
-    /// type-specialized loop with selection vectors between stages instead
-    /// of materialized pages. Never correctness-bearing: unsupported
-    /// chains (or `false`) fall back to the discrete operators.
+    /// Absorb a partial aggregation above a leaf scan→filter→project chain
+    /// into the leaf operator (keys hashed right after the projection).
+    /// Every leaf chain runs as one operator either way; `false` only runs
+    /// the partial aggregate as its own operator. Never correctness-bearing.
     pub pipeline_fusion: bool,
 }
 
@@ -206,8 +206,9 @@ mod tests {
         assert!(s.dynamic_filtering);
         assert!(s.dynamic_filter_wait > Duration::ZERO);
         assert!(s.dynamic_filter_max_values > 0);
-        // Pipeline fusion is the production path; disabling it is an
-        // ablation knob like `compiled_expressions`.
+        // Absorbing the partial aggregate into the leaf operator is the
+        // production path; disabling it is an ablation knob like
+        // `compiled_expressions`.
         assert!(s.pipeline_fusion);
     }
 

@@ -1479,7 +1479,6 @@ impl Operator for LookupJoinOperator {
 pub struct IndexJoinOperator {
     index: Box<dyn presto_connector::IndexSource>,
     probe_keys: Vec<usize>,
-    key_types: Vec<DataType>,
     probe_schema: Schema,
     pending: Option<Page>,
     input_done: bool,
@@ -1489,13 +1488,11 @@ impl IndexJoinOperator {
     pub fn new(
         index: Box<dyn presto_connector::IndexSource>,
         probe_keys: Vec<usize>,
-        key_types: Vec<DataType>,
         probe_schema: Schema,
     ) -> IndexJoinOperator {
         IndexJoinOperator {
             index,
             probe_keys,
-            key_types,
             probe_schema,
             pending: None,
             input_done: false,
@@ -1515,7 +1512,6 @@ impl Operator for IndexJoinOperator {
     fn add_input(&mut self, page: Page) -> Result<()> {
         // Project the probe keys into the lookup page.
         let keys = page.project(&self.probe_keys);
-        let _ = &self.key_types;
         let (matches, key_indices) = self.index.lookup(&keys)?;
         if matches.row_count() == 0 {
             return Ok(());

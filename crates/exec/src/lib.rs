@@ -22,7 +22,6 @@ pub mod dynfilter;
 pub mod exchange;
 pub mod filter;
 pub mod flathash;
-pub mod fused;
 pub mod join;
 pub mod memory;
 pub mod operator;

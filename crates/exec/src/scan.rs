@@ -1,21 +1,28 @@
-//! The table-scan operator: split-driven, fused with filter + projection.
+//! The leaf operator: split-driven scan → filter → project [→ partial
+//! aggregate] in one loop.
 //!
 //! Profiling in the paper (§IV-D2) shows most CPU goes to "decompressing,
 //! decoding, filtering and applying transformations to data read from
-//! connectors" — so the scan operator fuses the connector read with the
-//! page processor (the `ScanFilterHash`/`ScanFilterProject` fusion of
-//! Fig. 4), and leaf pipelines run many drivers sharing one
-//! [`SplitQueue`].
+//! connectors" — so every leaf chain runs as one operator (the
+//! `ScanFilterHash`/`ScanFilterProject` fusion of Fig. 4): the connector
+//! read feeds the page processor directly, and with `pipeline_fusion` on a
+//! partial group-by above the chain is absorbed too, fed pages whose key
+//! hashes were computed while the projected values were still hot — via
+//! [`GroupByHash::group_ids_prehashed`](crate::agg::GroupByHash::group_ids_prehashed).
+//! No intermediate page crosses a driver-visible operator boundary. Leaf
+//! pipelines run many drivers sharing one [`SplitQueue`].
 
 use crossbeam::queue::SegQueue;
 use presto_common::wake::{WakeList, Waker};
-use presto_common::{Result, Session};
+use presto_common::{DataType, Result, Session};
 use presto_connector::{Connector, ScanOptions, Split};
 use presto_expr::{Expr, PageProcessor};
+use presto_page::hash::{hash_block_into, DictionaryHashCache};
 use presto_page::Page;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use crate::agg::{AggPhase, AggSpec, HashAggregationOperator};
 use crate::dynfilter::{split_pruned, ScanDynamicFilter};
 use crate::operator::{BlockedReason, Operator};
 
@@ -93,33 +100,70 @@ impl SplitQueue {
     }
 }
 
-/// [`Operator::park`] of a split-driven source: sleep on the queue — unless
-/// it is still waiting for a dynamic filter, which ends on a deadline
-/// (`dynamic_filter_wait`), not only on publication, and so stays a timed
-/// re-poll.
-pub(crate) fn park_on_splits(
-    queue: &SplitQueue,
-    dyn_filter: Option<&ScanDynamicFilter>,
-    waker: &Waker,
-) -> bool {
-    if dyn_filter.is_some_and(|df| !df.ready()) {
-        return false;
-    }
-    queue.on_split(waker);
-    true
+/// The partial-aggregation stage a leaf absorbs. Channels index the
+/// projection output (the aggregate's input schema).
+pub struct FusedAggStage {
+    pub group_channels: Vec<usize>,
+    pub group_types: Vec<DataType>,
+    pub specs: Vec<AggSpec>,
 }
 
-/// Fused scan → filter → project operator.
+/// Absorbed partial-aggregation state.
+struct FusedAgg {
+    op: HashAggregationOperator,
+    key_channels: Vec<usize>,
+    /// Reused per-page row-hash buffer (keys hashed right after the
+    /// projection, while its blocks are hot).
+    hash_buf: Vec<u64>,
+    /// Reused all-zeros id buffer for the global-aggregation fast path: a
+    /// group-by over no keys skips the hash table entirely.
+    zero_ids: Vec<u32>,
+    hash_cache: DictionaryHashCache,
+}
+
+impl FusedAgg {
+    fn add_input(&mut self, page: &Page) -> Result<()> {
+        let rows = page.row_count();
+        if self.key_channels.is_empty() {
+            // Global aggregation: every row is group 0; skip the hash table.
+            self.zero_ids.clear();
+            self.zero_ids.resize(rows, 0);
+            return self.op.add_input_grouped(page, &self.zero_ids);
+        }
+        // Hash the keys now and hand the hashes straight to the group-by
+        // (one sweep saved).
+        self.hash_buf.clear();
+        self.hash_buf.resize(rows, 0);
+        for &c in &self.key_channels {
+            hash_block_into(page.block(c), &mut self.hash_buf, &mut self.hash_cache);
+        }
+        self.op.add_input_prehashed(page, &self.hash_buf)
+    }
+}
+
+/// The leaf source operator. One split lifecycle — dynamic-filter gating and
+/// split pruning, transient retries, tracing — around one per-page body:
+/// [`PageProcessor::process`], then emit the page or feed the absorbed
+/// partial aggregate.
 pub struct ScanOperator {
     connector: Arc<dyn Connector>,
     queue: Arc<SplitQueue>,
     options: ScanOptions,
     processor: PageProcessor,
+    agg: Option<FusedAgg>,
+    stage_count: u64,
     current: Option<Box<dyn presto_connector::PageSource>>,
     current_split: Option<Split>,
+    /// Whether rows of the open split have left the operator (emitted, or
+    /// absorbed into the aggregate). From then on a failed read cannot
+    /// re-run the split without duplicating them.
+    split_emitted: bool,
     retries_remaining: u32,
     max_retries: u32,
     finished: bool,
+    scan_rows: u64,
+    /// Rows surviving the filter (and so projected).
+    filter_rows: u64,
     rows_produced: u64,
     splits_processed: u64,
     /// Optional timeline: (buffer, pid, tid) for split start/finish events.
@@ -131,7 +175,6 @@ pub struct ScanOperator {
 impl ScanOperator {
     /// `filter`/`projections` operate over the scanned columns (the scan
     /// output channel space).
-    #[allow(clippy::too_many_arguments)]
     pub fn new(
         connector: Arc<dyn Connector>,
         queue: Arc<SplitQueue>,
@@ -153,16 +196,42 @@ impl ScanOperator {
             queue,
             options,
             processor: PageProcessor::new(filter, projections, session),
+            agg: None,
+            // Scan and project always run; the filter when there is one.
+            stage_count: 2 + u64::from(filter.is_some()),
             current: None,
             current_split: None,
+            split_emitted: false,
             retries_remaining: session.max_transient_retries,
             max_retries: session.max_transient_retries,
             finished: false,
+            scan_rows: 0,
+            filter_rows: 0,
             rows_produced: 0,
             splits_processed: 0,
             trace: None,
             dyn_filter: None,
         }
+    }
+
+    /// Absorb a partial aggregation over the projected pages: the operator
+    /// then emits the aggregate's partial output instead of the pages.
+    pub fn with_partial_aggregation(mut self, stage: &FusedAggStage) -> ScanOperator {
+        self.stage_count += 1;
+        self.agg = Some(FusedAgg {
+            op: HashAggregationOperator::new(
+                AggPhase::Partial,
+                stage.group_channels.clone(),
+                stage.group_types.clone(),
+                stage.specs.clone(),
+                false,
+            ),
+            key_channels: stage.group_channels.clone(),
+            hash_buf: Vec::new(),
+            zero_ids: Vec::new(),
+            hash_cache: DictionaryHashCache::new(),
+        });
+        self
     }
 
     /// Attach a dynamic filter: the scan waits (bounded) for the join
@@ -183,10 +252,6 @@ impl ScanOperator {
     ) -> ScanOperator {
         self.trace = Some((trace, pid, tid));
         self
-    }
-
-    pub fn rows_produced(&self) -> u64 {
-        self.rows_produced
     }
 
     fn trace_split(&self, kind: presto_common::TraceKind) {
@@ -222,6 +287,7 @@ impl ScanOperator {
             Ok(source) => {
                 self.current = Some(source);
                 self.current_split = Some(split);
+                self.split_emitted = false;
                 self.retries_remaining = self.max_retries;
                 self.trace_split(presto_common::TraceKind::SplitStart);
                 Ok(true)
@@ -235,11 +301,47 @@ impl ScanOperator {
             Err(e) => Err(e),
         }
     }
+
+    /// The split queue is exhausted: finish, or flush the absorbed
+    /// aggregate, whose output then drains through [`Self::output`]'s loop
+    /// head (a global aggregate still emits its empty-input row).
+    fn end_of_input(&mut self) {
+        match self.agg.as_mut() {
+            Some(agg) => agg.op.finish(),
+            None => self.finished = true,
+        }
+    }
+
+    /// The per-page body: filter and project, then emit the page or feed the
+    /// absorbed aggregate. Returns a page only when no aggregate absorbs it.
+    fn process_page(&mut self, page: Page) -> Result<Option<Page>> {
+        self.scan_rows += page.row_count() as u64;
+        let processed = self.processor.process(&page)?;
+        // Free the scanned blocks before the aggregate allocates: the
+        // allocator then hands the still-cached memory straight back.
+        drop(page);
+        let rows = processed.row_count();
+        self.filter_rows += rows as u64;
+        if rows == 0 {
+            return Ok(None);
+        }
+        self.split_emitted = true;
+        match self.agg.as_mut() {
+            Some(agg) => {
+                agg.add_input(&processed)?;
+                Ok(None)
+            }
+            None => {
+                self.rows_produced += rows as u64;
+                Ok(Some(processed))
+            }
+        }
+    }
 }
 
 impl Operator for ScanOperator {
     fn name(&self) -> &'static str {
-        "ScanFilterProject"
+        "FusedPipeline"
     }
 
     fn needs_input(&self) -> bool {
@@ -259,6 +361,18 @@ impl Operator for ScanOperator {
             if self.finished {
                 return Ok(None);
             }
+            // Drain the absorbed aggregate first: adaptive partial flushes
+            // mid-stream and the final flush after the queue exhausts.
+            if let Some(agg) = self.agg.as_mut() {
+                if let Some(p) = agg.op.output()? {
+                    self.rows_produced += p.row_count() as u64;
+                    return Ok(Some(p));
+                }
+                if agg.op.is_finished() {
+                    self.finished = true;
+                    return Ok(None);
+                }
+            }
             if let Some(df) = &self.dyn_filter {
                 if !df.ready() {
                     // Bounded wait for build-side domains; blocked() keeps
@@ -277,14 +391,16 @@ impl Operator for ScanOperator {
                     self.current = None;
                     self.current_split = None;
                     if self.queue.is_exhausted() {
-                        self.finished = true;
+                        self.end_of_input();
+                        continue;
                     }
                     return Ok(None);
                 }
             }
             if self.current.is_none() && !self.open_next_split()? {
                 if self.queue.is_exhausted() {
-                    self.finished = true;
+                    self.end_of_input();
+                    continue;
                 }
                 return Ok(None);
             }
@@ -300,15 +416,9 @@ impl Operator for ScanOperator {
                     if page.row_count() == 0 {
                         continue;
                     }
-                    let processed = self.processor.process(&page)?;
-                    if processed.is_empty() && processed.column_count() > 0 {
-                        continue; // fully filtered; pull the next page
+                    if let Some(out) = self.process_page(page)? {
+                        return Ok(Some(out));
                     }
-                    if processed.row_count() == 0 {
-                        continue;
-                    }
-                    self.rows_produced += processed.row_count() as u64;
-                    return Ok(Some(processed));
                 }
                 Ok(None) => {
                     self.current = None;
@@ -316,15 +426,15 @@ impl Operator for ScanOperator {
                     self.queue.mark_completed();
                     self.splits_processed += 1;
                     self.trace_split(presto_common::TraceKind::SplitFinish);
-                    continue;
                 }
-                Err(e) if e.is_retryable() && self.retries_remaining > 0 => {
-                    // Retry the whole split from scratch.
+                // Retry the whole split from scratch — but only while none
+                // of its rows have left; otherwise the connector's error
+                // (still retryable) fails the query, which may be rerun.
+                Err(e) if e.is_retryable() && !self.split_emitted && self.retries_remaining > 0 => {
                     self.retries_remaining -= 1;
                     let split = self.current_split.take().expect("split open");
                     self.current = None;
                     self.queue.add(split);
-                    continue;
                 }
                 Err(e) => return Err(e),
             }
@@ -350,24 +460,45 @@ impl Operator for ScanOperator {
         }
     }
 
+    /// Sleep on the split queue — unless still waiting for a dynamic
+    /// filter, which ends on a deadline (`dynamic_filter_wait`), not only on
+    /// publication, and so stays a timed re-poll.
     fn park(&self, waker: &Waker) -> bool {
-        park_on_splits(&self.queue, self.dyn_filter.as_deref(), waker)
+        if self.dyn_filter.as_ref().is_some_and(|df| !df.ready()) {
+            return false;
+        }
+        self.queue.on_split(waker);
+        true
+    }
+
+    fn user_memory_bytes(&self) -> usize {
+        self.agg.as_ref().map_or(0, |a| a.op.user_memory_bytes())
     }
 
     fn system_memory_bytes(&self) -> usize {
-        // Connector read buffers: charge a token per open source.
-        if self.current.is_some() {
-            64 * 1024
-        } else {
-            0
-        }
+        // Connector read buffers: charge a token per open source; plus the
+        // aggregate's reused scratch.
+        let source = if self.current.is_some() { 64 * 1024 } else { 0 };
+        source
+            + self
+                .agg
+                .as_ref()
+                .map_or(0, |a| a.hash_buf.capacity() * 8 + a.zero_ids.capacity() * 4)
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
         let mut counters = vec![
+            ("fused_stages", self.stage_count),
+            ("fused_scan_rows", self.scan_rows),
+            ("fused_filter_rows", self.filter_rows),
+            ("fused_project_rows", self.filter_rows),
             ("splits_processed", self.splits_processed),
             ("rows_produced", self.rows_produced),
         ];
+        if let Some(agg) = &self.agg {
+            counters.push(("fused_agg_rows", self.filter_rows));
+            counters.extend(agg.op.counters());
+        }
         if let Some(df) = &self.dyn_filter {
             counters.extend(df.counters());
         }
@@ -379,23 +510,32 @@ impl Operator for ScanOperator {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use presto_common::{DataType, Schema, Value};
+    use presto_common::{Schema, Value};
+    use presto_connector::TupleDomain;
     use presto_connectors::{ChaosConnector, MemoryConnector};
-    use presto_expr::CmpOp;
+    use presto_expr::{AggregateFunction, AggregateKind, CmpOp};
 
-    fn data_connector(rows: i64) -> Arc<MemoryConnector> {
+    /// Table `t(k, v)` of `rows` rows, `row(i)` giving row `i`, in pages of
+    /// 100 rows so the split queue has multiple entries.
+    fn table(rows: i64, row: fn(i64) -> (i64, i64)) -> Arc<MemoryConnector> {
         let c = MemoryConnector::new();
         let schema = Schema::of(&[("k", DataType::Bigint), ("v", DataType::Bigint)]);
         let data: Vec<Vec<Value>> = (0..rows)
-            .map(|i| vec![Value::Bigint(i), Value::Bigint(i * 10)])
+            .map(|i| {
+                let (k, v) = row(i);
+                vec![Value::Bigint(k), Value::Bigint(v)]
+            })
             .collect();
-        // several pages so the split queue has multiple entries
         let pages: Vec<Page> = data
             .chunks(100)
             .map(|chunk| Page::from_rows(&schema, chunk))
             .collect();
         c.load_table("t", schema, pages);
         c
+    }
+
+    fn data_connector(rows: i64) -> Arc<MemoryConnector> {
+        table(rows, |i| (i, i * 10))
     }
 
     fn feed_splits(c: &dyn Connector, queue: &SplitQueue) {
@@ -408,6 +548,19 @@ mod tests {
             }
         }
         queue.no_more_splits();
+    }
+
+    fn drain(op: &mut ScanOperator) -> Vec<Page> {
+        let mut out = Vec::new();
+        let mut guard = 0;
+        while !op.is_finished() {
+            guard += 1;
+            assert!(guard < 100_000, "scan did not converge");
+            if let Some(p) = op.output().unwrap() {
+                out.push(p);
+            }
+        }
+        out
     }
 
     #[test]
@@ -690,5 +843,224 @@ mod tests {
         queue.on_split(&scan);
         queue.no_more_splits();
         assert!(scan.is_woken(), "end of enumeration finishes the scan");
+    }
+
+    #[test]
+    fn filter_project_without_agg() {
+        let c = table(1000, |i| (i % 7, i));
+        let queue = SplitQueue::new();
+        feed_splits(c.as_ref(), &queue);
+        let filter = Expr::cmp(
+            CmpOp::Ge,
+            Expr::column(1, DataType::Bigint),
+            Expr::literal(990i64),
+        );
+        let mut op = ScanOperator::new(
+            c as Arc<dyn Connector>,
+            queue,
+            vec![0, 1],
+            TupleDomain::all(),
+            Some(&filter),
+            &[Expr::column(1, DataType::Bigint)],
+            &Session::default(),
+        );
+        let pages = drain(&mut op);
+        let rows: usize = pages.iter().map(Page::row_count).sum();
+        assert_eq!(rows, 10);
+        for p in &pages {
+            assert_eq!(p.column_count(), 1);
+            assert!(p.block(0).i64_at(0) >= 990);
+        }
+        let counters = op.counters();
+        let get = |n: &str| {
+            counters
+                .iter()
+                .find(|(c, _)| *c == n)
+                .map(|&(_, v)| v)
+                .unwrap()
+        };
+        assert_eq!(get("fused_scan_rows"), 1000);
+        assert_eq!(get("fused_filter_rows"), 10);
+        assert_eq!(get("fused_project_rows"), 10);
+    }
+
+    #[test]
+    fn grouped_partial_aggregation_matches_discrete() {
+        let c = table(1000, |i| (i % 7, i));
+        let queue = SplitQueue::new();
+        feed_splits(c.as_ref(), &queue);
+        let filter = Expr::cmp(
+            CmpOp::Lt,
+            Expr::column(1, DataType::Bigint),
+            Expr::literal(700i64),
+        );
+        let projections = [
+            Expr::column(0, DataType::Bigint),
+            Expr::column(1, DataType::Bigint),
+        ];
+        let agg = FusedAggStage {
+            group_channels: vec![0],
+            group_types: vec![DataType::Bigint],
+            specs: vec![AggSpec {
+                function: AggregateFunction::new(AggregateKind::Sum, Some(DataType::Bigint))
+                    .unwrap(),
+                input: Some(1),
+            }],
+        };
+        let mut op = ScanOperator::new(
+            c as Arc<dyn Connector>,
+            queue,
+            vec![0, 1],
+            TupleDomain::all(),
+            Some(&filter),
+            &projections,
+            &Session::default(),
+        )
+        .with_partial_aggregation(&agg);
+        let pages = drain(&mut op);
+        let mut got: Vec<(i64, i64)> = pages
+            .iter()
+            .flat_map(|p| (0..p.row_count()).map(|i| (p.block(0).i64_at(i), p.block(1).i64_at(i))))
+            .collect();
+        got.sort_unstable();
+        // Reference: plain iteration.
+        let mut want = std::collections::BTreeMap::new();
+        for i in 0..700i64 {
+            *want.entry(i % 7).or_insert(0) += i;
+        }
+        let want: Vec<(i64, i64)> = want.into_iter().collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn global_aggregate_emits_one_row_even_when_empty() {
+        let c = table(100, |i| (i % 7, i));
+        let queue = SplitQueue::new();
+        feed_splits(c.as_ref(), &queue);
+        // Filter that drops every row.
+        let filter = Expr::cmp(
+            CmpOp::Lt,
+            Expr::column(1, DataType::Bigint),
+            Expr::literal(-1i64),
+        );
+        let agg = FusedAggStage {
+            group_channels: vec![],
+            group_types: vec![],
+            specs: vec![AggSpec {
+                function: AggregateFunction::new(AggregateKind::Count, None).unwrap(),
+                input: None,
+            }],
+        };
+        let mut op = ScanOperator::new(
+            c as Arc<dyn Connector>,
+            queue,
+            vec![0, 1],
+            TupleDomain::all(),
+            Some(&filter),
+            &[
+                Expr::column(0, DataType::Bigint),
+                Expr::column(1, DataType::Bigint),
+            ],
+            &Session::default(),
+        )
+        .with_partial_aggregation(&agg);
+        let pages = drain(&mut op);
+        assert_eq!(pages.len(), 1);
+        assert_eq!(pages[0].row_count(), 1);
+        assert_eq!(pages[0].block(0).i64_at(0), 0, "COUNT of nothing is 0");
+    }
+
+    /// 2 000 rows in 20 pages, 4-page memory splits, and every 7th page read
+    /// failing transiently: the failures land mid-split, after rows of that
+    /// split have already left the operator.
+    fn mid_split_failures() -> (Arc<ChaosConnector>, Arc<SplitQueue>, Session) {
+        let chaos = ChaosConnector::new(data_connector(2000) as Arc<dyn Connector>, 0, 7);
+        let queue = SplitQueue::new();
+        feed_splits(chaos.as_ref(), &queue);
+        let session = Session {
+            max_transient_retries: 100,
+            ..Session::default()
+        };
+        (chaos, queue, session)
+    }
+
+    /// Drain `op` up to its first error.
+    fn drain_until_error(op: &mut ScanOperator) -> (Vec<Page>, Result<()>) {
+        let mut out = Vec::new();
+        for _ in 0..100_000 {
+            if op.is_finished() {
+                return (out, Ok(()));
+            }
+            match op.output() {
+                Ok(Some(p)) => out.push(p),
+                Ok(None) => {}
+                Err(e) => return (out, Err(e)),
+            }
+        }
+        panic!("scan did not converge");
+    }
+
+    #[test]
+    fn mid_split_read_failure_never_duplicates_emitted_rows() {
+        let (chaos, queue, session) = mid_split_failures();
+        let mut scan = ScanOperator::new(
+            Arc::clone(&chaos) as Arc<dyn Connector>,
+            queue,
+            vec![0],
+            TupleDomain::all(),
+            None,
+            &[Expr::column(0, DataType::Bigint)],
+            &session,
+        );
+        let (pages, result) = drain_until_error(&mut scan);
+        assert!(chaos.injected_failures() > 0);
+        let mut keys: Vec<i64> = pages
+            .iter()
+            .flat_map(|p| (0..p.row_count()).map(|i| p.block(0).i64_at(i)))
+            .collect();
+        let emitted = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), emitted, "a row was emitted twice");
+        match result {
+            Ok(()) => assert_eq!(emitted, 2000),
+            Err(e) => assert!(e.is_retryable(), "{e}"),
+        }
+    }
+
+    #[test]
+    fn mid_split_read_failure_never_double_counts_an_absorbed_sum() {
+        let (chaos, queue, session) = mid_split_failures();
+        let sum = FusedAggStage {
+            group_channels: vec![],
+            group_types: vec![],
+            specs: vec![AggSpec {
+                function: AggregateFunction::new(AggregateKind::Sum, Some(DataType::Bigint))
+                    .unwrap(),
+                input: Some(0),
+            }],
+        };
+        let mut scan = ScanOperator::new(
+            Arc::clone(&chaos) as Arc<dyn Connector>,
+            queue,
+            vec![0, 1],
+            TupleDomain::all(),
+            None,
+            &[Expr::column(1, DataType::Bigint)],
+            &session,
+        )
+        .with_partial_aggregation(&sum);
+        let (pages, result) = drain_until_error(&mut scan);
+        assert!(chaos.injected_failures() > 0);
+        match result {
+            Ok(()) => {
+                let total: i64 = pages
+                    .iter()
+                    .flat_map(|p| (0..p.row_count()).map(|i| p.block(0).i64_at(i)))
+                    .sum();
+                assert_eq!(total, (0..2000i64).map(|i| i * 10).sum::<i64>());
+            }
+            Err(e) => assert!(e.is_retryable(), "{e}"),
+        }
     }
 }

@@ -6,6 +6,7 @@ use presto_common::{DataType, PlanNodeId, PrestoError, Result, Schema, Session, 
 use presto_connector::{CatalogManager, TupleDomain};
 use presto_expr::Expr;
 use presto_page::Page;
+use presto_planner::fusion::{peel_leaf_chain, LeafChain};
 use presto_planner::plan::{AggregateStep, JoinType, PlanNode};
 use presto_planner::{OutputPartitioning, PlanFragment};
 use presto_shuffle::{ExchangeClient, OutputBuffer};
@@ -20,7 +21,7 @@ use crate::filter::{FilterProjectOperator, LimitOperator, ValuesOperator};
 use crate::join::{HashBuilderOperator, JoinBridge, LookupJoinOperator, ProbeJoinType};
 use crate::memory::{MemoryPool, TaskMemoryContext};
 use crate::pipeline::{LocalQueue, LocalQueueSink, LocalQueueSource, OpFactory, Pipeline};
-use crate::scan::{ScanOperator, SplitQueue};
+use crate::scan::{FusedAggStage, ScanOperator, SplitQueue};
 use crate::sort::{SortOperator, TopNOperator};
 use crate::spill::{SpillFault, SpillManager};
 use crate::stats::{PipelineMeta, TaskStats, TaskStatsCollector};
@@ -255,23 +256,15 @@ struct Compiler<'a> {
 
 impl<'a> Compiler<'a> {
     fn compile(&mut self, node: &PlanNode) -> Result<Chain> {
-        // Pipeline fusion: a supported `TableScan → Filter → Project
-        // [→ partial Aggregate]` chain compiles to one fused operator.
-        // Unsupported chains (or `pipeline_fusion = false`) fall through to
-        // the discrete operators below with identical results.
-        if let Some(chain) = self.try_compile_fused(node)? {
-            return Ok(chain);
+        if let Some(leaf) = peel_leaf_chain(node, self.ctx.session.pipeline_fusion) {
+            return self.compile_leaf(&leaf);
         }
         match node {
             PlanNode::Output { input, .. } => self.compile(input),
-            PlanNode::TableScan { .. } => self.compile_scan(node, None, None),
+            PlanNode::TableScan { .. } => unreachable!("every table scan tops a leaf chain"),
             PlanNode::Filter {
                 input, predicate, ..
             } => {
-                if matches!(input.as_ref(), PlanNode::TableScan { .. }) {
-                    // Fused ScanFilterProject (Fig. 4).
-                    return self.compile_scan(input, Some(predicate.clone()), None);
-                }
                 let mut chain = self.compile(input)?;
                 let input_schema = input.output_schema();
                 let projections = identity_projections(&input_schema);
@@ -292,23 +285,6 @@ impl<'a> Compiler<'a> {
             PlanNode::Project {
                 input, expressions, ..
             } => {
-                match input.as_ref() {
-                    PlanNode::TableScan { .. } => {
-                        return self.compile_scan(input, None, Some(expressions.clone()))
-                    }
-                    PlanNode::Filter {
-                        input: scan,
-                        predicate,
-                        ..
-                    } if matches!(scan.as_ref(), PlanNode::TableScan { .. }) => {
-                        return self.compile_scan(
-                            scan,
-                            Some(predicate.clone()),
-                            Some(expressions.clone()),
-                        )
-                    }
-                    _ => {}
-                }
                 let mut chain = self.compile(input)?;
                 let expressions = expressions.clone();
                 let session = self.ctx.session.clone();
@@ -376,7 +352,6 @@ impl<'a> Compiler<'a> {
                 left_keys,
                 right_keys,
                 filter,
-                distribution,
                 ..
             } => {
                 let probe_chain = self.compile(left)?;
@@ -435,7 +410,6 @@ impl<'a> Compiler<'a> {
                 let probe_schema = left.output_schema();
                 let build_schema = right.output_schema();
                 let filter = filter.clone();
-                let _ = distribution;
                 let spill_manager = join_spill.then(|| Arc::clone(&self.spill));
                 chain.push(
                     "LookupJoin",
@@ -463,7 +437,6 @@ impl<'a> Compiler<'a> {
                 probe_keys,
                 index_keys,
                 output_columns,
-                table_schema,
                 ..
             } => {
                 let mut chain = self.compile(probe)?;
@@ -473,11 +446,6 @@ impl<'a> Compiler<'a> {
                 let output_columns = output_columns.clone();
                 let table = table.clone();
                 let probe_schema = probe.output_schema();
-                let key_types: Vec<DataType> = probe_keys
-                    .iter()
-                    .map(|&c| probe_schema.data_type(c))
-                    .collect();
-                let _ = table_schema;
                 chain.push(
                     "IndexJoin",
                     Arc::new(move || {
@@ -491,7 +459,6 @@ impl<'a> Compiler<'a> {
                         Ok(Box::new(crate::join::IndexJoinOperator::new(
                             index,
                             probe_keys.clone(),
-                            key_types.clone(),
                             probe_schema.clone(),
                         )))
                     }),
@@ -663,69 +630,20 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Lower a fusable chain rooted at `node` into a
-    /// [`FusedPipelineOperator`](crate::fused::FusedPipelineOperator), or
-    /// return `None` when the chain shape, the session, or
-    /// [`presto_planner::fusion::chain_fallback`] (shared with the planner's
-    /// EXPLAIN annotation) says it must stay on the discrete operators.
-    fn try_compile_fused(&mut self, node: &PlanNode) -> Result<Option<Chain>> {
-        if !self.ctx.session.pipeline_fusion || !self.ctx.session.compiled_expressions {
-            return Ok(None);
-        }
-        // Peel optional partial aggregate → projection → filter, exactly as
-        // the planner's chain matcher does.
-        let (agg, below) = match node {
-            PlanNode::Aggregate {
-                input,
-                group_by,
-                aggregates,
-                step: AggregateStep::Partial,
-                ..
-            } => (
-                Some((group_by, aggregates, input.output_schema())),
-                input.as_ref(),
-            ),
-            other => (None, other),
-        };
-        let (projections, below) = match below {
-            PlanNode::Project {
-                input, expressions, ..
-            } => (Some(expressions), input.as_ref()),
-            other => (None, other),
-        };
-        let (filter, below) = match below {
-            PlanNode::Filter {
-                input, predicate, ..
-            } => (Some(predicate), input.as_ref()),
-            other => (None, other),
-        };
-        let scan = match below {
-            s @ PlanNode::TableScan { .. } => s,
-            _ => return Ok(None),
-        };
-        if agg.is_none() && projections.is_none() && filter.is_none() {
-            return Ok(None); // a bare scan has nothing to fuse
-        }
-        if presto_planner::fusion::chain_fallback(
-            filter,
-            projections.map(|p| p.as_slice()),
-            agg.as_ref().map(|(g, a, _)| (g.as_slice(), a.as_slice())),
-        )
-        .is_some()
-        {
-            return Ok(None);
-        }
+    /// Lower a leaf chain — `TableScan → [Filter] → [Project] [→ partial
+    /// Aggregate]` — into the one leaf operator.
+    fn compile_leaf(&mut self, leaf: &LeafChain<'_>) -> Result<Chain> {
         let PlanNode::TableScan {
             id,
             catalog,
             table,
             layout,
-            table_schema,
             columns,
             predicate,
-        } = scan
+            ..
+        } = leaf.scan
         else {
-            unreachable!("matched above");
+            return Err(PrestoError::internal("leaf chain without a table scan"));
         };
         let connector = self.ctx.catalogs.catalog(catalog)?;
         let queue = SplitQueue::new();
@@ -737,100 +655,24 @@ impl<'a> Compiler<'a> {
             predicate: predicate.clone(),
             queue: Arc::clone(&queue),
         });
-        let scan_schema = table_schema.project(columns);
-        let fused_agg = agg
-            .map(|(group_by, aggregates, agg_input)| -> Result<_> {
-                Ok(crate::fused::FusedAggStage {
-                    group_channels: group_by.clone(),
+        let projections = match leaf.projections {
+            Some(p) => p.to_vec(),
+            None => identity_projections(&leaf.scan.output_schema()),
+        };
+        let agg = leaf
+            .partial_agg
+            .map(|(group_by, aggregates)| -> Result<_> {
+                Ok(FusedAggStage {
+                    group_channels: group_by.to_vec(),
                     group_types: group_by
                         .iter()
-                        .map(|&c| agg_input.data_type(c))
+                        .map(|&c| projections[c].data_type())
                         .collect(),
                     specs: specs_from_planner(aggregates)?,
                 })
             })
             .transpose()?;
-        let chain_spec = crate::fused::FusedChain {
-            filter: filter.cloned(),
-            explicit_project: projections.is_some(),
-            projections: projections
-                .cloned()
-                .unwrap_or_else(|| identity_projections(&scan_schema)),
-            agg: fused_agg,
-        };
-        let columns = columns.clone();
-        let predicate = predicate.clone();
-        let session = self.ctx.session.clone();
-        let trace = self.ctx.trace.clone();
-        let trace_pid = self.ctx.task_id.stage.query.0 as u32;
-        let trace_tid = self.ctx.task_id.stage.stage;
-        let dyn_filters = self.ctx.dynamic_filters.as_ref().and_then(|df| {
-            let specs = df.specs_for_scan(*id);
-            if specs.is_empty() {
-                None
-            } else {
-                Some((Arc::clone(&df.registry), specs))
-            }
-        });
-        let factory: OpFactory = Arc::new(move || {
-            let mut op = crate::fused::FusedPipelineOperator::new(
-                Arc::clone(&connector),
-                Arc::clone(&queue),
-                columns.clone(),
-                predicate.clone(),
-                &chain_spec,
-                &session,
-            );
-            if let Some(trace) = &trace {
-                op = op.with_trace(Arc::clone(trace), trace_pid, trace_tid);
-            }
-            if let Some((registry, specs)) = &dyn_filters {
-                op = op.with_dynamic_filter(crate::dynfilter::ScanDynamicFilter::new(
-                    Arc::clone(registry),
-                    specs.clone(),
-                    session.dynamic_filter_wait,
-                ));
-            }
-            Ok(Box::new(op) as Box<dyn crate::operator::Operator>)
-        });
-        Ok(Some(Chain {
-            factories: vec![factory],
-            parallel: true,
-            description: "FusedPipeline".to_string(),
-        }))
-    }
-
-    /// A (possibly fused) scan pipeline start.
-    fn compile_scan(
-        &mut self,
-        scan: &PlanNode,
-        filter: Option<Expr>,
-        projections: Option<Vec<Expr>>,
-    ) -> Result<Chain> {
-        let PlanNode::TableScan {
-            id,
-            catalog,
-            table,
-            layout,
-            table_schema,
-            columns,
-            predicate,
-        } = scan
-        else {
-            return Err(PrestoError::internal("compile_scan on non-scan node"));
-        };
-        let connector = self.ctx.catalogs.catalog(catalog)?;
-        let queue = SplitQueue::new();
-        self.scans.push(ScanSource {
-            node_id: *id,
-            catalog: catalog.clone(),
-            table: table.clone(),
-            layout: layout.clone(),
-            predicate: predicate.clone(),
-            queue: Arc::clone(&queue),
-        });
-        let scan_schema = table_schema.project(columns);
-        let projections = projections.unwrap_or_else(|| identity_projections(&scan_schema));
+        let filter = leaf.filter.cloned();
         let columns = columns.clone();
         let predicate = predicate.clone();
         let session = self.ctx.session.clone();
@@ -858,6 +700,9 @@ impl<'a> Compiler<'a> {
                 &projections,
                 &session,
             );
+            if let Some(agg) = &agg {
+                op = op.with_partial_aggregation(agg);
+            }
             if let Some(trace) = &trace {
                 op = op.with_trace(Arc::clone(trace), trace_pid, trace_tid);
             }
@@ -873,7 +718,7 @@ impl<'a> Compiler<'a> {
         Ok(Chain {
             factories: vec![factory],
             parallel: true,
-            description: "ScanFilterProject".to_string(),
+            description: "FusedPipeline".to_string(),
         })
     }
 }

@@ -1,19 +1,21 @@
 #![allow(clippy::unwrap_used)]
-//! Fused-pipeline differential properties: the [`FusedPipelineOperator`]
-//! must produce exactly the same rows as the discrete operator chain
-//! (ScanFilterProject [→ partial → final aggregation]) it replaces, for
-//! every input the scan can serve — all column types, NULLs, NaN doubles,
-//! dictionary- and RLE-encoded pages, and empty pages. Fusion is an
-//! optimization, never a semantic change.
+//! Leaf-operator differential properties. Filter/project chains must
+//! produce exactly the rows the row-at-a-time interpreter
+//! (`process_interpreted`) produces over the same pages; an absorbed partial
+//! aggregate must match the same operator without it followed by a discrete
+//! partial aggregation — for every input the scan can serve: all column
+//! types, NULLs, NaN doubles, dictionary- and RLE-encoded pages, and empty
+//! pages. Fusion is an optimization, never a semantic change, whatever the
+//! expressions.
 
 use presto_common::{DataType, Schema, Session, Value};
 use presto_connector::{Connector, TupleDomain};
 use presto_connectors::MemoryConnector;
 use presto_exec::agg::{AggPhase, AggSpec, HashAggregationOperator};
-use presto_exec::fused::{FusedAggStage, FusedChain, FusedPipelineOperator};
-use presto_exec::scan::{ScanOperator, SplitQueue};
+use presto_exec::scan::{FusedAggStage, ScanOperator, SplitQueue};
 use presto_exec::Operator;
-use presto_expr::{AggregateFunction, AggregateKind, ArithOp, CmpOp, Expr};
+use presto_expr::processor::process_interpreted;
+use presto_expr::{AggregateFunction, AggregateKind, ArithOp, CmpOp, Expr, ScalarFn};
 use presto_page::blocks::DictionaryBlock;
 use presto_page::{Block, Page};
 use proptest::prelude::*;
@@ -176,74 +178,78 @@ fn finalize(
     rows
 }
 
-/// Run the fused operator and the discrete chain over identical pages and
-/// return both row renderings (sorted — partial flush boundaries and group
-/// order are not part of the contract).
-fn run_both(chunks: &[Chunk], chain: &FusedChain, out_schema: &Schema) -> (Vec<String>, Vec<String>) {
-    let session = Session::default();
-    let columns = vec![0, 1, 2, 3];
+/// One leaf chain under test, in the scan's channel space.
+struct Chain {
+    filter: Option<Expr>,
+    projections: Vec<Expr>,
+    agg: Option<FusedAggStage>,
+}
 
+/// Drain a leaf operator over `chunks`, optionally absorbing `agg`.
+fn run_leaf(chunks: &[Chunk], chain: &Chain, agg: Option<&FusedAggStage>) -> Vec<Page> {
     let connector = load(chunks);
-    let fused_queue = SplitQueue::new();
-    feed_splits(connector.as_ref(), &fused_queue);
-    let mut fused = FusedPipelineOperator::new(
-        Arc::clone(&connector) as Arc<dyn Connector>,
-        fused_queue,
-        columns.clone(),
-        TupleDomain::all(),
-        chain,
-        &session,
-    );
-    let fused_pages = drain_source(&mut fused);
-
-    let discrete_queue = SplitQueue::new();
-    feed_splits(connector.as_ref(), &discrete_queue);
-    let mut scan = ScanOperator::new(
-        Arc::clone(&connector) as Arc<dyn Connector>,
-        discrete_queue,
-        columns,
+    let queue = SplitQueue::new();
+    feed_splits(connector.as_ref(), &queue);
+    let mut op = ScanOperator::new(
+        connector as Arc<dyn Connector>,
+        queue,
+        vec![0, 1, 2, 3],
         TupleDomain::all(),
         chain.filter.as_ref(),
         &chain.projections,
-        &session,
+        &Session::default(),
     );
-    let scanned = drain_source(&mut scan);
-
-    match &chain.agg {
-        None => {
-            let render = |pages: Vec<Page>| {
-                let mut rows: Vec<String> = pages
-                    .iter()
-                    .flat_map(|p| p.to_rows(out_schema))
-                    .map(|r| format!("{r:?}"))
-                    .collect();
-                rows.sort_unstable();
-                rows
-            };
-            (render(fused_pages), render(scanned))
-        }
-        Some(agg) => {
-            let mut partial = HashAggregationOperator::new(
-                AggPhase::Partial,
-                agg.group_channels.clone(),
-                agg.group_types.clone(),
-                agg.specs.clone(),
-                false,
-            );
-            for p in scanned {
-                partial.add_input(p).unwrap();
-            }
-            partial.finish();
-            let mut discrete_partials = Vec::new();
-            while let Some(p) = partial.output().unwrap() {
-                discrete_partials.push(p);
-            }
-            (
-                finalize(fused_pages, agg, out_schema),
-                finalize(discrete_partials, agg, out_schema),
-            )
-        }
+    if let Some(agg) = agg {
+        op = op.with_partial_aggregation(agg);
     }
+    drain_source(&mut op)
+}
+
+fn render(pages: &[Page], out_schema: &Schema) -> Vec<String> {
+    let mut rows: Vec<String> = pages
+        .iter()
+        .flat_map(|p| p.to_rows(out_schema))
+        .map(|r| format!("{r:?}"))
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// Run the leaf operator and its reference over identical pages and return
+/// both row renderings (sorted — partial flush boundaries and group order
+/// are not part of the contract). Without an aggregate the reference is the
+/// interpreter; with one, the same leaf without the aggregate feeding a
+/// discrete partial aggregation.
+fn run_both(chunks: &[Chunk], chain: &Chain, out_schema: &Schema) -> (Vec<String>, Vec<String>) {
+    let Some(agg) = &chain.agg else {
+        let leaf = run_leaf(chunks, chain, None);
+        let reference: Vec<Page> = chunks
+            .iter()
+            .map(|c| process_interpreted(chain.filter.as_ref(), &chain.projections, &chunk_page(c)))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        return (render(&leaf, out_schema), render(&reference, out_schema));
+    };
+    let absorbed = run_leaf(chunks, chain, Some(agg));
+    let mut partial = HashAggregationOperator::new(
+        AggPhase::Partial,
+        agg.group_channels.clone(),
+        agg.group_types.clone(),
+        agg.specs.clone(),
+        false,
+    );
+    for p in run_leaf(chunks, chain, None) {
+        partial.add_input(p).unwrap();
+    }
+    partial.finish();
+    let mut discrete_partials = Vec::new();
+    while let Some(p) = partial.output().unwrap() {
+        discrete_partials.push(p);
+    }
+    (
+        finalize(absorbed, agg, out_schema),
+        finalize(discrete_partials, agg, out_schema),
+    )
 }
 
 // --- generators ---------------------------------------------------------
@@ -299,11 +305,37 @@ fn filter_expr(kt: i64, dt: f64, on_s: bool) -> Expr {
     Expr::and(conjuncts)
 }
 
+/// Expressions the leaf once refused to run (generic scalar calls, lossy
+/// casts, IN lists over doubles): `upper(s)`, `CAST(d AS varchar)` and
+/// `d IN (0.5, -1.0, 2.0)`.
+fn upper_s() -> Expr {
+    let (function, data_type) = ScalarFn::resolve("upper", &[DataType::Varchar]).unwrap();
+    Expr::Call {
+        function,
+        args: vec![Expr::column(3, DataType::Varchar)],
+        data_type,
+    }
+}
+
+fn d_as_varchar() -> Expr {
+    Expr::Cast {
+        expr: Box::new(Expr::column(2, DataType::Double)),
+        data_type: DataType::Varchar,
+    }
+}
+
+fn d_in_list() -> Expr {
+    Expr::InList {
+        expr: Box::new(Expr::column(2, DataType::Double)),
+        list: vec![Value::Double(0.5), Value::Double(-1.0), Value::Double(2.0)],
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Scan → Filter → Project without aggregation: projected rows match
-    /// the discrete ScanFilterProject exactly.
+    /// the interpreter exactly.
     #[test]
     fn fused_filter_project_matches_discrete(
         chunks in arb_chunks(),
@@ -311,7 +343,7 @@ proptest! {
         dt in -5i64..5,
         on_s in any::<bool>(),
     ) {
-        let chain = FusedChain {
+        let chain = Chain {
             filter: Some(filter_expr(kt, dt as f64, on_s)),
             projections: vec![
                 Expr::column(1, DataType::Bigint),
@@ -322,7 +354,6 @@ proptest! {
                 ),
                 Expr::column(3, DataType::Varchar),
             ],
-            explicit_project: true,
             agg: None,
         };
         let out = Schema::of(&[
@@ -330,8 +361,8 @@ proptest! {
             ("vk", DataType::Bigint),
             ("s", DataType::Varchar),
         ]);
-        let (fused, discrete) = run_both(&chunks, &chain, &out);
-        prop_assert_eq!(fused, discrete);
+        let (fused, reference) = run_both(&chunks, &chain, &out);
+        prop_assert_eq!(fused, reference);
     }
 
     /// Global aggregation (the zero-group fast path): COUNT/SUM over
@@ -342,13 +373,12 @@ proptest! {
         kt in -2i64..14,
         dt in -5i64..5,
     ) {
-        let chain = FusedChain {
+        let chain = Chain {
             filter: Some(filter_expr(kt, dt as f64, false)),
             projections: vec![
                 Expr::column(1, DataType::Bigint),
                 Expr::column(2, DataType::Double),
             ],
-            explicit_project: true,
             agg: Some(FusedAggStage {
                 group_channels: vec![],
                 group_types: vec![],
@@ -392,7 +422,7 @@ proptest! {
         chunks in arb_chunks(),
         kt in -2i64..14,
     ) {
-        let chain = FusedChain {
+        let chain = Chain {
             filter: Some(Expr::cmp(
                 CmpOp::Lt,
                 Expr::column(0, DataType::Bigint),
@@ -403,7 +433,6 @@ proptest! {
                 Expr::column(3, DataType::Varchar),
                 Expr::column(1, DataType::Bigint),
             ],
-            explicit_project: true,
             agg: Some(FusedAggStage {
                 group_channels: vec![0, 1],
                 group_types: vec![DataType::Bigint, DataType::Varchar],
@@ -437,13 +466,12 @@ proptest! {
     /// the identity and the gather must still preserve every encoding.
     #[test]
     fn fused_unfiltered_agg_matches_discrete(chunks in arb_chunks()) {
-        let chain = FusedChain {
+        let chain = Chain {
             filter: None,
             projections: vec![
                 Expr::column(0, DataType::Bigint),
                 Expr::column(1, DataType::Bigint),
             ],
-            explicit_project: false,
             agg: Some(FusedAggStage {
                 group_channels: vec![0],
                 group_types: vec![DataType::Bigint],
@@ -455,6 +483,73 @@ proptest! {
             }),
         };
         let out = Schema::of(&[("k", DataType::Bigint), ("sum_v", DataType::Bigint)]);
+        let (fused, discrete) = run_both(&chunks, &chain, &out);
+        prop_assert_eq!(fused, discrete);
+    }
+
+    /// Generic calls, lossy casts and double IN lists under a filter: the
+    /// leaf matches the interpreter.
+    #[test]
+    fn fused_formerly_rejected_expressions_match_interpreter(
+        chunks in arb_chunks(),
+        kt in -2i64..14,
+    ) {
+        let chain = Chain {
+            filter: Some(Expr::or(vec![
+                d_in_list(),
+                Expr::cmp(
+                    CmpOp::Lt,
+                    Expr::column(0, DataType::Bigint),
+                    Expr::literal(kt),
+                ),
+            ])),
+            projections: vec![upper_s(), d_as_varchar(), Expr::column(0, DataType::Bigint)],
+            agg: None,
+        };
+        let out = Schema::of(&[
+            ("upper_s", DataType::Varchar),
+            ("d_str", DataType::Varchar),
+            ("k", DataType::Bigint),
+        ]);
+        let (fused, reference) = run_both(&chunks, &chain, &out);
+        prop_assert_eq!(fused, reference);
+    }
+
+    /// The same expressions as group keys of an absorbed partial
+    /// aggregation match the discrete partial+final.
+    #[test]
+    fn fused_formerly_rejected_group_keys_match_discrete(
+        chunks in arb_chunks(),
+        filtered in any::<bool>(),
+    ) {
+        let chain = Chain {
+            filter: filtered.then(d_in_list),
+            projections: vec![upper_s(), d_as_varchar(), Expr::column(1, DataType::Bigint)],
+            agg: Some(FusedAggStage {
+                group_channels: vec![0, 1],
+                group_types: vec![DataType::Varchar, DataType::Varchar],
+                specs: vec![
+                    AggSpec {
+                        function: AggregateFunction::new(AggregateKind::Count, None).unwrap(),
+                        input: None,
+                    },
+                    AggSpec {
+                        function: AggregateFunction::new(
+                            AggregateKind::Sum,
+                            Some(DataType::Bigint),
+                        )
+                        .unwrap(),
+                        input: Some(2),
+                    },
+                ],
+            }),
+        };
+        let out = Schema::of(&[
+            ("upper_s", DataType::Varchar),
+            ("d_str", DataType::Varchar),
+            ("count", DataType::Bigint),
+            ("sum_v", DataType::Bigint),
+        ]);
         let (fused, discrete) = run_both(&chunks, &chain, &out);
         prop_assert_eq!(fused, discrete);
     }

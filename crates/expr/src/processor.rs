@@ -13,7 +13,7 @@ use presto_page::blocks::DictionaryBlock;
 use presto_page::{Block, Page};
 use std::sync::Arc;
 
-use crate::compiled::CompiledExpr;
+use crate::compiled::{filter_channels, CompiledExpr};
 use crate::expr::Expr;
 use crate::interpreter::evaluate_row;
 
@@ -47,6 +47,9 @@ pub struct PageProcessor {
     /// Selection buffer reused across pages (one allocation per split
     /// instead of one per page).
     sel_buf: Vec<u32>,
+    /// Input channels the projections read, by channel. A selective filter
+    /// gathers only these; filter-only channels are never copied.
+    needed: Vec<bool>,
     stats: ProcessorStats,
 }
 
@@ -65,6 +68,13 @@ impl PageProcessor {
     /// are compiled once per task, like the paper's per-task bytecode
     /// classes (§V-B3).
     pub fn new(filter: Option<&Expr>, projections: &[Expr], session: &Session) -> PageProcessor {
+        let mut needed = Vec::new();
+        for c in projections.iter().flat_map(Expr::referenced_columns) {
+            if needed.len() <= c {
+                needed.resize(c + 1, false);
+            }
+            needed[c] = true;
+        }
         PageProcessor {
             filter: filter.map(CompiledExpr::compile),
             projections: projections
@@ -89,6 +99,7 @@ impl PageProcessor {
             interpreted: (!session.compiled_expressions)
                 .then(|| (filter.cloned(), projections.to_vec())),
             sel_buf: Vec::new(),
+            needed,
             stats: ProcessorStats::default(),
         }
     }
@@ -113,20 +124,13 @@ impl PageProcessor {
             self.stats.flat_projections += projections.len();
             return Ok(out);
         }
-        let filtered_storage;
-        let filtered = match &self.filter {
+        let rows = match &self.filter {
             Some(f) => {
                 f.eval_selection_into(page, &mut self.sel_buf)?;
-                if self.sel_buf.len() == page.row_count() {
-                    page
-                } else {
-                    filtered_storage = page.filter(&self.sel_buf);
-                    &filtered_storage
-                }
+                self.sel_buf.len()
             }
-            None => page,
+            None => page.row_count(),
         };
-        let rows = filtered.row_count();
         if rows == 0 {
             return Ok(Page::empty());
         }
@@ -135,6 +139,13 @@ impl PageProcessor {
             self.stats.rows_produced += rows as u64;
             return Ok(Page::zero_column(rows));
         }
+        let gathered;
+        let filtered = if rows == page.row_count() {
+            page
+        } else {
+            gathered = filter_channels(page, &self.sel_buf, &self.needed);
+            &gathered
+        };
         let mut out = Vec::with_capacity(self.projections.len());
         // Split borrows: iterate indices so stats can update.
         for idx in 0..self.projections.len() {

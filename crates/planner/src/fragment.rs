@@ -107,8 +107,8 @@ pub struct PhysicalPlan {
     /// Dynamic-filter channels (inner-join build domain → probe-side scan),
     /// collected by [`crate::dynfilter::collect_dynamic_filters`].
     pub dynamic_filters: Vec<crate::dynfilter::DynamicFilterSpec>,
-    /// Fusable scan→filter→project[→partial-agg] chains (with fallback
-    /// reasons), collected by [`crate::fusion::collect_fused_chains`].
+    /// Leaf scan→filter→project[→partial-agg] chains, collected by
+    /// [`crate::fusion::collect_fused_chains`].
     pub fused_chains: Vec<crate::fusion::FusedChainSpec>,
 }
 
@@ -251,7 +251,7 @@ pub fn fragment_plan(
         fused_chains: Vec::new(),
     };
     plan.dynamic_filters = crate::dynfilter::collect_dynamic_filters(&plan);
-    plan.fused_chains = crate::fusion::collect_fused_chains(&plan);
+    plan.fused_chains = crate::fusion::collect_fused_chains(&plan, session.pipeline_fusion);
     Ok(plan)
 }
 

@@ -1,21 +1,16 @@
-//! Pipeline-fusion annotation (whole-pipeline compiled execution).
+//! Leaf chains (whole-pipeline compiled execution).
 //!
-//! The compiled expression engine (§V-B) fuses one expression tree; this
-//! pass goes further and marks maximal `TableScan → Filter → Project
-//! [→ partial Aggregate]` chains that the fused executor can run as one
-//! type-specialized loop: selection vectors flow between stages instead of
-//! materialized pages, projections evaluate only surviving rows, and the
-//! partial group-by is fed pre-computed hashes. Like dynamic filtering,
-//! fusion is never correctness-bearing: a chain whose expressions the
-//! fused loop does not specialize (generic scalar calls, lossy casts,
-//! non-splittable aggregates) falls back to the discrete operators, and
-//! the reason is recorded here so EXPLAIN can show it.
-//!
-//! The eligibility rules live in this module — [`chain_fallback`] — and are
-//! shared with the exec-side compiler, so the plan annotation and the
-//! runtime lowering can never disagree about what fuses.
+//! The compiled expression engine (§V-B) fuses one expression tree; the
+//! leaf operator goes further and runs a whole `TableScan → [Filter] →
+//! [Project] [→ partial Aggregate]` chain as one loop (the Fig. 4
+//! `ScanFilterProject` fusion): selection vectors flow between stages
+//! instead of materialized pages, projections evaluate only surviving rows,
+//! and the partial group-by is fed pre-computed hashes. [`peel_leaf_chain`]
+//! is the one definition of that shape, shared by the exec-side compiler
+//! and the `EXPLAIN` summary collected here, so the plan annotation and the
+//! runtime lowering cannot disagree about what runs as one operator.
 
-use presto_common::{DataType, PlanNodeId};
+use presto_common::PlanNodeId;
 use presto_expr::Expr;
 use std::fmt::Write as _;
 
@@ -42,7 +37,73 @@ impl FusedStage {
     }
 }
 
-/// A maximal fusable (or fallback-annotated) chain found in one fragment.
+/// The parts of one leaf chain, borrowed from the plan.
+pub struct LeafChain<'a> {
+    /// The `TableScan` leaf.
+    pub scan: &'a PlanNode,
+    pub filter: Option<&'a Expr>,
+    pub projections: Option<&'a [Expr]>,
+    /// `(group_by, aggregates)` of the absorbed partial aggregation.
+    pub partial_agg: Option<(&'a [usize], &'a [AggregateSpec])>,
+}
+
+impl LeafChain<'_> {
+    /// Stages in execution (scan-first) order.
+    pub fn stages(&self) -> Vec<FusedStage> {
+        let mut stages = vec![FusedStage::Scan];
+        if self.filter.is_some() {
+            stages.push(FusedStage::Filter);
+        }
+        if self.projections.is_some() {
+            stages.push(FusedStage::Project);
+        }
+        if self.partial_agg.is_some() {
+            stages.push(FusedStage::PartialAggregate);
+        }
+        stages
+    }
+}
+
+/// Peel `[partial Aggregate] → [Project] → [Filter] → TableScan` off `node`,
+/// or `None` when `node` is not the top of such a chain. The partial
+/// aggregate is absorbed only when `absorb_partial_agg` (the session's
+/// `pipeline_fusion`); otherwise it runs as its own operator above the
+/// chain.
+pub fn peel_leaf_chain(node: &PlanNode, absorb_partial_agg: bool) -> Option<LeafChain<'_>> {
+    let (partial_agg, below) = match node {
+        PlanNode::Aggregate {
+            input,
+            group_by,
+            aggregates,
+            step: AggregateStep::Partial,
+            ..
+        } if absorb_partial_agg => (
+            Some((group_by.as_slice(), aggregates.as_slice())),
+            input.as_ref(),
+        ),
+        other => (None, other),
+    };
+    let (projections, below) = match below {
+        PlanNode::Project {
+            input, expressions, ..
+        } => (Some(expressions.as_slice()), input.as_ref()),
+        other => (None, other),
+    };
+    let (filter, scan) = match below {
+        PlanNode::Filter {
+            input, predicate, ..
+        } => (Some(predicate), input.as_ref()),
+        other => (None, other),
+    };
+    matches!(scan, PlanNode::TableScan { .. }).then_some(LeafChain {
+        scan,
+        filter,
+        projections,
+        partial_agg,
+    })
+}
+
+/// A leaf chain found in one fragment, for `EXPLAIN` and plan digests.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FusedChainSpec {
     /// Fragment containing the chain.
@@ -53,201 +114,47 @@ pub struct FusedChainSpec {
     pub scan: PlanNodeId,
     /// Stages in execution (scan-first) order; always starts with `Scan`.
     pub stages: Vec<FusedStage>,
-    /// `None` when every stage expression is supported by the fused loop;
-    /// otherwise the reason the chain stays on the discrete operators.
-    pub fallback: Option<String>,
 }
 
 impl FusedChainSpec {
+    /// Always `true`: every leaf chain runs as one operator. Kept so
+    /// callers that count fused chains read the same number as before.
     pub fn fused(&self) -> bool {
-        self.fallback.is_none()
+        true
     }
 }
 
-/// Annotate every `TableScan → Filter → Project [→ partial Aggregate]`
-/// chain of a fragmented plan. Chains of a bare scan (nothing to fuse) are
-/// not recorded. Run after fragmentation, like dynamic-filter collection:
-/// only then is the partial/final aggregation split final.
-pub fn collect_fused_chains(plan: &PhysicalPlan) -> Vec<FusedChainSpec> {
+/// Record every leaf chain of a fragmented plan that has a stage above its
+/// scan (a bare scan has nothing to fuse). Run after fragmentation, like
+/// dynamic-filter collection: only then is the partial/final aggregation
+/// split final.
+pub fn collect_fused_chains(plan: &PhysicalPlan, absorb_partial_agg: bool) -> Vec<FusedChainSpec> {
     let mut specs = Vec::new();
     for fragment in &plan.fragments {
-        walk(fragment.id, &fragment.root, &mut specs);
+        walk(fragment.id, &fragment.root, absorb_partial_agg, &mut specs);
     }
     // Deterministic order for plan digests and tests.
     specs.sort_by_key(|s| (s.fragment, s.top.0));
     specs
 }
 
-fn walk(fragment: u32, node: &PlanNode, specs: &mut Vec<FusedChainSpec>) {
-    if let Some(spec) = match_chain(fragment, node) {
+fn walk(fragment: u32, node: &PlanNode, absorb_partial_agg: bool, specs: &mut Vec<FusedChainSpec>) {
+    if let Some(chain) = peel_leaf_chain(node, absorb_partial_agg) {
         // The chain is a straight line down to its scan leaf; nothing
         // below it needs visiting.
-        specs.push(spec);
+        let stages = chain.stages();
+        if stages.len() > 1 {
+            specs.push(FusedChainSpec {
+                fragment,
+                top: node.id(),
+                scan: chain.scan.id(),
+                stages,
+            });
+        }
         return;
     }
     for child in node.children() {
-        walk(fragment, child, specs);
-    }
-}
-
-/// Match the maximal chain rooted at `node`, if any.
-fn match_chain(fragment: u32, node: &PlanNode) -> Option<FusedChainSpec> {
-    // Peel an optional partial aggregate…
-    let (agg, below_agg) = match node {
-        PlanNode::Aggregate {
-            input,
-            group_by,
-            aggregates,
-            step: AggregateStep::Partial,
-            ..
-        } => (
-            Some((group_by.as_slice(), aggregates.as_slice())),
-            input.as_ref(),
-        ),
-        other => (None, other),
-    };
-    // …then an optional projection…
-    let (projections, below_project) = match below_agg {
-        PlanNode::Project {
-            input, expressions, ..
-        } => (Some(expressions.as_slice()), input.as_ref()),
-        other => (None, other),
-    };
-    // …then an optional filter…
-    let (filter, below_filter) = match below_project {
-        PlanNode::Filter {
-            input, predicate, ..
-        } => (Some(predicate), input.as_ref()),
-        other => (None, other),
-    };
-    // …which must bottom out at a table scan, with at least one stage
-    // above it (a bare scan has nothing to fuse).
-    let scan_id = match below_filter {
-        PlanNode::TableScan { id, .. } => *id,
-        _ => return None,
-    };
-    if agg.is_none() && projections.is_none() && filter.is_none() {
-        return None;
-    }
-    let mut stages = vec![FusedStage::Scan];
-    if filter.is_some() {
-        stages.push(FusedStage::Filter);
-    }
-    if projections.is_some() {
-        stages.push(FusedStage::Project);
-    }
-    if agg.is_some() {
-        stages.push(FusedStage::PartialAggregate);
-    }
-    Some(FusedChainSpec {
-        fragment,
-        top: node.id(),
-        scan: scan_id,
-        stages,
-        fallback: chain_fallback(filter, projections, agg),
-    })
-}
-
-/// Why a chain cannot run on the fused loop, or `None` if it can. Shared
-/// between this planning pass and the exec compiler so both agree exactly.
-///
-/// The fused loop handles the expressions the compiled engine specializes
-/// into typed kernels: column references, literals, arithmetic,
-/// comparisons, boolean logic, IS NULL, CASE, typed IN lists, lossless
-/// numeric widening, and the specialized math functions. Anything that
-/// would drop the compiled engine onto its generic row-at-a-time kernels
-/// (string functions, lossy casts, generic IN lists) falls back — the
-/// discrete operators run those just as well, and the fused loop stays
-/// all-monomorphized.
-pub fn chain_fallback(
-    filter: Option<&Expr>,
-    projections: Option<&[Expr]>,
-    aggregates: Option<(&[usize], &[AggregateSpec])>,
-) -> Option<String> {
-    if let Some(f) = filter {
-        if let Some(why) = expr_fallback(f) {
-            return Some(format!("filter: {why}"));
-        }
-    }
-    for e in projections.unwrap_or(&[]) {
-        if let Some(why) = expr_fallback(e) {
-            return Some(format!("projection: {why}"));
-        }
-    }
-    if let Some((_, aggs)) = aggregates {
-        for a in aggs {
-            if !a.function.kind.supports_partial() {
-                return Some(format!("aggregate {} has no partial form", a.name));
-            }
-            if a.input.is_none() && a.function.input_type.is_some() {
-                return Some(format!("aggregate {} is missing its input channel", a.name));
-            }
-        }
-    }
-    None
-}
-
-/// Why one expression is unsupported, or `None` when the compiled engine
-/// lowers it entirely to specialized kernels.
-fn expr_fallback(e: &Expr) -> Option<String> {
-    match e {
-        Expr::Column { .. } | Expr::Literal { .. } => None,
-        Expr::Arith { left, right, .. } => {
-            expr_fallback(left).or_else(|| expr_fallback(right))
-        }
-        Expr::Cmp { left, right, .. } => expr_fallback(left).or_else(|| expr_fallback(right)),
-        Expr::And(es) | Expr::Or(es) => es.iter().find_map(expr_fallback),
-        Expr::Not(c) | Expr::IsNull(c) => expr_fallback(c),
-        Expr::Case {
-            branches,
-            otherwise,
-            ..
-        } => branches
-            .iter()
-            .find_map(|(c, v)| expr_fallback(c).or_else(|| expr_fallback(v)))
-            .or_else(|| otherwise.as_deref().and_then(expr_fallback)),
-        Expr::Cast { expr, data_type } => {
-            let from = expr.data_type();
-            if from == *data_type || (from.is_integer_backed() && *data_type == DataType::Double)
-            {
-                expr_fallback(expr)
-            } else {
-                Some(format!("cast {} to {}", from.name(), data_type.name()))
-            }
-        }
-        Expr::InList { expr, .. } => {
-            match presto_page::PhysicalType::of(expr.data_type()) {
-                presto_page::PhysicalType::Long | presto_page::PhysicalType::Varchar => {
-                    expr_fallback(expr)
-                }
-                _ => Some(format!("IN list over {}", expr.data_type().name())),
-            }
-        }
-        Expr::Call {
-            function,
-            args,
-            data_type,
-        } => {
-            use presto_expr::ScalarFn;
-            let specialized = match (function, args.len()) {
-                (ScalarFn::Abs, 1) => *data_type == DataType::Bigint || *data_type == DataType::Double,
-                (
-                    ScalarFn::Sqrt
-                    | ScalarFn::Ln
-                    | ScalarFn::Exp
-                    | ScalarFn::Floor
-                    | ScalarFn::Ceil
-                    | ScalarFn::Round,
-                    1,
-                ) => *data_type == DataType::Double,
-                (ScalarFn::Power, 2) => true,
-                _ => false,
-            };
-            if !specialized {
-                return Some(format!("call to {}", function.name()));
-            }
-            args.iter().find_map(expr_fallback)
-        }
+        walk(fragment, child, absorb_partial_agg, specs);
     }
 }
 
@@ -262,60 +169,11 @@ pub fn explain_fused_chains(specs: &[FusedChainSpec]) -> String {
         let stages: Vec<&str> = s.stages.iter().map(FusedStage::name).collect();
         let _ = writeln!(
             out,
-            "  fragment {}: {} (scan {}){}",
+            "  fragment {}: {} (scan {}) [fused]",
             s.fragment,
             stages.join(" → "),
             s.scan,
-            match &s.fallback {
-                None => " [fused]".to_string(),
-                Some(why) => format!(" [fallback: {why}]"),
-            }
         );
     }
     out
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used)]
-mod tests {
-    use super::*;
-    use presto_expr::CmpOp;
-
-    #[test]
-    fn supported_expressions_fuse() {
-        let pred = Expr::cmp(
-            CmpOp::Lt,
-            Expr::column(0, DataType::Double),
-            Expr::literal(3.5f64),
-        );
-        let projs = [Expr::column(1, DataType::Bigint)];
-        assert_eq!(chain_fallback(Some(&pred), Some(&projs), None), None);
-    }
-
-    #[test]
-    fn generic_calls_fall_back_with_reason() {
-        let (f, t) = presto_expr::ScalarFn::resolve("upper", &[DataType::Varchar]).unwrap();
-        let call = Expr::Call {
-            function: f,
-            args: vec![Expr::column(0, DataType::Varchar)],
-            data_type: t,
-        };
-        let why = chain_fallback(None, Some(std::slice::from_ref(&call)), None).unwrap();
-        assert!(why.contains("upper"), "{why}");
-    }
-
-    #[test]
-    fn lossy_casts_fall_back() {
-        let cast = Expr::Cast {
-            expr: Box::new(Expr::column(0, DataType::Double)),
-            data_type: DataType::Varchar,
-        };
-        assert!(chain_fallback(Some(&cast), None, None).is_some());
-        // Lossless widening is fine.
-        let widen = Expr::Cast {
-            expr: Box::new(Expr::column(0, DataType::Bigint)),
-            data_type: DataType::Double,
-        };
-        assert_eq!(chain_fallback(None, Some(std::slice::from_ref(&widen)), None), None);
-    }
 }

@@ -406,6 +406,7 @@ fn type_from_tag(t: u8) -> Result<DataType> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -41,7 +41,7 @@ impl PorcReader {
                 path.display()
             )));
         }
-        let footer_len = u32::from_le_bytes(tail[..4].try_into().unwrap()) as u64;
+        let footer_len = u64::from(u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]));
         if footer_len + 8 > len {
             return Err(PrestoError::external(format!(
                 "{}: corrupt footer length",
@@ -267,6 +267,7 @@ impl PorcReader {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::writer::{PorcWriter, WriterOptions};

@@ -271,8 +271,9 @@ impl PorcWriter {
         // Encoding choice.
         let ndv = distinct.len();
         if ndv == 1 && null_count == 0 {
-            let value = distinct.keys().next().unwrap().clone();
-            return (Block::rle(Block::single(dt, &value), rows), stats);
+            if let Some(value) = distinct.keys().next() {
+                return (Block::rle(Block::single(dt, value), rows), stats);
+            }
         }
         let dictionary_worthwhile = ndv > 0
             && null_count == 0
@@ -280,12 +281,11 @@ impl PorcWriter {
             && matches!(dt, DataType::Varchar);
         if dictionary_worthwhile {
             // Build the dictionary in first-seen order so ids map directly.
-            let mut entries: Vec<Option<String>> = vec![None; ndv];
+            let mut entries = vec![""; ndv];
             for (v, &id) in &distinct {
-                entries[id as usize] = Some(v.as_str().unwrap().to_string());
+                entries[id as usize] = v.as_str().unwrap_or_default();
             }
-            let dict_strings: Vec<String> = entries.into_iter().map(Option::unwrap).collect();
-            let dict = Block::from(VarcharBlock::from_strs(&dict_strings));
+            let dict = Block::from(VarcharBlock::from_strs(&entries));
             return (
                 Block::Dictionary(DictionaryBlock::new(Arc::new(dict), ids)),
                 stats,
@@ -301,6 +301,7 @@ impl PorcWriter {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use presto_common::Field;

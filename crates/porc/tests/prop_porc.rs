@@ -1,3 +1,4 @@
+#![allow(clippy::unwrap_used)]
 //! Property tests for the PORC file format: write→read round trips across
 //! stripe boundaries, and stripe pruning never drops matching rows.
 

@@ -285,6 +285,7 @@ pub fn tokenize(sql: &str) -> Result<Vec<Spanned>> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

@@ -577,10 +577,10 @@ impl Parser {
         if !matches!(self.peek(), Token::LParen) {
             return Ok(AstExpr::Identifier(name));
         }
-        if name.parts.len() != 1 {
+        let mut parts = name.parts.into_iter();
+        let (Some(fname), None) = (parts.next(), parts.next()) else {
             return Err(self.error("qualified function names are not supported"));
-        }
-        let fname = name.parts.into_iter().next().unwrap();
+        };
         self.advance(); // (
         let mut distinct = false;
         let mut wildcard = false;
@@ -674,6 +674,7 @@ fn is_reserved(word: &str) -> bool {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 

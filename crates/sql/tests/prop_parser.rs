@@ -1,3 +1,4 @@
+#![allow(clippy::unwrap_used)]
 //! Property tests for the SQL front end: the parser never panics, and
 //! structurally-generated queries round-trip through parsing.
 

@@ -255,7 +255,7 @@ impl TpchGenerator {
                     Value::Bigint(i as i64),
                     Value::Bigint(rng.gen_range(0..customers)),
                     Value::varchar(status),
-                    Value::Double((rng.gen_range(100_00..500_000_00) as f64) / 100.0),
+                    Value::Double((rng.gen_range(10_000..50_000_000) as f64) / 100.0),
                     Value::Date(rng.gen_range(start..end)),
                     Value::varchar(PRIORITIES[rng.gen_range(0..PRIORITIES.len())]),
                 ]
@@ -274,7 +274,7 @@ impl TpchGenerator {
         let rows = (0..self.lineitem_count())
             .map(|i| {
                 let qty = rng.gen_range(1..51) as f64;
-                let price = (rng.gen_range(900_00..105_000_00) as f64) / 100.0;
+                let price = (rng.gen_range(90_000..10_500_000) as f64) / 100.0;
                 let (flag, status) = if rng.gen_bool(0.5) {
                     (if rng.gen_bool(0.5) { "R" } else { "A" }, "F")
                 } else {
@@ -314,7 +314,7 @@ impl TpchGenerator {
                     )),
                     Value::varchar(PART_TYPES[rng.gen_range(0..PART_TYPES.len())]),
                     Value::Bigint(rng.gen_range(1..51)),
-                    Value::Double((rng.gen_range(900_00..2_000_00) as f64) / 100.0),
+                    Value::Double((rng.gen_range(90_000..200_000) as f64) / 100.0),
                 ]
             })
             .collect();
@@ -409,6 +409,7 @@ impl TpchGenerator {
 use presto_connector::ConnectorMetadata as _;
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
