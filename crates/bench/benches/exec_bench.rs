@@ -44,7 +44,7 @@ fn bench_aggregation(c: &mut Criterion) {
                         .unwrap(),
                     input: Some(1),
                 }],
-                false,
+                None,
             );
             op.add_input(page.clone()).unwrap();
             op.finish();

@@ -80,7 +80,7 @@ fn baseline_sink(pages: &[Page], buffer: &OutputBuffer, consumers: usize) {
 fn coalescing_sink(pages: &[Page], buffer: &OutputBuffer, consumers: usize, target_rows: usize) {
     let mut partitioner = PagePartitioner::new(vec![0], consumers, target_rows, 1 << 20);
     for page in pages {
-        for (p, out) in partitioner.add_page(page.clone()) {
+        for (p, out) in partitioner.route(page.clone()) {
             buffer.enqueue(p, &out);
         }
     }

@@ -74,7 +74,7 @@ fn run_pipeline(pages: &[Page], stats_enabled: bool) -> Duration {
             function: AggregateFunction::new(AggregateKind::Count, None).expect("count(*)"),
             input: None,
         }],
-        false,
+        None,
     );
     let mut driver = Driver::new(
         vec![

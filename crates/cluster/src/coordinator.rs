@@ -670,12 +670,7 @@ impl Coordinator {
             let placement: &Placement = &placements[fid as usize];
             for (i, task) in fragment_tasks.into_iter().enumerate() {
                 let worker = &self.workers[placement.tasks[i]];
-                let handle = worker.submit_task(
-                    task,
-                    Arc::clone(state),
-                    session.quanta,
-                    session.spill_enabled,
-                );
+                let handle = worker.submit_task(task, Arc::clone(state), session.quanta);
                 handles[fid as usize].push(handle);
             }
             // Feed splits for this fragment's scans.

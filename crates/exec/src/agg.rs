@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use crate::flathash::{FlatHashTable, KeyArena};
 use crate::operator::Operator;
-use crate::spill::{SpillManager, SpillRun};
+use crate::spill::{SpillManager, SpillRun, SpillTally};
 
 /// Aggregation phase (mirrors the planner's `AggregateStep`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -329,15 +329,13 @@ pub struct HashAggregationOperator {
     /// Partial aggregations flush early when they grow past this, keeping
     /// memory bounded without spilling (adaptive flush).
     partial_flush_bytes: usize,
-    spill_enabled: bool,
-    spill: Arc<SpillManager>,
+    /// Set when spill is armed: revocation writes runs through it.
+    spill: Option<Arc<SpillManager>>,
     spill_runs: Vec<SpillRun>,
     rows_in: u64,
-    /// Cumulative bytes written to spill files (spilled files are deleted
-    /// after re-ingest, so this cannot be derived from live metadata).
-    spilled_bytes_total: u64,
-    /// Revocations that actually wrote a run.
-    spill_events: u64,
+    /// Cumulative spill writes (spilled files are deleted after re-ingest,
+    /// so this cannot be derived from live metadata).
+    spilled: SpillTally,
     /// Flathash counters carried over from hashes consumed by `flush`.
     rle_hits_flushed: u64,
     dict_cache_hits_flushed: u64,
@@ -349,7 +347,7 @@ impl HashAggregationOperator {
         group_channels: Vec<usize>,
         group_types: Vec<DataType>,
         aggs: Vec<AggSpec>,
-        spill_enabled: bool,
+        spill: Option<Arc<SpillManager>>,
     ) -> HashAggregationOperator {
         let hash = GroupByHash::new(group_channels.clone(), group_types.clone());
         let accumulators = aggs
@@ -367,22 +365,13 @@ impl HashAggregationOperator {
             outputs: VecDeque::new(),
             produced: false,
             partial_flush_bytes: 16 << 20,
-            spill_enabled,
-            spill: SpillManager::new(None, 0),
+            spill,
             spill_runs: Vec::new(),
             rows_in: 0,
-            spilled_bytes_total: 0,
-            spill_events: 0,
+            spilled: SpillTally::default(),
             rle_hits_flushed: 0,
             dict_cache_hits_flushed: 0,
         }
-    }
-
-    /// Spill through the task's shared [`SpillManager`] (directory, disk
-    /// budget, abort cleanup) instead of a private default one.
-    pub fn with_spill_manager(mut self, spill: Arc<SpillManager>) -> HashAggregationOperator {
-        self.spill = spill;
-        self
     }
 
     fn accumulate(&mut self, page: &Page) -> Result<()> {
@@ -568,7 +557,7 @@ impl Operator for HashAggregationOperator {
     }
 
     fn can_revoke_memory(&self) -> bool {
-        self.spill_enabled
+        self.spill.is_some()
             && self.phase != AggPhase::Partial
             && self.hash.group_count() > 0
             // Spilled runs are re-merged in intermediate form, so every
@@ -577,33 +566,31 @@ impl Operator for HashAggregationOperator {
     }
 
     fn revoke_memory(&mut self) -> Result<u64> {
-        if !self.can_revoke_memory() {
+        let Some(spill) = self.spill.as_ref().filter(|_| self.can_revoke_memory()) else {
             return Ok(0);
-        }
+        };
+        let mut run = spill.create_run("agg");
         let before = self.user_memory_bytes() as u64;
         // Spill current state in intermediate form, grouped-keys first.
         // NOTE: spilled rows are keyed, so re-ingesting them groups
         // correctly; group ids are not stable across the spill.
-        let pages = self.flush(true)?;
-        let mut run = self.spill.create_run("agg");
-        for page in &pages {
-            self.spilled_bytes_total += run.append(page)?;
+        for page in &self.flush(true)? {
+            self.spilled.append(&mut run, page)?;
         }
-        self.spill_events += 1;
         self.spill_runs.push(run);
         Ok(before)
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
-        vec![
+        let mut counters = vec![
             ("rle_hits", self.rle_hits_flushed + self.hash.rle_hits()),
             (
                 "dict_cache_hits",
                 self.dict_cache_hits_flushed + self.hash.dict_cache_hits(),
             ),
-            ("spilled_bytes", self.spilled_bytes_total),
-            ("spill_events", self.spill_events),
-        ]
+        ];
+        counters.extend(self.spilled.counters());
+        counters
     }
 }
 
@@ -668,7 +655,7 @@ mod tests {
             vec![0],
             vec![DataType::Bigint],
             vec![sum_agg()],
-            false,
+            None,
         );
         op.add_input(page(&[(1, 10), (2, 20), (1, 5)])).unwrap();
         op.add_input(page(&[(2, 2), (3, 7)])).unwrap();
@@ -684,7 +671,7 @@ mod tests {
             input: None,
         };
         let mut op =
-            HashAggregationOperator::new(AggPhase::Single, vec![], vec![], vec![count], false);
+            HashAggregationOperator::new(AggPhase::Single, vec![], vec![], vec![count], None);
         op.finish();
         let p = op.output().unwrap().expect("one row");
         assert_eq!(p.row_count(), 1);
@@ -702,7 +689,7 @@ mod tests {
                     .unwrap(),
                 input: Some(1),
             }],
-            false,
+            None,
         );
         partial
             .add_input(page(&[(1, 10), (1, 20), (2, 5)]))
@@ -723,7 +710,7 @@ mod tests {
                     .unwrap(),
                 input: Some(1),
             }],
-            false,
+            None,
         );
         for p in intermediate_pages {
             fin.add_input(p).unwrap();
@@ -745,7 +732,7 @@ mod tests {
                 vec![0],
                 vec![DataType::Bigint],
                 vec![sum_agg()],
-                spill,
+                spill.then(|| SpillManager::new(None, 0)),
             );
             let rows: Vec<(i64, i64)> = (0..500).map(|i| (i % 50, i)).collect();
             op.add_input(page(&rows[..250])).unwrap();
@@ -779,7 +766,7 @@ mod tests {
             vec![0],
             vec![DataType::Bigint],
             vec![sum_agg()],
-            false,
+            None,
         );
         op.add_input(p).unwrap();
         op.finish();
@@ -794,7 +781,7 @@ mod tests {
             vec![0],
             vec![DataType::Bigint],
             vec![],
-            false,
+            None,
         );
         op.add_input(page(&[(1, 0), (1, 0), (2, 0)])).unwrap();
         op.finish();

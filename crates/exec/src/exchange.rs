@@ -227,7 +227,7 @@ impl Operator for PartitionedOutputOperator {
                         self.target_bytes,
                     )
                 });
-                for (p, out) in partitioner.add_page(page) {
+                for (p, out) in partitioner.route(page) {
                     self.buffer.enqueue(p, &out);
                 }
             }

@@ -224,7 +224,7 @@ impl ScanOperator {
                 stage.group_channels.clone(),
                 stage.group_types.clone(),
                 stage.specs.clone(),
-                false,
+                None,
             ),
             key_channels: stage.group_channels.clone(),
             hash_buf: Vec::new(),

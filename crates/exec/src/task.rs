@@ -23,7 +23,7 @@ use crate::memory::{MemoryPool, TaskMemoryContext};
 use crate::pipeline::{LocalQueue, LocalQueueSink, LocalQueueSource, OpFactory, Pipeline};
 use crate::scan::{FusedAggStage, ScanOperator, SplitQueue};
 use crate::sort::{SortOperator, TopNOperator};
-use crate::spill::{SpillFault, SpillManager};
+use crate::spill::SpillManager;
 use crate::stats::{PipelineMeta, TaskStats, TaskStatsCollector};
 use crate::window::WindowOperator;
 use crate::writer::TableWriterOperator;
@@ -113,20 +113,6 @@ impl Task {
     }
 }
 
-/// The spill manager a session configures: directory, disk budget, and
-/// (for the chaos harness) an injected IO fault.
-fn spill_manager_for(session: &Session) -> Arc<SpillManager> {
-    let fault = match (
-        session.spill_chaos_write_error_after,
-        session.spill_chaos_disk_capacity,
-    ) {
-        (Some(after_writes), _) => Some(SpillFault::WriteError { after_writes }),
-        (None, Some(capacity_bytes)) => Some(SpillFault::DiskFull { capacity_bytes }),
-        (None, None) => None,
-    };
-    SpillManager::with_fault(session.spill_dir.clone(), session.spill_max_bytes, fault)
-}
-
 /// Compile `fragment` into a [`Task`].
 pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
     let output = OutputBuffer::with_compression(
@@ -135,10 +121,10 @@ pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
         ctx.session.shuffle_compression_min_bytes,
     );
     let memory = TaskMemoryContext::new(ctx.task_id.stage.query, Arc::clone(&ctx.memory_pool));
-    let spill = spill_manager_for(&ctx.session);
+    let spill = SpillManager::for_session(&ctx.session);
     let mut compiler = Compiler {
         ctx,
-        spill: Arc::clone(&spill),
+        spill: ctx.session.spill_enabled.then(|| Arc::clone(&spill)),
         scans: Vec::new(),
         exchanges: Vec::new(),
         pipelines: Vec::new(),
@@ -247,8 +233,9 @@ impl Chain {
 
 struct Compiler<'a> {
     ctx: &'a TaskContext,
-    /// Task-level spill coordinator handed to every spilling operator.
-    spill: Arc<SpillManager>,
+    /// The task's spill coordinator when the session enables spill: every
+    /// spilling operator spills through it, and only if it is set.
+    spill: Option<Arc<SpillManager>>,
     scans: Vec<ScanSource>,
     exchanges: Vec<ExchangeInput>,
     pipelines: Vec<Pipeline>,
@@ -325,21 +312,17 @@ impl<'a> Compiler<'a> {
                     .map(|&c| input_schema.data_type(c))
                     .collect();
                 let specs = specs_from_planner(aggregates)?;
-                let spill = self.ctx.session.spill_enabled;
-                let spill_manager = Arc::clone(&self.spill);
+                let spill = self.spill.clone();
                 chain.push(
                     "Aggregate",
                     Arc::new(move || {
-                        Ok(Box::new(
-                            HashAggregationOperator::new(
-                                phase,
-                                group_channels.clone(),
-                                group_types.clone(),
-                                specs.clone(),
-                                spill,
-                            )
-                            .with_spill_manager(Arc::clone(&spill_manager)),
-                        ))
+                        Ok(Box::new(HashAggregationOperator::new(
+                            phase,
+                            group_channels.clone(),
+                            group_types.clone(),
+                            specs.clone(),
+                            spill.clone(),
+                        )))
                     }),
                 );
                 Ok(chain)
@@ -359,11 +342,10 @@ impl<'a> Compiler<'a> {
                 let mut build_chain = self.compile(right)?;
                 let build_drivers = build_chain.driver_count(self.ctx.leaf_parallelism);
                 let bridge = JoinBridge::new(right_keys.clone(), build_drivers);
-                // Grace-join spill: keyed joins only (the bridge ignores
-                // the call for cross joins, which keep the in-memory path).
-                let join_spill = self.ctx.session.spill_enabled && !right_keys.is_empty();
-                if join_spill {
-                    bridge.enable_spill(Arc::clone(&self.spill));
+                // The one arming point: probes divert through the manager
+                // the spilled build partitions carry. Cross joins ignore it.
+                if let Some(spill) = &self.spill {
+                    bridge.enable_spill(Arc::clone(spill));
                 }
                 if let Some(df) = &self.ctx.dynamic_filters {
                     if df.produces_for_join(*id) {
@@ -381,10 +363,14 @@ impl<'a> Compiler<'a> {
                 }
                 {
                     let bridge = Arc::clone(&bridge);
+                    let target_rows = self.ctx.session.target_page_rows;
                     build_chain.push(
                         "HashBuilder",
                         Arc::new(move || {
-                            Ok(Box::new(HashBuilderOperator::new(Arc::clone(&bridge))))
+                            Ok(Box::new(
+                                HashBuilderOperator::new(Arc::clone(&bridge))
+                                    .with_target_page_rows(target_rows),
+                            ))
                         }),
                     );
                 }
@@ -410,22 +396,17 @@ impl<'a> Compiler<'a> {
                 let probe_schema = left.output_schema();
                 let build_schema = right.output_schema();
                 let filter = filter.clone();
-                let spill_manager = join_spill.then(|| Arc::clone(&self.spill));
                 chain.push(
                     "LookupJoin",
                     Arc::new(move || {
-                        let mut op = LookupJoinOperator::new(
+                        Ok(Box::new(LookupJoinOperator::new(
                             Arc::clone(&bridge),
                             probe_type,
                             probe_keys.clone(),
                             probe_schema.clone(),
                             build_schema.clone(),
                             filter.as_ref(),
-                        );
-                        if let Some(spill) = &spill_manager {
-                            op = op.with_spill(Arc::clone(spill));
-                        }
-                        Ok(Box::new(op))
+                        )))
                     }),
                 );
                 Ok(chain)
@@ -469,16 +450,10 @@ impl<'a> Compiler<'a> {
                 let mut chain = self.compile(input)?;
                 chain.force_single_driver();
                 let keys = keys.clone();
-                let spill = self.ctx.session.spill_enabled;
-                let spill_manager = Arc::clone(&self.spill);
+                let spill = self.spill.clone();
                 chain.push(
                     "Sort",
-                    Arc::new(move || {
-                        Ok(Box::new(
-                            SortOperator::new(keys.clone(), spill)
-                                .with_spill_manager(Arc::clone(&spill_manager)),
-                        ))
-                    }),
+                    Arc::new(move || Ok(Box::new(SortOperator::new(keys.clone(), spill.clone())))),
                 );
                 Ok(chain)
             }

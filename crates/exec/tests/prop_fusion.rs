@@ -164,7 +164,7 @@ fn finalize(
         (0..agg.group_channels.len()).collect(),
         agg.group_types.clone(),
         final_specs(agg.group_channels.len(), &agg.specs),
-        false,
+        None,
     );
     for p in partials {
         finals.add_input(p).unwrap();
@@ -236,7 +236,7 @@ fn run_both(chunks: &[Chunk], chain: &Chain, out_schema: &Schema) -> (Vec<String
         agg.group_channels.clone(),
         agg.group_types.clone(),
         agg.specs.clone(),
-        false,
+        None,
     );
     for p in run_leaf(chunks, chain, None) {
         partial.add_input(p).unwrap();

@@ -7,7 +7,7 @@ use presto_common::{DataType, Schema, Value};
 use presto_exec::agg::{AggPhase, AggSpec, HashAggregationOperator};
 use presto_exec::join::{HashBuilderOperator, JoinBridge, LookupJoinOperator, ProbeJoinType};
 use presto_exec::sort::{SortOperator, TopNOperator};
-use presto_exec::Operator;
+use presto_exec::{Operator, SpillManager};
 use presto_expr::{AggregateFunction, AggregateKind};
 use presto_page::Page;
 use presto_planner::SortKey;
@@ -59,7 +59,7 @@ proptest! {
     fn sort_matches_reference(rows in arb_rows(60), chunks in 1usize..4, spill in any::<bool>()) {
         let keys = vec![SortKey { channel: 0, ascending: true, nulls_first: false },
                         SortKey { channel: 1, ascending: false, nulls_first: false }];
-        let mut op = SortOperator::new(keys, spill);
+        let mut op = SortOperator::new(keys, spill.then(|| SpillManager::new(None, 0)));
         let chunk = (rows.len() / chunks).max(1);
         for (i, piece) in rows.chunks(chunk).enumerate() {
             op.add_input(page_of(piece)).unwrap();
@@ -109,7 +109,7 @@ proptest! {
             vec![0],
             vec![DataType::Bigint],
             vec![AggSpec { function: f, input: Some(1) }],
-            false,
+            None,
         );
         for piece in rows.chunks(9) {
             op.add_input(page_of(piece)).unwrap();
@@ -142,7 +142,7 @@ proptest! {
             vec![0],
             vec![DataType::Bigint],
             vec![AggSpec { function: f, input: Some(1) }],
-            false,
+            None,
         );
         for half in [&rows[..split], &rows[split..]] {
             let mut partial = HashAggregationOperator::new(
@@ -150,7 +150,7 @@ proptest! {
                 vec![0],
                 vec![DataType::Bigint],
                 vec![AggSpec { function: f, input: Some(1) }],
-                false,
+                None,
             );
             if !half.is_empty() {
                 partial.add_input(page_of(half)).unwrap();
@@ -167,7 +167,7 @@ proptest! {
             vec![0],
             vec![DataType::Bigint],
             vec![AggSpec { function: f, input: Some(1) }],
-            false,
+            None,
         );
         if !rows.is_empty() {
             single.add_input(page_of(&rows)).unwrap();

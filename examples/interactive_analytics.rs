@@ -39,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     let mut times = Vec::new();
     for h in handles {
-        let out = h.join().unwrap()?;
+        let out = h.join().expect("query thread panicked")?;
         times.push(out.wall_time);
     }
     times.sort();

@@ -1,3 +1,4 @@
+#![allow(clippy::unwrap_used)]
 //! Differential correctness: the same query must produce identical results
 //! under every engine configuration — compiled vs interpreted expressions,
 //! lazy vs eager loading, compressed vs decoded processing, 1 vs 4 workers,

@@ -1,3 +1,4 @@
+#![allow(clippy::unwrap_used)]
 //! Federation: one query spanning several connectors (§I "extensible,
 //! federated design"), plus connector-specific behaviours observable only
 //! through full queries.

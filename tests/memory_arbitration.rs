@@ -1,3 +1,4 @@
+#![allow(clippy::unwrap_used)]
 //! The §IV-F2 memory-arbitration experiment: memory can be overcommitted
 //! ("it is generally safe to overcommit the memory of the cluster as long
 //! as mechanisms exist to keep the cluster healthy when nodes are low on

@@ -1,3 +1,4 @@
+#![allow(clippy::unwrap_used)]
 //! End-to-end metadata-cache integration (§IV-B metastore, §V-C footers).
 //!
 //! A second run of the same query against the Hive connector must parse

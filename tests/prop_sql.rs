@@ -1,3 +1,4 @@
+#![allow(clippy::unwrap_used)]
 //! Cluster-level property test: randomly generated SQL over a shared
 //! dataset must return identical results on a 1-worker and a 4-worker
 //! cluster, under default and ablated sessions. This catches distribution
