@@ -83,6 +83,17 @@ impl Scope {
     }
 }
 
+/// What an AST expression lowers against: the scope its columns resolve
+/// in, the sub-trees a node below has already computed (group keys and
+/// aggregate calls over an Aggregate, window calls over a Window) with the
+/// channel reference each becomes, and whether a bare column must be one
+/// of those group keys.
+struct Lowering<'a> {
+    scope: &'a Scope,
+    computed: &'a [(AstExpr, Expr)],
+    grouped: bool,
+}
+
 /// Analyzer entry point.
 pub struct Analyzer<'a> {
     catalogs: &'a CatalogManager,
@@ -186,7 +197,7 @@ impl<'a> Analyzer<'a> {
         for term in &query.terms {
             terms.push(self.analyze_select(term)?);
         }
-        let (mut node, mut scope) = {
+        let (mut node, scope) = {
             let mut it = terms.into_iter();
             let (first_node, first_scope) = it.next().expect("parser guarantees ≥1 term");
             let mut acc_inputs = vec![first_node];
@@ -269,13 +280,12 @@ impl<'a> Analyzer<'a> {
                 count: n,
             };
         }
-        let _ = &mut scope;
         Ok((node, scope))
     }
 
     /// ORDER BY keys: ordinals, output names, or (for simple cases) any
     /// expression over output columns that reduces to a column.
-    fn resolve_order_keys(&mut self, items: &[OrderItem], scope: &Scope) -> Result<Vec<SortKey>> {
+    fn resolve_order_keys(&self, items: &[OrderItem], scope: &Scope) -> Result<Vec<SortKey>> {
         let mut keys = Vec::new();
         for item in items {
             let channel = match &item.expr {
@@ -302,7 +312,7 @@ impl<'a> Analyzer<'a> {
                 other => {
                     // Allow arbitrary expressions only when they reduce to a
                     // column reference after rewriting.
-                    let e = self.rewrite_expr(other, scope)?;
+                    let e = Lowering::over(scope).rewrite_expr(other)?;
                     match e {
                         Expr::Column { index, .. } => index,
                         _ => {
@@ -341,7 +351,7 @@ impl<'a> Analyzer<'a> {
             if contains_aggregate(w) {
                 return Err(PrestoError::user("WHERE clause cannot contain aggregates"));
             }
-            let predicate = self.rewrite_boolean(w, &scope, "WHERE")?;
+            let predicate = Lowering::over(&scope).rewrite_boolean(w, "WHERE")?;
             node = PlanNode::Filter {
                 id: self.ids.next_id(),
                 input: Box::new(node),
@@ -368,10 +378,11 @@ impl<'a> Analyzer<'a> {
             self.plan_window(node, scope, &items)?
         } else {
             // Plain projection.
+            let lowering = Lowering::over(&scope);
             let mut exprs = Vec::new();
             let mut names = Vec::new();
             for (ast, name) in &items {
-                exprs.push(self.rewrite_expr(ast, &scope)?);
+                exprs.push(lowering.rewrite_expr(ast)?);
                 names.push(name.clone());
             }
             let schema: Schema = names
@@ -443,7 +454,9 @@ impl<'a> Analyzer<'a> {
                 let (rnode, rscope) = self.analyze_table_ref(right)?;
                 let joined_scope = lscope.join(&rscope);
                 let filter = match on {
-                    Some(cond) => Some(self.rewrite_boolean(cond, &joined_scope, "JOIN ON")?),
+                    Some(cond) => {
+                        Some(Lowering::over(&joined_scope).rewrite_boolean(cond, "JOIN ON")?)
+                    }
                     None => None,
                 };
                 // RIGHT JOIN → LEFT JOIN with swapped inputs: remap the
@@ -554,10 +567,11 @@ impl<'a> Analyzer<'a> {
         dedup_asts(&mut agg_calls);
 
         // Pre-projection: group expressions then aggregate arguments.
+        let lowering = Lowering::over(&scope);
         let mut pre_exprs: Vec<Expr> = Vec::new();
         let mut pre_names: Vec<String> = Vec::new();
         for (i, g) in group_asts.iter().enumerate() {
-            let e = self.rewrite_expr(g, &scope)?;
+            let e = lowering.rewrite_expr(g)?;
             pre_names.push(match g {
                 AstExpr::Identifier(q) => match q.parts.last() {
                     Some(part) => part.clone(),
@@ -587,7 +601,7 @@ impl<'a> Analyzer<'a> {
                         "aggregate {name} expects one argument"
                     )));
                 }
-                let e = self.rewrite_expr(&args[0], &scope)?;
+                let e = lowering.rewrite_expr(&args[0])?;
                 let t = e.data_type();
                 pre_exprs.push(e);
                 pre_names.push(format!("_aggarg{i}"));
@@ -621,18 +635,25 @@ impl<'a> Analyzer<'a> {
             aggregates: agg_specs,
             step: AggregateStep::Single,
         };
+        // Above the aggregation, group expressions and aggregate calls are
+        // its output channels and any other column is an error.
         let agg_schema = agg_node.output_schema();
-
-        // Rewriter mapping group expressions / aggregate calls to agg
-        // output channels.
-        let rewrite = |this: &mut Self, ast: &AstExpr| -> Result<Expr> {
-            this.rewrite_over_aggregate(ast, &scope, &group_asts, &agg_calls, &agg_schema)
+        let computed: Vec<(AstExpr, Expr)> = group_asts
+            .into_iter()
+            .chain(agg_calls)
+            .enumerate()
+            .map(|(i, ast)| (ast, Expr::column(i, agg_schema.data_type(i))))
+            .collect();
+        let lowering = Lowering {
+            scope: &scope,
+            computed: &computed,
+            grouped: true,
         };
 
         // HAVING
         let mut node = agg_node;
         if let Some(h) = &select.having {
-            let predicate = rewrite(self, h)?;
+            let predicate = lowering.rewrite_expr(h)?;
             if predicate.data_type() != DataType::Boolean {
                 return Err(PrestoError::user("HAVING clause must be boolean"));
             }
@@ -646,7 +667,7 @@ impl<'a> Analyzer<'a> {
         let mut exprs = Vec::new();
         let mut names = Vec::new();
         for (ast, name) in items {
-            exprs.push(rewrite(self, ast)?);
+            exprs.push(lowering.rewrite_expr(ast)?);
             names.push(name.clone());
         }
         let schema: Schema = names
@@ -661,154 +682,6 @@ impl<'a> Analyzer<'a> {
             names,
         };
         Ok((project, Scope::from_schema(&schema, None)))
-    }
-
-    /// Rewrite a post-aggregation expression: group expressions and
-    /// aggregate calls become channel references into the Aggregate output.
-    fn rewrite_over_aggregate(
-        &mut self,
-        ast: &AstExpr,
-        input_scope: &Scope,
-        group_asts: &[AstExpr],
-        agg_calls: &[AstExpr],
-        agg_schema: &Schema,
-    ) -> Result<Expr> {
-        if let Some(i) = group_asts.iter().position(|g| g == ast) {
-            return Ok(Expr::column(i, agg_schema.data_type(i)));
-        }
-        if let Some(i) = agg_calls.iter().position(|c| c == ast) {
-            let channel = group_asts.len() + i;
-            return Ok(Expr::column(channel, agg_schema.data_type(channel)));
-        }
-        match ast {
-            AstExpr::Identifier(name) => Err(PrestoError::user(format!(
-                "column '{name}' must appear in GROUP BY or inside an aggregate"
-            ))),
-            AstExpr::Literal(v) => Ok(literal_expr(v)),
-            AstExpr::Binary { op, left, right } => {
-                let l = self.rewrite_over_aggregate(
-                    left,
-                    input_scope,
-                    group_asts,
-                    agg_calls,
-                    agg_schema,
-                )?;
-                let r = self.rewrite_over_aggregate(
-                    right,
-                    input_scope,
-                    group_asts,
-                    agg_calls,
-                    agg_schema,
-                )?;
-                binary_expr(*op, l, r)
-            }
-            AstExpr::Unary { minus, expr } => {
-                let e = self.rewrite_over_aggregate(
-                    expr,
-                    input_scope,
-                    group_asts,
-                    agg_calls,
-                    agg_schema,
-                )?;
-                if *minus {
-                    negate(e)
-                } else {
-                    Ok(e)
-                }
-            }
-            AstExpr::Not(e) => {
-                let e =
-                    self.rewrite_over_aggregate(e, input_scope, group_asts, agg_calls, agg_schema)?;
-                Ok(Expr::Not(Box::new(e)))
-            }
-            AstExpr::IsNull { expr, negated } => {
-                let e = self.rewrite_over_aggregate(
-                    expr,
-                    input_scope,
-                    group_asts,
-                    agg_calls,
-                    agg_schema,
-                )?;
-                let is_null = Expr::IsNull(Box::new(e));
-                Ok(if *negated {
-                    Expr::Not(Box::new(is_null))
-                } else {
-                    is_null
-                })
-            }
-            AstExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let e = self.rewrite_over_aggregate(
-                    expr,
-                    input_scope,
-                    group_asts,
-                    agg_calls,
-                    agg_schema,
-                )?;
-                let lo = self.rewrite_over_aggregate(
-                    low,
-                    input_scope,
-                    group_asts,
-                    agg_calls,
-                    agg_schema,
-                )?;
-                let hi = self.rewrite_over_aggregate(
-                    high,
-                    input_scope,
-                    group_asts,
-                    agg_calls,
-                    agg_schema,
-                )?;
-                between(e, lo, hi, *negated)
-            }
-            AstExpr::Case {
-                operand,
-                branches,
-                otherwise,
-            } => self.rewrite_case(
-                operand,
-                branches,
-                otherwise,
-                &mut |this: &mut Self, e: &AstExpr| {
-                    this.rewrite_over_aggregate(e, input_scope, group_asts, agg_calls, agg_schema)
-                },
-            ),
-            AstExpr::Cast { expr, type_name } => {
-                let e = self.rewrite_over_aggregate(
-                    expr,
-                    input_scope,
-                    group_asts,
-                    agg_calls,
-                    agg_schema,
-                )?;
-                cast_expr(e, type_name)
-            }
-            AstExpr::Call {
-                name,
-                args,
-                over: None,
-                ..
-            } => {
-                let mut rewritten = Vec::new();
-                for a in args {
-                    rewritten.push(self.rewrite_over_aggregate(
-                        a,
-                        input_scope,
-                        group_asts,
-                        agg_calls,
-                        agg_schema,
-                    )?);
-                }
-                scalar_call(name, rewritten)
-            }
-            other => Err(PrestoError::user(format!(
-                "unsupported expression in aggregation context: {other:?}"
-            ))),
-        }
     }
 
     /// Plan window-function selects.
@@ -845,9 +718,10 @@ impl<'a> Analyzer<'a> {
             .map(|i| Expr::column(i, scope.columns[i].data_type))
             .collect();
         let mut pre_names: Vec<String> = scope.columns.iter().map(|c| c.name.clone()).collect();
+        let lowering = Lowering::over(&scope);
         let mut partition_by = Vec::new();
         for (i, p) in spec.partition_by.iter().enumerate() {
-            let e = self.rewrite_expr(p, &scope)?;
+            let e = lowering.rewrite_expr(p)?;
             match e {
                 Expr::Column { index, .. } => partition_by.push(index),
                 other => {
@@ -859,7 +733,7 @@ impl<'a> Analyzer<'a> {
         }
         let mut order_by = Vec::new();
         for (i, o) in spec.order_by.iter().enumerate() {
-            let e = self.rewrite_expr(&o.expr, &scope)?;
+            let e = lowering.rewrite_expr(&o.expr)?;
             let channel = match e {
                 Expr::Column { index, .. } => index,
                 other => {
@@ -888,7 +762,7 @@ impl<'a> Analyzer<'a> {
             let input_channel = if *wildcard || args.is_empty() {
                 None
             } else {
-                let e = self.rewrite_expr(&args[0], &scope)?;
+                let e = lowering.rewrite_expr(&args[0])?;
                 match e {
                     Expr::Column { index, .. } => Some(index),
                     other => {
@@ -926,11 +800,25 @@ impl<'a> Analyzer<'a> {
         let fn_base = window_schema.len() - functions.len();
 
         // Final projection: window calls → appended channels; everything
-        // else resolves against the original scope.
+        // else resolves against the pass-through prefix of the window
+        // output, which has the original scope's channels.
+        let computed: Vec<(AstExpr, Expr)> = calls
+            .into_iter()
+            .enumerate()
+            .map(|(i, ast)| {
+                let channel = fn_base + i;
+                (ast, Expr::column(channel, window_schema.data_type(channel)))
+            })
+            .collect();
+        let lowering = Lowering {
+            scope: &scope,
+            computed: &computed,
+            grouped: false,
+        };
         let mut exprs = Vec::new();
         let mut names = Vec::new();
         for (ast, name) in items {
-            exprs.push(self.rewrite_with_windows(ast, &scope, &calls, fn_base, &window_schema)?);
+            exprs.push(lowering.rewrite_expr(ast)?);
             names.push(name.clone());
         }
         let schema: Schema = names
@@ -946,34 +834,21 @@ impl<'a> Analyzer<'a> {
         };
         Ok((project, Scope::from_schema(&schema, None)))
     }
+}
 
-    fn rewrite_with_windows(
-        &mut self,
-        ast: &AstExpr,
-        scope: &Scope,
-        calls: &[AstExpr],
-        fn_base: usize,
-        window_schema: &Schema,
-    ) -> Result<Expr> {
-        if let Some(i) = calls.iter().position(|c| c == ast) {
-            let channel = fn_base + i;
-            return Ok(Expr::column(channel, window_schema.data_type(channel)));
-        }
-        match ast {
-            AstExpr::Binary { op, left, right } => {
-                let l = self.rewrite_with_windows(left, scope, calls, fn_base, window_schema)?;
-                let r = self.rewrite_with_windows(right, scope, calls, fn_base, window_schema)?;
-                binary_expr(*op, l, r)
-            }
-            // Non-window expressions resolve against the pass-through
-            // prefix of the window output (same channels as input scope).
-            other => self.rewrite_expr(other, scope),
+impl<'a> Lowering<'a> {
+    /// Lowering against `scope` alone: nothing computed below, no grouping.
+    fn over(scope: &'a Scope) -> Self {
+        Lowering {
+            scope,
+            computed: &[],
+            grouped: false,
         }
     }
 
     /// Rewrite a boolean-typed expression, with a clause name for errors.
-    fn rewrite_boolean(&mut self, ast: &AstExpr, scope: &Scope, clause: &str) -> Result<Expr> {
-        let e = self.rewrite_expr(ast, scope)?;
+    fn rewrite_boolean(&self, ast: &AstExpr, clause: &str) -> Result<Expr> {
+        let e = self.rewrite_expr(ast)?;
         if e.data_type() != DataType::Boolean {
             return Err(PrestoError::user(format!(
                 "{clause} expression must be boolean, got {}",
@@ -983,21 +858,30 @@ impl<'a> Analyzer<'a> {
         Ok(e)
     }
 
-    /// Rewrite an AST expression against a scope (no aggregates/windows).
-    fn rewrite_expr(&mut self, ast: &AstExpr, scope: &Scope) -> Result<Expr> {
+    /// Lower an AST expression to an [`Expr`]. A sub-tree that a node below
+    /// already computed becomes a reference to its channel; everything else
+    /// lowers here, so aggregate, window and plain contexts accept the same
+    /// SQL.
+    fn rewrite_expr(&self, ast: &AstExpr) -> Result<Expr> {
+        if let Some((_, computed)) = self.computed.iter().find(|(a, _)| a == ast) {
+            return Ok(computed.clone());
+        }
         match ast {
+            AstExpr::Identifier(name) if self.grouped => Err(PrestoError::user(format!(
+                "column '{name}' must appear in GROUP BY or inside an aggregate"
+            ))),
             AstExpr::Identifier(name) => {
-                let (channel, dt) = scope.resolve(name)?;
+                let (channel, dt) = self.scope.resolve(name)?;
                 Ok(Expr::column(channel, dt))
             }
             AstExpr::Literal(v) => Ok(literal_expr(v)),
             AstExpr::Binary { op, left, right } => {
-                let l = self.rewrite_expr(left, scope)?;
-                let r = self.rewrite_expr(right, scope)?;
+                let l = self.rewrite_expr(left)?;
+                let r = self.rewrite_expr(right)?;
                 binary_expr(*op, l, r)
             }
             AstExpr::Unary { minus, expr } => {
-                let e = self.rewrite_expr(expr, scope)?;
+                let e = self.rewrite_expr(expr)?;
                 if *minus {
                     negate(e)
                 } else {
@@ -1005,14 +889,14 @@ impl<'a> Analyzer<'a> {
                 }
             }
             AstExpr::Not(e) => {
-                let e = self.rewrite_expr(e, scope)?;
+                let e = self.rewrite_expr(e)?;
                 if e.data_type() != DataType::Boolean {
                     return Err(PrestoError::user("NOT operand must be boolean"));
                 }
                 Ok(Expr::Not(Box::new(e)))
             }
             AstExpr::IsNull { expr, negated } => {
-                let e = self.rewrite_expr(expr, scope)?;
+                let e = self.rewrite_expr(expr)?;
                 let is_null = Expr::IsNull(Box::new(e));
                 Ok(if *negated {
                     Expr::Not(Box::new(is_null))
@@ -1026,9 +910,9 @@ impl<'a> Analyzer<'a> {
                 high,
                 negated,
             } => {
-                let e = self.rewrite_expr(expr, scope)?;
-                let lo = self.rewrite_expr(low, scope)?;
-                let hi = self.rewrite_expr(high, scope)?;
+                let e = self.rewrite_expr(expr)?;
+                let lo = self.rewrite_expr(low)?;
+                let hi = self.rewrite_expr(high)?;
                 between(e, lo, hi, *negated)
             }
             AstExpr::InList {
@@ -1036,10 +920,10 @@ impl<'a> Analyzer<'a> {
                 list,
                 negated,
             } => {
-                let e = self.rewrite_expr(expr, scope)?;
+                let e = self.rewrite_expr(expr)?;
                 let mut values = Vec::new();
                 for item in list {
-                    let item_expr = self.rewrite_expr(item, scope)?;
+                    let item_expr = self.rewrite_expr(item)?;
                     match item_expr {
                         Expr::Literal { value, data_type } => {
                             // Coerce list literals to the tested type.
@@ -1072,8 +956,8 @@ impl<'a> Analyzer<'a> {
                 pattern,
                 negated,
             } => {
-                let e = self.rewrite_expr(expr, scope)?;
-                let p = self.rewrite_expr(pattern, scope)?;
+                let e = self.rewrite_expr(expr)?;
+                let p = self.rewrite_expr(pattern)?;
                 if e.data_type() != DataType::Varchar || p.data_type() != DataType::Varchar {
                     return Err(PrestoError::user("LIKE requires varchar operands"));
                 }
@@ -1092,20 +976,12 @@ impl<'a> Analyzer<'a> {
                 operand,
                 branches,
                 otherwise,
-            } => self.rewrite_case(operand, branches, otherwise, &mut |this: &mut Self, e| {
-                this.rewrite_expr(e, scope)
-            }),
+            } => self.rewrite_case(operand, branches, otherwise),
             AstExpr::Cast { expr, type_name } => {
-                let e = self.rewrite_expr(expr, scope)?;
+                let e = self.rewrite_expr(expr)?;
                 cast_expr(e, type_name)
             }
-            AstExpr::Call {
-                name,
-                args,
-                over: Some(_),
-                ..
-            } => {
-                let _ = (name, args);
+            AstExpr::Call { over: Some(_), .. } => {
                 Err(PrestoError::user("window functions are not allowed here"))
             }
             AstExpr::Call {
@@ -1124,7 +1000,7 @@ impl<'a> Analyzer<'a> {
                 // ScalarFn::resolve below with a clear message.
                 let mut rewritten = Vec::new();
                 for a in args {
-                    rewritten.push(self.rewrite_expr(a, scope)?);
+                    rewritten.push(self.rewrite_expr(a)?);
                 }
                 scalar_call(name, rewritten)
             }
@@ -1134,14 +1010,13 @@ impl<'a> Analyzer<'a> {
     /// Shared CASE lowering: operand form desugars to searched form; branch
     /// results coerce to a common type.
     fn rewrite_case(
-        &mut self,
+        &self,
         operand: &Option<Box<AstExpr>>,
         branches: &[(AstExpr, AstExpr)],
         otherwise: &Option<Box<AstExpr>>,
-        rewrite: &mut dyn FnMut(&mut Self, &AstExpr) -> Result<Expr>,
     ) -> Result<Expr> {
         let operand_expr = match operand {
-            Some(op) => Some(rewrite(self, op)?),
+            Some(op) => Some(self.rewrite_expr(op)?),
             None => None,
         };
         let mut conds = Vec::new();
@@ -1149,11 +1024,11 @@ impl<'a> Analyzer<'a> {
         for (when, then) in branches {
             let cond = match &operand_expr {
                 Some(op) => {
-                    let when_e = rewrite(self, when)?;
+                    let when_e = self.rewrite_expr(when)?;
                     comparison(CmpOp::Eq, op.clone(), when_e)?
                 }
                 None => {
-                    let c = rewrite(self, when)?;
+                    let c = self.rewrite_expr(when)?;
                     if c.data_type() != DataType::Boolean {
                         return Err(PrestoError::user("CASE condition must be boolean"));
                     }
@@ -1161,10 +1036,10 @@ impl<'a> Analyzer<'a> {
                 }
             };
             conds.push(cond);
-            results.push(rewrite(self, then)?);
+            results.push(self.rewrite_expr(then)?);
         }
         let otherwise_expr = match otherwise {
-            Some(e) => Some(rewrite(self, e)?),
+            Some(e) => Some(self.rewrite_expr(e)?),
             None => None,
         };
         // Common result type.

@@ -43,6 +43,14 @@ const QUERIES: &[&str] = &[
      SUM(CASE WHEN quantity <= 25 THEN 1 ELSE 0 END) AS small \
      FROM lineitem GROUP BY shipmode",
     "SELECT COUNT(DISTINCT partkey) FROM lineitem WHERE discount = 0.05",
+    // Every expression form lowers the same over an aggregation or a window
+    // as over a plain scan.
+    "SELECT orderkey, COUNT(*) FROM lineitem GROUP BY orderkey HAVING COUNT(*) IN (3, 4)",
+    "SELECT shipmode, shipmode LIKE '%AIR%', COUNT(*) FROM lineitem GROUP BY shipmode",
+    "SELECT orderkey, CAST(rank() OVER (ORDER BY orderkey) AS varchar), \
+     -rank() OVER (ORDER BY orderkey), \
+     CASE WHEN rank() OVER (ORDER BY orderkey) = 1 THEN 'first' ELSE 'rest' END \
+     FROM orders WHERE orderkey < 100",
 ];
 
 fn run_sorted(cluster: &Cluster, sql: &str, session: &Session) -> Vec<Vec<Value>> {
