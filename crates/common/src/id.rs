@@ -112,6 +112,12 @@ impl PlanNodeIdAllocator {
         self.next += 1;
         id
     }
+
+    /// Never hand out `id` or any id below it: the ids of a plan the
+    /// caller is about to extend.
+    pub fn skip_past(&mut self, id: PlanNodeId) {
+        self.next = self.next.max(id.0 + 1);
+    }
 }
 
 #[cfg(test)]
@@ -134,6 +140,10 @@ mod tests {
         assert!(g.next_id() < g.next_id());
         let mut a = PlanNodeIdAllocator::new();
         assert!(a.next_id() < a.next_id());
+        a.skip_past(PlanNodeId(9));
+        assert_eq!(a.next_id(), PlanNodeId(10));
+        a.skip_past(PlanNodeId(3));
+        assert_eq!(a.next_id(), PlanNodeId(11));
     }
 
     #[test]

@@ -217,17 +217,13 @@ pub fn fragment_plan(
     session: &Session,
     catalogs: &CatalogManager,
 ) -> Result<PhysicalPlan> {
+    let mut ids = PlanNodeIdAllocator::new();
+    ids.skip_past(plan.max_id());
     let mut f = Fragmenter {
         session,
         catalogs,
         fragments: Vec::new(),
-        ids: {
-            let mut ids = PlanNodeIdAllocator::new();
-            for _ in 0..100_000 {
-                ids.next_id();
-            }
-            ids
-        },
+        ids,
     };
     let piece = f.visit(plan)?;
     // Root must be a single task streaming to the client.

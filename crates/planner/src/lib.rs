@@ -40,12 +40,8 @@ pub fn plan_statement(
 ) -> Result<PhysicalPlan> {
     let mut analyzer = analyzer::Analyzer::new(catalogs, session);
     let logical = analyzer.analyze(statement)?;
-    let mut ids = PlanNodeIdAllocator::new();
-    // Start fresh ids above the analyzer's range to keep EXPLAIN readable.
-    for _ in 0..10_000 {
-        ids.next_id();
-    }
-    let optimized = optimizer::optimize(logical, session, catalogs, &mut ids)?;
+    let optimized =
+        optimizer::optimize(logical, session, catalogs, &mut PlanNodeIdAllocator::new())?;
     fragment::fragment_plan(optimized, session, catalogs)
 }
 
@@ -57,9 +53,5 @@ pub fn plan_logical(
 ) -> Result<PlanNode> {
     let mut analyzer = analyzer::Analyzer::new(catalogs, session);
     let logical = analyzer.analyze(statement)?;
-    let mut ids = PlanNodeIdAllocator::new();
-    for _ in 0..10_000 {
-        ids.next_id();
-    }
-    optimizer::optimize(logical, session, catalogs, &mut ids)
+    optimizer::optimize(logical, session, catalogs, &mut PlanNodeIdAllocator::new())
 }
