@@ -41,14 +41,17 @@ fn bench_aggregation(c: &mut Criterion) {
                 vec![DataType::Bigint],
                 vec![AggSpec {
                     function: AggregateFunction::new(AggregateKind::Sum, Some(DataType::Bigint))
-                        .unwrap(),
+                        .expect("sum(bigint)"),
                     input: Some(1),
                 }],
                 None,
             );
-            op.add_input(page.clone()).unwrap();
+            op.add_input(page.clone()).expect("aggregate input");
             op.finish();
-            op.output().unwrap().unwrap().row_count()
+            op.output()
+                .expect("aggregate output")
+                .expect("one result page")
+                .row_count()
         })
     });
     group.finish();
@@ -64,15 +67,15 @@ fn bench_join(c: &mut Criterion) {
         b.iter(|| {
             let bridge = JoinBridge::new(vec![0], 1);
             let mut builder = HashBuilderOperator::new(Arc::clone(&bridge));
-            builder.add_input(build.clone()).unwrap();
+            builder.add_input(build.clone()).expect("build input");
             builder.finish();
-            bridge.table().unwrap().row_count()
+            bridge.table().expect("published table").row_count()
         })
     });
     group.bench_function("probe_64k_against_8k", |b| {
         let bridge = JoinBridge::new(vec![0], 1);
         let mut builder = HashBuilderOperator::new(Arc::clone(&bridge));
-        builder.add_input(build.clone()).unwrap();
+        builder.add_input(build.clone()).expect("build input");
         builder.finish();
         b.iter(|| {
             let mut join = LookupJoinOperator::new(
@@ -83,8 +86,11 @@ fn bench_join(c: &mut Criterion) {
                 schema.clone(),
                 None,
             );
-            join.add_input(probe.clone()).unwrap();
-            join.output().unwrap().map(|p| p.row_count()).unwrap_or(0)
+            join.add_input(probe.clone()).expect("probe input");
+            join.output()
+                .expect("probe output")
+                .map(|p| p.row_count())
+                .unwrap_or(0)
         })
     });
     group.finish();

@@ -53,12 +53,12 @@ fn bench_evaluators(c: &mut Criterion) {
     group.throughput(Throughput::Elements(rows as u64));
     group.bench_function(BenchmarkId::new("compiled", rows), |b| {
         let mut processor = PageProcessor::new(Some(&filter), &proj, &Session::default());
-        b.iter(|| processor.process(&page).unwrap().row_count())
+        b.iter(|| processor.process(&page).expect("compiled").row_count())
     });
     group.bench_function(BenchmarkId::new("interpreted", rows), |b| {
         b.iter(|| {
             process_interpreted(Some(&filter), &proj, &page)
-                .unwrap()
+                .expect("interpreted")
                 .row_count()
         })
     });

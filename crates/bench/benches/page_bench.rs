@@ -57,7 +57,7 @@ fn bench_codec(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(bytes.len() as u64));
     group.bench_function("serialize", |b| b.iter(|| serialize_page(&page)));
     group.bench_function("deserialize", |b| {
-        b.iter(|| deserialize_page(&bytes).unwrap())
+        b.iter(|| deserialize_page(&bytes).expect("own frame decodes"))
     });
     group.finish();
 }

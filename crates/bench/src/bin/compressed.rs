@@ -54,7 +54,7 @@ fn main() {
     let pages = dictionary_pages(rows);
     // Projection: lower(shipinstruct) — string work per evaluation; filter
     // keeps most rows so projection cost dominates.
-    let (f, t) = ScalarFn::resolve("lower", &[DataType::Varchar]).unwrap();
+    let (f, t) = ScalarFn::resolve("lower", &[DataType::Varchar]).expect("lower(varchar)");
     let projections = vec![
         Expr::Call {
             function: f,
@@ -70,8 +70,10 @@ fn main() {
     );
 
     let run = |compressed: bool| -> (std::time::Duration, usize) {
-        let mut session = Session::default();
-        session.process_compressed = compressed;
+        let session = Session {
+            process_compressed: compressed,
+            ..Session::default()
+        };
         let mut processor = PageProcessor::new(Some(&filter), &projections, &session);
         let start = Instant::now();
         let mut out = 0;

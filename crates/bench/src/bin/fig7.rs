@@ -48,7 +48,7 @@ fn main() {
                 })
                 .collect();
             for h in handles {
-                match h.join().unwrap() {
+                match h.join().expect("query thread") {
                     Ok(out) => times.push(out.wall_time),
                     Err(e) => eprintln!("{}: {e}", use_case.label()),
                 }

@@ -56,7 +56,7 @@ fn main() {
         // Reap finished queries.
         while let Some(h) = handles.front() {
             if h.is_finished() {
-                let _ = handles.pop_front().unwrap().join();
+                let _ = handles.pop_front().expect("front checked").join();
             } else {
                 break;
             }

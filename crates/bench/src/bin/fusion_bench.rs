@@ -230,7 +230,7 @@ fn load_lineitem(memory: &MemoryConnector, rows: usize) {
             Value::Bigint(rng.gen_range(0..2557)),
             Value::Bigint(rng.gen_range(1..51)),
             Value::Bigint(rng.gen_range(0..11)),
-            Value::Bigint(rng.gen_range(100_00..10_000_00)),
+            Value::Bigint(rng.gen_range(10_000..1_000_000)),
             Value::varchar(flag),
         ]);
         if chunk.len() == PAGE_ROWS {

@@ -39,8 +39,10 @@ fn run_policy(label: &str, pool_bytes: u64, kill: bool, spill: bool, concurrency
         catalogs,
     )
     .expect("cluster");
-    let mut session = Session::default();
-    session.spill_enabled = spill;
+    let session = Session {
+        spill_enabled: spill,
+        ..Session::default()
+    };
     let start = Instant::now();
     let handles: Vec<_> = (0..concurrency)
         .map(|_| cluster.submit(HUNGRY, session.clone()))
@@ -48,7 +50,7 @@ fn run_policy(label: &str, pool_bytes: u64, kill: bool, spill: bool, concurrency
     let mut ok = 0;
     let mut killed = 0;
     for h in handles {
-        match h.join().unwrap() {
+        match h.join().expect("query thread") {
             Ok(_) => ok += 1,
             Err(_) => killed += 1,
         }

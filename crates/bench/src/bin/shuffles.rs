@@ -32,7 +32,10 @@ fn main() {
         let _ = load_abtest_tables; // bucketed versions already in raptor
         for table in ["exposure", "conversion"] {
             // Re-read from raptor via the engine and materialize in memory.
-            fixture.memory.create_table(table, &schema).unwrap();
+            fixture
+                .memory
+                .create_table(table, &schema)
+                .expect("create copy");
             let out = fixture
                 .cluster
                 .execute_with_session(
@@ -41,7 +44,7 @@ fn main() {
                 )
                 .expect("copy");
             let _ = out;
-            fixture.memory.analyze(table).unwrap();
+            fixture.memory.analyze(table).expect("analyze copy");
         }
     }
 
@@ -53,9 +56,9 @@ fn main() {
         ("bucketed on uid (raptor)", "raptor"),
     ] {
         let session = Session::for_catalog(catalog);
-        let stmt = parse_statement(sql).unwrap();
-        let plan =
-            presto_planner::plan_statement(&stmt, &session, fixture.cluster.catalogs()).unwrap();
+        let stmt = parse_statement(sql).expect("parse");
+        let plan = presto_planner::plan_statement(&stmt, &session, fixture.cluster.catalogs())
+            .expect("plan");
         // Time it, best of 3.
         let mut best = Duration::MAX;
         for _ in 0..3 {
