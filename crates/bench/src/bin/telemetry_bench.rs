@@ -10,7 +10,7 @@
 //!    size of its JSON encoding, taken against a live cluster.
 //! 3. **§VI-style tables** — a mixed workload, then worker-utilization and
 //!    query queue/run-time tables regenerated from the snapshot and the
-//!    telemetry query records (the counters behind the paper's Figures 6–9).
+//!    query-history entries (the counters behind the paper's Figures 6–9).
 //! 4. **Trace export** — events recorded while a workload runs and the
 //!    size/validity of the Chrome `trace_event` JSON.
 //!
@@ -217,12 +217,7 @@ fn main() {
             quanta
         );
     }
-    let records: Vec<_> = cluster
-        .telemetry()
-        .all_query_records()
-        .into_iter()
-        .map(|(_, r)| r)
-        .collect();
+    let records = cluster.query_history().snapshot();
     let dist = |mut v: Vec<Duration>| -> String {
         if v.is_empty() {
             return "n/a".into();
@@ -235,9 +230,14 @@ fn main() {
             v[v.len() - 1]
         )
     };
-    let queue: Vec<Duration> = records.iter().filter_map(|r| r.queue_time()).collect();
-    let exec: Vec<Duration> = records.iter().filter_map(|r| r.execution_time()).collect();
-    let failed = records.iter().filter(|r| r.failed).count();
+    let queue: Vec<Duration> = records.iter().map(|r| r.queued).collect();
+    // Queries that failed while queued never executed.
+    let exec: Vec<Duration> = records
+        .iter()
+        .filter(|r| r.attempts > 0)
+        .map(|r| r.wall)
+        .collect();
+    let failed = records.iter().filter(|r| r.state == "failed").count();
     println!(
         "query times ({} recorded, {} failed):",
         records.len(),
@@ -302,14 +302,14 @@ fn main() {
 }
 
 /// Per-query bookkeeping cost (§VII): one query-history append (with a
-/// representative retained entry: 2 tasks × 3 operators, 4 lifecycle
-/// events) and one latency-histogram record. Both sit on the
+/// representative retained entry: 2 tasks × 3 operators) and one
+/// latency-histogram record. Both sit on the
 /// coordinator's query-completion path; the history push must stay
 /// trivially cheap because the ring mutex is shared with `system.runtime`
 /// scans, and the histogram must stay lock-free-cheap because three of
 /// them fire per query.
 fn bench_history_and_histogram(smoke: bool) -> (f64, f64) {
-    use presto_cluster::history::{LifecycleEvent, OperatorSummary, TaskSummary};
+    use presto_cluster::history::{OperatorSummary, TaskSummary};
     use presto_cluster::{QueryHistory, QueryHistoryEntry};
     use presto_common::LatencyHistogram;
 
@@ -354,14 +354,6 @@ fn bench_history_and_histogram(smoke: bool) -> (f64, f64) {
                     .collect(),
             })
             .collect(),
-        events: ["queued", "started", "retry", "finished"]
-            .iter()
-            .map(|s| LifecycleEvent {
-                state: s,
-                at_nanos: 1_000,
-            })
-            .collect(),
-        finished_at_nanos: 2_000,
     };
     let t = Instant::now();
     for i in 0..n {

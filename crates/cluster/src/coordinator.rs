@@ -13,12 +13,11 @@ use presto_page::{decode_framed_page, Page};
 use presto_planner::{OutputPartitioning, PhysicalPlan};
 use presto_sql::ast::Statement;
 use presto_sql::parse_statement;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::config::ClusterConfig;
-use crate::history::{self, LifecycleEvent, QueryHistory, QueryHistoryEntry};
+use crate::history::{self, QueryHistory, QueryHistoryEntry};
 use crate::memory::{QueryMemoryLimits, ReservedPoolLock};
 use crate::scheduler::{build_side_sources, place_fragments, Placement, SplitFeeder};
 use crate::telemetry::ClusterTelemetry;
@@ -113,15 +112,13 @@ pub struct Coordinator {
     pub workers: Vec<Arc<Worker>>,
     pub telemetry: ClusterTelemetry,
     pub reserved: Arc<ReservedPoolLock>,
-    /// Bounded retention of finished queries (§VII), read by
+    /// Every query's record (§VII): live ones, with their running attempt
+    /// for cancellation, and a bounded ring of ended ones, read by
     /// `system.runtime.queries`/`tasks`/`operators`.
     pub history: Arc<QueryHistory>,
     trace: Option<Arc<TraceBuffer>>,
     ids: QueryIdGenerator,
     admission: Admission,
-    /// Queries currently executing (admitted, tasks possibly live), for
-    /// administrative cancellation and introspection.
-    active: Mutex<HashMap<QueryId, Arc<QueryState>>>,
 }
 
 impl Coordinator {
@@ -145,15 +142,13 @@ impl Coordinator {
             trace,
             ids: QueryIdGenerator::new(),
             admission,
-            active: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Queries currently registered as executing.
+    /// Queries currently executing (admitted, planned, tasks possibly
+    /// live).
     pub fn active_queries(&self) -> Vec<QueryId> {
-        let mut v: Vec<QueryId> = self.active.lock().keys().copied().collect();
-        v.sort();
-        v
+        self.history.running()
     }
 
     /// Administratively cancel a running query (§IV-G clean teardown):
@@ -161,8 +156,7 @@ impl Coordinator {
     /// the query's memory returns to the pools. Returns `false` if the
     /// query is not currently running.
     pub fn cancel_query(&self, query: QueryId) -> bool {
-        let state = self.active.lock().get(&query).cloned();
-        match state {
+        match self.history.attempt(query) {
             Some(state) => {
                 state.fail(PrestoError::killed("query cancelled by administrator"));
                 true
@@ -179,286 +173,163 @@ impl Coordinator {
     ) -> std::result::Result<QueryOutput, QueryError> {
         let query = self.ids.next_id();
         let queued_at = Instant::now();
-        self.telemetry.query_queued(query);
-        let mut events = vec![LifecycleEvent {
-            state: "queued",
-            at_nanos: self.telemetry.now_nanos(),
-        }];
-        let fail = |e: PrestoError| QueryError { query, error: e };
-        // Parse before admission so syntax errors fail fast. The query
-        // fails while still queued — it never started running, and
-        // telemetry accounts it against the queued gauge.
-        let statement = match parse_statement(sql) {
-            Ok(s) => s,
-            Err(e) => {
-                self.telemetry.query_finished(query, Duration::ZERO, true);
-                self.telemetry.record_query_error(query, e.code.tag());
-                self.record_history(
-                    query,
-                    Some(&e),
-                    queued_at.elapsed(),
-                    Phases::default(),
-                    Duration::ZERO,
-                    Duration::ZERO,
-                    0,
-                    None,
-                    0,
-                    events,
-                );
-                return Err(fail(e));
-            }
+        self.telemetry.query_queued();
+        self.history.open(query, queued_at);
+        // Parse before admission so syntax errors fail fast. Either failure
+        // ends the query while still queued: it never started running.
+        let admitted = parse_statement(sql).and_then(|s| self.admission.acquire().map(|()| s));
+        let mut run = Progress {
+            queued: queued_at.elapsed(),
+            ..Progress::default()
         };
-        if let Err(e) = self.admission.acquire() {
-            self.telemetry.query_finished(query, Duration::ZERO, true);
-            self.telemetry.record_query_error(query, e.code.tag());
-            self.record_history(
-                query,
-                Some(&e),
-                queued_at.elapsed(),
-                Phases::default(),
-                Duration::ZERO,
-                Duration::ZERO,
-                0,
-                None,
-                0,
-                events,
-            );
-            return Err(fail(e));
-        }
-        self.telemetry.query_started(query);
-        events.push(LifecycleEvent {
-            state: "started",
-            at_nanos: self.telemetry.now_nanos(),
-        });
-        let queued_time = queued_at.elapsed();
-        let started_at = Instant::now();
+        let statement = match admitted {
+            Ok(statement) => statement,
+            Err(e) => return self.finish(query, run, Err(e)),
+        };
+        self.telemetry.query_started();
+        self.history.start(query);
+        run.started_at = Some(Instant::now());
         // Coordinator-level query retry (§IV-G). The paper leaves whole-query
         // retry to external clients; sessions opt in via
         // `query_retry_attempts` for retryable failures (worker loss,
         // exhausted transient externals). Each attempt replans and replaces
         // tasks — a lost worker is excluded the second time around.
-        let mut attempt: u32 = 0;
-        let mut total_cpu = Duration::ZERO;
-        // Explicit phase measurements (§VII): planning and executing sum
-        // over attempts; retry backoff counts as execution-side wall so
-        // retried queries do not inflate the queueing numbers.
-        let mut phases = Phases::default();
-        let mut last_stats: Option<QueryStats> = None;
         let result = loop {
-            let attempt_started = Instant::now();
-            let outcome = self.run_admitted(query, &statement, session, queued_time, attempt);
-            total_cpu += outcome.cpu;
-            phases.planning += outcome.planning;
-            phases.executing += attempt_started.elapsed().saturating_sub(outcome.planning);
-            if outcome.stats.is_some() {
-                last_stats = outcome.stats;
-            }
-            match outcome.result {
-                Err(e) if e.is_retryable() && attempt < session.query_retry_attempts => {
-                    attempt += 1;
+            match self.run_attempt(query, &statement, session, &mut run) {
+                Err(e) if e.is_retryable() && run.attempts <= session.query_retry_attempts => {
                     self.telemetry.record_error("QUERY_RETRY");
-                    events.push(LifecycleEvent {
-                        state: "retry",
-                        at_nanos: self.telemetry.now_nanos(),
-                    });
-                    let backoff =
-                        retry_backoff(session.query_retry_backoff, attempt, query.0);
-                    phases.executing += backoff;
+                    let backoff = retry_backoff(session.query_retry_backoff, run.attempts, query.0);
+                    // Backoff counts as execution-side wall so retried
+                    // queries do not inflate the queueing numbers.
+                    run.executing += backoff;
                     std::thread::sleep(backoff);
                 }
                 other => break other,
             }
         };
-        let cpu = total_cpu;
-        self.admission.release();
-        let attempts = attempt + 1;
-        self.telemetry.record_query_phases(
-            query,
-            queued_time,
-            phases.planning,
-            phases.executing,
-            attempts,
-        );
-        match result {
-            Ok((schema, pages)) => {
-                self.telemetry.query_finished(query, cpu, false);
-                let rows_returned = pages.iter().map(Page::row_count).sum::<usize>() as u64;
-                self.record_history(
-                    query,
-                    None,
-                    queued_time,
-                    phases,
-                    cpu,
-                    started_at.elapsed(),
-                    attempts,
-                    last_stats.as_ref(),
-                    rows_returned,
-                    events,
-                );
-                Ok(QueryOutput {
-                    query,
-                    schema,
-                    pages,
-                    wall_time: started_at.elapsed(),
-                    queued_time,
-                    cpu_time: cpu,
-                })
-            }
-            Err(e) => {
-                // Failures report their real thread time too (§VII): a
-                // query killed after burning CPU should show the spend.
-                self.telemetry.query_finished(query, cpu, true);
-                self.telemetry
-                    .record_query_failure(query, e.code.tag(), e.message.clone());
-                self.record_history(
-                    query,
-                    Some(&e),
-                    queued_time,
-                    phases,
-                    cpu,
-                    started_at.elapsed(),
-                    attempts,
-                    last_stats.as_ref(),
-                    0,
-                    events,
-                );
-                Err(fail(e))
-            }
-        }
+        self.finish(query, run, result)
     }
 
-    /// Build and push one [`QueryHistoryEntry`]; the terminal lifecycle
-    /// event is stamped here so entry state and event trail always agree.
-    #[allow(clippy::too_many_arguments)]
-    fn record_history(
+    /// End a query, whatever the exit: settle its gauges, error tally and
+    /// phase histograms, and close its record in the history.
+    fn finish(
         &self,
         query: QueryId,
-        error: Option<&PrestoError>,
-        queued: Duration,
-        phases: Phases,
-        cpu: Duration,
-        wall: Duration,
-        attempts: u32,
-        stats: Option<&QueryStats>,
-        rows_returned: u64,
-        mut events: Vec<LifecycleEvent>,
-    ) {
-        let (tasks, peak_memory_bytes) = stats.map(history::summarize_stats).unwrap_or_default();
-        let state = if error.is_some() { "failed" } else { "finished" };
-        let now = self.telemetry.now_nanos();
-        events.push(LifecycleEvent {
-            state,
-            at_nanos: now,
+        run: Progress,
+        result: Result<(Schema, Vec<Page>)>,
+    ) -> std::result::Result<QueryOutput, QueryError> {
+        let wall = run.started_at.map_or(Duration::ZERO, |s| s.elapsed());
+        let started = run.started_at.is_some();
+        if started {
+            self.admission.release();
+            self.telemetry
+                .record_query_phases(run.queued, run.planning, run.executing);
+        }
+        let error = result.as_ref().err();
+        if let Some(e) = error {
+            self.telemetry.record_error(e.code.tag());
+        }
+        let rows_returned = result.as_ref().map_or(0, |(_, pages)| {
+            pages.iter().map(Page::row_count).sum::<usize>() as u64
         });
-        let evicted = self.history.record(QueryHistoryEntry {
+        let (tasks, peak_memory_bytes) = run
+            .stats
+            .as_ref()
+            .map(history::summarize_stats)
+            .unwrap_or_default();
+        self.history.record(QueryHistoryEntry {
             query,
-            state,
+            state: if error.is_some() {
+                "failed"
+            } else {
+                "finished"
+            },
             error_tag: error.map(|e| e.code.tag()),
             error_message: error.map(|e| e.message.clone()),
-            queued,
-            planning: phases.planning,
-            executing: phases.executing,
-            cpu,
+            queued: run.queued,
+            planning: run.planning,
+            executing: run.executing,
+            cpu: run.cpu,
             wall,
-            attempts,
+            attempts: run.attempts,
             peak_memory_bytes,
             rows_returned,
             tasks,
-            events,
-            finished_at_nanos: now,
         });
-        // One retention policy: what leaves the history ring leaves the
-        // telemetry's per-query records with it.
-        if let Some(evicted) = evicted {
-            self.telemetry.forget_query(evicted);
+        self.telemetry.query_finished(started, error.is_some());
+        match result {
+            Ok((schema, pages)) => Ok(QueryOutput {
+                query,
+                schema,
+                pages,
+                wall_time: wall,
+                queued_time: run.queued,
+                cpu_time: run.cpu,
+            }),
+            Err(error) => Err(QueryError { query, error }),
         }
     }
 
-    fn run_admitted(
+    /// One attempt at an admitted statement. Its CPU, planning and
+    /// execution wall time and, when it got as far as running tasks, its
+    /// final statistics accumulate into `run` — failures included (§VII: a
+    /// query killed after burning CPU shows the spend).
+    fn run_attempt(
         &self,
         query: QueryId,
         statement: &Statement,
         session: &Session,
-        queued: Duration,
-        attempt: u32,
-    ) -> AttemptOutcome {
+        run: &mut Progress,
+    ) -> Result<(Schema, Vec<Page>)> {
         fn plan_page(text: String) -> (Schema, Vec<Page>) {
             let schema = Schema::of(&[("plan", DataType::Varchar)]);
             let page = Page::from_rows(&schema, &[vec![Value::varchar(text)]]);
             (schema, vec![page])
         }
-        match statement {
+        let attempt_started = Instant::now();
+        run.attempts += 1;
+        let (result, planning) = match statement {
             // EXPLAIN returns the distributed plan as text, without running.
             Statement::Explain(inner) => {
-                let planning_started = Instant::now();
                 let result = presto_planner::plan_statement(inner, session, &self.catalogs)
                     .map(|plan| plan_page(plan.explain()));
-                AttemptOutcome {
-                    result,
-                    cpu: Duration::ZERO,
-                    planning: planning_started.elapsed(),
-                    stats: None,
-                }
+                (result, attempt_started.elapsed())
             }
-            // EXPLAIN ANALYZE executes the inner statement, discards its
-            // rows, and renders the fragment tree annotated with the
-            // statistics collected while it ran.
-            Statement::ExplainAnalyze(inner) => {
-                let (res, cpu, planning) = self.execute_plan(query, inner, session, true);
-                match res {
-                    Ok((plan, _pages, mut stats)) => {
-                        stats.phases = QueryPhases {
-                            queued,
-                            planning,
-                            execution: stats.wall_time,
-                            attempts: attempt + 1,
-                        };
-                        let text = crate::analyze::render_explain_analyze(
+            // Everything else runs. EXPLAIN ANALYZE executes the inner
+            // statement, discards its rows, and renders the fragment tree
+            // annotated with the statistics collected while it ran.
+            _ => {
+                let (analyze, statement) = match statement {
+                    Statement::ExplainAnalyze(inner) => (true, inner.as_ref()),
+                    other => (false, other),
+                };
+                let (res, cpu, planning) = self.execute_plan(query, statement, session, analyze);
+                run.cpu += cpu;
+                let result = res.map(|(plan, pages, mut stats)| {
+                    stats.phases = QueryPhases {
+                        queued: run.queued,
+                        planning,
+                        execution: stats.wall_time,
+                        attempts: run.attempts,
+                    };
+                    let output = if analyze {
+                        plan_page(crate::analyze::render_explain_analyze(
                             &plan,
                             &stats,
                             &self.telemetry.latency_metrics(),
-                        );
-                        AttemptOutcome {
-                            result: Ok(plan_page(text)),
-                            cpu,
-                            planning,
-                            stats: Some(stats),
-                        }
-                    }
-                    Err(e) => AttemptOutcome {
-                        result: Err(e),
-                        cpu,
-                        planning,
-                        stats: None,
-                    },
-                }
+                        ))
+                    } else {
+                        (plan.output_schema(), pages)
+                    };
+                    run.stats = Some(stats);
+                    output
+                });
+                (result, planning)
             }
-            _ => {
-                let (res, cpu, planning) = self.execute_plan(query, statement, session, false);
-                match res {
-                    Ok((plan, pages, mut stats)) => {
-                        stats.phases = QueryPhases {
-                            queued,
-                            planning,
-                            execution: stats.wall_time,
-                            attempts: attempt + 1,
-                        };
-                        AttemptOutcome {
-                            result: Ok((plan.output_schema(), pages)),
-                            cpu,
-                            planning,
-                            stats: Some(stats),
-                        }
-                    }
-                    Err(e) => AttemptOutcome {
-                        result: Err(e),
-                        cpu,
-                        planning,
-                        stats: None,
-                    },
-                }
-            }
-        }
+        };
+        run.planning += planning;
+        run.executing += attempt_started.elapsed().saturating_sub(planning);
+        result
     }
 
     /// Plan and run a statement. The returned `Duration`s are the query's
@@ -483,7 +354,7 @@ impl Coordinator {
         };
         let planning = planning_started.elapsed();
         let state = QueryState::new(query);
-        self.active.lock().insert(query, Arc::clone(&state));
+        self.history.set_attempt(query, Some(Arc::clone(&state)));
         // Register memory limits on every node.
         let limits = QueryMemoryLimits::new(
             query,
@@ -500,7 +371,7 @@ impl Coordinator {
         // their memory registration disappears — and drop the task list, or
         // the state ↔ task cycle keeps every task of every query alive.
         state.retire();
-        self.active.lock().remove(&query);
+        self.history.set_attempt(query, None);
         for w in &self.workers {
             w.pool.unregister_query(query);
         }
@@ -601,7 +472,7 @@ impl Coordinator {
             tasks.push(fragment_tasks);
         }
         // Wire exchanges: consumer clients subscribe to producer buffers.
-        for (fid, fragment_tasks) in tasks.iter().enumerate() {
+        for fragment_tasks in &tasks {
             for (consumer_index, task) in fragment_tasks.iter().enumerate() {
                 for exchange in &task.exchanges {
                     let producers = &tasks[exchange.source_fragment as usize];
@@ -615,7 +486,6 @@ impl Coordinator {
                         .store(true, std::sync::atomic::Ordering::SeqCst);
                 }
             }
-            let _ = fid;
         }
         // Writer scaling: round-robin producers start with one active
         // partition; the monitor below raises it under backpressure.
@@ -899,21 +769,21 @@ impl Coordinator {
     }
 }
 
-/// Accumulated planning/executing wall time across a query's attempts
-/// (queued time is measured separately, once, before the retry loop).
-#[derive(Debug, Clone, Copy, Default)]
-struct Phases {
+/// What a query has accumulated by the time it ends; `finish` turns it
+/// into the history entry. Explicit phase measurements (§VII): queued is
+/// measured once, at admission; planning, executing and CPU sum over
+/// attempts.
+#[derive(Default)]
+struct Progress {
+    queued: Duration,
+    /// Set at admission; `None` for a query that never started.
+    started_at: Option<Instant>,
     planning: Duration,
     executing: Duration,
-}
-
-/// Everything one attempt of `run_admitted` produces: the client-facing
-/// result, thread time, planning wall time, and (when the attempt got far
-/// enough to run tasks) the final statistics tree for the history store.
-struct AttemptOutcome {
-    result: Result<(Schema, Vec<Page>)>,
     cpu: Duration,
-    planning: Duration,
+    /// 1 + retries; 0 for a query that never started.
+    attempts: u32,
+    /// The last attempt's final statistics, when one ran tasks.
     stats: Option<QueryStats>,
 }
 

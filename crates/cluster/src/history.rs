@@ -1,32 +1,28 @@
-//! Bounded query-history store (§VII): lifecycle and final statistics of
-//! the last N queries, so `system.runtime.queries` (and tasks/operators)
-//! cover finished queries, not just live ones.
+//! The per-query record store (§VII): every query's lifecycle, live from
+//! submission and retained with its final statistics after it ends, so
+//! `system.runtime.queries` (and tasks/operators) cover both from one
+//! place.
 //!
-//! The store is lock-cheap by construction: the coordinator records one
-//! fully-built [`QueryHistoryEntry`] per finished query under a short
-//! mutex push (the expensive part — summarizing the `QueryStats` tree —
-//! happens outside the lock), and readers clone `Arc`s out. Retention is
-//! a ring: once `capacity` entries are held, recording the next evicts
-//! the oldest, and the eviction count is exported so truncation is never
+//! The coordinator opens a query at submission, marks it started at
+//! admission, attaches the running attempt's [`QueryState`] while tasks may
+//! be live (for cancellation), and closes it by recording one fully-built
+//! [`QueryHistoryEntry`]. Closing moves the query from the live set to the
+//! retained ring under one lock, so every scan sees each query exactly
+//! once. The expensive part — summarizing the `QueryStats` tree — happens
+//! before the lock, and readers clone `Arc`s out. Retention is a ring:
+//! once `capacity` entries are held, recording the next evicts the
+//! oldest, and the eviction count is exported so truncation is never
 //! silent.
 
 use parking_lot::Mutex;
 use presto_common::QueryId;
 use presto_exec::{QueryStats, TaskStats};
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// One state transition, stamped in nanoseconds since cluster start (the
-/// [`crate::telemetry::ClusterTelemetry::now_nanos`] domain). States:
-/// "queued", "started", "retry" (one per retry attempt, with chaos/fault
-/// retries included), "finished", "failed".
-#[derive(Debug, Clone)]
-pub struct LifecycleEvent {
-    pub state: &'static str,
-    pub at_nanos: u64,
-}
+use crate::worker::QueryState;
 
 /// One operator's final counters within a task.
 #[derive(Debug, Clone)]
@@ -66,6 +62,8 @@ pub struct QueryHistoryEntry {
     /// "finished" or "failed".
     pub state: &'static str,
     pub error_tag: Option<&'static str>,
+    /// The failure's message: a cancelled or worker-failed query keeps
+    /// *why* it died (§IV-G).
     pub error_message: Option<String>,
     /// Explicit phase wall times (planning/executing summed over retries).
     pub queued: Duration,
@@ -80,11 +78,6 @@ pub struct QueryHistoryEntry {
     pub peak_memory_bytes: u64,
     pub rows_returned: u64,
     pub tasks: Vec<TaskSummary>,
-    /// State transitions with timestamps, retries and fault events
-    /// included.
-    pub events: Vec<LifecycleEvent>,
-    /// When the terminal state was recorded, nanos since cluster start.
-    pub finished_at_nanos: u64,
 }
 
 impl QueryHistoryEntry {
@@ -146,10 +139,25 @@ pub fn summarize_stats(stats: &QueryStats) -> (Vec<TaskSummary>, u64) {
     (tasks, peak)
 }
 
-/// The bounded ring of retained queries.
+/// A query that has been opened and not yet recorded.
+#[derive(Clone)]
+pub struct LiveQuery {
+    pub queued_at: Instant,
+    /// Admitted: planning or running, no longer waiting for a slot.
+    pub started: bool,
+    /// The running attempt, from task creation until its teardown.
+    attempt: Option<Arc<QueryState>>,
+}
+
+struct Queries {
+    live: BTreeMap<QueryId, LiveQuery>,
+    retained: VecDeque<Arc<QueryHistoryEntry>>,
+}
+
+/// Live queries plus the bounded ring of retained ones.
 pub struct QueryHistory {
     capacity: usize,
-    entries: Mutex<VecDeque<Arc<QueryHistoryEntry>>>,
+    queries: Mutex<Queries>,
     recorded: AtomicU64,
     evicted: AtomicU64,
 }
@@ -159,7 +167,10 @@ impl QueryHistory {
     pub fn new(capacity: usize) -> Arc<QueryHistory> {
         Arc::new(QueryHistory {
             capacity,
-            entries: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
+            queries: Mutex::new(Queries {
+                live: BTreeMap::new(),
+                retained: VecDeque::with_capacity(capacity.min(1024)),
+            }),
             recorded: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
         })
@@ -179,49 +190,90 @@ impl QueryHistory {
         self.evicted.load(Ordering::Relaxed)
     }
 
+    /// Retained (ended) queries.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.queries.lock().retained.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.queries.lock().retained.is_empty()
     }
 
-    /// Record a finished query. The entry should be fully built before the
-    /// call; the lock is held only for the ring push. Returns the query
-    /// this one pushed out of the ring, if any: the ring is the one
-    /// retention policy, so whoever keeps other per-query state drops it
-    /// for that query too.
-    pub fn record(&self, entry: QueryHistoryEntry) -> Option<QueryId> {
-        self.recorded.fetch_add(1, Ordering::Relaxed);
-        if self.capacity == 0 {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            return Some(entry.query);
-        }
-        let entry = Arc::new(entry);
-        let mut entries = self.entries.lock();
-        let evicted = if entries.len() >= self.capacity {
-            self.evicted.fetch_add(1, Ordering::Relaxed);
-            entries.pop_front().map(|e| e.query)
-        } else {
-            None
+    /// Queries opened and not yet recorded.
+    pub fn live_len(&self) -> usize {
+        self.queries.lock().live.len()
+    }
+
+    /// A query was submitted at `queued_at`.
+    pub(crate) fn open(&self, query: QueryId, queued_at: Instant) {
+        let live = LiveQuery {
+            queued_at,
+            started: false,
+            attempt: None,
         };
-        entries.push_back(entry);
-        evicted
+        self.queries.lock().live.insert(query, live);
+    }
+
+    /// Admission let the query start.
+    pub(crate) fn start(&self, query: QueryId) {
+        if let Some(q) = self.queries.lock().live.get_mut(&query) {
+            q.started = true;
+        }
+    }
+
+    /// Attach the running attempt's state (`None` once it is torn down).
+    pub(crate) fn set_attempt(&self, query: QueryId, attempt: Option<Arc<QueryState>>) {
+        if let Some(q) = self.queries.lock().live.get_mut(&query) {
+            q.attempt = attempt;
+        }
+    }
+
+    /// The state of the query's running attempt, if it has one.
+    pub(crate) fn attempt(&self, query: QueryId) -> Option<Arc<QueryState>> {
+        self.queries.lock().live.get(&query)?.attempt.clone()
+    }
+
+    /// Queries with a running attempt, in id order.
+    pub(crate) fn running(&self) -> Vec<QueryId> {
+        let queries = self.queries.lock();
+        let running = queries.live.iter().filter(|(_, q)| q.attempt.is_some());
+        running.map(|(query, _)| *query).collect()
+    }
+
+    /// Close a query: it leaves the live set and its entry, built in full
+    /// before the call, joins the ring, both under one lock.
+    pub fn record(&self, entry: QueryHistoryEntry) {
+        self.recorded.fetch_add(1, Ordering::Relaxed);
+        let entry = Arc::new(entry);
+        let mut queries = self.queries.lock();
+        queries.live.remove(&entry.query);
+        // At capacity 0 this counts every entry evicted on arrival.
+        if queries.retained.len() >= self.capacity {
+            self.evicted.fetch_add(1, Ordering::Relaxed);
+            queries.retained.pop_front();
+        }
+        if self.capacity > 0 {
+            queries.retained.push_back(entry);
+        }
+    }
+
+    /// Every query, from one instant: the live ones in id order, then the
+    /// retained ones, oldest first.
+    pub fn scan(&self) -> (Vec<(QueryId, LiveQuery)>, Vec<Arc<QueryHistoryEntry>>) {
+        let queries = self.queries.lock();
+        let live = queries.live.iter().map(|(q, l)| (*q, l.clone())).collect();
+        (live, queries.retained.iter().cloned().collect())
     }
 
     /// Every retained entry, oldest first.
     pub fn snapshot(&self) -> Vec<Arc<QueryHistoryEntry>> {
-        self.entries.lock().iter().cloned().collect()
+        self.queries.lock().retained.iter().cloned().collect()
     }
 
     /// The retained entry for one query, if it has not been evicted.
     pub fn get(&self, query: QueryId) -> Option<Arc<QueryHistoryEntry>> {
-        self.entries
-            .lock()
-            .iter()
-            .find(|e| e.query == query)
-            .cloned()
+        let queries = self.queries.lock();
+        queries.retained.iter().find(|e| e.query == query).cloned()
     }
 }
 
@@ -245,17 +297,6 @@ mod tests {
             peak_memory_bytes: 1024,
             rows_returned: 10,
             tasks: Vec::new(),
-            events: vec![
-                LifecycleEvent {
-                    state: "queued",
-                    at_nanos: id * 100,
-                },
-                LifecycleEvent {
-                    state: "finished",
-                    at_nanos: id * 100 + 50,
-                },
-            ],
-            finished_at_nanos: id * 100 + 50,
         }
     }
 
@@ -263,8 +304,9 @@ mod tests {
     fn retains_last_n_and_counts_evictions() {
         let h = QueryHistory::new(3);
         for i in 0..10 {
-            let evicted = h.record(entry(i));
-            assert_eq!(evicted, i.checked_sub(3).map(QueryId), "oldest goes first");
+            h.record(entry(i));
+            let oldest = h.snapshot()[0].query.0;
+            assert_eq!(oldest, i.saturating_sub(2), "oldest goes first");
         }
         assert_eq!(h.len(), 3);
         assert_eq!(h.recorded(), 10);
@@ -278,10 +320,38 @@ mod tests {
     #[test]
     fn zero_capacity_disables_retention() {
         let h = QueryHistory::new(0);
-        assert_eq!(h.record(entry(1)), Some(QueryId(1)), "never retained");
-        assert!(h.is_empty());
+        h.open(QueryId(1), Instant::now());
+        h.record(entry(1));
+        assert!(h.is_empty(), "never retained");
+        assert_eq!(h.live_len(), 0, "but closed");
         assert_eq!(h.recorded(), 1);
         assert_eq!(h.evicted(), 1);
+    }
+
+    /// One record per query: open, start and attach show on the live
+    /// side; recording moves the query to the ring in one step.
+    #[test]
+    fn a_query_is_live_until_recorded_then_retained() {
+        let h = QueryHistory::new(4);
+        let q = QueryId(5);
+        h.open(q, Instant::now());
+        let (live, ended) = h.scan();
+        assert_eq!((live.len(), live[0].0, live[0].1.started), (1, q, false));
+        assert!(ended.is_empty());
+        h.start(q);
+        assert!(h.scan().0[0].1.started);
+        assert!(h.running().is_empty(), "no attempt while planning");
+        h.set_attempt(q, Some(QueryState::new(q)));
+        assert_eq!(h.running(), vec![q]);
+        assert!(h.attempt(q).is_some());
+        h.set_attempt(q, None);
+        assert!(h.attempt(q).is_none());
+        h.record(entry(5));
+        let (live, ended) = h.scan();
+        assert!(live.is_empty());
+        assert_eq!(ended.len(), 1);
+        assert_eq!(ended[0].query, q);
+        assert!(h.get(q).is_some());
     }
 
     #[test]

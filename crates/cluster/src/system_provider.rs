@@ -4,12 +4,12 @@
 //! scanned with ordinary SQL.
 //!
 //! Each table's rows are built as the connector's row type for it, field
-//! by name, so layout and schema come from one declaration. Live and
-//! historical state merge per table: `queries` shows queued/running
-//! queries from telemetry plus finished/failed ones from history; `tasks`
-//! and `operators` show live task snapshots (worker attributed) plus
-//! retained summaries of completed queries (worker NULL — task placement
-//! is not kept after completion).
+//! by name, so layout and schema come from one declaration. `queries`
+//! reads live (queued/running) and retained (finished/failed) queries from
+//! the query-history store in one snapshot; `tasks` and `operators` show
+//! live task snapshots (worker attributed) plus retained summaries of
+//! completed queries (worker NULL — task placement is not kept after
+//! completion).
 
 use presto_common::counters::Row;
 use presto_common::{TraceBuffer, Value};
@@ -51,28 +51,22 @@ impl ClusterSystemState {
         })
     }
 
-    /// `system.runtime.queries`: live queries from telemetry, then
-    /// finished/failed queries from the history store.
+    /// `system.runtime.queries`: live queries, then finished/failed ones,
+    /// each exactly once.
     fn queries(&self) -> Vec<Vec<Value>> {
-        let mut rows = Vec::new();
-        for (query, record) in self.telemetry.all_query_records() {
-            if record.finished_at.is_some() {
-                continue; // terminal: the history store owns the final row
-            }
+        let (live, ended) = self.history.scan();
+        let mut rows = Vec::with_capacity(live.len() + ended.len());
+        for (query, q) in live {
             let live = QueryRow {
                 query_id: query.0,
-                state: if record.started_at.is_some() {
-                    "running"
-                } else {
-                    "queued"
-                },
+                state: if q.started { "running" } else { "queued" },
                 // Still in flight: queued time is "so far".
-                queued_nanos: nanos(record.queued_at.elapsed()),
+                queued_nanos: nanos(q.queued_at.elapsed()),
                 ..QueryRow::default()
             };
             rows.push(live.row());
         }
-        for e in self.history.snapshot() {
+        for e in ended {
             let ended = QueryRow {
                 query_id: e.query.0,
                 state: e.state,

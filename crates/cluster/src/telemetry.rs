@@ -1,13 +1,16 @@
 //! Cluster telemetry (§VII "Effortless instrumentation").
 //!
 //! "The median Presto worker node exports ~10,000 real-time performance
-//! counters" — here a compact set of the counters the benchmarks need:
-//! per-worker busy time (CPU utilization), running/queued query gauges,
-//! per-query lifecycle timestamps, and error counters by code.
+//! counters" — here a compact set of the counters the benchmarks need,
+//! all cluster-lifetime totals: per-worker busy time (CPU utilization),
+//! query lifecycle gauges, per-phase latency histograms, error counters by
+//! code, cache counters, and dynamic-filter, fusion and spill totals.
+//! Nothing here is kept per query; each query's own record lives in
+//! [`crate::history::QueryHistory`].
 
 use parking_lot::Mutex;
 use presto_cache::{CacheCounters, CacheStats};
-use presto_common::{counter_set, LatencyHistogram, LatencySummary, QueryId};
+use presto_common::{counter_set, LatencyHistogram, LatencySummary};
 pub use presto_connector::DynamicFilterMetrics;
 use presto_connector::DynamicFilterTotals;
 use std::collections::HashMap;
@@ -28,9 +31,6 @@ struct Inner {
     /// Busy nanoseconds per worker.
     worker_busy_nanos: Vec<AtomicU64>,
     gauges: QueryGaugeCells,
-    /// Per-query records: every live query, plus the finished ones the
-    /// coordinator's history ring still retains.
-    queries: Mutex<HashMap<QueryId, QueryRecord>>,
     /// Errors by code tag.
     errors: Mutex<HashMap<&'static str, u64>>,
     /// Cache-layer counters registered at cluster start: each entry is a
@@ -114,50 +114,6 @@ counter_set! {
     }
 }
 
-/// Lifecycle record for one query.
-#[derive(Debug, Clone)]
-pub struct QueryRecord {
-    pub queued_at: Instant,
-    pub started_at: Option<Instant>,
-    pub finished_at: Option<Instant>,
-    pub cpu: Duration,
-    /// Wall time spent planning, summed across retry attempts (each
-    /// attempt replans), recorded explicitly by the coordinator rather
-    /// than derived from timestamps.
-    pub planning: Duration,
-    /// Wall time spent executing tasks, summed across retry attempts.
-    pub executing: Duration,
-    /// Attempts made: 1 for a query that never retried, 1 + retries
-    /// otherwise. Zero until the coordinator records phases.
-    pub attempts: u32,
-    pub failed: bool,
-    /// Error-code tag of the failure, when the query failed.
-    pub error_tag: Option<&'static str>,
-    /// Human-readable failure cause (the error's message), when the query
-    /// failed. This is the post-mortem record for clean teardown (§IV-G):
-    /// a cancelled or worker-failed query keeps *why* it died.
-    pub error_message: Option<String>,
-}
-
-impl QueryRecord {
-    pub fn queue_time(&self) -> Option<Duration> {
-        // A query that failed before starting spent its whole life queued;
-        // its breakdown is still reportable.
-        match (self.started_at, self.finished_at) {
-            (Some(s), _) => Some(s - self.queued_at),
-            (None, Some(f)) => Some(f - self.queued_at),
-            (None, None) => None,
-        }
-    }
-
-    pub fn execution_time(&self) -> Option<Duration> {
-        match (self.started_at, self.finished_at) {
-            (Some(s), Some(f)) => Some(f - s),
-            _ => None,
-        }
-    }
-}
-
 impl ClusterTelemetry {
     pub fn new(workers: usize) -> ClusterTelemetry {
         ClusterTelemetry {
@@ -187,30 +143,10 @@ impl ClusterTelemetry {
         self.started_at.elapsed()
     }
 
-    /// Nanoseconds since cluster start — the shared time domain lifecycle
-    /// events and history entries are stamped in.
-    pub fn now_nanos(&self) -> u64 {
-        self.started_at.elapsed().as_nanos() as u64
-    }
-
-    /// Record a finished query's explicit per-phase wall times (queue wait,
-    /// planning, execution — the latter two summed across retry attempts)
-    /// onto its record and into the cluster latency histograms. Replaces
-    /// the old practice of deriving phases ad hoc from timestamps, which
-    /// folded every retry attempt into one opaque duration.
-    pub fn record_query_phases(
-        &self,
-        query: QueryId,
-        queued: Duration,
-        planning: Duration,
-        executing: Duration,
-        attempts: u32,
-    ) {
-        if let Some(r) = self.inner.queries.lock().get_mut(&query) {
-            r.planning = planning;
-            r.executing = executing;
-            r.attempts = attempts;
-        }
+    /// Record an admitted query's explicit per-phase wall times (queue
+    /// wait, planning, execution — the latter two summed across retry
+    /// attempts) into the cluster latency histograms.
+    pub fn record_query_phases(&self, queued: Duration, planning: Duration, executing: Duration) {
         self.inner.queued_hist.record(queued.as_nanos() as u64);
         self.inner.planning_hist.record(planning.as_nanos() as u64);
         self.inner
@@ -227,75 +163,30 @@ impl ClusterTelemetry {
         }
     }
 
-    pub fn query_queued(&self, query: QueryId) {
+    pub fn query_queued(&self) {
         self.inner.gauges.submitted.fetch_add(1, Ordering::SeqCst);
         self.inner.gauges.queued.fetch_add(1, Ordering::SeqCst);
-        self.inner.queries.lock().insert(
-            query,
-            QueryRecord {
-                queued_at: Instant::now(),
-                started_at: None,
-                finished_at: None,
-                cpu: Duration::ZERO,
-                planning: Duration::ZERO,
-                executing: Duration::ZERO,
-                attempts: 0,
-                failed: false,
-                error_tag: None,
-                error_message: None,
-            },
-        );
     }
 
-    pub fn query_started(&self, query: QueryId) {
+    pub fn query_started(&self) {
         self.inner.gauges.queued.fetch_sub(1, Ordering::SeqCst);
         self.inner.gauges.running.fetch_add(1, Ordering::SeqCst);
-        if let Some(r) = self.inner.queries.lock().get_mut(&query) {
-            r.started_at = Some(Instant::now());
-        }
     }
 
-    pub fn query_finished(&self, query: QueryId, cpu: Duration, failed: bool) {
-        // A query that fails while still queued (parse error, admission
-        // rejection) never incremented the running gauge; decrementing it
-        // anyway would wrap the counter. Settle the gauge the query is
-        // actually in. The map lock is held across the gauge update so a
-        // concurrent snapshot can't observe the query in both states.
-        let mut queries = self.inner.queries.lock();
-        let started = queries.get(&query).is_none_or(|r| r.started_at.is_some());
+    /// Settle an ended query's gauges. A query that fails while still
+    /// queued (parse error, admission rejection) never incremented the
+    /// running gauge, and decrementing it anyway would wrap the counter, so
+    /// the caller says which gauge the query is in.
+    pub fn query_finished(&self, started: bool, failed: bool) {
         let g = &self.inner.gauges;
         let left = if started { &g.running } else { &g.queued };
         left.fetch_sub(1, Ordering::SeqCst);
         let entered = if failed { &g.failed } else { &g.finished };
         entered.fetch_add(1, Ordering::SeqCst);
-        if let Some(r) = queries.get_mut(&query) {
-            r.finished_at = Some(Instant::now());
-            r.cpu = cpu;
-            r.failed = failed;
-        }
     }
 
     pub fn record_error(&self, tag: &'static str) {
         *self.inner.errors.lock().entry(tag).or_insert(0) += 1;
-    }
-
-    /// Record a query's failure cause: bumps the cluster-wide counter for
-    /// `tag` and stamps the tag onto the query's record.
-    pub fn record_query_error(&self, query: QueryId, tag: &'static str) {
-        self.record_error(tag);
-        if let Some(r) = self.inner.queries.lock().get_mut(&query) {
-            r.error_tag = Some(tag);
-        }
-    }
-
-    /// Like [`record_query_error`](Self::record_query_error), but also
-    /// keeps the human-readable failure cause on the query record.
-    pub fn record_query_failure(&self, query: QueryId, tag: &'static str, message: String) {
-        self.record_error(tag);
-        if let Some(r) = self.inner.queries.lock().get_mut(&query) {
-            r.error_tag = Some(tag);
-            r.error_message = Some(message);
-        }
     }
 
     /// The query lifecycle gauges, each read on its own.
@@ -321,27 +212,6 @@ impl ClusterTelemetry {
 
     pub fn failed_queries(&self) -> u64 {
         self.inner.gauges.failed.load(Ordering::SeqCst)
-    }
-
-    /// Drop a finished query's record (it left the history ring).
-    pub fn forget_query(&self, query: QueryId) {
-        self.inner.queries.lock().remove(&query);
-    }
-
-    pub fn query_record(&self, query: QueryId) -> Option<QueryRecord> {
-        self.inner.queries.lock().get(&query).cloned()
-    }
-
-    pub fn all_query_records(&self) -> Vec<(QueryId, QueryRecord)> {
-        let mut v: Vec<_> = self
-            .inner
-            .queries
-            .lock()
-            .iter()
-            .map(|(q, r)| (*q, r.clone()))
-            .collect();
-        v.sort_by_key(|(q, _)| *q);
-        v
     }
 
     pub fn errors(&self) -> HashMap<&'static str, u64> {
@@ -421,16 +291,13 @@ mod tests {
     #[test]
     fn query_lifecycle() {
         let t = ClusterTelemetry::new(2);
-        let q = QueryId(1);
-        t.query_queued(q);
+        t.query_queued();
         assert_eq!(t.queued_queries(), 1);
-        t.query_started(q);
+        t.query_started();
         assert_eq!((t.queued_queries(), t.running_queries()), (0, 1));
-        t.query_finished(q, Duration::from_millis(5), false);
+        t.query_finished(true, false);
         assert_eq!((t.running_queries(), t.finished_queries()), (0, 1));
-        let r = t.query_record(q).unwrap();
-        assert!(r.execution_time().is_some());
-        assert!(!r.failed);
+        assert_eq!(t.failed_queries(), 0);
     }
 
     #[test]
@@ -479,25 +346,15 @@ mod tests {
     }
 
     #[test]
-    fn phases_recorded_per_query_and_into_histograms() {
+    fn phases_recorded_into_histograms() {
         let t = ClusterTelemetry::new(1);
         for i in 1..=10u64 {
-            let q = QueryId(i);
-            t.query_queued(q);
-            t.query_started(q);
-            t.query_finished(q, Duration::from_millis(1), false);
             t.record_query_phases(
-                q,
                 Duration::from_micros(i * 10),
                 Duration::from_micros(i * 100),
                 Duration::from_millis(i),
-                if i == 3 { 2 } else { 1 },
             );
         }
-        let r = t.query_record(QueryId(3)).unwrap();
-        assert_eq!(r.planning, Duration::from_micros(300));
-        assert_eq!(r.executing, Duration::from_millis(3));
-        assert_eq!(r.attempts, 2, "retried query counts both attempts");
         let lat = t.latency_metrics();
         assert_eq!(lat.queued.count, 10);
         assert_eq!(lat.execution.max_nanos, 10_000_000);
@@ -520,28 +377,11 @@ mod tests {
     #[test]
     fn failure_while_queued_settles_queued_gauge() {
         let t = ClusterTelemetry::new(1);
-        let q = QueryId(7);
-        t.query_queued(q);
-        t.query_finished(q, Duration::ZERO, true);
+        t.query_queued();
+        t.query_finished(false, true);
         assert_eq!(t.queued_queries(), 0);
         assert_eq!(t.running_queries(), 0, "running gauge must not underflow");
         assert_eq!(t.failed_queries(), 1);
-        let r = t.query_record(q).unwrap();
-        assert!(r.failed);
-        // The time spent queued is still reportable; it never executed.
-        assert!(r.queue_time().is_some());
-        assert!(r.execution_time().is_none());
-    }
-
-    #[test]
-    fn query_error_tag_stamped_on_record() {
-        let t = ClusterTelemetry::new(1);
-        let q = QueryId(3);
-        t.query_queued(q);
-        t.query_finished(q, Duration::ZERO, true);
-        t.record_query_error(q, "SYNTAX_ERROR");
-        assert_eq!(t.query_record(q).unwrap().error_tag, Some("SYNTAX_ERROR"));
-        assert_eq!(t.errors()["SYNTAX_ERROR"], 1);
     }
 
     /// The gauge invariant under concurrent lifecycle churn:
@@ -553,28 +393,27 @@ mod tests {
         let threads = 8u64;
         let per_thread = 200u64;
         std::thread::scope(|s| {
-            for thread in 0..threads {
+            for _ in 0..threads {
                 let t = t.clone();
                 s.spawn(move || {
                     for i in 0..per_thread {
-                        let q = QueryId(thread * per_thread + i);
-                        t.query_queued(q);
+                        t.query_queued();
                         match i % 3 {
                             // Finishes normally.
                             0 => {
-                                t.query_started(q);
-                                t.query_finished(q, Duration::from_micros(i), false);
+                                t.query_started();
+                                t.query_finished(true, false);
                             }
                             // Fails mid-run.
                             1 => {
-                                t.query_started(q);
-                                t.query_finished(q, Duration::from_micros(i), true);
-                                t.record_query_error(q, "EXCEEDED_MEMORY_LIMIT");
+                                t.query_started();
+                                t.query_finished(true, true);
+                                t.record_error("EXCEEDED_MEMORY_LIMIT");
                             }
                             // Fails while still queued.
                             _ => {
-                                t.query_finished(q, Duration::ZERO, true);
-                                t.record_query_error(q, "SYNTAX_ERROR");
+                                t.query_finished(false, true);
+                                t.record_error("SYNTAX_ERROR");
                             }
                         }
                     }

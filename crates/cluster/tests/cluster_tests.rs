@@ -658,11 +658,10 @@ fn queue_policy_limits_concurrency() {
         assert!(h.join().unwrap().is_ok());
     }
     // With concurrency 1, at least some queries queued before running.
-    let records = c.telemetry().all_query_records();
-    let queued: Vec<_> = records.iter().filter_map(|(_, r)| r.queue_time()).collect();
-    assert!(queued
+    let entries = c.query_history().snapshot();
+    assert!(entries
         .iter()
-        .any(|q| *q > std::time::Duration::from_micros(50)));
+        .any(|e| e.queued > std::time::Duration::from_micros(50)));
 }
 
 #[test]

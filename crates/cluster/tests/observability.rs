@@ -262,19 +262,36 @@ fn tracing_can_be_disabled() {
 #[test]
 fn failed_queries_settle_gauges_and_tag_errors() {
     let c = cluster();
-    assert!(c.execute("SELECT nosuch FROM orders").is_err());
-    assert!(c.execute("not even sql").is_err());
+    let planning = c.execute("SELECT nosuch FROM orders").unwrap_err();
+    let parse = c.execute("not even sql").unwrap_err();
     let snap = c.metrics_snapshot();
     assert_eq!(snap.lost_wakeups(), 0);
     assert_eq!(snap.queries.queued, 0);
     assert_eq!(snap.queries.running, 0);
     assert_eq!(snap.queries.failed, 2);
     assert_eq!(snap.queries.submitted, 2);
-    // Every failure carries an error-code tag on its record.
-    for (_, record) in c.telemetry().all_query_records() {
-        assert!(record.failed);
-        assert!(record.error_tag.is_some());
+    // Every failure carries its error-code tag and cause on its record,
+    // and the tag is tallied cluster-wide.
+    let history = c.query_history();
+    assert_eq!(history.live_len(), 0);
+    for err in [&planning, &parse] {
+        let entry = history.get(err.query).unwrap();
+        let tag = err.error.code.tag();
+        assert_eq!(entry.state, "failed");
+        assert_eq!(entry.error_tag, Some(tag));
+        assert_eq!(
+            entry.error_message.as_deref(),
+            Some(err.error.message.as_str())
+        );
+        assert!(c.telemetry().errors()[tag] >= 1);
     }
+    // The parse failure ended while queued: it never executed.
+    let queued = history.get(parse.query).unwrap();
+    assert_eq!(
+        (queued.attempts, queued.wall),
+        (0, std::time::Duration::ZERO)
+    );
+    assert_eq!(history.get(planning.query).unwrap().attempts, 1);
 }
 
 /// Satellite: a *collected* (not hand-built) snapshot with populated

@@ -6,15 +6,22 @@
 
 #![allow(clippy::unwrap_used)]
 
+use parking_lot::Mutex;
 use presto_cluster::{Cluster, ClusterConfig};
-use presto_common::{DataType, Schema, Session, Value};
-use presto_connector::CatalogManager;
+use presto_common::{DataType, QueryId, Schema, Session, Value};
+use presto_connector::{CatalogManager, ScanOptions, TupleDomain};
 use presto_connectors::system::SystemTable;
 use presto_connectors::MemoryConnector;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 fn cluster() -> Cluster {
+    cluster_with(ClusterConfig::test())
+}
+
+fn cluster_with(config: ClusterConfig) -> Cluster {
     let mem = MemoryConnector::new();
     let orders_schema = Schema::of(&[
         ("orderkey", DataType::Bigint),
@@ -51,7 +58,7 @@ fn cluster() -> Cluster {
         "memory",
         Arc::clone(&mem) as Arc<dyn presto_connector::Connector>,
     );
-    Cluster::start(ClusterConfig::test(), catalogs).unwrap()
+    Cluster::start(config, catalogs).unwrap()
 }
 
 fn i64_at(row: &[Value], col: usize) -> i64 {
@@ -371,5 +378,168 @@ fn live_queries_appear_in_system_tables() {
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         assert!(seen_live >= 2, "never observed in-flight queries via SQL");
+    });
+}
+
+/// `system.runtime.queries` read straight from the `system` connector,
+/// sorted by query id. No query is admitted to read it, so this works
+/// while every run slot is taken.
+fn scan_queries(c: &Cluster) -> Vec<Vec<Value>> {
+    let system = c.catalogs().catalog("system").unwrap();
+    let table = SystemTable::Queries;
+    let mut splits = system
+        .split_source(table.table_name(), "", &TupleDomain::all())
+        .unwrap();
+    let schema = table.schema();
+    let options = ScanOptions {
+        columns: (0..schema.len()).collect(),
+        predicate: TupleDomain::all(),
+        dynamic_filter: None,
+        lazy: false,
+        target_page_rows: 1024,
+    };
+    let mut rows = Vec::new();
+    for split in splits.next_batch(16).unwrap() {
+        let factory = system.page_source_factory();
+        let mut source = factory.create_source(&split, &options).unwrap();
+        while let Some(page) = source.next_page().unwrap() {
+            rows.extend(page.to_rows(&schema));
+        }
+    }
+    rows.sort_by_key(|r| i64_at(r, 0));
+    rows
+}
+
+/// Poll [`scan_queries`] until `done` holds of its rows.
+fn scan_until(c: &Cluster, what: &str, done: impl Fn(&[Vec<Value>]) -> bool) -> Vec<Vec<Value>> {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    loop {
+        let rows = scan_queries(c);
+        if done(&rows) {
+            return rows;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "timed out waiting until {what}: {rows:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A live query's state comes from its one record: with one run slot and
+/// every worker hung, A holds the slot (`running`) while B waits
+/// (`queued`), both with the history-only columns NULL; once the workers
+/// resume, each shows exactly once, `finished`.
+#[test]
+fn live_states_come_from_the_one_record() {
+    let c = cluster_with(ClusterConfig {
+        max_concurrent_queries: 1,
+        liveness_timeout: Duration::ZERO,
+        ..ClusterConfig::test()
+    });
+    let sql = "SELECT COUNT(*) FROM orders";
+    (0..c.worker_count()).for_each(|w| c.hang_worker(w));
+    let a = c.submit(sql, Session::default());
+    let rows = scan_until(&c, "A runs its tasks", |rows| {
+        rows.len() == 1 && !c.active_queries().is_empty()
+    });
+    let a_id = i64_at(&rows[0], 0) as u64;
+    assert_eq!(rows[0][1], Value::varchar("running"));
+    assert_eq!(c.active_queries(), vec![QueryId(a_id)]);
+    let b = c.submit(sql, Session::default());
+    let rows = scan_until(&c, "B queues", |rows| rows.len() == 2);
+    let states: Vec<(u64, &str)> = rows
+        .iter()
+        .map(|r| (i64_at(r, 0) as u64, r[1].as_str().unwrap()))
+        .collect();
+    let b_id = states[1].0;
+    assert_eq!(states, vec![(a_id, "running"), (b_id, "queued")]);
+    for row in &rows {
+        // error_tag, error_message, then planning_nanos … rows_returned.
+        for col in [2, 3].into_iter().chain(5..row.len()) {
+            assert_eq!(row[col], Value::Null, "column {col} of {row:?}");
+        }
+    }
+    assert!(
+        !c.cancel_query(QueryId(b_id)),
+        "a queued query has no attempt to cancel"
+    );
+    (0..c.worker_count()).for_each(|w| c.resume_worker(w));
+    assert_eq!(a.join().unwrap().unwrap().query.0, a_id);
+    assert_eq!(b.join().unwrap().unwrap().query.0, b_id);
+    let rows = scan_queries(&c);
+    let states: Vec<(u64, &str)> = rows
+        .iter()
+        .map(|r| (i64_at(r, 0) as u64, r[1].as_str().unwrap()))
+        .collect();
+    assert_eq!(states, vec![(a_id, "finished"), (b_id, "finished")]);
+    assert_eq!(c.query_history().live_len(), 0);
+    assert!(
+        !c.cancel_query(QueryId(a_id)),
+        "a finished query is no longer running"
+    );
+}
+
+/// Sets the flag when dropped, so load threads stop even if the test
+/// body panics.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Under churn, every scan of `system.runtime.queries` lists each query
+/// once — never twice, and never zero times while it ends: a query whose
+/// result a client already holds is `finished` in every later scan.
+#[test]
+fn every_scan_lists_each_query_exactly_once() {
+    let c = cluster_with(ClusterConfig {
+        query_history_capacity: 1 << 16,
+        ..ClusterConfig::test()
+    });
+    let received = Mutex::new(Vec::<u64>::new());
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let _stop = StopOnDrop(&stop);
+        for _ in 0..4 {
+            let (c, stop, received) = (&c, &stop, &received);
+            s.spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    let out = c
+                        .execute(
+                            "SELECT o.custkey, COUNT(*), SUM(l.tax) \
+                             FROM orders o JOIN lineitem l ON o.orderkey = l.orderkey \
+                             GROUP BY o.custkey",
+                        )
+                        .unwrap();
+                    received.lock().push(out.query.0);
+                }
+            });
+        }
+        for scan in 0..200 {
+            let before = received.lock().clone();
+            let out = c
+                .execute("SELECT query_id, state FROM system.runtime.queries")
+                .unwrap();
+            let mut states = HashMap::new();
+            for row in out.rows() {
+                let id = i64_at(&row, 0) as u64;
+                let state = row[1].as_str().unwrap().to_string();
+                assert!(
+                    states.insert(id, state).is_none(),
+                    "scan {scan} lists query {id} twice"
+                );
+            }
+            for id in &before {
+                assert_eq!(
+                    states.get(id).map(String::as_str),
+                    Some("finished"),
+                    "scan {scan}, query {id}"
+                );
+            }
+            received.lock().push(out.query.0);
+        }
     });
 }

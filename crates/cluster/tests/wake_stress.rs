@@ -227,7 +227,8 @@ fn assert_quiescent_and_no_wakeup_lost(c: &Cluster, context: &str) -> u64 {
             .map(|w| w.memory.general_used + w.memory.reserved_used)
             .sum();
         let in_flight = snap.queries.running + snap.queries.queued;
-        if live.iter().all(|&n| n == 0) && pool_bytes == 0 && in_flight == 0 {
+        let live_queries = c.query_history().live_len();
+        if live.iter().all(|&n| n == 0) && pool_bytes == 0 && in_flight == 0 && live_queries == 0 {
             assert_eq!(snap.lost_wakeups(), 0, "{context}");
             for w in &snap.workers {
                 assert!(w.wakeups.event_wakeups <= w.wakeups.parks, "{context}");
@@ -236,7 +237,8 @@ fn assert_quiescent_and_no_wakeup_lost(c: &Cluster, context: &str) -> u64 {
         }
         assert!(
             Instant::now() < deadline,
-            "{context}: not quiescent: live={live:?} pool_bytes={pool_bytes} in_flight={in_flight}"
+            "{context}: not quiescent: live={live:?} pool_bytes={pool_bytes} \
+             in_flight={in_flight} live_queries={live_queries}"
         );
         std::thread::sleep(Duration::from_millis(2));
     }

@@ -94,8 +94,6 @@ pub struct Session {
     pub query_max_total_memory_per_node: u64,
     /// Dynamically add writer tasks when output stages back up (§IV-E3).
     pub writer_scaling: bool,
-    /// Output-buffer utilization above which writer scaling triggers.
-    pub writer_scaling_threshold: f64,
     /// Transparent retries for transient external failures (§IV-G).
     pub max_transient_retries: u32,
     /// Coordinator-level whole-query retries for retryable failures
@@ -152,7 +150,6 @@ impl Default for Session {
             query_max_memory_per_node: 1 << 30,
             query_max_total_memory_per_node: 2 << 30,
             writer_scaling: true,
-            writer_scaling_threshold: 0.5,
             max_transient_retries: 3,
             query_retry_attempts: 0,
             query_retry_backoff: Duration::from_millis(50),
