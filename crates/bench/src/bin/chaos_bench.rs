@@ -12,8 +12,9 @@
 //!    returned) and the coordinator-retry success rate (the opt-in §IV-G
 //!    deviation knob: the query re-runs on the survivors).
 //! 3. **Chaos run**: a multi-threaded workload under a seeded
-//!    [`ChaosSchedule`] (blips, a permanent hang, a crash) with split-level
-//!    faults from the chaos connector (transient failures + stragglers).
+//!    [`ChaosSchedule`] (blips, a permanent hang, a crash) with faults from
+//!    the cluster's fault plane (transient split failures, straggling page
+//!    reads, corrupt shuffle frames).
 //!    Invariants: every query terminates, only fault-shaped errors occur,
 //!    and after the storm no task and no pool byte leaks.
 //!
@@ -25,11 +26,11 @@
 
 use presto_bench::report::BenchReport;
 use presto_cluster::{ChaosProfile, ChaosSchedule, Cluster, ClusterConfig, WorkerState};
-use presto_common::chaos::seed_from_env;
+use presto_common::chaos::{seed_from_env, Effect, FaultPlane, Site, Trigger};
 use presto_common::json::Json;
 use presto_common::{DataType, ErrorCode, Schema, Session, Value};
 use presto_connector::{CatalogManager, Connector};
-use presto_connectors::{ChaosConnector, ChaosPolicy, MemoryConnector};
+use presto_connectors::MemoryConnector;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,31 +98,6 @@ fn catalogs_of(connector: Arc<dyn Connector>) -> CatalogManager {
     catalogs
 }
 
-/// Poll until every worker's live-task list is empty and the general and
-/// reserved pools read zero; returns the latency. Panics past `grace` —
-/// residue after teardown is a leak.
-fn await_clean(cluster: &Cluster, grace: Duration) -> Duration {
-    let started = Instant::now();
-    let deadline = started + grace;
-    loop {
-        let live = cluster.worker_live_tasks();
-        let snap = cluster.metrics_snapshot();
-        let residual: Vec<(i64, i64)> = snap
-            .workers
-            .iter()
-            .map(|w| (w.memory.general_used, w.memory.reserved_used))
-            .collect();
-        if live.iter().all(|&n| n == 0) && residual.iter().all(|&(g, r)| g == 0 && r == 0) {
-            return started.elapsed();
-        }
-        assert!(
-            Instant::now() < deadline,
-            "teardown leaked: live_tasks={live:?} (general,reserved)={residual:?}"
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
 /// Scenario 1: hung-worker detection latency and bounded query failure.
 fn bench_detection(sz: &Sizing) -> Json {
     let liveness = Duration::from_millis(100);
@@ -153,7 +129,7 @@ fn bench_detection(sz: &Sizing) -> Json {
         terminated < liveness + grace,
         "query outlived liveness_timeout + grace: {terminated:?}"
     );
-    let teardown = await_clean(&cluster, grace);
+    let teardown = cluster.await_quiescent(grace).expect("teardown leaked");
     println!(
         "detection       liveness={liveness:>8.2?} detect={detection:>8.2?} \
          query_end={terminated:>8.2?} clean={teardown:>8.2?}"
@@ -195,7 +171,7 @@ fn bench_teardown_retry(sz: &Sizing) -> Json {
             }
             Err(e) => assert_eq!(e.error.code, ErrorCode::WorkerFailed, "{e}"),
         }
-        teardown_total += await_clean(&cluster, grace);
+        teardown_total += cluster.await_quiescent(grace).expect("teardown leaked");
         let _ = killed_at;
     }
     println!(
@@ -224,22 +200,29 @@ fn bench_chaos_run(sz: &Sizing, seed: u64) -> Json {
     let liveness = Duration::from_millis(150);
     let grace = Duration::from_secs(10);
     let workers = 4;
-    let policy = ChaosPolicy {
-        seed,
-        transient_fail_ratio: 0.05,
-        delay_ratio: 0.10,
-        delay: Duration::from_micros(500),
-        ..ChaosPolicy::default()
-    };
-    let chaos_connector = ChaosConnector::with_policy(orders_connector(sz.rows), policy);
+    let plane = Arc::new(
+        FaultPlane::new(seed)
+            .rule(Site::SplitOpen, Trigger::Chance(0.05), Effect::Transient)
+            .rule(
+                Site::PageRead,
+                Trigger::Chance(0.10),
+                Effect::Delay(Duration::from_micros(500)),
+            )
+            // Shuffle-frame corruption: every 97th exchange decode fails
+            // transiently; the client's backoff retry absorbs it. The period
+            // must exceed the largest re-fetched batch (rows/50 frames) or
+            // the batch could never fully decode and the fault would be
+            // permanent rather than transient.
+            .rule(Site::FrameDecode, Trigger::Every(97), Effect::Transient),
+    );
     let config = ClusterConfig {
         workers,
         liveness_timeout: liveness,
+        faults: Some(Arc::clone(&plane)),
         ..ClusterConfig::test()
     };
-    let cluster = Arc::new(
-        Cluster::start(config, catalogs_of(Arc::clone(&chaos_connector) as _)).expect("cluster"),
-    );
+    let cluster =
+        Arc::new(Cluster::start(config, catalogs_of(orders_connector(sz.rows))).expect("cluster"));
     let profile = ChaosProfile {
         span: Duration::from_millis(400),
         blips: 2,
@@ -265,12 +248,6 @@ fn bench_chaos_run(sz: &Sizing, seed: u64) -> Json {
             let session = Session {
                 query_retry_attempts: 3,
                 query_retry_backoff: Duration::from_millis(10),
-                // Shuffle-frame corruption: every 97th exchange decode
-                // fails transiently; the client's backoff retry absorbs it.
-                // The period must exceed the largest re-fetched batch
-                // (rows/50 frames) or the batch could never fully decode
-                // and the fault would be permanent rather than transient.
-                exchange_chaos_decode_every: 97,
                 ..Session::default()
             };
             let mut ok = 0u32;
@@ -326,14 +303,14 @@ fn bench_chaos_run(sz: &Sizing, seed: u64) -> Json {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    let teardown = await_clean(&cluster, grace);
+    let teardown = cluster.await_quiescent(grace).expect("teardown leaked");
     println!(
         "chaos run       queries={total:<3} ok={ok:<3} failed={failed:<3} \
          events={:<2} split_faults={:<4} stragglers={:<4} slowest={slowest:>8.2?} \
          clean={teardown:>8.2?} wall={:>8.2?}",
         schedule.events.len(),
-        chaos_connector.injected_failures(),
-        chaos_connector.injected_delays(),
+        plane.fired(Site::SplitOpen),
+        plane.fired(Site::PageRead),
         started.elapsed(),
     );
     Json::obj([
@@ -343,12 +320,9 @@ fn bench_chaos_run(sz: &Sizing, seed: u64) -> Json {
         ("chaos_events", Json::Int(schedule.events.len() as i64)),
         (
             "split_faults",
-            Json::Int(chaos_connector.injected_failures() as i64),
+            Json::Int(plane.fired(Site::SplitOpen) as i64),
         ),
-        (
-            "stragglers",
-            Json::Int(chaos_connector.injected_delays() as i64),
-        ),
+        ("stragglers", Json::Int(plane.fired(Site::PageRead) as i64)),
         ("slowest_ms", Json::Num(slowest.as_secs_f64() * 1e3)),
         ("clean_ms", Json::Num(teardown.as_secs_f64() * 1e3)),
         (

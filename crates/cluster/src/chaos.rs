@@ -9,11 +9,10 @@
 //! schedule; `PRESTO_CHAOS_SEED` overrides the seed from the environment
 //! (see [`presto_common::chaos::seed_from_env`]).
 //!
-//! Split- and page-level faults (transient/permanent split failures,
-//! per-split delays) are injected by the chaos connector
-//! (`presto_connectors::ChaosConnector`), and shuffle-frame decode faults
-//! by the exchange client's chaos hook — both driven from the same seed
-//! family so one number reproduces an entire run.
+//! Faults below the worker — split opens, page reads, spill writes, frame
+//! decodes — come from the cluster's
+//! [`FaultPlane`](presto_common::chaos::FaultPlane) (`ClusterConfig::faults`),
+//! drawn from the same seed family so one number reproduces an entire run.
 
 use presto_common::chaos::ChaosRng;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -56,18 +55,6 @@ pub struct ChaosProfile {
     pub permanent_hang: bool,
     /// Inject one crash.
     pub crash: bool,
-}
-
-impl Default for ChaosProfile {
-    fn default() -> Self {
-        ChaosProfile {
-            span: Duration::from_millis(500),
-            blips: 2,
-            blip_max: Duration::from_millis(50),
-            permanent_hang: true,
-            crash: true,
-        }
-    }
 }
 
 impl ChaosSchedule {
@@ -137,9 +124,19 @@ impl ChaosSchedule {
 mod tests {
     use super::*;
 
+    fn default_profile() -> ChaosProfile {
+        ChaosProfile {
+            span: Duration::from_millis(500),
+            blips: 2,
+            blip_max: Duration::from_millis(50),
+            permanent_hang: true,
+            crash: true,
+        }
+    }
+
     #[test]
     fn same_seed_same_schedule() {
-        let profile = ChaosProfile::default();
+        let profile = default_profile();
         let a = ChaosSchedule::generate(7, 8, &profile);
         let b = ChaosSchedule::generate(7, 8, &profile);
         assert_eq!(a.events, b.events);
@@ -148,7 +145,7 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let profile = ChaosProfile::default();
+        let profile = default_profile();
         let a = ChaosSchedule::generate(1, 8, &profile);
         let b = ChaosSchedule::generate(2, 8, &profile);
         assert_ne!(a.events, b.events);
@@ -156,7 +153,7 @@ mod tests {
 
     #[test]
     fn victims_come_from_upper_half_only() {
-        let profile = ChaosProfile::default();
+        let profile = default_profile();
         for seed in 0..20 {
             let s = ChaosSchedule::generate(seed, 8, &profile);
             for (_, e) in &s.events {
@@ -191,7 +188,7 @@ mod tests {
     fn single_worker_cluster_generates_no_events() {
         // With one worker the surviving half is everything; chaos must not
         // take the only node down.
-        let s = ChaosSchedule::generate(3, 1, &ChaosProfile::default());
+        let s = ChaosSchedule::generate(3, 1, &default_profile());
         assert!(s.events.is_empty());
     }
 }

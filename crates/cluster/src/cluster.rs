@@ -273,10 +273,45 @@ impl Cluster {
 
     /// Unretired tasks per worker. Every entry must drain to zero once the
     /// queries that created them terminate — a nonzero count after teardown
-    /// is a stuck task (the §IV-G invariant `fault_tolerance.rs` and
-    /// `chaos_bench` assert).
+    /// is a stuck task (one of the §IV-G invariants
+    /// [`await_quiescent`](Self::await_quiescent) checks).
     pub fn worker_live_tasks(&self) -> Vec<usize> {
         self.workers.iter().map(|w| w.live_tasks().len()).collect()
+    }
+
+    /// Wait until no query has anything left in the cluster: no live task,
+    /// no general or reserved pool byte, no running or queued query and no
+    /// live history record. Returns how long that took, or names the
+    /// residue once `grace` has passed.
+    pub fn await_quiescent(&self, grace: Duration) -> std::result::Result<Duration, String> {
+        let started = Instant::now();
+        loop {
+            let live = self.worker_live_tasks();
+            let snap = self.metrics_snapshot();
+            let pools: Vec<(i64, i64)> = snap
+                .workers
+                .iter()
+                .map(|w| (w.memory.general_used, w.memory.reserved_used))
+                .collect();
+            let queries = (
+                snap.queries.running,
+                snap.queries.queued,
+                self.query_history().live_len(),
+            );
+            if live.iter().all(|&n| n == 0)
+                && pools.iter().all(|&p| p == (0, 0))
+                && queries == (0, 0, 0)
+            {
+                return Ok(started.elapsed());
+            }
+            if started.elapsed() >= grace {
+                return Err(format!(
+                    "not quiescent after {grace:?}: live_tasks={live:?} (general,reserved)={pools:?} \
+                     (running,queued,live_queries)={queries:?}"
+                ));
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     /// Gracefully drain a worker (§IV-G "shutting down"): stop placing new

@@ -4,6 +4,8 @@
 //! validated loudly; per-query knobs live in [`presto_common::Session`].
 
 use presto_cache::MetadataCacheConfig;
+use presto_common::chaos::FaultPlane;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Shape and limits of a simulated cluster.
@@ -71,6 +73,10 @@ pub struct ClusterConfig {
     /// much larger than the session quanta (executor threads heartbeat
     /// between quanta). `Duration::ZERO` disables the detector.
     pub liveness_timeout: Duration,
+    /// Injected faults (§IV-G): every task consults this plane at split
+    /// open, page read, spill write and frame decode. `None` injects
+    /// nothing.
+    pub faults: Option<Arc<FaultPlane>>,
 }
 
 impl Default for ClusterConfig {
@@ -96,6 +102,7 @@ impl Default for ClusterConfig {
             trace_capacity: 4096,
             query_history_capacity: 256,
             liveness_timeout: Duration::from_secs(2),
+            faults: None,
         }
     }
 }

@@ -466,6 +466,7 @@ impl Coordinator {
                     exchange_poll_latency: self.config.exchange_poll_latency,
                     trace: self.trace.clone(),
                     dynamic_filters: dyn_filters.clone(),
+                    faults: self.config.faults.clone(),
                 };
                 fragment_tasks.push(create_task(fragment, &ctx)?);
             }

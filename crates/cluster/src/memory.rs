@@ -93,6 +93,9 @@ impl ReservedPoolLock {
 struct QueryUsage {
     user: i64,
     system: i64,
+    /// Whether this node has moved the query's balance into the reserved
+    /// pool. Its bytes here live in that pool from then until it ends.
+    reserved: bool,
 }
 
 struct PoolState {
@@ -104,6 +107,18 @@ struct PoolState {
 }
 
 impl PoolState {
+    /// Move `query`'s balance on this node into the reserved pool, once.
+    /// Promotion is cluster-wide, so every node moves it on its own.
+    fn promote(&mut self, query: QueryId) {
+        if let Some(u) = self.per_query.get_mut(&query) {
+            if !u.reserved {
+                u.reserved = true;
+                self.general_used -= u.user + u.system;
+                self.reserved_used += u.user + u.system;
+            }
+        }
+    }
+
     fn note_peaks(&mut self) {
         self.peak_general = self.peak_general.max(self.general_used);
         self.peak_reserved = self.peak_reserved.max(self.reserved_used);
@@ -257,7 +272,7 @@ impl NodeMemoryPool {
         self.revocables.lock().remove(&query);
         let mut state = self.state.lock();
         if let Some(usage) = state.per_query.remove(&query) {
-            if self.reserved.owner() == Some(query) {
+            if usage.reserved {
                 state.reserved_used -= usage.user + usage.system;
             } else {
                 state.general_used -= usage.user + usage.system;
@@ -359,6 +374,9 @@ impl MemoryPool for NodeMemoryPool {
             };
         };
         let (cur_user, cur_system) = (usage.user, usage.system);
+        if self.reserved.owner() == Some(query) {
+            state.promote(query);
+        }
         // Clamp releases to what this query actually has charged here, so a
         // duplicated release (task abort racing normal driver teardown)
         // cannot drive the pool negative.
@@ -406,7 +424,7 @@ impl MemoryPool for NodeMemoryPool {
         // Which pool does this query charge? Node-level system memory
         // (cache retention) shares the general pool's headroom.
         let cache_system = self.system_used.load(Ordering::Relaxed);
-        let in_reserved = self.reserved.owner() == Some(query);
+        let in_reserved = state.per_query.get(&query).is_some_and(|u| u.reserved);
         let (used, limit) = if in_reserved {
             (state.reserved_used, self.reserved_limit)
         } else {
@@ -438,12 +456,7 @@ impl MemoryPool for NodeMemoryPool {
                 };
                 if let Some(big) = biggest {
                     if self.reserved.try_acquire(big) {
-                        // Move the promoted query's usage across pools.
-                        if let Some(u) = state.per_query.get(&big) {
-                            let moved = u.user + u.system;
-                            state.general_used -= moved;
-                            state.reserved_used += moved;
-                        }
+                        state.promote(big);
                         // Re-check after promotion (the caller may itself be
                         // the promoted query).
                         let in_reserved_now = big == query;
@@ -611,6 +624,41 @@ mod tests {
         // When q1 finishes, the reserved pool frees.
         pool.unregister_query(QueryId(1));
         assert_eq!(lock.owner(), None);
+    }
+
+    /// Promotion on one node moves the query's balance on every node, each
+    /// at its next reservation, and releases come back out of the pool the
+    /// bytes were charged to, whoever ends the promotion first.
+    #[test]
+    fn promotion_moves_each_nodes_balance_and_teardown_returns_both_pools_to_zero() {
+        let lock = ReservedPoolLock::new();
+        let pool = |n| NodeMemoryPool::new(NodeId(n), 100, 1000, false, Arc::clone(&lock));
+        let (a, b) = (pool(0), pool(1));
+        for p in [&a, &b] {
+            p.register_query(limits(1));
+            p.register_query(limits(2));
+        }
+        b.reserve(QueryId(1), 30, 0).unwrap();
+        a.reserve(QueryId(1), 80, 0).unwrap();
+        // q2 exhausts node a: q1, the biggest there, is promoted.
+        a.reserve(QueryId(2), 50, 0).unwrap();
+        assert_eq!(lock.owner(), Some(QueryId(1)));
+        // q1 releases on b the bytes b charged to its general pool.
+        b.reserve(QueryId(1), -10, 0).unwrap();
+        assert_eq!(
+            (b.snapshot().general_used, b.snapshot().reserved_used),
+            (0, 20)
+        );
+        // Node a ends the query first and releases the reserved pool; b
+        // still returns q1's balance from where it lives.
+        a.unregister_query(QueryId(1));
+        b.reserve(QueryId(1), -5, 0).unwrap();
+        b.unregister_query(QueryId(1));
+        for p in [&a, &b] {
+            p.unregister_query(QueryId(2));
+            let snap = p.snapshot();
+            assert_eq!((snap.general_used, snap.reserved_used), (0, 0));
+        }
     }
 
     #[test]

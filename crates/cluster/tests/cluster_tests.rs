@@ -3,11 +3,13 @@
 #![allow(clippy::unwrap_used)]
 
 use presto_cluster::{Cluster, ClusterConfig};
+use presto_common::chaos::{Effect, FaultPlane, Site, Trigger};
 use presto_common::{DataType, Schema, Session, Value};
 use presto_connector::CatalogManager;
 use presto_connector::ConnectorMetadata;
-use presto_connectors::{ChaosConnector, MemoryConnector, RaptorConnector, ShardedSqlConnector};
+use presto_connectors::{MemoryConnector, RaptorConnector, ShardedSqlConnector};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn test_catalogs() -> (CatalogManager, Arc<MemoryConnector>) {
     let mem = MemoryConnector::new();
@@ -294,18 +296,44 @@ fn concurrent_queries() {
 #[test]
 fn transient_connector_failures_recovered_by_retries() {
     let (catalogs, _) = test_catalogs();
-    // Wrap memory in chaos: every 5th page-source creation fails.
-    let inner = catalogs.catalog("memory").unwrap();
-    let chaos = ChaosConnector::new(inner, 2, 0);
-    let mut catalogs = CatalogManager::new();
-    catalogs.register(
-        "memory",
-        Arc::clone(&chaos) as Arc<dyn presto_connector::Connector>,
-    );
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    // Every 2nd split open fails.
+    let plane =
+        Arc::new(FaultPlane::new(0).rule(Site::SplitOpen, Trigger::Every(2), Effect::Transient));
+    let c = Cluster::start(faulty_config(&plane), catalogs).unwrap();
     let out = c.execute("SELECT COUNT(*) FROM orders").unwrap();
     assert_eq!(out.rows()[0][0], Value::Bigint(1000));
-    assert!(chaos.injected_failures() > 0, "chaos should have fired");
+    assert!(plane.fired(Site::SplitOpen) > 0, "chaos should have fired");
+}
+
+fn faulty_config(plane: &Arc<FaultPlane>) -> ClusterConfig {
+    ClusterConfig {
+        faults: Some(Arc::clone(plane)),
+        ..ClusterConfig::test()
+    }
+}
+
+/// A permanent split-open fault fails the query at once with a
+/// non-retryable error: neither the scan's low-level retry nor the
+/// coordinator's query retry runs it again.
+#[test]
+fn permanent_split_failure_fails_the_query_without_retries() {
+    let (catalogs, _) = test_catalogs();
+    let plane =
+        Arc::new(FaultPlane::new(0).rule(Site::SplitOpen, Trigger::First(1), Effect::Permanent));
+    let c = Cluster::start(faulty_config(&plane), catalogs).unwrap();
+    let session = Session {
+        query_retry_attempts: 2,
+        ..Session::default()
+    };
+    let err = c
+        .execute_with_session("SELECT COUNT(*) FROM orders", &session)
+        .unwrap_err();
+    assert!(!err.error.is_retryable(), "{err}");
+    assert!(err.error.message.contains("injected permanent"), "{err}");
+    assert_eq!(plane.fired(Site::SplitOpen), 1);
+    assert_eq!(c.query_history().get(err.query).unwrap().attempts, 1);
+    c.await_quiescent(Duration::from_secs(5)).unwrap();
+    assert_eq!(c.metrics_snapshot().lost_wakeups(), 0);
 }
 
 #[test]
@@ -458,51 +486,42 @@ fn spilling_query_matches_unconstrained_run_and_cleans_up() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Chaos: every spill write fails transiently — the query must surface a
-/// retryable error (§IV-G), not hang or corrupt results.
+/// Chaos: spill writes fail transiently — every one, or every third, so
+/// that some run files exist when the failure lands. The query must surface
+/// a retryable error (§IV-G), not hang or corrupt results, and leave no
+/// file behind.
 #[test]
 fn spill_write_failure_surfaces_retryable_error() {
-    let dir = unique_spill_dir("chaos-write");
-    let c = Cluster::start(tiny_memory_config(), catalogs_with_unholdable_groups()).unwrap();
-    let session = Session {
-        spill_enabled: true,
-        spill_dir: Some(dir.clone()),
-        spill_chaos_write_error_after: Some(0),
-        ..Session::default()
-    };
-    let err = c
-        .execute_with_session(UNHOLDABLE_GROUPS_SQL, &session)
-        .unwrap_err();
-    assert!(
-        err.error.is_retryable(),
-        "spill write failure should be retryable, got {:?}",
-        err.error
-    );
-    assert_eq!(spill_dir_file_count(&dir), 0, "failed query must clean up");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Chaos: the spill "disk" fills after a few KB — same retryable surface.
-#[test]
-fn spill_disk_full_surfaces_retryable_error() {
-    let dir = unique_spill_dir("chaos-full");
-    let c = Cluster::start(tiny_memory_config(), catalogs_with_unholdable_groups()).unwrap();
-    let session = Session {
-        spill_enabled: true,
-        spill_dir: Some(dir.clone()),
-        spill_chaos_disk_capacity: Some(64),
-        ..Session::default()
-    };
-    let err = c
-        .execute_with_session(UNHOLDABLE_GROUPS_SQL, &session)
-        .unwrap_err();
-    assert!(
-        err.error.is_retryable(),
-        "disk-full should be retryable, got {:?}",
-        err.error
-    );
-    assert_eq!(spill_dir_file_count(&dir), 0, "failed query must clean up");
-    std::fs::remove_dir_all(&dir).ok();
+    for every in [1, 3] {
+        let dir = unique_spill_dir(&format!("chaos-write-{every}"));
+        let plane = Arc::new(FaultPlane::new(0).rule(
+            Site::SpillWrite,
+            Trigger::Every(every),
+            Effect::Transient,
+        ));
+        let config = ClusterConfig {
+            faults: Some(Arc::clone(&plane)),
+            ..tiny_memory_config()
+        };
+        let c = Cluster::start(config, catalogs_with_unholdable_groups()).unwrap();
+        let session = Session {
+            spill_enabled: true,
+            spill_dir: Some(dir.clone()),
+            ..Session::default()
+        };
+        let err = c
+            .execute_with_session(UNHOLDABLE_GROUPS_SQL, &session)
+            .unwrap_err();
+        assert!(
+            err.error.is_retryable(),
+            "spill write failure should be retryable, got {:?}",
+            err.error
+        );
+        assert!(plane.fired(Site::SpillWrite) > 0);
+        c.await_quiescent(Duration::from_secs(5)).unwrap();
+        assert_eq!(spill_dir_file_count(&dir), 0, "failed query must clean up");
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Aborting a spilling query leaves zero spill files on disk (the PR 5

@@ -5,7 +5,8 @@
 
 #![allow(clippy::unwrap_used)]
 
-use presto_cluster::{Cluster, ClusterConfig, WorkerState};
+use presto_cluster::{Cluster, ClusterConfig, QueryError, WorkerState};
+use presto_common::chaos::{seed_from_env, Effect, FaultPlane, Site, Trigger, CHAOS_SEED_ENV};
 use presto_common::{DataType, ErrorCode, Schema, Session, Value};
 use presto_connector::CatalogManager;
 use presto_connectors::MemoryConnector;
@@ -43,32 +44,11 @@ fn start(config: ClusterConfig) -> Cluster {
     Cluster::start(config, test_catalogs()).unwrap()
 }
 
-/// The clean-teardown invariant: within `grace`, every worker's live-task
-/// list empties and the general/reserved pools return to zero. (System
-/// memory is excluded: it holds cache retention, not query state.)
+/// The clean-teardown invariant: within `grace` the cluster is quiescent,
+/// and no fault, though each ends waits from outside, was slept through.
 fn assert_clean(c: &Cluster, grace: Duration) {
-    let deadline = Instant::now() + grace;
-    loop {
-        let live = c.worker_live_tasks();
-        let snap = c.metrics_snapshot();
-        let residual: Vec<(i64, i64)> = snap
-            .workers
-            .iter()
-            .map(|w| (w.memory.general_used, w.memory.reserved_used))
-            .collect();
-        let clean = live.iter().all(|&n| n == 0)
-            && residual.iter().all(|&(g, r)| g == 0 && r == 0);
-        if clean {
-            // Faults end waits from outside; none may have been slept through.
-            assert_eq!(snap.lost_wakeups(), 0);
-            return;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "teardown left residue: live_tasks={live:?} (general,reserved)={residual:?}"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    c.await_quiescent(grace).unwrap();
+    assert_eq!(c.metrics_snapshot().lost_wakeups(), 0);
 }
 
 #[test]
@@ -420,4 +400,117 @@ fn worker_crash_mid_fused_pipeline_releases_everything() {
     }
     assert_eq!(c.worker_states()[1], WorkerState::Lost);
     assert_clean(&c, Duration::from_secs(5));
+}
+
+/// The seeded sweep's faults: a transient-failure chance per site, low
+/// enough that most queries heal through their retries.
+const SWEEP_FAULTS: [(Site, f64); 4] = [
+    (Site::SplitOpen, 0.05),
+    (Site::PageRead, 0.005),
+    (Site::FrameDecode, 0.02),
+    (Site::SpillWrite, 0.002),
+];
+
+/// A grouped scan and a join, both across shuffles.
+const SWEEP_QUERIES: [&str; 2] = [
+    "SELECT custkey, COUNT(*), SUM(orderkey) FROM orders GROUP BY custkey",
+    "SELECT o1.custkey, COUNT(*), SUM(o2.orderkey) FROM orders o1 \
+     JOIN orders o2 ON o1.custkey = o2.orderkey GROUP BY o1.custkey",
+];
+
+/// A join whose build side no 8 KiB pool holds: it spills.
+const SWEEP_SPILL_QUERY: &str = "SELECT o1.custkey, COUNT(*), SUM(o2.custkey) FROM orders o1 \
+     JOIN orders o2 ON o1.orderkey = o2.orderkey GROUP BY o1.custkey";
+
+fn sorted_rows(c: &Cluster, sql: &str, session: &Session) -> Result<Vec<Vec<Value>>, QueryError> {
+    c.execute_with_session(sql, session).map(|out| {
+        let mut rows = out.rows();
+        rows.sort();
+        rows
+    })
+}
+
+/// Under a seeded fault plane that draws transient faults at every site,
+/// every query returns the fault-free rows or a retryable error, and each
+/// cluster ends quiescent with no spill file left. Seeds 0..10, or only
+/// `PRESTO_CHAOS_SEED` when it is set; every failure names its seed.
+#[test]
+fn seeded_fault_sweep_returns_reference_rows_or_retryable_errors() {
+    let replay = std::env::var_os(CHAOS_SEED_ENV).is_some();
+    let seeds = match replay {
+        true => seed_from_env(0)..seed_from_env(0) + 1,
+        false => 0..10,
+    };
+    let reference_cluster = start(ClusterConfig::test());
+    let plain = Session::default();
+    let mut reference: Vec<Vec<Vec<Value>>> = SWEEP_QUERIES
+        .iter()
+        .map(|sql| sorted_rows(&reference_cluster, sql, &plain).unwrap())
+        .collect();
+    reference.push(sorted_rows(&reference_cluster, SWEEP_SPILL_QUERY, &plain).unwrap());
+    drop(reference_cluster);
+    let (mut answered, mut reached, mut fired) = (0, [0; 4], 0);
+    for seed in seeds {
+        let plane = Arc::new(
+            SWEEP_FAULTS
+                .iter()
+                .fold(FaultPlane::new(seed), |p, &(site, chance)| {
+                    p.rule(site, Trigger::Chance(chance), Effect::Transient)
+                }),
+        );
+        let dir =
+            std::env::temp_dir().join(format!("presto-fault-sweep-{}-{seed}", std::process::id()));
+        let session = Session {
+            query_retry_attempts: 2,
+            query_retry_backoff: Duration::from_millis(1),
+            spill_enabled: true,
+            spill_dir: Some(dir.clone()),
+            ..Session::default()
+        };
+        let tiny_pool = ClusterConfig {
+            node_memory_bytes: 8 << 10,
+            reserved_pool_bytes: 8 << 10,
+            ..ClusterConfig::test()
+        };
+        let runs = [
+            (ClusterConfig::test(), &SWEEP_QUERIES[..], &reference[..2]),
+            (tiny_pool, &[SWEEP_SPILL_QUERY][..], &reference[2..]),
+        ];
+        for (config, queries, want) in runs {
+            let config = ClusterConfig {
+                faults: Some(Arc::clone(&plane)),
+                ..config
+            };
+            let c = start(config);
+            for (sql, want) in queries.iter().zip(want) {
+                match sorted_rows(&c, sql, &session) {
+                    Ok(rows) => {
+                        assert_eq!(&rows, want, "seed {seed}: wrong answer: {sql}");
+                        answered += 1;
+                    }
+                    Err(e) => assert!(e.error.is_retryable(), "seed {seed}: {e}: {sql}"),
+                }
+            }
+            if let Err(residue) = c.await_quiescent(Duration::from_secs(10)) {
+                panic!("seed {seed}: {residue}");
+            }
+            assert_eq!(c.metrics_snapshot().lost_wakeups(), 0, "seed {seed}");
+        }
+        let left = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
+        assert_eq!(left, 0, "seed {seed}: spill files left");
+        std::fs::remove_dir_all(&dir).ok();
+        for (i, (site, _)) in SWEEP_FAULTS.into_iter().enumerate() {
+            reached[i] += plane.hits(site);
+            fired += plane.fired(site);
+        }
+    }
+    // One seed may fail every query before some site is reached; the sweep
+    // as a whole must answer, inject, and reach every site.
+    if !replay {
+        assert!(
+            answered > 0 && fired > 0,
+            "{answered} answers, {fired} faults"
+        );
+        assert!(reached.iter().all(|&n| n > 0), "hits per site: {reached:?}");
+    }
 }

@@ -20,7 +20,7 @@ use presto_connector::{CatalogManager, Connector};
 use presto_connectors::{MemoryConnector, ShardedSqlConnector};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const ROUNDS: usize = 10;
 const CLIENTS: usize = 2;
@@ -217,31 +217,15 @@ fn check(
 /// No task, no pool byte and no query left; and no lost wakeup. Returns
 /// the drivers parked on events so far.
 fn assert_quiescent_and_no_wakeup_lost(c: &Cluster, context: &str) -> u64 {
-    let deadline = Instant::now() + Duration::from_secs(20);
-    loop {
-        let live = c.worker_live_tasks();
-        let snap = c.metrics_snapshot();
-        let pool_bytes: i64 = snap
-            .workers
-            .iter()
-            .map(|w| w.memory.general_used + w.memory.reserved_used)
-            .sum();
-        let in_flight = snap.queries.running + snap.queries.queued;
-        let live_queries = c.query_history().live_len();
-        if live.iter().all(|&n| n == 0) && pool_bytes == 0 && in_flight == 0 && live_queries == 0 {
-            assert_eq!(snap.lost_wakeups(), 0, "{context}");
-            for w in &snap.workers {
-                assert!(w.wakeups.event_wakeups <= w.wakeups.parks, "{context}");
-            }
-            return snap.workers.iter().map(|w| w.wakeups.parks).sum();
-        }
-        assert!(
-            Instant::now() < deadline,
-            "{context}: not quiescent: live={live:?} pool_bytes={pool_bytes} \
-             in_flight={in_flight} live_queries={live_queries}"
-        );
-        std::thread::sleep(Duration::from_millis(2));
+    if let Err(residue) = c.await_quiescent(Duration::from_secs(20)) {
+        panic!("{context}: {residue}");
     }
+    let snap = c.metrics_snapshot();
+    assert_eq!(snap.lost_wakeups(), 0, "{context}");
+    for w in &snap.workers {
+        assert!(w.wakeups.event_wakeups <= w.wakeups.parks, "{context}");
+    }
+    snap.workers.iter().map(|w| w.wakeups.parks).sum()
 }
 
 #[test]

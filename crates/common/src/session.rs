@@ -78,14 +78,6 @@ pub struct Session {
     /// exceeding it fails the query with an insufficient-resources error
     /// (`0` = unlimited).
     pub spill_max_bytes: u64,
-    /// Chaos hook: every spill write after the first N fails transiently
-    /// in this query's tasks (None = off). Exercises the §IV-G retry path
-    /// against spill IO like `exchange_chaos_decode_every` does for the
-    /// shuffle.
-    pub spill_chaos_write_error_after: Option<u64>,
-    /// Chaos hook: the spill "disk" holds only this many live bytes before
-    /// writes fail transiently, simulating disk-full (None = off).
-    pub spill_chaos_disk_capacity: Option<u64>,
     /// Global (cluster-aggregated) user memory limit per query, in bytes.
     pub query_max_memory: u64,
     /// Per-node user memory limit per query, in bytes.
@@ -104,10 +96,6 @@ pub struct Session {
     /// Base delay of the exponential backoff between query retry attempts
     /// (doubled per attempt, plus deterministic jitter).
     pub query_retry_backoff: Duration,
-    /// Chaos hook: make every Nth shuffle frame decode fail transiently in
-    /// this query's exchange clients (0 = off). Exercises the §IV-G
-    /// low-level retry path from `chaos_bench` and tests.
-    pub exchange_chaos_decode_every: usize,
     /// Push join build-side key domains into probe-side scans at runtime
     /// (split re-pruning, stripe pruning, row-level membership filter).
     pub dynamic_filtering: bool,
@@ -144,8 +132,6 @@ impl Default for Session {
             spill_enabled: false,
             spill_dir: None,
             spill_max_bytes: 16 << 30,
-            spill_chaos_write_error_after: None,
-            spill_chaos_disk_capacity: None,
             query_max_memory: 4 << 30,
             query_max_memory_per_node: 1 << 30,
             query_max_total_memory_per_node: 2 << 30,
@@ -153,7 +139,6 @@ impl Default for Session {
             max_transient_retries: 3,
             query_retry_attempts: 0,
             query_retry_backoff: Duration::from_millis(50),
-            exchange_chaos_decode_every: 0,
             dynamic_filtering: true,
             dynamic_filter_wait: Duration::from_millis(500),
             dynamic_filter_max_values: 10_000,
@@ -191,13 +176,9 @@ mod tests {
         // budget, so enabling spill cannot silently fill a disk.
         assert!(s.spill_dir.is_none());
         assert!(s.spill_max_bytes > 0);
-        // Chaos faults are strictly opt-in.
-        assert!(s.spill_chaos_write_error_after.is_none());
-        assert!(s.spill_chaos_disk_capacity.is_none());
         // Whole-query retry is external by default (§IV-G): off unless the
         // client opts in.
         assert_eq!(s.query_retry_attempts, 0);
-        assert_eq!(s.exchange_chaos_decode_every, 0);
         // Dynamic filtering is on by default; the wait deadline bounds the
         // latency cost of waiting for the build side.
         assert!(s.dynamic_filtering);

@@ -18,22 +18,17 @@
 //!   the Developer/Advertiser Analytics use case (§IV-B3-2): point/range
 //!   predicates are pushed into shards so only matching data is read, and
 //!   key columns expose an index for index-nested-loop joins.
-//! * [`chaos::ChaosConnector`] — wraps any connector and injects transient
-//!   failures, for exercising the §IV-G low-level retry path.
-
 //! * [`system::SystemConnector`] — the engine's own runtime state
 //!   (`system.runtime.*`, §VII): queries, tasks, operators, memory pools,
 //!   caches, dynamic filters, and the trace timeline as SQL tables, backed
 //!   by a [`system::SystemStateProvider`] the cluster implements.
 
-pub mod chaos;
 pub mod hive;
 pub mod memory;
 pub mod raptor;
 pub mod sharded;
 pub mod system;
 
-pub use chaos::{ChaosConnector, ChaosPolicy};
 pub use hive::HiveConnector;
 pub use memory::MemoryConnector;
 pub use raptor::RaptorConnector;

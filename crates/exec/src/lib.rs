@@ -42,7 +42,7 @@ pub use dynfilter::{
 pub use memory::{MemoryPool, RevocationHandle, TaskMemoryContext, UnlimitedPool};
 pub use operator::{BlockedReason, Operator, OperatorStats};
 pub use pipeline::Pipeline;
-pub use spill::{SpillFault, SpillManager, SpillRun};
+pub use spill::{SpillManager, SpillRun};
 pub use stats::{
     DriverStatsReport, OperatorStatsEntry, PipelineStats, QueryPhases, QueryStats, StageStats,
     TaskStats, TaskStatsCollector,

@@ -13,6 +13,7 @@
 //! pipelines run many drivers sharing one [`SplitQueue`].
 
 use crossbeam::queue::SegQueue;
+use presto_common::chaos::{key_of, mix, FaultPlane, Site};
 use presto_common::wake::{WakeList, Waker};
 use presto_common::{DataType, Result, Session};
 use presto_connector::{Connector, ScanOptions, Split};
@@ -170,6 +171,12 @@ pub struct ScanOperator {
     trace: Option<(Arc<presto_common::TraceBuffer>, u32, u32)>,
     /// Join build-side domains pushed into this scan (dynamic filtering).
     dyn_filter: Option<Arc<ScanDynamicFilter>>,
+    /// The cluster's fault plane, consulted before every split open and
+    /// page read.
+    faults: Option<Arc<FaultPlane>>,
+    /// Key of the last hit on the plane: the open split and its attempt,
+    /// advanced once per page read.
+    fault_key: u64,
 }
 
 impl ScanOperator {
@@ -211,7 +218,16 @@ impl ScanOperator {
             splits_processed: 0,
             trace: None,
             dyn_filter: None,
+            faults: None,
+            fault_key: 0,
         }
+    }
+
+    /// Consult `faults` before every split open and page read. A split's
+    /// attempt is the retries this operator has spent since its last
+    /// successful open, so a retried split draws afresh.
+    pub fn set_faults(&mut self, faults: Option<Arc<FaultPlane>>) {
+        self.faults = faults;
     }
 
     /// Absorb a partial aggregation over the projected pages: the operator
@@ -279,11 +295,18 @@ impl ScanOperator {
             }
             break split;
         };
-        match self
-            .connector
-            .page_source_factory()
-            .create_source(&split, &self.options)
-        {
+        let injected = match &self.faults {
+            Some(faults) => {
+                self.fault_key = key_of((&split.info, self.max_retries - self.retries_remaining));
+                faults.hit(Site::SplitOpen, self.fault_key)
+            }
+            None => Ok(()),
+        };
+        match injected.and_then(|()| {
+            self.connector
+                .page_source_factory()
+                .create_source(&split, &self.options)
+        }) {
             Ok(source) => {
                 self.current = Some(source);
                 self.current_split = Some(split);
@@ -404,8 +427,15 @@ impl Operator for ScanOperator {
                 }
                 return Ok(None);
             }
+            let injected = match &self.faults {
+                Some(faults) => {
+                    self.fault_key = mix(self.fault_key);
+                    faults.hit(Site::PageRead, self.fault_key)
+                }
+                None => Ok(()),
+            };
             let source = self.current.as_mut().expect("split open");
-            match source.next_page() {
+            match injected.and_then(|()| source.next_page()) {
                 Ok(Some(page)) => {
                     let page = match &self.dyn_filter {
                         // Row-level membership check before any downstream
@@ -510,9 +540,10 @@ impl Operator for ScanOperator {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use presto_common::chaos::{Effect, Trigger};
     use presto_common::{Schema, Value};
     use presto_connector::TupleDomain;
-    use presto_connectors::{ChaosConnector, MemoryConnector};
+    use presto_connectors::MemoryConnector;
     use presto_expr::{AggregateFunction, AggregateKind, CmpOp};
 
     /// Table `t(k, v)` of `rows` rows, `row(i)` giving row `i`, in pages of
@@ -597,13 +628,13 @@ mod tests {
     #[test]
     fn transient_failures_are_retried() {
         let c = data_connector(2000); // several pages → several splits
-        let chaos = ChaosConnector::new(c as Arc<dyn Connector>, 2, 0);
+        let plane = faults(Site::SplitOpen, Trigger::Every(2), Effect::Transient);
         let queue = SplitQueue::new();
-        feed_splits(chaos.as_ref(), &queue);
+        feed_splits(c.as_ref(), &queue);
         let session = Session::default();
         let proj = vec![Expr::column(0, DataType::Bigint)];
         let mut scan = ScanOperator::new(
-            Arc::clone(&chaos) as Arc<dyn Connector>,
+            c as Arc<dyn Connector>,
             queue,
             vec![0],
             presto_connector::TupleDomain::all(),
@@ -611,6 +642,7 @@ mod tests {
             &proj,
             &session,
         );
+        scan.set_faults(Some(Arc::clone(&plane)));
         let mut rows = 0;
         let mut guard = 0;
         while !scan.is_finished() {
@@ -621,7 +653,37 @@ mod tests {
             }
         }
         assert_eq!(rows, 2000, "all rows survive injected transient failures");
-        assert!(chaos.injected_failures() > 0);
+        assert!(plane.fired(Site::SplitOpen) > 0);
+    }
+
+    fn faults(site: Site, trigger: Trigger, effect: Effect) -> Arc<FaultPlane> {
+        Arc::new(FaultPlane::new(0).rule(site, trigger, effect))
+    }
+
+    #[test]
+    fn delayed_splits_still_produce_all_rows() {
+        let c = data_connector(2000);
+        let delay = Effect::Delay(std::time::Duration::from_micros(100));
+        let plane = Arc::new(
+            FaultPlane::new(7)
+                .rule(Site::SplitOpen, Trigger::Chance(0.5), delay)
+                .rule(Site::PageRead, Trigger::Chance(0.5), delay),
+        );
+        let queue = SplitQueue::new();
+        feed_splits(c.as_ref(), &queue);
+        let mut scan = ScanOperator::new(
+            c as Arc<dyn Connector>,
+            queue,
+            vec![0],
+            TupleDomain::all(),
+            None,
+            &[Expr::column(0, DataType::Bigint)],
+            &Session::default(),
+        );
+        scan.set_faults(Some(Arc::clone(&plane)));
+        let rows: usize = drain(&mut scan).iter().map(Page::row_count).sum();
+        assert_eq!(rows, 2000);
+        assert!(plane.fired(Site::SplitOpen) > 0 && plane.fired(Site::PageRead) > 0);
     }
 
     #[test]
@@ -973,15 +1035,21 @@ mod tests {
     /// 2 000 rows in 20 pages, 4-page memory splits, and every 7th page read
     /// failing transiently: the failures land mid-split, after rows of that
     /// split have already left the operator.
-    fn mid_split_failures() -> (Arc<ChaosConnector>, Arc<SplitQueue>, Session) {
-        let chaos = ChaosConnector::new(data_connector(2000) as Arc<dyn Connector>, 0, 7);
+    fn mid_split_failures() -> (
+        Arc<MemoryConnector>,
+        Arc<FaultPlane>,
+        Arc<SplitQueue>,
+        Session,
+    ) {
+        let c = data_connector(2000);
+        let plane = faults(Site::PageRead, Trigger::Every(7), Effect::Transient);
         let queue = SplitQueue::new();
-        feed_splits(chaos.as_ref(), &queue);
+        feed_splits(c.as_ref(), &queue);
         let session = Session {
             max_transient_retries: 100,
             ..Session::default()
         };
-        (chaos, queue, session)
+        (c, plane, queue, session)
     }
 
     /// Drain `op` up to its first error.
@@ -1002,9 +1070,9 @@ mod tests {
 
     #[test]
     fn mid_split_read_failure_never_duplicates_emitted_rows() {
-        let (chaos, queue, session) = mid_split_failures();
+        let (c, plane, queue, session) = mid_split_failures();
         let mut scan = ScanOperator::new(
-            Arc::clone(&chaos) as Arc<dyn Connector>,
+            c as Arc<dyn Connector>,
             queue,
             vec![0],
             TupleDomain::all(),
@@ -1012,8 +1080,9 @@ mod tests {
             &[Expr::column(0, DataType::Bigint)],
             &session,
         );
+        scan.set_faults(Some(Arc::clone(&plane)));
         let (pages, result) = drain_until_error(&mut scan);
-        assert!(chaos.injected_failures() > 0);
+        assert!(plane.fired(Site::PageRead) > 0);
         let mut keys: Vec<i64> = pages
             .iter()
             .flat_map(|p| (0..p.row_count()).map(|i| p.block(0).i64_at(i)))
@@ -1030,7 +1099,7 @@ mod tests {
 
     #[test]
     fn mid_split_read_failure_never_double_counts_an_absorbed_sum() {
-        let (chaos, queue, session) = mid_split_failures();
+        let (c, plane, queue, session) = mid_split_failures();
         let sum = FusedAggStage {
             group_channels: vec![],
             group_types: vec![],
@@ -1041,7 +1110,7 @@ mod tests {
             }],
         };
         let mut scan = ScanOperator::new(
-            Arc::clone(&chaos) as Arc<dyn Connector>,
+            c as Arc<dyn Connector>,
             queue,
             vec![0, 1],
             TupleDomain::all(),
@@ -1050,8 +1119,9 @@ mod tests {
             &session,
         )
         .with_partial_aggregation(&sum);
+        scan.set_faults(Some(Arc::clone(&plane)));
         let (pages, result) = drain_until_error(&mut scan);
-        assert!(chaos.injected_failures() > 0);
+        assert!(plane.fired(Site::PageRead) > 0);
         match result {
             Ok(()) => {
                 let total: i64 = pages

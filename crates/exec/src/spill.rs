@@ -18,13 +18,14 @@
 //! (the ABA class of bug), and leftovers of a crashed process are
 //! attributable by pid.
 //!
-//! The chaos harness injects spill-IO faults ([`SpillFault`]) here: write
-//! failures and disk-full conditions surface as retryable errors, so a
-//! query whose spill disk misbehaves degrades exactly like one whose
+//! Every write consults the cluster's fault plane (`Site::SpillWrite`), if
+//! one is installed: an injected failure surfaces as a retryable error, so
+//! a query whose spill disk misbehaves degrades exactly like one whose
 //! network does.
 
 use parking_lot::Mutex;
-use presto_common::{PrestoError, Result};
+use presto_common::chaos::{key_of, FaultPlane, Site};
+use presto_common::{PrestoError, Result, Session};
 use presto_page::{deserialize_page, frame_payload, serialize_page, unframe_payload, Page};
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -38,17 +39,6 @@ static NEXT_RUN_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Spill records at least this long are LZ-compressed inside their frame.
 const SPILL_COMPRESSION_MIN_BYTES: usize = 8 << 10;
-
-/// An injected spill-IO fault (chaos harness, §IV-G). Both kinds surface
-/// as *retryable* errors: a bad spill disk is environmental, and re-running
-/// the query on another node (or after the disk recovers) can succeed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpillFault {
-    /// Every spill write after the first `after_writes` fails.
-    WriteError { after_writes: u64 },
-    /// The disk "fills up" once the manager holds this many live bytes.
-    DiskFull { capacity_bytes: u64 },
-}
 
 /// Task-owned coordinator of all spill I/O: directory, disk budget,
 /// lifetime counters, fault injection, and the live-file registry that
@@ -65,9 +55,7 @@ pub struct SpillManager {
     spilled_bytes: AtomicU64,
     /// Lifetime spill write operations.
     spill_events: AtomicU64,
-    /// Lifetime write calls, for fault-injection schedules.
-    writes: AtomicU64,
-    fault: Option<SpillFault>,
+    faults: Option<Arc<FaultPlane>>,
     /// Live run files: id → path. Runs unregister when consumed or
     /// dropped; [`SpillManager::remove_all`] deletes whatever remains.
     files: Mutex<HashMap<u64, PathBuf>>,
@@ -77,14 +65,19 @@ impl SpillManager {
     /// A manager writing to `dir` (OS temp dir when `None`) under a byte
     /// budget (0 = unlimited).
     pub fn new(dir: Option<PathBuf>, max_bytes: u64) -> Arc<SpillManager> {
-        SpillManager::with_fault(dir, max_bytes, None)
+        SpillManager::build(dir, max_bytes, None)
     }
 
-    /// [`SpillManager::new`] with an injected IO fault (chaos harness).
-    pub fn with_fault(
+    /// The manager a task runs with: the session's directory and disk
+    /// budget, writing under the cluster's fault plane.
+    pub fn for_session(session: &Session, faults: Option<Arc<FaultPlane>>) -> Arc<SpillManager> {
+        SpillManager::build(session.spill_dir.clone(), session.spill_max_bytes, faults)
+    }
+
+    fn build(
         dir: Option<PathBuf>,
         max_bytes: u64,
-        fault: Option<SpillFault>,
+        faults: Option<Arc<FaultPlane>>,
     ) -> Arc<SpillManager> {
         Arc::new(SpillManager {
             dir: dir.unwrap_or_else(std::env::temp_dir),
@@ -92,24 +85,9 @@ impl SpillManager {
             used_bytes: AtomicU64::new(0),
             spilled_bytes: AtomicU64::new(0),
             spill_events: AtomicU64::new(0),
-            writes: AtomicU64::new(0),
-            fault,
+            faults,
             files: Mutex::new(HashMap::new()),
         })
-    }
-
-    /// The manager a session configures: directory, disk budget, and (for
-    /// the chaos harness) an injected IO fault.
-    pub fn for_session(session: &presto_common::Session) -> Arc<SpillManager> {
-        let fault = match (
-            session.spill_chaos_write_error_after,
-            session.spill_chaos_disk_capacity,
-        ) {
-            (Some(after_writes), _) => Some(SpillFault::WriteError { after_writes }),
-            (None, Some(capacity_bytes)) => Some(SpillFault::DiskFull { capacity_bytes }),
-            (None, None) => None,
-        };
-        SpillManager::with_fault(session.spill_dir.clone(), session.spill_max_bytes, fault)
     }
 
     /// Bytes currently held on disk by live runs.
@@ -164,26 +142,11 @@ impl SpillManager {
         sub_saturating(&self.used_bytes, freed);
     }
 
-    /// Pre-write gate: fault injection, then the disk budget.
-    fn check_write(&self, len: u64, path: &Path) -> Result<()> {
-        let write_no = self.writes.fetch_add(1, Ordering::Relaxed);
-        match self.fault {
-            Some(SpillFault::WriteError { after_writes }) if write_no >= after_writes => {
-                return Err(PrestoError::transient(format!(
-                    "spill write failed (injected fault): {}",
-                    path.display()
-                )));
-            }
-            Some(SpillFault::DiskFull { capacity_bytes })
-                if self.used_bytes.load(Ordering::Relaxed) + len > capacity_bytes =>
-            {
-                return Err(PrestoError::transient(format!(
-                    "spill disk full (injected fault) at {} bytes: {}",
-                    capacity_bytes,
-                    path.display()
-                )));
-            }
-            _ => {}
+    /// Pre-write gate: the fault plane, then the disk budget. A write is
+    /// named by its length and its index in the run.
+    fn check_write(&self, len: u64, page: u64) -> Result<()> {
+        if let Some(faults) = &self.faults {
+            faults.hit(Site::SpillWrite, key_of((len, page)))?;
         }
         if self.max_bytes > 0 && self.used_bytes.load(Ordering::Relaxed) + len > self.max_bytes {
             return Err(PrestoError::resources(format!(
@@ -249,7 +212,7 @@ impl SpillRun {
         let payload = serialize_page(page);
         let frame = frame_payload(&payload, SPILL_COMPRESSION_MIN_BYTES);
         let record_len = frame.len() as u64 + 4;
-        self.manager.check_write(record_len, &self.path)?;
+        self.manager.check_write(record_len, self.pages)?;
         if self.file.is_none() {
             std::fs::create_dir_all(&self.manager.dir)?;
             self.file = Some(std::fs::File::create(&self.path)?);
@@ -472,35 +435,38 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// An injected write failure is retryable whether it hits a run's first
+    /// write or a later one, and dropping the run still deletes its file.
     #[test]
     fn injected_write_fault_is_retryable() {
-        let dir = scratch_dir("fault");
-        let mgr = SpillManager::with_fault(
-            Some(dir.clone()),
-            0,
-            Some(SpillFault::WriteError { after_writes: 1 }),
-        );
-        let mut run = mgr.create_run("test");
-        run.append(&page(10)).unwrap();
-        let err = run.append(&page(10)).unwrap_err();
-        assert!(err.is_retryable(), "spill-IO fault must be retryable: {err}");
-        drop(run);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn injected_disk_full_is_retryable() {
-        let dir = scratch_dir("diskfull");
-        let mgr = SpillManager::with_fault(
-            Some(dir.clone()),
-            0,
-            Some(SpillFault::DiskFull { capacity_bytes: 64 }),
-        );
-        let mut run = mgr.create_run("test");
-        let err = run.append(&page(1000)).unwrap_err();
-        assert!(err.is_retryable(), "disk-full fault must be retryable: {err}");
-        drop(run);
-        std::fs::remove_dir_all(&dir).ok();
+        use presto_common::chaos::{Effect, Trigger};
+        for every in [1, 3] {
+            let dir = scratch_dir("fault");
+            let plane = Arc::new(FaultPlane::new(0).rule(
+                Site::SpillWrite,
+                Trigger::Every(every),
+                Effect::Transient,
+            ));
+            let session = Session {
+                spill_dir: Some(dir.clone()),
+                ..Session::default()
+            };
+            let mgr = SpillManager::for_session(&session, Some(Arc::clone(&plane)));
+            let mut run = mgr.create_run("test");
+            for _ in 1..every {
+                run.append(&page(10)).unwrap();
+            }
+            let err = run.append(&page(10)).unwrap_err();
+            assert!(
+                err.is_retryable(),
+                "spill-IO fault must be retryable: {err}"
+            );
+            assert_eq!(plane.fired(Site::SpillWrite), 1);
+            drop(run);
+            assert_eq!(mgr.live_files(), 0);
+            assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! pipelines wired to splits, exchanges, and the output buffer.
 
 use parking_lot::Mutex;
+use presto_common::chaos::FaultPlane;
 use presto_common::{DataType, PlanNodeId, PrestoError, Result, Schema, Session, TaskId};
 use presto_connector::{CatalogManager, TupleDomain};
 use presto_expr::Expr;
@@ -49,6 +50,9 @@ pub struct TaskContext {
     /// Dynamic-filter registry + specs for this query (`None` disables
     /// dynamic filtering for the task).
     pub dynamic_filters: Option<Arc<crate::dynfilter::TaskDynamicFilters>>,
+    /// The cluster's fault plane, handed to every scan, spill manager and
+    /// exchange client of the task.
+    pub faults: Option<Arc<FaultPlane>>,
 }
 
 /// A scan inside a task: the coordinator feeds its split queue.
@@ -121,7 +125,7 @@ pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
         ctx.session.shuffle_compression_min_bytes,
     );
     let memory = TaskMemoryContext::new(ctx.task_id.stage.query, Arc::clone(&ctx.memory_pool));
-    let spill = SpillManager::for_session(&ctx.session);
+    let spill = SpillManager::for_session(&ctx.session, ctx.faults.clone());
     let mut compiler = Compiler {
         ctx,
         spill: ctx.session.spill_enabled.then(|| Arc::clone(&spill)),
@@ -569,15 +573,14 @@ impl<'a> Compiler<'a> {
                 })
             }
             PlanNode::RemoteSource { fragment, .. } => {
-                let client = Arc::new(ExchangeClient::with_config(
+                let mut client = ExchangeClient::with_config(
                     self.ctx.exchange_buffer_bytes,
                     self.ctx.exchange_poll_latency,
                     self.ctx.session.exchange_concurrency,
                     self.ctx.session.max_transient_retries,
-                ));
-                if self.ctx.session.exchange_chaos_decode_every > 0 {
-                    client.set_chaos_decode_every(self.ctx.session.exchange_chaos_decode_every);
-                }
+                );
+                client.set_faults(self.ctx.faults.clone());
+                let client = Arc::new(client);
                 let no_more = Arc::new(AtomicBool::new(false));
                 self.exchanges.push(ExchangeInput {
                     source_fragment: *fragment,
@@ -651,6 +654,7 @@ impl<'a> Compiler<'a> {
         let columns = columns.clone();
         let predicate = predicate.clone();
         let session = self.ctx.session.clone();
+        let faults = self.ctx.faults.clone();
         let trace = self.ctx.trace.clone();
         let trace_pid = self.ctx.task_id.stage.query.0 as u32;
         let trace_tid = self.ctx.task_id.stage.stage;
@@ -675,6 +679,7 @@ impl<'a> Compiler<'a> {
                 &projections,
                 &session,
             );
+            op.set_faults(faults.clone());
             if let Some(agg) = &agg {
                 op = op.with_partial_aggregation(agg);
             }

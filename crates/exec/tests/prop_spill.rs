@@ -417,13 +417,15 @@ proptest! {
 /// (transient) error, not a wrong answer or a panic.
 #[test]
 fn spill_write_failure_is_retryable() {
-    use presto_exec::SpillFault;
+    use presto_common::chaos::{Effect, FaultPlane, Site, Trigger};
+    use presto_common::Session;
     let dir = scratch_dir();
-    let manager = SpillManager::with_fault(
-        Some(dir.clone()),
-        0,
-        Some(SpillFault::WriteError { after_writes: 0 }),
-    );
+    let plane = FaultPlane::new(0).rule(Site::SpillWrite, Trigger::Every(1), Effect::Transient);
+    let session = Session {
+        spill_dir: Some(dir.clone()),
+        ..Session::default()
+    };
+    let manager = SpillManager::for_session(&session, Some(Arc::new(plane)));
     let sum = AggregateFunction::new(AggregateKind::Sum, Some(DataType::Double)).unwrap();
     let mut op = HashAggregationOperator::new(
         AggPhase::Single,

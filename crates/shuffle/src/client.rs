@@ -17,6 +17,7 @@
 
 use crossbeam::queue::SegQueue;
 use parking_lot::{Mutex, RwLock};
+use presto_common::chaos::{key_of, mix, FaultPlane, Site};
 use presto_common::wake::{WakeList, Waker};
 use presto_common::{ErrorCode, PrestoError, Result};
 use presto_page::{decode_framed_page, Page};
@@ -25,6 +26,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::buffer::OutputBuffer;
+
+/// Process-unique client numbers, the seed of each client's retry jitter.
+static NEXT_CLIENT: AtomicU64 = AtomicU64::new(0);
 
 /// Per-source mutable state, behind the source's own lock.
 struct SourceProgress {
@@ -47,6 +51,8 @@ struct SourceProgress {
 
 /// One upstream producer this client reads from.
 struct Source {
+    /// Position among the client's sources (part of a decode's fault key).
+    index: usize,
     buffer: Arc<OutputBuffer>,
     /// Which partition of the producer's buffer belongs to this consumer.
     partition: usize,
@@ -102,10 +108,10 @@ pub struct ExchangeClient {
     /// Virtual requests currently outstanding (issued, deadline not yet
     /// reached).
     in_flight: AtomicUsize,
-    /// Chaos hook: every Nth decode fails transiently (0 = off). Tests use
-    /// this to prove the retry path neither loses nor duplicates pages.
-    chaos_decode_every: AtomicUsize,
-    decode_attempts: AtomicUsize,
+    /// The cluster's fault plane, consulted before every frame decode.
+    faults: Option<Arc<FaultPlane>>,
+    /// Fixed per client, so concurrent consumers' retries de-synchronize.
+    jitter_salt: u64,
     /// Set when the owning query was cancelled or failed: polling stops
     /// immediately (no retry runs to exhaustion for a dead query) and the
     /// client reports finished so exchange drivers retire.
@@ -147,8 +153,8 @@ impl ExchangeClient {
             logical_bytes_received: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             in_flight: AtomicUsize::new(0),
-            chaos_decode_every: AtomicUsize::new(0),
-            decode_attempts: AtomicUsize::new(0),
+            faults: None,
+            jitter_salt: mix(NEXT_CLIENT.fetch_add(1, Ordering::Relaxed)),
             cancelled: AtomicBool::new(false),
             retry_backoff_nanos: AtomicU64::new(200_000), // 200µs
             waiters: WakeList::new(),
@@ -160,7 +166,10 @@ impl ExchangeClient {
     /// available; new sources attach dynamically).
     pub fn add_source(&self, buffer: Arc<OutputBuffer>, partition: usize) {
         self.open.fetch_add(1, Ordering::SeqCst);
-        self.sources.write().push(Arc::new(Source {
+        let mut sources = self.sources.write();
+        let index = sources.len();
+        sources.push(Arc::new(Source {
+            index,
             buffer,
             partition,
             busy: AtomicBool::new(false),
@@ -172,6 +181,7 @@ impl ExchangeClient {
                 retry_after: None,
             }),
         }));
+        drop(sources);
         self.waiters.wake_all();
     }
 
@@ -204,10 +214,10 @@ impl ExchangeClient {
         self.open.load(Ordering::SeqCst)
     }
 
-    /// Test hook: make every `every`-th frame decode fail transiently
-    /// (0 disables). Models flaky transport below the retry layer.
-    pub fn set_chaos_decode_every(&self, every: usize) {
-        self.chaos_decode_every.store(every, Ordering::SeqCst);
+    /// Consult `faults` before every frame decode: flaky transport below
+    /// the retry layer.
+    pub fn set_faults(&mut self, faults: Option<Arc<FaultPlane>>) {
+        self.faults = faults;
     }
 
     /// Override the base retry backoff (tests shorten or lengthen it to
@@ -233,13 +243,12 @@ impl ExchangeClient {
     }
 
     /// Deterministic jitter for the `attempt`-th retry: up to half the
-    /// backoff step, derived from the attempt counter so concurrent
-    /// consumers de-synchronize without shared randomness.
+    /// backoff step, derived from the client's salt and the attempt so
+    /// concurrent consumers de-synchronize without shared randomness.
     fn retry_delay(&self, attempt: u32) -> Duration {
         let base = self.retry_backoff_nanos.load(Ordering::Relaxed).max(1);
         let step = base.saturating_mul(1u64 << (attempt.saturating_sub(1)).min(10));
-        let salt = self.decode_attempts.load(Ordering::Relaxed) as u64;
-        let jitter = presto_common::chaos::mix(salt ^ u64::from(attempt)) % (step / 2 + 1);
+        let jitter = mix(self.jitter_salt ^ u64::from(attempt)) % (step / 2 + 1);
         Duration::from_nanos(step + jitter)
     }
 
@@ -388,8 +397,20 @@ impl ExchangeClient {
         // re-fetches everything exactly once.
         let mut decoded: Vec<(Page, usize)> = Vec::with_capacity(response.pages.len());
         let mut batch_bytes = 0usize;
-        for frame in &response.pages {
-            match self.decode(frame) {
+        for (i, frame) in response.pages.iter().enumerate() {
+            let injected = match &self.faults {
+                Some(faults) => {
+                    let key = (
+                        source.index,
+                        progress.token,
+                        progress.consecutive_failures,
+                        i,
+                    );
+                    faults.hit(Site::FrameDecode, key_of(key))
+                }
+                None => Ok(()),
+            };
+            match injected.and_then(|()| decode(frame)) {
                 Ok(page) => {
                     batch_bytes += frame.len();
                     decoded.push((page, frame.len()));
@@ -455,21 +476,6 @@ impl ExchangeClient {
         }
     }
 
-    fn decode(&self, frame: &[u8]) -> Result<Page> {
-        let every = self.chaos_decode_every.load(Ordering::Relaxed);
-        if every > 0 {
-            let n = self.decode_attempts.fetch_add(1, Ordering::Relaxed);
-            if n % every == every - 1 {
-                return Err(PrestoError::transient("chaos: injected decode failure"));
-            }
-        }
-        decode_framed_page(frame).map_err(|e| {
-            // A malformed shuffle payload is transient from the engine's
-            // view: re-fetching may succeed (the paper's low-level retries).
-            PrestoError::transient(format!("exchange decode failed: {e}"))
-        })
-    }
-
     /// Take the next buffered page, if any. Releases the wire bytes the
     /// page occupied (tracked per page — decoded size differs from wire
     /// size, and mixing them corrupts the backpressure signal).
@@ -505,11 +511,25 @@ impl ExchangeClient {
     }
 }
 
+fn decode(frame: &[u8]) -> Result<Page> {
+    decode_framed_page(frame).map_err(|e| {
+        // A malformed shuffle payload is transient from the engine's view:
+        // re-fetching may succeed (the paper's low-level retries).
+        PrestoError::transient(format!("exchange decode failed: {e}"))
+    })
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
+    use presto_common::chaos::{Effect, Trigger};
     use presto_common::{DataType, Schema, Value};
+
+    fn decode_faults(trigger: Trigger) -> Option<Arc<FaultPlane>> {
+        let plane = FaultPlane::new(0).rule(Site::FrameDecode, trigger, Effect::Transient);
+        Some(Arc::new(plane))
+    }
 
     fn page(v: i64) -> Page {
         Page::from_rows(
@@ -614,13 +634,13 @@ mod tests {
         a.set_no_more_pages();
         // Small input buffer keeps batches to a frame or two, so a batch
         // that hits an injected failure succeeds on its re-fetch.
-        let client = ExchangeClient::with_config(64, Duration::ZERO, 8, 5);
+        let mut client = ExchangeClient::with_config(64, Duration::ZERO, 8, 5);
         client.set_retry_backoff(Duration::ZERO);
         client.add_source(a, 0);
         // Fail every 3rd decode attempt: batches get retried, and because
         // the token only advances after a full-batch decode, every page
         // arrives exactly once.
-        client.set_chaos_decode_every(3);
+        client.set_faults(decode_faults(Trigger::Every(3)));
         let mut values = Vec::new();
         let mut rounds = 0;
         while !client.is_finished() {
@@ -642,10 +662,10 @@ mod tests {
         let a = OutputBuffer::new(1, 1 << 20);
         a.enqueue(0, &page(1));
         a.set_no_more_pages();
-        let client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 3);
+        let mut client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 3);
         client.set_retry_backoff(Duration::ZERO);
         client.add_source(a, 0);
-        client.set_chaos_decode_every(1); // every decode fails
+        client.set_faults(decode_faults(Trigger::Every(1))); // every decode fails
         let mut err = None;
         for _ in 0..10 {
             match client.poll_progress() {
@@ -682,10 +702,10 @@ mod tests {
         for i in 0..10 {
             a.enqueue(0, &page(i));
         }
-        let client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 1000);
+        let mut client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 1000);
         client.set_retry_backoff(Duration::ZERO);
         client.add_source(a, 0);
-        client.set_chaos_decode_every(1); // every decode fails: retry forever
+        client.set_faults(decode_faults(Trigger::Every(1))); // every decode fails: retry forever
         for _ in 0..5 {
             client.poll_progress().unwrap();
         }
@@ -710,13 +730,13 @@ mod tests {
         let a = OutputBuffer::new(1, 1 << 20);
         a.enqueue(0, &page(1));
         a.set_no_more_pages();
-        let client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 100);
+        let mut client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 100);
         client.set_retry_backoff(Duration::from_millis(30));
         client.add_source(a, 0);
-        client.set_chaos_decode_every(1); // fail the first decode…
+        // Fail the first decode, then let the retry through.
+        client.set_faults(decode_faults(Trigger::First(1)));
         client.poll_progress().unwrap();
         assert_eq!(client.retries(), 1);
-        client.set_chaos_decode_every(0); // …then let the retry through
         // Inside the backoff window no new decode is attempted.
         for _ in 0..10 {
             client.poll_progress().unwrap();
@@ -745,6 +765,19 @@ mod tests {
             assert!(d > last, "backoff must grow");
             last = d;
         }
+    }
+
+    /// The jitter is salted per client: two consumers that fail together
+    /// do not retry in lockstep.
+    #[test]
+    fn fresh_clients_jitter_their_retries_differently() {
+        let (a, b) = (
+            ExchangeClient::new(1 << 20, Duration::ZERO),
+            ExchangeClient::new(1 << 20, Duration::ZERO),
+        );
+        a.set_retry_backoff(Duration::from_millis(10));
+        b.set_retry_backoff(Duration::from_millis(10));
+        assert_ne!(a.retry_delay(1), b.retry_delay(1));
     }
 
     #[test]
@@ -835,17 +868,16 @@ mod tests {
 
         let a = OutputBuffer::new(1, 1 << 20);
         a.enqueue(0, &page(1));
-        let client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 100);
+        let mut client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 100);
         client.set_retry_backoff(Duration::from_millis(20));
         client.add_source(a, 0);
+        client.set_faults(decode_faults(Trigger::First(1)));
         let parked = waker();
         assert!(client.park(&parked));
-        client.set_chaos_decode_every(1);
         client.poll_progress().unwrap();
         assert_eq!(client.retries(), 1);
         assert!(parked.is_woken(), "a backoff recalls parked drivers");
         assert!(!client.park(&w), "the backoff is a deadline");
-        client.set_chaos_decode_every(0);
         let deadline = Instant::now() + Duration::from_secs(5);
         while client.next_page().is_none() {
             assert!(Instant::now() < deadline, "retry must happen post-backoff");

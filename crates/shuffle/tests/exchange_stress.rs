@@ -4,6 +4,7 @@
 //! deadline model must keep a fetch round's wall-clock sub-linear in the
 //! source count (virtual round trips overlap instead of serializing).
 
+use presto_common::chaos::{Effect, FaultPlane, Site, Trigger};
 use presto_page::{Block, LongBlock, Page};
 use presto_shuffle::{ExchangeClient, OutputBuffer};
 use std::collections::HashSet;
@@ -21,6 +22,12 @@ fn fill_source(source: usize, pages: usize, rows_per_page: usize) -> Arc<OutputB
     }
     buffer.set_no_more_pages();
     buffer
+}
+
+/// Every `n`th frame decode fails transiently.
+fn decode_faults(n: u64) -> Option<Arc<FaultPlane>> {
+    let plane = FaultPlane::new(0).rule(Site::FrameDecode, Trigger::Every(n), Effect::Transient);
+    Some(Arc::new(plane))
 }
 
 fn drain_with_drivers(client: &Arc<ExchangeClient>, drivers: usize) -> Vec<i64> {
@@ -60,13 +67,9 @@ fn multi_driver_drain_under_latency_and_chaos_loses_and_duplicates_nothing() {
     // sources. Tokens must not advance past undecoded batches (the
     // at-least-once guarantee) while retries must not re-deliver decoded
     // ones.
-    let client = Arc::new(ExchangeClient::with_config(
-        512,
-        Duration::from_millis(2),
-        8,
-        10,
-    ));
-    client.set_chaos_decode_every(7);
+    let mut client = ExchangeClient::with_config(512, Duration::from_millis(2), 8, 10);
+    client.set_faults(decode_faults(7));
+    let client = Arc::new(client);
     for s in 0..sources {
         client.add_source(fill_source(s, pages, rows), 0);
     }
@@ -134,13 +137,9 @@ fn cancel_mid_drain_under_chaos_stops_all_drivers_and_releases_buffers() {
     // decode fails, so several sources sit in retry-backoff windows at any
     // moment). Cancelling mid-drain must stop polling AND retrying at once:
     // no driver keeps a dead query's retry budget alive.
-    let client = Arc::new(ExchangeClient::with_config(
-        512,
-        Duration::from_millis(1),
-        8,
-        10,
-    ));
-    client.set_chaos_decode_every(5);
+    let mut client = ExchangeClient::with_config(512, Duration::from_millis(1), 8, 10);
+    client.set_faults(decode_faults(5));
+    let client = Arc::new(client);
     client.set_retry_backoff(Duration::from_micros(100));
     for s in 0..4 {
         client.add_source(fill_source(s, 64, 32), 0);
