@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 use crate::config::ClusterConfig;
 use crate::history::{self, QueryHistory, QueryHistoryEntry};
 use crate::memory::{QueryMemoryLimits, ReservedPoolLock};
-use crate::scheduler::{build_side_sources, place_fragments, Placement, SplitFeeder};
+use crate::scheduler::{build_side_sources, place_fragments, Feed, Placement, SplitFeeder};
 use crate::telemetry::ClusterTelemetry;
 use crate::worker::{QueryState, TaskHandle, Worker};
 
@@ -370,7 +370,15 @@ impl Coordinator {
         // leaf drivers of a LIMIT query that finished early) stop before
         // their memory registration disappears — and drop the task list, or
         // the state ↔ task cycle keeps every task of every query alive.
-        state.retire();
+        let tasks = state.retire();
+        // Roll the query's exchange traffic into the cluster-lifetime
+        // shuffle counters; from here on snapshots no longer count its
+        // tasks as running.
+        let mut received = crate::metrics::ShuffleMetrics::default();
+        for e in tasks.iter().flat_map(|t| &t.task.exchanges) {
+            received.add_received(&e.client);
+        }
+        self.telemetry.record_shuffle(received);
         self.history.set_attempt(query, None);
         for w in &self.workers {
             w.pool.unregister_query(query);
@@ -407,7 +415,7 @@ impl Coordinator {
                 "no workers available for placement (all draining, lost, or shut down)",
             ));
         }
-        let placements = place_fragments(plan, &self.config, &available);
+        let placements = place_fragments(plan, query, &self.config, &available);
         // Echo the effective spill knobs into telemetry so `ClusterSnapshot`
         // reports where spill runs land and under what disk budget while
         // the query is still running (§IV-F2).
@@ -546,9 +554,8 @@ impl Coordinator {
             }
             // Feed splits for this fragment's scans.
             self.feed_fragment_splits(
-                plan,
                 fid,
-                &placements,
+                placement,
                 &handles[fid as usize],
                 state,
                 session,
@@ -683,54 +690,41 @@ impl Coordinator {
         Ok((pages, stats))
     }
 
-    /// Start asynchronous split enumeration for every scan of a fragment.
-    /// Feeding runs on its own threads so (a) co-located fragments with two
-    /// scans cannot deadlock on bounded split queues, and (b) queries can
-    /// start returning results before enumeration completes (§IV-D3).
-    #[allow(clippy::too_many_arguments)]
+    /// Feed the splits of every scan of a fragment (§IV-D3). Each scan is
+    /// fed inline until its source is finished or its task queues are
+    /// full; only a scan left with full queues continues on a feeder
+    /// thread of its own. The inline pass never waits, so (a) co-located
+    /// fragments with two scans cannot deadlock on bounded split queues,
+    /// and (b) queries start returning results before enumeration of a
+    /// large source completes.
     fn feed_fragment_splits(
         &self,
-        plan: &PhysicalPlan,
         fid: u32,
-        placements: &[Placement],
+        placement: &Placement,
         handles: &[Arc<TaskHandle>],
         state: &Arc<QueryState>,
         session: &Session,
         dyn_filters: Option<&Arc<presto_exec::TaskDynamicFilters>>,
     ) -> Result<()> {
-        let fragment = plan.fragment(fid);
-        if fragment.scans().is_empty() {
+        let Some(first) = handles.first() else {
             return Ok(());
-        }
-        let placement = placements[fid as usize].clone();
-        let scan_count = handles[0].task.scans.len();
-        let node_of: Vec<presto_common::NodeId> = self.workers.iter().map(|w| w.node).collect();
-        for scan_idx in 0..scan_count {
-            let proto = &handles[0].task.scans[scan_idx];
-            let catalog = proto.catalog.clone();
-            let table = proto.table.clone();
-            let layout = proto.layout.clone();
-            let predicate = proto.predicate.clone();
-            let queues: Vec<(usize, Arc<presto_exec::scan::SplitQueue>)> = handles
+        };
+        for (scan_idx, scan) in first.task.scans.iter().enumerate() {
+            let queues = handles
                 .iter()
-                .enumerate()
-                .map(|(i, h)| {
+                .zip(&placement.tasks)
+                .map(|(h, &w)| {
                     (
-                        placement.tasks[i],
+                        self.workers[w].node,
                         Arc::clone(&h.task.scans[scan_idx].queue),
                     )
                 })
                 .collect();
-            let catalogs = self.catalogs.clone();
-            let config = self.config.clone();
-            let state = Arc::clone(state);
-            let bucketed = placement.bucketed;
-            let node_of = node_of.clone();
             // Feeder-side consumer handle when a dynamic filter targets
             // this scan: prunes still-unassigned splits once the filter
             // arrives, within the same bounded wait the operators use.
             let scan_filter = dyn_filters.and_then(|df| {
-                let specs = df.specs_for_scan(proto.node_id);
+                let specs = df.specs_for_scan(scan.node_id);
                 (!specs.is_empty()).then(|| {
                     presto_exec::ScanDynamicFilter::new(
                         Arc::clone(&df.registry),
@@ -739,29 +733,34 @@ impl Coordinator {
                     )
                 })
             });
+            let source = self.catalogs.catalog(&scan.catalog)?.split_source(
+                &scan.table,
+                &scan.layout,
+                &scan.predicate,
+            )?;
+            let mut feeder = SplitFeeder::new(
+                source,
+                queues,
+                placement.bucketed,
+                scan_filter,
+                &self.config,
+            );
+            match feeder.feed(state) {
+                Ok(Feed::Done) => continue,
+                Ok(Feed::Full) => {}
+                Err(e) => {
+                    // Unblock scan drivers waiting for splits.
+                    feeder.close();
+                    return Err(e);
+                }
+            }
+            let state = Arc::clone(state);
             std::thread::Builder::new()
                 .name(format!("split-feed-{fid}-{scan_idx}"))
                 .spawn(move || {
-                    let feeder = SplitFeeder {
-                        catalogs: &catalogs,
-                        config: &config,
-                    };
-                    if let Err(e) = feeder.feed(
-                        &catalog,
-                        &table,
-                        &layout,
-                        &predicate,
-                        &queues,
-                        bucketed,
-                        &state,
-                        &|w| node_of[w],
-                        scan_filter.as_deref(),
-                    ) {
+                    if let Err(e) = feeder.run(&state) {
                         state.fail(e);
-                        // Unblock scan drivers waiting for splits.
-                        for (_, q) in &queues {
-                            q.no_more_splits();
-                        }
+                        feeder.close();
                     }
                 })
                 .map_err(|e| PrestoError::internal(format!("spawn split feeder: {e}")))?;

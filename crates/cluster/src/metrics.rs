@@ -15,6 +15,7 @@ use presto_cache::CacheCounters;
 use presto_common::counters::{self, JsonCodec};
 use presto_common::json::Json;
 use presto_common::{counter_set, Result, TraceBuffer};
+use presto_shuffle::ExchangeClient;
 use std::sync::Arc;
 
 use crate::memory::PoolSnapshot;
@@ -48,16 +49,18 @@ counter_set! {
         memory: PoolSnapshot,
     }
 
-    /// Shuffle data-plane gauges, aggregated over tasks still running.
+    /// Shuffle data plane: buffered bytes and in-flight requests are gauges
+    /// over tasks still running; retries and bytes received are totals
+    /// since startup.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct ShuffleMetrics[json] {
+    pub struct ShuffleMetrics[json, atomic(ShuffleTotals)] {
         /// Bytes parked in live tasks' output buffers right now.
         output_buffered_bytes: u64,
         /// Bytes parked in live exchange-client input buffers right now.
         exchange_buffered_bytes: u64,
         /// Exchange requests currently in flight.
         in_flight_requests: u64,
-        /// Transient decode failures retried by live exchange clients.
+        /// Transient decode failures retried by exchange clients.
         retries: u64,
         /// Serialized (possibly compressed) bytes pulled from upstream tasks.
         wire_bytes_received: u64,
@@ -92,6 +95,13 @@ counter_set! {
 }
 
 impl ShuffleMetrics {
+    /// Add what `client` has received so far.
+    pub(crate) fn add_received(&mut self, client: &ExchangeClient) {
+        self.retries += client.retries();
+        self.wire_bytes_received += client.bytes_received();
+        self.logical_bytes_received += client.logical_bytes_received();
+    }
+
     /// Logical/wire expansion of exchanged data (1.0 when nothing moved
     /// or nothing compressed).
     pub fn compression_ratio(&self) -> f64 {
@@ -147,19 +157,21 @@ impl ClusterSnapshot {
         trace: Option<&TraceBuffer>,
     ) -> ClusterSnapshot {
         let busy = telemetry.worker_busy();
-        let mut shuffle = ShuffleMetrics::default();
+        // Ended queries' totals, plus the running queries' share below.
+        let mut shuffle = telemetry.shuffle_metrics();
         let worker_metrics = workers
             .iter()
             .enumerate()
             .map(|(i, w)| {
                 for handle in w.live_tasks() {
                     shuffle.output_buffered_bytes += handle.task.output.retained_bytes() as u64;
+                    let running = !handle.query_state.is_retired();
                     for e in &handle.task.exchanges {
                         shuffle.exchange_buffered_bytes += e.client.buffered_bytes() as u64;
                         shuffle.in_flight_requests += e.client.in_flight() as u64;
-                        shuffle.retries += e.client.retries();
-                        shuffle.wire_bytes_received += e.client.bytes_received();
-                        shuffle.logical_bytes_received += e.client.logical_bytes_received();
+                        if running {
+                            shuffle.add_received(&e.client);
+                        }
                     }
                 }
                 WorkerMetrics {

@@ -4,7 +4,8 @@
 //! counters" — here a compact set of the counters the benchmarks need,
 //! all cluster-lifetime totals: per-worker busy time (CPU utilization),
 //! query lifecycle gauges, per-phase latency histograms, error counters by
-//! code, cache counters, and dynamic-filter, fusion and spill totals.
+//! code, cache counters, and dynamic-filter, fusion, spill and shuffle
+//! totals.
 //! Nothing here is kept per query; each query's own record lives in
 //! [`crate::history::QueryHistory`].
 
@@ -17,6 +18,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use crate::metrics::{ShuffleMetrics, ShuffleTotals};
 
 /// Shared counters, cheap to clone.
 #[derive(Clone)]
@@ -44,6 +47,8 @@ struct Inner {
     /// Spill totals (§IV-F2), rolled in per spilling query after it
     /// finishes, and the config echo, noted per spill-enabled query.
     spill: Mutex<SpillMetrics>,
+    /// What ended queries' exchange clients received, rolled in per query.
+    shuffle: ShuffleTotals,
     /// Per-phase wall-time histograms across all finished queries (§VI
     /// latency tables): queue wait, planning, and execution.
     queued_hist: LatencyHistogram,
@@ -254,6 +259,18 @@ impl ClusterTelemetry {
         spill.queries_spilled += 1;
         spill.spilled_bytes += spilled_bytes;
         spill.spill_events += spill_events;
+    }
+
+    /// Accumulate what one ended query's exchange clients received into
+    /// the cluster-lifetime counters.
+    pub fn record_shuffle(&self, received: ShuffleMetrics) {
+        self.inner.shuffle.add(&received);
+    }
+
+    /// Cluster-lifetime shuffle totals of ended queries (the buffered and
+    /// in-flight gauges read zero).
+    pub fn shuffle_metrics(&self) -> ShuffleMetrics {
+        self.inner.shuffle.snapshot()
     }
 
     pub fn spill_metrics(&self) -> SpillMetrics {

@@ -70,6 +70,8 @@ pub struct QueryState {
     pub query: QueryId,
     error: Mutex<Option<PrestoError>>,
     cancelled: AtomicBool,
+    /// Set by [`retire`](Self::retire): the query has ended.
+    retired: AtomicBool,
     cpu_nanos: AtomicU64,
     /// The query's tasks, for the cancel fan-out. Tasks point back at this
     /// state, so [`retire`](Self::retire) empties the list when the query
@@ -89,6 +91,7 @@ impl QueryState {
             query,
             error: Mutex::new(None),
             cancelled: AtomicBool::new(false),
+            retired: AtomicBool::new(false),
             cpu_nanos: AtomicU64::new(0),
             tasks: Mutex::new(Vec::new()),
             cancel_waiters: WakeList::new(),
@@ -133,10 +136,15 @@ impl QueryState {
     }
 
     /// End of the query: cancel whatever still runs, then let go of the
-    /// tasks.
-    pub fn retire(&self) {
+    /// tasks, handing them to the caller.
+    pub fn retire(&self) -> Vec<Arc<TaskHandle>> {
+        self.retired.store(true, Ordering::SeqCst);
         self.cancel();
-        self.tasks.lock().clear();
+        std::mem::take(&mut *self.tasks.lock())
+    }
+
+    pub fn is_retired(&self) -> bool {
+        self.retired.load(Ordering::SeqCst)
     }
 
     pub fn is_cancelled(&self) -> bool {

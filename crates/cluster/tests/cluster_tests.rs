@@ -312,6 +312,29 @@ fn faulty_config(plane: &Arc<FaultPlane>) -> ClusterConfig {
     }
 }
 
+/// Exchange retries and bytes received are cluster-lifetime totals: a
+/// query that healed through decode retries still shows them once it has
+/// returned and its tasks have retired.
+#[test]
+fn shuffle_counters_outlive_the_query() {
+    let (catalogs, _) = test_catalogs();
+    let plane =
+        Arc::new(FaultPlane::new(0).rule(Site::FrameDecode, Trigger::First(2), Effect::Transient));
+    let c = Cluster::start(faulty_config(&plane), catalogs).unwrap();
+    let out = c
+        .execute("SELECT custkey, COUNT(*) FROM orders GROUP BY custkey")
+        .unwrap();
+    assert_eq!(out.row_count(), 100);
+    assert_eq!(plane.fired(Site::FrameDecode), 2);
+    c.await_quiescent(Duration::from_secs(5)).unwrap();
+    let shuffle = c.metrics_snapshot().shuffle;
+    assert!(shuffle.retries >= 2, "{shuffle:?}");
+    assert!(shuffle.wire_bytes_received > 0, "{shuffle:?}");
+    assert!(shuffle.logical_bytes_received > 0, "{shuffle:?}");
+    assert_eq!(shuffle.exchange_buffered_bytes, 0, "{shuffle:?}");
+    assert_eq!(shuffle.in_flight_requests, 0, "{shuffle:?}");
+}
+
 /// A permanent split-open fault fails the query at once with a
 /// non-retryable error: neither the scan's low-level retry nor the
 /// coordinator's query retry runs it again.

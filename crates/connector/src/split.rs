@@ -55,8 +55,10 @@ impl std::fmt::Debug for Split {
 
 /// Lazily enumerates splits in batches.
 pub trait SplitSource: Send {
-    /// Up to `max` more splits. An empty vector with [`SplitSource::is_finished`]
-    /// false means "none ready yet" (the scheduler backs off and retries).
+    /// Up to `max` (at least 1) more splits. A source with none ready yet
+    /// waits until it has some: an empty batch means enumeration is over,
+    /// and [`SplitSource::is_finished`] is then true. The scheduler fails
+    /// the query on an empty batch from an unfinished source.
     fn next_batch(&mut self, max: usize) -> Result<Vec<Split>>;
 
     /// Whether enumeration is complete.
@@ -123,6 +125,25 @@ mod tests {
         assert_eq!(src.next_batch(2).unwrap().len(), 1);
         assert!(src.is_finished());
         assert!(src.next_batch(2).unwrap().is_empty());
+    }
+
+    #[test]
+    fn batches_are_empty_only_once_finished() {
+        for n in [0, 1, 3, 4, 8] {
+            for max in [1, 2, 4] {
+                let mut src = FixedSplitSource::new((0..n).map(split).collect());
+                let mut seen = 0;
+                loop {
+                    let batch = src.next_batch(max).unwrap();
+                    if batch.is_empty() {
+                        assert!(src.is_finished(), "{n} splits, batches of {max}");
+                        break;
+                    }
+                    seen += batch.len();
+                }
+                assert_eq!(seen, n);
+            }
+        }
     }
 
     #[test]

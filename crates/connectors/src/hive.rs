@@ -582,6 +582,36 @@ mod tests {
     }
 
     #[test]
+    fn batches_are_empty_only_once_finished() {
+        // Three files; the predicate prunes every stripe of the middle one,
+        // so enumeration must walk past it rather than return nothing.
+        let root = temp_root("contract");
+        let c = HiveConnector::new(&root).unwrap();
+        let schema = Schema::of(&[("x", DataType::Bigint)]);
+        c.create_table("m", &schema).unwrap();
+        for x in [1, 100, 2] {
+            let mut sink = c.create_sink("m").unwrap();
+            sink.append(&Page::from_rows(&schema, &[vec![Value::Bigint(x)]]))
+                .unwrap();
+            sink.finish().unwrap();
+        }
+        let mut predicate = TupleDomain::all();
+        predicate.constrain(0, Domain::at_most(Value::Bigint(50)));
+        let mut src = c.split_source("m", "default", &predicate).unwrap();
+        let mut splits = 0;
+        loop {
+            let batch = src.next_batch(1).unwrap();
+            if batch.is_empty() {
+                assert!(src.is_finished());
+                break;
+            }
+            splits += batch.len();
+        }
+        assert_eq!(splits, 2);
+        std::fs::remove_dir_all(root).ok();
+    }
+
+    #[test]
     fn statistics_toggle() {
         let root = temp_root("stats");
         let c = loaded_connector(&root);

@@ -13,7 +13,7 @@
 
 use presto_common::id::PlanNodeIdAllocator;
 use presto_common::{PrestoError, Result, Schema, Session};
-use presto_connector::CatalogManager;
+use presto_connector::{CatalogManager, Domain, TupleDomain};
 
 use crate::plan::{AggregateSpec, AggregateStep, JoinDistribution, PlanNode};
 
@@ -348,6 +348,32 @@ impl<'a> Fragmenter<'a> {
                     .catalog(&catalog)?
                     .metadata()
                     .table_layouts(&table);
+                // A predicate that pins every bucket column to one value
+                // leaves at most one bucket holding rows: one task reads it
+                // and everything above stays in its fragment — the §IV-C3
+                // elision applied to a single-shard source. Node-local
+                // layouts are excluded: their splits must run where they
+                // live, so placement stays with the scheduler.
+                let pinned = layouts.iter().find(|l| {
+                    !l.node_local
+                        && l.partitioning
+                            .as_ref()
+                            .is_some_and(|p| pins_one_bucket(&predicate, &p.columns))
+                });
+                if let Some(l) = pinned {
+                    return Ok(Piece {
+                        node: PlanNode::TableScan {
+                            id,
+                            catalog,
+                            table,
+                            layout: l.name.clone(),
+                            table_schema,
+                            columns,
+                            predicate,
+                        },
+                        dist: Dist::Single,
+                    });
+                }
                 let mut chosen = "default".to_string();
                 let mut bucketed = None;
                 for l in &layouts {
@@ -570,13 +596,21 @@ impl<'a> Fragmenter<'a> {
                 let lp = self.visit(*left)?;
                 let rp = self.visit(*right)?;
                 let mut distribution = distribution.unwrap_or(JoinDistribution::Partitioned);
+                // A single-task side is partitioned on nothing as far as its
+                // partner goes: matching it would pin the partner to one
+                // task too. Only two single-task sides join in place.
+                let both_single = lp.dist.is_single() && rp.dist.is_single();
+                let partitioned_on = |dist: &Dist, keys: &[usize]| {
+                    !keys.is_empty()
+                        && (both_single || !dist.is_single())
+                        && dist.satisfies_hash(keys)
+                };
                 // Co-located beats broadcast: if both sides are already
                 // partitioned on the join keys with matching bucket counts,
                 // no exchange at all is needed (§IV-C3).
                 if distribution == JoinDistribution::Replicated
-                    && !left_keys.is_empty()
-                    && lp.dist.satisfies_hash(&left_keys)
-                    && rp.dist.satisfies_hash(&right_keys)
+                    && partitioned_on(&lp.dist, &left_keys)
+                    && partitioned_on(&rp.dist, &right_keys)
                     && lp.dist.task_count_hint(self.default_partitions())
                         == rp.dist.task_count_hint(self.default_partitions())
                     && !lp.dist.is_single()
@@ -607,8 +641,8 @@ impl<'a> Fragmenter<'a> {
                         })
                     }
                     JoinDistribution::Partitioned => {
-                        let l_ok = lp.dist.satisfies_hash(&left_keys) && !left_keys.is_empty();
-                        let r_ok = rp.dist.satisfies_hash(&right_keys) && !right_keys.is_empty();
+                        let l_ok = partitioned_on(&lp.dist, &left_keys);
+                        let r_ok = partitioned_on(&rp.dist, &right_keys);
                         let (lfinal, rfinal) = match (l_ok, r_ok) {
                             (true, true) => {
                                 // Both sides co-partitioned: no shuffle at
@@ -929,6 +963,16 @@ impl<'a> Fragmenter<'a> {
             }
         }
     }
+}
+
+/// Whether `predicate` fixes each of the bucket `columns` (table-schema
+/// indices) to a single value, so that every matching row hashes to the
+/// same bucket.
+fn pins_one_bucket(predicate: &TupleDomain, columns: &[usize]) -> bool {
+    !columns.is_empty()
+        && columns
+            .iter()
+            .all(|&c| matches!(predicate.domain(c), Some(Domain::Set(values)) if values.len() == 1))
 }
 
 /// Distribution of an Aggregate output: group keys move to channels 0..g.

@@ -482,6 +482,103 @@ fn topn_split_into_partial_and_final() {
     assert_eq!(topns, 2, "partial + final TopN:\n{}", plan.explain());
 }
 
+/// The fragment holding a scan of `table`.
+fn scan_fragment<'a>(
+    plan: &'a presto_planner::PhysicalPlan,
+    table: &str,
+) -> &'a presto_planner::PlanFragment {
+    plan.fragments
+        .iter()
+        .find(|f| {
+            count_nodes(
+                &f.root,
+                &|n| matches!(n, PlanNode::TableScan { table: t, .. } if t == table),
+            ) > 0
+        })
+        .unwrap_or_else(|| panic!("no scan of {table}:\n{}", plan.explain()))
+}
+
+#[test]
+fn scan_pinned_to_one_bucket_plans_as_one_fragment() {
+    let dir = std::env::temp_dir().join(format!("raptor-pinned-{}", std::process::id()));
+    let catalogs = corpus_catalogs(&dir);
+    let plan_of = |catalog: &str, sql: &str| {
+        plan_statement(
+            &parse_statement(sql).unwrap(),
+            &Session::for_catalog(catalog),
+            &catalogs,
+        )
+        .unwrap()
+    };
+    // Every sharding column fixed to one value: one bucket, one fragment,
+    // the aggregate and window kept in it as single steps.
+    for sql in [
+        "SELECT clicks FROM ads WHERE ad_id = 42",
+        "SELECT ad_id, SUM(clicks) FROM ads WHERE ad_id = 7 GROUP BY ad_id",
+        "SELECT clicks, rank() OVER (ORDER BY clicks DESC) FROM ads WHERE ad_id = 7 ORDER BY clicks LIMIT 3",
+    ] {
+        let plan = plan_of("sharded", sql);
+        assert_eq!(plan.fragments.len(), 1, "{sql}:\n{}", plan.explain());
+        assert_eq!(plan.fragments[0].partitioning, FragmentPartitioning::Single);
+    }
+    // Two buckets, a range, and a pin on a node-local layout stay
+    // distributed.
+    for (catalog, sql) in [
+        ("sharded", "SELECT clicks FROM ads WHERE ad_id IN (1, 2)"),
+        ("sharded", "SELECT clicks FROM ads WHERE ad_id < 10"),
+        ("raptor", "SELECT v FROM t WHERE uid = 3"),
+    ] {
+        let plan = plan_of(catalog, sql);
+        assert!(plan.fragments.len() > 1, "{sql}:\n{}", plan.explain());
+        assert!(matches!(
+            plan.fragment(0).partitioning,
+            FragmentPartitioning::Source { .. }
+        ));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn single_task_join_side_does_not_funnel_its_partner() {
+    // A pinned scan is a single-task side. Matching it on the join keys
+    // would force the lineitem side into one task too.
+    let dir = std::env::temp_dir().join(format!("raptor-funnel-{}", std::process::id()));
+    let catalogs = corpus_catalogs(&dir);
+    let session = Session {
+        join_distribution: presto_common::session::JoinDistribution::Partitioned,
+        ..Session::for_catalog("memory")
+    };
+    let sql = "SELECT l.tax, a.clicks FROM lineitem l JOIN sharded.ads a \
+               ON l.orderkey = a.clicks WHERE a.ad_id = 42";
+    let plan = plan_statement(&parse_statement(sql).unwrap(), &session, &catalogs).unwrap();
+    assert_eq!(
+        scan_fragment(&plan, "ads").partitioning,
+        FragmentPartitioning::Single,
+        "{}",
+        plan.explain()
+    );
+    assert!(matches!(
+        scan_fragment(&plan, "lineitem").partitioning,
+        FragmentPartitioning::Source { bucket_count: None }
+    ));
+    let join = plan
+        .fragments
+        .iter()
+        .find(|f| count_nodes(&f.root, &|n| matches!(n, PlanNode::Join { .. })) > 0)
+        .unwrap();
+    assert!(
+        matches!(join.partitioning, FragmentPartitioning::Hash { count } if count >= 2),
+        "{}",
+        plan.explain()
+    );
+    // Two single-task sides still join in place, in one task.
+    let sql = "SELECT a.clicks, b.clicks FROM sharded.ads a JOIN sharded.ads b \
+               ON a.clicks = b.clicks WHERE a.ad_id = 42 AND b.ad_id = 7";
+    let plan = plan_statement(&parse_statement(sql).unwrap(), &session, &catalogs).unwrap();
+    assert_eq!(plan.fragments.len(), 1, "{}", plan.explain());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every catalog the plan-identity corpus reads: `setup()`'s `memory`
 /// tables plus an INSERT target and an index-join probe, a TPC-H-shaped
 /// `tpch`, an unanalyzed `nostats`, a bucketed `raptor` under `raptor_dir`
@@ -703,7 +800,7 @@ const PLAN_CORPUS: &[(&str, &str, u64, usize, usize)] = &[
     ("memory", "SELECT 1 + 2, 'x'", 0x2bbe4584e11b4248, 0, 0),
     ("memory", "INSERT INTO orders_copy SELECT orderkey, custkey, totalprice * 2, orderstatus FROM orders WHERE custkey < 5", 0x8388e6fa50b186a5, 0, 1),
     // Index and sharded lookups.
-    ("sharded", "SELECT clicks FROM ads WHERE ad_id = 42", 0x02655c06cc06d499, 0, 1),
+    ("sharded", "SELECT clicks FROM ads WHERE ad_id = 42", 0x6f7233aa54794dbd, 0, 1),
     ("sharded", "SELECT COUNT(*), SUM(clicks) FROM ads WHERE ad_id IN (1, 2, 3)", 0x3844a907f07bb7da, 0, 1),
     ("sharded", "SELECT ad_id, c, rank() OVER (ORDER BY c DESC) AS r FROM (SELECT ad_id, SUM(clicks) AS c FROM ads WHERE ad_id < 10 GROUP BY ad_id) t", 0x8a2ee7cdd36cae69, 0, 1),
 ];
