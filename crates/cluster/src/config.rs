@@ -35,24 +35,14 @@ pub struct ClusterConfig {
     /// Maximum concurrently-running queries (admission control; the queue
     /// policy of §III).
     pub max_concurrent_queries: usize,
-    /// Maximum queued queries before admission rejects outright.
+    /// Maximum queries waiting for a run slot; an arrival that would wait
+    /// beyond it is rejected. At `0` a query runs only if a slot is free.
     pub max_queued_queries: usize,
-    /// Output buffer capacity per task.
-    pub output_buffer_bytes: usize,
-    /// Exchange client input buffer capacity per task.
-    pub exchange_buffer_bytes: usize,
-    /// Simulated network latency per exchange poll (models the HTTP
-    /// long-poll round trip; zero for latency-free benchmarks).
-    pub exchange_poll_latency: Duration,
     /// Splits fetched from a connector per enumeration batch (§IV-D3).
     pub split_batch_size: usize,
     /// Maximum queued splits per task before assignment pauses (keeping
     /// queues small lets the cluster adapt to stragglers, §IV-D3).
     pub max_queued_splits_per_task: usize,
-    /// Upper bound for adaptive writer scaling (§IV-E3).
-    pub max_writer_tasks: usize,
-    /// Output-buffer utilization above which a writer task is added.
-    pub writer_scale_up_threshold: f64,
     /// Metadata-cache sizing: metastore (schemas + statistics), PORC
     /// footers, and split listings (§IV-B, §V-C). Retained bytes are
     /// charged as system memory against every worker's general pool.
@@ -70,7 +60,7 @@ pub struct ClusterConfig {
     /// counter stops advancing for this long is declared lost — its state
     /// flips to `Lost`, every query with a task on it fails with the
     /// retryable `WorkerFailed` code, and placement excludes it. Must be
-    /// much larger than the session quanta (executor threads heartbeat
+    /// much larger than the worker quanta (executor threads heartbeat
     /// between quanta). `Duration::ZERO` disables the detector.
     pub liveness_timeout: Duration,
     /// Injected faults (§IV-G): every task consults this plane at split
@@ -91,13 +81,8 @@ impl Default for ClusterConfig {
             kill_on_memory_exhausted: false,
             max_concurrent_queries: 100,
             max_queued_queries: 1000,
-            output_buffer_bytes: 32 << 20,
-            exchange_buffer_bytes: 32 << 20,
-            exchange_poll_latency: Duration::ZERO,
             split_batch_size: 64,
             max_queued_splits_per_task: 32,
-            max_writer_tasks: 4,
-            writer_scale_up_threshold: 0.5,
             cache: MetadataCacheConfig::default(),
             trace_capacity: 4096,
             query_history_capacity: 256,
@@ -135,8 +120,11 @@ impl ClusterConfig {
         if self.max_concurrent_queries == 0 {
             return fail("max_concurrent_queries must be at least 1");
         }
-        if self.max_writer_tasks == 0 {
-            return fail("max_writer_tasks must be at least 1");
+        if self.split_batch_size == 0 {
+            return fail("split_batch_size must be at least 1");
+        }
+        if self.max_queued_splits_per_task == 0 {
+            return fail("max_queued_splits_per_task must be at least 1");
         }
         Ok(())
     }
@@ -154,23 +142,32 @@ mod tests {
 
     #[test]
     fn invalid_configs_fail_loudly() {
-        assert!(ClusterConfig {
-            workers: 0,
-            ..Default::default()
+        let invalid = [
+            ClusterConfig {
+                workers: 0,
+                ..Default::default()
+            },
+            ClusterConfig {
+                threads_per_worker: 0,
+                ..Default::default()
+            },
+            ClusterConfig {
+                max_concurrent_queries: 0,
+                ..Default::default()
+            },
+            // A zero-capacity split queue would never accept a split, so a
+            // non-bucketed scan would wait for queue space forever.
+            ClusterConfig {
+                max_queued_splits_per_task: 0,
+                ..Default::default()
+            },
+            ClusterConfig {
+                split_batch_size: 0,
+                ..Default::default()
+            },
+        ];
+        for config in invalid {
+            assert!(config.validate().is_err(), "{config:?}");
         }
-        .validate()
-        .is_err());
-        assert!(ClusterConfig {
-            threads_per_worker: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(ClusterConfig {
-            max_concurrent_queries: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 }

@@ -62,6 +62,10 @@ impl QueryOutput {
     }
 }
 
+/// Output-buffer utilization above which a round-robin producer activates
+/// one more writer task (§IV-E3).
+const WRITER_SCALE_UP_THRESHOLD: f64 = 0.5;
+
 /// FIFO admission gate ("queue policies", §III). Blocks until a run slot
 /// frees; rejects outright above the queue bound.
 struct Admission {
@@ -83,17 +87,20 @@ impl Admission {
 
     fn acquire(&self) -> Result<()> {
         let mut state = self.state.lock();
-        if state.1 >= self.max_waiting {
-            return Err(PrestoError::resources(format!(
-                "query queue is full ({} queued)",
-                state.1
-            )));
+        // Only a query that must wait counts against the queue bound.
+        if state.0 >= self.max_running {
+            if state.1 >= self.max_waiting {
+                return Err(PrestoError::resources(format!(
+                    "query queue is full ({} queued)",
+                    state.1
+                )));
+            }
+            state.1 += 1;
+            while state.0 >= self.max_running {
+                self.cv.wait(&mut state);
+            }
+            state.1 -= 1;
         }
-        state.1 += 1;
-        while state.0 >= self.max_running {
-            self.cv.wait(&mut state);
-        }
-        state.1 -= 1;
         state.0 += 1;
         Ok(())
     }
@@ -415,7 +422,7 @@ impl Coordinator {
                 "no workers available for placement (all draining, lost, or shut down)",
             ));
         }
-        let placements = place_fragments(plan, query, &self.config, &available);
+        let placements = place_fragments(plan, query, &available);
         // Echo the effective spill knobs into telemetry so `ClusterSnapshot`
         // reports where spill runs land and under what disk budget while
         // the query is still running (§IV-F2).
@@ -469,9 +476,6 @@ impl Coordinator {
                         as Arc<dyn presto_exec::MemoryPool>,
                     consumer_count,
                     leaf_parallelism: self.config.leaf_parallelism,
-                    output_buffer_bytes: self.config.output_buffer_bytes,
-                    exchange_buffer_bytes: self.config.exchange_buffer_bytes,
-                    exchange_poll_latency: self.config.exchange_poll_latency,
                     trace: self.trace.clone(),
                     dynamic_filters: dyn_filters.clone(),
                     faults: self.config.faults.clone(),
@@ -549,7 +553,7 @@ impl Coordinator {
             let placement: &Placement = &placements[fid as usize];
             for (i, task) in fragment_tasks.into_iter().enumerate() {
                 let worker = &self.workers[placement.tasks[i]];
-                let handle = worker.submit_task(task, Arc::clone(state), session.quanta);
+                let handle = worker.submit_task(task, Arc::clone(state));
                 handles[fid as usize].push(handle);
             }
             // Feed splits for this fragment's scans.
@@ -598,7 +602,7 @@ impl Coordinator {
             }
             // Adaptive writer scaling (§IV-E3).
             for buffer in &scaling_buffers {
-                if buffer.utilization() > self.config.writer_scale_up_threshold {
+                if buffer.utilization() > WRITER_SCALE_UP_THRESHOLD {
                     let active = buffer.active_partitions();
                     if active < buffer.consumer_count() {
                         buffer.set_active_partitions(active + 1);

@@ -21,16 +21,16 @@ pub struct Placement {
     pub bucketed: bool,
 }
 
+/// Tasks provisioned for a writer fragment: the upper bound of adaptive
+/// writer scaling (§IV-E3). The coordinator activates them one at a time
+/// as the producers' output buffers back up.
+const MAX_WRITER_TASKS: usize = 4;
+
 /// Decide task counts and worker assignments for every fragment (§IV-D2).
 /// `available` lists the indices of workers placement may use — healthy
 /// `Active` nodes only; draining or lost workers are excluded (§IV-G).
 /// Must be non-empty.
-pub fn place_fragments(
-    plan: &PhysicalPlan,
-    query: QueryId,
-    config: &ClusterConfig,
-    available: &[usize],
-) -> Vec<Placement> {
+pub fn place_fragments(plan: &PhysicalPlan, query: QueryId, available: &[usize]) -> Vec<Placement> {
     // Which fragments consume a round-robin (scaled-writer) exchange?
     let round_robin_consumers: Vec<u32> = plan
         .fragments
@@ -49,21 +49,10 @@ pub fn place_fragments(
                 // "If there are no constraints … a leaf stage task is
                 // scheduled on every worker node in the cluster."
                 FragmentPartitioning::Source { bucket_count: None } => (workers, false),
-                FragmentPartitioning::Hash { count } => {
-                    if round_robin_consumers.contains(&f.id) {
-                        // Writer fragment: create the scaling headroom.
-                        (config.max_writer_tasks, false)
-                    } else {
-                        (*count, false)
-                    }
-                }
-                FragmentPartitioning::Single | FragmentPartitioning::ScaledWriter => {
-                    if round_robin_consumers.contains(&f.id) {
-                        (config.max_writer_tasks, false)
-                    } else {
-                        (1, false)
-                    }
-                }
+                // Writer fragment: create the scaling headroom.
+                _ if round_robin_consumers.contains(&f.id) => (MAX_WRITER_TASKS, false),
+                FragmentPartitioning::Hash { count } => (*count, false),
+                FragmentPartitioning::Single => (1, false),
             };
             // Round-robin placement, offset by fragment id so a query's
             // single-task stages spread across the cluster — and by query
@@ -171,7 +160,7 @@ impl SplitFeeder {
             queues,
             bucketed,
             dynamic_filter,
-            batch_size: config.split_batch_size.max(1),
+            batch_size: config.split_batch_size,
             queue_capacity: config.max_queued_splits_per_task,
             racks: config.racks,
             pending: VecDeque::new(),
@@ -329,6 +318,7 @@ mod tests {
     use presto_common::{DataType, Schema, Session, Value};
     use presto_connector::{CatalogManager, FixedSplitSource};
     use presto_connectors::MemoryConnector;
+    use presto_planner::fragment::HASH_PARTITION_COUNT;
     use presto_sql::parse_statement;
 
     fn plan_for(sql: &str) -> (PhysicalPlan, CatalogManager) {
@@ -350,11 +340,7 @@ mod tests {
     #[test]
     fn leaf_stages_span_all_workers() {
         let (plan, _) = plan_for("SELECT * FROM t");
-        let config = ClusterConfig {
-            workers: 4,
-            ..ClusterConfig::test()
-        };
-        let placements = place_fragments(&plan, QueryId(0), &config, &[0, 1, 2, 3]);
+        let placements = place_fragments(&plan, QueryId(0), &[0, 1, 2, 3]);
         let leaf = placements
             .iter()
             .find(|p| {
@@ -370,11 +356,7 @@ mod tests {
     #[test]
     fn hash_stages_get_fixed_task_count() {
         let (plan, _) = plan_for("SELECT k, count(*) FROM t GROUP BY k");
-        let config = ClusterConfig {
-            workers: 2,
-            ..ClusterConfig::test()
-        };
-        let placements = place_fragments(&plan, QueryId(0), &config, &[0, 1]);
+        let placements = place_fragments(&plan, QueryId(0), &[0, 1]);
         let hash = placements
             .iter()
             .find(|p| {
@@ -384,7 +366,7 @@ mod tests {
                 )
             })
             .expect("hash stage");
-        assert_eq!(hash.tasks.len(), Session::default().hash_partition_count);
+        assert_eq!(hash.tasks.len(), HASH_PARTITION_COUNT);
     }
 
     #[test]
@@ -392,11 +374,7 @@ mod tests {
         // Draining/lost workers are excluded from the available set; no
         // task may land on them (§IV-G).
         let (plan, _) = plan_for("SELECT k, count(*) FROM t GROUP BY k");
-        let config = ClusterConfig {
-            workers: 4,
-            ..ClusterConfig::test()
-        };
-        let placements = place_fragments(&plan, QueryId(0), &config, &[1, 3]);
+        let placements = place_fragments(&plan, QueryId(0), &[1, 3]);
         for p in &placements {
             assert!(!p.tasks.is_empty());
             for &w in &p.tasks {
@@ -409,12 +387,8 @@ mod tests {
     fn single_task_stages_rotate_with_the_query() {
         let (plan, _) = plan_for("SELECT 1 + 2");
         assert_eq!(plan.fragments.len(), 1, "{}", plan.explain());
-        let config = ClusterConfig {
-            workers: 4,
-            ..ClusterConfig::test()
-        };
         let workers: Vec<usize> = (0..4)
-            .map(|q| place_fragments(&plan, QueryId(q), &config, &[0, 1, 2, 3])[0].tasks[0])
+            .map(|q| place_fragments(&plan, QueryId(q), &[0, 1, 2, 3])[0].tasks[0])
             .collect();
         assert_eq!(workers, vec![0, 1, 2, 3]);
     }

@@ -21,6 +21,10 @@ use crate::memory::NodeMemoryPool;
 use crate::mlfq::MultilevelQueue;
 use crate::telemetry::ClusterTelemetry;
 
+/// Maximum uninterrupted run of one split on a thread (§IV-F1; the paper
+/// uses one second, scaled down for the simulated cluster).
+const QUANTA: Duration = Duration::from_millis(10);
+
 /// Lifecycle of a worker node, exported by `ClusterSnapshot` (§IV-G).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerState {
@@ -176,7 +180,6 @@ pub struct TaskHandle {
     remaining_drivers: AtomicUsize,
     cancelled: AtomicBool,
     done: AtomicBool,
-    quanta: Duration,
     /// The bell of the worker running this task: a cancel must reach its
     /// parked drivers.
     bell: Arc<Bell>,
@@ -380,12 +383,7 @@ impl Worker {
     }
 
     /// Accept a compiled task: its drivers enter the scheduling queue.
-    pub fn submit_task(
-        &self,
-        task: Task,
-        query_state: Arc<QueryState>,
-        quanta: Duration,
-    ) -> Arc<TaskHandle> {
+    pub fn submit_task(&self, task: Task, query_state: Arc<QueryState>) -> Arc<TaskHandle> {
         let drivers = std::mem::take(&mut *task.drivers.lock());
         let handle = Arc::new(TaskHandle {
             id: task.id,
@@ -395,7 +393,6 @@ impl Worker {
             remaining_drivers: AtomicUsize::new(drivers.len().max(1)),
             cancelled: AtomicBool::new(false),
             done: AtomicBool::new(drivers.is_empty()),
-            quanta,
             bell: Arc::clone(&self.bell),
         });
         query_state.register_task(Arc::clone(&handle));
@@ -684,9 +681,8 @@ impl Worker {
             let started = Instant::now();
             // Operator panics (engine bugs, storage I/O panics in lazy
             // loaders) must fail the query, never kill the executor thread.
-            let quanta = run.task.quanta;
             let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run.driver.process(quanta)
+                run.driver.process(QUANTA)
             })) {
                 Ok(r) => r,
                 Err(payload) => {
@@ -954,8 +950,7 @@ mod tests {
                     driver_count: 1,
                 }]),
             };
-            self.worker
-                .submit_task(task, Arc::clone(&self.state), Duration::from_millis(10))
+            self.worker.submit_task(task, Arc::clone(&self.state))
         }
     }
 

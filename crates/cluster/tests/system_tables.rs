@@ -8,7 +8,7 @@
 
 use parking_lot::Mutex;
 use presto_cluster::{Cluster, ClusterConfig};
-use presto_common::{DataType, QueryId, Schema, Session, Value};
+use presto_common::{DataType, ErrorCode, QueryId, Schema, Session, Value};
 use presto_connector::{CatalogManager, ScanOptions, TupleDomain};
 use presto_connectors::system::SystemTable;
 use presto_connectors::MemoryConnector;
@@ -478,6 +478,46 @@ fn live_states_come_from_the_one_record() {
         !c.cancel_query(QueryId(a_id)),
         "a finished query is no longer running"
     );
+}
+
+/// The queue bound counts only queries that must wait. With one run slot
+/// and workers hung so that a query holds it: at `max_queued_queries: 0` an
+/// idle cluster still runs a query and the next arrival is rejected; at
+/// `1` the second query waits and the third is rejected.
+#[test]
+fn queue_bound_counts_only_waiting_queries() {
+    let sql = "SELECT COUNT(*) FROM orders";
+    for max_queued_queries in [0, 1] {
+        let c = cluster_with(ClusterConfig {
+            max_concurrent_queries: 1,
+            max_queued_queries,
+            liveness_timeout: Duration::ZERO,
+            ..ClusterConfig::test()
+        });
+        c.execute(sql).expect("an idle cluster admits a query at once");
+        (0..c.worker_count()).for_each(|w| c.hang_worker(w));
+        let mut admitted = vec![c.submit(sql, Session::default())];
+        scan_until(&c, "the first query holds the run slot", |_| {
+            !c.active_queries().is_empty()
+        });
+        if max_queued_queries == 1 {
+            admitted.push(c.submit(sql, Session::default()));
+            scan_until(&c, "the second query queues", |rows| {
+                rows.iter().any(|r| r[1] == Value::varchar("queued"))
+            });
+        }
+        let rejected = c.execute(sql).expect_err("the queue is full");
+        assert_eq!(rejected.error.code, ErrorCode::InsufficientResources);
+        assert!(
+            rejected.error.message.contains("query queue is full"),
+            "{rejected}"
+        );
+        (0..c.worker_count()).for_each(|w| c.resume_worker(w));
+        for query in admitted {
+            query.join().unwrap().unwrap();
+        }
+        c.await_quiescent(Duration::from_secs(10)).unwrap();
+    }
 }
 
 /// Sets the flag when dropped, so load threads stop even if the test

@@ -5,6 +5,12 @@
 //! individual flags to produce ablations (e.g. Fig. 6 disables cost-based
 //! optimization to model the "no stats" configuration, the §V-B bench turns
 //! off compiled expression evaluation, the §V-D bench disables lazy loading).
+//!
+//! A setting only belongs here if some test, bench or client sets it.
+//! Sizing with one value is a constant at its one reader instead: page
+//! and shuffle targets and exchange sizing in `presto-exec`, hash-stage
+//! width and broadcast threshold in `presto-planner`, the §IV-F1 quanta
+//! and §IV-E3 writer scaling in `presto-cluster`.
 
 use std::time::Duration;
 
@@ -46,28 +52,11 @@ pub struct Session {
     pub join_reordering: bool,
     /// Join distribution strategy selection.
     pub join_distribution: JoinDistribution,
-    /// Build sides estimated below this many rows are broadcast when
-    /// `join_distribution` is `Automatic`.
-    pub broadcast_threshold_rows: f64,
     /// Stage scheduling policy.
     pub scheduling_policy: SchedulingPolicy,
-    /// Maximum uninterrupted run of one split on a thread (§IV-F1; the paper
-    /// uses one second — scaled down for the simulated cluster).
-    pub quanta: Duration,
-    /// Target rows per page produced by operators.
-    pub target_page_rows: usize,
-    /// Target bytes per shuffle page: hash-partitioned output coalesces
-    /// rows until an accumulator reaches `target_page_rows` or this many
-    /// bytes, whichever comes first (§IV-E2).
-    pub shuffle_target_page_bytes: usize,
     /// Serialized shuffle pages at least this long are LZ-compressed on
     /// the wire (`usize::MAX` disables compression).
     pub shuffle_compression_min_bytes: usize,
-    /// Upper bound on concurrent exchange polls per fetch round (the
-    /// paper's target HTTP request concurrency cap, §IV-E2).
-    pub exchange_concurrency: usize,
-    /// Number of hash partitions (tasks) for intermediate stages.
-    pub hash_partition_count: usize,
     /// Allow spilling revocable state (hash aggregations, sorts, grace
     /// hash joins) to disk.
     pub spill_enabled: bool,
@@ -84,8 +73,6 @@ pub struct Session {
     pub query_max_memory_per_node: u64,
     /// Per-node total (user + system) memory limit per query, in bytes.
     pub query_max_total_memory_per_node: u64,
-    /// Dynamically add writer tasks when output stages back up (§IV-E3).
-    pub writer_scaling: bool,
     /// Transparent retries for transient external failures (§IV-G).
     pub max_transient_retries: u32,
     /// Coordinator-level whole-query retries for retryable failures
@@ -102,9 +89,6 @@ pub struct Session {
     /// How long a probe-side scan waits for its dynamic filter before
     /// proceeding unpruned. Bounds added latency; never affects results.
     pub dynamic_filter_wait: Duration,
-    /// Build-side keys with at most this many distinct values publish an
-    /// exact value set; larger domains degrade to min/max + Bloom.
-    pub dynamic_filter_max_values: usize,
     /// Absorb a partial aggregation above a leaf scan→filter→project chain
     /// into the leaf operator (keys hashed right after the projection).
     /// Every leaf chain runs as one operator either way; `false` only runs
@@ -121,27 +105,19 @@ impl Default for Session {
             process_compressed: true,
             join_reordering: true,
             join_distribution: JoinDistribution::Automatic,
-            broadcast_threshold_rows: 10_000.0,
             scheduling_policy: SchedulingPolicy::AllAtOnce,
-            quanta: Duration::from_millis(10),
-            target_page_rows: 1024,
-            shuffle_target_page_bytes: 1 << 20,
             shuffle_compression_min_bytes: 8 << 10,
-            exchange_concurrency: 8,
-            hash_partition_count: 4,
             spill_enabled: false,
             spill_dir: None,
             spill_max_bytes: 16 << 30,
             query_max_memory: 4 << 30,
             query_max_memory_per_node: 1 << 30,
             query_max_total_memory_per_node: 2 << 30,
-            writer_scaling: true,
             max_transient_retries: 3,
             query_retry_attempts: 0,
             query_retry_backoff: Duration::from_millis(50),
             dynamic_filtering: true,
             dynamic_filter_wait: Duration::from_millis(500),
-            dynamic_filter_max_values: 10_000,
             pipeline_fusion: true,
         }
     }
@@ -183,7 +159,15 @@ mod tests {
         // latency cost of waiting for the build side.
         assert!(s.dynamic_filtering);
         assert!(s.dynamic_filter_wait > Duration::ZERO);
-        assert!(s.dynamic_filter_max_values > 0);
+        // Shuffle pages above a few KiB are compressed on the wire (§IV-E2).
+        assert!(s.shuffle_compression_min_bytes < usize::MAX);
+        // The §IV-F2 limits: the cluster-wide per-query limit is the
+        // largest, and a node's total (user + system) limit is at least its
+        // user limit.
+        assert!(s.query_max_memory >= s.query_max_total_memory_per_node);
+        assert!(s.query_max_total_memory_per_node >= s.query_max_memory_per_node);
+        // Transient external failures are retried a few times (§IV-G).
+        assert!(s.max_transient_retries > 0);
         // Absorbing the partial aggregate into the leaf operator is the
         // production path; disabling it is an ablation knob like
         // `compiled_expressions`.

@@ -7,8 +7,13 @@ use presto_shuffle::{ExchangeClient, OutputBuffer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::operator::{BlockedReason, Operator};
+use crate::operator::{BlockedReason, Operator, TARGET_PAGE_ROWS};
 use crate::partitioned_output::PagePartitioner;
+
+/// Bytes per shuffle page: hash-partitioned output coalesces rows until an
+/// accumulator reaches [`TARGET_PAGE_ROWS`] or this many bytes, whichever
+/// comes first (§IV-E2).
+pub const SHUFFLE_TARGET_PAGE_BYTES: usize = 1 << 20;
 
 /// Source side: pulls pages from upstream task buffers via an
 /// [`ExchangeClient`]. The client is shared (lock-free: all its methods
@@ -144,8 +149,8 @@ impl PartitionedOutputOperator {
             input_done: false,
             rows_out: Arc::new(AtomicU64::new(0)),
             partitioner: None,
-            target_rows: 1024,
-            target_bytes: 1 << 20,
+            target_rows: TARGET_PAGE_ROWS,
+            target_bytes: SHUFFLE_TARGET_PAGE_BYTES,
             close_group: None,
             buffer_share: 1,
             trace: None,
@@ -157,8 +162,8 @@ impl PartitionedOutputOperator {
         self
     }
 
-    /// Set the per-partition flush thresholds (`session.target_page_rows` /
-    /// target shuffle page bytes).
+    /// Override the per-partition flush thresholds (by default
+    /// [`TARGET_PAGE_ROWS`] / [`SHUFFLE_TARGET_PAGE_BYTES`]).
     pub fn with_targets(mut self, target_rows: usize, target_bytes: usize) -> Self {
         self.target_rows = target_rows.max(1);
         self.target_bytes = target_bytes.max(1);

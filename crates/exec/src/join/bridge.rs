@@ -14,13 +14,9 @@ use std::sync::{Arc, OnceLock};
 use super::partition::{scatter, BuildInput, Partition};
 use super::table::{BuiltPartition, JoinHashTable};
 use crate::dynfilter::{CollectedDomains, DomainCollector, DynamicFilterSource};
-use crate::operator::{BlockedReason, Operator};
+use crate::operator::{BlockedReason, Operator, TARGET_PAGE_ROWS};
 use crate::partitioned_output::PageBuffer;
 use crate::spill::{SpillManager, SpillTally};
-
-/// Rows per coalesced build page unless the task sets the session's
-/// `target_page_rows` (whose default this is).
-const DEFAULT_TARGET_PAGE_ROWS: usize = 1024;
 
 /// A full page bound for one partition, with one key hash per row (none
 /// for a cross join).
@@ -308,12 +304,11 @@ pub struct HashBuilderOperator {
     hash_cache: DictionaryHashCache,
     /// Per-builder dynamic-filter collector, filled off the bridge lock.
     df_collector: Option<DomainCollector>,
-    /// Per partition: a coalescing buffer, flushed at `target_rows`, and
+    /// Per partition: a coalescing buffer, flushed at `TARGET_PAGE_ROWS`, and
     /// the key hash of each buffered row.
     buffers: Vec<(PageBuffer, Vec<u64>)>,
     /// Per-partition row selections, reused across pages.
     positions: Vec<Vec<u32>>,
-    target_rows: usize,
     /// This builder's share of the bridge's `buffered` bytes.
     buffered: usize,
     spilled: SpillTally,
@@ -332,19 +327,11 @@ impl HashBuilderOperator {
             df_collector,
             buffers: (0..partitions).map(|_| Default::default()).collect(),
             positions: vec![Vec::new(); partitions],
-            target_rows: DEFAULT_TARGET_PAGE_ROWS,
             buffered: 0,
             spilled: SpillTally::default(),
             error: None,
             finished: false,
         }
-    }
-
-    /// Coalesce build pages to `rows` rows (the session's
-    /// `target_page_rows`).
-    pub fn with_target_page_rows(mut self, rows: usize) -> HashBuilderOperator {
-        self.target_rows = rows.max(1);
-        self
     }
 
     /// Every non-empty buffer as a page, emptying them.
@@ -432,7 +419,7 @@ impl Operator for HashBuilderOperator {
             let (buffer, buffered_hashes) = &mut self.buffers[p];
             buffer.append(&page, rows, 0);
             buffered_hashes.extend(rows.iter().map(|&r| hashes[r as usize]));
-            if buffer.rows() >= self.target_rows {
+            if buffer.rows() >= TARGET_PAGE_ROWS {
                 full.extend(
                     buffer
                         .take()

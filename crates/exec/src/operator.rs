@@ -10,6 +10,10 @@ use presto_common::Result;
 use presto_page::Page;
 use std::time::Duration;
 
+/// Rows per page that operators produce: scans ask connectors for pages
+/// this size, and the hash builder and partitioned output coalesce to it.
+pub const TARGET_PAGE_ROWS: usize = 1024;
+
 /// Why an operator cannot currently make progress. The driver propagates
 /// the reason so the worker scheduler can account for it (§IV-F1: "When
 /// output buffers are full … input buffers are empty … or the system is out

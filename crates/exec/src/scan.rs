@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use crate::agg::{AggPhase, AggSpec, HashAggregationOperator};
 use crate::dynfilter::{split_pruned, ScanDynamicFilter};
-use crate::operator::{BlockedReason, Operator};
+use crate::operator::{BlockedReason, Operator, TARGET_PAGE_ROWS};
 
 /// Shared queue of splits assigned to a task. The coordinator appends
 /// batches as the connector enumerates them (§IV-D3); scan drivers pull.
@@ -195,7 +195,7 @@ impl ScanOperator {
             columns,
             predicate,
             lazy: session.lazy_loading,
-            target_page_rows: session.target_page_rows,
+            target_page_rows: TARGET_PAGE_ROWS,
             dynamic_filter: None,
         };
         ScanOperator {

@@ -29,6 +29,17 @@ use crate::stats::{PipelineMeta, TaskStats, TaskStatsCollector};
 use crate::window::WindowOperator;
 use crate::writer::TableWriterOperator;
 
+/// Capacity of each task's output buffer, in serialized bytes.
+const OUTPUT_BUFFER_BYTES: usize = 32 << 20;
+/// Capacity of each exchange client's input buffer, in serialized bytes.
+const EXCHANGE_BUFFER_BYTES: usize = 32 << 20;
+/// Upper bound on concurrent exchange polls per fetch round (the paper's
+/// target HTTP request concurrency cap, §IV-E2).
+const EXCHANGE_CONCURRENCY: usize = 8;
+/// Build-side keys with at most this many distinct values publish an exact
+/// value set; larger domains degrade to min/max + Bloom.
+const DYNAMIC_FILTER_MAX_VALUES: usize = 10_000;
+
 /// Everything a task needs from its environment.
 #[derive(Clone)]
 pub struct TaskContext {
@@ -40,10 +51,6 @@ pub struct TaskContext {
     pub consumer_count: usize,
     /// Parallel drivers for split-driven leaf pipelines (§IV-C4).
     pub leaf_parallelism: usize,
-    pub output_buffer_bytes: usize,
-    pub exchange_buffer_bytes: usize,
-    /// Simulated network latency per exchange poll.
-    pub exchange_poll_latency: Duration,
     /// Optional shared timeline: split and page events from this task's
     /// operators land here (pid = query id, tid = fragment id).
     pub trace: Option<Arc<presto_common::TraceBuffer>>,
@@ -121,7 +128,7 @@ impl Task {
 pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
     let output = OutputBuffer::with_compression(
         ctx.consumer_count.max(1),
-        ctx.output_buffer_bytes,
+        OUTPUT_BUFFER_BYTES,
         ctx.session.shuffle_compression_min_bytes,
     );
     let memory = TaskMemoryContext::new(ctx.task_id.stage.query, Arc::clone(&ctx.memory_pool));
@@ -148,18 +155,13 @@ pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
     let buffer = Arc::clone(&output);
     let mut factories = chain.factories;
     let routing_for_factory = routing.clone();
-    let target_rows = ctx.session.target_page_rows;
-    let target_bytes = ctx.session.shuffle_target_page_bytes;
     let trace = ctx.trace.clone();
     let trace_pid = ctx.task_id.stage.query.0 as u32;
     let trace_tid = ctx.task_id.stage.stage;
     factories.push(Arc::new(move || {
-        let mut op = PartitionedOutputOperator::new(
-            Arc::clone(&buffer),
-            routing_for_factory.clone(),
-        )
-        .with_targets(target_rows, target_bytes)
-        .with_close_group(Arc::clone(&close_group));
+        let mut op =
+            PartitionedOutputOperator::new(Arc::clone(&buffer), routing_for_factory.clone())
+                .with_close_group(Arc::clone(&close_group));
         if let Some(trace) = &trace {
             op = op.with_trace(Arc::clone(trace), trace_pid, trace_tid);
         }
@@ -361,20 +363,16 @@ impl<'a> Compiler<'a> {
                                 .iter()
                                 .map(|&c| build_schema.data_type(c))
                                 .collect(),
-                            max_values: self.ctx.session.dynamic_filter_max_values,
+                            max_values: DYNAMIC_FILTER_MAX_VALUES,
                         });
                     }
                 }
                 {
                     let bridge = Arc::clone(&bridge);
-                    let target_rows = self.ctx.session.target_page_rows;
                     build_chain.push(
                         "HashBuilder",
                         Arc::new(move || {
-                            Ok(Box::new(
-                                HashBuilderOperator::new(Arc::clone(&bridge))
-                                    .with_target_page_rows(target_rows),
-                            ))
+                            Ok(Box::new(HashBuilderOperator::new(Arc::clone(&bridge))))
                         }),
                     );
                 }
@@ -574,9 +572,9 @@ impl<'a> Compiler<'a> {
             }
             PlanNode::RemoteSource { fragment, .. } => {
                 let mut client = ExchangeClient::with_config(
-                    self.ctx.exchange_buffer_bytes,
-                    self.ctx.exchange_poll_latency,
-                    self.ctx.session.exchange_concurrency,
+                    EXCHANGE_BUFFER_BYTES,
+                    Duration::ZERO,
+                    EXCHANGE_CONCURRENCY,
                     self.ctx.session.max_transient_retries,
                 );
                 client.set_faults(self.ctx.faults.clone());

@@ -18,6 +18,10 @@ use crate::stats::estimate;
 /// Probe-row threshold below which an index join is considered.
 const INDEX_JOIN_PROBE_THRESHOLD: f64 = 100_000.0;
 
+/// Build sides estimated at or below this many rows are broadcast when
+/// the session's `join_distribution` is `Automatic`.
+const BROADCAST_THRESHOLD_ROWS: f64 = 10_000.0;
+
 // ---- join reordering ----
 
 /// Re-order chains of inner equi-joins using cardinality estimates: flatten
@@ -419,7 +423,7 @@ pub fn select_join_distribution(
                     presto_common::session::JoinDistribution::Automatic => {
                         let build_rows = estimate(&right, catalogs).rows;
                         match build_rows.value() {
-                            Some(r) if r <= session.broadcast_threshold_rows => {
+                            Some(r) if r <= BROADCAST_THRESHOLD_ROWS => {
                                 JoinDistribution::Replicated
                             }
                             // Unknown build size: partitioned is the safe

@@ -17,6 +17,9 @@ use presto_connector::{CatalogManager, Domain, TupleDomain};
 
 use crate::plan::{AggregateSpec, AggregateStep, JoinDistribution, PlanNode};
 
+/// Tasks of every hash-partitioned intermediate stage.
+pub const HASH_PARTITION_COUNT: usize = 4;
+
 /// How the tasks of one fragment are laid out (§IV-D2).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FragmentPartitioning {
@@ -28,9 +31,6 @@ pub enum FragmentPartitioning {
     Hash { count: usize },
     /// A single task.
     Single,
-    /// Table-writer fragment whose task count the engine scales
-    /// dynamically with output backpressure (§IV-E3).
-    ScaledWriter,
 }
 
 /// How a fragment's output routes to its consumer.
@@ -205,7 +205,6 @@ struct Piece {
 }
 
 struct Fragmenter<'a> {
-    session: &'a Session,
     catalogs: &'a CatalogManager,
     fragments: Vec<PlanFragment>,
     ids: PlanNodeIdAllocator,
@@ -220,7 +219,6 @@ pub fn fragment_plan(
     let mut ids = PlanNodeIdAllocator::new();
     ids.skip_past(plan.max_id());
     let mut f = Fragmenter {
-        session,
         catalogs,
         fragments: Vec::new(),
         ids,
@@ -323,10 +321,6 @@ impl<'a> Fragmenter<'a> {
             },
             dist,
         })
-    }
-
-    fn default_partitions(&self) -> usize {
-        self.session.hash_partition_count.max(1)
     }
 
     fn visit(&mut self, node: PlanNode) -> Result<Piece> {
@@ -519,7 +513,7 @@ impl<'a> Fragmenter<'a> {
                     } else {
                         ExchangeKind::Hash {
                             channels: group_by.clone(),
-                            count: self.default_partitions(),
+                            count: HASH_PARTITION_COUNT,
                         }
                     };
                     let p = self.exchange(p, kind)?;
@@ -555,7 +549,7 @@ impl<'a> Fragmenter<'a> {
                 } else {
                     ExchangeKind::Hash {
                         channels: (0..group_count).collect(),
-                        count: self.default_partitions(),
+                        count: HASH_PARTITION_COUNT,
                     }
                 };
                 let remote = self.exchange(partial_piece, kind)?;
@@ -611,8 +605,8 @@ impl<'a> Fragmenter<'a> {
                 if distribution == JoinDistribution::Replicated
                     && partitioned_on(&lp.dist, &left_keys)
                     && partitioned_on(&rp.dist, &right_keys)
-                    && lp.dist.task_count_hint(self.default_partitions())
-                        == rp.dist.task_count_hint(self.default_partitions())
+                    && lp.dist.task_count_hint(HASH_PARTITION_COUNT)
+                        == rp.dist.task_count_hint(HASH_PARTITION_COUNT)
                     && !lp.dist.is_single()
                 {
                     distribution = JoinDistribution::Partitioned;
@@ -648,8 +642,8 @@ impl<'a> Fragmenter<'a> {
                                 // Both sides co-partitioned: no shuffle at
                                 // all (co-located join) when bucket counts
                                 // align; otherwise repartition the right.
-                                let lcount = lp.dist.task_count_hint(self.default_partitions());
-                                let rcount = rp.dist.task_count_hint(self.default_partitions());
+                                let lcount = lp.dist.task_count_hint(HASH_PARTITION_COUNT);
+                                let rcount = rp.dist.task_count_hint(HASH_PARTITION_COUNT);
                                 if lcount == rcount {
                                     (lp, rp)
                                 } else {
@@ -664,7 +658,7 @@ impl<'a> Fragmenter<'a> {
                                 }
                             }
                             (true, false) => {
-                                let count = lp.dist.task_count_hint(self.default_partitions());
+                                let count = lp.dist.task_count_hint(HASH_PARTITION_COUNT);
                                 let r = self.exchange(
                                     rp,
                                     ExchangeKind::Hash {
@@ -675,7 +669,7 @@ impl<'a> Fragmenter<'a> {
                                 (lp, r)
                             }
                             (false, true) => {
-                                let count = rp.dist.task_count_hint(self.default_partitions());
+                                let count = rp.dist.task_count_hint(HASH_PARTITION_COUNT);
                                 let l = self.exchange(
                                     lp,
                                     ExchangeKind::Hash {
@@ -686,7 +680,7 @@ impl<'a> Fragmenter<'a> {
                                 (l, rp)
                             }
                             (false, false) => {
-                                let count = self.default_partitions();
+                                let count = HASH_PARTITION_COUNT;
                                 let l = self.exchange(
                                     lp,
                                     ExchangeKind::Hash {
@@ -852,7 +846,7 @@ impl<'a> Fragmenter<'a> {
                         p,
                         ExchangeKind::Hash {
                             channels: partition_by.clone(),
-                            count: self.default_partitions(),
+                            count: HASH_PARTITION_COUNT,
                         },
                     )?
                 };
@@ -896,7 +890,7 @@ impl<'a> Fragmenter<'a> {
                 let p = self.visit(*input)?;
                 // Writers get their own fragment so the engine can scale
                 // task count with backpressure (§IV-E3).
-                let p = if self.session.writer_scaling && !p.dist.is_single() {
+                let p = if !p.dist.is_single() {
                     self.exchange(p, ExchangeKind::RoundRobin)?
                 } else {
                     p

@@ -3,7 +3,8 @@
 //! under every engine configuration — compiled vs interpreted expressions,
 //! lazy vs eager loading, compressed vs decoded processing, 1 vs 4 workers,
 //! broadcast vs partitioned joins, all-at-once vs phased scheduling, spill
-//! on vs off. This pins the semantics all the §V/§VI ablations rely on.
+//! on vs off, compressed vs uncompressed shuffle pages, 1 vs 4 leaf drivers.
+//! This pins the semantics all the §V/§VI ablations rely on.
 
 use presto::cluster::{Cluster, ClusterConfig};
 use presto::common::{Session, Value};
@@ -12,7 +13,7 @@ use presto::connectors::MemoryConnector;
 use presto::workload::TpchGenerator;
 use std::sync::Arc;
 
-fn make_cluster(workers: usize) -> Cluster {
+fn make_cluster(workers: usize, leaf_parallelism: usize) -> Cluster {
     let mem = MemoryConnector::new();
     TpchGenerator::new(0.002).load_memory(&mem);
     let mut catalogs = CatalogManager::new();
@@ -21,6 +22,7 @@ fn make_cluster(workers: usize) -> Cluster {
         ClusterConfig {
             workers,
             threads_per_worker: 2,
+            leaf_parallelism,
             ..ClusterConfig::test()
         },
         catalogs,
@@ -77,8 +79,8 @@ fn rows_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 
 #[test]
 fn results_invariant_across_configurations() {
-    let reference_cluster = make_cluster(1);
-    let wide_cluster = make_cluster(4);
+    let reference_cluster = make_cluster(1, 2);
+    let wide_cluster = make_cluster(4, 2);
     let base = Session::for_catalog("memory");
 
     // Configuration axes.
@@ -108,6 +110,9 @@ fn results_invariant_across_configurations() {
     let mut s = base.clone();
     s.join_reordering = false;
     sessions.push(("no-cbo".into(), s));
+    let mut s = base.clone();
+    s.shuffle_compression_min_bytes = usize::MAX;
+    sessions.push(("uncompressed".into(), s));
 
     for sql in QUERIES {
         let expected = run_sorted(&reference_cluster, sql, &base);
@@ -124,5 +129,23 @@ fn results_invariant_across_configurations() {
                 "config '{name}' on 4 workers diverged for: {sql}\n{wide:?}\nvs\n{expected:?}"
             );
         }
+    }
+}
+
+/// Leaf parallelism (§IV-C4) only changes how many drivers of a task share
+/// its splits: grouped scans return the same rows at 1 and at 4 drivers.
+#[test]
+fn grouped_scans_invariant_across_leaf_parallelism() {
+    let serial = make_cluster(2, 1);
+    let parallel = make_cluster(2, 4);
+    let session = Session::for_catalog("memory");
+    for sql in [QUERIES[0], QUERIES[4], QUERIES[5]] {
+        let expected = run_sorted(&serial, sql, &session);
+        assert!(!expected.is_empty(), "no rows for {sql}");
+        let rows = run_sorted(&parallel, sql, &session);
+        assert!(
+            rows_equal(&rows, &expected),
+            "leaf_parallelism 4 diverged from 1 for: {sql}\n{rows:?}\nvs\n{expected:?}"
+        );
     }
 }

@@ -56,17 +56,42 @@ fn overcommit_survives_via_reserved_pool() {
 #[test]
 fn per_query_limit_kills_only_the_offender() {
     let cluster = tight_cluster(64 << 20, false);
-    // A query with an absurdly low per-node limit dies…
-    let mut tiny = Session::default();
-    tiny.query_max_memory_per_node = 4 << 10;
-    let err = cluster.execute_with_session(HUNGRY, &tiny).unwrap_err();
-    assert_eq!(
-        err.error.code,
-        presto::common::ErrorCode::InsufficientResources
-    );
-    // …while a normal query on the same cluster succeeds right after.
-    let out = cluster.execute("SELECT COUNT(*) FROM lineitem").unwrap();
-    assert!(matches!(out.rows()[0][0], Value::Bigint(n) if n > 0));
+    // Each of the three §IV-F2 limits, set absurdly low on its own.
+    let limits = [
+        (
+            "per-node user memory limit",
+            Session {
+                query_max_memory_per_node: 4 << 10,
+                ..Session::default()
+            },
+        ),
+        (
+            "per-node total memory limit",
+            Session {
+                query_max_total_memory_per_node: 4 << 10,
+                ..Session::default()
+            },
+        ),
+        (
+            "global user memory limit",
+            Session {
+                query_max_memory: 4 << 10,
+                ..Session::default()
+            },
+        ),
+    ];
+    for (limit, tiny) in limits {
+        // A query over the limit dies, naming that limit…
+        let err = cluster.execute_with_session(HUNGRY, &tiny).unwrap_err();
+        assert_eq!(
+            err.error.code,
+            presto::common::ErrorCode::InsufficientResources
+        );
+        assert!(err.error.message.contains(limit), "{limit}: {err}");
+        // …while a normal query on the same cluster succeeds right after.
+        let out = cluster.execute("SELECT COUNT(*) FROM lineitem").unwrap();
+        assert!(matches!(out.rows()[0][0], Value::Bigint(n) if n > 0));
+    }
 }
 
 #[test]
