@@ -103,7 +103,7 @@ fn bench_shuffle(c: &mut Criterion) {
     group.bench_function("enqueue_poll_ack", |b| {
         b.iter(|| {
             let buffer = OutputBuffer::new(1, 64 << 20);
-            buffer.enqueue(0, &page);
+            buffer.enqueue(0, page.clone());
             let r = buffer.poll(0, 0, usize::MAX);
             buffer.poll(0, r.next_token, usize::MAX);
             r.pages.len()

@@ -26,7 +26,7 @@ use presto_bench::report::BenchReport;
 use presto_common::json::Json;
 use presto_exec::partitioned_output::PagePartitioner;
 use presto_page::hash::hash_columns;
-use presto_page::{decode_framed_page, Block, LongBlock, Page};
+use presto_page::{Block, LongBlock, Page};
 use presto_shuffle::{ExchangeClient, OutputBuffer};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -69,7 +69,7 @@ fn baseline_sink(pages: &[Page], buffer: &OutputBuffer, consumers: usize) {
         }
         for (p, pos) in positions.iter().enumerate() {
             if !pos.is_empty() {
-                buffer.enqueue(p, &page.filter(pos));
+                buffer.enqueue(p, page.filter(pos));
             }
         }
     }
@@ -81,11 +81,11 @@ fn coalescing_sink(pages: &[Page], buffer: &OutputBuffer, consumers: usize, targ
     let mut partitioner = PagePartitioner::new(vec![0], consumers, target_rows, 1 << 20);
     for page in pages {
         for (p, out) in partitioner.route(page.clone()) {
-            buffer.enqueue(p, &out);
+            buffer.enqueue(p, out);
         }
     }
     for (p, out) in partitioner.finish() {
-        buffer.enqueue(p, &out);
+        buffer.enqueue(p, out);
     }
     buffer.set_no_more_pages();
 }
@@ -98,8 +98,8 @@ fn drain(buffer: &OutputBuffer, consumers: usize) -> (usize, usize, u64) {
         loop {
             let r = buffer.poll(p, token, 1 << 20);
             token = r.next_token;
-            for frame in &r.pages {
-                let page = decode_framed_page(frame).expect("valid frame");
+            for frame in r.pages {
+                let page = frame.into_page().expect("valid frame");
                 pages += 1;
                 rows += page.row_count();
                 for i in 0..page.row_count() {
@@ -129,7 +129,7 @@ fn run_sink(
     compression_min: usize,
     coalesce: bool,
 ) -> SinkRun {
-    let buffer = OutputBuffer::with_compression(consumers, usize::MAX, compression_min);
+    let buffer = OutputBuffer::with_placement(vec![false; consumers], usize::MAX, compression_min);
     let start = Instant::now();
     if coalesce {
         coalescing_sink(pages, &buffer, consumers, target_rows);
@@ -137,7 +137,7 @@ fn run_sink(
         baseline_sink(pages, &buffer, consumers);
     }
     let elapsed = start.elapsed();
-    let (wire, _logical) = buffer.byte_totals();
+    let wire = buffer.totals().wire_bytes;
     let (delivered_pages, delivered_rows, key_sum) = drain(&buffer, consumers);
     SinkRun {
         elapsed,
@@ -176,8 +176,8 @@ impl BaselineFetcher {
             let r = buffer.poll(0, *token, 1 << 20);
             *token = r.next_token;
             *finished = r.finished;
-            for frame in &r.pages {
-                out.push(decode_framed_page(frame).expect("valid frame"));
+            for frame in r.pages {
+                out.push(frame.into_page().expect("valid frame"));
             }
         }
         out
@@ -193,7 +193,7 @@ fn fill_sources(n_sources: usize, pages_per_source: usize, rows_per_page: usize)
         .map(|s| {
             let buffer = OutputBuffer::new(1, usize::MAX);
             for page in make_input(pages_per_source * rows_per_page, rows_per_page, 1024 + s) {
-                buffer.enqueue(0, &page);
+                buffer.enqueue(0, page);
             }
             buffer.set_no_more_pages();
             buffer

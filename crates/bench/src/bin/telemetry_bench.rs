@@ -336,6 +336,8 @@ fn bench_history_and_histogram(smoke: bool) -> (f64, f64) {
                 output_pages: 8,
                 output_wire_bytes: 1 << 16,
                 output_logical_bytes: 1 << 17,
+                local_pages: 4,
+                local_bytes: 1 << 17,
                 exchange_bytes_received: 1 << 14,
                 operators: (0..3)
                     .map(|o| OperatorSummary {

@@ -61,13 +61,15 @@ pub fn render_explain_analyze(
         );
         if let Some(stage) = stats.stage(f.id) {
             let exchange_in: u64 = stage.tasks.iter().map(|t| t.exchange_bytes_received).sum();
+            let output = stage.output();
             let _ = writeln!(
                 out,
-                "  Stage: {} tasks, cpu {}, output {} wire / {} logical, exchange in {}",
+                "  Stage: {} tasks, cpu {}, output {} wire / {} logical + {} local, exchange in {}",
                 stage.tasks.len(),
                 fmt_duration(stage.cpu_time()),
-                fmt_bytes(stage.output_wire_bytes()),
-                fmt_bytes(stage.output_logical_bytes()),
+                fmt_bytes(output.wire_bytes),
+                fmt_bytes(output.logical_bytes),
+                fmt_bytes(output.local_bytes),
                 fmt_bytes(exchange_in),
             );
             for pipeline in stage.pipelines_merged() {

@@ -280,8 +280,9 @@ impl Cluster {
     }
 
     /// Wait until no query has anything left in the cluster: no live task,
-    /// no general or reserved pool byte, no running or queued query and no
-    /// live history record. Returns how long that took, or names the
+    /// no general or reserved pool byte, no running or queued query, no
+    /// live history record, and no byte parked in an output buffer or an
+    /// exchange client nor a request in flight. Returns how long that took, or names the
     /// residue once `grace` has passed.
     pub fn await_quiescent(&self, grace: Duration) -> std::result::Result<Duration, String> {
         let started = Instant::now();
@@ -298,16 +299,23 @@ impl Cluster {
                 snap.queries.queued,
                 self.query_history().live_len(),
             );
+            let shuffle = (
+                snap.shuffle.output_buffered_bytes,
+                snap.shuffle.exchange_buffered_bytes,
+                snap.shuffle.in_flight_requests,
+            );
             if live.iter().all(|&n| n == 0)
                 && pools.iter().all(|&p| p == (0, 0))
                 && queries == (0, 0, 0)
+                && shuffle == (0, 0, 0)
             {
                 return Ok(started.elapsed());
             }
             if started.elapsed() >= grace {
                 return Err(format!(
                     "not quiescent after {grace:?}: live_tasks={live:?} (general,reserved)={pools:?} \
-                     (running,queued,live_queries)={queries:?}"
+                     (running,queued,live_queries)={queries:?} \
+                     (output_buffered_bytes,exchange_buffered_bytes,in_flight_requests)={shuffle:?}"
                 ));
             }
             std::thread::sleep(Duration::from_millis(1));

@@ -9,7 +9,7 @@ use presto_common::{
 use presto_connector::CatalogManager;
 use presto_exec::task::{create_task, TaskContext};
 use presto_exec::{QueryPhases, QueryStats, StageStats};
-use presto_page::{decode_framed_page, Page};
+use presto_page::Page;
 use presto_planner::{OutputPartitioning, PhysicalPlan};
 use presto_sql::ast::Statement;
 use presto_sql::parse_statement;
@@ -456,15 +456,21 @@ impl Coordinator {
         let mut tasks: Vec<Vec<presto_exec::Task>> = Vec::with_capacity(plan.fragments.len());
         for fragment in &plan.fragments {
             let placement = &placements[fragment.id as usize];
-            let consumer_count = if fragment.id == plan.root {
-                1
+            // Where each consumer task runs; the root's one consumer is the
+            // coordinator's result drain, which stays framed.
+            let consumers: Vec<Option<usize>> = if fragment.id == plan.root {
+                vec![None]
             } else {
                 let consumer = crate::scheduler::consumer_of(plan, fragment.id);
-                placements[consumer as usize].tasks.len()
+                placements[consumer as usize]
+                    .tasks
+                    .iter()
+                    .copied()
+                    .map(Some)
+                    .collect()
             };
             let mut fragment_tasks = Vec::new();
-            for (task_index, _) in placement.tasks.iter().enumerate() {
-                let worker_index = placement.tasks[task_index];
+            for (task_index, &worker_index) in placement.tasks.iter().enumerate() {
                 let ctx = TaskContext {
                     task_id: TaskId {
                         stage: query.stage(fragment.id),
@@ -474,7 +480,7 @@ impl Coordinator {
                     catalogs: self.catalogs.clone(),
                     memory_pool: Arc::clone(&self.workers[worker_index].pool)
                         as Arc<dyn presto_exec::MemoryPool>,
-                    consumer_count,
+                    local_consumers: consumers.iter().map(|&w| w == Some(worker_index)).collect(),
                     leaf_parallelism: self.config.leaf_parallelism,
                     trace: self.trace.clone(),
                     dynamic_filters: dyn_filters.clone(),
@@ -594,8 +600,9 @@ impl Coordinator {
             }
             let response = root_output.poll(0, token, 1 << 20);
             token = response.next_token;
-            for bytes in &response.pages {
-                pages.push(decode_framed_page(bytes)?);
+            let idle = response.pages.is_empty();
+            for payload in response.pages {
+                pages.push(payload.into_page()?);
             }
             if response.finished {
                 break;
@@ -609,7 +616,7 @@ impl Coordinator {
                     }
                 }
             }
-            if response.pages.is_empty() {
+            if idle {
                 watcher.wait(seen, tick);
             }
         }

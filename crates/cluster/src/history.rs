@@ -48,9 +48,15 @@ pub struct TaskSummary {
     pub stage: u32,
     pub task: u32,
     pub cpu: Duration,
+    /// Framed pages and their wire and logical bytes (cross-worker edges
+    /// and the result drain).
     pub output_pages: u64,
     pub output_wire_bytes: u64,
     pub output_logical_bytes: u64,
+    /// Pages handed over unserialized, and their in-memory bytes
+    /// (same-worker edges).
+    pub local_pages: u64,
+    pub local_bytes: u64,
     pub exchange_bytes_received: u64,
     pub operators: Vec<OperatorSummary>,
 }
@@ -114,9 +120,11 @@ pub fn summarize_task(t: &TaskStats) -> TaskSummary {
         stage: t.task.stage.stage,
         task: t.task.task,
         cpu: t.cpu_time,
-        output_pages: t.output_pages,
-        output_wire_bytes: t.output_wire_bytes,
-        output_logical_bytes: t.output_logical_bytes,
+        output_pages: t.output.pages,
+        output_wire_bytes: t.output.wire_bytes,
+        output_logical_bytes: t.output.logical_bytes,
+        local_pages: t.output.local_pages,
+        local_bytes: t.output.local_bytes,
         exchange_bytes_received: t.exchange_bytes_received,
         operators,
     }

@@ -50,8 +50,9 @@ counter_set! {
     }
 
     /// Shuffle data plane: buffered bytes and in-flight requests are gauges
-    /// over tasks still running; retries and bytes received are totals
-    /// since startup.
+    /// over tasks still running; retries, bytes received and local pages
+    /// are totals since startup. Framed (cross-worker) traffic and local
+    /// hand-overs are counted apart.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ShuffleMetrics[json, atomic(ShuffleTotals)] {
         /// Bytes parked in live tasks' output buffers right now.
@@ -62,10 +63,16 @@ counter_set! {
         in_flight_requests: u64,
         /// Transient decode failures retried by exchange clients.
         retries: u64,
-        /// Serialized (possibly compressed) bytes pulled from upstream tasks.
+        /// Framed (possibly compressed) bytes pulled from upstream tasks on
+        /// other workers.
         wire_bytes_received: u64,
         /// Uncompressed logical bytes of the same pages.
         logical_bytes_received: u64,
+        /// Pages handed over unserialized by upstream tasks on the
+        /// consumer's own worker.
+        local_pages: u64,
+        /// In-memory bytes of those pages.
+        local_bytes: u64,
     }
 
     /// A point-in-time view of the whole cluster's runtime counters.
@@ -97,9 +104,12 @@ counter_set! {
 impl ShuffleMetrics {
     /// Add what `client` has received so far.
     pub(crate) fn add_received(&mut self, client: &ExchangeClient) {
-        self.retries += client.retries();
-        self.wire_bytes_received += client.bytes_received();
-        self.logical_bytes_received += client.logical_bytes_received();
+        let received = client.received();
+        self.retries += received.retries;
+        self.wire_bytes_received += received.wire_bytes;
+        self.logical_bytes_received += received.logical_bytes;
+        self.local_pages += received.local_pages;
+        self.local_bytes += received.local_bytes;
     }
 
     /// Logical/wire expansion of exchanged data (1.0 when nothing moved
@@ -282,6 +292,8 @@ mod tests {
                 retries: 1,
                 wire_bytes_received: 100,
                 logical_bytes_received: 250,
+                local_pages: 3,
+                local_bytes: 300,
             },
             queries: QueryGauges {
                 submitted: 10,
@@ -362,7 +374,7 @@ mod tests {
     /// `sample().to_json().to_string()` as the hand-written serializer
     /// produced it before the structs were declared through `counter_set!`:
     /// key names, nesting and integer rendering are a wire contract.
-    const SAMPLE_JSON: &str = r#"{"caches":[{"bytes":333,"evictions":0,"hits":5,"inserts":2,"invalidations":0,"layer":"porc_footer","misses":2}],"dynamic_filters":{"filters_published":2,"rows_filtered":5000,"splits_pruned":7,"stripes_pruned":11,"wait_nanos":1250000},"fusion":{"agg_rows":900,"filter_rows":900,"pipelines":3,"project_rows":900,"rows_produced":12,"scan_rows":60000},"latency":{"execution":{"count":7,"max_nanos":10000000,"p50_nanos":4100000,"p95_nanos":9300000,"p99_nanos":9900000},"planning":{"count":7,"max_nanos":100000,"p50_nanos":52000,"p95_nanos":90000,"p99_nanos":96000},"queued":{"count":7,"max_nanos":10000,"p50_nanos":1000,"p95_nanos":9000,"p99_nanos":9500}},"queries":{"failed":1,"finished":6,"queued":1,"running":2,"submitted":10},"shuffle":{"exchange_buffered_bytes":512,"in_flight_requests":2,"logical_bytes_received":250,"output_buffered_bytes":4096,"retries":1,"wire_bytes_received":100},"spill":{"queries_spilled":2,"spill_dir":"/tmp/presto-spill","spill_events":5,"spill_max_bytes":1073741824,"spilled_bytes":1048576},"trace_events":42,"trace_overwritten":3,"uptime_nanos":12345678,"workers":[{"blocked_drivers":1,"busy_nanos":999,"memory":{"active_queries":1,"blocked_reservations":1,"general_limit":536870912,"general_used":1024,"peak_general":2048,"peak_reserved":0,"reserved_limit":134217728,"reserved_used":0,"revocation_requests":1,"system_used":77},"node":0,"queued_drivers":3,"running_drivers":2,"scheduler":{"demotions":2,"levels":[{"entries":9,"occupancy":3,"quanta_granted":6,"used_nanos":17}],"promotions":0},"state":"active","wakeups":{"event_wakeups":38,"parks":40,"safety_net_fires":0,"timed_repolls":5}}]}"#;
+    const SAMPLE_JSON: &str = r#"{"caches":[{"bytes":333,"evictions":0,"hits":5,"inserts":2,"invalidations":0,"layer":"porc_footer","misses":2}],"dynamic_filters":{"filters_published":2,"rows_filtered":5000,"splits_pruned":7,"stripes_pruned":11,"wait_nanos":1250000},"fusion":{"agg_rows":900,"filter_rows":900,"pipelines":3,"project_rows":900,"rows_produced":12,"scan_rows":60000},"latency":{"execution":{"count":7,"max_nanos":10000000,"p50_nanos":4100000,"p95_nanos":9300000,"p99_nanos":9900000},"planning":{"count":7,"max_nanos":100000,"p50_nanos":52000,"p95_nanos":90000,"p99_nanos":96000},"queued":{"count":7,"max_nanos":10000,"p50_nanos":1000,"p95_nanos":9000,"p99_nanos":9500}},"queries":{"failed":1,"finished":6,"queued":1,"running":2,"submitted":10},"shuffle":{"exchange_buffered_bytes":512,"in_flight_requests":2,"local_bytes":300,"local_pages":3,"logical_bytes_received":250,"output_buffered_bytes":4096,"retries":1,"wire_bytes_received":100},"spill":{"queries_spilled":2,"spill_dir":"/tmp/presto-spill","spill_events":5,"spill_max_bytes":1073741824,"spilled_bytes":1048576},"trace_events":42,"trace_overwritten":3,"uptime_nanos":12345678,"workers":[{"blocked_drivers":1,"busy_nanos":999,"memory":{"active_queries":1,"blocked_reservations":1,"general_limit":536870912,"general_used":1024,"peak_general":2048,"peak_reserved":0,"reserved_limit":134217728,"reserved_used":0,"revocation_requests":1,"system_used":77},"node":0,"queued_drivers":3,"running_drivers":2,"scheduler":{"demotions":2,"levels":[{"entries":9,"occupancy":3,"quanta_granted":6,"used_nanos":17}],"promotions":0},"state":"active","wakeups":{"event_wakeups":38,"parks":40,"safety_net_fires":0,"timed_repolls":5}}]}"#;
 
     #[test]
     fn json_is_byte_identical_to_the_hand_written_serializer() {

@@ -335,6 +335,54 @@ fn shuffle_counters_outlive_the_query() {
     assert_eq!(shuffle.in_flight_requests, 0, "{shuffle:?}");
 }
 
+/// Same-worker edges hand pages over and cross-worker edges frame them. A
+/// partitioned join on two workers takes both paths; on one worker every
+/// edge is local. Both return the rows of the all-off reference (one
+/// worker, no fusion, no dynamic filters, interpreted expressions).
+#[test]
+fn hash_join_rows_hold_across_local_and_framed_edges() {
+    let sql = "SELECT o.custkey, COUNT(*), SUM(l.orderkey) FROM orders o \
+               JOIN lineitem l ON o.orderkey = l.orderkey GROUP BY o.custkey";
+    let partitioned = Session {
+        join_distribution: presto_common::session::JoinDistribution::Partitioned,
+        ..Session::default()
+    };
+    let reference = Session {
+        pipeline_fusion: false,
+        dynamic_filtering: false,
+        compiled_expressions: false,
+        ..partitioned.clone()
+    };
+    // (sorted rows, framed pages and handed-over pages between stages).
+    let run = |workers: usize, session: &Session| {
+        let (catalogs, _) = test_catalogs();
+        let config = ClusterConfig {
+            workers,
+            ..ClusterConfig::test()
+        };
+        let c = Cluster::start(config, catalogs).unwrap();
+        let out = c.execute_with_session(sql, session).unwrap();
+        let mut rows = out.rows();
+        rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        c.await_quiescent(Duration::from_secs(5)).unwrap();
+        let entry = c.query_history().get(out.query).unwrap();
+        // The root stage's output is the result drain, framed by design.
+        let root = entry.tasks.iter().map(|t| t.stage).max();
+        let edges = entry.tasks.iter().filter(|t| Some(t.stage) != root);
+        let (framed, local) =
+            edges.fold((0, 0), |(f, l), t| (f + t.output_pages, l + t.local_pages));
+        (rows, framed, local)
+    };
+    let (want, _, _) = run(1, &reference);
+    assert_eq!(want.len(), 100);
+    let (two, framed, local) = run(2, &partitioned);
+    assert!(framed > 0 && local > 0, "framed={framed} local={local}");
+    assert_eq!(two, want, "two workers");
+    let (one, framed, local) = run(1, &partitioned);
+    assert!(framed == 0 && local > 0, "framed={framed} local={local}");
+    assert_eq!(one, want, "one worker");
+}
+
 /// A permanent split-open fault fails the query at once with a
 /// non-retryable error: neither the scan's low-level retry nor the
 /// coordinator's query retry runs it again.

@@ -449,7 +449,7 @@ fn seeded_fault_sweep_returns_reference_rows_or_retryable_errors() {
         .collect();
     reference.push(sorted_rows(&reference_cluster, SWEEP_SPILL_QUERY, &plain).unwrap());
     drop(reference_cluster);
-    let (mut answered, mut reached, mut fired) = (0, [0; 4], 0);
+    let (mut answered, mut reached, mut fired, mut decode_faults) = (0, [0; 4], 0, 0);
     for seed in seeds {
         let plane = Arc::new(
             SWEEP_FAULTS
@@ -503,6 +503,7 @@ fn seeded_fault_sweep_returns_reference_rows_or_retryable_errors() {
             reached[i] += plane.hits(site);
             fired += plane.fired(site);
         }
+        decode_faults += plane.fired(Site::FrameDecode);
     }
     // One seed may fail every query before some site is reached; the sweep
     // as a whole must answer, inject, and reach every site.
@@ -512,5 +513,8 @@ fn seeded_fault_sweep_returns_reference_rows_or_retryable_errors() {
             "{answered} answers, {fired} faults"
         );
         assert!(reached.iter().all(|&n| n > 0), "hits per site: {reached:?}");
+        // Same-worker edges skip the codec; the cross-worker ones must
+        // still carry enough frames for decode faults to fire.
+        assert!(decode_faults > 0, "no frame decode fault fired");
     }
 }

@@ -98,7 +98,7 @@ impl Operator for ExchangeSourceOperator {
 
     fn system_memory_bytes(&self) -> usize {
         // The client's input buffer is system memory (shuffle buffers,
-        // §IV-F2): charge the wire bytes actually held, not a token.
+        // §IV-F2): charge the bytes actually held, not a token.
         self.client.buffered_bytes()
     }
 }
@@ -209,19 +209,19 @@ impl Operator for PartitionedOutputOperator {
         }
         let consumers = self.buffer.consumer_count();
         match &self.routing {
-            OutputRouting::Gather => self.buffer.enqueue(0, &page),
-            OutputRouting::Broadcast => self.buffer.broadcast(&page),
+            OutputRouting::Gather => self.buffer.enqueue(0, page),
+            OutputRouting::Broadcast => self.buffer.broadcast(page),
             OutputRouting::RoundRobin => {
                 // Route only to currently-active partitions so writer tasks
                 // can be added dynamically (§IV-E3).
                 let active = self.buffer.active_partitions() as u64;
                 let p = (self.round_robin_next % active) as usize;
                 self.round_robin_next += 1;
-                self.buffer.enqueue(p, &page);
+                self.buffer.enqueue(p, page);
             }
             OutputRouting::Hash { channels } => {
                 if consumers == 1 {
-                    self.buffer.enqueue(0, &page);
+                    self.buffer.enqueue(0, page);
                     return Ok(());
                 }
                 let partitioner = self.partitioner.get_or_insert_with(|| {
@@ -233,7 +233,7 @@ impl Operator for PartitionedOutputOperator {
                     )
                 });
                 for (p, out) in partitioner.route(page) {
-                    self.buffer.enqueue(p, &out);
+                    self.buffer.enqueue(p, out);
                 }
             }
         }
@@ -246,7 +246,7 @@ impl Operator for PartitionedOutputOperator {
             // Flush rows still sitting in the coalescing accumulators.
             if let Some(partitioner) = &mut self.partitioner {
                 for (p, out) in partitioner.finish() {
-                    self.buffer.enqueue(p, &out);
+                    self.buffer.enqueue(p, out);
                 }
             }
             match &self.close_group {
@@ -284,7 +284,7 @@ impl Operator for PartitionedOutputOperator {
     fn system_memory_bytes(&self) -> usize {
         // Retained shuffle output is system memory (§IV-F2's example):
         // rows accumulating in this sink's partitioner, plus this sink's
-        // share of the wire bytes the shared buffer retains.
+        // share of the bytes the shared buffer retains.
         let pending = self
             .partitioner
             .as_ref()
@@ -324,8 +324,8 @@ mod tests {
         let mut total = 0;
         for p in 0..4 {
             let r = buffer.poll(p, 0, usize::MAX);
-            for bytes in &r.pages {
-                total += presto_page::decode_framed_page(bytes).unwrap().row_count();
+            for payload in r.pages {
+                total += payload.into_page().unwrap().row_count();
             }
         }
         assert_eq!(total, 100);
@@ -353,8 +353,8 @@ mod tests {
         let mut total_rows = 0usize;
         let mut total_pages = 0usize;
         for p in 0..4 {
-            for bytes in &buffer.poll(p, 0, usize::MAX).pages {
-                let decoded = presto_page::decode_framed_page(bytes).unwrap();
+            for payload in buffer.poll(p, 0, usize::MAX).pages {
+                let decoded = payload.into_page().unwrap();
                 total_rows += decoded.row_count();
                 total_pages += 1;
             }
@@ -382,8 +382,8 @@ mod tests {
     #[test]
     fn exchange_source_streams_until_finished() {
         let upstream = OutputBuffer::new(1, 1 << 20);
-        upstream.enqueue(0, &page(&[1]));
-        upstream.enqueue(0, &page(&[2]));
+        upstream.enqueue(0, page(&[1]));
+        upstream.enqueue(0, page(&[2]));
         upstream.set_no_more_pages();
         let client = Arc::new(ExchangeClient::new(1 << 20, Duration::ZERO));
         client.add_source(upstream, 0);
@@ -410,5 +410,37 @@ mod tests {
         for p in 0..3 {
             assert_eq!(buffer.poll(p, 0, usize::MAX).pages.len(), 2);
         }
+    }
+
+    /// A consumer on the producer's worker gets the page itself, so an
+    /// unloaded lazy column must be loaded by the producer before the
+    /// hand-over: the consumer never runs the producer's loader.
+    #[test]
+    fn lazy_columns_are_loaded_before_hand_over() {
+        use presto_page::{Block, LazyBlock, LongBlock};
+        use presto_shuffle::Payload;
+        use std::sync::atomic::AtomicUsize;
+        let loads = Arc::new(AtomicUsize::new(0));
+        let counter = Arc::clone(&loads);
+        let lazy = Block::Lazy(LazyBlock::new(3, move || {
+            counter.fetch_add(1, Ordering::SeqCst);
+            Block::from(LongBlock::from_values(vec![7, 8, 9]))
+        }));
+        assert!(lazy.is_lazy_unloaded());
+        let buffer = OutputBuffer::with_placement(vec![true], 1 << 20, usize::MAX);
+        let mut sink = PartitionedOutputOperator::new(Arc::clone(&buffer), OutputRouting::Gather);
+        sink.add_input(Page::new(vec![lazy])).unwrap();
+        assert_eq!(loads.load(Ordering::SeqCst), 1, "loaded on the producer");
+        let r = buffer.poll(0, 0, usize::MAX);
+        let Payload::Page { page, bytes } = &r.pages[0] else {
+            panic!("a local consumer is handed the page");
+        };
+        assert!(
+            matches!(page.block(0), Block::Long(_)),
+            "no lazy block crosses"
+        );
+        assert_eq!(*bytes, page.size_in_bytes());
+        assert_eq!(page.block(0).i64_at(2), 9);
+        assert_eq!(loads.load(Ordering::SeqCst), 1);
     }
 }

@@ -9,7 +9,7 @@
 //! when a spilling query is aborted or its worker dies mid-run.
 //!
 //! Run files hold framed pages: each record is a `u32` length followed by
-//! the §IV-E2 wire frame (`presto_page::frame_payload`) — xxh64-checksummed
+//! the §IV-E2 wire frame (`presto_page::frame_page`) — xxh64-checksummed
 //! and LZ-compressed above a threshold — so a torn or corrupted run is
 //! detected on re-ingest and surfaces as a *transient* error instead of
 //! silently wrong results. File names are crash-safe: they embed the
@@ -26,7 +26,7 @@
 use parking_lot::Mutex;
 use presto_common::chaos::{key_of, FaultPlane, Site};
 use presto_common::{PrestoError, Result, Session};
-use presto_page::{deserialize_page, frame_payload, serialize_page, unframe_payload, Page};
+use presto_page::{decode_framed_page, frame_page, Page};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -209,8 +209,7 @@ pub struct SpillRun {
 impl SpillRun {
     /// Frame and append one page. Returns the bytes written.
     pub fn append(&mut self, page: &Page) -> Result<u64> {
-        let payload = serialize_page(page);
-        let frame = frame_payload(&payload, SPILL_COMPRESSION_MIN_BYTES);
+        let frame = frame_page(page, SPILL_COMPRESSION_MIN_BYTES);
         let record_len = frame.len() as u64 + 4;
         self.manager.check_write(record_len, self.pages)?;
         if self.file.is_none() {
@@ -278,8 +277,7 @@ impl SpillRun {
                     self.path.display()
                 ))
             })?;
-            let payload = unframe_payload(&buf)?;
-            out.push(deserialize_page(&payload)?);
+            out.push(decode_framed_page(&buf)?);
         }
         Ok(out)
     }

@@ -9,6 +9,7 @@
 
 use parking_lot::Mutex;
 use presto_common::{QueryId, TaskId};
+use presto_shuffle::OutputTotals;
 use std::time::Duration;
 
 use crate::operator::OperatorStats;
@@ -51,13 +52,10 @@ pub struct TaskStats {
     pub task: TaskId,
     pub cpu_time: Duration,
     pub pipelines: Vec<PipelineStats>,
-    /// Pages enqueued into the task's output buffer.
-    pub output_pages: u64,
-    /// Serialized (possibly compressed) bytes handed to consumers.
-    pub output_wire_bytes: u64,
-    /// Uncompressed logical bytes of the same pages.
-    pub output_logical_bytes: u64,
-    /// Bytes this task's exchange clients pulled from upstream tasks.
+    /// What the task's output buffer gave its consumers: framed pages for
+    /// other workers, handed-over pages for its own.
+    pub output: OutputTotals,
+    /// Framed bytes this task's exchange clients pulled from upstream tasks.
     pub exchange_bytes_received: u64,
 }
 
@@ -73,12 +71,10 @@ impl StageStats {
         self.tasks.iter().map(|t| t.cpu_time).sum()
     }
 
-    pub fn output_wire_bytes(&self) -> u64 {
-        self.tasks.iter().map(|t| t.output_wire_bytes).sum()
-    }
-
-    pub fn output_logical_bytes(&self) -> u64 {
-        self.tasks.iter().map(|t| t.output_logical_bytes).sum()
+    /// The stage's output totals, summed over its tasks.
+    pub fn output(&self) -> OutputTotals {
+        let tasks = self.tasks.iter().map(|t| t.output);
+        tasks.fold(OutputTotals::default(), |sum, t| sum.merge(&t))
     }
 
     /// Merge pipelines across tasks (all tasks of a fragment compile to
@@ -313,9 +309,13 @@ mod tests {
                 cpu_time: Duration::from_millis(1),
                 operators: vec![entry("Aggregate", rows)],
             }],
-            output_pages: 1,
-            output_wire_bytes: 10,
-            output_logical_bytes: 20,
+            output: OutputTotals {
+                pages: 1,
+                wire_bytes: 10,
+                logical_bytes: 20,
+                local_pages: 1,
+                local_bytes: 30,
+            },
             exchange_bytes_received: 0,
         };
         let stage = StageStats {
@@ -323,7 +323,8 @@ mod tests {
             tasks: vec![task(0, 5), task(1, 6)],
         };
         assert_eq!(stage.operator("Aggregate").unwrap().output_rows, 11);
-        assert_eq!(stage.output_wire_bytes(), 20);
+        assert_eq!(stage.output().wire_bytes, 20);
+        assert_eq!(stage.output().local_bytes, 60);
         let merged = stage.pipelines_merged();
         assert_eq!(merged[0].driver_count, 2);
     }

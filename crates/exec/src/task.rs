@@ -29,9 +29,10 @@ use crate::stats::{PipelineMeta, TaskStats, TaskStatsCollector};
 use crate::window::WindowOperator;
 use crate::writer::TableWriterOperator;
 
-/// Capacity of each task's output buffer, in serialized bytes.
+/// Capacity of each task's output buffer: wire bytes of frames plus
+/// in-memory bytes of handed-over pages.
 const OUTPUT_BUFFER_BYTES: usize = 32 << 20;
-/// Capacity of each exchange client's input buffer, in serialized bytes.
+/// Capacity of each exchange client's input buffer, counted the same way.
 const EXCHANGE_BUFFER_BYTES: usize = 32 << 20;
 /// Upper bound on concurrent exchange polls per fetch round (the paper's
 /// target HTTP request concurrency cap, §IV-E2).
@@ -47,8 +48,10 @@ pub struct TaskContext {
     pub session: Session,
     pub catalogs: CatalogManager,
     pub memory_pool: Arc<dyn MemoryPool>,
-    /// Number of tasks in the consumer stage (output buffer partitions).
-    pub consumer_count: usize,
+    /// One entry per task of the consumer stage (output buffer
+    /// partitions): true where that consumer runs on this task's worker, so
+    /// its pages are handed over instead of framed.
+    pub local_consumers: Vec<bool>,
     /// Parallel drivers for split-driven leaf pipelines (§IV-C4).
     pub leaf_parallelism: usize,
     /// Optional shared timeline: split and page events from this task's
@@ -106,19 +109,15 @@ impl Task {
     pub fn stats_snapshot(&self) -> TaskStats {
         let pipelines = self.stats.pipelines();
         let cpu_time = pipelines.iter().map(|p| p.cpu_time).sum();
-        let (output_pages, _) = self.output.totals();
-        let (output_wire_bytes, output_logical_bytes) = self.output.byte_totals();
         TaskStats {
             task: self.id,
             cpu_time,
             pipelines,
-            output_pages,
-            output_wire_bytes,
-            output_logical_bytes,
+            output: self.output.totals(),
             exchange_bytes_received: self
                 .exchanges
                 .iter()
-                .map(|e| e.client.bytes_received())
+                .map(|e| e.client.received().wire_bytes)
                 .sum(),
         }
     }
@@ -126,8 +125,8 @@ impl Task {
 
 /// Compile `fragment` into a [`Task`].
 pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
-    let output = OutputBuffer::with_compression(
-        ctx.consumer_count.max(1),
+    let output = OutputBuffer::with_placement(
+        ctx.local_consumers.clone(),
         OUTPUT_BUFFER_BYTES,
         ctx.session.shuffle_compression_min_bytes,
     );

@@ -413,6 +413,33 @@ proptest! {
     }
 }
 
+proptest! {
+    /// Spill runs hold the shuffle's frames: pages of every encoding, small
+    /// (raw frames) and large enough to compress, read back identical, and
+    /// consuming the run deletes its file.
+    #[test]
+    fn spill_run_round_trips_framed_pages(input in arb_pages(400), copies in 2usize..32) {
+        let dir = scratch_dir();
+        let manager = SpillManager::new(Some(dir.clone()), 0);
+        let mut pages = encoded_pages(&input);
+        // Repeating a page past the compression threshold makes its frame
+        // compress; the originals stay small and raw.
+        if let Some(first) = pages.first().cloned() {
+            pages.push(Page::concat(&vec![first; copies]));
+        }
+        let mut run = manager.create_run("round-trip");
+        for page in &pages {
+            run.append(page).unwrap();
+        }
+        let types = [DataType::Bigint, DataType::Double];
+        let back = run.into_pages().unwrap();
+        prop_assert_eq!(render(&back, &types), render(&pages, &types));
+        prop_assert_eq!(manager.live_files(), 0);
+        drop(manager);
+        assert_dir_empty_and_remove(&dir);
+    }
+}
+
 /// Chaos: a spill write that fails mid-revocation surfaces a retryable
 /// (transient) error, not a wrong answer or a panic.
 #[test]

@@ -10,7 +10,7 @@
 //! block: `u8 tag` followed by a tag-specific body. Null masks are encoded
 //! as a presence byte plus a packed bitset.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, Bytes};
 use presto_common::{PrestoError, Result};
 use std::sync::Arc;
 
@@ -29,21 +29,27 @@ const TAG_DICTIONARY: u8 = 5;
 
 /// Serialize a page, preserving block encodings.
 pub fn serialize_page(page: &Page) -> Bytes {
-    let mut buf = BytesMut::with_capacity(page.size_in_bytes() + 64);
+    let mut buf = Vec::with_capacity(page.size_in_bytes() + 64);
+    encode_page(page, &mut buf);
+    Bytes::from(buf)
+}
+
+/// Append the serialized page to `buf` (the frame codec writes it straight
+/// after a frame header, with no intermediate payload buffer).
+pub fn encode_page(page: &Page, buf: &mut Vec<u8>) {
     buf.put_u32_le(page.column_count() as u32);
     buf.put_u32_le(page.row_count() as u32);
     for block in page.blocks() {
-        encode_block(block.loaded(), &mut buf);
+        encode_block(block.loaded(), buf);
     }
-    buf.freeze()
 }
 
 /// Serialize a single block (used by the PORC file format to store columns
 /// independently addressable within a stripe).
 pub fn serialize_block(block: &Block) -> Bytes {
-    let mut buf = BytesMut::with_capacity(block.size_in_bytes() + 16);
+    let mut buf = Vec::with_capacity(block.size_in_bytes() + 16);
     encode_block(block.loaded(), &mut buf);
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Deserialize a block produced by [`serialize_block`].
@@ -73,7 +79,7 @@ pub fn deserialize_page(bytes: &[u8]) -> Result<Page> {
     Ok(Page::new(blocks))
 }
 
-fn encode_null_mask(mask: &NullMask, buf: &mut BytesMut) {
+fn encode_null_mask(mask: &NullMask, buf: &mut Vec<u8>) {
     match mask {
         None => buf.put_u8(0),
         Some(mask) => {
@@ -119,23 +125,19 @@ fn decode_null_mask(buf: &mut &[u8]) -> Result<NullMask> {
     }
 }
 
-fn encode_block(block: &Block, buf: &mut BytesMut) {
+fn encode_block(block: &Block, buf: &mut Vec<u8>) {
     match block {
         Block::Long(b) => {
             buf.put_u8(TAG_LONG);
             buf.put_u32_le(b.len() as u32);
             encode_null_mask(&b.nulls, buf);
-            for &v in &b.values {
-                buf.put_i64_le(v);
-            }
+            put_le(buf, &b.values, i64::to_le_bytes);
         }
         Block::Double(b) => {
             buf.put_u8(TAG_DOUBLE);
             buf.put_u32_le(b.len() as u32);
             encode_null_mask(&b.nulls, buf);
-            for &v in &b.values {
-                buf.put_f64_le(v);
-            }
+            put_le(buf, &b.values, f64::to_le_bytes);
         }
         Block::Bool(b) => {
             buf.put_u8(TAG_BOOL);
@@ -149,9 +151,7 @@ fn encode_block(block: &Block, buf: &mut BytesMut) {
             buf.put_u8(TAG_VARCHAR);
             buf.put_u32_le(b.len() as u32);
             encode_null_mask(&b.nulls, buf);
-            for &o in &b.offsets {
-                buf.put_u32_le(o);
-            }
+            put_le(buf, &b.offsets, u32::to_le_bytes);
             buf.put_u32_le(b.bytes.len() as u32);
             buf.put_slice(&b.bytes);
         }
@@ -163,9 +163,7 @@ fn encode_block(block: &Block, buf: &mut BytesMut) {
         Block::Dictionary(b) => {
             buf.put_u8(TAG_DICTIONARY);
             buf.put_u32_le(b.ids.len() as u32);
-            for &id in &b.ids {
-                buf.put_u32_le(id);
-            }
+            put_le(buf, &b.ids, u32::to_le_bytes);
             encode_block(b.dictionary.loaded(), buf);
         }
         Block::Lazy(b) => encode_block(b.load().loaded(), buf),
@@ -178,19 +176,13 @@ fn decode_block(buf: &mut &[u8]) -> Result<Block> {
         TAG_LONG => {
             let len = read_u32(buf)? as usize;
             let nulls = decode_null_mask(buf)?;
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
-                values.push(read_i64(buf)?);
-            }
+            let values = get_le(buf, len, i64::from_le_bytes)?;
             Ok(Block::Long(LongBlock::new(values, nulls)))
         }
         TAG_DOUBLE => {
             let len = read_u32(buf)? as usize;
             let nulls = decode_null_mask(buf)?;
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
-                values.push(f64::from_bits(read_i64(buf)? as u64));
-            }
+            let values = get_le(buf, len, f64::from_le_bytes)?;
             Ok(Block::Double(DoubleBlock::new(values, nulls)))
         }
         TAG_BOOL => {
@@ -205,10 +197,7 @@ fn decode_block(buf: &mut &[u8]) -> Result<Block> {
         TAG_VARCHAR => {
             let len = read_u32(buf)? as usize;
             let nulls = decode_null_mask(buf)?;
-            let mut offsets = Vec::with_capacity(len + 1);
-            for _ in 0..len + 1 {
-                offsets.push(read_u32(buf)?);
-            }
+            let offsets = get_le(buf, len + 1, u32::from_le_bytes)?;
             let nbytes = read_u32(buf)? as usize;
             if buf.remaining() < nbytes {
                 return Err(truncated());
@@ -238,10 +227,7 @@ fn decode_block(buf: &mut &[u8]) -> Result<Block> {
         }
         TAG_DICTIONARY => {
             let len = read_u32(buf)? as usize;
-            let mut ids = Vec::with_capacity(len);
-            for _ in 0..len {
-                ids.push(read_u32(buf)?);
-            }
+            let ids = get_le(buf, len, u32::from_le_bytes)?;
             let dictionary = decode_block(buf)?;
             if ids.iter().any(|&id| id as usize >= dictionary.len()) {
                 return Err(PrestoError::internal(
@@ -257,6 +243,34 @@ fn decode_block(buf: &mut &[u8]) -> Result<Block> {
             "page codec: unknown block tag {t}"
         ))),
     }
+}
+
+/// Append the `W`-byte little-endian encodings of `values` in one resize.
+fn put_le<T: Copy, const W: usize>(buf: &mut Vec<u8>, values: &[T], to_le: fn(T) -> [u8; W]) {
+    let start = buf.len();
+    buf.resize(start + W * values.len(), 0);
+    for (out, &v) in buf[start..].chunks_exact_mut(W).zip(values) {
+        out.copy_from_slice(&to_le(v));
+    }
+}
+
+/// Read `n` `W`-byte little-endian values: all of them, or a truncation
+/// error when fewer remain.
+fn get_le<T, const W: usize>(
+    buf: &mut &[u8],
+    n: usize,
+    from_le: fn([u8; W]) -> T,
+) -> Result<Vec<T>> {
+    let bytes = n
+        .checked_mul(W)
+        .filter(|&bytes| bytes <= buf.len())
+        .ok_or_else(truncated)?;
+    let (values, rest) = buf.split_at(bytes);
+    *buf = rest;
+    Ok(values
+        .chunks_exact(W)
+        .map(|c| from_le(c.try_into().expect("chunks are W bytes")))
+        .collect())
 }
 
 fn truncated() -> PrestoError {
@@ -275,13 +289,6 @@ fn read_u32(buf: &mut &[u8]) -> Result<u32> {
         return Err(truncated());
     }
     Ok(buf.get_u32_le())
-}
-
-fn read_i64(buf: &mut &[u8]) -> Result<i64> {
-    if buf.remaining() < 8 {
-        return Err(truncated());
-    }
-    Ok(buf.get_i64_le())
 }
 
 #[cfg(test)]

@@ -34,7 +34,5 @@ pub use blocks::{
 };
 pub use builder::BlockBuilder;
 pub use codec::{deserialize_block, deserialize_page, serialize_block, serialize_page};
-pub use frame::{
-    decode_framed_page, frame_info, frame_page, frame_payload, unframe_payload, FrameInfo,
-};
+pub use frame::{decode_framed_page, frame_info, frame_page, framed_payload_len, FrameInfo};
 pub use page::Page;

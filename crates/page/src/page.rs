@@ -121,6 +121,22 @@ impl Page {
         }
     }
 
+    /// [`load_all`](Self::load_all) for an owned page: loaded blocks move
+    /// as they are and only lazy ones are materialized, so a page that
+    /// crosses a task boundary unserialized is not copied on the way.
+    pub fn into_loaded(self) -> Page {
+        let blocks = self.blocks.into_iter();
+        Page {
+            blocks: blocks
+                .map(|b| match b {
+                    Block::Lazy(_) => b.loaded().clone(),
+                    b => b,
+                })
+                .collect(),
+            row_count: self.row_count,
+        }
+    }
+
     /// Extract one row as typed values, given the page's schema.
     pub fn row(&self, schema: &Schema, i: usize) -> Vec<Value> {
         self.blocks

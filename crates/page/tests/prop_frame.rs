@@ -5,7 +5,8 @@
 
 use presto_common::{DataType, Field, Schema, Value};
 use presto_page::blocks::{DictionaryBlock, VarcharBlock};
-use presto_page::{decode_framed_page, frame_info, frame_page, Block, Page};
+use presto_page::frame::{lz_compress, lz_decompress};
+use presto_page::{decode_framed_page, frame_info, frame_page, Block, LongBlock, Page};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -148,5 +149,107 @@ proptest! {
         let frame = frame_page(&page, 0);
         let keep = (cut % frame.len() as u64) as usize;
         prop_assert!(decode_framed_page(&frame[..keep]).is_err());
+    }
+}
+
+/// xorshift bytes: no four-byte sequence repeats within reach, so the
+/// compressor misses at nearly every position.
+fn noise(seed: u64, len: usize) -> Vec<u8> {
+    let mut state = seed | 1;
+    (0..len)
+        .map(|_| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state as u8
+        })
+        .collect()
+}
+
+fn lz_round_trip(data: &[u8]) -> Vec<u8> {
+    let mut packed = Vec::new();
+    lz_compress(data, &mut packed);
+    lz_decompress(&packed, data.len()).unwrap()
+}
+
+proptest! {
+    /// Incompressible stretches are crossed with a growing stride (the
+    /// miss acceleration); whatever is skipped must still arrive as
+    /// literals, and a match after the stretch must still be found.
+    #[test]
+    fn incompressible_input_round_trips(
+        seed in any::<u64>(),
+        len in 0usize..20_000,
+        tail in 0usize..2_000,
+    ) {
+        let mut data = noise(seed, len);
+        data.extend(std::iter::repeat_n(7u8, tail));
+        prop_assert_eq!(lz_round_trip(&data), data);
+    }
+
+    /// Short periods make matches whose offset is smaller than their
+    /// length: the decoder copies them in growing slices of what it has
+    /// already written.
+    #[test]
+    fn self_overlapping_matches_round_trip(
+        period in proptest::collection::vec(any::<u32>().prop_map(|b| b as u8), 1..9),
+        repeats in 1usize..600,
+        prefix in proptest::collection::vec(any::<u32>().prop_map(|b| b as u8), 0..40),
+    ) {
+        let mut data = prefix;
+        for _ in 0..repeats {
+            data.extend_from_slice(&period);
+        }
+        prop_assert_eq!(lz_round_trip(&data), data);
+    }
+
+    /// A page of random longs frames raw even when compression is asked
+    /// for, and decodes from the frame in place. (Below 64 rows the header's
+    /// repeated row count is a match worth taking.)
+    #[test]
+    fn incompressible_page_frames_raw(seed in any::<u64>(), rows in 64usize..2_000) {
+        let bytes = noise(seed, rows * 8);
+        let values: Vec<i64> = bytes
+            .chunks_exact(8)
+            .map(|c| i64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        let page = Page::new(vec![Block::from(LongBlock::from_values(values.clone()))]);
+        let frame = frame_page(&page, 0);
+        prop_assert!(!frame_info(&frame).unwrap().compressed);
+        let decoded = decode_framed_page(&frame).unwrap();
+        let back: Vec<i64> = (0..rows).map(|r| decoded.block(0).i64_at(r)).collect();
+        prop_assert_eq!(back, values);
+    }
+}
+
+/// A hand-built stream: literals "ab", then a match at offset 2 for 20
+/// bytes — ten times its own offset — then an empty final sequence.
+#[test]
+fn overlapping_match_replicates_the_window() {
+    // Token 0x2F: 2 literals, match length 15 + 1 (extra byte) + 4 = 20.
+    let stream = [0x2F, b'a', b'b', 2, 0, 1, 0x00];
+    let out = lz_decompress(&stream, 22).unwrap();
+    assert_eq!(out, b"ab".repeat(11));
+}
+
+/// Malformed streams are rejected exactly as before the wide copies:
+/// every one is an error, never a panic or an overread.
+#[test]
+fn malformed_streams_are_rejected() {
+    let cases: [(&[u8], usize, &str); 6] = [
+        (&[], 4, "empty"),
+        (&[0x10], 4, "literal past end"),
+        (&[0x10, b'a', 0], 8, "truncated offset"),
+        (&[0x10, b'a', 0, 0], 8, "offset zero"),
+        (&[0x10, b'a', 2, 0], 8, "offset beyond output"),
+        (
+            &[0x1F, b'a', 1, 0, 255, 255, 0],
+            64,
+            "match overruns length",
+        ),
+    ];
+    for (stream, expected, what) in cases {
+        let err = lz_decompress(stream, expected).unwrap_err();
+        assert!(err.is_retryable(), "{what}: {err}");
     }
 }

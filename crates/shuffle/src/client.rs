@@ -18,14 +18,35 @@
 use crossbeam::queue::SegQueue;
 use parking_lot::{Mutex, RwLock};
 use presto_common::chaos::{key_of, mix, FaultPlane, Site};
+use presto_common::counter_set;
 use presto_common::wake::{WakeList, Waker};
 use presto_common::{ErrorCode, PrestoError, Result};
-use presto_page::{decode_framed_page, Page};
+use presto_page::Page;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::buffer::OutputBuffer;
+use crate::buffer::{decode, OutputBuffer, Payload};
+
+counter_set! {
+    /// What one exchange client has received since it was created. Frames
+    /// (the wire) and handed-over pages are counted apart.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ReceivedTotals[atomic(ReceivedCounters)] {
+        /// Framed (possibly compressed) bytes fetched from producers on
+        /// other workers.
+        wire_bytes: u64,
+        /// In-memory bytes of the pages decoded from those frames (wire vs
+        /// logical gives the realized shuffle compression ratio).
+        logical_bytes: u64,
+        /// Pages handed over by producers on this client's worker.
+        local_pages: u64,
+        /// In-memory bytes of those pages.
+        local_bytes: u64,
+        /// Transient decode failures retried (token not advanced).
+        retries: u64,
+    }
+}
 
 /// Process-unique client numbers, the seed of each client's retry jitter.
 static NEXT_CLIENT: AtomicU64 = AtomicU64::new(0);
@@ -79,10 +100,11 @@ enum PollOutcome {
 /// exchange drivers as the task runs.
 pub struct ExchangeClient {
     sources: RwLock<Vec<Arc<Source>>>,
-    /// Decoded pages ready for operators, with the wire size each one
-    /// occupied so `next_page` releases exactly what `poll` charged.
+    /// Pages ready for operators, with the bytes each one occupied (wire
+    /// length of a frame, size of a handed-over page) so `next_page`
+    /// releases exactly what `poll` charged.
     ready: SegQueue<(Page, usize)>,
-    /// Wire bytes currently held in `ready`.
+    /// Bytes currently held in `ready`.
     buffered_bytes: AtomicUsize,
     /// Input buffer capacity; polls stop while it is exceeded.
     capacity_bytes: usize,
@@ -98,13 +120,8 @@ pub struct ExchangeClient {
     concurrency_cap: usize,
     /// Give up after this many consecutive decode failures on one source.
     max_retries: u32,
-    /// Total wire bytes fetched, for telemetry.
-    bytes_received: AtomicU64,
-    /// Uncompressed logical bytes of decoded pages (wire vs logical gives
-    /// the realized shuffle compression ratio).
-    logical_bytes_received: AtomicU64,
-    /// Transient decode failures retried (token not advanced).
-    retries: AtomicU64,
+    /// Everything received so far, for telemetry.
+    received: ReceivedCounters,
     /// Virtual requests currently outstanding (issued, deadline not yet
     /// reached).
     in_flight: AtomicUsize,
@@ -129,9 +146,9 @@ impl ExchangeClient {
         Self::with_config(capacity_bytes, poll_latency, 8, 3)
     }
 
-    /// `concurrency_cap` bounds polls per round (the session's exchange
-    /// concurrency knob); `max_retries` bounds consecutive transient decode
-    /// failures per source before the error propagates.
+    /// `concurrency_cap` bounds polls per round (the engine passes its
+    /// `EXCHANGE_CONCURRENCY` constant); `max_retries` bounds consecutive
+    /// transient decode failures per source before the error propagates.
     pub fn with_config(
         capacity_bytes: usize,
         poll_latency: Duration,
@@ -149,9 +166,7 @@ impl ExchangeClient {
             open: AtomicUsize::new(0),
             concurrency_cap: concurrency_cap.max(1),
             max_retries: max_retries.max(1),
-            bytes_received: AtomicU64::new(0),
-            logical_bytes_received: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
+            received: ReceivedCounters::default(),
             in_flight: AtomicUsize::new(0),
             faults: None,
             jitter_salt: mix(NEXT_CLIENT.fetch_add(1, Ordering::Relaxed)),
@@ -286,9 +301,9 @@ impl ExchangeClient {
         self.buffered_bytes.load(Ordering::Relaxed) < self.capacity_bytes
     }
 
-    /// Wire bytes currently buffered locally (decoded pages not yet taken
-    /// by operators). This is what `ExchangeSourceOperator` charges to the
-    /// §IV-F2 system memory pool.
+    /// Bytes currently buffered locally (pages not yet taken by operators).
+    /// This is what `ExchangeSourceOperator` charges to the §IV-F2 system
+    /// memory pool.
     pub fn buffered_bytes(&self) -> usize {
         self.buffered_bytes.load(Ordering::Relaxed)
     }
@@ -394,10 +409,20 @@ impl ExchangeClient {
         // Decode the entire batch BEFORE advancing the token. A failure on
         // page k must not commit pages 0..k: the producer retains the whole
         // batch until the next token acknowledges it, so the retry below
-        // re-fetches everything exactly once.
-        let mut decoded: Vec<(Page, usize)> = Vec::with_capacity(response.pages.len());
-        let mut batch_bytes = 0usize;
-        for (i, frame) in response.pages.iter().enumerate() {
+        // re-fetches everything exactly once. Only frames are decoded (and
+        // can fail); handed-over pages wait for the acknowledgement below.
+        let mut batch: Vec<(Arc<Page>, usize)> = Vec::with_capacity(response.pages.len());
+        let mut received = ReceivedTotals::default();
+        for (i, payload) in response.pages.into_iter().enumerate() {
+            let frame = match payload {
+                Payload::Frame(frame) => frame,
+                Payload::Page { page, bytes } => {
+                    received.local_pages += 1;
+                    received.local_bytes += bytes as u64;
+                    batch.push((page, bytes));
+                    continue;
+                }
+            };
             let injected = match &self.faults {
                 Some(faults) => {
                     let key = (
@@ -410,14 +435,15 @@ impl ExchangeClient {
                 }
                 None => Ok(()),
             };
-            match injected.and_then(|()| decode(frame)) {
+            match injected.and_then(|()| decode(&frame)) {
                 Ok(page) => {
-                    batch_bytes += frame.len();
-                    decoded.push((page, frame.len()));
+                    received.wire_bytes += frame.len() as u64;
+                    received.logical_bytes += page.size_in_bytes() as u64;
+                    batch.push((Arc::new(page), frame.len()));
                 }
                 Err(e) => {
                     progress.consecutive_failures += 1;
-                    self.retries.fetch_add(1, Ordering::Relaxed);
+                    self.received.retries.fetch_add(1, Ordering::Relaxed);
                     if progress.consecutive_failures >= self.max_retries {
                         // Exhausted low-level retries: a page-transport
                         // fault, not an engine bug. Surface it as the
@@ -453,19 +479,22 @@ impl ExchangeClient {
         if newly_finished {
             self.open.fetch_sub(1, Ordering::SeqCst);
         }
-        let delivered = !decoded.is_empty();
+        let delivered = !batch.is_empty();
         if delivered {
+            // The batch is in hand: let the producer drop it now, so each
+            // handed-over page below is this client's alone and moves out
+            // of its `Arc` without a copy.
+            source
+                .buffer
+                .acknowledge(source.partition, response.next_token);
+            let batch_bytes = batch.iter().map(|(_, bytes)| bytes).sum();
+            self.received.add(&received);
             // Publish bytes before pages so `has_capacity` can only
             // over-estimate fullness, never under-account.
             self.buffered_bytes.fetch_add(batch_bytes, Ordering::SeqCst);
-            self.bytes_received
-                .fetch_add(batch_bytes as u64, Ordering::Relaxed);
-            let logical: u64 = decoded.iter().map(|(p, _)| p.size_in_bytes() as u64).sum();
-            self.logical_bytes_received
-                .fetch_add(logical, Ordering::Relaxed);
             self.observe_response(batch_bytes);
-            for entry in decoded {
-                self.ready.push(entry);
+            for (page, bytes) in batch {
+                self.ready.push((Arc::unwrap_or_clone(page), bytes));
             }
         }
         if delivered || newly_finished {
@@ -476,9 +505,9 @@ impl ExchangeClient {
         }
     }
 
-    /// Take the next buffered page, if any. Releases the wire bytes the
-    /// page occupied (tracked per page — decoded size differs from wire
-    /// size, and mixing them corrupts the backpressure signal).
+    /// Take the next buffered page, if any. Releases the bytes the page
+    /// occupied (tracked per page — a decoded page's size differs from its
+    /// wire size, and mixing them corrupts the backpressure signal).
     pub fn next_page(&self) -> Option<Page> {
         let (page, wire_len) = self.ready.pop()?;
         self.buffered_bytes.fetch_sub(wire_len, Ordering::SeqCst);
@@ -491,32 +520,15 @@ impl ExchangeClient {
         self.is_cancelled() || (self.ready.is_empty() && self.open.load(Ordering::SeqCst) == 0)
     }
 
-    pub fn bytes_received(&self) -> u64 {
-        self.bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Uncompressed size of everything received so far.
-    pub fn logical_bytes_received(&self) -> u64 {
-        self.logical_bytes_received.load(Ordering::Relaxed)
-    }
-
-    /// Transient decode failures that were retried.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
+    /// Everything received so far: framed and handed-over pages, retries.
+    pub fn received(&self) -> ReceivedTotals {
+        self.received.snapshot()
     }
 
     /// Virtual requests currently outstanding.
     pub fn in_flight(&self) -> usize {
         self.in_flight.load(Ordering::Relaxed)
     }
-}
-
-fn decode(frame: &[u8]) -> Result<Page> {
-    decode_framed_page(frame).map_err(|e| {
-        // A malformed shuffle payload is transient from the engine's view:
-        // re-fetching may succeed (the paper's low-level retries).
-        PrestoError::transient(format!("exchange decode failed: {e}"))
-    })
 }
 
 #[cfg(test)]
@@ -542,8 +554,8 @@ mod tests {
     fn streams_from_multiple_sources() {
         let a = OutputBuffer::new(1, 1 << 20);
         let b = OutputBuffer::new(1, 1 << 20);
-        a.enqueue(0, &page(1));
-        b.enqueue(0, &page(2));
+        a.enqueue(0, page(1));
+        b.enqueue(0, page(2));
         a.set_no_more_pages();
         b.set_no_more_pages();
         let client = ExchangeClient::new(1 << 20, Duration::ZERO);
@@ -558,14 +570,14 @@ mod tests {
         }
         values.sort();
         assert_eq!(values, vec![1, 2]);
-        assert!(client.bytes_received() > 0);
+        assert!(client.received().wire_bytes > 0);
     }
 
     #[test]
     fn full_input_buffer_stops_polling() {
         let a = OutputBuffer::new(1, 1 << 20);
         for i in 0..100 {
-            a.enqueue(0, &page(i));
+            a.enqueue(0, page(i));
         }
         a.set_no_more_pages();
         // Tiny input buffer: fills after a few pages.
@@ -590,7 +602,7 @@ mod tests {
         let client = ExchangeClient::new(1 << 16, Duration::ZERO);
         for _ in 0..4 {
             let b = OutputBuffer::new(1, 1 << 20);
-            b.enqueue(0, &page(1));
+            b.enqueue(0, page(1));
             b.set_no_more_pages();
             client.add_source(b, 0);
         }
@@ -613,7 +625,7 @@ mod tests {
         // old client subtracted the *decoded* size, so the counter drifted.
         let a = OutputBuffer::new(1, 1 << 20);
         for i in 0..20 {
-            a.enqueue(0, &page(i));
+            a.enqueue(0, page(i));
         }
         a.set_no_more_pages();
         let client = ExchangeClient::new(1 << 20, Duration::ZERO);
@@ -629,7 +641,7 @@ mod tests {
     fn transient_decode_failure_refetches_without_loss_or_dup() {
         let a = OutputBuffer::new(1, 1 << 20);
         for i in 0..50 {
-            a.enqueue(0, &page(i));
+            a.enqueue(0, page(i));
         }
         a.set_no_more_pages();
         // Small input buffer keeps batches to a frame or two, so a batch
@@ -660,7 +672,7 @@ mod tests {
     #[test]
     fn persistent_decode_failure_eventually_propagates() {
         let a = OutputBuffer::new(1, 1 << 20);
-        a.enqueue(0, &page(1));
+        a.enqueue(0, page(1));
         a.set_no_more_pages();
         let mut client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 3);
         client.set_retry_backoff(Duration::ZERO);
@@ -687,7 +699,7 @@ mod tests {
     #[test]
     fn aborted_source_surfaces_worker_failed() {
         let a = OutputBuffer::new(1, 1 << 20);
-        a.enqueue(0, &page(1));
+        a.enqueue(0, page(1));
         let client = ExchangeClient::new(1 << 20, Duration::ZERO);
         client.add_source(Arc::clone(&a), 0);
         a.abort();
@@ -700,7 +712,7 @@ mod tests {
     fn cancel_stops_retrying_and_finishes() {
         let a = OutputBuffer::new(1, 1 << 20);
         for i in 0..10 {
-            a.enqueue(0, &page(i));
+            a.enqueue(0, page(i));
         }
         let mut client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 1000);
         client.set_retry_backoff(Duration::ZERO);
@@ -709,7 +721,7 @@ mod tests {
         for _ in 0..5 {
             client.poll_progress().unwrap();
         }
-        let retries_before = client.retries();
+        let retries_before = client.received().retries;
         assert!(retries_before > 0, "chaos must have forced retries");
         client.cancel();
         assert!(client.is_finished(), "cancelled client reports finished");
@@ -717,7 +729,7 @@ mod tests {
             assert!(!client.poll_progress().unwrap());
         }
         assert_eq!(
-            client.retries(),
+            client.received().retries,
             retries_before,
             "a cancelled query must stop retrying immediately"
         );
@@ -728,7 +740,7 @@ mod tests {
     #[test]
     fn transient_failure_backs_off_before_retrying() {
         let a = OutputBuffer::new(1, 1 << 20);
-        a.enqueue(0, &page(1));
+        a.enqueue(0, page(1));
         a.set_no_more_pages();
         let mut client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 100);
         client.set_retry_backoff(Duration::from_millis(30));
@@ -736,7 +748,7 @@ mod tests {
         // Fail the first decode, then let the retry through.
         client.set_faults(decode_faults(Trigger::First(1)));
         client.poll_progress().unwrap();
-        assert_eq!(client.retries(), 1);
+        assert_eq!(client.received().retries, 1);
         // Inside the backoff window no new decode is attempted.
         for _ in 0..10 {
             client.poll_progress().unwrap();
@@ -749,7 +761,7 @@ mod tests {
             assert!(Instant::now() < deadline, "retry must happen post-backoff");
             client.poll_progress().unwrap();
         }
-        assert_eq!(client.retries(), 1, "exactly one retry was needed");
+        assert_eq!(client.received().retries, 1, "exactly one retry was needed");
     }
 
     #[test]
@@ -787,7 +799,7 @@ mod tests {
         let client = ExchangeClient::new(1 << 20, Duration::from_millis(50));
         for _ in 0..4 {
             let b = OutputBuffer::new(1, 1 << 20);
-            b.enqueue(0, &page(1));
+            b.enqueue(0, page(1));
             b.set_no_more_pages();
             client.add_source(b, 0);
         }
@@ -824,9 +836,9 @@ mod tests {
         assert!(!client.poll_progress().unwrap());
         let parked = waker();
         assert!(client.park(&parked), "nothing is on a clock");
-        a.enqueue(0, &page(1));
+        a.enqueue(0, page(1));
         assert!(!parked.is_woken(), "partition 0 feeds another consumer");
-        b.enqueue(1, &page(2));
+        b.enqueue(1, page(2));
         assert!(parked.is_woken());
         assert!(client.poll_progress().unwrap());
         assert!(client.next_page().is_some());
@@ -845,8 +857,8 @@ mod tests {
         client.add_source(Arc::clone(&a), 0);
         // The sibling parked after the pages were enqueued: only the
         // delivering driver can tell it.
-        a.enqueue(0, &page(1));
-        a.enqueue(0, &page(2));
+        a.enqueue(0, page(1));
+        a.enqueue(0, page(2));
         let sibling = waker();
         client.waiters.register(&sibling);
         assert!(client.poll_progress().unwrap());
@@ -867,7 +879,7 @@ mod tests {
         assert!(!slow.park(&w), "injected latency is a deadline");
 
         let a = OutputBuffer::new(1, 1 << 20);
-        a.enqueue(0, &page(1));
+        a.enqueue(0, page(1));
         let mut client = ExchangeClient::with_config(1 << 20, Duration::ZERO, 8, 100);
         client.set_retry_backoff(Duration::from_millis(20));
         client.add_source(a, 0);
@@ -875,7 +887,7 @@ mod tests {
         let parked = waker();
         assert!(client.park(&parked));
         client.poll_progress().unwrap();
-        assert_eq!(client.retries(), 1);
+        assert_eq!(client.received().retries, 1);
         assert!(parked.is_woken(), "a backoff recalls parked drivers");
         assert!(!client.park(&w), "the backoff is a deadline");
         let deadline = Instant::now() + Duration::from_secs(5);

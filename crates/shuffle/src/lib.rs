@@ -10,7 +10,9 @@
 //! The transport here is shared memory rather than HTTP — per DESIGN.md the
 //! simulated cluster replaces only the wire — but the protocol is the same:
 //!
-//! * producers append serialized pages into a partitioned [`OutputBuffer`];
+//! * producers append pages into a partitioned [`OutputBuffer`]: serialized
+//!   and framed for a consumer on another worker, handed over as the page
+//!   itself for a consumer on the producer's own worker;
 //! * consumers poll `(partition, token)`; the buffer retains data until the
 //!   next token implicitly acknowledges it;
 //! * producers observe output-buffer utilization and *stall* when full
@@ -22,5 +24,5 @@
 pub mod buffer;
 pub mod client;
 
-pub use buffer::{BufferState, OutputBuffer, PollResponse};
-pub use client::ExchangeClient;
+pub use buffer::{BufferState, OutputBuffer, OutputTotals, Payload, PollResponse};
+pub use client::{ExchangeClient, ReceivedTotals};

@@ -1,6 +1,7 @@
 //! Stress tests for the concurrent exchange fetcher (§IV-E2): many driver
 //! threads draining many sources under injected latency and chaos decode
-//! failures must deliver every page exactly once, and the per-request
+//! failures must deliver every page exactly once — framed or handed over
+//! from a producer on the consumer's worker — and the per-request
 //! deadline model must keep a fetch round's wall-clock sub-linear in the
 //! source count (virtual round trips overlap instead of serializing).
 
@@ -13,12 +14,35 @@ use std::time::{Duration, Instant};
 
 /// One source's pages, every row value globally unique: `source << 20 | seq`.
 fn fill_source(source: usize, pages: usize, rows_per_page: usize) -> Arc<OutputBuffer> {
-    let buffer = OutputBuffer::new(1, usize::MAX);
+    fill(
+        OutputBuffer::new(1, usize::MAX),
+        source,
+        pages,
+        rows_per_page,
+    )
+}
+
+/// Like [`fill_source`], but handing its pages over unframed, as a
+/// producer on the consumer's worker does.
+fn fill_local_source(source: usize, pages: usize, rows_per_page: usize) -> Arc<OutputBuffer> {
+    let buffer = OutputBuffer::with_placement(vec![true], usize::MAX, usize::MAX);
+    fill(buffer, source, pages, rows_per_page)
+}
+
+fn fill(
+    buffer: Arc<OutputBuffer>,
+    source: usize,
+    pages: usize,
+    rows_per_page: usize,
+) -> Arc<OutputBuffer> {
     for p in 0..pages {
         let values: Vec<i64> = (0..rows_per_page)
             .map(|r| ((source << 20) | (p * rows_per_page + r)) as i64)
             .collect();
-        buffer.enqueue(0, &Page::new(vec![Block::from(LongBlock::from_values(values))]));
+        buffer.enqueue(
+            0,
+            Page::new(vec![Block::from(LongBlock::from_values(values))]),
+        );
     }
     buffer.set_no_more_pages();
     buffer
@@ -60,6 +84,18 @@ fn drain_with_drivers(client: &Arc<ExchangeClient>, drivers: usize) -> Vec<i64> 
 
 #[test]
 fn multi_driver_drain_under_latency_and_chaos_loses_and_duplicates_nothing() {
+    drain_exactly_once(|_| false);
+}
+
+/// The same run with every other source on the consumer's worker. Pages
+/// handed over go through the token protocol like frames do, and every
+/// one still arrives exactly once.
+#[test]
+fn exactly_once_with_half_the_sources_local() {
+    drain_exactly_once(|s| s % 2 == 0);
+}
+
+fn drain_exactly_once(local: fn(usize) -> bool) {
     let (sources, pages, rows, drivers) = (6usize, 24usize, 32usize, 4usize);
     // Capacity of ~one frame forces many single-frame fetch batches, so a
     // chaos failure (every 7th decode) hits individual batches rather than
@@ -71,7 +107,12 @@ fn multi_driver_drain_under_latency_and_chaos_loses_and_duplicates_nothing() {
     client.set_faults(decode_faults(7));
     let client = Arc::new(client);
     for s in 0..sources {
-        client.add_source(fill_source(s, pages, rows), 0);
+        let fill = if local(s) {
+            fill_local_source
+        } else {
+            fill_source
+        };
+        client.add_source(fill(s, pages, rows), 0);
     }
 
     let delivered = drain_with_drivers(&client, drivers);
@@ -87,6 +128,9 @@ fn multi_driver_drain_under_latency_and_chaos_loses_and_duplicates_nothing() {
     let unique: HashSet<i64> = delivered.into_iter().collect();
     assert_eq!(unique, expected, "every row delivered exactly once");
     assert_eq!(client.buffered_bytes(), 0, "drained client retains nothing");
+    let received = client.received();
+    let local_sources = (0..sources).filter(|&s| local(s)).count();
+    assert_eq!(received.local_pages as usize, local_sources * pages);
 }
 
 #[test]
@@ -192,7 +236,7 @@ fn aborted_source_mid_drain_surfaces_worker_failed_to_every_driver() {
     let values: Vec<i64> = (0..8).collect();
     lost.enqueue(
         0,
-        &Page::new(vec![Block::from(LongBlock::from_values(values))]),
+        Page::new(vec![Block::from(LongBlock::from_values(values))]),
     );
     client.add_source(Arc::clone(&lost), 0);
     for s in 1..4 {

@@ -3,8 +3,9 @@
 //! Provides the `Buf`/`BufMut` cursor traits and the `Bytes`/`BytesMut`
 //! buffer types for the little-endian codec paths in `presto-page`,
 //! `presto-porc`, and `presto-shuffle`. `Bytes` is a cheaply-cloneable
-//! shared buffer (`Arc<[u8]>` + offset) like the real crate; the zero-copy
-//! split/slice machinery the workspace doesn't use is omitted.
+//! shared buffer (`Arc<Vec<u8>>` + offset) that, like the real crate, takes
+//! over a `Vec` without copying it; the zero-copy split/slice machinery the
+//! workspace doesn't use is omitted.
 
 use std::fmt;
 use std::ops::Deref;
@@ -125,7 +126,7 @@ impl<B: BufMut + ?Sized> BufMut for &mut B {
 /// can also act as a [`Buf`].
 #[derive(Clone, Default)]
 pub struct Bytes {
-    data: Arc<[u8]>,
+    data: Arc<Vec<u8>>,
     offset: usize,
 }
 
@@ -136,7 +137,7 @@ impl Bytes {
 
     pub fn copy_from_slice(src: &[u8]) -> Bytes {
         Bytes {
-            data: Arc::from(src),
+            data: Arc::new(src.to_vec()),
             offset: 0,
         }
     }
@@ -170,7 +171,7 @@ impl AsRef<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         Bytes {
-            data: Arc::from(v.into_boxed_slice()),
+            data: Arc::new(v),
             offset: 0,
         }
     }

@@ -189,7 +189,7 @@ fn shuffle_operators_charge_actual_retained_bytes() {
     sink.finish();
     // Accumulators flushed into the buffer: the charge now equals exactly
     // the wire bytes the buffer retains for unacknowledged pages.
-    let (wire, _) = buffer.byte_totals();
+    let wire = buffer.totals().wire_bytes;
     assert_eq!(buffer.retained_bytes() as u64, wire);
     assert_eq!(sink.system_memory_bytes(), buffer.retained_bytes());
     for p in 0..4 {
@@ -202,10 +202,10 @@ fn shuffle_operators_charge_actual_retained_bytes() {
     // bytes, which return to zero once the pages are consumed.
     let upstream = OutputBuffer::new(1, usize::MAX);
     for batch in 0..3 {
-        upstream.enqueue(0, &page(batch * 200));
+        upstream.enqueue(0, page(batch * 200));
     }
     upstream.set_no_more_pages();
-    let expected_wire = upstream.byte_totals().0 as usize;
+    let expected_wire = upstream.totals().wire_bytes as usize;
     let client = Arc::new(ExchangeClient::new(usize::MAX, Duration::ZERO));
     client.add_source(upstream, 0);
     let no_more = Arc::new(AtomicBool::new(true));
