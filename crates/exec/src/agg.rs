@@ -46,9 +46,9 @@ pub struct GroupByHash {
     /// §V-E: "As the indices are processed, the operator records hash
     /// table locations for every dictionary entry in an array … When
     /// successive blocks share the same dictionary, the page processor
-    /// retains the array." Cached (dictionary id, entry → group id).
-    dict_cache: Option<(u64, Vec<i64>)>,
-    /// Rows resolved through the dictionary cache (observability).
+    /// retains the array." Here for any number of dictionary keys.
+    dict_memo: DictionaryMemo,
+    /// Rows resolved through the dictionary memo (observability).
     dict_cache_hits: u64,
     /// Rows resolved through the RLE one-lookup-per-page fast path.
     rle_hits: u64,
@@ -65,7 +65,7 @@ impl GroupByHash {
             table: FlatHashTable::new(),
             arena: KeyArena::new(),
             key_builders,
-            dict_cache: None,
+            dict_memo: DictionaryMemo::default(),
             dict_cache_hits: 0,
             rle_hits: 0,
             hash_cache: presto_page::hash::DictionaryHashCache::new(),
@@ -94,30 +94,16 @@ impl GroupByHash {
             && self
                 .key_channels
                 .iter()
-                .all(|&c| matches!(page.block(c).loaded(), presto_page::Block::Rle(_)))
+                .all(|&c| matches!(page.block(c).loaded(), Block::Rle(_)))
         {
             let mut key = Vec::with_capacity(16);
-            let mut hash = 0u64;
-            for (&c, &t) in self.key_channels.iter().zip(&self.key_types) {
-                let block = page.block(c);
-                encode_cell(block, t, 0, &mut key);
-                hash = presto_page::hash::combine_hashes(
-                    hash,
-                    presto_page::hash::hash_cell(block, 0),
-                );
-            }
+            let hash = self.row_key(page, 0, &mut key);
             let group = self.group_of(hash, &key, page, 0);
             self.rle_hits += rows as u64;
             return vec![group; rows];
         }
-        // Dictionary fast path for single-key grouping (§V-E).
-        if let [channel] = self.key_channels[..] {
-            if let presto_page::Block::Dictionary(d) = page.block(channel).loaded() {
-                let dictionary = std::sync::Arc::clone(&d.dictionary);
-                let dict_id = d.dictionary_id;
-                let dict_ids = d.ids.clone();
-                return self.group_ids_via_dictionary(dict_id, &dictionary, &dict_ids);
-            }
+        if let Some(ids) = self.group_ids_via_dictionaries(page) {
+            return ids;
         }
         // Vectorized path (§V-E): one dictionary/RLE-aware hash sweep over
         // the key columns, one encoding sweep into a page-local arena, then
@@ -128,6 +114,86 @@ impl GroupByHash {
         let hashes =
             presto_page::hash::hash_columns_cached(page, &self.key_channels, &mut self.hash_cache);
         self.group_ids_vectorized(page, &hashes)
+    }
+
+    /// Group ids for a page whose key columns are all dictionary blocks,
+    /// through the memo from each row's tuple of dictionary ids to its group
+    /// (§V-E): a tuple is hashed and looked up once, not once per row.
+    /// `None` — hash the page instead — when some key is not a dictionary
+    /// block, or when the tuple space exceeds the rows its dictionaries
+    /// have served, where the memo would cost more than it saves.
+    pub fn group_ids_via_dictionaries(&mut self, page: &Page) -> Option<Vec<u32>> {
+        let dictionaries = self
+            .key_channels
+            .iter()
+            .map(|&c| match page.block(c).loaded() {
+                Block::Dictionary(d) => Some(d),
+                _ => None,
+            })
+            .collect::<Option<Vec<_>>>()?;
+        let rows = page.row_count();
+        if dictionaries.is_empty() || rows == 0 {
+            return None;
+        }
+        let mut memo = std::mem::take(&mut self.dict_memo);
+        if !memo
+            .dictionaries
+            .iter()
+            .copied()
+            .eq(dictionaries.iter().map(|d| d.dictionary_id))
+        {
+            memo.dictionaries = dictionaries.iter().map(|d| d.dictionary_id).collect();
+            memo.rows = 0;
+            memo.groups.clear();
+        }
+        memo.rows += rows;
+        let space = dictionaries
+            .iter()
+            .try_fold(1usize, |n, d| n.checked_mul(d.dictionary.len()));
+        let Some(space) = space.filter(|&n| n <= memo.rows) else {
+            self.dict_memo = memo;
+            return None;
+        };
+        memo.groups.resize(space, DictionaryMemo::UNSET);
+        // Each row's tuple, row-major: id0 + len0 * (id1 + len1 * ...).
+        let mut slots = vec![0usize; rows];
+        let mut stride = 1;
+        for d in &dictionaries {
+            for (slot, &id) in slots.iter_mut().zip(&d.ids) {
+                *slot += id as usize * stride;
+            }
+            stride *= d.dictionary.len();
+        }
+        let mut key = Vec::with_capacity(16);
+        let mut out = Vec::with_capacity(rows);
+        for (row, &slot) in slots.iter().enumerate() {
+            let mut group = memo.groups[slot];
+            if group == DictionaryMemo::UNSET {
+                key.clear();
+                let hash = self.row_key(page, row, &mut key);
+                group = self.group_of(hash, &key, page, row);
+                memo.groups[slot] = group;
+            } else {
+                self.dict_cache_hits += 1;
+            }
+            out.push(group);
+        }
+        self.dict_memo = memo;
+        Some(out)
+    }
+
+    /// Encode row `row`'s key into `key`; returns the row hash, the same
+    /// value [`hash_columns_cached`](presto_page::hash::hash_columns_cached)
+    /// computes for it.
+    fn row_key(&self, page: &Page, row: usize, key: &mut Vec<u8>) -> u64 {
+        let mut hash = 0u64;
+        for (&c, &t) in self.key_channels.iter().zip(&self.key_types) {
+            let block = page.block(c);
+            encode_cell(block, t, row, key);
+            hash =
+                presto_page::hash::combine_hashes(hash, presto_page::hash::hash_cell(block, row));
+        }
+        hash
     }
 
     /// [`group_ids`](Self::group_ids) with the per-row key hashes already
@@ -220,57 +286,6 @@ impl GroupByHash {
         id
     }
 
-    /// Resolve group ids entry-wise through the dictionary, reusing the
-    /// entry → group array across blocks that share a dictionary.
-    fn group_ids_via_dictionary(
-        &mut self,
-        dict_id: u64,
-        dictionary: &presto_page::Block,
-        ids: &[u32],
-    ) -> Vec<u32> {
-        let t = self.key_types[0];
-        let valid = matches!(&self.dict_cache, Some((cached, _)) if *cached == dict_id);
-        if !valid {
-            self.dict_cache = Some((dict_id, vec![-1; dictionary.len()]));
-        }
-        let mut out = Vec::with_capacity(ids.len());
-        let mut key = Vec::with_capacity(16);
-        for &entry in ids {
-            let cached = match &self.dict_cache {
-                Some((_, groups)) => groups[entry as usize],
-                None => -1,
-            };
-            if cached >= 0 {
-                self.dict_cache_hits += 1;
-                out.push(cached as u32);
-                continue;
-            }
-            key.clear();
-            encode_cell(dictionary, t, entry as usize, &mut key);
-            // Matches what hash_columns computes for a single-channel row.
-            let hash = presto_page::hash::combine_hashes(
-                0,
-                presto_page::hash::hash_cell(dictionary, entry as usize),
-            );
-            let group = match self.find_group(hash, &key) {
-                Some(id) => id,
-                None => {
-                    let id = self.table.insert(hash);
-                    self.arena.push(&key);
-                    for builder in self.key_builders.iter_mut() {
-                        builder.append_from(dictionary, entry as usize);
-                    }
-                    id
-                }
-            };
-            if let Some((_, groups)) = &mut self.dict_cache {
-                groups[entry as usize] = group as i64;
-            }
-            out.push(group);
-        }
-        out
-    }
-
     /// Consume the hash, producing key columns in group-id order.
     pub fn take_key_blocks(self) -> Vec<Block> {
         self.key_builders
@@ -279,16 +294,34 @@ impl GroupByHash {
             .collect()
     }
 
-    /// Exact retained bytes: flat table arrays + key arena + key builders.
+    /// Exact retained bytes: flat table arrays + key arena + key builders
+    /// + dictionary memo.
     pub fn memory_bytes(&self) -> usize {
         self.table.memory_bytes()
             + self.arena.memory_bytes()
+            + self.dict_memo.groups.capacity() * 4
             + self
                 .key_builders
                 .iter()
                 .map(|b| b.size_in_bytes())
                 .sum::<usize>()
     }
+}
+
+/// [`GroupByHash`]'s group of each tuple of dictionary ids, kept while the
+/// key columns' dictionaries repeat.
+#[derive(Debug, Default)]
+struct DictionaryMemo {
+    /// `dictionary_id` of each key column's dictionary.
+    dictionaries: Vec<u64>,
+    /// Rows served while these dictionaries repeated.
+    rows: usize,
+    /// Group per tuple of ids, row-major over the key columns.
+    groups: Vec<u32>,
+}
+
+impl DictionaryMemo {
+    const UNSET: u32 = u32::MAX;
 }
 
 /// Canonical byte encoding of one cell for grouping equality.
@@ -386,7 +419,7 @@ impl HashAggregationOperator {
             match self.phase {
                 AggPhase::Single | AggPhase::Partial => {
                     let block = spec.input.map(|c| page.block(c));
-                    acc.add_input(block, ids, max_group);
+                    acc.add_input(block, ids, max_group)?;
                 }
                 AggPhase::Final => {
                     let start = spec.input.expect("final aggregation input channel");
@@ -394,7 +427,7 @@ impl HashAggregationOperator {
                     let blocks: Vec<Block> = (start..start + arity)
                         .map(|c| page.block(c).clone())
                         .collect();
-                    acc.add_intermediate(&blocks, ids, max_group);
+                    acc.add_intermediate(&blocks, ids, max_group)?;
                 }
             }
         }
@@ -472,6 +505,13 @@ impl HashAggregationOperator {
         self.maybe_partial_flush()
     }
 
+    /// Group ids for `page` when its key columns are all dictionary blocks
+    /// ([`GroupByHash::group_ids_via_dictionaries`]): the fused pipeline
+    /// asks before hashing, so such pages are never hashed.
+    pub(crate) fn dictionary_group_ids(&mut self, page: &Page) -> Option<Vec<u32>> {
+        self.hash.group_ids_via_dictionaries(page)
+    }
+
     /// Adaptive partial flush keeps partial aggregations bounded.
     fn maybe_partial_flush(&mut self) -> Result<()> {
         if self.phase == AggPhase::Partial && self.user_memory_bytes() > self.partial_flush_bytes {
@@ -533,7 +573,7 @@ impl Operator for HashAggregationOperator {
                     let blocks: Vec<Block> = (channel..channel + arity)
                         .map(|c| page.block(c).clone())
                         .collect();
-                    acc.add_intermediate(&blocks, &ids, max_group);
+                    acc.add_intermediate(&blocks, &ids, max_group)?;
                     channel += arity;
                 }
             }
@@ -824,6 +864,100 @@ mod dict_cache_tests {
         assert_eq!(hash.group_count(), 3);
     }
 
+    /// The group ids a first-seen-order model assigns, for keys read as values.
+    fn model_ids(
+        model: &mut std::collections::BTreeMap<Vec<presto_common::Value>, u32>,
+        page: &Page,
+    ) -> Vec<u32> {
+        (0..page.row_count())
+            .map(|row| {
+                let key = (0..page.column_count())
+                    .map(|c| page.block(c).value_at(DataType::Varchar, row))
+                    .collect();
+                let next = model.len() as u32;
+                *model.entry(key).or_insert(next)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn multi_key_dictionary_groups_match_a_model() {
+        let dict =
+            |entries: &[Option<&str>]| Arc::new(Block::from(VarcharBlock::from_options(entries)));
+        let (a1, a2) = (
+            dict(&[Some("a"), Some("b"), None]),
+            dict(&[Some("b"), Some("c")]),
+        );
+        let (b1, b2) = (
+            dict(&[Some("x"), Some("y")]),
+            dict(&[Some("y"), Some("z"), Some("w")]),
+        );
+        let encoded = |d: &Arc<Block>, ids: Vec<u32>| {
+            Block::Dictionary(DictionaryBlock::new(Arc::clone(d), ids))
+        };
+        let ids = |n: usize, m: u32, seed: u32| {
+            (0..n as u32)
+                .map(|i| (i * 7 + seed) % m)
+                .collect::<Vec<_>>()
+        };
+        let mut hash = GroupByHash::new(vec![0, 1], vec![DataType::Varchar; 2]);
+        let mut model = std::collections::BTreeMap::new();
+        let mut check = |hash: &mut GroupByHash, page: Page| {
+            assert_eq!(hash.group_ids(&page), model_ids(&mut model, &page));
+            hash.dict_cache_hits()
+        };
+        // 3 x 2 tuples over 16 rows: served by the memo.
+        let hits = check(
+            &mut hash,
+            Page::new(vec![
+                encoded(&a1, ids(16, 3, 0)),
+                encoded(&b1, ids(16, 2, 1)),
+            ]),
+        );
+        assert_eq!(hits, 16 - 6);
+        // The same dictionaries again: the memo is kept, every row hits.
+        let hits = check(
+            &mut hash,
+            Page::new(vec![encoded(&a1, ids(4, 3, 2)), encoded(&b1, ids(4, 2, 0))]),
+        );
+        assert_eq!(hits, 16 - 6 + 4);
+        // New dictionaries whose 6 tuples exceed the 3 rows: hashed instead.
+        let hits = check(
+            &mut hash,
+            Page::new(vec![encoded(&a2, ids(3, 2, 0)), encoded(&b2, ids(3, 3, 1))]),
+        );
+        assert_eq!(hits, 14, "tuple space larger than the rows falls back");
+        // Flat keys, and a dictionary key beside a flat one, are hashed.
+        let flat = |v: &[&str]| Block::from(VarcharBlock::from_strs(v));
+        let hits = check(
+            &mut hash,
+            Page::new(vec![flat(&["b", "c", "q"]), flat(&["z", "y", "x"])]),
+        );
+        assert_eq!(hits, 14);
+        let hits = check(
+            &mut hash,
+            Page::new(vec![encoded(&a2, vec![1, 0]), flat(&["w", "w"])]),
+        );
+        assert_eq!(hits, 14);
+        // Back to the same new dictionaries: 3 + 9 rows now cover 6 tuples.
+        let before = hash.group_count();
+        let hits = check(
+            &mut hash,
+            Page::new(vec![encoded(&a2, ids(9, 2, 1)), encoded(&b2, ids(9, 3, 2))]),
+        );
+        assert!(
+            hits > 14,
+            "memo serves the second page of these dictionaries"
+        );
+        assert!(hash.group_count() >= before);
+        // Groups found through the memo are the hashed path's groups.
+        let decoded = Page::new(vec![
+            encoded(&a1, ids(16, 3, 0)).decode(),
+            encoded(&b1, ids(16, 2, 1)).decode(),
+        ]);
+        check(&mut hash, decoded);
+    }
+
     #[test]
     fn dictionary_and_flat_blocks_agree_on_groups() {
         let dict = Arc::new(Block::from(VarcharBlock::from_strs(&["x", "y"])));
@@ -912,7 +1046,9 @@ mod flat_hash_tests {
         // distinct and stable under growth/rehash.
         let mut hash = GroupByHash::new(vec![0], vec![DataType::Varchar]);
         let schema = presto_common::Schema::of(&[("s", DataType::Varchar)]);
-        let rows: Vec<Vec<Value>> = (0..2000).map(|i| vec![Value::varchar(format!("key-{i}"))]).collect();
+        let rows: Vec<Vec<Value>> = (0..2000)
+            .map(|i| vec![Value::varchar(format!("key-{i}"))])
+            .collect();
         let first = hash.group_ids(&Page::from_rows(&schema, &rows));
         assert_eq!(hash.group_count(), 2000);
         // Replaying the same input yields identical ids (lookup, no insert).

@@ -6,8 +6,11 @@
 //! connectors" — so every leaf chain runs as one operator (the
 //! `ScanFilterHash`/`ScanFilterProject` fusion of Fig. 4): the connector
 //! read feeds the page processor directly, and with `pipeline_fusion` on a
-//! partial group-by above the chain is absorbed too, fed pages whose key
-//! hashes were computed while the projected values were still hot — via
+//! partial group-by above the chain is absorbed too. A page whose keys are
+//! all dictionary blocks takes the group-by's dictionary memo
+//! ([`GroupByHash::group_ids_via_dictionaries`](crate::agg::GroupByHash::group_ids_via_dictionaries))
+//! and is never hashed; any other page is fed with key hashes computed while
+//! the projected values were still hot — via
 //! [`GroupByHash::group_ids_prehashed`](crate::agg::GroupByHash::group_ids_prehashed).
 //! No intermediate page crosses a driver-visible operator boundary. Leaf
 //! pipelines run many drivers sharing one [`SplitQueue`].
@@ -130,6 +133,10 @@ impl FusedAgg {
             self.zero_ids.clear();
             self.zero_ids.resize(rows, 0);
             return self.op.add_input_grouped(page, &self.zero_ids);
+        }
+        // Dictionary keys resolve through the group-by's memo, unhashed.
+        if let Some(ids) = self.op.dictionary_group_ids(page) {
+            return self.op.add_input_grouped(page, &ids);
         }
         // Hash the keys now and hand the hashes straight to the group-by
         // (one sweep saved).

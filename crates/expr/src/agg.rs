@@ -20,7 +20,9 @@
 //! flat memory arrays").
 
 use presto_common::{DataType, PrestoError, Result, Value};
-use presto_page::{Block, BlockBuilder};
+use presto_page::blocks::{flat, DoubleBlock, Lanes, LongBlock, NullMask};
+use presto_page::{Block, BlockBuilder, PhysicalType};
+use std::borrow::Cow;
 use std::collections::HashSet;
 
 /// Which aggregate function.
@@ -107,7 +109,9 @@ impl AggregateFunction {
         use AggregateKind::*;
         match self.kind {
             Count | CountNonNull | CountDistinct => DataType::Bigint,
-            Sum | Min | Max => self.input_type.expect("non-count aggregate carries an input type"),
+            Sum | Min | Max => self
+                .input_type
+                .expect("non-count aggregate carries an input type"),
             Avg | StddevPop | StddevSamp | VarPop | VarSamp => DataType::Double,
         }
     }
@@ -117,7 +121,9 @@ impl AggregateFunction {
         use AggregateKind::*;
         match self.kind {
             Count | CountNonNull => vec![DataType::Bigint],
-            Sum | Min | Max => vec![self.input_type.expect("non-count aggregate carries an input type")],
+            Sum | Min | Max => vec![self
+                .input_type
+                .expect("non-count aggregate carries an input type")],
             Avg => vec![DataType::Double, DataType::Bigint],
             StddevPop | StddevSamp | VarPop | VarSamp => {
                 vec![DataType::Bigint, DataType::Double, DataType::Double]
@@ -135,7 +141,12 @@ impl AggregateFunction {
                 f,
                 counts: Vec::new(),
             },
-            Sum => GroupedAccumulator::Sum {
+            Sum if self.input_type == Some(DataType::Double) => GroupedAccumulator::Sum {
+                f,
+                sums: Vec::new(),
+                saw_value: Vec::new(),
+            },
+            Sum => GroupedAccumulator::SumLong {
                 f,
                 sums: Vec::new(),
                 saw_value: Vec::new(),
@@ -171,9 +182,16 @@ pub enum GroupedAccumulator {
         f: AggregateFunction,
         counts: Vec<i64>,
     },
+    /// `SUM(double)`.
     Sum {
         f: AggregateFunction,
         sums: Vec<f64>,
+        saw_value: Vec<bool>,
+    },
+    /// `SUM` over an integer-backed type: exact, and an overflow is an error.
+    SumLong {
+        f: AggregateFunction,
+        sums: Vec<i64>,
         saw_value: Vec<bool>,
     },
     MinMax {
@@ -202,6 +220,7 @@ impl GroupedAccumulator {
         match self {
             GroupedAccumulator::Count { f, .. }
             | GroupedAccumulator::Sum { f, .. }
+            | GroupedAccumulator::SumLong { f, .. }
             | GroupedAccumulator::MinMax { f, .. }
             | GroupedAccumulator::Avg { f, .. }
             | GroupedAccumulator::Moments { f, .. }
@@ -214,6 +233,7 @@ impl GroupedAccumulator {
         match self {
             GroupedAccumulator::Count { counts, .. } => counts.len(),
             GroupedAccumulator::Sum { sums, .. } => sums.len(),
+            GroupedAccumulator::SumLong { sums, .. } => sums.len(),
             GroupedAccumulator::MinMax { values, .. } => values.len(),
             GroupedAccumulator::Avg { counts, .. } => counts.len(),
             GroupedAccumulator::Moments { counts, .. } => counts.len(),
@@ -227,6 +247,7 @@ impl GroupedAccumulator {
         match self {
             GroupedAccumulator::Count { counts, .. } => counts.len() * 8,
             GroupedAccumulator::Sum { sums, .. } => sums.len() * 9,
+            GroupedAccumulator::SumLong { sums, .. } => sums.len() * 9,
             GroupedAccumulator::MinMax { values, .. } => values.len() * 32,
             GroupedAccumulator::Avg { counts, .. } => counts.len() * 16,
             GroupedAccumulator::Moments { counts, .. } => counts.len() * 24,
@@ -251,6 +272,12 @@ impl GroupedAccumulator {
                 sums.resize(n, 0.0);
                 saw_value.resize(n, false);
             }
+            GroupedAccumulator::SumLong {
+                sums, saw_value, ..
+            } => {
+                sums.resize(n, 0);
+                saw_value.resize(n, false);
+            }
             GroupedAccumulator::MinMax { values, .. } => values.resize(n, None),
             GroupedAccumulator::Avg { sums, counts, .. } => {
                 sums.resize(n, 0.0);
@@ -269,8 +296,14 @@ impl GroupedAccumulator {
 
     /// Accumulate raw input rows. `input` is the argument block (`None` for
     /// `COUNT(*)`), `group_ids[i]` assigns row `i` to a group, and
-    /// `max_group + 1` is the group-count watermark.
-    pub fn add_input(&mut self, input: Option<&Block>, group_ids: &[u32], max_group: u32) {
+    /// `max_group + 1` is the group-count watermark. Numeric inputs are read
+    /// as flat lanes, decoded once when the page is not flat.
+    pub fn add_input(
+        &mut self,
+        input: Option<&Block>,
+        group_ids: &[u32],
+        max_group: u32,
+    ) -> Result<()> {
         self.ensure_groups(max_group as usize + 1);
         let f = self.function();
         match self {
@@ -280,97 +313,93 @@ impl GroupedAccumulator {
                         counts[g as usize] += 1;
                     }
                 }
-                (_, Some(block)) => {
-                    for (i, &g) in group_ids.iter().enumerate() {
-                        if !block.is_null(i) {
+                (_, Some(block)) => match null_lanes(block) {
+                    None => {
+                        for &g in group_ids {
                             counts[g as usize] += 1;
                         }
                     }
-                }
+                    Some(nulls) => {
+                        for (&g, &null) in group_ids.iter().zip(nulls.iter()) {
+                            counts[g as usize] += i64::from(!null);
+                        }
+                    }
+                },
                 _ => unreachable!("COUNT(x) requires input"),
             },
             GroupedAccumulator::Sum {
                 sums, saw_value, ..
             } => {
-                let block = input.expect("sum input");
-                let as_double = f.input_type == Some(DataType::Double);
-                for (i, &g) in group_ids.iter().enumerate() {
-                    if block.is_null(i) {
-                        continue;
-                    }
-                    let v = if as_double {
-                        block.f64_at(i)
-                    } else {
-                        block.i64_at(i) as f64
-                    };
-                    sums[g as usize] += v;
-                    saw_value[g as usize] = true;
-                }
+                let block = flat::<DoubleBlock>(input.expect("sum input"));
+                each(&block.values, &block.nulls, group_ids, |g, v| {
+                    sums[g] += v;
+                    saw_value[g] = true;
+                });
+            }
+            GroupedAccumulator::SumLong {
+                sums, saw_value, ..
+            } => {
+                let block = flat::<LongBlock>(input.expect("sum input"));
+                sum_checked(sums, saw_value, &block.values, &block.nulls, group_ids)?;
             }
             GroupedAccumulator::MinMax { values, .. } => {
                 let block = input.expect("min/max input");
-                let t = f.input_type.expect("non-count aggregate carries an input type");
+                let t = f
+                    .input_type
+                    .expect("non-count aggregate carries an input type");
                 let want_max = f.kind == AggregateKind::Max;
-                for (i, &g) in group_ids.iter().enumerate() {
-                    if block.is_null(i) {
-                        continue;
+                let beats = |ord: Option<std::cmp::Ordering>| match ord {
+                    Some(std::cmp::Ordering::Greater) => want_max,
+                    Some(std::cmp::Ordering::Less) => !want_max,
+                    _ => false,
+                };
+                match PhysicalType::of(t) {
+                    PhysicalType::Long => {
+                        min_max_lanes::<LongBlock>(values, block, t, group_ids, |v, cur| {
+                            cur.as_i64().is_some_and(|c| beats(v.partial_cmp(&c)))
+                        })
                     }
-                    let v = block.value_at(t, i);
-                    let slot = &mut values[g as usize];
-                    let replace = match slot {
-                        None => true,
-                        Some(cur) => match v.sql_cmp(cur) {
-                            Some(std::cmp::Ordering::Greater) => want_max,
-                            Some(std::cmp::Ordering::Less) => !want_max,
-                            _ => false,
-                        },
-                    };
-                    if replace {
-                        *slot = Some(v);
+                    PhysicalType::Double => {
+                        min_max_lanes::<DoubleBlock>(values, block, t, group_ids, |v, cur| {
+                            cur.as_f64().is_some_and(|c| beats(v.partial_cmp(&c)))
+                        })
+                    }
+                    PhysicalType::Bool | PhysicalType::Varchar => {
+                        for (i, &g) in group_ids.iter().enumerate() {
+                            if block.is_null(i) {
+                                continue;
+                            }
+                            let v = block.value_at(t, i);
+                            let slot = &mut values[g as usize];
+                            if slot.as_ref().is_none_or(|cur| beats(v.sql_cmp(cur))) {
+                                *slot = Some(v);
+                            }
+                        }
                     }
                 }
             }
             GroupedAccumulator::Avg { sums, counts, .. } => {
-                let block = input.expect("avg input");
-                let as_double = f.input_type == Some(DataType::Double);
-                for (i, &g) in group_ids.iter().enumerate() {
-                    if block.is_null(i) {
-                        continue;
-                    }
-                    let v = if as_double {
-                        block.f64_at(i)
-                    } else {
-                        block.i64_at(i) as f64
-                    };
-                    sums[g as usize] += v;
-                    counts[g as usize] += 1;
-                }
+                each_f64(input.expect("avg input"), group_ids, |g, v| {
+                    sums[g] += v;
+                    counts[g] += 1;
+                });
             }
             GroupedAccumulator::Moments {
                 counts, means, m2s, ..
             } => {
-                let block = input.expect("moments input");
-                let as_double = f.input_type == Some(DataType::Double);
-                for (i, &g) in group_ids.iter().enumerate() {
-                    if block.is_null(i) {
-                        continue;
-                    }
-                    let v = if as_double {
-                        block.f64_at(i)
-                    } else {
-                        block.i64_at(i) as f64
-                    };
+                each_f64(input.expect("moments input"), group_ids, |g, v| {
                     // Welford's online update.
-                    let g = g as usize;
                     counts[g] += 1;
                     let delta = v - means[g];
                     means[g] += delta / counts[g] as f64;
                     m2s[g] += delta * (v - means[g]);
-                }
+                });
             }
             GroupedAccumulator::Distinct { sets, .. } => {
                 let block = input.expect("count distinct input");
-                let t = f.input_type.expect("non-count aggregate carries an input type");
+                let t = f
+                    .input_type
+                    .expect("non-count aggregate carries an input type");
                 for (i, &g) in group_ids.iter().enumerate() {
                     if !block.is_null(i) {
                         sets[g as usize].insert(block.value_at(t, i));
@@ -378,71 +407,71 @@ impl GroupedAccumulator {
                 }
             }
         }
+        Ok(())
     }
 
     /// Merge intermediate state produced by [`GroupedAccumulator::write_intermediate`].
-    pub fn add_intermediate(&mut self, blocks: &[Block], group_ids: &[u32], max_group: u32) {
-        // Min/max intermediates use the input representation verbatim.
-        if let GroupedAccumulator::MinMax { .. } = self {
+    pub fn add_intermediate(
+        &mut self,
+        blocks: &[Block],
+        group_ids: &[u32],
+        max_group: u32,
+    ) -> Result<()> {
+        // Min/max and sum intermediates use the input representation verbatim.
+        if let GroupedAccumulator::MinMax { .. }
+        | GroupedAccumulator::Sum { .. }
+        | GroupedAccumulator::SumLong { .. } = self
+        {
             return self.add_input(Some(&blocks[0]), group_ids, max_group);
         }
         self.ensure_groups(max_group as usize + 1);
-        let f = self.function();
         match self {
             GroupedAccumulator::Count { counts, .. } => {
-                let b = &blocks[0];
-                for (i, &g) in group_ids.iter().enumerate() {
-                    counts[g as usize] += b.i64_at(i);
+                let c = flat::<LongBlock>(&blocks[0]);
+                for (&g, &n) in group_ids.iter().zip(&c.values) {
+                    counts[g as usize] += n;
                 }
             }
-            GroupedAccumulator::Sum {
-                sums, saw_value, ..
-            } => {
-                let b = &blocks[0];
-                let as_double = f.input_type == Some(DataType::Double);
-                for (i, &g) in group_ids.iter().enumerate() {
-                    if b.is_null(i) {
-                        continue;
-                    }
-                    let v = if as_double {
-                        b.f64_at(i)
-                    } else {
-                        b.i64_at(i) as f64
-                    };
-                    sums[g as usize] += v;
-                    saw_value[g as usize] = true;
-                }
-            }
-            GroupedAccumulator::MinMax { .. } => unreachable!("handled above"),
             GroupedAccumulator::Avg { sums, counts, .. } => {
-                let (s, c) = (&blocks[0], &blocks[1]);
-                for (i, &g) in group_ids.iter().enumerate() {
-                    sums[g as usize] += s.f64_at(i);
-                    counts[g as usize] += c.i64_at(i);
+                let (s, c) = (
+                    flat::<DoubleBlock>(&blocks[0]),
+                    flat::<LongBlock>(&blocks[1]),
+                );
+                for ((&g, &sum), &n) in group_ids.iter().zip(&s.values).zip(&c.values) {
+                    sums[g as usize] += sum;
+                    counts[g as usize] += n;
                 }
             }
             GroupedAccumulator::Moments {
                 counts, means, m2s, ..
             } => {
-                let (cb, mb, m2b) = (&blocks[0], &blocks[1], &blocks[2]);
+                let cb = flat::<LongBlock>(&blocks[0]);
+                let (mb, m2b) = (
+                    flat::<DoubleBlock>(&blocks[1]),
+                    flat::<DoubleBlock>(&blocks[2]),
+                );
                 for (i, &g) in group_ids.iter().enumerate() {
                     // Chan et al. parallel merge of (count, mean, M2).
                     let g = g as usize;
-                    let (n1, n2) = (counts[g] as f64, cb.i64_at(i) as f64);
+                    let (n1, n2) = (counts[g] as f64, cb.values[i] as f64);
                     if n2 == 0.0 {
                         continue;
                     }
-                    let delta = mb.f64_at(i) - means[g];
+                    let delta = mb.values[i] - means[g];
                     let n = n1 + n2;
                     means[g] += delta * n2 / n;
-                    m2s[g] += m2b.f64_at(i) + delta * delta * n1 * n2 / n;
+                    m2s[g] += m2b.values[i] + delta * delta * n1 * n2 / n;
                     counts[g] = n as i64;
                 }
             }
+            GroupedAccumulator::Sum { .. }
+            | GroupedAccumulator::SumLong { .. }
+            | GroupedAccumulator::MinMax { .. } => unreachable!("handled above"),
             GroupedAccumulator::Distinct { .. } => {
                 unreachable!("count_distinct has no intermediate phase")
             }
         }
+        Ok(())
     }
 
     /// Emit intermediate state columns for groups `0..group_count`.
@@ -458,20 +487,22 @@ impl GroupedAccumulator {
             GroupedAccumulator::Sum {
                 sums, saw_value, ..
             } => {
-                let mut b = BlockBuilder::with_capacity(f.input_type.expect("non-count aggregate carries an input type"), n);
-                for g in 0..n {
-                    if !saw_value[g] {
-                        b.push_null();
-                    } else if f.input_type == Some(DataType::Double) {
-                        b.push_f64(sums[g]);
-                    } else {
-                        b.push_i64(sums[g] as i64);
-                    }
-                }
-                vec![b.finish()]
+                vec![Block::from(DoubleBlock::new(
+                    sums.clone(),
+                    unseen(saw_value),
+                ))]
+            }
+            GroupedAccumulator::SumLong {
+                sums, saw_value, ..
+            } => {
+                vec![Block::from(LongBlock::new(sums.clone(), unseen(saw_value)))]
             }
             GroupedAccumulator::MinMax { values, .. } => {
-                let mut b = BlockBuilder::with_capacity(f.input_type.expect("non-count aggregate carries an input type"), n);
+                let mut b = BlockBuilder::with_capacity(
+                    f.input_type
+                        .expect("non-count aggregate carries an input type"),
+                    n,
+                );
                 for v in values {
                     match v {
                         Some(v) => b.push_value(v),
@@ -511,13 +542,22 @@ impl GroupedAccumulator {
             GroupedAccumulator::Sum {
                 sums, saw_value, ..
             } => {
-                for g in 0..n {
-                    if !saw_value[g] {
-                        out.push_null();
-                    } else if f.input_type == Some(DataType::Double) {
-                        out.push_f64(sums[g]);
+                for (&sum, &saw) in sums.iter().zip(saw_value) {
+                    if saw {
+                        out.push_f64(sum);
                     } else {
-                        out.push_i64(sums[g] as i64);
+                        out.push_null();
+                    }
+                }
+            }
+            GroupedAccumulator::SumLong {
+                sums, saw_value, ..
+            } => {
+                for (&sum, &saw) in sums.iter().zip(saw_value) {
+                    if saw {
+                        out.push_i64(sum);
+                    } else {
+                        out.push_null();
                     }
                 }
             }
@@ -565,14 +605,118 @@ impl GroupedAccumulator {
     }
 }
 
+/// Visit the non-NULL rows of flat lanes as (group, value).
+#[inline]
+fn each<T: Copy>(values: &[T], nulls: &NullMask, group_ids: &[u32], mut f: impl FnMut(usize, T)) {
+    match nulls {
+        None => {
+            for (&g, &v) in group_ids.iter().zip(values) {
+                f(g as usize, v);
+            }
+        }
+        Some(nulls) => {
+            for ((&g, &v), &null) in group_ids.iter().zip(values).zip(nulls) {
+                if !null {
+                    f(g as usize, v);
+                }
+            }
+        }
+    }
+}
+
+/// [`each`] over a numeric block's lanes, widened to `f64`.
+fn each_f64(block: &Block, group_ids: &[u32], mut f: impl FnMut(usize, f64)) {
+    if block.physical_type() == PhysicalType::Double {
+        let b = flat::<DoubleBlock>(block);
+        each(&b.values, &b.nulls, group_ids, f);
+    } else {
+        let b = flat::<LongBlock>(block);
+        each(&b.values, &b.nulls, group_ids, |g, v| f(g, v as f64));
+    }
+}
+
+/// MIN/MAX over flat lanes: `beats(lane, current)` compares in the lane
+/// type, and a `Value` is built only for a new extreme.
+fn min_max_lanes<L: Lanes>(
+    values: &mut [Option<Value>],
+    block: &Block,
+    t: DataType,
+    group_ids: &[u32],
+    beats: impl Fn(L::Lane, &Value) -> bool,
+) {
+    let lanes = flat::<L>(block);
+    let nulls = lanes.null_mask();
+    for (i, (&g, &v)) in group_ids.iter().zip(lanes.lanes()).enumerate() {
+        if nulls.as_ref().is_some_and(|n| n[i]) {
+            continue;
+        }
+        let slot = &mut values[g as usize];
+        if slot.as_ref().is_none_or(|cur| beats(v, cur)) {
+            *slot = Some(block.value_at(t, i));
+        }
+    }
+}
+
+/// Integer `SUM`: exact, with overflow a user error.
+fn sum_checked(
+    sums: &mut [i64],
+    saw_value: &mut [bool],
+    values: &[i64],
+    nulls: &NullMask,
+    group_ids: &[u32],
+) -> Result<()> {
+    let mut overflow = false;
+    each(values, nulls, group_ids, |g, v| {
+        let (sum, over) = sums[g].overflowing_add(v);
+        sums[g] = sum;
+        overflow |= over;
+        saw_value[g] = true;
+    });
+    if overflow {
+        return Err(PrestoError::user("bigint addition overflow"));
+    }
+    Ok(())
+}
+
+/// A SUM's NULL lanes: the groups that saw no value.
+fn unseen(saw_value: &[bool]) -> NullMask {
+    saw_value
+        .contains(&false)
+        .then(|| saw_value.iter().map(|&s| !s).collect())
+}
+
+/// The NULL lanes of `block`; `None` when no row is NULL.
+fn null_lanes(block: &Block) -> Option<Cow<'_, [bool]>> {
+    match block.loaded() {
+        Block::Long(b) => b.nulls.as_deref().map(Cow::Borrowed),
+        Block::Double(b) => b.nulls.as_deref().map(Cow::Borrowed),
+        Block::Bool(b) => b.nulls.as_deref().map(Cow::Borrowed),
+        Block::Varchar(b) => b.nulls.as_deref().map(Cow::Borrowed),
+        Block::Rle(r) => r.value.is_null(0).then(|| Cow::Owned(vec![true; r.count])),
+        Block::Dictionary(d) => {
+            let null_entries: Vec<bool> = (0..d.dictionary.len())
+                .map(|e| d.dictionary.is_null(e))
+                .collect();
+            null_entries
+                .contains(&true)
+                .then(|| Cow::Owned(d.ids.iter().map(|&id| null_entries[id as usize]).collect()))
+        }
+        Block::Lazy(_) => unreachable!("loaded() resolves lazy blocks"),
+    }
+}
+
 /// Convenience: run a single-group (global) aggregation over a page column,
 /// used by tests and the scalar-aggregation path.
-pub fn aggregate_single(function: AggregateFunction, input: Option<&Block>, rows: usize) -> Value {
+pub fn aggregate_single(
+    function: AggregateFunction,
+    input: Option<&Block>,
+    rows: usize,
+) -> Result<Value> {
     let mut acc = function.create_accumulator();
     let group_ids = vec![0u32; rows];
-    acc.add_input(input, &group_ids, 0);
+    acc.add_input(input, &group_ids, 0)?;
     let out = acc.write_final();
-    out.value_at(function.output_type(), 0)
+    Ok(out.value_at(function.output_type(), 0))
 }
 
 #[cfg(test)]
@@ -595,11 +739,11 @@ mod tests {
     fn count_variants() {
         let block = bigints(&[Some(1), None, Some(3)]);
         let star = AggregateFunction::new(AggregateKind::Count, None).unwrap();
-        assert_eq!(aggregate_single(star, None, 3), Value::Bigint(3));
+        assert_eq!(aggregate_single(star, None, 3).unwrap(), Value::Bigint(3));
         let non_null =
             AggregateFunction::new(AggregateKind::CountNonNull, Some(DataType::Bigint)).unwrap();
         assert_eq!(
-            aggregate_single(non_null, Some(&block), 3),
+            aggregate_single(non_null, Some(&block), 3).unwrap(),
             Value::Bigint(2)
         );
     }
@@ -608,9 +752,104 @@ mod tests {
     fn sum_empty_group_is_null() {
         let f = AggregateFunction::new(AggregateKind::Sum, Some(DataType::Bigint)).unwrap();
         let block = bigints(&[None, None]);
-        assert_eq!(aggregate_single(f, Some(&block), 2), Value::Null);
+        assert_eq!(aggregate_single(f, Some(&block), 2).unwrap(), Value::Null);
         let block = bigints(&[Some(2), Some(5)]);
-        assert_eq!(aggregate_single(f, Some(&block), 2), Value::Bigint(7));
+        assert_eq!(
+            aggregate_single(f, Some(&block), 2).unwrap(),
+            Value::Bigint(7)
+        );
+    }
+
+    #[test]
+    fn bigint_sum_is_exact_and_checks_overflow() {
+        let f = AggregateFunction::new(AggregateKind::Sum, Some(DataType::Bigint)).unwrap();
+        // 2^53 + 1 does not survive a round trip through f64.
+        let block = bigints(&[Some(9_007_199_254_740_993), Some(1)]);
+        assert_eq!(
+            aggregate_single(f, Some(&block), 2).unwrap(),
+            Value::Bigint(9_007_199_254_740_994)
+        );
+        let over = bigints(&[Some(i64::MAX), Some(1)]);
+        let err = aggregate_single(f, Some(&over), 2).unwrap_err();
+        assert!(
+            err.to_string().contains("bigint addition overflow"),
+            "{err}"
+        );
+        // Merging partial sums checks too.
+        let mut fin = f.create_accumulator();
+        fin.add_intermediate(&[bigints(&[Some(i64::MAX)])], &[0], 0)
+            .unwrap();
+        let err = fin
+            .add_intermediate(&[bigints(&[Some(1)])], &[0], 0)
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("bigint addition overflow"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn min_max_compare_in_the_lane_type() {
+        // 2^53 and 2^53 + 1 are one f64: compared as bigints they differ.
+        let max = AggregateFunction::new(AggregateKind::Max, Some(DataType::Bigint)).unwrap();
+        let block = bigints(&[Some(9_007_199_254_740_992), Some(9_007_199_254_740_993)]);
+        assert_eq!(
+            aggregate_single(max, Some(&block), 2).unwrap(),
+            Value::Bigint(9_007_199_254_740_993)
+        );
+        // A NaN never beats the running extreme, as under `sql_cmp`.
+        let min = AggregateFunction::new(AggregateKind::Min, Some(DataType::Double)).unwrap();
+        let block = Block::from_values(
+            DataType::Double,
+            &[
+                Value::Double(2.0),
+                Value::Double(f64::NAN),
+                Value::Null,
+                Value::Double(-1.5),
+            ],
+        );
+        assert_eq!(
+            aggregate_single(min, Some(&block), 4).unwrap(),
+            Value::Double(-1.5)
+        );
+    }
+
+    #[test]
+    fn encoded_inputs_decode_once_and_agree() {
+        use presto_page::blocks::DictionaryBlock;
+        use std::sync::Arc;
+        let flat = bigints(&[Some(4), None, Some(4), Some(-1), None]);
+        let dictionary = Block::Dictionary(DictionaryBlock::new(
+            Arc::new(bigints(&[Some(4), None, Some(-1)])),
+            vec![0, 1, 0, 2, 1],
+        ));
+        let ids = [0, 1, 0, 1, 1];
+        for kind in [
+            AggregateKind::CountNonNull,
+            AggregateKind::Sum,
+            AggregateKind::Avg,
+            AggregateKind::VarSamp,
+            AggregateKind::Min,
+            AggregateKind::Max,
+        ] {
+            let f = AggregateFunction::new(kind, Some(DataType::Bigint)).unwrap();
+            let run = |block: &Block| {
+                let mut acc = f.create_accumulator();
+                acc.add_input(Some(block), &ids, 1).unwrap();
+                let out = acc.write_final();
+                (0..2)
+                    .map(|g| out.value_at(f.output_type(), g))
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(run(&dictionary), run(&flat), "{kind:?}");
+        }
+        let count =
+            AggregateFunction::new(AggregateKind::CountNonNull, Some(DataType::Bigint)).unwrap();
+        let null_run = Block::rle(Block::single(DataType::Bigint, &Value::Null), 3);
+        assert_eq!(
+            aggregate_single(count, Some(&null_run), 3).unwrap(),
+            Value::Bigint(0)
+        );
     }
 
     #[test]
@@ -618,7 +857,7 @@ mod tests {
         let f = AggregateFunction::new(AggregateKind::Max, Some(DataType::Bigint)).unwrap();
         let mut acc = f.create_accumulator();
         let block = Block::from(LongBlock::from_values(vec![5, 1, 9, 3]));
-        acc.add_input(Some(&block), &[0, 1, 0, 1], 1);
+        acc.add_input(Some(&block), &[0, 1, 0, 1], 1).unwrap();
         let out = acc.write_final();
         assert_eq!(out.i64_at(0), 9);
         assert_eq!(out.i64_at(1), 3);
@@ -633,13 +872,17 @@ mod tests {
             Some(&Block::from(LongBlock::from_values(vec![1, 2]))),
             &[0, 0],
             0,
-        );
+        )
+        .unwrap();
         let mut p2 = f.create_accumulator();
-        p2.add_input(Some(&Block::from(LongBlock::from_values(vec![3]))), &[0], 0);
+        p2.add_input(Some(&Block::from(LongBlock::from_values(vec![3]))), &[0], 0)
+            .unwrap();
         // Final merges both intermediates.
         let mut fin = f.create_accumulator();
-        fin.add_intermediate(&p1.write_intermediate(), &[0], 0);
-        fin.add_intermediate(&p2.write_intermediate(), &[0], 0);
+        fin.add_intermediate(&p1.write_intermediate(), &[0], 0)
+            .unwrap();
+        fin.add_intermediate(&p2.write_intermediate(), &[0], 0)
+            .unwrap();
         assert_eq!(fin.write_final().f64_at(0), 2.0);
     }
 
@@ -649,23 +892,27 @@ mod tests {
         let f = AggregateFunction::new(AggregateKind::StddevPop, Some(DataType::Bigint)).unwrap();
         // Single phase.
         let block = Block::from(LongBlock::from_values(data.clone()));
-        let single = aggregate_single(f, Some(&block), data.len());
+        let single = aggregate_single(f, Some(&block), data.len()).unwrap();
         // Two partials split 3/5.
         let mut p1 = f.create_accumulator();
         p1.add_input(
             Some(&Block::from(LongBlock::from_values(data[..3].to_vec()))),
             &[0; 3],
             0,
-        );
+        )
+        .unwrap();
         let mut p2 = f.create_accumulator();
         p2.add_input(
             Some(&Block::from(LongBlock::from_values(data[3..].to_vec()))),
             &[0; 5],
             0,
-        );
+        )
+        .unwrap();
         let mut fin = f.create_accumulator();
-        fin.add_intermediate(&p1.write_intermediate(), &[0], 0);
-        fin.add_intermediate(&p2.write_intermediate(), &[0], 0);
+        fin.add_intermediate(&p1.write_intermediate(), &[0], 0)
+            .unwrap();
+        fin.add_intermediate(&p2.write_intermediate(), &[0], 0)
+            .unwrap();
         let merged = fin.write_final().f64_at(0);
         // Known value: stddev_pop of this set is exactly 2.
         assert!((merged - 2.0).abs() < 1e-9);
@@ -678,7 +925,10 @@ mod tests {
             AggregateFunction::new(AggregateKind::CountDistinct, Some(DataType::Bigint)).unwrap();
         assert!(!f.kind.supports_partial());
         let block = bigints(&[Some(1), Some(1), Some(2), None]);
-        assert_eq!(aggregate_single(f, Some(&block), 4), Value::Bigint(2));
+        assert_eq!(
+            aggregate_single(f, Some(&block), 4).unwrap(),
+            Value::Bigint(2)
+        );
     }
 
     #[test]

@@ -9,11 +9,9 @@
 //! dictionary as compared to processing all of the indices."
 
 use presto_common::{DataType, Result, Session};
-use presto_page::blocks::DictionaryBlock;
 use presto_page::{Block, Page};
-use std::sync::Arc;
 
-use crate::compiled::{filter_channels, CompiledExpr};
+use crate::compiled::{filter_channels, CompiledExpr, EntryTally};
 use crate::expr::Expr;
 use crate::interpreter::evaluate_row;
 
@@ -28,18 +26,16 @@ pub struct ProcessorStats {
     pub flat_projections: usize,
     /// Rows produced so far.
     pub rows_produced: u64,
-    /// Dictionary entries processed so far.
+    /// Dictionary entries processed so far, by the filter and projections.
     pub dict_entries_processed: u64,
 }
 
 /// A compiled filter + projection pipeline, page in / page out.
 pub struct PageProcessor {
     filter: Option<CompiledExpr>,
-    projections: Vec<Projection>,
-    /// Whether dictionary/RLE-aware processing is enabled (§V-E;
-    /// the `compressed` bench disables it for the baseline).
-    process_compressed: bool,
-    /// Speculation state per the paper's heuristic.
+    projections: Vec<CompiledExpr>,
+    /// Speculation state per the paper's heuristic: per-entry kernels may
+    /// evaluate a dictionary larger than the page while this holds.
     speculate: bool,
     /// When the session disables compiled expressions (§V-B ablation),
     /// fall back to the row interpreter using these originals.
@@ -53,20 +49,12 @@ pub struct PageProcessor {
     stats: ProcessorStats,
 }
 
-struct Projection {
-    compiled: CompiledExpr,
-    /// When the projection reads exactly one input column it is eligible for
-    /// the dictionary/RLE fast path; this is that column's index.
-    single_input: Option<usize>,
-    /// The same expression remapped so its single input is channel 0 — the
-    /// form evaluated against a bare dictionary.
-    on_channel_zero: Option<CompiledExpr>,
-}
-
 impl PageProcessor {
     /// Build from optional filter and projection expressions. Expressions
     /// are compiled once per task, like the paper's per-task bytecode
-    /// classes (§V-B3).
+    /// classes (§V-B3). With `process_compressed` (§V-E) the filter and the
+    /// projections evaluate single-column subtrees per dictionary entry or
+    /// RLE run ([`CompiledExpr::compile_per_entry`]).
     pub fn new(filter: Option<&Expr>, projections: &[Expr], session: &Session) -> PageProcessor {
         let mut needed = Vec::new();
         for c in projections.iter().flat_map(Expr::referenced_columns) {
@@ -75,26 +63,14 @@ impl PageProcessor {
             }
             needed[c] = true;
         }
+        let compile = if session.process_compressed {
+            CompiledExpr::compile_per_entry
+        } else {
+            CompiledExpr::compile
+        };
         PageProcessor {
-            filter: filter.map(CompiledExpr::compile),
-            projections: projections
-                .iter()
-                .map(|e| {
-                    let cols = e.referenced_columns();
-                    let single_input = match cols.as_slice() {
-                        [only] => Some(*only),
-                        _ => None,
-                    };
-                    let on_channel_zero =
-                        single_input.map(|_| CompiledExpr::compile(&e.remap_columns(&|_| 0)));
-                    Projection {
-                        compiled: CompiledExpr::compile(e),
-                        single_input,
-                        on_channel_zero,
-                    }
-                })
-                .collect(),
-            process_compressed: session.process_compressed,
+            filter: filter.map(compile),
+            projections: projections.iter().map(compile).collect(),
             speculate: true,
             interpreted: (!session.compiled_expressions)
                 .then(|| (filter.cloned(), projections.to_vec())),
@@ -108,7 +84,7 @@ impl PageProcessor {
     pub fn output_types(&self) -> Vec<DataType> {
         self.projections
             .iter()
-            .map(|p| p.compiled.data_type())
+            .map(CompiledExpr::data_type)
             .collect()
     }
 
@@ -124,14 +100,20 @@ impl PageProcessor {
             self.stats.flat_projections += projections.len();
             return Ok(out);
         }
+        let mut tally = EntryTally {
+            speculate: self.speculate,
+            ..EntryTally::default()
+        };
         let rows = match &self.filter {
             Some(f) => {
-                f.eval_selection_into(page, &mut self.sel_buf)?;
+                f.selection_tallied(page, &mut self.sel_buf, &mut tally)?;
                 self.sel_buf.len()
             }
             None => page.row_count(),
         };
+        self.stats.dict_entries_processed += tally.entries;
         if rows == 0 {
+            self.update_speculation();
             return Ok(Page::empty());
         }
         if self.projections.is_empty() {
@@ -146,49 +128,30 @@ impl PageProcessor {
             gathered = filter_channels(page, &self.sel_buf, &self.needed);
             &gathered
         };
-        let mut out = Vec::with_capacity(self.projections.len());
-        // Split borrows: iterate indices so stats can update.
-        for idx in 0..self.projections.len() {
-            let block = self.project_one(idx, filtered)?;
-            out.push(block);
+        let mut out: Vec<Block> = Vec::with_capacity(self.projections.len());
+        for projection in &self.projections {
+            tally.dictionaries = 0;
+            tally.runs = 0;
+            tally.entries = 0;
+            out.push(projection.eval_tallied(filtered, &mut tally)?);
+            if tally.dictionaries > 0 {
+                self.stats.dictionary_projections += 1;
+            } else if tally.runs > 0 {
+                self.stats.rle_projections += 1;
+            } else {
+                self.stats.flat_projections += 1;
+            }
+            self.stats.dict_entries_processed += tally.entries;
         }
         self.stats.rows_produced += rows as u64;
-        // Heuristic from the paper: speculation stays on while processing
-        // dictionaries has produced more rows than dictionary entries.
-        self.speculate = self.stats.dict_entries_processed <= self.stats.rows_produced;
+        self.update_speculation();
         Ok(Page::new(out))
     }
 
-    fn project_one(&mut self, idx: usize, page: &Page) -> Result<Block> {
-        let rows = page.row_count();
-        let p = &self.projections[idx];
-        if self.process_compressed {
-            if let (Some(col), Some(zero_expr)) = (p.single_input, &p.on_channel_zero) {
-                match page.block(col).loaded() {
-                    Block::Rle(rle) => {
-                        // Evaluate once on the single value; re-wrap as RLE.
-                        let single = Page::new(vec![rle.value.as_ref().clone()]);
-                        let result = zero_expr.eval(&single)?;
-                        self.stats.rle_projections += 1;
-                        return Ok(Block::rle(result, rows));
-                    }
-                    Block::Dictionary(d) if self.speculate || d.dictionary.len() <= rows => {
-                        // Evaluate once per distinct entry; re-use the ids.
-                        let dict_page = Page::new(vec![d.dictionary.as_ref().clone()]);
-                        let result = zero_expr.eval(&dict_page)?;
-                        self.stats.dictionary_projections += 1;
-                        self.stats.dict_entries_processed += d.dictionary.len() as u64;
-                        return Ok(Block::Dictionary(DictionaryBlock::new(
-                            Arc::new(result),
-                            d.ids.clone(),
-                        )));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        self.stats.flat_projections += 1;
-        self.projections[idx].compiled.eval(page)
+    /// Heuristic from the paper: speculation stays on while processing
+    /// dictionaries has produced more rows than dictionary entries.
+    fn update_speculation(&mut self) {
+        self.speculate = self.stats.dict_entries_processed <= self.stats.rows_produced;
     }
 }
 
@@ -231,7 +194,8 @@ mod tests {
     use super::*;
     use crate::expr::CmpOp;
     use presto_common::{Schema, Value};
-    use presto_page::blocks::{LazyBlock, LongBlock, VarcharBlock};
+    use presto_page::blocks::{DictionaryBlock, LazyBlock, LongBlock, VarcharBlock};
+    use std::sync::Arc;
 
     fn session() -> Session {
         Session::default()
@@ -289,6 +253,51 @@ mod tests {
         assert_eq!(stats.dictionary_projections, 1);
         // Only 2 entries were processed for 100 rows.
         assert_eq!(stats.dict_entries_processed, 2);
+    }
+
+    #[test]
+    fn dictionary_filter_evaluates_each_entry_once() {
+        let dict = Arc::new(Block::from(VarcharBlock::from_strs(&[
+            "AIR", "RAIL", "SHIP", "x",
+        ])));
+        let ids: Vec<u32> = (0..64).map(|i| i % 4).collect();
+        let page = Page::new(vec![
+            Block::Dictionary(DictionaryBlock::new(dict, ids)),
+            Block::from(LongBlock::from_values((0..64).collect())),
+        ]);
+        let filter = Expr::and(vec![
+            Expr::InList {
+                expr: Box::new(Expr::column(0, DataType::Varchar)),
+                list: vec![Value::varchar("AIR"), Value::varchar("RAIL")],
+            },
+            Expr::cmp(
+                CmpOp::Ne,
+                Expr::column(0, DataType::Varchar),
+                Expr::literal("RAIL"),
+            ),
+        ]);
+        let proj = vec![
+            Expr::column(1, DataType::Bigint),
+            Expr::column(0, DataType::Varchar),
+        ];
+        let schema = Schema::of(&[("n", DataType::Bigint), ("s", DataType::Varchar)]);
+        let mut per_entry = PageProcessor::new(Some(&filter), &proj, &session());
+        let out = per_entry.process(&page).unwrap();
+        assert_eq!(out.row_count(), 16);
+        // The whole conjunction reads one column: one pass over its 4
+        // entries, then one for the projected column.
+        assert_eq!(per_entry.stats().dict_entries_processed, 4 + 4);
+        assert!(matches!(out.block(1), Block::Dictionary(_)));
+        let decoded = Session {
+            process_compressed: false,
+            ..Session::default()
+        };
+        let mut rows = PageProcessor::new(Some(&filter), &proj, &decoded);
+        assert_eq!(
+            rows.process(&page).unwrap().to_rows(&schema),
+            out.to_rows(&schema)
+        );
+        assert_eq!(rows.stats().dict_entries_processed, 0);
     }
 
     #[test]

@@ -120,9 +120,9 @@ impl WindowFunction {
                         Some(block) => {
                             let positions: Vec<u32> = (start as u32..end as u32).collect();
                             let slice = block.filter(&positions);
-                            acc.add_input(Some(&slice), &ids, 0);
+                            acc.add_input(Some(&slice), &ids, 0)?;
                         }
-                        None => acc.add_input(None, &ids, 0),
+                        None => acc.add_input(None, &ids, 0)?,
                     }
                     // ...then every row in the group sees the cumulative value.
                     let value_block = acc.write_final();

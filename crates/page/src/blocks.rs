@@ -254,6 +254,64 @@ impl VarcharBlock {
     }
 }
 
+/// A flat block of fixed-width lanes plus its null mask — the form tight
+/// loops read instead of calling [`Block`]'s per-row accessors.
+pub trait Lanes: Clone {
+    type Lane: Copy;
+    /// The lanes when `block` is already this flat variant.
+    fn of(block: &Block) -> Option<&Self>;
+    /// Take the lanes out of a block of this flat variant.
+    fn take(block: Block) -> Option<Self>;
+    fn lanes(&self) -> &[Self::Lane];
+    fn null_mask(&self) -> &NullMask;
+    fn build(values: Vec<Self::Lane>, nulls: NullMask) -> Block;
+}
+
+macro_rules! lanes {
+    ($block:ident, $variant:ident, $lane:ty) => {
+        impl Lanes for $block {
+            type Lane = $lane;
+            fn of(block: &Block) -> Option<&Self> {
+                match block {
+                    Block::$variant(b) => Some(b),
+                    _ => None,
+                }
+            }
+            fn take(block: Block) -> Option<Self> {
+                match block {
+                    Block::$variant(b) => Some(b),
+                    _ => None,
+                }
+            }
+            fn lanes(&self) -> &[$lane] {
+                &self.values
+            }
+            fn null_mask(&self) -> &NullMask {
+                &self.nulls
+            }
+            fn build(values: Vec<$lane>, nulls: NullMask) -> Block {
+                Block::$variant($block::new(values, nulls))
+            }
+        }
+    };
+}
+
+lanes!(LongBlock, Long, i64);
+lanes!(DoubleBlock, Double, f64);
+lanes!(BoolBlock, Bool, bool);
+
+/// Borrow `block`'s flat lanes, decoding once when it is RLE, dictionary
+/// or lazy. Panics if the block's physical type is not `L`'s.
+pub fn flat<L: Lanes>(block: &Block) -> std::borrow::Cow<'_, L> {
+    let loaded = block.loaded();
+    match L::of(loaded) {
+        Some(l) => std::borrow::Cow::Borrowed(l),
+        None => std::borrow::Cow::Owned(L::take(loaded.decode()).unwrap_or_else(|| {
+            panic!("{:?} block read as the wrong lanes", loaded.physical_type())
+        })),
+    }
+}
+
 /// Run-length encoding: a single-position block repeated `count` times.
 #[derive(Debug, Clone)]
 pub struct RleBlock {

@@ -4,12 +4,16 @@
 //! lazy vs eager loading, compressed vs decoded processing, 1 vs 4 workers,
 //! broadcast vs partitioned joins, all-at-once vs phased scheduling, spill
 //! on vs off, compressed vs uncompressed shuffle pages, 1 vs 4 leaf drivers.
-//! This pins the semantics all the §V/§VI ablations rely on.
+//! This pins the semantics all the §V/§VI ablations rely on. The memory
+//! connector yields only flat blocks, so the same axes also run over a
+//! Hive/PORC fixture, whose low-cardinality varchar columns arrive as
+//! dictionary blocks and constant columns as RLE blocks (§V-E).
 
 use presto::cluster::{Cluster, ClusterConfig};
-use presto::common::{Session, Value};
+use presto::common::{DataType, Schema, Session, Value};
 use presto::connector::{CatalogManager, Connector};
-use presto::connectors::MemoryConnector;
+use presto::connectors::{HiveConnector, MemoryConnector};
+use presto::page::Page;
 use presto::workload::TpchGenerator;
 use std::sync::Arc;
 
@@ -18,6 +22,10 @@ fn make_cluster(workers: usize, leaf_parallelism: usize) -> Cluster {
     TpchGenerator::new(0.002).load_memory(&mem);
     let mut catalogs = CatalogManager::new();
     catalogs.register("memory", mem as Arc<dyn Connector>);
+    start(catalogs, workers, leaf_parallelism)
+}
+
+fn start(catalogs: CatalogManager, workers: usize, leaf_parallelism: usize) -> Cluster {
     Cluster::start(
         ClusterConfig {
             workers,
@@ -79,10 +87,100 @@ fn rows_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 
 #[test]
 fn results_invariant_across_configurations() {
-    let reference_cluster = make_cluster(1, 2);
-    let wide_cluster = make_cluster(4, 2);
-    let base = Session::for_catalog("memory");
+    assert_invariant(
+        &make_cluster(1, 2),
+        &make_cluster(4, 2),
+        &Session::for_catalog("memory"),
+        QUERIES,
+    );
+}
 
+/// Queries whose inputs arrive dictionary- or RLE-encoded from PORC.
+const PORC_QUERIES: &[&str] = &[
+    // IN and <> on dictionary columns.
+    "SELECT shipmode, COUNT(*), SUM(extendedprice) FROM lineitem \
+     WHERE shipmode IN ('AIR', 'RAIL') AND returnflag <> 'N' GROUP BY shipmode",
+    "SELECT COUNT(*) FROM orders WHERE orderstatus <> 'F' OR orderpriority IN ('1-URGENT')",
+    // CASE ... BETWEEN on doubles (integer literals widened to double).
+    "SELECT SUM(CASE WHEN quantity BETWEEN 1 AND 10 THEN extendedprice ELSE 0.0 END), \
+     SUM(CASE WHEN quantity BETWEEN 11 AND 25 THEN extendedprice ELSE 0.0 END), \
+     SUM(CASE WHEN quantity > 25 THEN 1 ELSE 0 END) FROM lineitem",
+    // Two dictionary keys.
+    "SELECT returnflag, linestatus, SUM(quantity), AVG(discount), COUNT(*) FROM lineitem \
+     WHERE shipdate <= DATE '1998-09-01' GROUP BY returnflag, linestatus",
+    "SELECT orderstatus, orderpriority, COUNT(*), SUM(totalprice) FROM orders \
+     GROUP BY orderstatus, orderpriority",
+    // NULLs in a dictionary column: `d.s` is a dictionary in its first
+    // stripe and flat with NULLs in its second; the CASE makes a
+    // dictionary with a NULL entry.
+    "SELECT s, COUNT(*), SUM(k) FROM d GROUP BY s",
+    "SELECT COUNT(*), SUM(k) FROM d WHERE s <> 'b' AND s IN ('a', 'c', 'z')",
+    "SELECT CASE WHEN s <> 'a' THEN s END, COUNT(*) FROM d \
+     GROUP BY CASE WHEN s <> 'a' THEN s END",
+    // `x IN (..., NULL)` is NULL, not FALSE, for a non-member.
+    "SELECT shipmode IN ('AIR', NULL) AS m, COUNT(*) FROM lineitem \
+     GROUP BY shipmode IN ('AIR', NULL)",
+    "SELECT COUNT(*) FROM lineitem WHERE shipmode NOT IN ('AIR', NULL)",
+    // A per-entry CAST fails on an entry ('x') that no selected row holds.
+    "SELECT SUM(CAST(s AS BIGINT)) FROM t WHERE s <> 'x'",
+];
+
+/// The TPC-H tables plus `t` (4 000 rows of `s` alternating 'x' and '5')
+/// and `d` (two stripes of `k`, `s`; the second with NULL `s`) in PORC.
+fn porc_fixture(dir: &std::path::Path) -> Arc<HiveConnector> {
+    std::fs::remove_dir_all(dir).ok();
+    let hive = HiveConnector::new(dir).unwrap();
+    TpchGenerator::new(0.002).load_hive(&hive).unwrap();
+    let t = Schema::of(&[("s", DataType::Varchar)]);
+    let rows: Vec<Vec<Value>> = (0..4000)
+        .map(|i| vec![Value::varchar(if i % 2 == 0 { "x" } else { "5" })])
+        .collect();
+    hive.load_table("t", t.clone(), &[Page::from_rows(&t, &rows)])
+        .unwrap();
+    let d = Schema::of(&[("k", DataType::Bigint), ("s", DataType::Varchar)]);
+    let rows: Vec<Vec<Value>> = (0..16_384i64)
+        .map(|i| {
+            let s = match i % 4 {
+                3 if i >= 8192 => Value::Null,
+                n => Value::varchar(["a", "b", "c", "d"][n as usize]),
+            };
+            vec![Value::Bigint(i % 7), s]
+        })
+        .collect();
+    hive.load_table("d", d.clone(), &[Page::from_rows(&d, &rows)])
+        .unwrap();
+    hive
+}
+
+#[test]
+fn porc_results_invariant_across_configurations() {
+    let dir = std::env::temp_dir().join(format!("presto-differential-{}", std::process::id()));
+    let hive = porc_fixture(&dir);
+    let cluster = |workers| {
+        let mut catalogs = CatalogManager::new();
+        catalogs.register("hive", Arc::clone(&hive) as Arc<dyn Connector>);
+        start(catalogs, workers, 2)
+    };
+    let (reference, wide) = (cluster(1), cluster(4));
+    let base = Session::for_catalog("hive");
+    assert_eq!(
+        run_sorted(&reference, PORC_QUERIES[PORC_QUERIES.len() - 1], &base),
+        vec![vec![Value::Bigint(10_000)]]
+    );
+    let queries: Vec<&str> = QUERIES.iter().chain(PORC_QUERIES).copied().collect();
+    assert_invariant(&reference, &wide, &base, &queries);
+    drop((reference, wide));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every query returns the same rows as `base` on `reference` under every
+/// configuration axis, on `reference` (1 worker) and `wide` (4 workers).
+fn assert_invariant(
+    reference_cluster: &Cluster,
+    wide_cluster: &Cluster,
+    base: &Session,
+    queries: &[&str],
+) {
     // Configuration axes.
     let mut sessions: Vec<(String, Session)> = Vec::new();
     sessions.push(("baseline".into(), base.clone()));
@@ -114,16 +212,16 @@ fn results_invariant_across_configurations() {
     s.shuffle_compression_min_bytes = usize::MAX;
     sessions.push(("uncompressed".into(), s));
 
-    for sql in QUERIES {
-        let expected = run_sorted(&reference_cluster, sql, &base);
+    for sql in queries {
+        let expected = run_sorted(reference_cluster, sql, base);
         assert!(!expected.is_empty(), "reference produced no rows for {sql}");
         for (name, session) in &sessions {
-            let narrow = run_sorted(&reference_cluster, sql, session);
+            let narrow = run_sorted(reference_cluster, sql, session);
             assert!(
                 rows_equal(&narrow, &expected),
                 "config '{name}' on 1 worker diverged for: {sql}\n{narrow:?}\nvs\n{expected:?}"
             );
-            let wide = run_sorted(&wide_cluster, sql, session);
+            let wide = run_sorted(wide_cluster, sql, session);
             assert!(
                 rows_equal(&wide, &expected),
                 "config '{name}' on 4 workers diverged for: {sql}\n{wide:?}\nvs\n{expected:?}"
@@ -146,6 +244,45 @@ fn grouped_scans_invariant_across_leaf_parallelism() {
         assert!(
             rows_equal(&rows, &expected),
             "leaf_parallelism 4 diverged from 1 for: {sql}\n{rows:?}\nvs\n{expected:?}"
+        );
+    }
+}
+
+/// `SUM(bigint)` is exact — it does not round through `f64` — and its
+/// overflow is an error, on the default session and on the all-off one
+/// (`bench/`'s oracle session).
+#[test]
+fn bigint_sum_is_exact_and_overflow_fails() {
+    let mem = MemoryConnector::new();
+    let schema = Schema::of(&[("v", DataType::Bigint)]);
+    let load = |name: &str, values: &[i64]| {
+        let rows: Vec<Vec<Value>> = values.iter().map(|&v| vec![Value::Bigint(v)]).collect();
+        mem.load_rows(name, schema.clone(), &rows);
+    };
+    load("exact", &[9_007_199_254_740_993, 1]);
+    load("over", &[i64::MAX, 1]);
+    let mut catalogs = CatalogManager::new();
+    catalogs.register("memory", Arc::clone(&mem) as Arc<dyn Connector>);
+    let cluster = start(catalogs, 2, 2);
+    let base = Session::for_catalog("memory");
+    let all_off = Session {
+        pipeline_fusion: false,
+        dynamic_filtering: false,
+        compiled_expressions: false,
+        spill_enabled: false,
+        ..base.clone()
+    };
+    for session in [&base, &all_off] {
+        assert_eq!(
+            run_sorted(&cluster, "SELECT SUM(v) FROM exact", session),
+            vec![vec![Value::Bigint(9_007_199_254_740_994)]]
+        );
+        let err = cluster
+            .execute_with_session("SELECT SUM(v) FROM over", session)
+            .unwrap_err();
+        assert!(
+            format!("{err:?}").contains("bigint addition overflow"),
+            "{err:?}"
         );
     }
 }
