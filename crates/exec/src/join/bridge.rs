@@ -403,7 +403,8 @@ impl Operator for HashBuilderOperator {
             }
         }
         // A page whose every row goes to one partition (an RLE key, say)
-        // passes through untouched; the rest coalesces per partition.
+        // passes through whole, to be decoded once at the partition build;
+        // the rest coalesces per partition.
         if let Some(p) = self
             .positions
             .iter()

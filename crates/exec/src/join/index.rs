@@ -48,11 +48,9 @@ impl Operator for IndexJoinOperator {
         }
         // Gather probe columns for each matched output row.
         let probe_side = page.filter(&key_indices);
-        let combined = probe_side.append_columns(&matches);
-        debug_assert_eq!(
-            combined.column_count(),
-            self.probe_schema.len() + matches.column_count()
-        );
+        let width = self.probe_schema.len() + matches.column_count();
+        let combined = probe_side.append_columns(matches);
+        debug_assert_eq!(combined.column_count(), width);
         self.pending = Some(combined);
         Ok(())
     }

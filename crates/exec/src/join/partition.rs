@@ -38,16 +38,23 @@ pub(super) fn scatter(
     for rows in parts.iter_mut() {
         rows.clear();
     }
-    let key_blocks: Vec<&Block> = keys.iter().map(|&c| page.block(c)).collect();
+    let nullable = nullable_keys(page, keys);
     let mut nulls = Vec::new();
     for (row, &hash) in hashes.iter().enumerate() {
-        if key_blocks.iter().any(|b| b.is_null(row)) {
+        if nullable.iter().any(|b| b.is_null(row)) {
             nulls.push(row as u32);
         } else {
             parts[radix(hash, consumed, bits)].push(row as u32);
         }
     }
     nulls
+}
+
+/// The key columns of `page` that can hold a NULL, decided once per page
+/// from their encodings; when none can, no row needs a NULL check.
+pub(super) fn nullable_keys<'a>(page: &'a Page, keys: &[usize]) -> Vec<&'a Block> {
+    let blocks = keys.iter().map(|&c| page.block(c));
+    blocks.filter(|b| b.may_hold_null()).collect()
 }
 
 /// One radix partition of a hash join's build side, from ingest through
@@ -93,9 +100,11 @@ impl BuildInput {
     }
 
     /// The one constructor of a partition's table, for the finalize and
-    /// the grace leaf alike: the partition's rows as one page, and a flat
-    /// hash table whose entry `i` describes row `i` of it (so a match is
-    /// addressed by partition and entry). A cross join's table stays empty.
+    /// the grace leaf alike: the partition's rows as one flat page, and a
+    /// flat hash table whose entry `i` describes row `i` of it (so a match
+    /// is addressed by partition and entry). Dictionary, RLE and lazy
+    /// columns are decoded here, once, so the probe's key check and gather
+    /// read typed lanes. A cross join's table stays empty.
     pub(super) fn build(self) -> (Page, FlatHashTable) {
         let rows = self.pages.iter().map(Page::row_count).sum();
         let mut table = FlatHashTable::with_capacity(self.hashes.iter().map(Vec::len).sum());
@@ -103,7 +112,7 @@ impl BuildInput {
             table.insert(hash);
         }
         let page = match <[Page; 1]>::try_from(self.pages) {
-            Ok([page]) => page,
+            Ok([page]) => page.into_flat(),
             Err(pages) => {
                 let mut merged = PageBuffer::default();
                 for page in &pages {

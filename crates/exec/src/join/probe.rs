@@ -11,7 +11,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use super::bridge::JoinBridge;
-use super::partition::{scatter, BuildInput, Partition};
+use super::partition::{nullable_keys, scatter, BuildInput, Partition};
 use super::table::JoinHashTable;
 use crate::operator::{BlockedReason, Operator};
 use crate::spill::{SpillRun, SpillTally};
@@ -243,7 +243,8 @@ impl LookupJoinOperator {
         // over the rows with non-NULL keys, then key verification.
         let hashes = hash_columns_cached(probe, &self.probe_keys, &mut self.hash_cache);
         let key_blocks: Vec<&Block> = self.probe_keys.iter().map(|&c| probe.block(c)).collect();
-        let null = |row: usize| key_blocks.iter().any(|b| b.is_null(row));
+        let nullable = nullable_keys(probe, &self.probe_keys);
+        let null = |row: usize| nullable.iter().any(|b| b.is_null(row));
         for (row, addr) in table.matches(&hashes, null, &key_blocks, |row| row as usize) {
             probe_idx.push(row);
             build_addrs.push(addr);
@@ -280,15 +281,15 @@ impl LookupJoinOperator {
         }
         // Materialize both sides with block-level gathers: the probe gather
         // preserves dictionary/RLE structure, the build gather fills each
-        // output block in one column-major pass.
+        // output block in one typed loop over the flat build lanes.
         let probe_side = probe.filter(&probe_idx);
-        let build_side = Page::gather_rows(table.pages(), &build_addrs, &self.build_types);
+        let build_side = table.gather(&build_addrs, &self.build_types);
         let mut combined = if build_width == 0 {
             probe_side
         } else if probe_width == 0 {
             build_side
         } else {
-            probe_side.append_columns(&build_side)
+            probe_side.append_columns(build_side)
         };
         // Residual filter.
         let mut surviving_probe_matches = match_counts;

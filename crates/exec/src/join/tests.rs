@@ -314,11 +314,40 @@ fn parallel_finalize_uses_multiple_threads() {
     drop((b1, b2));
 }
 
+/// A build page whose every row reaches one partition: an RLE key and a
+/// dictionary payload, `rows` rows of key 5 over payloads `p0`, `p1`, `p2`.
+fn rle_dictionary_page(rows: usize) -> Page {
+    use presto_page::blocks::{DictionaryBlock, VarcharBlock};
+    let dict = Arc::new(Block::from(VarcharBlock::from_strs(&["p0", "p1", "p2"])));
+    let ids = (0..rows as u32).map(|i| i % 3).collect();
+    Page::new(vec![
+        Block::rle(Block::single(DataType::Bigint, &Value::Bigint(5)), rows),
+        Block::Dictionary(DictionaryBlock::new(dict, ids)),
+    ])
+}
+
 #[test]
 fn exact_memory_accounting_from_flat_layout() {
     let rows: Vec<(i64, String)> = (0..1000).map(|i| (i % 100, format!("s{i}"))).collect();
     let borrowed: Vec<(i64, &str)> = rows.iter().map(|(k, s)| (*k, s.as_str())).collect();
     let bridge = build_table(&borrowed);
+    assert_exact_accounting(&bridge, 1000);
+    // A page that one partition takes whole is charged as decoded: the
+    // table holds, and counts, its flat form.
+    let bridge = JoinBridge::new(vec![0], 1);
+    let mut b = HashBuilderOperator::new(Arc::clone(&bridge));
+    let page = rle_dictionary_page(1000);
+    let decoded = page.clone().into_flat().size_in_bytes();
+    assert!(decoded > page.size_in_bytes());
+    b.add_input(page).unwrap();
+    b.finish();
+    let table = bridge.table().unwrap();
+    let page_bytes: usize = table.pages().iter().map(Page::size_in_bytes).sum();
+    assert_eq!(page_bytes, decoded);
+    assert_exact_accounting(&bridge, 1000);
+}
+
+fn assert_exact_accounting(bridge: &JoinBridge, rows: usize) {
     let table = bridge.table().unwrap();
     // memory_bytes is the exact sum of page bytes and the per-partition
     // flat layouts — no estimate constants.
@@ -334,7 +363,174 @@ fn exact_memory_accounting_from_flat_layout() {
     // The bridge reports the table's exact size once built.
     assert_eq!(bridge.build_bytes(), table.memory_bytes());
     // Every row is addressable.
-    assert_eq!(table.iter_rows().count(), 1000);
+    assert_eq!(table.iter_rows().count(), rows);
+    // Every build column is flat.
+    let blocks = table.pages().iter().flat_map(Page::blocks);
+    assert!(blocks
+        .into_iter()
+        .all(|b| !matches!(b, Block::Rle(_) | Block::Dictionary(_) | Block::Lazy(_))));
+}
+
+#[test]
+fn single_partition_rle_dictionary_build_joins() {
+    let bridge = JoinBridge::new(vec![0], 1);
+    let mut b = HashBuilderOperator::new(Arc::clone(&bridge));
+    b.add_input(rle_dictionary_page(6)).unwrap();
+    b.finish();
+    let mut probe = LookupJoinOperator::new(
+        bridge,
+        ProbeJoinType::Left,
+        vec![0],
+        schema(),
+        schema(),
+        None,
+    );
+    probe.add_input(kv_page(&[(5, "x"), (6, "y")])).unwrap();
+    let rows = drain_rows(&mut probe);
+    let payloads: Vec<&str> = rows.iter().map(|r| r.3.as_str()).collect();
+    assert_eq!(payloads, ["p0", "p0", "p1", "p1", "p2", "p2", "-"]);
+    assert!(rows[..6].iter().all(|r| (r.0, r.2) == (5, 5)));
+    assert_eq!((rows[6].0, rows[6].2), (6, -1));
+}
+
+/// Join `probe` against `build` (both of `schema`) on the `keys` columns
+/// of each; the output rows, sorted.
+fn join_values(
+    schema: &Schema,
+    keys: &[usize],
+    build: &[Vec<Value>],
+    probe: &[Vec<Value>],
+    join_type: ProbeJoinType,
+) -> Vec<Vec<Value>> {
+    let bridge = JoinBridge::new(keys.to_vec(), 1);
+    let mut b = HashBuilderOperator::new(Arc::clone(&bridge));
+    b.add_input(Page::from_rows(schema, build)).unwrap();
+    b.finish();
+    let mut op = LookupJoinOperator::new(
+        bridge,
+        join_type,
+        keys.to_vec(),
+        schema.clone(),
+        schema.clone(),
+        None,
+    );
+    op.add_input(Page::from_rows(schema, probe)).unwrap();
+    op.finish();
+    let fields = schema.fields().iter().chain(schema.fields());
+    let output = Schema::new(fields.cloned().collect());
+    let mut rows = Vec::new();
+    while let Some(page) = op.output().unwrap() {
+        rows.extend(page.to_rows(&output));
+    }
+    rows.sort();
+    rows
+}
+
+#[test]
+fn double_keys_join_by_sql_equality() {
+    let schema = Schema::of(&[("k", DataType::Double), ("s", DataType::Varchar)]);
+    let row = |k: Value, s: &str| vec![k, Value::varchar(s)];
+    let build = [
+        row(Value::Double(0.0), "zero"),
+        row(Value::Double(f64::NAN), "nan"),
+        row(Value::Null, "null"),
+        row(Value::Double(1.5), "x"),
+    ];
+    let probe = [
+        row(Value::Double(-0.0), "p0"),
+        row(Value::Double(f64::NAN), "pnan"),
+        row(Value::Null, "pnull"),
+        row(Value::Double(2.0), "none"),
+    ];
+    // -0.0 = 0.0; NaN and NULL equal nothing, themselves included.
+    let matched = [
+        Value::Double(-0.0),
+        Value::varchar("p0"),
+        Value::Double(0.0),
+        Value::varchar("zero"),
+    ];
+    let inner = join_values(&schema, &[0], &build, &probe, ProbeJoinType::Inner);
+    assert_eq!(inner, vec![matched.to_vec()]);
+    let left = join_values(&schema, &[0], &build, &probe, ProbeJoinType::Left);
+    let padded = |k: Value, s: &str| vec![k, Value::varchar(s), Value::Null, Value::Null];
+    let mut expected = vec![
+        matched.to_vec(),
+        padded(Value::Double(f64::NAN), "pnan"),
+        padded(Value::Null, "pnull"),
+        padded(Value::Double(2.0), "none"),
+    ];
+    expected.sort();
+    assert_eq!(left, expected);
+}
+
+#[test]
+fn varchar_keys_join_by_bytes_including_empty() {
+    let schema = Schema::of(&[("k", DataType::Varchar), ("v", DataType::Bigint)]);
+    let row =
+        |k: Option<&str>, v: i64| vec![k.map_or(Value::Null, Value::varchar), Value::Bigint(v)];
+    let build = [
+        row(Some(""), 1),
+        row(Some("a"), 2),
+        row(None, 3),
+        row(Some("ab"), 4),
+    ];
+    let probe = [
+        row(Some(""), 10),
+        row(Some("a"), 20),
+        row(None, 30),
+        row(Some("b"), 40),
+    ];
+    let inner = join_values(&schema, &[0], &build, &probe, ProbeJoinType::Inner);
+    let joined = |k: &str, p: i64, b: i64| {
+        vec![
+            Value::varchar(k),
+            Value::Bigint(p),
+            Value::varchar(k),
+            Value::Bigint(b),
+        ]
+    };
+    assert_eq!(inner, vec![joined("", 10, 1), joined("a", 20, 2)]);
+    let left = join_values(&schema, &[0], &build, &probe, ProbeJoinType::Left);
+    assert_eq!(
+        left.len(),
+        4,
+        "the NULL and 'b' probe rows are padded: {left:?}"
+    );
+    assert!(left.contains(&vec![
+        Value::Null,
+        Value::Bigint(30),
+        Value::Null,
+        Value::Null
+    ]));
+}
+
+#[test]
+fn two_key_join_mixes_bigint_and_varchar() {
+    let schema = Schema::of(&[
+        ("k", DataType::Bigint),
+        ("s", DataType::Varchar),
+        ("v", DataType::Double),
+    ]);
+    let row = |k: i64, s: &str, v: f64| vec![Value::Bigint(k), Value::varchar(s), Value::Double(v)];
+    let build = [
+        row(1, "a", 0.5),
+        row(1, "b", 1.5),
+        row(2, "a", 2.5),
+        row(1, "a", 3.5),
+    ];
+    let probe = [
+        row(1, "a", 10.0),
+        row(1, "b", 20.0),
+        row(2, "b", 30.0),
+        row(3, "a", 40.0),
+    ];
+    let inner = join_values(&schema, &[0, 1], &build, &probe, ProbeJoinType::Inner);
+    let pairs: Vec<(f64, f64)> = inner
+        .iter()
+        .map(|r| (r[2].as_f64().unwrap(), r[5].as_f64().unwrap()))
+        .collect();
+    assert_eq!(pairs, [(10.0, 0.5), (10.0, 3.5), (20.0, 1.5)]);
+    assert!(inner.iter().all(|r| r[0] == r[3] && r[1] == r[4]));
 }
 
 #[test]
@@ -730,4 +926,105 @@ fn cross_join_bridge_never_arms_spill() {
     b.finish();
     assert!(!bridge.table().unwrap().has_spill());
     assert_eq!(manager.spill_events(), 0);
+}
+
+mod gather {
+    use super::*;
+    use crate::flathash::FlatHashTable;
+    use crate::join::partition::Partition;
+    use crate::join::table::JoinHashTable;
+    use presto_common::Field;
+    use presto_page::BlockBuilder;
+    use proptest::prelude::*;
+
+    fn arb_value(t: DataType) -> BoxedStrategy<Value> {
+        let value = match t {
+            DataType::Bigint => any::<i64>().prop_map(Value::Bigint).boxed(),
+            DataType::Double => prop_oneof![
+                any::<f64>().prop_map(Value::Double),
+                Just(Value::Double(-0.0)),
+                Just(Value::Double(f64::NAN)),
+            ]
+            .boxed(),
+            DataType::Boolean => any::<bool>().prop_map(Value::Boolean).boxed(),
+            _ => prop_oneof![
+                Just(Value::varchar("")),
+                "[a-z]{0,6}".prop_map(Value::varchar)
+            ]
+            .boxed(),
+        };
+        prop_oneof![3 => value, 1 => Just(Value::Null)].boxed()
+    }
+
+    /// A build schema and its partitions' rows; `None` is a spilled
+    /// partition.
+    fn arb_partitions() -> impl Strategy<Value = (Schema, Vec<Option<Vec<Vec<Value>>>>)> {
+        let types = prop_oneof![
+            Just(DataType::Bigint),
+            Just(DataType::Double),
+            Just(DataType::Boolean),
+            Just(DataType::Varchar),
+        ];
+        proptest::collection::vec(types, 1..4).prop_flat_map(|types| {
+            let fields = types.iter().enumerate();
+            let schema = Schema::new(
+                fields
+                    .map(|(i, &t)| Field::new(format!("c{i}"), t))
+                    .collect(),
+            );
+            let row: Vec<BoxedStrategy<Value>> = types.iter().map(|&t| arb_value(t)).collect();
+            let rows = proptest::collection::vec(row, 0..12);
+            let partition = proptest::option::of(rows);
+            (Just(schema), proptest::collection::vec(partition, 1..6))
+        })
+    }
+
+    proptest! {
+        /// The typed gather equals a per-cell `append_from` copy of the
+        /// addressed build rows.
+        #[test]
+        fn gather_equals_per_cell_model(
+            (schema, partitions) in arb_partitions(),
+            picks in proptest::collection::vec((any::<u32>(), any::<u32>()), 0..40),
+        ) {
+            let manager = SpillManager::new(None, 0);
+            let built = partitions.iter().map(|rows| match rows {
+                Some(rows) => Partition::Resident((
+                    Page::from_rows(&schema, rows),
+                    FlatHashTable::with_capacity(rows.len()),
+                )),
+                None => Partition::Spilled(manager.create_run("gather-test")),
+            });
+            let table = JoinHashTable::new(built.collect(), vec![0]);
+            let filled: Vec<(u32, usize)> = partitions
+                .iter()
+                .enumerate()
+                .filter_map(|(p, rows)| Some((p as u32, rows.as_ref()?.len())))
+                .filter(|&(_, n)| n > 0)
+                .collect();
+            let addrs: Vec<(u32, u32)> = if filled.is_empty() {
+                Vec::new()
+            } else {
+                picks
+                    .iter()
+                    .map(|&(p, r)| {
+                        let (p, n) = filled[p as usize % filled.len()];
+                        (p, r % n as u32)
+                    })
+                    .collect()
+            };
+            let types: Vec<DataType> = schema.fields().iter().map(|f| f.data_type).collect();
+            let model = types.iter().enumerate().map(|(c, &t)| {
+                let mut b = BlockBuilder::with_capacity(t, addrs.len());
+                for &(p, row) in &addrs {
+                    b.append_from(table.pages()[p as usize].block(c), row as usize);
+                }
+                b.finish()
+            });
+            let model = Page::new(model.collect());
+            let gathered = table.gather(&addrs, &types);
+            prop_assert_eq!(gathered.row_count(), addrs.len());
+            prop_assert_eq!(gathered.to_rows(&schema), model.to_rows(&schema));
+        }
+    }
 }

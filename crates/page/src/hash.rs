@@ -10,6 +10,7 @@
 //! processor retains the array".
 
 use crate::block::{Block, PhysicalType};
+use crate::blocks::NullMask;
 
 /// Seed for combining multiple columns into one row hash.
 const COLUMN_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -109,9 +110,35 @@ pub fn hash_block_into(block: &Block, hashes: &mut [u64], cache: &mut Dictionary
                 *slot = combine(*slot, entries[id as usize]);
             }
         }
-        flat => {
-            for (i, slot) in hashes.iter_mut().enumerate() {
-                *slot = combine(*slot, hash_cell(flat, i));
+        Block::Long(b) => fold_cells(hashes, b.values.iter().copied(), &b.nulls, hash_i64),
+        Block::Double(b) => fold_cells(hashes, b.values.iter().copied(), &b.nulls, hash_f64),
+        Block::Bool(b) => fold_cells(hashes, b.values.iter(), &b.nulls, |&v| hash_i64(v as i64)),
+        Block::Varchar(b) => fold_cells(hashes, b.offsets.windows(2), &b.nulls, |w| {
+            hash_bytes(&b.bytes[w[0] as usize..w[1] as usize])
+        }),
+        Block::Lazy(_) => unreachable!("loaded() resolves lazy blocks"),
+    }
+}
+
+/// Fold one flat block's cell hashes into `hashes` in one typed loop:
+/// `hash` of each non-NULL cell, [`NULL_HASH`] for a NULL one — bit for
+/// bit what [`hash_cell`] gives.
+#[inline]
+fn fold_cells<T>(
+    hashes: &mut [u64],
+    cells: impl Iterator<Item = T>,
+    nulls: &NullMask,
+    hash: impl Fn(T) -> u64,
+) {
+    match nulls {
+        None => {
+            for (slot, cell) in hashes.iter_mut().zip(cells) {
+                *slot = combine(*slot, hash(cell));
+            }
+        }
+        Some(mask) => {
+            for ((slot, cell), &null) in hashes.iter_mut().zip(cells).zip(mask) {
+                *slot = combine(*slot, if null { NULL_HASH } else { hash(cell) });
             }
         }
     }

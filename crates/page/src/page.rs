@@ -89,18 +89,15 @@ impl Page {
         }
     }
 
-    /// Append the columns of `other` (same row count) to this page.
-    pub fn append_columns(&self, other: &Page) -> Page {
+    /// Append the columns of `other` (same row count) to this page; both
+    /// pages' blocks move, none is copied.
+    pub fn append_columns(mut self, other: Page) -> Page {
         assert_eq!(
             self.row_count, other.row_count,
             "column append row mismatch"
         );
-        let mut blocks = self.blocks.clone();
-        blocks.extend(other.blocks.iter().cloned());
-        Page {
-            blocks,
-            row_count: self.row_count,
-        }
+        self.blocks.extend(other.blocks);
+        self
     }
 
     /// First `n` rows.
@@ -137,6 +134,15 @@ impl Page {
         }
     }
 
+    /// Every column as a flat block ([`Block::into_flat`]): RLE,
+    /// dictionary and lazy columns are decoded once, flat ones move.
+    pub fn into_flat(self) -> Page {
+        Page {
+            blocks: self.blocks.into_iter().map(Block::into_flat).collect(),
+            row_count: self.row_count,
+        }
+    }
+
     /// Extract one row as typed values, given the page's schema.
     pub fn row(&self, schema: &Schema, i: usize) -> Vec<Value> {
         self.blocks
@@ -163,34 +169,6 @@ impl Page {
     /// Materialize all rows as typed values (test / client convenience).
     pub fn to_rows(&self, schema: &Schema) -> Vec<Vec<Value>> {
         (0..self.row_count).map(|i| self.row(schema, i)).collect()
-    }
-
-    /// Gather rows addressed as `(page, row)` across several pages into one
-    /// flat page (the join probe's build-side materialization). Works
-    /// column-major so each output block fills in one pass.
-    pub fn gather_rows(
-        pages: &[Page],
-        addrs: &[(u32, u32)],
-        types: &[presto_common::DataType],
-    ) -> Page {
-        if types.is_empty() {
-            return Page::zero_column(addrs.len());
-        }
-        let blocks = types
-            .iter()
-            .enumerate()
-            .map(|(c, &t)| {
-                let mut builder = crate::builder::BlockBuilder::with_capacity(t, addrs.len());
-                for &(p, r) in addrs {
-                    builder.append_from(pages[p as usize].block(c), r as usize);
-                }
-                builder.finish()
-            })
-            .collect();
-        Page {
-            blocks,
-            row_count: addrs.len(),
-        }
     }
 
     /// Concatenate pages (all with the same column layout) into one flat page.
@@ -382,7 +360,7 @@ mod tests {
     fn append_columns() {
         let p = page();
         let extra = Page::new(vec![Block::from(LongBlock::from_values(vec![9, 9, 9]))]);
-        let combined = p.append_columns(&extra);
+        let combined = p.append_columns(extra);
         assert_eq!(combined.column_count(), 4);
         assert_eq!(combined.block(3).i64_at(0), 9);
     }

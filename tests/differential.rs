@@ -16,6 +16,7 @@ use presto::connectors::{HiveConnector, MemoryConnector};
 use presto::page::Page;
 use presto::workload::TpchGenerator;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn make_cluster(workers: usize, leaf_parallelism: usize) -> Cluster {
     let mem = MemoryConnector::new();
@@ -63,6 +64,13 @@ const QUERIES: &[&str] = &[
      FROM orders WHERE orderkey < 100",
 ];
 
+/// Every query has ended and left nothing behind on `cluster`.
+fn assert_quiescent(cluster: &Cluster) {
+    if let Err(residue) = cluster.await_quiescent(Duration::from_secs(10)) {
+        panic!("cluster not quiescent after the queries: {residue}");
+    }
+}
+
 fn run_sorted(cluster: &Cluster, sql: &str, session: &Session) -> Vec<Vec<Value>> {
     let mut rows = cluster.execute_with_session(sql, session).unwrap().rows();
     rows.sort();
@@ -87,12 +95,10 @@ fn rows_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
 
 #[test]
 fn results_invariant_across_configurations() {
-    assert_invariant(
-        &make_cluster(1, 2),
-        &make_cluster(4, 2),
-        &Session::for_catalog("memory"),
-        QUERIES,
-    );
+    let (reference, wide) = (make_cluster(1, 2), make_cluster(4, 2));
+    assert_invariant(&reference, &wide, &Session::for_catalog("memory"), QUERIES);
+    assert_quiescent(&reference);
+    assert_quiescent(&wide);
 }
 
 /// Queries whose inputs arrive dictionary- or RLE-encoded from PORC.
@@ -121,6 +127,15 @@ const PORC_QUERIES: &[&str] = &[
     "SELECT shipmode IN ('AIR', NULL) AS m, COUNT(*) FROM lineitem \
      GROUP BY shipmode IN ('AIR', NULL)",
     "SELECT COUNT(*) FROM lineitem WHERE shipmode NOT IN ('AIR', NULL)",
+    // A varchar-key join: the probe key `x.s` is a dictionary in `d`'s
+    // first stripe (the dictionary probe) and flat with NULLs in its second
+    // (the general probe); NULL keys join nothing.
+    "SELECT x.s, COUNT(*), SUM(y.n) FROM d x \
+     JOIN (SELECT s, COUNT(*) AS n FROM d GROUP BY s) y ON x.s = y.s GROUP BY x.s",
+    // A two-key join mixing a bigint and a dictionary varchar key.
+    "SELECT o.orderstatus, COUNT(*), SUM(o.totalprice) FROM orders o \
+     JOIN (SELECT orderkey, orderstatus AS st FROM orders WHERE orderpriority = '1-URGENT') u \
+     ON o.orderkey = u.orderkey AND o.orderstatus = u.st GROUP BY o.orderstatus",
     // A per-entry CAST fails on an entry ('x') that no selected row holds.
     "SELECT SUM(CAST(s AS BIGINT)) FROM t WHERE s <> 'x'",
 ];
@@ -169,6 +184,8 @@ fn porc_results_invariant_across_configurations() {
     );
     let queries: Vec<&str> = QUERIES.iter().chain(PORC_QUERIES).copied().collect();
     assert_invariant(&reference, &wide, &base, &queries);
+    assert_quiescent(&reference);
+    assert_quiescent(&wide);
     drop((reference, wide));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -246,6 +263,8 @@ fn grouped_scans_invariant_across_leaf_parallelism() {
             "leaf_parallelism 4 diverged from 1 for: {sql}\n{rows:?}\nvs\n{expected:?}"
         );
     }
+    assert_quiescent(&serial);
+    assert_quiescent(&parallel);
 }
 
 /// `SUM(bigint)` is exact — it does not round through `f64` — and its
@@ -285,4 +304,5 @@ fn bigint_sum_is_exact_and_overflow_fails() {
             "{err:?}"
         );
     }
+    assert_quiescent(&cluster);
 }
