@@ -99,12 +99,14 @@ impl Value {
         }
     }
 
-    /// SQL comparison semantics: NULL compares as unknown (`None`); numbers
-    /// compare across bigint/double. Non-comparable types return `None`.
+    /// SQL comparison semantics: NULL compares as unknown (`None`); two
+    /// bigints compare exactly, and numbers compare across bigint/double.
+    /// Non-comparable types return `None`.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => None,
             (Value::Boolean(a), Value::Boolean(b)) => Some(a.cmp(b)),
+            (Value::Bigint(a), Value::Bigint(b)) => Some(a.cmp(b)),
             (Value::Varchar(a), Value::Varchar(b)) => Some(a.cmp(b)),
             (Value::Date(a), Value::Date(b)) => Some(a.cmp(b)),
             (Value::Timestamp(a), Value::Timestamp(b)) => Some(a.cmp(b)),
@@ -246,6 +248,17 @@ mod tests {
             Value::Double(3.0).sql_cmp(&Value::Bigint(3)),
             Some(Ordering::Equal)
         );
+    }
+
+    #[test]
+    fn bigints_compare_exactly_beyond_f64_precision() {
+        // 2^53 and 2^53 + 1 are one f64; as bigints they differ.
+        let (a, b) = (Value::Bigint(1 << 53), Value::Bigint((1 << 53) + 1));
+        assert_eq!(a.sql_cmp(&b), Some(Ordering::Less));
+        assert_eq!(b.sql_cmp(&a), Some(Ordering::Greater));
+        assert_eq!(a.cmp(&b), Ordering::Less);
+        let (lo, hi) = (Value::Bigint(i64::MAX - 1), Value::Bigint(i64::MAX));
+        assert_eq!(lo.sql_cmp(&hi), Some(Ordering::Less));
     }
 
     #[test]

@@ -138,6 +138,15 @@ fn arb_bigint() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Bigints from 2^53, where `f64` stops holding every integer (2^53 and
+/// 2^53 + 1 are one double), plus NULL.
+fn arb_large_bigint() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        6 => (0i64..4).prop_map(|d| Value::Bigint((1 << 53) + d)),
+        1 => Just(Value::Null),
+    ]
+}
+
 fn arb_double() -> impl Strategy<Value = Value> {
     // Integer-valued doubles plus NaN and NULL. (-0.0 is deliberately not
     // generated: SQL equality pools it with 0.0 but bit-level hashing does
@@ -179,6 +188,17 @@ proptest! {
         probe in rows_of(arb_bigint(), 60),
     ) {
         assert_sound(build, probe, &[DataType::Bigint], 2)?;
+    }
+
+    /// Bigints past 2^53 through the set and the range: the bounds and the
+    /// per-row check compare them exactly, whatever order they arrive in.
+    #[test]
+    fn large_bigint_filter_is_sound(
+        build in rows_of(arb_large_bigint(), 30),
+        probe in rows_of(arb_large_bigint(), 60),
+        max_values in prop_oneof![Just(1usize), Just(2usize), Just(1000usize)],
+    ) {
+        assert_sound(build, probe, &[DataType::Bigint], max_values)?;
     }
 
     /// Doubles, including NaN build keys: NaN escalates the domain to
