@@ -234,7 +234,7 @@ pub(crate) fn decode_value(buf: &mut &[u8]) -> Result<Option<Value>> {
 }
 
 /// Encode the footer, returning its bytes (caller appends length + magic).
-pub(crate) fn encode_footer(meta: &FileMeta) -> Bytes {
+pub fn encode_footer(meta: &FileMeta) -> Bytes {
     let mut buf = BytesMut::new();
     // schema
     buf.put_u32_le(meta.schema.len() as u32);

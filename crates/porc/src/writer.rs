@@ -1,17 +1,24 @@
 //! PORC file writer.
 //!
-//! Buffers appended pages into stripes; for each stripe column it collects
+//! Appended pages are copied once into one [`BlockBuilder`] per column, and
+//! a stripe is cut every `stripe_rows` rows. Each stripe column is encoded
+//! in one pass over its flat lanes and null mask: the pass collects
 //! min/max/null statistics, builds a Bloom filter, and chooses an encoding
 //! (RLE for constant columns, dictionary when the distinct count is small
 //! relative to the rows, plain otherwise) so that readers hand the engine
-//! compressed blocks directly (§V-E).
+//! compressed blocks directly (§V-E). `Value`s are built once per chunk,
+//! for the statistics only.
 
 use bytes::BufMut;
-use presto_common::{DataType, Result, Schema, Value};
-use presto_page::blocks::{DictionaryBlock, VarcharBlock};
-use presto_page::hash::hash_cell;
+use presto_common::{DataType, PrestoError, Result, Schema, Value};
+use presto_page::blocks::{
+    BoolBlock, DictionaryBlock, DoubleBlock, Lanes, LongBlock, NullMask, VarcharBlock,
+};
+use presto_page::hash::{hash_bytes, hash_f64, hash_i64};
 use presto_page::{serialize_block, Block, BlockBuilder, Page};
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::Write;
 use std::path::Path;
 use std::sync::Arc;
@@ -21,23 +28,24 @@ use crate::format::{
     encode_footer, ColumnChunkMeta, FileColumnStats, FileMeta, StripeMeta, PORC_MAGIC,
 };
 
+/// Default rows per stripe.
+const STRIPE_ROWS: usize = 8192;
+/// Dictionary-encode a varchar chunk when `distinct * DICTIONARY_RATIO < rows`.
+const DICTIONARY_RATIO: usize = 4;
+/// Cap on exact NDV tracking per column (beyond it, NDV is a floor).
+const NDV_CAP: usize = 100_000;
+
 /// Writer knobs.
 #[derive(Debug, Clone)]
 pub struct WriterOptions {
-    /// Rows per stripe.
+    /// Rows per stripe; must be positive.
     pub stripe_rows: usize,
-    /// Dictionary-encode a column when `distinct * dictionary_ratio < rows`.
-    pub dictionary_ratio: usize,
-    /// Cap on exact NDV tracking per column (beyond it, NDV is a floor).
-    pub ndv_cap: usize,
 }
 
 impl Default for WriterOptions {
     fn default() -> Self {
         WriterOptions {
-            stripe_rows: 8192,
-            dictionary_ratio: 4,
-            ndv_cap: 100_000,
+            stripe_rows: STRIPE_ROWS,
         }
     }
 }
@@ -48,29 +56,77 @@ pub struct PorcWriter {
     options: WriterOptions,
     out: std::io::BufWriter<std::fs::File>,
     position: u64,
-    buffered: Vec<Page>,
+    /// The open stripe: one builder per column, `buffered_rows` rows each.
+    columns: Vec<BlockBuilder>,
     buffered_rows: usize,
     stripes: Vec<StripeMeta>,
     row_count: u64,
     file_stats: Vec<FileStatsAcc>,
 }
 
+#[derive(Default)]
 struct FileStatsAcc {
     min: Option<Value>,
     max: Option<Value>,
     null_count: u64,
-    distinct: std::collections::HashSet<Value>,
-    distinct_overflow: bool,
+    /// Distinct non-NULL cells, exact up to [`NDV_CAP`]. Fixed-width lanes
+    /// are keyed by bit pattern, as `Value` equality compares doubles;
+    /// varchar cells by bytes.
+    lanes: CellSet<u64>,
+    strings: CellSet<Box<[u8]>>,
 }
 
+/// Hashes NDV and dictionary keys with the engine's cell hashes, which are
+/// cheaper than SipHash and need no protection from adversarial keys here.
+#[derive(Default)]
+struct CellHasher(u64);
+
+impl Hasher for CellHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 ^= hash_bytes(bytes);
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.0 ^= hash_i64(v as i64);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.0 ^= hash_i64(v as i64).rotate_left(32);
+    }
+}
+
+type CellSet<K> = HashSet<K, BuildHasherDefault<CellHasher>>;
+
 impl FileStatsAcc {
-    fn new() -> FileStatsAcc {
-        FileStatsAcc {
-            min: None,
-            max: None,
-            null_count: 0,
-            distinct: std::collections::HashSet::new(),
-            distinct_overflow: false,
+    fn add_lane(&mut self, bits: u64) {
+        if self.lanes.len() < NDV_CAP {
+            self.lanes.insert(bits);
+        }
+    }
+
+    fn add_string(&mut self, s: &[u8]) {
+        if self.strings.len() < NDV_CAP && !self.strings.contains(s) {
+            self.strings.insert(s.into());
+        }
+    }
+
+    /// Fold one chunk's min, max and NULL count into the file's.
+    fn merge(&mut self, chunk: &ColumnChunkMeta) {
+        self.null_count += chunk.null_count as u64;
+        if chunk.max.as_ref().is_some_and(|m| {
+            self.max
+                .as_ref()
+                .is_none_or(|fm| m.sql_cmp(fm) == Some(Ordering::Greater))
+        }) {
+            self.max = chunk.max.clone();
+        }
+        if chunk.min.as_ref().is_some_and(|m| {
+            self.min
+                .as_ref()
+                .is_none_or(|fm| m.sql_cmp(fm) == Some(Ordering::Less))
+        }) {
+            self.min = chunk.min.clone();
         }
     }
 }
@@ -82,14 +138,20 @@ impl PorcWriter {
         schema: Schema,
         options: WriterOptions,
     ) -> Result<PorcWriter> {
+        if options.stripe_rows == 0 {
+            return Err(PrestoError::user("porc: stripe_rows must be positive"));
+        }
         let file = std::fs::File::create(path)?;
-        let file_stats = (0..schema.len()).map(|_| FileStatsAcc::new()).collect();
+        let file_stats = (0..schema.len()).map(|_| FileStatsAcc::default()).collect();
+        let columns = (0..schema.len())
+            .map(|col| stripe_builder(schema.data_type(col), &options))
+            .collect();
         Ok(PorcWriter {
             schema,
             options,
             out: std::io::BufWriter::new(file),
             position: 0,
-            buffered: Vec::new(),
+            columns,
             buffered_rows: 0,
             stripes: Vec::new(),
             row_count: 0,
@@ -108,11 +170,20 @@ impl PorcWriter {
             self.schema.len(),
             "page/schema column mismatch"
         );
-        self.buffered_rows += page.row_count();
-        self.row_count += page.row_count() as u64;
-        self.buffered.push(page.load_all());
-        while self.buffered_rows >= self.options.stripe_rows {
-            self.flush_stripe(self.options.stripe_rows)?;
+        let rows = page.row_count();
+        self.row_count += rows as u64;
+        let mut start = 0;
+        while start < rows {
+            let take = (self.options.stripe_rows - self.buffered_rows).min(rows - start);
+            let positions: Vec<u32> = (start as u32..(start + take) as u32).collect();
+            for (builder, block) in self.columns.iter_mut().zip(page.blocks()) {
+                builder.append_filtered(block, &positions);
+            }
+            self.buffered_rows += take;
+            start += take;
+            if self.buffered_rows == self.options.stripe_rows {
+                self.flush_stripe()?;
+            }
         }
         Ok(())
     }
@@ -120,8 +191,7 @@ impl PorcWriter {
     /// Flush remaining rows and write the footer. Must be called last.
     pub fn finish(mut self) -> Result<FileMeta> {
         if self.buffered_rows > 0 {
-            let rows = self.buffered_rows;
-            self.flush_stripe(rows)?;
+            self.flush_stripe()?;
         }
         let column_stats = self
             .file_stats
@@ -130,7 +200,7 @@ impl PorcWriter {
                 min: s.min.clone(),
                 max: s.max.clone(),
                 null_count: s.null_count,
-                distinct_count: s.distinct.len() as u64,
+                distinct_count: (s.lanes.len() + s.strings.len()) as u64,
             })
             .collect();
         let meta = FileMeta {
@@ -149,43 +219,21 @@ impl PorcWriter {
         Ok(meta)
     }
 
-    /// Cut a stripe of exactly `rows` rows from the front of the buffer.
-    fn flush_stripe(&mut self, rows: usize) -> Result<()> {
-        let rows = rows.min(self.buffered_rows);
-        // Assemble the stripe rows into one page per column.
-        let combined = Page::concat(&self.buffered);
-        let (stripe_page, rest) = if combined.row_count() > rows {
-            let head: Vec<u32> = (0..rows as u32).collect();
-            let tail: Vec<u32> = (rows as u32..combined.row_count() as u32).collect();
-            (combined.filter(&head), Some(combined.filter(&tail)))
-        } else {
-            (combined, None)
-        };
-        self.buffered = rest.into_iter().collect();
-        self.buffered_rows -= rows;
-
-        let mut chunk_bytes: Vec<bytes::Bytes> = Vec::with_capacity(self.schema.len());
+    /// Encode and write the open stripe, leaving empty builders behind.
+    fn flush_stripe(&mut self) -> Result<()> {
+        let rows = std::mem::take(&mut self.buffered_rows);
         let mut chunks: Vec<ColumnChunkMeta> = Vec::with_capacity(self.schema.len());
-        let mut offset = 0u32;
-        for col in 0..self.schema.len() {
+        let mut stripe_len = 0u64;
+        for (col, builder) in self.columns.iter_mut().enumerate() {
             let dt = self.schema.data_type(col);
-            let block = stripe_page.block(col);
-            let (encoded_block, stats) = self.encode_column(dt, block, col);
-            let bytes = serialize_block(&encoded_block);
-            chunks.push(ColumnChunkMeta {
-                offset,
-                length: bytes.len() as u32,
-                min: stats.0,
-                max: stats.1,
-                null_count: stats.2,
-                bloom: stats.3,
-            });
-            offset += bytes.len() as u32;
-            chunk_bytes.push(bytes);
-        }
-        let stripe_len: u64 = chunk_bytes.iter().map(|b| b.len() as u64).sum();
-        for b in &chunk_bytes {
-            self.out.write_all(b)?;
+            let block = std::mem::replace(builder, stripe_builder(dt, &self.options)).finish();
+            let (encoded, mut chunk) = encode_column(dt, block, &mut self.file_stats[col]);
+            let bytes = serialize_block(&encoded);
+            self.out.write_all(&bytes)?;
+            chunk.offset = stripe_len as u32;
+            chunk.length = bytes.len() as u32;
+            stripe_len += bytes.len() as u64;
+            chunks.push(chunk);
         }
         self.stripes.push(StripeMeta {
             offset: self.position,
@@ -196,108 +244,203 @@ impl PorcWriter {
         self.position += stripe_len;
         Ok(())
     }
+}
 
-    /// Choose an encoding and compute chunk statistics for one column.
-    #[allow(clippy::type_complexity)]
-    fn encode_column(
-        &mut self,
-        dt: DataType,
-        block: &Block,
-        col: usize,
-    ) -> (
-        Block,
-        (Option<Value>, Option<Value>, u32, Option<BloomFilter>),
-    ) {
-        let rows = block.len();
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        let mut null_count = 0u32;
-        let mut bloom = (dt != DataType::Double).then(BloomFilter::new);
-        // Distinct values of this chunk, for dictionary encoding.
-        let mut distinct: HashMap<Value, u32> = HashMap::new();
-        let mut ids: Vec<u32> = Vec::with_capacity(rows);
-        let file_acc = &mut self.file_stats[col];
-        for i in 0..rows {
-            if block.is_null(i) {
-                null_count += 1;
-                file_acc.null_count += 1;
-                ids.push(u32::MAX);
-                continue;
-            }
-            let v = block.value_at(dt, i);
-            if min
-                .as_ref()
-                .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less))
-            {
-                min = Some(v.clone());
-            }
-            if max
-                .as_ref()
-                .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater))
-            {
-                max = Some(v.clone());
-            }
-            if let Some(b) = bloom.as_mut() {
-                b.insert(hash_cell(block, i));
-            }
-            if !file_acc.distinct_overflow {
-                if file_acc.distinct.len() >= self.options.ndv_cap {
-                    file_acc.distinct_overflow = true;
-                } else {
-                    file_acc.distinct.insert(v.clone());
-                }
-            }
-            let next = distinct.len() as u32;
-            let id = *distinct.entry(v).or_insert(next);
-            ids.push(id);
-        }
-        if max.as_ref().is_some_and(|m| {
-            file_acc
-                .max
-                .as_ref()
-                .is_none_or(|fm| m.sql_cmp(fm) == Some(std::cmp::Ordering::Greater))
-        }) {
-            file_acc.max = max.clone();
-        }
-        if min.as_ref().is_some_and(|m| {
-            file_acc
-                .min
-                .as_ref()
-                .is_none_or(|fm| m.sql_cmp(fm) == Some(std::cmp::Ordering::Less))
-        }) {
-            file_acc.min = min.clone();
-        }
-        let stats = (min, max, null_count, bloom);
-        // Encoding choice.
-        let ndv = distinct.len();
-        if ndv == 1 && null_count == 0 {
-            if let Some(value) = distinct.keys().next() {
-                return (Block::rle(Block::single(dt, value), rows), stats);
-            }
-        }
-        let dictionary_worthwhile = ndv > 0
-            && null_count == 0
-            && ndv * self.options.dictionary_ratio < rows
-            && matches!(dt, DataType::Varchar);
-        if dictionary_worthwhile {
-            // Build the dictionary in first-seen order so ids map directly.
-            let mut entries = vec![""; ndv];
-            for (v, &id) in &distinct {
-                entries[id as usize] = v.as_str().unwrap_or_default();
-            }
-            let dict = Block::from(VarcharBlock::from_strs(&entries));
-            return (
-                Block::Dictionary(DictionaryBlock::new(Arc::new(dict), ids)),
-                stats,
-            );
-        }
-        // Plain: re-encode via builder to shed any input encoding.
-        let mut b = BlockBuilder::with_capacity(dt, rows);
-        for i in 0..rows {
-            b.append_from(block, i);
-        }
-        (b.finish(), stats)
+/// An empty builder for one stripe column.
+fn stripe_builder(dt: DataType, options: &WriterOptions) -> BlockBuilder {
+    BlockBuilder::with_capacity(dt, options.stripe_rows.min(STRIPE_ROWS))
+}
+
+/// Choose an encoding and compute chunk statistics for one flat stripe
+/// column, folding them into the file's. The chunk's offset and length are
+/// left for the caller.
+fn encode_column(dt: DataType, block: Block, file: &mut FileStatsAcc) -> (Block, ColumnChunkMeta) {
+    let (encoded, chunk) = match block {
+        Block::Long(b) => encode_lanes::<LongBlock>(dt, b.values, b.nulls, file),
+        Block::Double(b) => encode_lanes::<DoubleBlock>(dt, b.values, b.nulls, file),
+        Block::Bool(b) => encode_lanes::<BoolBlock>(dt, b.values, b.nulls, file),
+        Block::Varchar(b) => encode_varchar(b, file),
+        _ => unreachable!("a finished builder is flat"),
+    };
+    file.merge(&chunk);
+    (encoded, chunk)
+}
+
+/// A fixed-width lane, as the encode loop sees it.
+trait Lane: Copy + PartialOrd {
+    /// The placeholder a [`BlockBuilder`] stores under a NULL; a plain chunk
+    /// holds it in every NULL slot, whatever the input held there.
+    const NULL: Self;
+    /// Identity for NDV and RLE: `Value` equality compares these bits.
+    fn bits(self) -> u64;
+    /// The cell's hash, as the engine's hash kernels compute it.
+    fn hash(self) -> u64;
+    fn value(self, dt: DataType) -> Value;
+}
+
+impl Lane for i64 {
+    const NULL: i64 = 0;
+    fn bits(self) -> u64 {
+        self as u64
     }
+    fn hash(self) -> u64 {
+        hash_i64(self)
+    }
+    fn value(self, dt: DataType) -> Value {
+        match dt {
+            DataType::Date => Value::Date(self),
+            DataType::Timestamp => Value::Timestamp(self),
+            _ => Value::Bigint(self),
+        }
+    }
+}
+
+impl Lane for f64 {
+    const NULL: f64 = 0.0;
+    fn bits(self) -> u64 {
+        self.to_bits()
+    }
+    fn hash(self) -> u64 {
+        hash_f64(self)
+    }
+    fn value(self, _: DataType) -> Value {
+        Value::Double(self)
+    }
+}
+
+impl Lane for bool {
+    const NULL: bool = false;
+    fn bits(self) -> u64 {
+        self as u64
+    }
+    fn hash(self) -> u64 {
+        hash_i64(self as i64)
+    }
+    fn value(self, _: DataType) -> Value {
+        Value::Boolean(self)
+    }
+}
+
+/// One pass over a fixed-width chunk. Min and max are seeded by the first
+/// non-NULL cell and replaced only by a strictly smaller or greater one, so
+/// NaN never replaces, as under `Value::sql_cmp`. RLE when every cell is
+/// non-NULL and bit-equal to the first; plain otherwise.
+fn encode_lanes<L: Lanes>(
+    dt: DataType,
+    mut values: Vec<L::Lane>,
+    nulls: NullMask,
+    file: &mut FileStatsAcc,
+) -> (Block, ColumnChunkMeta)
+where
+    L::Lane: Lane,
+{
+    let (mut min, mut max) = (None::<L::Lane>, None::<L::Lane>);
+    let mut null_count = 0u32;
+    // Doubles get no Bloom filter: range stats serve them better.
+    let mut bloom = (dt != DataType::Double).then(BloomFilter::new);
+    let first = values.first().map(|v| v.bits());
+    let mut constant = true;
+    for (i, cell) in values.iter_mut().enumerate() {
+        if nulls.as_ref().is_some_and(|m| m[i]) {
+            *cell = Lane::NULL;
+            null_count += 1;
+            continue;
+        }
+        let v = *cell;
+        if min.is_none_or(|m| v < m) {
+            min = Some(v);
+        }
+        if max.is_none_or(|m| v > m) {
+            max = Some(v);
+        }
+        if let Some(b) = bloom.as_mut() {
+            b.insert(v.hash());
+        }
+        file.add_lane(v.bits());
+        constant &= Some(v.bits()) == first;
+    }
+    let chunk = ColumnChunkMeta {
+        offset: 0,
+        length: 0,
+        min: min.map(|v| v.value(dt)),
+        max: max.map(|v| v.value(dt)),
+        null_count,
+        bloom,
+    };
+    let block = match values.first() {
+        Some(&v) if constant && null_count == 0 => {
+            Block::rle(L::build(vec![v], None), values.len())
+        }
+        _ => L::build(values, nulls),
+    };
+    (block, chunk)
+}
+
+/// One pass over a varchar chunk: statistics as for [`encode_lanes`] on the
+/// cells' bytes, plus the distinct strings in first-seen order while a
+/// dictionary or RLE is still possible.
+fn encode_varchar(b: VarcharBlock, file: &mut FileStatsAcc) -> (Block, ColumnChunkMeta) {
+    let rows = b.len();
+    let (mut min, mut max) = (None::<&str>, None::<&str>);
+    let mut null_count = 0u32;
+    let mut bloom = BloomFilter::new();
+    // Whether a NULL slot holds bytes, which a plain chunk must not keep.
+    let mut null_bytes = false;
+    let mut dictionary: HashMap<&str, u32, BuildHasherDefault<CellHasher>> = HashMap::default();
+    let mut entries: Vec<&str> = Vec::new();
+    let mut ids: Vec<u32> = Vec::with_capacity(rows);
+    for i in 0..rows {
+        if b.is_null(i) {
+            null_count += 1;
+            null_bytes |= b.offsets[i] != b.offsets[i + 1];
+            continue;
+        }
+        let s = b.value(i);
+        if min.is_none_or(|m| s < m) {
+            min = Some(s);
+        }
+        if max.is_none_or(|m| s > m) {
+            max = Some(s);
+        }
+        bloom.insert(hash_bytes(s.as_bytes()));
+        file.add_string(s.as_bytes());
+        // Stop counting once neither RLE nor a dictionary can win.
+        if entries.len() <= 1 || entries.len() * DICTIONARY_RATIO < rows {
+            let next = entries.len() as u32;
+            ids.push(*dictionary.entry(s).or_insert_with(|| {
+                entries.push(s);
+                next
+            }));
+        }
+    }
+    let chunk = ColumnChunkMeta {
+        offset: 0,
+        length: 0,
+        min: min.map(Value::varchar),
+        max: max.map(Value::varchar),
+        null_count,
+        bloom: Some(bloom),
+    };
+    let ndv = entries.len();
+    let block = if null_count == 0 && ndv == 1 {
+        Block::rle(Block::from(VarcharBlock::from_strs(&entries)), rows)
+    } else if null_count == 0 && ndv * DICTIONARY_RATIO < rows {
+        let dictionary = Block::from(VarcharBlock::from_strs(&entries));
+        Block::Dictionary(DictionaryBlock::new(Arc::new(dictionary), ids))
+    } else if null_bytes {
+        let mut plain = BlockBuilder::with_capacity(DataType::Varchar, rows);
+        for i in 0..rows {
+            if b.is_null(i) {
+                plain.push_null();
+            } else {
+                plain.push_str(b.value(i));
+            }
+        }
+        plain.finish()
+    } else {
+        Block::from(b)
+    };
+    (block, chunk)
 }
 
 #[cfg(test)]
@@ -334,15 +477,8 @@ mod tests {
     #[test]
     fn writes_stripes_and_footer() {
         let path = temp_path("basic");
-        let mut w = PorcWriter::create(
-            &path,
-            schema(),
-            WriterOptions {
-                stripe_rows: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut w =
+            PorcWriter::create(&path, schema(), WriterOptions { stripe_rows: 100 }).unwrap();
         w.append(&sample_page(250)).unwrap();
         let meta = w.finish().unwrap();
         assert_eq!(meta.row_count, 250);
@@ -356,17 +492,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_stripe_rows_is_rejected() {
+        let path = temp_path("zero-stripe");
+        let err = PorcWriter::create(&path, schema(), WriterOptions { stripe_rows: 0 });
+        assert!(
+            err.is_err(),
+            "stripe_rows 0 would cut empty stripes forever"
+        );
+        assert!(!path.exists(), "no file is created for rejected options");
+    }
+
+    #[test]
     fn stripe_stats_are_per_stripe() {
         let path = temp_path("stats");
-        let mut w = PorcWriter::create(
-            &path,
-            schema(),
-            WriterOptions {
-                stripe_rows: 100,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut w =
+            PorcWriter::create(&path, schema(), WriterOptions { stripe_rows: 100 }).unwrap();
         w.append(&sample_page(200)).unwrap();
         let meta = w.finish().unwrap();
         assert_eq!(meta.stripes[0].columns[0].max, Some(Value::Bigint(99)));

@@ -8,6 +8,7 @@ use presto::common::{DataType, NodeId, Schema, Session, Value};
 use presto::connector::{CatalogManager, Connector};
 use presto::connectors::{HiveConnector, MemoryConnector, RaptorConnector, ShardedSqlConnector};
 use std::sync::Arc;
+use std::time::Duration;
 
 struct Fixture {
     cluster: Cluster,
@@ -74,6 +75,17 @@ fn fixture(name: &str) -> Fixture {
     }
 }
 
+impl Fixture {
+    /// Every query has ended and left nothing behind; then drop the data.
+    fn finish(self) {
+        if let Err(residue) = self.cluster.await_quiescent(Duration::from_secs(10)) {
+            panic!("cluster not quiescent after the queries: {residue}");
+        }
+        drop(self.cluster);
+        std::fs::remove_dir_all(&self.dir).ok();
+    }
+}
+
 #[test]
 fn four_catalog_join() {
     let f = fixture("four");
@@ -95,7 +107,7 @@ fn four_catalog_join() {
     assert_eq!(rows[0][1], Value::Bigint(40));
     assert_eq!(rows[1][2], Value::Bigint(2)); // score = uid * 2
     assert_eq!(rows[2][3], Value::Double(2.0));
-    std::fs::remove_dir_all(&f.dir).ok();
+    f.finish();
 }
 
 #[test]
@@ -111,7 +123,7 @@ fn predicate_pushdown_prunes_hive_stripes() {
     let (bytes_after, _, _pruned_after, _) = f.hive.io_stats().snapshot();
     assert!(bytes_after > bytes_before, "something was read");
     let _ = pruned_before;
-    std::fs::remove_dir_all(&f.dir).ok();
+    f.finish();
 }
 
 #[test]
@@ -125,7 +137,7 @@ fn sharded_pushdown_reads_only_matching_rows() {
     assert_eq!(out.rows()[0][0], Value::Double(7.0));
     // §IV-B3-2: "only matching data is ever read from MySQL".
     assert_eq!(f.sharded.rows_scanned() - before, 1);
-    std::fs::remove_dir_all(&f.dir).ok();
+    f.finish();
 }
 
 #[test]
@@ -160,5 +172,5 @@ fn cross_catalog_insert() {
         )
         .unwrap();
     assert_eq!(check.rows()[0][0], Value::Bigint(50));
-    std::fs::remove_dir_all(&f.dir).ok();
+    f.finish();
 }

@@ -12,8 +12,9 @@ use presto::common::{DataType, Schema, Session, Value};
 use presto::connector::{CatalogManager, Connector};
 use presto::connectors::HiveConnector;
 use presto::page::Page;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn fixture(name: &str) -> (Cluster, Arc<HiveConnector>, PathBuf) {
     let dir = std::env::temp_dir().join(format!(
@@ -39,6 +40,15 @@ fn fixture(name: &str) -> (Cluster, Arc<HiveConnector>, PathBuf) {
     (cluster, hive, dir)
 }
 
+/// Every query has ended and left nothing behind; then drop the data.
+fn finish(cluster: Cluster, dir: &Path) {
+    if let Err(residue) = cluster.await_quiescent(Duration::from_secs(10)) {
+        panic!("cluster not quiescent after the queries: {residue}");
+    }
+    drop(cluster);
+    std::fs::remove_dir_all(dir).ok();
+}
+
 #[test]
 fn warm_query_parses_zero_footers() {
     let (cluster, hive, dir) = fixture("warm");
@@ -59,8 +69,7 @@ fn warm_query_parses_zero_footers() {
         cluster.telemetry().cache_counters().hits > 0,
         "warm run is served from the cache"
     );
-    drop(cluster);
-    std::fs::remove_dir_all(&dir).ok();
+    finish(cluster, &dir);
 }
 
 #[test]
@@ -92,6 +101,5 @@ fn insert_invalidates_footer_and_stats_entries() {
         Some(1000.0),
         "statistics recomputed after the write"
     );
-    drop(cluster);
-    std::fs::remove_dir_all(&dir).ok();
+    finish(cluster, &dir);
 }
