@@ -839,5 +839,99 @@ fn dynamic_filtering_prunes_and_matches_baseline() {
         m.splits_pruned + m.stripes_pruned + m.rows_filtered > 0,
         "filter pruned at some level: {m:?}"
     );
+    c.await_quiescent(Duration::from_secs(5)).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Dynamic filtering on every key type: a Hive fact table joins a small
+/// dimension on a varchar (`''` and multi-byte keys), double (`-0.0` in the
+/// dimension meets `0.0` in the fact table), date, timestamp and bigint
+/// (from 2^53, where `f64` stops holding every integer) key. The fact
+/// keys cycle through 200 values, so every stripe spans them all and only
+/// the row check can prune. Filtered and unfiltered runs return the same
+/// rows, and each key type's filter drops rows.
+#[test]
+fn dynamic_filtering_checks_rows_on_every_key_type() {
+    use presto_connectors::HiveConnector;
+    use presto_page::Page;
+    let dir = std::env::temp_dir().join(format!("presto-df-types-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let hive = HiveConnector::new(&dir).unwrap();
+    let day0 = presto_common::time::days_from_civil(2021, 1, 1);
+    // Key `j` of each type, as the fact table holds it.
+    let keys = |j: i64| {
+        let text = match j {
+            0 => String::new(),
+            _ if j % 2 == 1 => format!("日本{j}"),
+            _ => format!("é{j}"),
+        };
+        vec![
+            Value::varchar(text),
+            Value::Double(j as f64 * 0.5),
+            Value::Date(day0 + j),
+            Value::Timestamp((day0 + j) * 86_400_000 + j * 3_600_000),
+            Value::Bigint((1 << 53) + j),
+        ]
+    };
+    let columns = [
+        ("kv", DataType::Varchar),
+        ("kd", DataType::Double),
+        ("kdt", DataType::Date),
+        ("kts", DataType::Timestamp),
+        ("kb", DataType::Bigint),
+    ];
+    let fact_schema = Schema::of(&[&columns[..], &[("v", DataType::Bigint)]].concat());
+    let fact: Vec<Vec<Value>> = (0..4000i64)
+        .map(|i| [keys(i % 200), vec![Value::Bigint(i)]].concat())
+        .collect();
+    let pages: Vec<Page> = fact
+        .chunks(500)
+        .map(|c| Page::from_rows(&fact_schema, c))
+        .collect();
+    hive.load_table("fact", fact_schema, &pages).unwrap();
+    // 21 dimension keys: 0, 1 and every tenth.
+    let dim_keys: Vec<i64> = [0, 1].into_iter().chain((10..200).step_by(10)).collect();
+    for (c, (name, data_type)) in columns.iter().enumerate() {
+        let schema = Schema::of(&[("k", *data_type)]);
+        let rows: Vec<Vec<Value>> = dim_keys
+            .iter()
+            .map(|&j| match keys(j).swap_remove(c) {
+                Value::Double(0.0) => vec![Value::Double(-0.0)],
+                key => vec![key],
+            })
+            .collect();
+        let table = format!("dim_{name}");
+        hive.load_table(&table, schema.clone(), &[Page::from_rows(&schema, &rows)])
+            .unwrap();
+    }
+    let mut catalogs = CatalogManager::new();
+    catalogs.register(
+        "hive",
+        Arc::clone(&hive) as Arc<dyn presto_connector::Connector>,
+    );
+    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let mut off = Session::for_catalog("hive");
+    off.dynamic_filtering = false;
+    let mut on = Session::for_catalog("hive");
+    on.dynamic_filter_wait = Duration::from_secs(5);
+    for (name, _) in columns {
+        let sql = format!("SELECT f.v FROM fact f JOIN dim_{name} d ON f.{name} = d.k");
+        let mut expect = c.execute_with_session(&sql, &off).unwrap().rows();
+        let before = c.telemetry().dynamic_filter_metrics();
+        let mut got = c.execute_with_session(&sql, &on).unwrap().rows();
+        let after = c.telemetry().dynamic_filter_metrics();
+        expect.sort();
+        got.sort();
+        assert_eq!(got.len(), 21 * 20, "{name}: 21 keys x 20 fact rows each");
+        assert_eq!(
+            got, expect,
+            "{name}: dynamic filtering must not change results"
+        );
+        assert!(
+            after.rows_filtered > before.rows_filtered,
+            "{name}: the row check dropped rows: {after:?}"
+        );
+    }
+    c.await_quiescent(Duration::from_secs(5)).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }

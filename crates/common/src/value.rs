@@ -47,6 +47,15 @@ impl Value {
         }
     }
 
+    /// The value of a date's, a timestamp's or else a bigint's `i64` lane.
+    pub fn from_i64(data_type: DataType, v: i64) -> Value {
+        match data_type {
+            DataType::Date => Value::Date(v),
+            DataType::Timestamp => Value::Timestamp(v),
+            _ => Value::Bigint(v),
+        }
+    }
+
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)
     }

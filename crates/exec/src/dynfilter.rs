@@ -9,18 +9,18 @@
 //! and feeds it back into the probe-side scans (§IV-B3 pushdown applied at
 //! execution time):
 //!
-//! 1. **Collection** — each [`crate::join::HashBuilderOperator`] folds its
-//!    build rows into a [`DomainCollector`] (exact value set, overflowing
-//!    to min/max, escalating to "no constraint"), reusing the row hashes
-//!    the build already computed for the eventual Bloom filter.
+//! 1. **Collection** — each [`crate::join::HashBuilderOperator`] folds each
+//!    build page's key lanes into a [`DomainCollector`]: one typed domain
+//!    per key (an exact set, overflowing to min/max, escalating to "no
+//!    constraint"), plus the row hashes the build already computed.
 //! 2. **Publication** — when the last builder finishes, the merged domains
 //!    are reported to the query's [`DynamicFilterRegistry`]. Partitioned
 //!    builds merge one report per task; replicated (broadcast) builds
-//!    complete on the first report, short-circuiting locally.
+//!    complete on the first report. Only then does each become a [`Domain`].
 //! 3. **Consumption** — probe-side scans hold a [`ScanDynamicFilter`]:
 //!    unassigned splits are re-pruned against their min/max summaries,
 //!    open readers re-check stripes (via [`presto_connector::DynamicFilter`]),
-//!    and surviving pages pass a cheap row-level membership filter before
+//!    and surviving pages pass a row check on their key lanes before
 //!    leaving the scan. Scans wait at most `session.dynamic_filter_wait`
 //!    for filters; an expired deadline simply scans unpruned — dynamic
 //!    filtering is an optimization, never a correctness dependency.
@@ -28,11 +28,12 @@
 use parking_lot::{Condvar, Mutex};
 use presto_common::{DataType, PlanNodeId, Value};
 use presto_connector::{Domain, DynamicFilterTotals, TupleDomain};
-use presto_page::blocks::flat;
+use presto_page::blocks::{flat, Lanes};
 use presto_page::hash::hash_columns;
-use presto_page::{LongBlock, Page};
+use presto_page::{Block, BoolBlock, DoubleBlock, LongBlock, Page, PhysicalType};
 use presto_planner::DynamicFilterSpec;
-use std::collections::{HashMap, HashSet};
+use std::cmp;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,161 +42,206 @@ use std::time::{Duration, Instant};
 /// side past this size publishes domains only.
 const MAX_BLOOM_HASHES: usize = 1 << 20;
 
-/// Value sets larger than this are not checked per-row (the Bloom filter
-/// covers large sets); ranges and small sets are always checked.
+/// Sets larger than this get no row check: the Bloom filter covers them.
 const MAX_ROW_CHECK_SET: usize = 64;
 
-/// A bigint or date key's domain as the per-row check reads it: a sorted
-/// set of, or inclusive bounds on, the column's `i64` lanes. The lanes
-/// compare exactly, as [`Value::sql_cmp`] compares two bigints or two
-/// dates, so they keep the rows [`Domain::contains`] keeps.
-enum LaneDomain {
-    Set(Vec<i64>),
-    Range(i64, i64),
-}
-
-impl LaneDomain {
-    /// `domain` over the lanes of a `data_type` key; `None` unless the key
-    /// is a bigint or date and every bound has that type.
-    fn of(domain: &Domain, data_type: DataType) -> Option<LaneDomain> {
-        let lane = |v: &Value| match (v, data_type) {
-            (Value::Bigint(x), DataType::Bigint) | (Value::Date(x), DataType::Date) => Some(*x),
-            _ => None,
-        };
-        Some(match domain {
-            Domain::Set(values) => {
-                let mut set = values.iter().map(lane).collect::<Option<Vec<i64>>>()?;
-                set.sort_unstable();
-                LaneDomain::Set(set)
-            }
-            Domain::Range { min, max } => LaneDomain::Range(
-                min.as_ref().map_or(Some(i64::MIN), lane)?,
-                max.as_ref().map_or(Some(i64::MAX), lane)?,
-            ),
-        })
-    }
-
-    fn contains(&self, v: i64) -> bool {
-        match self {
-            LaneDomain::Set(set) => set.binary_search(&v).is_ok(),
-            LaneDomain::Range(min, max) => (*min..=*max).contains(&v),
-        }
+/// A build key's physical lane as its domain holds it: `i64` for bigint,
+/// date and timestamp, `f64`, `bool`, or a varchar's string. `PartialOrd`
+/// is SQL order, as [`Value::sql_cmp`] compares two keys of one type: NaN
+/// is unordered and `-0.0` equals `0.0`.
+trait Lane: Clone + PartialOrd {
+    /// `Value`'s total order, in which a set is kept sorted; lanes it calls
+    /// equal are one member. SQL order is total on every lane but `f64`.
+    fn value_cmp(&self, other: &Self) -> cmp::Ordering {
+        self.partial_cmp(other).unwrap_or(cmp::Ordering::Equal)
     }
 }
 
-/// Accumulated domain of one build-side join key: an exact value set until
-/// `max_values` distinct values, then a min/max range, escalating to `All`
-/// (no constraint) for values that are not self-comparable (NaN), which
-/// min/max statistics cannot soundly summarize.
-#[derive(Debug, Clone)]
-pub enum KeyDomain {
-    Values(HashSet<Value>),
-    Range { min: Value, max: Value },
+impl Lane for i64 {}
+impl Lane for bool {}
+impl Lane for Box<str> {}
+impl Lane for f64 {
+    /// Bit-equal doubles only are one member, as `Value` equality has it.
+    fn value_cmp(&self, other: &f64) -> cmp::Ordering {
+        self.total_cmp(other)
+    }
+}
+
+/// One build key's domain over its lanes: the exact distinct lanes, sorted
+/// in `Value` order, until there are more than `max_values`; then the
+/// inclusive range they span; `All` (no constraint) once a lane is not
+/// self-comparable (NaN), which min/max cannot soundly summarize.
+#[derive(Debug)]
+enum KeyLanes<K> {
+    Set(Vec<K>),
+    Range(K, K),
     All,
 }
 
-impl KeyDomain {
-    fn new() -> KeyDomain {
-        KeyDomain::Values(HashSet::new())
-    }
-
-    fn add(&mut self, v: Value, max_values: usize) {
-        if v.is_null() {
-            return; // NULL keys never join
-        }
-        if v.sql_cmp(&v) != Some(std::cmp::Ordering::Equal) {
-            *self = KeyDomain::All;
-            return;
+impl<K: Lane> KeyLanes<K> {
+    /// Fold in the lanes of non-NULL keys.
+    fn add(&mut self, mut lanes: Vec<K>, max_values: usize) {
+        if lanes.iter().any(|k| k.partial_cmp(k).is_none()) {
+            *self = KeyLanes::All;
         }
         match self {
-            KeyDomain::All => {}
-            KeyDomain::Values(set) => {
-                set.insert(v);
+            KeyLanes::All => {}
+            KeyLanes::Set(set) => {
+                set.append(&mut lanes);
+                // A stable sort merges the sorted set with the new run.
+                set.sort_by(K::value_cmp);
+                set.dedup_by(|a, b| a.value_cmp(b).is_eq());
                 if set.len() > max_values {
-                    *self = range_of(set.drain());
+                    // NaN-free, so the total order's ends are the SQL bounds.
+                    *self = KeyLanes::Range(set[0].clone(), set[set.len() - 1].clone());
                 }
             }
-            KeyDomain::Range { min, max } => {
-                if v.sql_cmp(min) == Some(std::cmp::Ordering::Less) {
-                    *min = v;
-                } else if v.sql_cmp(max) == Some(std::cmp::Ordering::Greater) {
-                    *max = v;
+            KeyLanes::Range(min, max) => {
+                for k in lanes {
+                    if k < *min {
+                        *min = k;
+                    } else if k > *max {
+                        *max = k;
+                    }
                 }
             }
         }
     }
 
-    fn merge(self, other: KeyDomain) -> KeyDomain {
-        match (self, other) {
-            (KeyDomain::All, _) | (_, KeyDomain::All) => KeyDomain::All,
-            (KeyDomain::Values(mut a), KeyDomain::Values(b)) => {
-                a.extend(b);
-                KeyDomain::Values(a)
-            }
-            (KeyDomain::Values(set), KeyDomain::Range { min, max })
-            | (KeyDomain::Range { min, max }, KeyDomain::Values(set)) => {
-                let mut r = KeyDomain::Range { min, max };
-                for v in set {
-                    r.add(v, 0);
-                }
-                r
-            }
-            (KeyDomain::Range { min: a0, max: a1 }, KeyDomain::Range { min: b0, max: b1 }) => {
-                let mut r = KeyDomain::Range { min: a0, max: a1 };
-                r.add(b0, 0);
-                r.add(b1, 0);
-                r
-            }
-        }
+    fn merge(self, other: KeyLanes<K>, max_values: usize) -> KeyLanes<K> {
+        let (mut into, lanes) = match (self, other) {
+            (KeyLanes::All, _) | (_, KeyLanes::All) => return KeyLanes::All,
+            (KeyLanes::Set(lanes), into) | (into, KeyLanes::Set(lanes)) => (into, lanes),
+            (into, KeyLanes::Range(min, max)) => (into, vec![min, max]),
+        };
+        into.add(lanes, max_values);
+        into
     }
 
-    /// The pushdown [`Domain`], `None` when unconstrained. The caller is
-    /// expected to have normalized an overflowed set via `add`.
-    fn to_domain(&self, max_values: usize) -> Option<Domain> {
+    /// The pushdown [`Domain`], each lane made a `Value` by `value`; `None`
+    /// when unconstrained.
+    fn to_domain(&self, value: impl Fn(&K) -> Value) -> Option<Domain> {
         match self {
-            KeyDomain::All => None,
-            KeyDomain::Values(set) if set.len() > max_values => {
-                match range_of(set.iter().cloned()) {
-                    KeyDomain::Range { min, max } => Some(Domain::Range {
-                        min: Some(min),
-                        max: Some(max),
-                    }),
-                    _ => None,
-                }
-            }
-            KeyDomain::Values(set) => {
-                let mut values: Vec<Value> = set.iter().cloned().collect();
-                values.sort(); // deterministic explain / pruning order
-                Some(Domain::Set(values))
-            }
-            KeyDomain::Range { min, max } => Some(Domain::Range {
-                min: Some(min.clone()),
-                max: Some(max.clone()),
+            KeyLanes::All => None,
+            KeyLanes::Set(set) => Some(Domain::Set(set.iter().map(value).collect())),
+            KeyLanes::Range(min, max) => Some(Domain::Range {
+                min: Some(value(min)),
+                max: Some(value(max)),
             }),
+        }
+    }
+
+    /// [`KeyLanes::add`] of the lanes of `block`, flat as `L`, at `rows`.
+    fn add_lanes<L: Lanes<Lane = K>>(&mut self, block: &Block, rows: &[u32], max_values: usize) {
+        let lanes = flat::<L>(block);
+        let lanes = rows.iter().map(|&r| lanes.lanes()[r as usize].clone());
+        self.add(lanes.collect(), max_values);
+    }
+
+    /// [`KeyLanes::retain`] over the lanes of `block`, flat as `L`.
+    fn retain_lanes<L: Lanes<Lane = K>>(&self, block: &Block, keep: &mut [bool]) {
+        let lanes = flat::<L>(block);
+        let nulls = lanes.null_mask().as_deref();
+        let probe = (lanes.lanes().iter().enumerate())
+            .map(|(r, v)| (!nulls.is_some_and(|n| n[r])).then_some(v));
+        self.retain(keep, probe, K::partial_cmp);
+    }
+
+    /// Clear `keep[r]` for each probe row whose lane (`None`: NULL) equals
+    /// no key under SQL `=`; `order` orders a key against a probe lane.
+    fn retain<'a, P: ?Sized + 'a>(
+        &self,
+        keep: &mut [bool],
+        probe: impl Iterator<Item = Option<&'a P>>,
+        order: impl Fn(&K, &P) -> Option<cmp::Ordering>,
+    ) {
+        let joins = |v: &P| match self {
+            // NaN orders against nothing: treated as Less, it is never found.
+            KeyLanes::Set(set) => set
+                .binary_search_by(|k| order(k, v).unwrap_or(cmp::Ordering::Less))
+                .is_ok(),
+            KeyLanes::Range(min, max) => {
+                let (lo, hi) = (order(min, v), order(max, v));
+                lo.is_some_and(cmp::Ordering::is_le) && hi.is_some_and(cmp::Ordering::is_ge)
+            }
+            KeyLanes::All => true,
+        };
+        for (slot, lane) in keep.iter_mut().zip(probe) {
+            *slot = *slot && lane.is_some_and(joins);
         }
     }
 }
 
-fn range_of(values: impl Iterator<Item = Value>) -> KeyDomain {
-    let mut min: Option<Value> = None;
-    let mut max: Option<Value> = None;
-    for v in values {
-        if min
-            .as_ref()
-            .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less))
-        {
-            min = Some(v.clone());
-        }
-        if max
-            .as_ref()
-            .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater))
-        {
-            max = Some(v);
+/// A build key's `KeyLanes` by physical type, `i64` lanes with their SQL
+/// type. Hash-join keys pair equal types only, so a probe key's lanes are
+/// its build key's.
+#[derive(Debug)]
+enum TypedDomain {
+    Long(KeyLanes<i64>, DataType),
+    Double(KeyLanes<f64>),
+    Bool(KeyLanes<bool>),
+    Varchar(KeyLanes<Box<str>>),
+}
+
+impl TypedDomain {
+    fn new(data_type: DataType) -> TypedDomain {
+        match PhysicalType::of(data_type) {
+            PhysicalType::Long => TypedDomain::Long(KeyLanes::Set(Vec::new()), data_type),
+            PhysicalType::Double => TypedDomain::Double(KeyLanes::Set(Vec::new())),
+            PhysicalType::Bool => TypedDomain::Bool(KeyLanes::Set(Vec::new())),
+            PhysicalType::Varchar => TypedDomain::Varchar(KeyLanes::Set(Vec::new())),
         }
     }
-    match (min, max) {
-        (Some(min), Some(max)) => KeyDomain::Range { min, max },
-        _ => KeyDomain::All, // empty input: caller keeps the empty set instead
+
+    /// Fold in the key lanes of `block` at `rows`, whose keys are non-NULL.
+    fn add(&mut self, block: &Block, rows: &[u32], max_values: usize) {
+        match self {
+            TypedDomain::Long(d, _) => d.add_lanes::<LongBlock>(block, rows, max_values),
+            TypedDomain::Double(d) => d.add_lanes::<DoubleBlock>(block, rows, max_values),
+            TypedDomain::Bool(d) => d.add_lanes::<BoolBlock>(block, rows, max_values),
+            TypedDomain::Varchar(d) => {
+                let block = block.loaded();
+                let lanes = rows.iter().map(|&r| block.str_at(r as usize).into());
+                d.add(lanes.collect(), max_values);
+            }
+        }
+    }
+
+    fn merge(self, other: TypedDomain, max_values: usize) -> TypedDomain {
+        use TypedDomain::{Bool, Double, Long, Varchar};
+        match (self, other) {
+            (Long(a, t), Long(b, _)) => Long(a.merge(b, max_values), t),
+            (Double(a), Double(b)) => Double(a.merge(b, max_values)),
+            (Bool(a), Bool(b)) => Bool(a.merge(b, max_values)),
+            (Varchar(a), Varchar(b)) => Varchar(a.merge(b, max_values)),
+            _ => unreachable!("every report of one key has its lane type"),
+        }
+    }
+
+    /// The connector's [`Domain`]: the one place a dynamic filter builds
+    /// `Value`s.
+    fn to_domain(&self) -> Option<Domain> {
+        match self {
+            TypedDomain::Long(d, t) => d.to_domain(|&v| Value::from_i64(*t, v)),
+            TypedDomain::Double(d) => d.to_domain(|&v| Value::Double(v)),
+            TypedDomain::Bool(d) => d.to_domain(|&v| Value::Boolean(v)),
+            TypedDomain::Varchar(d) => d.to_domain(|v| Value::varchar(v)),
+        }
+    }
+
+    /// Clear `keep[r]` for each row of the probe key `block` that joins no
+    /// build key (a NULL joins none).
+    fn retain(&self, block: &Block, keep: &mut [bool]) {
+        match self {
+            TypedDomain::Long(d, _) => d.retain_lanes::<LongBlock>(block, keep),
+            TypedDomain::Double(d) => d.retain_lanes::<DoubleBlock>(block, keep),
+            TypedDomain::Bool(d) => d.retain_lanes::<BoolBlock>(block, keep),
+            TypedDomain::Varchar(d) => {
+                let block = block.loaded();
+                let probe = (0..keep.len()).map(|r| (!block.is_null(r)).then(|| block.str_at(r)));
+                d.retain(keep, probe, |k, v| Some((**k).cmp(v)));
+            }
+        }
     }
 }
 
@@ -230,27 +276,23 @@ impl DfBloom {
             self.bits[(bit / 64) as usize] & (1 << (bit % 64)) != 0
         })
     }
-
-    pub fn memory_bytes(&self) -> usize {
-        self.bits.len() * 8
-    }
 }
 
 /// One builder's (or one task's) raw contribution: per-key domains plus the
 /// combined row hashes, mergeable across builders and tasks.
 #[derive(Debug)]
 pub struct CollectedDomains {
-    pub keys: Vec<KeyDomain>,
+    keys: Vec<TypedDomain>,
     /// `None` once the hash count overflowed [`MAX_BLOOM_HASHES`].
-    pub hashes: Option<Vec<u64>>,
+    hashes: Option<Vec<u64>>,
     pub rows: u64,
     max_values: usize,
 }
 
 impl CollectedDomains {
-    pub fn empty(key_count: usize, max_values: usize) -> CollectedDomains {
+    pub fn empty(key_types: &[DataType], max_values: usize) -> CollectedDomains {
         CollectedDomains {
-            keys: (0..key_count).map(|_| KeyDomain::new()).collect(),
+            keys: key_types.iter().map(|&t| TypedDomain::new(t)).collect(),
             hashes: Some(Vec::new()),
             rows: 0,
             max_values,
@@ -258,12 +300,8 @@ impl CollectedDomains {
     }
 
     pub fn merge(mut self, other: CollectedDomains) -> CollectedDomains {
-        self.keys = self
-            .keys
-            .into_iter()
-            .zip(other.keys)
-            .map(|(a, b)| a.merge(b))
-            .collect();
+        let keys = self.keys.into_iter().zip(other.keys);
+        self.keys = keys.map(|(a, b)| a.merge(b, self.max_values)).collect();
         self.hashes = match (self.hashes, other.hashes) {
             (Some(mut a), Some(b)) if a.len() + b.len() <= MAX_BLOOM_HASHES => {
                 a.extend(b);
@@ -280,12 +318,14 @@ impl CollectedDomains {
             Some(h) if !h.is_empty() => Some(DfBloom::build(h)),
             _ => None,
         };
+        let domains: Vec<Option<Domain>> = self.keys.iter().map(TypedDomain::to_domain).collect();
+        let row_checks = (self.keys.into_iter().zip(&domains)).map(|(k, d)| match d {
+            Some(Domain::Set(v)) if v.len() > MAX_ROW_CHECK_SET => None,
+            d => d.as_ref().map(|_| k),
+        });
         PublishedFilter {
-            domains: self
-                .keys
-                .iter()
-                .map(|k| k.to_domain(self.max_values))
-                .collect(),
+            row_checks: row_checks.collect(),
+            domains,
             bloom,
             rows: self.rows,
         }
@@ -296,40 +336,35 @@ impl CollectedDomains {
 #[derive(Debug)]
 pub struct DomainCollector {
     key_channels: Vec<usize>,
-    key_types: Vec<DataType>,
     collected: CollectedDomains,
 }
 
 impl DomainCollector {
     pub fn new(
         key_channels: Vec<usize>,
-        key_types: Vec<DataType>,
+        key_types: &[DataType],
         max_values: usize,
     ) -> DomainCollector {
-        let n = key_channels.len();
         DomainCollector {
             key_channels,
-            key_types,
-            collected: CollectedDomains::empty(n, max_values),
+            collected: CollectedDomains::empty(key_types, max_values),
         }
     }
 
-    /// Fold one non-null-key build row in. `hash` is the row's combined
+    /// Fold in the build rows of `page` at `rows`, every key of which is
+    /// non-NULL: one typed pass per key. `hashes[r]` is row `r`'s combined
     /// key hash, exactly as the join build computed it.
-    pub fn add_row(&mut self, page: &Page, row: usize, hash: u64) {
-        self.collected.rows += 1;
-        match &mut self.collected.hashes {
-            Some(h) if h.len() < MAX_BLOOM_HASHES => h.push(hash),
+    pub fn add_rows(&mut self, page: &Page, rows: &[u32], hashes: &[u64]) {
+        let c = &mut self.collected;
+        c.rows += rows.len() as u64;
+        match &mut c.hashes {
+            Some(h) if h.len() + rows.len() <= MAX_BLOOM_HASHES => {
+                h.extend(rows.iter().map(|&r| hashes[r as usize]))
+            }
             slot => *slot = None,
         }
-        let max_values = self.collected.max_values;
-        for (slot, (&ch, &dt)) in self
-            .collected
-            .keys
-            .iter_mut()
-            .zip(self.key_channels.iter().zip(&self.key_types))
-        {
-            slot.add(page.block(ch).value_at(dt, row), max_values);
+        for (key, &ch) in c.keys.iter_mut().zip(&self.key_channels) {
+            key.add(page.block(ch), rows, c.max_values);
         }
     }
 
@@ -344,6 +379,9 @@ pub struct PublishedFilter {
     /// Per build-key domain, aligned with the join's key order; `None`
     /// means that key is unconstrained.
     pub domains: Vec<Option<Domain>>,
+    /// The typed domains the row check reads; `None` where a key is
+    /// unconstrained or its set is past [`MAX_ROW_CHECK_SET`].
+    row_checks: Vec<Option<TypedDomain>>,
     /// Membership filter over combined key hashes in key order.
     pub bloom: Option<DfBloom>,
     /// Build rows with fully non-null keys. Zero proves the join — and so
@@ -351,7 +389,9 @@ pub struct PublishedFilter {
     pub rows: u64,
 }
 
+#[derive(Default)]
 struct FilterSlot {
+    /// Reports that complete the filter; 0 (unregistered) means 1.
     expected: usize,
     received: usize,
     pending: Option<CollectedDomains>,
@@ -382,13 +422,7 @@ impl DynamicFilterRegistry {
     /// join stage's task count for partitioned builds, 1 for replicated
     /// builds (every task sees the full build side, the first wins).
     pub fn register(&self, join: PlanNodeId, expected: usize) {
-        let mut slots = self.slots.lock();
-        slots.entry(join).or_insert(FilterSlot {
-            expected: expected.max(1),
-            received: 0,
-            pending: None,
-            done: None,
-        });
+        self.slots.lock().entry(join).or_default().expected = expected;
     }
 
     /// Merge one build side's domains in; the report completing the filter
@@ -396,12 +430,7 @@ impl DynamicFilterRegistry {
     /// complete immediately (single-task execution).
     pub fn report(&self, join: PlanNodeId, collected: CollectedDomains) {
         let mut slots = self.slots.lock();
-        let slot = slots.entry(join).or_insert(FilterSlot {
-            expected: 1,
-            received: 0,
-            pending: None,
-            done: None,
-        });
+        let slot = slots.entry(join).or_default();
         if slot.done.is_some() {
             return; // replicated build: later tasks re-report the same domain
         }
@@ -410,7 +439,7 @@ impl DynamicFilterRegistry {
             Some(prev) => prev.merge(collected),
             None => collected,
         });
-        if slot.received >= slot.expected {
+        if slot.received >= slot.expected.max(1) {
             let merged = slot.pending.take().expect("just stored");
             slot.done = Some(Arc::new(merged.publish()));
             self.totals.filters_published.fetch_add(1, Ordering::Relaxed);
@@ -421,13 +450,6 @@ impl DynamicFilterRegistry {
 
     pub fn completed(&self, join: PlanNodeId) -> Option<Arc<PublishedFilter>> {
         self.slots.lock().get(&join).and_then(|s| s.done.clone())
-    }
-
-    pub fn is_complete(&self, join: PlanNodeId) -> bool {
-        self.slots
-            .lock()
-            .get(&join)
-            .is_some_and(|s| s.done.is_some())
     }
 
     /// Block until every listed join's filter is complete or `deadline`
@@ -540,7 +562,7 @@ impl ScanDynamicFilter {
         let complete = self
             .specs
             .iter()
-            .all(|s| self.registry.is_complete(s.join));
+            .all(|s| self.registry.completed(s.join).is_some());
         if !complete && Instant::now() < self.deadline {
             return false;
         }
@@ -584,11 +606,7 @@ impl ScanDynamicFilter {
                 }
             }
         }
-        if any {
-            Some(td)
-        } else {
-            None
-        }
+        any.then_some(td)
     }
 
     /// An empty build side proves the probe produces nothing; the scan
@@ -617,27 +635,8 @@ impl ScanDynamicFilter {
                 break;
             }
             for key in spec.mapped_keys() {
-                let Some(Some(d)) = filter.domains.get(key.key_index) else {
-                    continue;
-                };
-                if matches!(d, Domain::Set(v) if v.len() > MAX_ROW_CHECK_SET) {
-                    continue; // the Bloom filter covers large sets
-                }
-                let block = page.block(key.scan_channel).loaded();
-                if let Some(lane_domain) = LaneDomain::of(d, key.data_type) {
-                    let lanes = flat::<LongBlock>(block);
-                    let nulls = lanes.nulls.as_deref();
-                    for (r, (slot, &v)) in keep.iter_mut().zip(&lanes.values).enumerate() {
-                        if *slot && (nulls.is_some_and(|n| n[r]) || !lane_domain.contains(v)) {
-                            *slot = false;
-                        }
-                    }
-                    continue;
-                }
-                for (r, slot) in keep.iter_mut().enumerate() {
-                    if *slot && !d.contains(&block.value_at(key.data_type, r)) {
-                        *slot = false;
-                    }
+                if let Some(Some(check)) = filter.row_checks.get(key.key_index) {
+                    check.retain(page.block(key.scan_channel), &mut keep);
                 }
             }
             if let Some(bloom) = &filter.bloom {
@@ -712,6 +711,7 @@ mod tests {
     use presto_common::Schema;
     use presto_planner::DynamicFilterKey;
     use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn bigint_page(values: &[i64]) -> Page {
         let schema = Schema::of(&[("k", DataType::Bigint)]);
@@ -722,10 +722,9 @@ mod tests {
     fn collect(values: &[i64], max_values: usize) -> CollectedDomains {
         let page = bigint_page(values);
         let hashes = hash_columns(&page, &[0]);
-        let mut c = DomainCollector::new(vec![0], vec![DataType::Bigint], max_values);
-        for (i, &h) in hashes.iter().enumerate() {
-            c.add_row(&page, i, h);
-        }
+        let mut c = DomainCollector::new(vec![0], &[DataType::Bigint], max_values);
+        let rows: Vec<u32> = (0..values.len() as u32).collect();
+        c.add_rows(&page, &rows, &hashes);
         c.finish()
     }
 
@@ -768,7 +767,6 @@ mod tests {
             key_index: 0,
             scan_channel: 0,
             table_column: 0,
-            data_type: DataType::Bigint,
         };
         let spec = DynamicFilterSpec {
             join,
@@ -815,6 +813,13 @@ mod tests {
         (base, -8i64..9).prop_map(|(b, d)| b + d)
     }
 
+    /// Whether each row of the one-key `probe` page passes `check`.
+    fn row_check(check: &TypedDomain, probe: &Page) -> Vec<bool> {
+        let mut keep = vec![true; probe.row_count()];
+        check.retain(probe.block(0), &mut keep);
+        keep
+    }
+
     proptest! {
         /// The lane check keeps every probe key the build holds, and
         /// exactly the keys `Domain::contains` keeps, for sets and ranges
@@ -825,10 +830,11 @@ mod tests {
             probe in proptest::collection::vec(arb_key(), 0..80),
             max_values in prop_oneof![Just(2usize), Just(1000usize)],
         ) {
-            let domain = collect(&build, max_values).keys[0].to_domain(max_values).unwrap();
-            let lanes = LaneDomain::of(&domain, DataType::Bigint).unwrap();
-            for v in probe.iter().chain(&build) {
-                let kept = lanes.contains(*v);
+            let collected = collect(&build, max_values);
+            let domain = collected.keys[0].to_domain().unwrap();
+            let keys: Vec<i64> = probe.iter().chain(&build).copied().collect();
+            let kept = row_check(&collected.keys[0], &bigint_page(&keys));
+            for (v, kept) in keys.iter().zip(kept) {
                 prop_assert_eq!(kept, domain.contains(&Value::Bigint(*v)), "key {}", v);
                 prop_assert!(kept || !build.contains(v), "dropped joining key {}", v);
             }
@@ -837,11 +843,11 @@ mod tests {
 
     #[test]
     fn nan_escalates_to_unconstrained() {
-        let mut k = KeyDomain::new();
-        k.add(Value::Double(1.0), 10);
-        k.add(Value::Double(f64::NAN), 10);
-        assert!(matches!(k, KeyDomain::All));
-        assert!(k.to_domain(10).is_none());
+        let mut k = KeyLanes::Set(Vec::new());
+        k.add(vec![1.0], 10);
+        k.add(vec![f64::NAN], 10);
+        assert!(matches!(k, KeyLanes::All));
+        assert!(k.to_domain(|&v| Value::Double(v)).is_none());
     }
 
     #[test]
@@ -862,7 +868,7 @@ mod tests {
         let join = PlanNodeId(7);
         registry.register(join, 2);
         registry.report(join, collect(&[1, 2], 100));
-        assert!(!registry.is_complete(join));
+        assert!(registry.completed(join).is_none());
         registry.report(join, collect(&[3], 100));
         let f = registry.completed(join).unwrap();
         assert_eq!(f.rows, 3);
@@ -939,5 +945,242 @@ mod tests {
         let df = ScanDynamicFilter::new(registry, vec![spec], Duration::from_secs(5));
         assert!(df.ready());
         assert!(df.provably_empty());
+    }
+
+    /// The reference model: the `Value` domain the collector kept before
+    /// domains were typed, as it was. `add` took one build row's key.
+    #[derive(Debug, Clone)]
+    enum KeyDomain {
+        Values(HashSet<Value>),
+        Range { min: Value, max: Value },
+        All,
+    }
+
+    impl KeyDomain {
+        fn new() -> KeyDomain {
+            KeyDomain::Values(HashSet::new())
+        }
+
+        fn add(&mut self, v: Value, max_values: usize) {
+            if v.is_null() {
+                return; // NULL keys never join
+            }
+            if v.sql_cmp(&v) != Some(std::cmp::Ordering::Equal) {
+                *self = KeyDomain::All;
+                return;
+            }
+            match self {
+                KeyDomain::All => {}
+                KeyDomain::Values(set) => {
+                    set.insert(v);
+                    if set.len() > max_values {
+                        *self = range_of(set.drain());
+                    }
+                }
+                KeyDomain::Range { min, max } => {
+                    if v.sql_cmp(min) == Some(std::cmp::Ordering::Less) {
+                        *min = v;
+                    } else if v.sql_cmp(max) == Some(std::cmp::Ordering::Greater) {
+                        *max = v;
+                    }
+                }
+            }
+        }
+
+        fn merge(self, other: KeyDomain) -> KeyDomain {
+            match (self, other) {
+                (KeyDomain::All, _) | (_, KeyDomain::All) => KeyDomain::All,
+                (KeyDomain::Values(mut a), KeyDomain::Values(b)) => {
+                    a.extend(b);
+                    KeyDomain::Values(a)
+                }
+                (KeyDomain::Values(set), KeyDomain::Range { min, max })
+                | (KeyDomain::Range { min, max }, KeyDomain::Values(set)) => {
+                    let mut r = KeyDomain::Range { min, max };
+                    for v in set {
+                        r.add(v, 0);
+                    }
+                    r
+                }
+                (KeyDomain::Range { min: a0, max: a1 }, KeyDomain::Range { min: b0, max: b1 }) => {
+                    let mut r = KeyDomain::Range { min: a0, max: a1 };
+                    r.add(b0, 0);
+                    r.add(b1, 0);
+                    r
+                }
+            }
+        }
+
+        fn to_domain(&self, max_values: usize) -> Option<Domain> {
+            match self {
+                KeyDomain::All => None,
+                KeyDomain::Values(set) if set.len() > max_values => {
+                    match range_of(set.iter().cloned()) {
+                        KeyDomain::Range { min, max } => Some(Domain::Range {
+                            min: Some(min),
+                            max: Some(max),
+                        }),
+                        _ => None,
+                    }
+                }
+                KeyDomain::Values(set) => {
+                    let mut values: Vec<Value> = set.iter().cloned().collect();
+                    values.sort(); // deterministic explain / pruning order
+                    Some(Domain::Set(values))
+                }
+                KeyDomain::Range { min, max } => Some(Domain::Range {
+                    min: Some(min.clone()),
+                    max: Some(max.clone()),
+                }),
+            }
+        }
+    }
+
+    fn range_of(values: impl Iterator<Item = Value>) -> KeyDomain {
+        let mut min: Option<Value> = None;
+        let mut max: Option<Value> = None;
+        for v in values {
+            if min
+                .as_ref()
+                .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Less))
+            {
+                min = Some(v.clone());
+            }
+            if max
+                .as_ref()
+                .is_none_or(|m| v.sql_cmp(m) == Some(std::cmp::Ordering::Greater))
+            {
+                max = Some(v);
+            }
+        }
+        match (min, max) {
+            (Some(min), Some(max)) => KeyDomain::Range { min, max },
+            _ => KeyDomain::All, // empty input: caller keeps the empty set instead
+        }
+    }
+
+    const KEY_TYPES: [DataType; 6] = [
+        DataType::Bigint,
+        DataType::Double,
+        DataType::Varchar,
+        DataType::Boolean,
+        DataType::Date,
+        DataType::Timestamp,
+    ];
+
+    /// Keys of `data_type` at its edges: NULL, NaN, ±0.0, ±∞, `''`,
+    /// multi-byte strings, the ends of `i64` and ±2^53.
+    fn arb_value(data_type: DataType) -> BoxedStrategy<Value> {
+        let long = prop_oneof![
+            Just(i64::MIN),
+            Just(i64::MAX),
+            Just(i64::MIN + 1),
+            Just(i64::MAX - 1),
+            -3i64..4,
+            (1i64 << 53) - 2..(1 << 53) + 3,
+            -(1i64 << 53) - 2..-(1 << 53) + 3,
+        ];
+        let key = match data_type {
+            DataType::Double => prop_oneof![
+                1 => Just(f64::NAN),
+                6 => Just(-0.0),
+                6 => Just(0.0),
+                4 => Just(f64::INFINITY),
+                4 => Just(f64::NEG_INFINITY),
+                4 => Just(9007199254740992.0), // 2^53
+                20 => (-3i64..4).prop_map(|v| v as f64 / 2.0),
+            ]
+            .prop_map(Value::Double)
+            .boxed(),
+            DataType::Varchar => prop_oneof![
+                Just(String::new()),
+                Just("é".to_string()),
+                Just("日本".to_string()),
+                Just("日".to_string()),
+                Just("z".to_string()),
+                "[a-c]{1,2}",
+            ]
+            .prop_map(Value::varchar)
+            .boxed(),
+            DataType::Boolean => any::<bool>().prop_map(Value::Boolean).boxed(),
+            _ => long
+                .prop_map(move |v| Value::from_i64(data_type, v))
+                .boxed(),
+        };
+        prop_oneof![1 => Just(Value::Null), 8 => key].boxed()
+    }
+
+    /// `rows` of a one-key build side through a collector, in pages of
+    /// three rows, as the join build hands them over: only the rows whose
+    /// key is non-NULL.
+    fn collect_values(rows: &[Value], data_type: DataType, max_values: usize) -> CollectedDomains {
+        let schema = Schema::of(&[("k", data_type)]);
+        let mut c = DomainCollector::new(vec![0], &[data_type], max_values);
+        for rows in rows.chunks(3) {
+            let rows: Vec<Vec<Value>> = rows.iter().map(|v| vec![v.clone()]).collect();
+            let page = Page::from_rows(&schema, &rows);
+            let joinable: Vec<u32> = (0..rows.len() as u32)
+                .filter(|&r| !rows[r as usize][0].is_null())
+                .collect();
+            c.add_rows(&page, &joinable, &hash_columns(&page, &[0]));
+        }
+        c.finish()
+    }
+
+    fn model(rows: &[Value], max_values: usize) -> KeyDomain {
+        let mut k = KeyDomain::new();
+        rows.iter().for_each(|v| k.add(v.clone(), max_values));
+        k
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The typed domain publishes what the `Value` model publishes, for
+        /// every key type, split over two collectors merged either way;
+        /// and its lane row check keeps exactly what `Domain::contains`
+        /// keeps.
+        #[test]
+        fn typed_domain_matches_value_model(
+            (data_type, build, probe) in (0usize..6).prop_flat_map(|t| (
+                Just(KEY_TYPES[t]),
+                proptest::collection::vec(arb_value(KEY_TYPES[t]), 0..40),
+                proptest::collection::vec(arb_value(KEY_TYPES[t]), 0..40),
+            )),
+            max_values in prop_oneof![Just(1usize), Just(2usize), Just(1000usize)],
+            split in 0usize..41,
+            swap in any::<bool>(),
+        ) {
+            let (head, tail) = build.split_at(split.min(build.len()));
+            let (a, b) = (collect_values(head, data_type, max_values), collect_values(tail, data_type, max_values));
+            let published = if swap { b.merge(a) } else { a.merge(b) }.publish();
+            let (a, b) = (model(head, max_values), model(tail, max_values));
+            let want = if swap { b.merge(a) } else { a.merge(b) }.to_domain(max_values);
+            let got = &published.domains[0];
+            match (got, &want) {
+                (None, None) => {}
+                (Some(Domain::Set(got)), Some(Domain::Set(want))) => prop_assert_eq!(got, want),
+                (
+                    Some(Domain::Range { min: Some(a0), max: Some(a1) }),
+                    Some(Domain::Range { min: Some(b0), max: Some(b1) }),
+                ) => {
+                    prop_assert_eq!(a0.sql_cmp(b0), Some(std::cmp::Ordering::Equal), "min {:?} vs {:?}", a0, b0);
+                    prop_assert_eq!(a1.sql_cmp(b1), Some(std::cmp::Ordering::Equal), "max {:?} vs {:?}", a1, b1);
+                }
+                _ => prop_assert!(false, "published {:?}, model {:?}", got, want),
+            }
+            // At most 40 build keys: a set is never past MAX_ROW_CHECK_SET,
+            // so every constrained key has a row check.
+            let check = &published.row_checks[0];
+            prop_assert_eq!(check.is_some(), got.is_some());
+            if let (Some(check), Some(domain)) = (check, got) {
+                let schema = Schema::of(&[("k", data_type)]);
+                let keys: Vec<Vec<Value>> = probe.iter().chain(&build).map(|v| vec![v.clone()]).collect();
+                let kept = row_check(check, &Page::from_rows(&schema, &keys));
+                for (key, kept) in keys.iter().zip(kept) {
+                    prop_assert_eq!(kept, domain.contains(&key[0]), "key {:?} in {:?}", key[0], domain);
+                }
+            }
+        }
     }
 }

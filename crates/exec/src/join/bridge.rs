@@ -150,7 +150,7 @@ impl JoinBridge {
         let s = self.state.lock();
         let keys = s.key_channels.clone();
         let df = (s.df_source.as_ref())
-            .map(|src| DomainCollector::new(keys.clone(), src.key_types.clone(), src.max_values));
+            .map(|src| DomainCollector::new(keys.clone(), &src.key_types, src.max_values));
         (keys, s.partitions.len(), df)
     }
 
@@ -233,7 +233,7 @@ impl JoinBridge {
         let publish = s.df_source.take().map(|src| {
             let collected = match s.df_collected.take() {
                 Some(c) => c,
-                None => CollectedDomains::empty(s.key_channels.len(), src.max_values),
+                None => CollectedDomains::empty(&src.key_types, src.max_values),
             };
             (src, collected)
         });
@@ -398,9 +398,8 @@ impl Operator for HashBuilderOperator {
         // The dynamic filter sees every joinable build row before any spill
         // decision, so its publication is unaffected by memory pressure.
         if let Some(collector) = &mut self.df_collector {
-            for &row in self.positions.iter().flatten() {
-                collector.add_row(&page, row as usize, hashes[row as usize]);
-            }
+            let rows: Vec<u32> = self.positions.iter().flatten().copied().collect();
+            collector.add_rows(&page, &rows, &hashes);
         }
         // A page whose every row goes to one partition (an RLE key, say)
         // passes through whole, to be decoded once at the partition build;

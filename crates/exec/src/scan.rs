@@ -734,7 +734,6 @@ mod tests {
                 key_index: 0,
                 scan_channel: 0,
                 table_column: 0,
-                data_type: DataType::Bigint,
             })],
         }
     }
@@ -747,13 +746,12 @@ mod tests {
         use crate::dynfilter::DomainCollector;
         let schema = Schema::of(&[("k", DataType::Bigint)]);
         let rows: Vec<Vec<Value>> = keys.iter().map(|&k| vec![Value::Bigint(k)]).collect();
-        let mut collector = DomainCollector::new(vec![0], vec![DataType::Bigint], 100);
+        let mut collector = DomainCollector::new(vec![0], &[DataType::Bigint], 100);
         if !rows.is_empty() {
             let page = Page::from_rows(&schema, &rows);
             let hashes = presto_page::hash::hash_columns(&page, &[0]);
-            for (i, &h) in hashes.iter().enumerate() {
-                collector.add_row(&page, i, h);
-            }
+            let rows: Vec<u32> = (0..rows.len() as u32).collect();
+            collector.add_rows(&page, &rows, &hashes);
         }
         registry.report(join, collector.finish());
     }

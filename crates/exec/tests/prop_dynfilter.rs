@@ -47,16 +47,15 @@ fn publish_build(
     max_values: usize,
 ) {
     let hashes = hash_columns(build, channels);
-    let mut collector = DomainCollector::new(channels.to_vec(), types.to_vec(), max_values);
-    for row in 0..build.row_count() {
-        let non_null = channels
-            .iter()
-            .zip(types)
-            .all(|(&ch, &dt)| !build.block(ch).loaded().value_at(dt, row).is_null());
-        if non_null {
-            collector.add_row(build, row, hashes[row]);
-        }
-    }
+    let mut collector = DomainCollector::new(channels.to_vec(), types, max_values);
+    let non_null = |row: usize| {
+        (channels.iter().zip(types))
+            .all(|(&ch, &dt)| !build.block(ch).loaded().value_at(dt, row).is_null())
+    };
+    let rows: Vec<u32> = (0..build.row_count() as u32)
+        .filter(|&row| non_null(row as usize))
+        .collect();
+    collector.add_rows(build, &rows, &hashes);
     registry.report(JOIN, collector.finish());
 }
 
@@ -72,12 +71,11 @@ fn spec(types: &[DataType]) -> DynamicFilterSpec {
         keys: types
             .iter()
             .enumerate()
-            .map(|(i, &dt)| {
+            .map(|(i, _)| {
                 Some(DynamicFilterKey {
                     key_index: i,
                     scan_channel: i,
                     table_column: i,
-                    data_type: dt,
                 })
             })
             .collect(),

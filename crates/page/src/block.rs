@@ -147,9 +147,9 @@ impl Block {
             return Value::Null;
         }
         match data_type {
-            DataType::Bigint => Value::Bigint(self.i64_at(i)),
-            DataType::Date => Value::Date(self.i64_at(i)),
-            DataType::Timestamp => Value::Timestamp(self.i64_at(i)),
+            DataType::Bigint | DataType::Date | DataType::Timestamp => {
+                Value::from_i64(data_type, self.i64_at(i))
+            }
             DataType::Double => Value::Double(self.f64_at(i)),
             DataType::Boolean => Value::Boolean(self.bool_at(i)),
             DataType::Varchar => Value::varchar(self.str_at(i)),

@@ -10,7 +10,7 @@
 //! join build publishes its key domain through the coordinator's
 //! `DynamicFilterRegistry` and the annotated scans consume it.
 
-use presto_common::{DataType, PlanNodeId};
+use presto_common::PlanNodeId;
 use presto_expr::Expr;
 use std::fmt::Write as _;
 
@@ -27,8 +27,6 @@ pub struct DynamicFilterKey {
     /// Column index in the scan's table schema (the split/stripe
     /// statistics are keyed by table columns).
     pub table_column: usize,
-    /// SQL type of the column, so the runtime can extract typed values.
-    pub data_type: DataType,
 }
 
 /// One (join, probe-side scan) dynamic-filter channel.
@@ -63,7 +61,6 @@ struct Traced {
     scan: PlanNodeId,
     scan_channel: usize,
     table_column: usize,
-    data_type: DataType,
 }
 
 /// Annotate every eligible join of a fragmented plan. Only `Inner` joins
@@ -111,7 +108,6 @@ fn walk(plan: &PhysicalPlan, fragment: u32, node: &PlanNode, specs: &mut Vec<Dyn
                         key_index: *key_index,
                         scan_channel: t.scan_channel,
                         table_column: t.table_column,
-                        data_type: t.data_type,
                     });
                 }
                 specs.push(DynamicFilterSpec {
@@ -137,19 +133,13 @@ fn walk(plan: &PhysicalPlan, fragment: u32, node: &PlanNode, specs: &mut Vec<Dyn
 /// (aggregates, limits, sorts, unions, expressions).
 fn trace(plan: &PhysicalPlan, fragment: u32, node: &PlanNode, channel: usize) -> Option<Traced> {
     match node {
-        PlanNode::TableScan {
-            id,
-            columns,
-            table_schema,
-            ..
-        } => {
+        PlanNode::TableScan { id, columns, .. } => {
             let table_column = *columns.get(channel)?;
             Some(Traced {
                 fragment,
                 scan: *id,
                 scan_channel: channel,
                 table_column,
-                data_type: table_schema.field(table_column).data_type,
             })
         }
         PlanNode::Filter { input, .. } => trace(plan, fragment, input, channel),

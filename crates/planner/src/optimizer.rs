@@ -188,7 +188,9 @@ fn classify(expr: &Expr, lwidth: usize) -> Side {
     }
 }
 
-/// `left.col = right.col` conjuncts become hash-join keys.
+/// `left.col = right.col` conjuncts become hash-join keys when both columns
+/// have one type: the join compares key lanes, while a pair of types
+/// (bigint = double, date = timestamp) compares by SQL rules, in a filter.
 fn as_equi_key(expr: &Expr, lwidth: usize) -> Option<(usize, usize)> {
     if let Expr::Cmp {
         op: CmpOp::Eq,
@@ -199,10 +201,11 @@ fn as_equi_key(expr: &Expr, lwidth: usize) -> Option<(usize, usize)> {
         if let (Expr::Column { index: a, .. }, Expr::Column { index: b, .. }) =
             (left.as_ref(), right.as_ref())
         {
-            if *a < lwidth && *b >= lwidth {
+            let same_type = left.data_type() == right.data_type();
+            if same_type && *a < lwidth && *b >= lwidth {
                 return Some((*a, *b));
             }
-            if *b < lwidth && *a >= lwidth {
+            if same_type && *b < lwidth && *a >= lwidth {
                 return Some((*b, *a));
             }
         }

@@ -287,11 +287,7 @@ impl Lane for i64 {
         hash_i64(self)
     }
     fn value(self, dt: DataType) -> Value {
-        match dt {
-            DataType::Date => Value::Date(self),
-            DataType::Timestamp => Value::Timestamp(self),
-            _ => Value::Bigint(self),
-        }
+        Value::from_i64(dt, self)
     }
 }
 
