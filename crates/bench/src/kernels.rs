@@ -202,7 +202,7 @@ pub fn flat_join(build: &[Page], probe: &[Page]) -> KernelRun {
     }
 }
 
-/// Byte encoding of one bigint cell, as the old `encode_cell` produced it.
+/// Byte encoding of one bigint cell, as the byte-keyed group-by wrote it.
 fn baseline_encode(block: &Block, row: usize, out: &mut Vec<u8>) {
     out.clear();
     if block.is_null(row) {
@@ -282,7 +282,8 @@ pub fn baseline_group_by(pages: &[Page]) -> KernelRun {
     }
 }
 
-/// The flat-table + key-arena kernel.
+/// The engine's group-by kernel: the flat table, with hash-equal candidates
+/// checked against the typed group-key columns, which are also its output.
 pub fn flat_group_by(pages: &[Page]) -> KernelRun {
     let start = Instant::now();
     let mut hash = GroupByHash::new(vec![0], vec![DataType::Bigint]);

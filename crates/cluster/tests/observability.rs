@@ -140,8 +140,10 @@ fn fusion_knob_off_runs_discrete_operators() {
     let c = cluster();
     let sql = "SELECT SUM(totalprice) FROM orders WHERE custkey < 10";
     let fused = c.execute(sql).unwrap();
-    let mut session = Session::default();
-    session.pipeline_fusion = false;
+    let session = Session {
+        pipeline_fusion: false,
+        ..Default::default()
+    };
     let unfused = c.execute_with_session(sql, &session).unwrap();
     assert_eq!(fused.rows(), unfused.rows());
     let text = c
@@ -304,8 +306,10 @@ fn populated_snapshot_round_trips_with_df_fusion_and_latency() {
     c.execute("SELECT SUM(totalprice) FROM orders WHERE custkey < 10")
         .unwrap();
     // Selective join publishes a dynamic filter from the build side.
-    let mut session = Session::default();
-    session.dynamic_filter_wait = std::time::Duration::from_secs(5);
+    let session = Session {
+        dynamic_filter_wait: std::time::Duration::from_secs(5),
+        ..Default::default()
+    };
     c.execute_with_session(
         "SELECT COUNT(*) FROM lineitem l JOIN orders o ON l.orderkey = o.orderkey \
          WHERE o.custkey < 3",

@@ -106,6 +106,12 @@ impl Fixture {
         }
     }
 
+    /// Both clusters have ended every query and left nothing behind.
+    fn assert_quiescent(&self) {
+        assert_quiescent(&self.cluster);
+        assert_quiescent(&self.oracle);
+    }
+
     /// Shards a scan of `table` under `advertiser_id IN keys` reads, with
     /// the rows each holds.
     fn shards_read(&self, table: &str, keys: &[i64]) -> Vec<u64> {
@@ -180,6 +186,12 @@ impl Fixture {
     }
 }
 
+fn assert_quiescent(cluster: &Cluster) {
+    if let Err(residue) = cluster.await_quiescent(std::time::Duration::from_secs(10)) {
+        panic!("cluster not quiescent after the queries: {residue}");
+    }
+}
+
 fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
     rows.sort();
     rows
@@ -220,6 +232,7 @@ fn point_lookups_run_as_one_task_without_exchanges() {
         assert!(!rows.is_empty(), "{sql}");
         f.assert_matches_reference(sql, &rows);
     }
+    f.assert_quiescent();
 }
 
 #[test]
@@ -240,6 +253,7 @@ fn lookups_that_may_touch_several_buckets_stay_distributed() {
         assert!(fragments > 1 && remote > 0, "{sql}");
         f.assert_matches_reference(&sql, &rows);
     }
+    f.assert_quiescent();
 }
 
 #[test]
@@ -271,6 +285,7 @@ fn a_pin_on_a_node_local_layout_stays_distributed() {
     assert_eq!(out.rows(), vec![vec![Value::Bigint(312)]]);
     let tasks = c.query_history().get(out.query).unwrap().tasks.len();
     assert!(tasks > 1, "{tasks} tasks");
+    assert_quiescent(&c);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -307,4 +322,5 @@ fn pinned_queries_match_the_reference_engine() {
     let (rows, tasks, _) = f.run(&queries[4]);
     assert_eq!(rows, vec![vec![Value::Bigint(0), Value::Null]]);
     assert_eq!(tasks, 1);
+    f.assert_quiescent();
 }

@@ -133,8 +133,10 @@ fn system_tables_agree_with_snapshot_after_workload() {
         assert_eq!(out.rows().len(), 20 + i);
         max_id = max_id.max(out.query.0);
     }
-    let mut session = Session::default();
-    session.dynamic_filter_wait = std::time::Duration::from_secs(5);
+    let session = Session {
+        dynamic_filter_wait: std::time::Duration::from_secs(5),
+        ..Default::default()
+    };
     let join = c
         .execute_with_session(
             "SELECT COUNT(*) FROM lineitem l JOIN orders o ON l.orderkey = o.orderkey \

@@ -27,6 +27,15 @@ pub enum Json {
     Obj(BTreeMap<String, Json>),
 }
 
+/// Compact JSON text.
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
+    }
+}
+
 impl Json {
     pub fn obj(entries: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
         Json::Obj(
@@ -113,13 +122,6 @@ impl Json {
         self.field(key)?
             .as_arr()
             .ok_or_else(|| PrestoError::internal(format!("json: field '{key}' is not an array")))
-    }
-
-    /// Serialize to compact JSON text.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
     }
 
     fn write(&self, out: &mut String) {

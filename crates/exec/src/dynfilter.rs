@@ -201,8 +201,18 @@ impl TypedDomain {
             TypedDomain::Bool(d) => d.add_lanes::<BoolBlock>(block, rows, max_values),
             TypedDomain::Varchar(d) => {
                 let block = block.loaded();
-                let lanes = rows.iter().map(|&r| block.str_at(r as usize).into());
-                d.add(lanes.collect(), max_values);
+                let mut lanes: Vec<&str> = rows.iter().map(|&r| block.str_at(r as usize)).collect();
+                lanes.sort_unstable();
+                lanes.dedup();
+                let ranged = matches!(d, KeyLanes::Range(..)) || lanes.len() > max_values;
+                if ranged && lanes.len() > 2 {
+                    // Only the page's ends can stay: a range widens to them,
+                    // and a set that must become a range spans them too.
+                    let ends = KeyLanes::Range(lanes[0].into(), lanes[lanes.len() - 1].into());
+                    *d = std::mem::replace(d, KeyLanes::All).merge(ends, max_values);
+                } else {
+                    d.add(lanes.into_iter().map(Into::into).collect(), max_values);
+                }
             }
         }
     }

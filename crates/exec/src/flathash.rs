@@ -10,9 +10,9 @@
 //! chaining), so inserting N keys costs N appends to two flat vectors — no
 //! `Vec<u32>` per key, no node allocations.
 //!
-//! [`KeyArena`] is the companion layout for group-by keys: every distinct
-//! key's canonical byte encoding is appended once to a single contiguous
-//! buffer, addressed by an offsets array, replacing one `Vec<u8>` per group.
+//! The table holds hashes only. Each user keeps its keys as typed columns
+//! indexed by entry — the join its build pages, the group-by its group-key
+//! columns — and checks hash-equal candidates against them on their lanes.
 
 /// Sentinel for "no entry" in `heads` / `next`.
 const EMPTY: u32 = u32::MAX;
@@ -173,55 +173,6 @@ impl Iterator for ProbeIter<'_> {
     }
 }
 
-/// Append-only arena of byte-encoded keys: one contiguous buffer plus an
-/// offsets array (offsets.len() == keys + 1).
-#[derive(Debug)]
-pub struct KeyArena {
-    bytes: Vec<u8>,
-    offsets: Vec<u32>,
-}
-
-impl Default for KeyArena {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl KeyArena {
-    pub fn new() -> KeyArena {
-        KeyArena {
-            bytes: Vec::new(),
-            offsets: vec![0],
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append one key, returning its dense index.
-    pub fn push(&mut self, key: &[u8]) -> u32 {
-        let id = self.len() as u32;
-        self.bytes.extend_from_slice(key);
-        self.offsets.push(self.bytes.len() as u32);
-        id
-    }
-
-    #[inline]
-    pub fn get(&self, i: u32) -> &[u8] {
-        &self.bytes[self.offsets[i as usize] as usize..self.offsets[i as usize + 1] as usize]
-    }
-
-    /// Exact retained bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.bytes.capacity() + self.offsets.capacity() * 4
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {
@@ -278,19 +229,6 @@ mod tests {
         t.insert(h2);
         assert_eq!(t.probe(h1).count(), 1);
         assert_eq!(t.probe(h2).count(), 1);
-    }
-
-    #[test]
-    fn arena_round_trip_and_sizes() {
-        let mut a = KeyArena::new();
-        let k0 = a.push(b"alpha");
-        let k1 = a.push(b"");
-        let k2 = a.push(b"beta");
-        assert_eq!(a.get(k0), b"alpha");
-        assert_eq!(a.get(k1), b"");
-        assert_eq!(a.get(k2), b"beta");
-        assert_eq!(a.len(), 3);
-        assert!(a.memory_bytes() >= 9 + 4 * 4);
     }
 
     #[test]

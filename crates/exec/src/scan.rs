@@ -6,14 +6,12 @@
 //! connectors" — so every leaf chain runs as one operator (the
 //! `ScanFilterHash`/`ScanFilterProject` fusion of Fig. 4): the connector
 //! read feeds the page processor directly, and with `pipeline_fusion` on a
-//! partial group-by above the chain is absorbed too. A page whose keys are
-//! all dictionary blocks takes the group-by's dictionary memo
-//! ([`GroupByHash::group_ids_via_dictionaries`](crate::agg::GroupByHash::group_ids_via_dictionaries))
-//! and is never hashed; any other page is fed with key hashes computed while
-//! the projected values were still hot — via
-//! [`GroupByHash::group_ids_prehashed`](crate::agg::GroupByHash::group_ids_prehashed).
-//! No intermediate page crosses a driver-visible operator boundary. Leaf
-//! pipelines run many drivers sharing one [`SplitQueue`].
+//! partial group-by above the chain is absorbed too: each projected page
+//! goes straight into that [`HashAggregationOperator`], whose
+//! [`GroupByHash::group_ids`](crate::agg::GroupByHash::group_ids) is the
+//! one group-id path of the discrete operator as well. No intermediate page
+//! crosses a driver-visible operator boundary. Leaf pipelines run many
+//! drivers sharing one [`SplitQueue`].
 
 use crossbeam::queue::SegQueue;
 use presto_common::chaos::{key_of, mix, FaultPlane, Site};
@@ -21,7 +19,6 @@ use presto_common::wake::{WakeList, Waker};
 use presto_common::{DataType, Result, Session};
 use presto_connector::{Connector, ScanOptions, Split};
 use presto_expr::{Expr, PageProcessor};
-use presto_page::hash::{hash_block_into, DictionaryHashCache};
 use presto_page::Page;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -112,43 +109,6 @@ pub struct FusedAggStage {
     pub specs: Vec<AggSpec>,
 }
 
-/// Absorbed partial-aggregation state.
-struct FusedAgg {
-    op: HashAggregationOperator,
-    key_channels: Vec<usize>,
-    /// Reused per-page row-hash buffer (keys hashed right after the
-    /// projection, while its blocks are hot).
-    hash_buf: Vec<u64>,
-    /// Reused all-zeros id buffer for the global-aggregation fast path: a
-    /// group-by over no keys skips the hash table entirely.
-    zero_ids: Vec<u32>,
-    hash_cache: DictionaryHashCache,
-}
-
-impl FusedAgg {
-    fn add_input(&mut self, page: &Page) -> Result<()> {
-        let rows = page.row_count();
-        if self.key_channels.is_empty() {
-            // Global aggregation: every row is group 0; skip the hash table.
-            self.zero_ids.clear();
-            self.zero_ids.resize(rows, 0);
-            return self.op.add_input_grouped(page, &self.zero_ids);
-        }
-        // Dictionary keys resolve through the group-by's memo, unhashed.
-        if let Some(ids) = self.op.dictionary_group_ids(page) {
-            return self.op.add_input_grouped(page, &ids);
-        }
-        // Hash the keys now and hand the hashes straight to the group-by
-        // (one sweep saved).
-        self.hash_buf.clear();
-        self.hash_buf.resize(rows, 0);
-        for &c in &self.key_channels {
-            hash_block_into(page.block(c), &mut self.hash_buf, &mut self.hash_cache);
-        }
-        self.op.add_input_prehashed(page, &self.hash_buf)
-    }
-}
-
 /// The leaf source operator. One split lifecycle — dynamic-filter gating and
 /// split pruning, transient retries, tracing — around one per-page body:
 /// [`PageProcessor::process`], then emit the page or feed the absorbed
@@ -158,7 +118,8 @@ pub struct ScanOperator {
     queue: Arc<SplitQueue>,
     options: ScanOptions,
     processor: PageProcessor,
-    agg: Option<FusedAgg>,
+    /// The absorbed partial aggregate.
+    agg: Option<HashAggregationOperator>,
     stage_count: u64,
     current: Option<Box<dyn presto_connector::PageSource>>,
     current_split: Option<Split>,
@@ -241,19 +202,13 @@ impl ScanOperator {
     /// then emits the aggregate's partial output instead of the pages.
     pub fn with_partial_aggregation(mut self, stage: &FusedAggStage) -> ScanOperator {
         self.stage_count += 1;
-        self.agg = Some(FusedAgg {
-            op: HashAggregationOperator::new(
-                AggPhase::Partial,
-                stage.group_channels.clone(),
-                stage.group_types.clone(),
-                stage.specs.clone(),
-                None,
-            ),
-            key_channels: stage.group_channels.clone(),
-            hash_buf: Vec::new(),
-            zero_ids: Vec::new(),
-            hash_cache: DictionaryHashCache::new(),
-        });
+        self.agg = Some(HashAggregationOperator::new(
+            AggPhase::Partial,
+            stage.group_channels.clone(),
+            stage.group_types.clone(),
+            stage.specs.clone(),
+            None,
+        ));
         self
     }
 
@@ -337,7 +292,7 @@ impl ScanOperator {
     /// head (a global aggregate still emits its empty-input row).
     fn end_of_input(&mut self) {
         match self.agg.as_mut() {
-            Some(agg) => agg.op.finish(),
+            Some(agg) => agg.finish(),
             None => self.finished = true,
         }
     }
@@ -358,7 +313,7 @@ impl ScanOperator {
         self.split_emitted = true;
         match self.agg.as_mut() {
             Some(agg) => {
-                agg.add_input(&processed)?;
+                agg.add_input(processed)?;
                 Ok(None)
             }
             None => {
@@ -394,11 +349,11 @@ impl Operator for ScanOperator {
             // Drain the absorbed aggregate first: adaptive partial flushes
             // mid-stream and the final flush after the queue exhausts.
             if let Some(agg) = self.agg.as_mut() {
-                if let Some(p) = agg.op.output()? {
+                if let Some(p) = agg.output()? {
                     self.rows_produced += p.row_count() as u64;
                     return Ok(Some(p));
                 }
-                if agg.op.is_finished() {
+                if agg.is_finished() {
                     self.finished = true;
                     return Ok(None);
                 }
@@ -509,18 +464,16 @@ impl Operator for ScanOperator {
     }
 
     fn user_memory_bytes(&self) -> usize {
-        self.agg.as_ref().map_or(0, |a| a.op.user_memory_bytes())
+        self.agg.as_ref().map_or(0, |a| a.user_memory_bytes())
     }
 
     fn system_memory_bytes(&self) -> usize {
-        // Connector read buffers: charge a token per open source; plus the
-        // aggregate's reused scratch.
-        let source = if self.current.is_some() { 64 * 1024 } else { 0 };
-        source
-            + self
-                .agg
-                .as_ref()
-                .map_or(0, |a| a.hash_buf.capacity() * 8 + a.zero_ids.capacity() * 4)
+        // Connector read buffers: charge a token per open source.
+        if self.current.is_some() {
+            64 * 1024
+        } else {
+            0
+        }
     }
 
     fn counters(&self) -> Vec<(&'static str, u64)> {
@@ -534,7 +487,7 @@ impl Operator for ScanOperator {
         ];
         if let Some(agg) = &self.agg {
             counters.push(("fused_agg_rows", self.filter_rows));
-            counters.extend(agg.op.counters());
+            counters.extend(agg.counters());
         }
         if let Some(df) = &self.dyn_filter {
             counters.extend(df.counters());

@@ -262,8 +262,10 @@ mod tests {
     use super::*;
 
     fn entry(name: &'static str, rows: u64) -> OperatorStatsEntry {
-        let mut stats = OperatorStats::default();
-        stats.output_rows = rows;
+        let mut stats = OperatorStats {
+            output_rows: rows,
+            ..Default::default()
+        };
         stats.add_counter("hits", rows);
         OperatorStatsEntry { name, stats }
     }

@@ -85,13 +85,13 @@ impl WindowOperator {
             let len = end - start;
             let mut peers = vec![0u32; len];
             let mut group = 0u32;
-            for i in 1..len {
+            for (i, peer) in peers.iter_mut().enumerate().skip(1) {
                 if compare_rows(&sorted, start + i - 1, &sorted, start + i, &self.order_by)
                     != std::cmp::Ordering::Equal
                 {
                     group += 1;
                 }
-                peers[i] = group;
+                *peer = group;
             }
             let positions: Vec<u32> = (start as u32..end as u32).collect();
             for (fi, f) in self.functions.iter().enumerate() {

@@ -451,11 +451,11 @@ mod tests {
     fn temporal_functions() {
         let date = Value::Date(days_from_civil(1995, 3, 17));
         assert_eq!(
-            ScalarFn::Year.eval(&[date.clone()]).unwrap(),
+            ScalarFn::Year.eval(std::slice::from_ref(&date)).unwrap(),
             Value::Bigint(1995)
         );
         assert_eq!(
-            ScalarFn::Month.eval(&[date.clone()]).unwrap(),
+            ScalarFn::Month.eval(std::slice::from_ref(&date)).unwrap(),
             Value::Bigint(3)
         );
         assert_eq!(ScalarFn::Day.eval(&[date]).unwrap(), Value::Bigint(17));

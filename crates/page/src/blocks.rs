@@ -368,7 +368,9 @@ static NEXT_DICTIONARY_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::Ato
 /// original `Arc` allocation is alive; once it drops, a recycled address
 /// fails the liveness check and gets a fresh id, which is what makes
 /// [`DictionaryBlock::dictionary_id`] ABA-safe.
-static DICTIONARY_IDS: OnceLock<Mutex<HashMap<usize, (Weak<Block>, u64)>>> = OnceLock::new();
+static DICTIONARY_IDS: OnceLock<Mutex<DictionaryRegistry>> = OnceLock::new();
+
+type DictionaryRegistry = HashMap<usize, (Weak<Block>, u64)>;
 
 fn dictionary_identity(dictionary: &Arc<Block>) -> u64 {
     let registry = DICTIONARY_IDS.get_or_init(|| Mutex::new(HashMap::new()));

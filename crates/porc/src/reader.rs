@@ -285,15 +285,8 @@ mod tests {
             ("v", DataType::Double),
             ("status", DataType::Varchar),
         ]);
-        let mut w = PorcWriter::create(
-            path,
-            schema.clone(),
-            WriterOptions {
-                stripe_rows,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let mut w =
+            PorcWriter::create(path, schema.clone(), WriterOptions { stripe_rows }).unwrap();
         let data: Vec<Vec<Value>> = (0..rows)
             .map(|i| {
                 vec![

@@ -61,7 +61,7 @@ proptest! {
         let mut writer = PorcWriter::create(
             &path,
             schema(),
-            WriterOptions { stripe_rows, ..Default::default() },
+            WriterOptions { stripe_rows },
         )
         .unwrap();
         let page = to_page(&rows);

@@ -487,7 +487,7 @@ mod tests {
         for _ in 0..200 {
             max_seen = max_seen.max(depth(&strat.sample(&mut r)));
         }
-        assert!(max_seen >= 2 && max_seen <= 4, "max depth {max_seen}");
+        assert!((2..=4).contains(&max_seen), "max depth {max_seen}");
     }
 
     #[test]

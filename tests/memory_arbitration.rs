@@ -11,6 +11,7 @@ use presto::connector::{CatalogManager, Connector};
 use presto::connectors::MemoryConnector;
 use presto::workload::TpchGenerator;
 use std::sync::Arc;
+use std::time::Duration;
 
 fn tight_cluster(node_memory: u64, kill: bool) -> Cluster {
     let mem = MemoryConnector::new();
@@ -29,6 +30,13 @@ fn tight_cluster(node_memory: u64, kill: bool) -> Cluster {
         catalogs,
     )
     .unwrap()
+}
+
+/// Every query has ended and left nothing behind on `cluster`.
+fn assert_quiescent(cluster: &Cluster) {
+    if let Err(residue) = cluster.await_quiescent(Duration::from_secs(10)) {
+        panic!("cluster not quiescent after the queries: {residue}");
+    }
 }
 
 /// Memory-hungry aggregation (one group per lineitem row pair).
@@ -51,6 +59,7 @@ fn overcommit_survives_via_reserved_pool() {
         }
     }
     assert_eq!(ok, 4, "all queries complete despite overcommit");
+    assert_quiescent(&cluster);
 }
 
 #[test]
@@ -92,6 +101,7 @@ fn per_query_limit_kills_only_the_offender() {
         let out = cluster.execute("SELECT COUNT(*) FROM lineitem").unwrap();
         assert!(matches!(out.rows()[0][0], Value::Bigint(n) if n > 0));
     }
+    assert_quiescent(&cluster);
 }
 
 #[test]
@@ -112,32 +122,34 @@ fn cache_memory_is_charged_as_system_memory() {
     }
     cache.clear();
     assert!(cluster.worker_system_memory().iter().all(|&b| b == 0));
+    assert_quiescent(&cluster);
 }
 
 #[test]
 fn spilling_lets_queries_run_under_the_limit() {
-    let cluster = tight_cluster(64 << 20, false);
-    // Low per-node limit + spilling: the aggregation revokes state to disk
-    // instead of dying (§IV-F2 "Revocation is processed by spilling state
-    // to disk. Presto supports spilling for hash joins and aggregations").
-    let mut session = Session::default();
-    session.query_max_memory_per_node = 64 << 10;
-    session.spill_enabled = true;
-    // Note: per-node *limits* kill regardless of spill; what spill handles
-    // is pool exhaustion. So run against a small pool instead.
+    // §IV-F2: "Revocation is processed by spilling state to disk. Presto
+    // supports spilling for hash joins and aggregations." Per-node limits
+    // kill regardless of spill; what spill handles is pool exhaustion, so
+    // the aggregation runs on a pool far below its state.
     let small_pool = tight_cluster(256 << 10, false);
-    let out = small_pool.execute_with_session(HUNGRY, &{
-        let mut s = Session::default();
-        s.spill_enabled = true;
-        s
-    });
+    let spill = Session {
+        spill_enabled: true,
+        ..Session::default()
+    };
+    assert_eq!(small_pool.metrics_snapshot().spill.queries_spilled, 0);
+    let out = small_pool.execute_with_session(HUNGRY, &spill);
+    let mut spilled = out.expect("spilling should allow completion").rows();
     assert!(
-        out.is_ok(),
-        "spilling should allow completion: {:?}",
-        out.err()
+        small_pool.metrics_snapshot().spill.queries_spilled >= 1,
+        "the query spilled"
     );
-    drop(cluster);
-    let _ = session;
+    let roomy = tight_cluster(64 << 20, false);
+    let mut unspilled = roomy.execute(HUNGRY).unwrap().rows();
+    spilled.sort();
+    unspilled.sort();
+    assert_eq!(spilled, unspilled, "spilling changes no row");
+    assert_quiescent(&small_pool);
+    assert_quiescent(&roomy);
 }
 
 #[test]
@@ -240,7 +252,7 @@ fn join_build_memory_is_exact_flat_layout() {
 
     let schema = Schema::of(&[("k", DataType::Bigint), ("v", DataType::Varchar)]);
     let rows: Vec<Vec<Value>> = (0..2_000)
-        .map(|i| vec![Value::Bigint(i % 331), Value::varchar(&format!("row-{i}"))])
+        .map(|i| vec![Value::Bigint(i % 331), Value::varchar(format!("row-{i}"))])
         .collect();
     let bridge = JoinBridge::new(vec![0], 1);
     let mut builder = HashBuilderOperator::new(Arc::clone(&bridge));
@@ -279,4 +291,5 @@ fn joins_complete_under_tight_memory_with_exact_accounting() {
         )
         .unwrap();
     assert!(matches!(out.rows()[0][0], Value::Bigint(n) if n > 0));
+    assert_quiescent(&cluster);
 }
