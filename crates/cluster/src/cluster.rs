@@ -280,7 +280,8 @@ impl Cluster {
     }
 
     /// Wait until no query has anything left in the cluster: no live task,
-    /// no general or reserved pool byte, no running or queued query, no
+    /// no general or reserved pool byte, no query registered with a node
+    /// pool (usage, limits or revocable memory), no running or queued query, no
     /// live history record, and no byte parked in an output buffer or an
     /// exchange client nor a request in flight. Returns how long that took, or names the
     /// residue once `grace` has passed.
@@ -294,6 +295,11 @@ impl Cluster {
                 .iter()
                 .map(|w| (w.memory.general_used, w.memory.reserved_used))
                 .collect();
+            let registered: Vec<usize> = self
+                .workers
+                .iter()
+                .map(|w| w.pool.registered_queries())
+                .collect();
             let queries = (
                 snap.queries.running,
                 snap.queries.queued,
@@ -306,6 +312,7 @@ impl Cluster {
             );
             if live.iter().all(|&n| n == 0)
                 && pools.iter().all(|&p| p == (0, 0))
+                && registered.iter().all(|&n| n == 0)
                 && queries == (0, 0, 0)
                 && shuffle == (0, 0, 0)
             {
@@ -314,7 +321,7 @@ impl Cluster {
             if started.elapsed() >= grace {
                 return Err(format!(
                     "not quiescent after {grace:?}: live_tasks={live:?} (general,reserved)={pools:?} \
-                     (running,queued,live_queries)={queries:?} \
+                     registered_queries={registered:?} (running,queued,live_queries)={queries:?} \
                      (output_buffered_bytes,exchange_buffered_bytes,in_flight_requests)={shuffle:?}"
                 ));
             }

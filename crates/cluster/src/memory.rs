@@ -288,6 +288,16 @@ impl NodeMemoryPool {
         self.reserved.release(query);
     }
 
+    /// Queries this node still holds any registration of: usage, limits
+    /// or revocable reservations. Zero once every query has ended.
+    pub fn registered_queries(&self) -> usize {
+        let mut queries: std::collections::HashSet<QueryId> =
+            self.state.lock().per_query.keys().copied().collect();
+        queries.extend(self.limits.lock().keys().copied());
+        queries.extend(self.revocables.lock().keys().copied());
+        queries.len()
+    }
+
     /// Current general-pool utilization in [0, 1+], including node-level
     /// system memory (cache retention), which shares general headroom.
     pub fn general_utilization(&self) -> f64 {

@@ -64,6 +64,13 @@ fn test_catalogs() -> (CatalogManager, Arc<MemoryConnector>) {
     (catalogs, mem)
 }
 
+/// Every query has ended and left nothing behind on `c`.
+fn assert_quiescent(c: &Cluster) {
+    if let Err(residue) = c.await_quiescent(Duration::from_secs(10)) {
+        panic!("cluster not quiescent after the queries: {residue}");
+    }
+}
+
 fn cluster() -> (Cluster, Arc<MemoryConnector>) {
     let (catalogs, mem) = test_catalogs();
     (
@@ -78,6 +85,7 @@ fn select_star_returns_all_rows() {
     let out = c.execute("SELECT * FROM orders").unwrap();
     assert_eq!(out.row_count(), 1000);
     assert_eq!(out.schema.len(), 4);
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -91,6 +99,7 @@ fn filter_and_projection() {
     assert_eq!(rows.len(), 5);
     assert_eq!(rows[3], vec![Value::Bigint(3), Value::Double(6.0)]);
     assert_eq!(out.schema.field(1).name, "doubled");
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -106,6 +115,7 @@ fn global_aggregation() {
     assert_eq!(rows[0][1], Value::Double(expected_sum));
     assert_eq!(rows[0][2], Value::Bigint(0));
     assert_eq!(rows[0][3], Value::Bigint(999));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -122,6 +132,7 @@ fn group_by_aggregation() {
     assert_eq!(rows[0][0], Value::varchar("F"));
     assert_eq!(rows[0][1], Value::Bigint(500));
     assert_eq!(rows[1][0], Value::varchar("O"));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -146,6 +157,7 @@ fn the_paper_example_query() {
     for row in out.rows() {
         assert_eq!(row[1], Value::Double(0.05 * 5.0));
     }
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -165,6 +177,7 @@ fn inner_join_with_aggregation() {
     assert_eq!(total, 5000);
     // ORDER BY respected.
     assert_eq!(rows[0][0], Value::varchar("F"));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -178,6 +191,7 @@ fn order_by_and_limit() {
     assert_eq!(rows[0][0], Value::Bigint(999));
     assert_eq!(rows[1][0], Value::Bigint(998));
     assert_eq!(rows[2][0], Value::Bigint(997));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -189,6 +203,7 @@ fn distinct_and_in_list() {
     let mut rows = out.rows();
     rows.sort();
     assert_eq!(rows.len(), 2);
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -208,6 +223,7 @@ fn window_functions() {
     assert_eq!(rows[0][2], Value::Bigint(1));
     assert_eq!(rows[1][2], Value::Bigint(1));
     assert_eq!(rows[2][2], Value::Bigint(2));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -220,6 +236,7 @@ fn union_all_combines() {
         )
         .unwrap();
     assert_eq!(out.row_count(), 6);
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -243,6 +260,7 @@ fn insert_into_select() {
     // And the copy is queryable.
     let check = c.execute("SELECT COUNT(*) FROM orders_copy").unwrap();
     assert_eq!(check.rows()[0][0], Value::Bigint(1000));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -254,6 +272,7 @@ fn explain_returns_plan_text() {
     let text = out.rows()[0][0].as_str().unwrap().to_string();
     assert!(text.contains("Fragment"), "{text}");
     assert!(text.contains("Aggregate"), "{text}");
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -273,6 +292,7 @@ fn user_errors_are_reported() {
         c.execute("SELECT 1").unwrap().rows()[0][0],
         Value::Bigint(1)
     );
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -291,6 +311,7 @@ fn concurrent_queries() {
         assert_eq!(out.rows()[0][0], Value::Bigint(10));
     }
     assert_eq!(c.telemetry().finished_queries(), 8);
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -303,6 +324,7 @@ fn transient_connector_failures_recovered_by_retries() {
     let out = c.execute("SELECT COUNT(*) FROM orders").unwrap();
     assert_eq!(out.rows()[0][0], Value::Bigint(1000));
     assert!(plane.fired(Site::SplitOpen) > 0, "chaos should have fired");
+    assert_quiescent(&c);
 }
 
 fn faulty_config(plane: &Arc<FaultPlane>) -> ClusterConfig {
@@ -429,6 +451,7 @@ fn worker_crash_fails_running_queries() {
     }
     // New queries on remaining workers still work? (Dead node keeps its
     // tasks failing; the cluster has no resurrection, matching the paper.)
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -449,6 +472,7 @@ fn memory_limit_kills_query() {
         err.error.code,
         presto_common::ErrorCode::InsufficientResources
     );
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -466,6 +490,7 @@ fn spill_enables_memory_constrained_aggregation() {
         )
         .unwrap();
     assert_eq!(out.row_count(), 100);
+    assert_quiescent(&c);
 }
 
 /// A cluster whose node pools are small enough that any sizeable hash
@@ -531,10 +556,8 @@ fn spilling_query_matches_unconstrained_run_and_cleans_up() {
     };
     let constrained = c.execute_with_session(sql, &session).unwrap();
     let (reference_catalogs, _) = test_catalogs();
-    let reference = Cluster::start(ClusterConfig::test(), reference_catalogs)
-        .unwrap()
-        .execute(sql)
-        .unwrap();
+    let unconstrained = Cluster::start(ClusterConfig::test(), reference_catalogs).unwrap();
+    let reference = unconstrained.execute(sql).unwrap();
     let mut a = constrained.rows();
     let mut b = reference.rows();
     a.sort();
@@ -555,6 +578,8 @@ fn spilling_query_matches_unconstrained_run_and_cleans_up() {
     // Normal completion re-ingested or deleted every run file.
     assert_eq!(spill_dir_file_count(&dir), 0, "no run files may remain");
     std::fs::remove_dir_all(&dir).ok();
+    assert_quiescent(&c);
+    assert_quiescent(&unconstrained);
 }
 
 /// Chaos: spill writes fail transiently — every one, or every third, so
@@ -641,6 +666,7 @@ fn cancelled_spilling_query_leaves_no_spill_files() {
         "aborting a spilling query must leave zero spill files"
     );
     std::fs::remove_dir_all(&dir).ok();
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -666,6 +692,7 @@ fn phased_scheduling_produces_same_results() {
     a.sort();
     b.sort();
     assert_eq!(a, b);
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -706,6 +733,7 @@ fn raptor_co_located_join_end_to_end() {
     // Each uid occurs 4 times in each table → 50 uids × 16 pairs.
     assert_eq!(out.rows()[0][0], Value::Bigint(800));
     std::fs::remove_dir_all(&dir).ok();
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -731,6 +759,7 @@ fn sharded_sql_index_join_end_to_end() {
         .unwrap();
     // Each ad_id occurs 100 times with clicks = 1.
     assert_eq!(out.rows()[0][0], Value::Bigint(200));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -752,6 +781,7 @@ fn queue_policy_limits_concurrency() {
     assert!(entries
         .iter()
         .any(|e| e.queued > std::time::Duration::from_micros(50)));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -769,6 +799,7 @@ fn case_cast_and_functions_end_to_end() {
     assert_eq!(rows[0][0], Value::varchar("OPEN"));
     assert_eq!(rows[0][1], Value::varchar("2"));
     assert_eq!(rows[0][2], Value::Double(98.0));
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -782,6 +813,7 @@ fn having_filters_groups() {
         .execute("SELECT custkey, COUNT(*) AS n FROM orders GROUP BY custkey HAVING COUNT(*) > 10")
         .unwrap();
     assert_eq!(out.row_count(), 0);
+    assert_quiescent(&c);
 }
 
 /// Dynamic filtering end-to-end (tentpole): a selective dimension build

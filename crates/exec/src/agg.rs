@@ -271,7 +271,7 @@ impl GroupByHash {
     }
 
     /// Exact retained bytes: flat table arrays + key columns + dictionary
-    /// memo.
+    /// memo + dictionary-entry hashes.
     pub fn memory_bytes(&self) -> usize {
         self.table.memory_bytes()
             + self
@@ -280,6 +280,7 @@ impl GroupByHash {
                 .map(BlockBuilder::size_in_bytes)
                 .sum::<usize>()
             + self.dict_memo.groups.capacity() * 4
+            + self.hash_cache.cached_entries() * 8
     }
 }
 
@@ -295,11 +296,7 @@ fn key_hash(blocks: &[&Block], at: impl Fn(usize) -> usize) -> u64 {
 /// `blocks` (loaded) flat, each decoded once when it is not: the page's
 /// side of a candidate check, and where a new group's key is copied from.
 fn flat_keys<'a>(blocks: &[&'a Block]) -> Vec<Cow<'a, Block>> {
-    let flat = blocks.iter().map(|&block| match block {
-        Block::Rle(_) | Block::Dictionary(_) => Cow::Owned(block.decode()),
-        flat => Cow::Borrowed(flat),
-    });
-    flat.collect()
+    blocks.iter().map(|block| block.as_flat()).collect()
 }
 
 /// Grouping equality of row `row` of the flat key column `column` and
@@ -1032,6 +1029,19 @@ mod flat_hash_tests {
             hash.table.memory_bytes() + hash.keys.iter().map(|b| b.size_in_bytes()).sum::<usize>();
         assert_eq!(hash.memory_bytes(), expected);
         assert!(hash.memory_bytes() > 0);
+        // A dictionary key over more entries than the page has rows takes
+        // the hashed path, which keeps one hash per dictionary entry.
+        let dict = std::sync::Arc::new(Block::from(LongBlock::from_values((0..1000).collect())));
+        let ids = (0..10).map(|i| i * 7).collect();
+        let dict = presto_page::blocks::DictionaryBlock::new(dict, ids);
+        let page = Page::new(vec![Block::Dictionary(dict)]);
+        hash.group_ids(&page);
+        assert_eq!(hash.hash_cache.cached_entries(), 1000);
+        let expected = hash.table.memory_bytes()
+            + hash.keys.iter().map(|b| b.size_in_bytes()).sum::<usize>()
+            + hash.dict_memo.groups.capacity() * 4
+            + 1000 * 8;
+        assert_eq!(hash.memory_bytes(), expected);
     }
 
     #[test]

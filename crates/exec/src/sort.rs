@@ -1,8 +1,11 @@
-//! Sorting: full sort (with spill-to-disk runs) and bounded TopN.
+//! Sorting: full sort (with spill-to-disk runs) and bounded TopN, both on
+//! one typed key comparator, [`SortKeys`]; the window sorts through
+//! [`SortOperator`] too.
 
 use presto_common::Result;
-use presto_page::Page;
+use presto_page::{Block, Page};
 use presto_planner::SortKey;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -10,48 +13,69 @@ use std::sync::Arc;
 use crate::operator::Operator;
 use crate::spill::{SpillManager, SpillRun, SpillTally};
 
-/// Compare two rows (possibly across pages) under a key set.
-pub fn compare_rows(a: &Page, arow: usize, b: &Page, brow: usize, keys: &[SortKey]) -> Ordering {
-    for k in keys {
-        let (ab, bb) = (a.block(k.channel), b.block(k.channel));
-        let (an, bn) = (ab.is_null(arow), bb.is_null(brow));
-        let ord = match (an, bn) {
-            (true, true) => Ordering::Equal,
-            (true, false) => {
-                if k.nulls_first {
-                    Ordering::Less
-                } else {
-                    Ordering::Greater
-                }
-            }
-            (false, true) => {
-                if k.nulls_first {
-                    Ordering::Greater
-                } else {
-                    Ordering::Less
-                }
-            }
-            (false, false) => {
-                let natural = ab.compare_at(arow, bb, brow);
-                if k.ascending {
-                    natural
-                } else {
-                    natural.reverse()
-                }
-            }
-        };
-        if ord != Ordering::Equal {
-            return ord;
-        }
-    }
-    Ordering::Equal
+/// A page's sort keys, each its flat key column with the key's direction
+/// and NULL placement. RLE, dictionary and lazy keys are decoded once per
+/// page, so comparing two rows is one typed comparison per key.
+pub(crate) struct SortKeys<'a> {
+    keys: Vec<(Cow<'a, Block>, SortKey)>,
 }
 
-/// Sort a single page by keys, returning the permuted page.
-pub fn sort_page(page: &Page, keys: &[SortKey]) -> Page {
+impl<'a> SortKeys<'a> {
+    pub fn new(page: &'a Page, keys: &[SortKey]) -> SortKeys<'a> {
+        let keys = keys.iter().map(|k| (page.block(k.channel).as_flat(), *k));
+        SortKeys {
+            keys: keys.collect(),
+        }
+    }
+
+    /// Row `i` here against row `j` of `other`, which has the same keys.
+    /// NULLs go first or last by `nulls_first` in either direction; DESC
+    /// reverses only the comparison of two values.
+    pub fn cmp(&self, i: usize, other: &SortKeys, j: usize) -> Ordering {
+        for ((a, key), (b, _)) in self.keys.iter().zip(&other.keys) {
+            // A NULL slot holds a placeholder, compared and then ignored.
+            let (a_null, b_null, values) = match (a.as_ref(), b.as_ref()) {
+                (Block::Long(a), Block::Long(b)) => {
+                    (a.is_null(i), b.is_null(j), a.values[i].cmp(&b.values[j]))
+                }
+                (Block::Double(a), Block::Double(b)) => (
+                    a.is_null(i),
+                    b.is_null(j),
+                    a.values[i].total_cmp(&b.values[j]),
+                ),
+                (Block::Bool(a), Block::Bool(b)) => {
+                    (a.is_null(i), b.is_null(j), a.values[i].cmp(&b.values[j]))
+                }
+                (Block::Varchar(a), Block::Varchar(b)) => {
+                    (a.is_null(i), b.is_null(j), a.value(i).cmp(b.value(j)))
+                }
+                _ => unreachable!("flat key columns of one type"),
+            };
+            let ord = match (a_null, b_null) {
+                (false, false) if key.ascending => values,
+                (false, false) => values.reverse(),
+                (true, true) => Ordering::Equal,
+                (a_null, _) if a_null == key.nulls_first => Ordering::Less,
+                _ => Ordering::Greater,
+            };
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+}
+
+/// `page`'s row positions in key order; ties keep their input order.
+pub(crate) fn sort_indices(page: &Page, keys: &[SortKey]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..page.row_count() as u32).collect();
-    order.sort_by(|&a, &b| compare_rows(page, a as usize, page, b as usize, keys));
-    page.filter(&order)
+    if order.len() < 2 {
+        // Nothing to order; the page may have no columns at all.
+        return order;
+    }
+    let keys = SortKeys::new(page, keys);
+    order.sort_by(|&a, &b| keys.cmp(a as usize, &keys, b as usize));
+    order
 }
 
 /// Full in-memory sort with optional spill of sorted runs (§IV-F2: "Presto
@@ -64,7 +88,7 @@ pub struct SortOperator {
     outputs: VecDeque<Page>,
     produced: bool,
     /// Set when spill is armed: revocation writes sorted runs through it.
-    spill: Option<Arc<SpillManager>>,
+    pub(crate) spill: Option<Arc<SpillManager>>,
     spill_runs: Vec<SpillRun>,
     spilled: SpillTally,
 }
@@ -85,23 +109,89 @@ impl SortOperator {
     }
 
     fn sorted_buffered(&mut self) -> Page {
-        let all = Page::concat(&self.buffered);
-        self.buffered.clear();
+        let all = match self.buffered.len() {
+            1 => self.buffered.swap_remove(0),
+            _ => Page::concat(&std::mem::take(&mut self.buffered)),
+        };
         self.buffered_bytes = 0;
-        sort_page(&all, &self.keys)
+        all.filter(&sort_indices(&all, &self.keys))
     }
 
-    fn chunk_out(&mut self, page: Page) {
-        let chunk = 8192usize;
-        let mut start = 0;
-        while start < page.row_count() {
-            let end = (start + chunk).min(page.row_count());
-            let positions: Vec<u32> = (start as u32..end as u32).collect();
-            self.outputs.push_back(page.filter(&positions));
-            start = end;
+    /// The whole input in key order, as one page: the buffered rows sorted
+    /// and merged with the spilled runs. Ties keep their input order.
+    fn sorted_input(&mut self) -> Result<Page> {
+        let in_memory = self.sorted_buffered();
+        if self.spill_runs.is_empty() {
+            return Ok(in_memory);
         }
-        if page.row_count() == 0 {
+        // The runs in input order, the buffered rows last. Empty runs are
+        // dropped — a zero-row page has no column layout to contribute.
+        let mut runs: Vec<Page> = Vec::new();
+        for run in std::mem::take(&mut self.spill_runs) {
+            // Checksums verified per record; the file is deleted on consume
+            // (or by the run's drop if an error unwinds out of here).
+            let pages = run.into_pages()?;
+            runs.push(Page::concat(&pages));
+        }
+        runs.push(in_memory);
+        runs.retain(|run| run.row_count() > 0);
+        // K-way merge over the runs laid end to end: repeatedly take the
+        // least head, a tie going to the earlier run.
+        let all = Page::concat(&runs);
+        let keys = SortKeys::new(&all, &self.keys);
+        let mut heads = Vec::with_capacity(runs.len());
+        let mut start = 0;
+        for run in &runs {
+            heads.push(start..start + run.row_count());
+            start += run.row_count();
+        }
+        let mut permutation: Vec<u32> = Vec::with_capacity(all.row_count());
+        while let Some(head) = heads
+            .iter_mut()
+            .filter(|head| head.start < head.end)
+            .min_by(|a, b| keys.cmp(a.start, &keys, b.start))
+        {
+            permutation.push(head.start as u32);
+            head.start += 1;
+        }
+        Ok(all.filter(&permutation))
+    }
+
+    /// The next output page. Once the input is done, `emit` maps the whole
+    /// sorted input (as [`Self::sorted_input`] gives it, with the sort
+    /// keys) to what goes out, in chunks: the sort emits it as it is, the
+    /// window with its function columns appended.
+    pub(crate) fn output_with(
+        &mut self,
+        emit: impl FnOnce(Page, &[SortKey]) -> Result<Page>,
+    ) -> Result<Option<Page>> {
+        if let Some(p) = self.outputs.pop_front() {
+            return Ok(Some(p));
+        }
+        if !self.input_done || self.produced {
+            return Ok(None);
+        }
+        self.produced = true;
+        let sorted = self.sorted_input()?;
+        if sorted.row_count() > 0 {
+            let page = emit(sorted, &self.keys)?;
+            self.chunk_out(page);
+        }
+        Ok(self.outputs.pop_front())
+    }
+
+    /// Queue `page` for output in pages of at most 8 192 rows; one that
+    /// fits goes out as it is.
+    fn chunk_out(&mut self, page: Page) {
+        const CHUNK: usize = 8192;
+        let rows = page.row_count();
+        if rows <= CHUNK {
             self.outputs.push_back(page);
+            return;
+        }
+        for start in (0..rows).step_by(CHUNK) {
+            let positions: Vec<u32> = (start..rows.min(start + CHUNK)).map(|r| r as u32).collect();
+            self.outputs.push_back(page.filter(&positions));
         }
     }
 }
@@ -116,8 +206,9 @@ impl Operator for SortOperator {
     }
 
     fn add_input(&mut self, page: Page) -> Result<()> {
+        let page = page.into_loaded();
         self.buffered_bytes += page.size_in_bytes();
-        self.buffered.push(page.load_all());
+        self.buffered.push(page);
         Ok(())
     }
 
@@ -126,77 +217,7 @@ impl Operator for SortOperator {
     }
 
     fn output(&mut self) -> Result<Option<Page>> {
-        if let Some(p) = self.outputs.pop_front() {
-            return Ok(Some(p));
-        }
-        if !self.input_done || self.produced {
-            return Ok(None);
-        }
-        self.produced = true;
-        let in_memory = self.sorted_buffered();
-        if self.spill_runs.is_empty() {
-            if in_memory.row_count() > 0 {
-                self.chunk_out(in_memory);
-            }
-            return Ok(self.outputs.pop_front());
-        }
-        // Merge spilled sorted runs with the in-memory run. Empty runs are
-        // dropped — a zero-row page has no column layout to contribute.
-        let mut runs: Vec<Page> = Vec::new();
-        if in_memory.row_count() > 0 {
-            runs.push(in_memory);
-        }
-        for run in std::mem::take(&mut self.spill_runs) {
-            // Checksums verified per record; the file is deleted on consume
-            // (or by the run's drop if an error unwinds out of here).
-            let pages = run.into_pages()?;
-            runs.push(Page::concat(&pages));
-        }
-        // K-way merge by repeatedly taking the least head.
-        let mut cursors = vec![0usize; runs.len()];
-        let total: usize = runs.iter().map(Page::row_count).sum();
-        let mut order: Vec<(usize, u32)> = Vec::with_capacity(total); // (run, row)
-        for _ in 0..total {
-            let mut best: Option<usize> = None;
-            for (r, run) in runs.iter().enumerate() {
-                if cursors[r] >= run.row_count() {
-                    continue;
-                }
-                best = Some(match best {
-                    None => r,
-                    Some(b) => {
-                        if compare_rows(run, cursors[r], &runs[b], cursors[b], &self.keys)
-                            == Ordering::Less
-                        {
-                            r
-                        } else {
-                            b
-                        }
-                    }
-                });
-            }
-            let r = best.expect("rows remaining");
-            order.push((r, cursors[r] as u32));
-            cursors[r] += 1;
-        }
-        // Materialize per-run gathers, then interleave.
-        // Simpler: build one concatenated page and a global permutation.
-        let offsets: Vec<u32> = {
-            let mut off = Vec::with_capacity(runs.len());
-            let mut acc = 0u32;
-            for run in &runs {
-                off.push(acc);
-                acc += run.row_count() as u32;
-            }
-            off
-        };
-        let combined = Page::concat(&runs);
-        let permutation: Vec<u32> = order.iter().map(|&(r, row)| offsets[r] + row).collect();
-        let merged = combined.filter(&permutation);
-        if merged.row_count() > 0 {
-            self.chunk_out(merged);
-        }
-        Ok(self.outputs.pop_front())
+        self.output_with(|sorted, _| Ok(sorted))
     }
 
     fn is_finished(&self) -> bool {
@@ -261,11 +282,12 @@ impl Operator for TopNOperator {
 
     fn add_input(&mut self, page: Page) -> Result<()> {
         let combined = match self.current.take() {
-            Some(cur) => Page::concat(&[cur, page.load_all()]),
-            None => page.load_all(),
+            Some(cur) => Page::concat(&[cur, page.into_loaded()]),
+            None => page.into_loaded(),
         };
-        let sorted = sort_page(&combined, &self.keys);
-        self.current = Some(sorted.truncate(self.count));
+        let mut order = sort_indices(&combined, &self.keys);
+        order.truncate(self.count);
+        self.current = Some(combined.filter(&order));
         Ok(())
     }
 

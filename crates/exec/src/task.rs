@@ -492,14 +492,16 @@ impl<'a> Compiler<'a> {
                 let partition_by = partition_by.clone();
                 let order_by = order_by.clone();
                 let functions = functions.clone();
+                let spill = self.spill.clone();
                 chain.push(
                     "Window",
                     Arc::new(move || {
-                        Ok(Box::new(WindowOperator::new(
+                        let window = WindowOperator::new(
                             partition_by.clone(),
                             order_by.clone(),
                             functions.clone(),
-                        )))
+                        );
+                        Ok(Box::new(window.with_spill(spill.clone())))
                     }),
                 );
                 Ok(chain)

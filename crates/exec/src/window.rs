@@ -1,25 +1,26 @@
-//! The window operator: partitions, sorts, and evaluates window functions.
+//! The window operator: a [`SortOperator`] on (partition keys, order
+//! keys), then each function evaluated per partition of the sorted rows.
 
 use presto_common::Result;
 use presto_page::{Block, Page};
 use presto_planner::plan::WindowFnSpec;
 use presto_planner::SortKey;
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::sync::Arc;
 
 use crate::operator::Operator;
-use crate::sort::{compare_rows, sort_page};
+use crate::sort::{SortKeys, SortOperator};
+use crate::spill::SpillManager;
 
-/// Accumulates its input (one hash partition of the data), then sorts by
-/// (partition keys, order keys) and evaluates each function per partition.
+/// Sorts its input (one hash partition of the data) by the partition keys
+/// (ASC NULLS LAST), then the order keys, and evaluates each function per
+/// partition. Buffering, memory accounting and spill are the sort's.
 pub struct WindowOperator {
-    partition_by: Vec<usize>,
-    order_by: Vec<SortKey>,
+    sort: SortOperator,
+    /// How many of the sort keys are partition keys; the rest order rows
+    /// within a partition.
+    partition_keys: usize,
     functions: Vec<WindowFnSpec>,
-    buffered: Vec<Page>,
-    buffered_bytes: usize,
-    input_done: bool,
-    outputs: VecDeque<Page>,
-    produced: bool,
 }
 
 impl WindowOperator {
@@ -28,89 +29,68 @@ impl WindowOperator {
         order_by: Vec<SortKey>,
         functions: Vec<WindowFnSpec>,
     ) -> WindowOperator {
+        let partition_keys = partition_by.len();
+        let partitions = partition_by.into_iter().map(|channel| SortKey {
+            channel,
+            ascending: true,
+            nulls_first: false,
+        });
         WindowOperator {
-            partition_by,
-            order_by,
+            sort: SortOperator::new(partitions.chain(order_by).collect(), None),
+            partition_keys,
             functions,
-            buffered: Vec::new(),
-            buffered_bytes: 0,
-            input_done: false,
-            outputs: VecDeque::new(),
-            produced: false,
         }
     }
 
-    fn compute(&mut self) -> Result<()> {
-        let all = Page::concat(&std::mem::take(&mut self.buffered));
-        self.buffered_bytes = 0;
-        if all.row_count() == 0 {
-            return Ok(());
-        }
-        // Sort by partition keys then order keys.
-        let mut keys: Vec<SortKey> = self
-            .partition_by
-            .iter()
-            .map(|&c| SortKey {
-                channel: c,
-                ascending: true,
-                nulls_first: false,
-            })
-            .collect();
-        keys.extend(self.order_by.iter().copied());
-        let sorted = sort_page(&all, &keys);
-        let rows = sorted.row_count();
-        // Partition boundaries.
-        let partition_keys: Vec<SortKey> = self
-            .partition_by
-            .iter()
-            .map(|&c| SortKey {
-                channel: c,
-                ascending: true,
-                nulls_first: false,
-            })
-            .collect();
-        let mut boundaries = vec![0usize];
-        for i in 1..rows {
-            if compare_rows(&sorted, i - 1, &sorted, i, &partition_keys)
-                != std::cmp::Ordering::Equal
-            {
-                boundaries.push(i);
-            }
-        }
-        boundaries.push(rows);
-        // Peer groups within partitions (equal order keys).
-        let mut fn_columns: Vec<Vec<Block>> = vec![Vec::new(); self.functions.len()];
-        for w in boundaries.windows(2) {
-            let (start, end) = (w[0], w[1]);
-            let len = end - start;
-            let mut peers = vec![0u32; len];
-            let mut group = 0u32;
-            for (i, peer) in peers.iter_mut().enumerate().skip(1) {
-                if compare_rows(&sorted, start + i - 1, &sorted, start + i, &self.order_by)
-                    != std::cmp::Ordering::Equal
-                {
-                    group += 1;
-                }
-                *peer = group;
-            }
-            let positions: Vec<u32> = (start as u32..end as u32).collect();
-            for (fi, f) in self.functions.iter().enumerate() {
-                let input = f.input.map(|c| sorted.block(c).filter(&positions));
-                let block = f.function.evaluate_partition(len, &peers, input.as_ref())?;
-                fn_columns[fi].push(block);
-            }
-        }
-        // Assemble output: sorted input columns + one appended column per fn.
-        let mut blocks: Vec<Block> = sorted.blocks().to_vec();
-        for cols in fn_columns {
-            // Concatenate this function's per-partition blocks in order.
-            let pages: Vec<Page> = cols.into_iter().map(|b| Page::new(vec![b])).collect();
-            let merged = Page::concat(&pages);
-            blocks.push(merged.block(0).clone());
-        }
-        self.outputs.push_back(Page::new(blocks));
-        Ok(())
+    /// Spill sorted runs through `spill` when memory is revoked.
+    pub fn with_spill(mut self, spill: Option<Arc<SpillManager>>) -> WindowOperator {
+        self.sort.spill = spill;
+        self
     }
+}
+
+/// Each function's column over `sorted`, which is sorted on `keys`, whose
+/// first `partition_keys` are the partition keys.
+fn function_columns(
+    sorted: &Page,
+    keys: &[SortKey],
+    partition_keys: usize,
+    functions: &[WindowFnSpec],
+) -> Result<Vec<Block>> {
+    let rows = sorted.row_count();
+    let (partition_by, order_by) = keys.split_at(partition_keys);
+    let partitions = SortKeys::new(sorted, partition_by);
+    let peers_by = SortKeys::new(sorted, order_by);
+    let mut boundaries = vec![0usize];
+    let starts = (1..rows).filter(|&i| partitions.cmp(i - 1, &partitions, i) != Ordering::Equal);
+    boundaries.extend(starts);
+    boundaries.push(rows);
+    let mut fn_columns: Vec<Vec<Page>> = vec![Vec::new(); functions.len()];
+    for w in boundaries.windows(2) {
+        let (start, end) = (w[0], w[1]);
+        // Peer groups within the partition (equal order keys).
+        let new_group =
+            |i: usize| i > start && peers_by.cmp(i - 1, &peers_by, i) != Ordering::Equal;
+        let peers: Vec<u32> = (start..end)
+            .scan(0, |group, i| {
+                *group += u32::from(new_group(i));
+                Some(*group)
+            })
+            .collect();
+        let positions: Vec<u32> = (start as u32..end as u32).collect();
+        for (fi, f) in functions.iter().enumerate() {
+            let input = f.input.map(|c| sorted.block(c).filter(&positions));
+            let block = f
+                .function
+                .evaluate_partition(end - start, &peers, input.as_ref())?;
+            fn_columns[fi].push(Page::new(vec![block]));
+        }
+    }
+    // Concatenate each function's per-partition blocks in order.
+    let columns = fn_columns
+        .iter()
+        .flat_map(|parts| Page::concat(parts).into_blocks());
+    Ok(columns.collect())
 }
 
 impl Operator for WindowOperator {
@@ -119,37 +99,45 @@ impl Operator for WindowOperator {
     }
 
     fn needs_input(&self) -> bool {
-        !self.input_done
+        self.sort.needs_input()
     }
 
     fn add_input(&mut self, page: Page) -> Result<()> {
-        self.buffered_bytes += page.size_in_bytes();
-        self.buffered.push(page.load_all());
-        Ok(())
+        self.sort.add_input(page)
     }
 
     fn finish(&mut self) {
-        self.input_done = true;
+        self.sort.finish();
     }
 
     fn output(&mut self) -> Result<Option<Page>> {
-        if let Some(p) = self.outputs.pop_front() {
-            return Ok(Some(p));
-        }
-        if !self.input_done || self.produced {
-            return Ok(None);
-        }
-        self.produced = true;
-        self.compute()?;
-        Ok(self.outputs.pop_front())
+        let (partition_keys, functions) = (self.partition_keys, &self.functions);
+        self.sort.output_with(|sorted, keys| {
+            let columns = function_columns(&sorted, keys, partition_keys, functions)?;
+            let mut blocks = sorted.into_blocks();
+            blocks.extend(columns);
+            Ok(Page::new(blocks))
+        })
     }
 
     fn is_finished(&self) -> bool {
-        self.input_done && self.produced && self.outputs.is_empty()
+        self.sort.is_finished()
     }
 
     fn user_memory_bytes(&self) -> usize {
-        self.buffered_bytes
+        self.sort.user_memory_bytes()
+    }
+
+    fn can_revoke_memory(&self) -> bool {
+        self.sort.can_revoke_memory()
+    }
+
+    fn revoke_memory(&mut self) -> Result<u64> {
+        self.sort.revoke_memory()
+    }
+
+    fn counters(&self) -> Vec<(&'static str, u64)> {
+        self.sort.counters()
     }
 }
 

@@ -9,9 +9,10 @@ use presto_exec::join::{HashBuilderOperator, JoinBridge, LookupJoinOperator, Pro
 use presto_exec::sort::{SortOperator, TopNOperator};
 use presto_exec::{Operator, SpillManager};
 use presto_expr::{AggregateFunction, AggregateKind};
-use presto_page::Page;
+use presto_page::{Block, Page, PhysicalType};
 use presto_planner::SortKey;
 use proptest::prelude::*;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -470,5 +471,311 @@ fn byte_key(block: &presto_page::Block, t: DataType, row: usize, out: &mut Vec<u
             out.extend_from_slice(&(s.len() as u32).to_le_bytes());
             out.extend_from_slice(s.as_bytes());
         }
+    }
+}
+
+/// The row order the sort-like operators must produce, kept here only as
+/// the model: rows compared one pair at a time through `Block`'s
+/// encoding-transparent accessors.
+fn compare_rows(a: &Page, arow: usize, b: &Page, brow: usize, keys: &[SortKey]) -> Ordering {
+    for k in keys {
+        let (ab, bb) = (a.block(k.channel), b.block(k.channel));
+        let ord = match (ab.is_null(arow), bb.is_null(brow)) {
+            (true, true) => Ordering::Equal,
+            (true, false) if k.nulls_first => Ordering::Less,
+            (true, false) => Ordering::Greater,
+            (false, true) if k.nulls_first => Ordering::Greater,
+            (false, true) => Ordering::Less,
+            (false, false) if k.ascending => compare_at(ab, arow, bb, brow),
+            (false, false) => compare_at(ab, arow, bb, brow).reverse(),
+        };
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
+/// Two non-NULL cells of one physical type in their natural order.
+fn compare_at(a: &Block, i: usize, b: &Block, j: usize) -> Ordering {
+    match a.physical_type() {
+        PhysicalType::Long => a.i64_at(i).cmp(&b.i64_at(j)),
+        PhysicalType::Double => a.f64_at(i).total_cmp(&b.f64_at(j)),
+        PhysicalType::Bool => a.bool_at(i).cmp(&b.bool_at(j)),
+        PhysicalType::Varchar => a.str_at(i).cmp(b.str_at(j)),
+    }
+}
+
+/// The model's row order of `page` under `keys`: a stable sort.
+fn model_order(page: &Page, keys: &[SortKey]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..page.row_count()).collect();
+    order.sort_by(|&a, &b| compare_rows(page, a, page, b, keys));
+    order
+}
+
+/// One cell exactly: NULL flag, then the value's bits (`-0.0` and `0.0`,
+/// and every NaN, apart).
+fn cell_bytes(block: &Block, t: DataType, row: usize, out: &mut Vec<u8>) {
+    if block.is_null(row) {
+        out.push(0);
+        return;
+    }
+    out.push(1);
+    match PhysicalType::of(t) {
+        PhysicalType::Long => out.extend_from_slice(&block.i64_at(row).to_le_bytes()),
+        PhysicalType::Double => out.extend_from_slice(&block.f64_at(row).to_bits().to_le_bytes()),
+        PhysicalType::Bool => out.push(block.bool_at(row) as u8),
+        PhysicalType::Varchar => {
+            let s = block.str_at(row);
+            out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+}
+
+fn row_bytes(page: &Page, types: &[DataType], row: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    for (c, &t) in types.iter().enumerate() {
+        cell_bytes(page.block(c), t, row, &mut out);
+    }
+    out
+}
+
+/// Every output row of `op`, as bytes.
+fn drain_bytes(op: &mut dyn Operator, types: &[DataType]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    while let Some(p) = op.output().unwrap() {
+        out.extend((0..p.row_count()).map(|r| row_bytes(&p, types, r)));
+    }
+    out
+}
+
+/// Input for the sort-like operators: key columns of the given types drawn
+/// from their palettes (so keys tie), a row id, and a nullable bigint
+/// value. Returns the column types, the input cut into pages of `chunk`
+/// rows with each key column encoded flat (NULL slots poisoned),
+/// dictionary, RLE or lazy, and the same rows as one flat page.
+fn sort_input(
+    key_types: &[DataType],
+    cells: &[Vec<usize>],
+    encodings: &[usize],
+    chunk: usize,
+) -> (Vec<DataType>, Vec<Page>, Page) {
+    use presto_page::blocks::{DictionaryBlock, LazyBlock};
+    let mut types = key_types.to_vec();
+    types.extend([DataType::Bigint, DataType::Bigint]);
+    let palettes: Vec<Vec<Value>> = key_types.iter().map(|&t| key_palette(t)).collect();
+    let dictionaries: Vec<Arc<Block>> = key_types
+        .iter()
+        .zip(&palettes)
+        .map(|(&t, p)| Arc::new(Block::from_values(t, p)))
+        .collect();
+    let mut pages = Vec::new();
+    let mut reference = Vec::new();
+    for (p, piece) in cells.chunks(chunk).enumerate() {
+        let base = reference.len();
+        let mut rows: Vec<Vec<Value>> = vec![Vec::new(); piece.len()];
+        let mut blocks = Vec::new();
+        for (c, &t) in key_types.iter().enumerate() {
+            let palette = &palettes[c];
+            let mut ids: Vec<u32> = piece
+                .iter()
+                .map(|r| (r[c] % palette.len()) as u32)
+                .collect();
+            let encoding = encodings[(p * 3 + c) % encodings.len()];
+            if encoding == 2 {
+                ids = vec![ids[0]; ids.len()];
+            }
+            let values: Vec<Value> = ids.iter().map(|&i| palette[i as usize].clone()).collect();
+            for (row, v) in rows.iter_mut().zip(&values) {
+                row.push(v.clone());
+            }
+            let flat = Block::from_values(t, &values);
+            blocks.push(match encoding {
+                0 => poison_nulls(flat),
+                1 => Block::Dictionary(DictionaryBlock::new(Arc::clone(&dictionaries[c]), ids)),
+                2 => Block::rle(Block::from_values(t, &values[..1]), values.len()),
+                _ => {
+                    let loaded = poison_nulls(flat);
+                    Block::Lazy(LazyBlock::new(values.len(), move || loaded.clone()))
+                }
+            });
+        }
+        for (i, (row, cell)) in rows.iter_mut().zip(piece).enumerate() {
+            row.push(Value::Bigint((base + i) as i64));
+            row.push(match cell[3] % 8 {
+                0 => Value::Null,
+                v => Value::Bigint(v as i64 - 4),
+            });
+        }
+        let ids: Vec<Value> = rows.iter().map(|r| r[key_types.len()].clone()).collect();
+        let vals: Vec<Value> = rows
+            .iter()
+            .map(|r| r[key_types.len() + 1].clone())
+            .collect();
+        blocks.push(Block::from_values(DataType::Bigint, &ids));
+        blocks.push(poison_nulls(Block::from_values(DataType::Bigint, &vals)));
+        pages.push(Page::new(blocks));
+        reference.extend(rows);
+    }
+    let schema = Schema::new(
+        types
+            .iter()
+            .enumerate()
+            .map(|(c, &t)| presto_common::Field::new(format!("c{c}"), t))
+            .collect(),
+    );
+    (types, pages, Page::from_rows(&schema, &reference))
+}
+
+/// A key per column of `key_types`, with the drawn direction and NULL
+/// placement.
+fn sort_keys(key_types: &[DataType], dirs: &[(bool, bool)]) -> Vec<SortKey> {
+    (0..key_types.len())
+        .map(|channel| SortKey {
+            channel,
+            ascending: dirs[channel].0,
+            nulls_first: dirs[channel].1,
+        })
+        .collect()
+}
+
+/// Feed `pages` to `op`, revoking its memory after every other page when
+/// `spill` is set, then finish it.
+fn feed(op: &mut dyn Operator, pages: Vec<Page>, spill: bool) {
+    for (i, page) in pages.into_iter().enumerate() {
+        op.add_input(page).unwrap();
+        if spill && i % 2 == 0 {
+            op.revoke_memory().unwrap();
+        }
+    }
+    op.finish();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn sort_and_topn_match_the_row_comparator_model(
+        key_types in proptest::collection::vec(0usize..KEY_TYPES.len(), 1..4),
+        dirs in proptest::collection::vec((any::<bool>(), any::<bool>()), 3..4),
+        cells in proptest::collection::vec(proptest::collection::vec(0usize..8, 4..5), 0..120),
+        encodings in proptest::collection::vec(0usize..4, 1..16),
+        chunk in 1usize..40,
+        spill in any::<bool>(),
+        n in 0u64..30,
+    ) {
+        let key_types: Vec<DataType> = key_types.iter().map(|&t| KEY_TYPES[t]).collect();
+        let keys = sort_keys(&key_types, &dirs);
+        let (types, pages, reference) = sort_input(&key_types, &cells, &encodings, chunk);
+        let expected: Vec<Vec<u8>> = model_order(&reference, &keys)
+            .into_iter()
+            .map(|r| row_bytes(&reference, &types, r))
+            .collect();
+
+        let manager = spill.then(|| SpillManager::new(None, 0));
+        let mut sort = SortOperator::new(keys.clone(), manager);
+        feed(&mut sort, pages.clone(), spill);
+        prop_assert_eq!(drain_bytes(&mut sort, &types), expected.clone());
+
+        let mut top = TopNOperator::new(keys, n);
+        feed(&mut top, pages, false);
+        let mut expected = expected;
+        expected.truncate(n as usize);
+        prop_assert_eq!(drain_bytes(&mut top, &types), expected);
+    }
+
+    #[test]
+    fn window_matches_the_row_comparator_model(
+        key_types in proptest::collection::vec(0usize..KEY_TYPES.len(), 1..4),
+        partition_keys in 0usize..4,
+        dirs in proptest::collection::vec((any::<bool>(), any::<bool>()), 3..4),
+        cells in proptest::collection::vec(proptest::collection::vec(0usize..8, 4..5), 0..120),
+        encodings in proptest::collection::vec(0usize..4, 1..16),
+        chunk in 1usize..40,
+        spill in any::<bool>(),
+    ) {
+        use presto_exec::window::WindowOperator;
+        use presto_expr::WindowFunction;
+        use presto_planner::plan::WindowFnSpec;
+        let key_types: Vec<DataType> = key_types.iter().map(|&t| KEY_TYPES[t]).collect();
+        let (types, pages, reference) = sort_input(&key_types, &cells, &encodings, chunk);
+        // The first keys partition (the window sorts them ASC NULLS LAST),
+        // the rest order rows within a partition.
+        let partition_keys = partition_keys.min(key_types.len());
+        let partition_by: Vec<usize> = (0..partition_keys).collect();
+        let order_by = sort_keys(&key_types, &dirs).split_off(partition_keys);
+        let value = key_types.len() + 1;
+        let sum = AggregateFunction::new(AggregateKind::Sum, Some(DataType::Bigint)).unwrap();
+        let functions = [
+            (WindowFunction::Rank, None),
+            (WindowFunction::DenseRank, None),
+            (WindowFunction::RowNumber, None),
+            (WindowFunction::Aggregate(sum), Some(value)),
+        ]
+        .into_iter()
+        .map(|(function, input)| WindowFnSpec { function, input, name: "f".into() })
+        .collect();
+        let manager = spill.then(|| SpillManager::new(None, 0));
+        let mut window = WindowOperator::new(partition_by.clone(), order_by.clone(), functions)
+            .with_spill(manager);
+        feed(&mut window, pages, spill);
+        let mut out_types = types.clone();
+        out_types.extend([DataType::Bigint; 4]);
+        let got = drain_bytes(&mut window, &out_types);
+
+        // The model: a stable sort on (partition keys, order keys); a new
+        // partition where the partition keys differ from the row before,
+        // a new peer group where the order keys do.
+        let partition_sort: Vec<SortKey> = partition_by
+            .iter()
+            .map(|&channel| SortKey { channel, ascending: true, nulls_first: false })
+            .collect();
+        let mut all_keys = partition_sort.clone();
+        all_keys.extend(order_by.iter().copied());
+        let order = model_order(&reference, &all_keys);
+        let differs = |keys: &[SortKey], a: usize, b: usize| {
+            compare_rows(&reference, a, &reference, b, keys) != Ordering::Equal
+        };
+        let mut expected = Vec::new();
+        let mut start = 0;
+        while start < order.len() {
+            let mut end = start + 1;
+            while end < order.len() && !differs(&partition_sort, order[end - 1], order[end]) {
+                end += 1;
+            }
+            let mut peer_start = start;
+            let mut groups = 0;
+            let mut total: Option<i64> = None;
+            while peer_start < end {
+                let mut peer_end = peer_start + 1;
+                while peer_end < end && !differs(&order_by, order[peer_end - 1], order[peer_end]) {
+                    peer_end += 1;
+                }
+                groups += 1;
+                for &r in &order[peer_start..peer_end] {
+                    let v = reference.block(value);
+                    if !v.is_null(r) {
+                        total = Some(total.unwrap_or(0) + v.i64_at(r));
+                    }
+                }
+                for (i, &r) in order.iter().enumerate().take(peer_end).skip(peer_start) {
+                    let mut row = row_bytes(&reference, &types, r);
+                    let computed = [
+                        Value::Bigint((peer_start - start + 1) as i64),
+                        Value::Bigint(groups),
+                        Value::Bigint((i - start + 1) as i64),
+                        total.map_or(Value::Null, Value::Bigint),
+                    ];
+                    for v in &computed {
+                        cell_bytes(&Block::single(DataType::Bigint, v), DataType::Bigint, 0, &mut row);
+                    }
+                    expected.push(row);
+                }
+                peer_start = peer_end;
+            }
+            start = end;
+        }
+        prop_assert_eq!(got, expected);
     }
 }

@@ -1,7 +1,7 @@
 //! The [`Block`] enum: one column's worth of data in one of several
 //! encodings, with encoding-transparent accessors.
 
-use std::cmp::Ordering;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use presto_common::{DataType, Value};
@@ -208,6 +208,15 @@ impl Block {
         }
     }
 
+    /// This block as a flat variant: borrowed when it is one, decoded once
+    /// when it is RLE, dictionary or lazy.
+    pub fn as_flat(&self) -> Cow<'_, Block> {
+        match self.loaded() {
+            Block::Rle(_) | Block::Dictionary(_) => Cow::Owned(self.decode()),
+            flat => Cow::Borrowed(flat),
+        }
+    }
+
     /// Whether any cell can be NULL, decided from the encoding without
     /// visiting the rows: false for a flat block with no null mask, an RLE
     /// run of a non-NULL value, or a dictionary over such a block.
@@ -242,23 +251,6 @@ impl Block {
                     64
                 }
             }
-        }
-    }
-
-    /// Compare cell `i` of `self` with cell `j` of `other` for sorting.
-    /// NULLs sort last; both blocks must share a physical type.
-    pub fn compare_at(&self, i: usize, other: &Block, j: usize) -> Ordering {
-        match (self.is_null(i), other.is_null(j)) {
-            (true, true) => return Ordering::Equal,
-            (true, false) => return Ordering::Greater,
-            (false, true) => return Ordering::Less,
-            (false, false) => {}
-        }
-        match self.physical_type() {
-            PhysicalType::Long => self.i64_at(i).cmp(&other.i64_at(j)),
-            PhysicalType::Double => self.f64_at(i).total_cmp(&other.f64_at(j)),
-            PhysicalType::Bool => self.bool_at(i).cmp(&other.bool_at(j)),
-            PhysicalType::Varchar => self.str_at(i).cmp(other.str_at(j)),
         }
     }
 
@@ -470,17 +462,11 @@ mod tests {
     }
 
     #[test]
-    fn compare_and_eq_semantics() {
+    fn eq_semantics() {
         let a = Block::from_values(DataType::Bigint, &[Value::Bigint(1), Value::Null]);
         let b = Block::from_values(DataType::Bigint, &[Value::Bigint(1), Value::Null]);
         assert!(a.eq_at(0, &b, 0));
         assert!(!a.eq_at(1, &b, 1), "NULL != NULL under SQL equality");
-        assert_eq!(
-            a.compare_at(1, &b, 1),
-            Ordering::Equal,
-            "NULLs tie in sort order"
-        );
-        assert_eq!(a.compare_at(0, &b, 1), Ordering::Less, "NULL sorts last");
     }
 
     #[test]

@@ -105,7 +105,7 @@ pub fn hash_block_into(block: &Block, hashes: &mut [u64], cache: &mut Dictionary
             }
         }
         Block::Dictionary(d) => {
-            let entries = cache.entries_for(d).to_vec();
+            let entries = cache.entries_for(d);
             for (slot, &id) in hashes.iter_mut().zip(&d.ids) {
                 *slot = combine(*slot, entries[id as usize]);
             }

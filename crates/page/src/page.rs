@@ -1,8 +1,11 @@
 //! [`Page`]: the unit of data moved between operators by the driver loop.
 
+use std::borrow::Cow;
+
 use presto_common::{Schema, Value};
 
 use crate::block::Block;
+use crate::blocks::{BoolBlock, DoubleBlock, Lanes, LongBlock, NullMask, VarcharBlock};
 
 /// A columnar batch of rows: one [`Block`] per column, all the same length.
 #[derive(Debug, Clone)]
@@ -171,109 +174,91 @@ impl Page {
         (0..self.row_count).map(|i| self.row(schema, i)).collect()
     }
 
-    /// Concatenate pages (all with the same column layout) into one flat page.
+    /// Concatenate pages (all with the same column layout) into one flat
+    /// page: each column's parts, decoded once when not flat, are copied
+    /// end to end on their lanes. A NULL cell holds the lane's default.
     pub fn concat(pages: &[Page]) -> Page {
         match pages {
             [] => Page::empty(),
             [single] => single.clone(),
-            _ => {
-                let columns = pages[0].column_count();
-                let total: usize = pages.iter().map(Page::row_count).sum();
-                let blocks = (0..columns)
+            _ => Page {
+                blocks: (0..pages[0].column_count())
                     .map(|c| {
-                        // Decode-and-copy concat; only used off the hot path
-                        // (final result assembly, spill merge, tests).
-                        let mut out: Option<ConcatBuilder> = None;
-                        for p in pages {
-                            let b = p.block(c).decode();
-                            out.get_or_insert_with(|| ConcatBuilder::for_block(&b))
-                                .push(&b);
+                        let parts: Vec<Cow<Block>> =
+                            pages.iter().map(|p| p.block(c).as_flat()).collect();
+                        match parts[0].as_ref() {
+                            Block::Long(_) => concat_lanes::<LongBlock>(&parts),
+                            Block::Double(_) => concat_lanes::<DoubleBlock>(&parts),
+                            Block::Bool(_) => concat_lanes::<BoolBlock>(&parts),
+                            _ => concat_varchars(&parts),
                         }
-                        out.expect("non-empty page list").finish()
                     })
-                    .collect();
-                Page {
-                    blocks,
-                    row_count: total,
-                }
-            }
+                    .collect(),
+                row_count: pages.iter().map(Page::row_count).sum(),
+            },
         }
     }
 }
 
-/// Helper that appends decoded flat blocks of one physical type.
-struct ConcatBuilder {
-    template: Block,
-    parts: Vec<Block>,
-}
-
-impl ConcatBuilder {
-    fn for_block(b: &Block) -> ConcatBuilder {
-        ConcatBuilder {
-            template: b.clone(),
-            parts: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, b: &Block) {
-        self.parts.push(b.clone());
-    }
-
-    fn finish(self) -> Block {
-        use crate::blocks::*;
-        let total: usize = self.parts.iter().map(Block::len).sum();
-        let any_null = self
-            .parts
+/// The null masks of `parts` end to end; `None` when no cell is NULL.
+fn concat_nulls(parts: &[(&NullMask, usize)]) -> NullMask {
+    let any = parts
+        .iter()
+        .any(|(m, _)| m.as_ref().is_some_and(|m| m.contains(&true)));
+    any.then(|| {
+        let masks = parts
             .iter()
-            .any(|p| (0..p.len()).any(|i| p.is_null(i)));
-        let mut nulls = if any_null {
-            Some(Vec::with_capacity(total))
-        } else {
-            None
-        };
-        macro_rules! gather {
-            ($get:ident, $default:expr) => {{
-                let mut values = Vec::with_capacity(total);
-                for p in &self.parts {
-                    for i in 0..p.len() {
-                        let null = p.is_null(i);
-                        if let Some(mask) = nulls.as_mut() {
-                            mask.push(null);
-                        }
-                        values.push(if null { $default } else { p.$get(i) });
-                    }
-                }
-                values
-            }};
-        }
-        match self.template.physical_type() {
-            crate::block::PhysicalType::Long => {
-                let values = gather!(i64_at, 0);
-                Block::Long(LongBlock::new(values, nulls))
+            .map(|&(m, len)| m.clone().unwrap_or_else(|| vec![false; len]));
+        masks.flatten().collect()
+    })
+}
+
+/// Flat `parts` of the lanes `L`, end to end.
+fn concat_lanes<L: Lanes>(parts: &[Cow<Block>]) -> Block
+where
+    L::Lane: Default,
+{
+    let parts: Vec<&L> = parts
+        .iter()
+        .map(|p| L::of(p).expect("parts of one type"))
+        .collect();
+    let masks: Vec<_> = parts
+        .iter()
+        .map(|l| (l.null_mask(), l.lanes().len()))
+        .collect();
+    let nulls = concat_nulls(&masks);
+    let values = parts.iter().flat_map(|l| l.lanes().iter().copied());
+    let values = match &nulls {
+        Some(mask) => values
+            .zip(mask)
+            .map(|(v, &null)| if null { L::Lane::default() } else { v })
+            .collect(),
+        None => values.collect(),
+    };
+    L::build(values, nulls)
+}
+
+/// Flat varchar `parts`, end to end.
+fn concat_varchars(parts: &[Cow<Block>]) -> Block {
+    let parts: Vec<&VarcharBlock> = parts
+        .iter()
+        .map(|p| match p.as_ref() {
+            Block::Varchar(v) => v,
+            _ => unreachable!("parts of one type"),
+        })
+        .collect();
+    let masks: Vec<_> = parts.iter().map(|v| (&v.nulls, v.len())).collect();
+    let mut out = VarcharBlock::from_strs::<&str>(&[]);
+    for v in &parts {
+        for i in 0..v.len() {
+            if !v.is_null(i) {
+                out.bytes.extend_from_slice(v.value(i).as_bytes());
             }
-            crate::block::PhysicalType::Double => {
-                let values = gather!(f64_at, 0.0);
-                Block::Double(DoubleBlock::new(values, nulls))
-            }
-            crate::block::PhysicalType::Bool => {
-                let values = gather!(bool_at, false);
-                Block::Bool(BoolBlock::new(values, nulls))
-            }
-            crate::block::PhysicalType::Varchar => {
-                let mut strs: Vec<Option<String>> = Vec::with_capacity(total);
-                for p in &self.parts {
-                    for i in 0..p.len() {
-                        strs.push(if p.is_null(i) {
-                            None
-                        } else {
-                            Some(p.str_at(i).to_string())
-                        });
-                    }
-                }
-                Block::Varchar(VarcharBlock::from_options(&strs))
-            }
+            out.offsets.push(out.bytes.len() as u32);
         }
     }
+    out.nulls = concat_nulls(&masks);
+    Block::Varchar(out)
 }
 
 #[cfg(test)]

@@ -879,14 +879,21 @@ pub fn prune_columns(
             order_by,
             functions,
         } => {
-            // Keep all pass-through channels + everything the window needs;
-            // prune only unused window outputs.
+            // Keep the required pass-through channels and what the window
+            // reads: partition, order and kept function-input channels.
             let input_width = input.output_schema().len();
-            let mut child_required: BTreeSet<usize> = (0..input_width).collect();
-            child_required.extend(partition_by.iter().copied());
             let kept_fns: Vec<usize> = (0..functions.len())
                 .filter(|i| required.contains(&(input_width + i)))
                 .collect();
+            let mut child_required: BTreeSet<usize> =
+                required.range(..input_width).copied().collect();
+            child_required.extend(partition_by.iter().copied());
+            child_required.extend(order_by.iter().map(|k| k.channel));
+            child_required.extend(kept_fns.iter().filter_map(|&i| functions[i].input));
+            if child_required.is_empty() {
+                // Keep one channel so row counts flow.
+                child_required.insert(0);
+            }
             let (new_input, child_mapping) = prune_columns(*input, &child_required, ids)?;
             let lookup = mapping_fn(&child_mapping);
             let new_partition: Vec<usize> = partition_by.iter().map(|&c| lookup(c)).collect();

@@ -153,6 +153,39 @@ fn spilling_lets_queries_run_under_the_limit() {
 }
 
 #[test]
+fn window_spills_through_its_sort() {
+    // §IV-F2 revocation reaches the window: it buffers its input in a sort,
+    // which spills sorted runs when the pool runs short, partitioned or
+    // not.
+    let small_pool = tight_cluster(128 << 10, false);
+    let roomy = tight_cluster(64 << 20, false);
+    let spill = Session {
+        spill_enabled: true,
+        ..Session::default()
+    };
+    for over in [
+        "PARTITION BY partkey ORDER BY extendedprice DESC",
+        "ORDER BY extendedprice DESC",
+    ] {
+        let sql =
+            format!("SELECT orderkey, partkey, extendedprice, rank() OVER ({over}) FROM lineitem");
+        let before = small_pool.metrics_snapshot().spill.queries_spilled;
+        let out = small_pool.execute_with_session(&sql, &spill);
+        let mut spilled = out.expect("spilling should allow completion").rows();
+        assert!(
+            small_pool.metrics_snapshot().spill.queries_spilled > before,
+            "the window spilled: {over}"
+        );
+        let mut unspilled = roomy.execute(&sql).unwrap().rows();
+        spilled.sort();
+        unspilled.sort();
+        assert_eq!(spilled, unspilled, "spilling changes no row: {over}");
+    }
+    assert_quiescent(&small_pool);
+    assert_quiescent(&roomy);
+}
+
+#[test]
 fn shuffle_operators_charge_actual_retained_bytes() {
     // §IV-F2: shuffle buffers are system memory. Both ends of the exchange
     // must charge the bytes they actually retain — not a flat per-operator
