@@ -107,8 +107,7 @@ fn bench_detection(sz: &Sizing) -> Json {
         liveness_timeout: liveness,
         ..ClusterConfig::test()
     };
-    let cluster =
-        Cluster::start(config, catalogs_of(orders_connector(sz.rows))).expect("cluster");
+    let cluster = Cluster::start(config, catalogs_of(orders_connector(sz.rows))).expect("cluster");
     let handle = cluster.submit(slow_join(sz.rows), Session::default());
     std::thread::sleep(Duration::from_millis(10));
     let hung_at = Instant::now();
@@ -166,7 +165,11 @@ fn bench_teardown_retry(sz: &Sizing) -> Json {
         let killed_at = Instant::now();
         match handle.join().expect("query thread") {
             Ok(out) => {
-                assert_eq!(out.row_count(), sz.rows as usize, "retry must not lose rows");
+                assert_eq!(
+                    out.row_count(),
+                    sz.rows as usize,
+                    "retry must not lose rows"
+                );
                 recovered += 1;
             }
             Err(e) => assert_eq!(e.error.code, ErrorCode::WorkerFailed, "{e}"),
@@ -325,10 +328,7 @@ fn bench_chaos_run(sz: &Sizing, seed: u64) -> Json {
         ("stragglers", Json::Int(plane.fired(Site::PageRead) as i64)),
         ("slowest_ms", Json::Num(slowest.as_secs_f64() * 1e3)),
         ("clean_ms", Json::Num(teardown.as_secs_f64() * 1e3)),
-        (
-            "wall_ms",
-            Json::Num(started.elapsed().as_secs_f64() * 1e3),
-        ),
+        ("wall_ms", Json::Num(started.elapsed().as_secs_f64() * 1e3)),
     ])
 }
 
@@ -350,7 +350,10 @@ fn main() {
     let teardown = bench_teardown_retry(&sz);
     let chaos_run = bench_chaos_run(&sz, seed);
     BenchReport::new("chaos")
-        .config("mode", Json::Str(if smoke { "smoke" } else { "full" }.into()))
+        .config(
+            "mode",
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        )
         .config("seed", Json::Int(seed as i64))
         .metric("detection", detection)
         .metric("teardown_retry", teardown)

@@ -107,10 +107,7 @@ fn main() {
     let bytes_ratio = r_off.bytes as f64 / r_on.bytes.max(1) as f64;
     let speedup = r_off.wall.as_secs_f64() / r_on.wall.as_secs_f64().max(1e-9);
     println!("\ndynamic filtering off vs on (best of {iterations}):");
-    println!(
-        "  {:<22} {:>12} {:>14}",
-        "", "df_off", "df_on"
-    );
+    println!("  {:<22} {:>12} {:>14}", "", "df_off", "df_on");
     println!(
         "  {:<22} {:>12} {:>14}",
         "wall_ms",
@@ -145,7 +142,10 @@ fn main() {
 
     println!();
     BenchReport::new("dynfilter")
-        .config("mode", Json::Str(if smoke { "smoke" } else { "full" }.into()))
+        .config(
+            "mode",
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        )
         .config("fact_rows", Json::Int(fact_rows))
         .config("dim_rows", Json::Int(dim_hi - dim_lo))
         .metric("result_rows", Json::Int(r_on.values.len() as i64))
@@ -183,12 +183,7 @@ impl Run {
     }
 }
 
-fn run_once(
-    cluster: &Cluster,
-    sql: &str,
-    session: &Session,
-    io: &presto_porc::IoStats,
-) -> Run {
+fn run_once(cluster: &Cluster, sql: &str, session: &Session, io: &presto_porc::IoStats) -> Run {
     let bytes_before = io.snapshot().0;
     let df_before = cluster.telemetry().dynamic_filter_metrics();
     let out = cluster.execute_with_session(sql, session).expect("query");

@@ -86,14 +86,24 @@ fn main() {
                 let out = cluster
                     .execute_with_session(&format!("EXPLAIN ANALYZE {sql}"), session)
                     .expect("explain");
-                println!("=== {label}: {sql}\n{}", out.rows()[0][0].as_str().expect("text"));
+                println!(
+                    "=== {label}: {sql}\n{}",
+                    out.rows()[0][0].as_str().expect("text")
+                );
             }
         }
         return;
     }
 
     let fused_before = cluster.telemetry().fusion_metrics();
-    let q6 = compare(&cluster, "q6 selective filter + global agg", Q6, &on, &off, iterations);
+    let q6 = compare(
+        &cluster,
+        "q6 selective filter + global agg",
+        Q6,
+        &on,
+        &off,
+        iterations,
+    );
     let fused_after = cluster.telemetry().fusion_metrics();
     assert!(
         fused_after.pipelines > fused_before.pipelines,
@@ -103,12 +113,22 @@ fn main() {
         fused_after.scan_rows >= fused_before.scan_rows + rows as u64,
         "fused scan stage did not account the scanned rows"
     );
-    let q1 = compare(&cluster, "q1 weak filter + grouped agg", Q1, &on, &off, iterations);
+    let q1 = compare(
+        &cluster,
+        "q1 weak filter + grouped agg",
+        Q1,
+        &on,
+        &off,
+        iterations,
+    );
 
     let q6_speedup = q6.speedup();
     let q1_speedup = q1.speedup();
     println!("\nfused vs discrete (best of {iterations}):");
-    println!("  {:<36} {:>12} {:>12} {:>9}", "", "fusion_off", "fusion_on", "speedup");
+    println!(
+        "  {:<36} {:>12} {:>12} {:>9}",
+        "", "fusion_off", "fusion_on", "speedup"
+    );
     for (name, r) in [("q6 wall_ms", &q6), ("q1 wall_ms", &q1)] {
         println!(
             "  {:<36} {:>12} {:>12} {:>8.2}x",
@@ -134,7 +154,10 @@ fn main() {
 
     println!();
     BenchReport::new("fusion")
-        .config("mode", Json::Str(if smoke { "smoke" } else { "full" }.into()))
+        .config(
+            "mode",
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        )
         .config("lineitem_rows", Json::Int(rows as i64))
         .config("page_rows", Json::Int(PAGE_ROWS as i64))
         .config("iterations", Json::Int(iterations as i64))
@@ -148,7 +171,10 @@ fn main() {
         .metric("q1_speedup", Json::Num(q1_speedup))
         .metric("fused_pipelines", Json::Int(fused_after.pipelines as i64))
         .metric("fused_scan_rows", Json::Int(fused_after.scan_rows as i64))
-        .metric("fused_filter_rows", Json::Int(fused_after.filter_rows as i64))
+        .metric(
+            "fused_filter_rows",
+            Json::Int(fused_after.filter_rows as i64),
+        )
         .write();
     println!("fusion_bench: ok");
 }

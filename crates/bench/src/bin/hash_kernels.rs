@@ -12,10 +12,10 @@
 //!
 //! Emits `BENCH_hash_kernels.json` in the working directory.
 
-use presto_bench::report::BenchReport;
 use presto_bench::kernels::{
     baseline_group_by, baseline_join, flat_group_by, flat_join, make_pages, KernelRun, KeyEncoding,
 };
+use presto_bench::report::BenchReport;
 use presto_common::json::Json;
 
 fn mrps(r: &KernelRun) -> String {
@@ -126,7 +126,10 @@ fn main() {
 
     println!();
     BenchReport::new("hash_kernels")
-        .config("mode", Json::Str(if smoke { "smoke" } else { "full" }.into()))
+        .config(
+            "mode",
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        )
         .config("build_rows", Json::Int(build_rows as i64))
         .config("probe_rows", Json::Int(probe_rows as i64))
         .config("group_rows", Json::Int(group_rows as i64))

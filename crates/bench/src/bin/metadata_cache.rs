@@ -15,9 +15,9 @@
 
 use presto_bench::report::BenchReport;
 use presto_bench::{bench_config, print_cache_summary, scale_factor, scratch_dir};
-use presto_common::json::Json;
 use presto_cache::MetadataCache;
 use presto_cluster::Cluster;
+use presto_common::json::Json;
 use presto_common::{DataType, Schema, Session, Value};
 use presto_connector::{CatalogManager, Connector, ConnectorMetadata, PageSinkFactory};
 use presto_connectors::HiveConnector;
@@ -52,7 +52,8 @@ fn main() {
             })
             .collect();
         let mut sink = hive.create_sink("events").expect("sink");
-        sink.append(&Page::from_rows(&schema, &rows)).expect("append");
+        sink.append(&Page::from_rows(&schema, &rows))
+            .expect("append");
         sink.finish().expect("finish");
     }
     // Every footer fetch now costs a simulated remote round trip; cache

@@ -188,7 +188,11 @@ impl BaselineFetcher {
     }
 }
 
-fn fill_sources(n_sources: usize, pages_per_source: usize, rows_per_page: usize) -> Vec<Arc<OutputBuffer>> {
+fn fill_sources(
+    n_sources: usize,
+    pages_per_source: usize,
+    rows_per_page: usize,
+) -> Vec<Arc<OutputBuffer>> {
     (0..n_sources)
         .map(|s| {
             let buffer = OutputBuffer::new(1, usize::MAX);
@@ -201,7 +205,11 @@ fn fill_sources(n_sources: usize, pages_per_source: usize, rows_per_page: usize)
         .collect()
 }
 
-fn run_baseline_fetch(sources: Vec<Arc<OutputBuffer>>, drivers: usize, latency: Duration) -> (usize, Duration) {
+fn run_baseline_fetch(
+    sources: Vec<Arc<OutputBuffer>>,
+    drivers: usize,
+    latency: Duration,
+) -> (usize, Duration) {
     let fetcher = Arc::new(parking_lot_mutex(BaselineFetcher {
         sources: sources.into_iter().map(|b| (b, 0, false)).collect(),
         cursor: 0,
@@ -234,7 +242,11 @@ fn run_baseline_fetch(sources: Vec<Arc<OutputBuffer>>, drivers: usize, latency: 
     (rows, start.elapsed())
 }
 
-fn run_new_fetch(sources: Vec<Arc<OutputBuffer>>, drivers: usize, latency: Duration) -> (usize, Duration) {
+fn run_new_fetch(
+    sources: Vec<Arc<OutputBuffer>>,
+    drivers: usize,
+    latency: Duration,
+) -> (usize, Duration) {
     let client = Arc::new(ExchangeClient::with_config(64 << 20, latency, 16, 3));
     for source in sources {
         client.add_source(source, 0);
@@ -273,7 +285,10 @@ fn parking_lot_mutex<T>(value: T) -> parking_lot::Mutex<T> {
 }
 
 fn mrps(rows: usize, elapsed: Duration) -> String {
-    format!("{:7.2} Mrows/s", rows as f64 / elapsed.as_secs_f64().max(1e-9) / 1e6)
+    format!(
+        "{:7.2} Mrows/s",
+        rows as f64 / elapsed.as_secs_f64().max(1e-9) / 1e6
+    )
 }
 
 fn main() {
@@ -355,7 +370,10 @@ fn main() {
     if !fetch_only {
         let raw = run_sink(&input, 16, target_rows, usize::MAX, true);
         let compressed = run_sink(&input, 16, target_rows, 8 << 10, true);
-        assert_eq!(raw.key_sum, compressed.key_sum, "compression must be lossless");
+        assert_eq!(
+            raw.key_sum, compressed.key_sum,
+            "compression must be lossless"
+        );
         println!(
             "  raw {:>11} wire bytes  lz {:>11} wire bytes  ratio {:4.2}x  ({} vs {})",
             raw.wire_bytes,
@@ -392,8 +410,11 @@ fn main() {
                 drivers,
                 latency,
             );
-            let (new_rows, n) =
-                run_new_fetch(fill_sources(n_sources, fetch_pages, rows_per_page), drivers, latency);
+            let (new_rows, n) = run_new_fetch(
+                fill_sources(n_sources, fetch_pages, rows_per_page),
+                drivers,
+                latency,
+            );
             assert_eq!(base_rows, expect_rows, "baseline must deliver all rows");
             assert_eq!(new_rows, expect_rows, "fetcher must deliver all rows");
             base_elapsed = base_elapsed.min(b);
@@ -424,7 +445,10 @@ fn main() {
     println!("wall-clock stays sub-linear in source count (overlapped virtual round trips).");
 
     BenchReport::new("shuffle")
-        .config("mode", Json::Str(if smoke { "smoke" } else { "full" }.into()))
+        .config(
+            "mode",
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        )
         .config("total_rows", Json::Int(total_rows as i64))
         .config("rows_per_page", Json::Int(rows_per_page as i64))
         .config("target_rows", Json::Int(target_rows as i64))

@@ -172,7 +172,10 @@ fn main() {
         "memory-limited run must be byte-identical to the unconstrained run"
     );
     let snap = constrained.metrics_snapshot();
-    assert!(snap.spill.spilled_bytes > 0, "constrained run never spilled");
+    assert!(
+        snap.spill.spilled_bytes > 0,
+        "constrained run never spilled"
+    );
     assert!(snap.spill.spill_events > 0);
     assert!(snap.spill.queries_spilled >= 1);
     let leftover = spill_files(&dir);
@@ -197,7 +200,10 @@ fn main() {
     );
 
     BenchReport::new("spill")
-        .config("mode", Json::Str(if smoke { "smoke" } else { "full" }.into()))
+        .config(
+            "mode",
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        )
         .config("orders_rows", Json::Int(sz.orders_rows))
         .config("lineitem_rows", Json::Int(sz.lineitem_rows))
         .config("node_memory_bytes", Json::Int(8 << 10))

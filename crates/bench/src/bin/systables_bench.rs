@@ -38,7 +38,13 @@ fn load_orders(mem: &MemoryConnector, rows: usize) {
         ("totalprice", DataType::Bigint),
     ]);
     let data: Vec<Vec<Value>> = (0..rows as i64)
-        .map(|i| vec![Value::Bigint(i), Value::Bigint(i % 100), Value::Bigint(i % 500)])
+        .map(|i| {
+            vec![
+                Value::Bigint(i),
+                Value::Bigint(i % 100),
+                Value::Bigint(i % 500),
+            ]
+        })
         .collect();
     let pages: Vec<presto_page::Page> = data
         .chunks(4096)
@@ -67,9 +73,7 @@ fn main() {
     let workload: usize = if smoke { 12 } else { 160 };
     let iters: usize = if smoke { 3 } else { 15 };
 
-    println!(
-        "system.runtime scan cost: snapshot-to-page path over {workload} retained queries"
-    );
+    println!("system.runtime scan cost: snapshot-to-page path over {workload} retained queries");
     println!("paper: §VII \"SQL on itself\" — runtime state as ordinary tables\n");
 
     let mem = MemoryConnector::new();
@@ -83,14 +87,26 @@ fn main() {
     // pipelines and multi-stage grouped aggregations.
     for i in 0..workload {
         let sql = if i % 2 == 0 {
-            format!("SELECT custkey, COUNT(*) FROM orders WHERE custkey < {} GROUP BY custkey", 20 + i % 60)
+            format!(
+                "SELECT custkey, COUNT(*) FROM orders WHERE custkey < {} GROUP BY custkey",
+                20 + i % 60
+            )
         } else {
-            format!("SELECT SUM(totalprice) FROM orders WHERE custkey < {}", 10 + i % 80)
+            format!(
+                "SELECT SUM(totalprice) FROM orders WHERE custkey < {}",
+                10 + i % 80
+            )
         };
-        cluster.execute_with_session(&sql, &session).expect("workload");
+        cluster
+            .execute_with_session(&sql, &session)
+            .expect("workload");
     }
     let history = cluster.query_history();
-    assert_eq!(history.recorded(), workload as u64, "history missed queries");
+    assert_eq!(
+        history.recorded(),
+        workload as u64,
+        "history missed queries"
+    );
     let retained_ops: u64 = history
         .snapshot()
         .iter()
@@ -101,10 +117,23 @@ fn main() {
 
     // Scan cost: COUNT(*) forces a full snapshot + page stream of the
     // table, and the count itself cross-checks the history rollup.
-    let (q_wall, q_row) = best_of(&cluster, &session, "SELECT COUNT(*) FROM system.runtime.queries", iters);
+    let (q_wall, q_row) = best_of(
+        &cluster,
+        &session,
+        "SELECT COUNT(*) FROM system.runtime.queries",
+        iters,
+    );
     let queries_rows = q_row[0].as_i64().expect("count");
-    assert!(queries_rows >= workload as i64, "queries table lost workload rows");
-    let (o_wall, o_row) = best_of(&cluster, &session, "SELECT COUNT(*) FROM system.runtime.operators", iters);
+    assert!(
+        queries_rows >= workload as i64,
+        "queries table lost workload rows"
+    );
+    let (o_wall, o_row) = best_of(
+        &cluster,
+        &session,
+        "SELECT COUNT(*) FROM system.runtime.operators",
+        iters,
+    );
     let operators_rows = o_row[0].as_i64().expect("count");
     assert!(
         operators_rows >= retained_ops as i64,
@@ -142,17 +171,26 @@ fn main() {
     );
 
     BenchReport::new("systables")
-        .config("mode", Json::Str(if smoke { "smoke" } else { "full" }.into()))
+        .config(
+            "mode",
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        )
         .config("table_rows", Json::Int(table_rows as i64))
         .config("workload_queries", Json::Int(workload as i64))
-        .config("history_capacity", Json::Int(cluster.config().query_history_capacity as i64))
+        .config(
+            "history_capacity",
+            Json::Int(cluster.config().query_history_capacity as i64),
+        )
         .config("iterations", Json::Int(iters as i64))
         .metric("queries_rows", Json::Int(queries_rows))
         .metric("operators_rows", Json::Int(operators_rows))
         .metric("queries_scan_ms", Json::Num(q_wall.as_secs_f64() * 1e3))
         .metric("operators_scan_ms", Json::Num(o_wall.as_secs_f64() * 1e3))
         .metric("operators_mrows_per_sec", Json::Num(ops_per_sec / 1e6))
-        .metric("operator_group_by_ms", Json::Num(agg_wall.as_secs_f64() * 1e3))
+        .metric(
+            "operator_group_by_ms",
+            Json::Num(agg_wall.as_secs_f64() * 1e3),
+        )
         .metric("self_join_ms", Json::Num(join_wall.as_secs_f64() * 1e3))
         .write();
     println!("systables_bench: ok");

@@ -181,9 +181,10 @@ fn main() {
     let per_snap = start.elapsed() / snap_reps as u32;
     println!("metrics snapshot: {per_snap:?} per collect+encode, {json_bytes} JSON bytes");
     let snap = cluster.metrics_snapshot();
-    let round =
-        presto_cluster::ClusterSnapshot::from_json(&Json::parse(&snap.to_json().to_string()).expect("parse"))
-            .expect("decode");
+    let round = presto_cluster::ClusterSnapshot::from_json(
+        &Json::parse(&snap.to_json().to_string()).expect("parse"),
+    )
+    .expect("decode");
     assert_eq!(round, snap, "snapshot JSON must round-trip");
 
     // 3. Mixed workload, then the §VI-style tables (worker utilization and
@@ -286,7 +287,10 @@ fn main() {
     );
 
     BenchReport::new("telemetry")
-        .config("mode", Json::Str(if smoke { "smoke" } else { "full" }.into()))
+        .config(
+            "mode",
+            Json::Str(if smoke { "smoke" } else { "full" }.into()),
+        )
         .config("group_by_rows", Json::Int(rows as i64))
         .metric("stats_overhead_pct", Json::Num(best * 100.0))
         .metric("snapshot_us", Json::Num(per_snap.as_secs_f64() * 1e6))

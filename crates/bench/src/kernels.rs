@@ -80,10 +80,7 @@ pub fn make_pages(rows: usize, cardinality: usize, encoding: KeyEncoding) -> Vec
             }
             KeyEncoding::Rle => {
                 let key = (produced / PAGE_ROWS) % cardinality;
-                Block::rle(
-                    Block::from(LongBlock::from_values(vec![key as i64])),
-                    n,
-                )
+                Block::rle(Block::from(LongBlock::from_values(vec![key as i64])), n)
             }
         };
         let payload = Block::from(LongBlock::from_values(

@@ -122,7 +122,10 @@ mod tests {
             .to_json();
         validate(&json).unwrap();
         assert_eq!(json.field_str("name").unwrap(), "example");
-        assert_eq!(json.field("config").unwrap().field_i64("rows").unwrap(), 100);
+        assert_eq!(
+            json.field("config").unwrap().field_i64("rows").unwrap(),
+            100
+        );
     }
 
     #[test]
@@ -134,7 +137,10 @@ mod tests {
             (r#"{"name":"x","metrics":{"a":1}}"#, "missing config"),
             (r#"{"name":"x","config":{}}"#, "missing metrics"),
             (r#"{"name":"x","config":{},"metrics":{}}"#, "empty metrics"),
-            (r#"{"name":"x","config":[],"metrics":{"a":1}}"#, "config not object"),
+            (
+                r#"{"name":"x","config":[],"metrics":{"a":1}}"#,
+                "config not object",
+            ),
         ] {
             let json = Json::parse(text).unwrap();
             assert!(validate(&json).is_err(), "accepted malformed report: {why}");

@@ -37,7 +37,10 @@ fn run_smoke_and_validate(exe: &str, name: &str, markers: &[&str]) {
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     for marker in markers {
-        assert!(stdout.contains(marker), "{name}: missing \"{marker}\" in:\n{stdout}");
+        assert!(
+            stdout.contains(marker),
+            "{name}: missing \"{marker}\" in:\n{stdout}"
+        );
     }
     let path = dir.join(format!("BENCH_{name}.json"));
     let report = presto_bench::report::validate_file(&path)
@@ -180,7 +183,12 @@ fn chaos_bench_smoke_mode_runs() {
     run_smoke_and_validate(
         env!("CARGO_BIN_EXE_chaos_bench"),
         "chaos",
-        &["detection", "teardown/retry", "chaos run", "chaos_bench: ok"],
+        &[
+            "detection",
+            "teardown/retry",
+            "chaos run",
+            "chaos_bench: ok",
+        ],
     );
 }
 
@@ -193,7 +201,11 @@ fn systables_bench_smoke_mode_runs() {
     run_smoke_and_validate(
         env!("CARGO_BIN_EXE_systables_bench"),
         "systables",
-        &["system-table scan", "system-⋈-system join", "systables_bench: ok"],
+        &[
+            "system-table scan",
+            "system-⋈-system join",
+            "systables_bench: ok",
+        ],
     );
 }
 

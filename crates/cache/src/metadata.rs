@@ -117,7 +117,8 @@ impl MetadataCache {
             return Ok(schema);
         }
         let schema = load()?;
-        self.schemas.insert(key, schema.clone(), schema_weight(&schema));
+        self.schemas
+            .insert(key, schema.clone(), schema_weight(&schema));
         Ok(schema)
     }
 
@@ -163,7 +164,8 @@ impl MetadataCache {
         on_miss();
         let reader = PorcReader::open(path, io)?;
         let meta = reader.meta_arc();
-        self.footers.insert(key, Arc::clone(&meta), meta.approx_weight());
+        self.footers
+            .insert(key, Arc::clone(&meta), meta.approx_weight());
         Ok(reader)
     }
 
@@ -182,7 +184,8 @@ impl MetadataCache {
             return Ok(files);
         }
         let files = Arc::new(load()?);
-        self.listings.insert(key, Arc::clone(&files), listing_weight(&files));
+        self.listings
+            .insert(key, Arc::clone(&files), listing_weight(&files));
         Ok(files)
     }
 
@@ -374,7 +377,9 @@ mod tests {
         assert_eq!(cache.footer_counters().hits, 1);
 
         cache.invalidate_table("hive:/w", "t", Some(&dir));
-        cache.porc_reader(&path, Arc::clone(&io), || misses += 1).unwrap();
+        cache
+            .porc_reader(&path, Arc::clone(&io), || misses += 1)
+            .unwrap();
         assert_eq!(misses, 1, "invalidation forces a cold open");
         assert_eq!(io.footer_reads(), 2);
         std::fs::remove_dir_all(dir).ok();

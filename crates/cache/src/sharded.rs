@@ -322,7 +322,10 @@ mod tests {
         c.insert(1, "a".into(), 10);
         assert_eq!(c.get(&1).as_deref(), Some("a"));
         let counters = c.counters();
-        assert_eq!((counters.hits, counters.misses, counters.inserts), (1, 1, 1));
+        assert_eq!(
+            (counters.hits, counters.misses, counters.inserts),
+            (1, 1, 1)
+        );
         assert_eq!(counters.bytes, 10);
     }
 

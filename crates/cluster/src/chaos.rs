@@ -76,9 +76,8 @@ impl ChaosSchedule {
         for _ in 0..profile.blips {
             let w = pick(&mut rng);
             let start = at(&mut rng);
-            let hang = Duration::from_nanos(
-                rng.next_below(profile.blip_max.as_nanos().max(1) as u64),
-            );
+            let hang =
+                Duration::from_nanos(rng.next_below(profile.blip_max.as_nanos().max(1) as u64));
             events.push((start, ChaosEvent::Hang(w)));
             events.push((start + hang, ChaosEvent::Resume(w)));
         }

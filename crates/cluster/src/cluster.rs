@@ -338,8 +338,7 @@ impl Cluster {
         w.begin_drain();
         let deadline = Instant::now() + timeout;
         loop {
-            let quiesced =
-                w.leases() == 0 && w.live_tasks().is_empty() && w.backlog() == 0;
+            let quiesced = w.leases() == 0 && w.live_tasks().is_empty() && w.backlog() == 0;
             if quiesced && w.state() == WorkerState::Draining {
                 // No coordinator is mid-placement (any lease taken after
                 // begin_drain observes Draining and excludes this worker),

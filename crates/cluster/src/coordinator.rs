@@ -427,10 +427,7 @@ impl Coordinator {
         // reports where spill runs land and under what disk budget while
         // the query is still running (§IV-F2).
         if session.spill_enabled {
-            let dir = session
-                .spill_dir
-                .clone()
-                .unwrap_or_else(std::env::temp_dir);
+            let dir = session.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
             self.telemetry
                 .record_spill_config(dir.display().to_string(), session.spill_max_bytes);
         }
@@ -439,8 +436,8 @@ impl Coordinator {
         // Partitioned builds complete a filter after every join-stage task
         // reports its shard; replicated (broadcast) builds see the full
         // build side in every task, so the first report wins.
-        let dyn_filters = (session.dynamic_filtering && !plan.dynamic_filters.is_empty())
-            .then(|| {
+        let dyn_filters =
+            (session.dynamic_filtering && !plan.dynamic_filters.is_empty()).then(|| {
                 let registry = presto_exec::DynamicFilterRegistry::new();
                 for spec in &plan.dynamic_filters {
                     let expected = if spec.broadcast {

@@ -521,7 +521,11 @@ impl MemoryPool for NodeMemoryPool {
     }
 
     fn register_revocable(&self, query: QueryId, handle: Arc<RevocationHandle>) {
-        self.revocables.lock().entry(query).or_default().push(handle);
+        self.revocables
+            .lock()
+            .entry(query)
+            .or_default()
+            .push(handle);
     }
 
     fn unregister_revocable(&self, query: QueryId, handle: &Arc<RevocationHandle>) {

@@ -452,10 +452,7 @@ mod tests {
         assert_eq!(t.queued_queries(), 0);
         assert_eq!(t.running_queries(), 0);
         assert_eq!(
-            t.queued_queries()
-                + t.running_queries()
-                + t.finished_queries()
-                + t.failed_queries(),
+            t.queued_queries() + t.running_queries() + t.finished_queries() + t.failed_queries(),
             total
         );
         // 1-in-3 finish clean, 2-in-3 fail (mid-run or queued).

@@ -573,7 +573,11 @@ fn spilling_query_matches_unconstrained_run_and_cleans_up() {
     assert_eq!(snap.spill.spill_dir, dir.display().to_string());
     assert_eq!(snap.spill.spill_max_bytes, 64 << 20);
     // Revocation-before-promotion leaves its audit trail on the pools.
-    let requests: i64 = snap.workers.iter().map(|w| w.memory.revocation_requests).sum();
+    let requests: i64 = snap
+        .workers
+        .iter()
+        .map(|w| w.memory.revocation_requests)
+        .sum();
     assert!(requests >= 0);
     // Normal completion re-ingested or deleted every run file.
     assert_eq!(spill_dir_file_count(&dir), 0, "no run files may remain");
@@ -857,7 +861,10 @@ fn dynamic_filtering_prunes_and_matches_baseline() {
     on.dynamic_filter_wait = std::time::Duration::from_secs(5);
     let baseline = c.execute_with_session(sql, &off).unwrap();
     let before = c.telemetry().dynamic_filter_metrics();
-    assert_eq!(before.filters_published, 0, "disabled run publishes nothing");
+    assert_eq!(
+        before.filters_published, 0,
+        "disabled run publishes nothing"
+    );
     let filtered = c.execute_with_session(sql, &on).unwrap();
     let mut expect = baseline.rows();
     let mut got = filtered.rows();

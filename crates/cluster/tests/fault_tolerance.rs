@@ -97,7 +97,10 @@ fn memory_kill_releases_everything() {
         ..Session::default()
     };
     let err = c
-        .execute_with_session("SELECT custkey, COUNT(*) FROM orders GROUP BY custkey", &session)
+        .execute_with_session(
+            "SELECT custkey, COUNT(*) FROM orders GROUP BY custkey",
+            &session,
+        )
         .unwrap_err();
     assert_eq!(err.error.code, ErrorCode::InsufficientResources);
     assert_clean(&c, Duration::from_secs(5));
@@ -129,10 +132,7 @@ fn stress_mixed_faults_leave_no_residue() {
                     Err(e) => {
                         // Only fault-induced failures are acceptable.
                         assert!(
-                            matches!(
-                                e.error.code,
-                                ErrorCode::Killed | ErrorCode::WorkerFailed
-                            ),
+                            matches!(e.error.code, ErrorCode::Killed | ErrorCode::WorkerFailed),
                             "unexpected failure: {e}"
                         );
                         outcomes.1 += 1;

@@ -3,12 +3,16 @@
 
 #![allow(clippy::unwrap_used)]
 
-use presto_cluster::metrics::{CacheLayerMetrics, ClusterSnapshot, QueryGauges, ShuffleMetrics, WorkerMetrics};
+use presto_cache::CacheCounters;
 use presto_cluster::memory::PoolSnapshot;
+use presto_cluster::metrics::{
+    CacheLayerMetrics, ClusterSnapshot, QueryGauges, ShuffleMetrics, WorkerMetrics,
+};
 use presto_cluster::mlfq::{LevelSnapshot, SchedulerSnapshot};
 use presto_cluster::worker::WakeupSnapshot;
-use presto_cluster::{Cluster, ClusterConfig, DynamicFilterMetrics, FusionMetrics, QueryLatencyMetrics, SpillMetrics};
-use presto_cache::CacheCounters;
+use presto_cluster::{
+    Cluster, ClusterConfig, DynamicFilterMetrics, FusionMetrics, QueryLatencyMetrics, SpillMetrics,
+};
 use presto_common::counters::JsonCodec;
 use presto_common::json::Json;
 use presto_common::{DataType, LatencySummary, Schema, Session, Value};
@@ -350,7 +354,10 @@ fn concurrent_scrape_under_load_is_consistent() {
                     let sql = if (i + round) % 2 == 0 {
                         "SELECT custkey, COUNT(*) FROM orders GROUP BY custkey".to_string()
                     } else {
-                        format!("SELECT SUM(totalprice) FROM orders WHERE custkey < {}", 10 + i)
+                        format!(
+                            "SELECT SUM(totalprice) FROM orders WHERE custkey < {}",
+                            10 + i
+                        )
                     };
                     c.execute(&sql).unwrap();
                 }

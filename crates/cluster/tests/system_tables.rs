@@ -62,7 +62,9 @@ fn cluster_with(config: ClusterConfig) -> Cluster {
 }
 
 fn i64_at(row: &[Value], col: usize) -> i64 {
-    row[col].as_i64().unwrap_or_else(|| panic!("non-bigint at column {col}: {row:?}"))
+    row[col]
+        .as_i64()
+        .unwrap_or_else(|| panic!("non-bigint at column {col}: {row:?}"))
 }
 
 /// Every runtime table is mounted and scannable with `SELECT *` through
@@ -308,7 +310,11 @@ fn system_tables_agree_with_snapshot_after_workload() {
         ))
         .unwrap();
     let joined_rows = joined.rows();
-    assert_eq!(joined_rows.len(), 7, "one group per finished workload query");
+    assert_eq!(
+        joined_rows.len(),
+        7,
+        "one group per finished workload query"
+    );
     let by_query: HashMap<u64, (i64, i64)> = joined_rows
         .iter()
         .map(|r| (i64_at(r, 0) as u64, (i64_at(r, 1), i64_at(r, 2))))
@@ -496,7 +502,8 @@ fn queue_bound_counts_only_waiting_queries() {
             liveness_timeout: Duration::ZERO,
             ..ClusterConfig::test()
         });
-        c.execute(sql).expect("an idle cluster admits a query at once");
+        c.execute(sql)
+            .expect("an idle cluster admits a query at once");
         (0..c.worker_count()).for_each(|w| c.hang_worker(w));
         let mut admitted = vec![c.submit(sql, Session::default())];
         scan_until(&c, "the first query holds the run slot", |_| {

@@ -180,7 +180,18 @@ mod tests {
 
     #[test]
     fn bucket_floor_inverts_bucket_index() {
-        for v in [0u64, 1, 15, 16, 17, 100, 1_000, 123_456, u64::MAX / 2, u64::MAX] {
+        for v in [
+            0u64,
+            1,
+            15,
+            16,
+            17,
+            100,
+            1_000,
+            123_456,
+            u64::MAX / 2,
+            u64::MAX,
+        ] {
             let i = bucket_index(v);
             let floor = bucket_floor(i);
             assert!(floor <= v, "floor({i}) = {floor} > {v}");

@@ -336,8 +336,8 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos..self.pos + 4)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex =
+                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             self.pos += 4;
@@ -354,11 +354,8 @@ impl<'a> Parser<'a> {
                     let start = self.pos - 1;
                     let s = &self.bytes[start..];
                     let ch_len = utf8_len(b);
-                    let chunk = s
-                        .get(..ch_len)
-                        .ok_or_else(|| self.err("truncated utf-8"))?;
-                    let text =
-                        std::str::from_utf8(chunk).map_err(|_| self.err("invalid utf-8"))?;
+                    let chunk = s.get(..ch_len).ok_or_else(|| self.err("truncated utf-8"))?;
+                    let text = std::str::from_utf8(chunk).map_err(|_| self.err("invalid utf-8"))?;
                     out.push_str(text);
                     self.pos = start + ch_len;
                 }
@@ -437,15 +434,9 @@ mod tests {
 
     #[test]
     fn parses_whitespace_and_nesting() {
-        let v = Json::parse(
-            r#" { "a" : [ 1 , 2.5 , { "b" : "c" } ] , "d" : null } "#,
-        )
-        .unwrap();
+        let v = Json::parse(r#" { "a" : [ 1 , 2.5 , { "b" : "c" } ] , "d" : null } "#).unwrap();
         assert_eq!(v.field_arr("a").unwrap().len(), 3);
-        assert_eq!(
-            v.field_arr("a").unwrap()[2].field_str("b").unwrap(),
-            "c"
-        );
+        assert_eq!(v.field_arr("a").unwrap()[2].field_str("b").unwrap(), "c");
     }
 
     #[test]
@@ -460,9 +451,6 @@ mod tests {
     fn unicode_survives() {
         let v = Json::Str("héllo → 世界".to_string());
         assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
-        assert_eq!(
-            Json::parse(r#""Aé""#).unwrap(),
-            Json::Str("Aé".to_string())
-        );
+        assert_eq!(Json::parse(r#""Aé""#).unwrap(), Json::Str("Aé".to_string()));
     }
 }

@@ -154,7 +154,15 @@ impl TraceBuffer {
     /// Record a span that started `dur_nanos` ago and ends now.
     pub fn record_span(&self, kind: TraceKind, dur_nanos: u64, pid: u32, tid: u32, a: u64, b: u64) {
         let end = self.now_nanos();
-        self.record_at(kind, end.saturating_sub(dur_nanos), dur_nanos, pid, tid, a, b);
+        self.record_at(
+            kind,
+            end.saturating_sub(dur_nanos),
+            dur_nanos,
+            pid,
+            tid,
+            a,
+            b,
+        );
     }
 
     /// Record with an explicit timestamp (testing, replay).

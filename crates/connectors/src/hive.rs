@@ -255,9 +255,8 @@ impl ConnectorMetadata for HiveConnector {
     }
 
     fn table_schema(&self, table: &str) -> Result<Schema> {
-        self.cache.schema(&self.catalog_key, table, || {
-            Ok(self.table(table)?.schema)
-        })
+        self.cache
+            .schema(&self.catalog_key, table, || Ok(self.table(table)?.schema))
     }
 
     fn table_statistics(&self, table: &str) -> TableStatistics {
@@ -266,9 +265,8 @@ impl ConnectorMetadata for HiveConnector {
             // "no stats" variant); bypass the cache entirely.
             return TableStatistics::unknown();
         }
-        self.cache.statistics(&self.catalog_key, table, || {
-            self.compute_statistics(table)
-        })
+        self.cache
+            .statistics(&self.catalog_key, table, || self.compute_statistics(table))
     }
 
     fn create_table(&self, table: &str, schema: &Schema) -> Result<()> {

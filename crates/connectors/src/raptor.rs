@@ -579,7 +579,8 @@ mod tests {
         c.create_table("t", &schema).unwrap();
         let load = |v: i64| {
             let rows: Vec<Vec<Value>> = (0..100).map(|i| vec![Value::Bigint(v + i)]).collect();
-            c.load_table("t", &[Page::from_rows(&schema, &rows)]).unwrap();
+            c.load_table("t", &[Page::from_rows(&schema, &rows)])
+                .unwrap();
         };
         let scan_min = || {
             let mut src = c.split_source("t", "default", &TupleDomain::all()).unwrap();

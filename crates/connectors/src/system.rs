@@ -223,9 +223,8 @@ impl SystemConnector {
     }
 
     fn resolve(table: &str) -> Result<SystemTable> {
-        SystemTable::from_name(table).ok_or_else(|| {
-            PrestoError::user(format!("system table '{table}' does not exist"))
-        })
+        SystemTable::from_name(table)
+            .ok_or_else(|| PrestoError::user(format!("system table '{table}' does not exist")))
     }
 }
 

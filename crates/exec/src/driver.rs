@@ -108,10 +108,7 @@ impl Driver {
             operators: self
                 .operator_stats()
                 .into_iter()
-                .map(|(name, stats)| crate::stats::OperatorStatsEntry {
-                    name,
-                    stats,
-                })
+                .map(|(name, stats)| crate::stats::OperatorStatsEntry { name, stats })
                 .collect(),
         }
     }

@@ -452,7 +452,9 @@ impl DynamicFilterRegistry {
         if slot.received >= slot.expected.max(1) {
             let merged = slot.pending.take().expect("just stored");
             slot.done = Some(Arc::new(merged.publish()));
-            self.totals.filters_published.fetch_add(1, Ordering::Relaxed);
+            self.totals
+                .filters_published
+                .fetch_add(1, Ordering::Relaxed);
             drop(slots);
             self.cond.notify_all();
         }
@@ -490,12 +492,12 @@ pub fn split_pruned(dynamic: &TupleDomain, split: &TupleDomain) -> bool {
     if dynamic.is_none() {
         return true;
     }
-    dynamic.columns().any(|col| {
-        match (dynamic.domain(col), split.domain(col)) {
+    dynamic
+        .columns()
+        .any(|col| match (dynamic.domain(col), split.domain(col)) {
             (Some(d), Some(s)) => d.intersect(s).is_none(),
             _ => false,
-        }
-    })
+        })
 }
 
 /// Hand-off from the coordinator into task compilation: the query's
@@ -514,7 +516,11 @@ impl TaskDynamicFilters {
     }
 
     pub fn specs_for_scan(&self, scan: PlanNodeId) -> Vec<DynamicFilterSpec> {
-        self.specs.iter().filter(|s| s.scan == scan).cloned().collect()
+        self.specs
+            .iter()
+            .filter(|s| s.scan == scan)
+            .cloned()
+            .collect()
     }
 
     pub fn produces_for_join(&self, join: PlanNodeId) -> bool {
@@ -651,12 +657,8 @@ impl ScanDynamicFilter {
             }
             if let Some(bloom) = &filter.bloom {
                 if !spec.keys.is_empty() && spec.keys.iter().all(Option::is_some) {
-                    let channels: Vec<usize> = spec
-                        .keys
-                        .iter()
-                        .flatten()
-                        .map(|k| k.scan_channel)
-                        .collect();
+                    let channels: Vec<usize> =
+                        spec.keys.iter().flatten().map(|k| k.scan_channel).collect();
                     let hashes = hash_columns(&page, &channels);
                     for (slot, h) in keep.iter_mut().zip(&hashes) {
                         if *slot && !bloom.may_contain(*h) {
@@ -862,7 +864,9 @@ mod tests {
 
     #[test]
     fn bloom_has_no_false_negatives() {
-        let hashes: Vec<u64> = (0..1000u64).map(|v| v.wrapping_mul(0x9E3779B97F4A7C15)).collect();
+        let hashes: Vec<u64> = (0..1000u64)
+            .map(|v| v.wrapping_mul(0x9E3779B97F4A7C15))
+            .collect();
         let bloom = DfBloom::build(&hashes);
         assert!(hashes.iter().all(|&h| bloom.may_contain(h)));
         let misses = (5000..6000u64)

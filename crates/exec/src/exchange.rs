@@ -360,7 +360,10 @@ mod tests {
             }
         }
         assert_eq!(total_rows, 1024);
-        assert!(total_pages <= 24, "expected coalesced pages, got {total_pages}");
+        assert!(
+            total_pages <= 24,
+            "expected coalesced pages, got {total_pages}"
+        );
         let mean = total_rows / total_pages;
         assert!(mean >= 32, "mean delivered page rows {mean} < target/2");
     }

@@ -207,7 +207,10 @@ mod tests {
         emitted_pages += tail.len();
         flushed += drain_rows(tail);
         assert_eq!(flushed, fed, "no rows lost or duplicated");
-        assert!(emitted_pages <= 14, "got {emitted_pages} pages for {fed} rows");
+        assert!(
+            emitted_pages <= 14,
+            "got {emitted_pages} pages for {fed} rows"
+        );
         assert_eq!(part.retained_bytes(), 0);
     }
 

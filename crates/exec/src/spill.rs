@@ -113,9 +113,10 @@ impl SpillManager {
     /// Start a new empty run. No I/O happens until the first append.
     pub fn create_run(self: &Arc<Self>, label: &'static str) -> SpillRun {
         let id = NEXT_RUN_ID.fetch_add(1, Ordering::Relaxed);
-        let path = self
-            .dir
-            .join(format!("presto-spill-{}-{label}-{id}.run", std::process::id()));
+        let path = self.dir.join(format!(
+            "presto-spill-{}-{label}-{id}.run",
+            std::process::id()
+        ));
         SpillRun {
             manager: Arc::clone(self),
             id,
@@ -474,8 +475,11 @@ mod tests {
         let mut run = mgr.create_run("test");
         run.append(&page(50)).unwrap();
         // Flip a byte past the length prefix: the frame checksum must catch it.
-        let path = dir
-            .join(format!("presto-spill-{}-test-{}.run", std::process::id(), run.id));
+        let path = dir.join(format!(
+            "presto-spill-{}-test-{}.run",
+            std::process::id(),
+            run.id
+        ));
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;

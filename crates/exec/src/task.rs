@@ -591,10 +591,8 @@ impl<'a> Compiler<'a> {
                 let trace_tid = self.ctx.task_id.stage.stage;
                 Ok(Chain {
                     factories: vec![Arc::new(move || {
-                        let mut op = ExchangeSourceOperator::new(
-                            Arc::clone(&client),
-                            Arc::clone(&no_more),
-                        );
+                        let mut op =
+                            ExchangeSourceOperator::new(Arc::clone(&client), Arc::clone(&no_more));
                         if let Some(trace) = &trace {
                             op = op.with_trace(Arc::clone(trace), trace_pid, trace_tid);
                         }

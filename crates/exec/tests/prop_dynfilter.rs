@@ -32,8 +32,7 @@ fn sql_eq(a: &Value, b: &Value) -> bool {
 /// on every key.
 fn joins(probe_keys: &[Value], build_rows: &[Vec<Value>]) -> bool {
     build_rows.iter().any(|b| {
-        b.iter().all(|v| !v.is_null())
-            && probe_keys.iter().zip(b).all(|(p, q)| sql_eq(p, q))
+        b.iter().all(|v| !v.is_null()) && probe_keys.iter().zip(b).all(|(p, q)| sql_eq(p, q))
     })
 }
 

@@ -39,7 +39,8 @@ fn value_row(r: &Row) -> Vec<Value> {
         r.0.map(Value::Bigint).unwrap_or(Value::Null),
         Value::Bigint(r.1),
         r.2.map(Value::Double).unwrap_or(Value::Null),
-        r.3.map(|c| Value::varchar(format!("s{c}"))).unwrap_or(Value::Null),
+        r.3.map(|c| Value::varchar(format!("s{c}")))
+            .unwrap_or(Value::Null),
     ]
 }
 
@@ -71,7 +72,9 @@ fn chunk_page(chunk: &Chunk) -> Page {
             let mut entries: Vec<Value> = Vec::new();
             let mut ids = Vec::with_capacity(rows.len());
             for r in rows {
-                let v = r.3.map(|c| Value::varchar(format!("s{c}"))).unwrap_or(Value::Null);
+                let v =
+                    r.3.map(|c| Value::varchar(format!("s{c}")))
+                        .unwrap_or(Value::Null);
                 let id = entries.iter().position(|e| *e == v).unwrap_or_else(|| {
                     entries.push(v);
                     entries.len() - 1
@@ -154,11 +157,7 @@ fn final_specs(group_count: usize, specs: &[AggSpec]) -> Vec<AggSpec> {
 }
 
 /// Merge partial pages through a final aggregation and render the rows.
-fn finalize(
-    partials: Vec<Page>,
-    agg: &FusedAggStage,
-    out_schema: &Schema,
-) -> Vec<String> {
+fn finalize(partials: Vec<Page>, agg: &FusedAggStage, out_schema: &Schema) -> Vec<String> {
     let mut finals = HashAggregationOperator::new(
         AggPhase::Final,
         (0..agg.group_channels.len()).collect(),

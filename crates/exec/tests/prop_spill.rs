@@ -105,7 +105,10 @@ fn page_of(rows: &[Row], encoding: Encoding) -> Page {
             let count = rows.len();
             Page::new(vec![
                 Block::rle(
-                    Block::single(DataType::Bigint, &k.map(Value::Bigint).unwrap_or(Value::Null)),
+                    Block::single(
+                        DataType::Bigint,
+                        &k.map(Value::Bigint).unwrap_or(Value::Null),
+                    ),
                     count,
                 ),
                 Block::rle(Block::single(DataType::Double, &Value::Double(v)), count),
@@ -363,7 +366,10 @@ fn build_pages(chunks: &[(Vec<Row>, Encoding)]) -> Vec<Page> {
 }
 
 fn encoded_pages(chunks: &[(Vec<Row>, Encoding)]) -> Vec<Page> {
-    chunks.iter().map(|(rows, enc)| page_of(rows, *enc)).collect()
+    chunks
+        .iter()
+        .map(|(rows, enc)| page_of(rows, *enc))
+        .collect()
 }
 
 proptest! {
@@ -467,7 +473,10 @@ fn spill_write_failure_is_retryable() {
     let rows: Vec<Row> = (0..64).map(|i| (Some(i % 7), i as f64)).collect();
     op.add_input(page_of(&rows, Encoding::Flat)).unwrap();
     let err = op.revoke_memory().unwrap_err();
-    assert!(err.is_retryable(), "spill write fault must be retryable: {err}");
+    assert!(
+        err.is_retryable(),
+        "spill write fault must be retryable: {err}"
+    );
     drop(op);
     manager.remove_all();
     drop(manager);

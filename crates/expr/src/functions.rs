@@ -236,9 +236,12 @@ impl ScalarFn {
             ScalarFn::Sqrt => Value::Double(args[0].as_f64().expect("numeric argument").sqrt()),
             ScalarFn::Ln => Value::Double(args[0].as_f64().expect("numeric argument").ln()),
             ScalarFn::Exp => Value::Double(args[0].as_f64().expect("numeric argument").exp()),
-            ScalarFn::Power => {
-                Value::Double(args[0].as_f64().expect("numeric argument").powf(args[1].as_f64().expect("numeric argument")))
-            }
+            ScalarFn::Power => Value::Double(
+                args[0]
+                    .as_f64()
+                    .expect("numeric argument")
+                    .powf(args[1].as_f64().expect("numeric argument")),
+            ),
             ScalarFn::Floor => match &args[0] {
                 Value::Bigint(v) => Value::Bigint(*v),
                 v => Value::Double(v.as_f64().expect("numeric argument").floor()),
@@ -251,13 +254,21 @@ impl ScalarFn {
                 Value::Bigint(v) => Value::Bigint(*v),
                 v => Value::Double(v.as_f64().expect("numeric argument").round()),
             },
-            ScalarFn::Lower => Value::varchar(args[0].as_str().expect("varchar argument").to_lowercase()),
-            ScalarFn::Upper => Value::varchar(args[0].as_str().expect("varchar argument").to_uppercase()),
-            ScalarFn::Length => Value::Bigint(args[0].as_str().expect("varchar argument").chars().count() as i64),
+            ScalarFn::Lower => {
+                Value::varchar(args[0].as_str().expect("varchar argument").to_lowercase())
+            }
+            ScalarFn::Upper => {
+                Value::varchar(args[0].as_str().expect("varchar argument").to_uppercase())
+            }
+            ScalarFn::Length => {
+                Value::Bigint(args[0].as_str().expect("varchar argument").chars().count() as i64)
+            }
             ScalarFn::Substr => {
                 let s = args[0].as_str().expect("varchar argument");
                 let start = args[1].as_i64().expect("bigint argument");
-                let len = args.get(2).map(|v| v.as_i64().expect("bigint argument").max(0) as usize);
+                let len = args
+                    .get(2)
+                    .map(|v| v.as_i64().expect("bigint argument").max(0) as usize);
                 Value::varchar(substr(s, start, len))
             }
             ScalarFn::Concat => {

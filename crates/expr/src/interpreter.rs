@@ -139,7 +139,10 @@ pub fn eval_arith(op: ArithOp, l: &Value, r: &Value, result: DataType) -> Result
     }
     match result {
         DataType::Bigint => {
-            let (a, b) = (l.as_i64().expect("bigint operand"), r.as_i64().expect("bigint operand"));
+            let (a, b) = (
+                l.as_i64().expect("bigint operand"),
+                r.as_i64().expect("bigint operand"),
+            );
             Ok(Value::Bigint(match op {
                 ArithOp::Add => a.wrapping_add(b),
                 ArithOp::Sub => a.wrapping_sub(b),
@@ -159,7 +162,10 @@ pub fn eval_arith(op: ArithOp, l: &Value, r: &Value, result: DataType) -> Result
             }))
         }
         DataType::Double => {
-            let (a, b) = (l.as_f64().expect("numeric operand"), r.as_f64().expect("numeric operand"));
+            let (a, b) = (
+                l.as_f64().expect("numeric operand"),
+                r.as_f64().expect("numeric operand"),
+            );
             Ok(Value::Double(match op {
                 ArithOp::Add => a + b,
                 ArithOp::Sub => a - b,

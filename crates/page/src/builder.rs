@@ -253,8 +253,10 @@ impl BlockBuilder {
                 Block::Varchar(b),
             ) => {
                 for &p in positions {
-                    let (start, end) =
-                        (b.offsets[p as usize] as usize, b.offsets[p as usize + 1] as usize);
+                    let (start, end) = (
+                        b.offsets[p as usize] as usize,
+                        b.offsets[p as usize + 1] as usize,
+                    );
                     bytes.extend_from_slice(&b.bytes[start..end]);
                     offsets.push(bytes.len() as u32);
                 }

@@ -412,8 +412,8 @@ pub fn lz_decompress(src: &[u8], expected_len: usize) -> Result<Vec<u8>> {
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
-    use crate::blocks::LongBlock;
     use crate::block::Block;
+    use crate::blocks::LongBlock;
     use presto_common::{DataType, Schema, Value};
 
     #[test]

@@ -94,8 +94,13 @@ fn arb_dict_page() -> BoxedStrategy<(Schema, Page)> {
             let schema = Schema::of(&[("s", DataType::Varchar)]);
             let strs: Vec<&str> = dict.iter().map(String::as_str).collect();
             let dictionary = Arc::new(Block::from(VarcharBlock::from_strs(&strs)));
-            let ids: Vec<u32> = picks.iter().map(|p| (p % dict.len() as u64) as u32).collect();
-            let page = Page::new(vec![Block::Dictionary(DictionaryBlock::new(dictionary, ids))]);
+            let ids: Vec<u32> = picks
+                .iter()
+                .map(|p| (p % dict.len() as u64) as u32)
+                .collect();
+            let page = Page::new(vec![Block::Dictionary(DictionaryBlock::new(
+                dictionary, ids,
+            ))]);
             (schema, page)
         })
         .boxed()

@@ -71,12 +71,13 @@ impl FileMeta {
     /// weight by the footer cache. Dominated by per-stripe column chunks
     /// (each carries min/max values and an optional Bloom filter).
     pub fn approx_weight(&self) -> u64 {
-        let schema: u64 = 48 + self
-            .schema
-            .fields()
-            .iter()
-            .map(|f| 40 + f.name.len() as u64)
-            .sum::<u64>();
+        let schema: u64 = 48
+            + self
+                .schema
+                .fields()
+                .iter()
+                .map(|f| 40 + f.name.len() as u64)
+                .sum::<u64>();
         let stripes: u64 = self
             .stripes
             .iter()

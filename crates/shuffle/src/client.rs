@@ -705,7 +705,10 @@ mod tests {
         a.abort();
         let err = client.poll_progress().expect_err("lost source must error");
         assert_eq!(err.code, presto_common::ErrorCode::WorkerFailed);
-        assert!(err.is_retryable(), "worker loss is retryable at query level");
+        assert!(
+            err.is_retryable(),
+            "worker loss is retryable at query level"
+        );
     }
 
     #[test]

@@ -108,12 +108,7 @@ impl Bencher {
     }
 }
 
-fn run_one(
-    group: &str,
-    throughput: Option<Throughput>,
-    id: &str,
-    mut f: impl FnMut(&mut Bencher),
-) {
+fn run_one(group: &str, throughput: Option<Throughput>, id: &str, mut f: impl FnMut(&mut Bencher)) {
     let mut bencher = Bencher::default();
     f(&mut bencher);
     let label = if group.is_empty() {

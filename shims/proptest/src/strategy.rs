@@ -479,9 +479,11 @@ mod tests {
                 Tree::Node(cs) => 1 + cs.iter().map(depth).max().unwrap_or(0),
             }
         }
-        let strat = Just(()).prop_map(|_| Tree::Leaf).prop_recursive(4, 16, 2, |inner| {
-            crate::collection::vec(inner, 1..3).prop_map(Tree::Node)
-        });
+        let strat = Just(())
+            .prop_map(|_| Tree::Leaf)
+            .prop_recursive(4, 16, 2, |inner| {
+                crate::collection::vec(inner, 1..3).prop_map(Tree::Node)
+            });
         let mut r = rng();
         let mut max_seen = 0;
         for _ in 0..200 {

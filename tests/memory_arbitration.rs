@@ -268,7 +268,11 @@ fn shuffle_operators_charge_actual_retained_bytes() {
         }
     }
     assert_eq!(rows, 600);
-    assert_eq!(source.system_memory_bytes(), 0, "drained client charges nothing");
+    assert_eq!(
+        source.system_memory_bytes(),
+        0,
+        "drained client charges nothing"
+    );
 }
 
 #[test]

@@ -32,8 +32,12 @@ fn fixture(name: &str) -> (Cluster, Arc<HiveConnector>, PathBuf) {
         .collect();
     hive.load_table("events", schema.clone(), &[Page::from_rows(&schema, &rows)])
         .unwrap();
-    hive.load_table("staging", schema.clone(), &[Page::from_rows(&schema, &rows)])
-        .unwrap();
+    hive.load_table(
+        "staging",
+        schema.clone(),
+        &[Page::from_rows(&schema, &rows)],
+    )
+    .unwrap();
     let mut catalogs = CatalogManager::new();
     catalogs.register("hive", Arc::clone(&hive) as Arc<dyn Connector>);
     let cluster = Cluster::start_with_cache(config, catalogs, cache).unwrap();
