@@ -323,6 +323,17 @@ proptest! {
         let mut hash = GroupByHash::new(channels, types.clone());
         let mut model: HashMap<Vec<u8>, u32> = HashMap::new();
         let mut model_keys: Vec<Vec<u8>> = Vec::new();
+        // The first key column alone, which a flat bigint, date or double
+        // column sends through the typed single-key pass. It first sees a
+        // one-row page of a non-NULL key, so any NULL key is first seen on
+        // a later page.
+        let mut single = GroupByHash::new(vec![0], vec![types[0]]);
+        let mut single_model: HashMap<Vec<u8>, u32> = HashMap::new();
+        let lead = Block::from_values(types[0], &palettes[0][1..2]);
+        let mut lead_key = Vec::new();
+        byte_key(&lead, types[0], 0, &mut lead_key);
+        single_model.insert(lead_key, 0);
+        prop_assert_eq!(single.group_ids(&Page::new(vec![lead])), vec![0]);
         for (p, piece) in cells.chunks(chunk).enumerate() {
             let mut blocks = Vec::new();
             let mut reference = Vec::new();
@@ -360,9 +371,19 @@ proptest! {
                     })
                 })
                 .collect();
+            let single_expected: Vec<u32> = (0..piece.len())
+                .map(|row| {
+                    let mut key = Vec::new();
+                    byte_key(&reference[0], types[0], row, &mut key);
+                    let next = single_model.len() as u32;
+                    *single_model.entry(key).or_insert(next)
+                })
+                .collect();
+            prop_assert_eq!(single.group_ids(&Page::new(vec![blocks[0].clone()])), single_expected);
             prop_assert_eq!(hash.group_ids(&Page::new(blocks)), expected);
         }
         prop_assert_eq!(hash.group_count(), model.len());
+        prop_assert_eq!(single.group_count(), single_model.len());
         // Group g's stored key is the key the model numbered g.
         let keys = hash.take_key_blocks();
         for (g, expected) in model_keys.iter().enumerate() {

@@ -174,6 +174,34 @@ impl AggregateFunction {
     }
 }
 
+/// The group of each row given to a [`GroupedAccumulator`].
+#[derive(Debug, Clone, Copy)]
+pub enum Groups<'a> {
+    /// This many rows, all in group 0: a global aggregation, which folds
+    /// `SUM`, `COUNT` and `AVG` in registers.
+    Global(usize),
+    /// Row `i` is in group `ids[i]`; no id exceeds the second field.
+    Ids(&'a [u32], u32),
+}
+
+impl Groups<'_> {
+    /// The groups the accumulator must hold.
+    fn count(&self) -> usize {
+        match *self {
+            Groups::Global(_) => 1,
+            Groups::Ids(_, max_group) => max_group as usize + 1,
+        }
+    }
+
+    /// The group id of each row.
+    fn ids(&self) -> Cow<'_, [u32]> {
+        match *self {
+            Groups::Global(rows) => Cow::Owned(vec![0; rows]),
+            Groups::Ids(ids, _) => Cow::Borrowed(ids),
+        }
+    }
+}
+
 /// Grouped aggregation state: one logical accumulator per group id, stored
 /// in flat vectors.
 #[derive(Debug)]
@@ -295,16 +323,17 @@ impl GroupedAccumulator {
     }
 
     /// Accumulate raw input rows. `input` is the argument block (`None` for
-    /// `COUNT(*)`), `group_ids[i]` assigns row `i` to a group, and
-    /// `max_group + 1` is the group-count watermark. Numeric inputs are read
-    /// as flat lanes, decoded once when the page is not flat.
-    pub fn add_input(
-        &mut self,
-        input: Option<&Block>,
-        group_ids: &[u32],
-        max_group: u32,
-    ) -> Result<()> {
-        self.ensure_groups(max_group as usize + 1);
+    /// `COUNT(*)`) and `groups` assigns its rows to groups. Numeric inputs
+    /// are read as flat lanes, decoded once when the page is not flat.
+    pub fn add_input(&mut self, input: Option<&Block>, groups: Groups<'_>) -> Result<()> {
+        self.ensure_groups(groups.count());
+        if let Groups::Global(rows) = groups {
+            if self.fold_global(input, rows)? {
+                return Ok(());
+            }
+        }
+        let group_ids = groups.ids();
+        let group_ids = group_ids.as_ref();
         let f = self.function();
         match self {
             GroupedAccumulator::Count { counts, .. } => match (f.kind, input) {
@@ -410,21 +439,76 @@ impl GroupedAccumulator {
         Ok(())
     }
 
+    /// One group's `rows` input rows folded in registers, in row order, so
+    /// the result has the bits the grouped loop would give. `false` when
+    /// this accumulator has no register fold.
+    fn fold_global(&mut self, input: Option<&Block>, rows: usize) -> Result<bool> {
+        let f = self.function();
+        match self {
+            GroupedAccumulator::Count { counts, .. } => {
+                let nulls = match (f.kind, input) {
+                    (AggregateKind::Count, _) => 0,
+                    (_, Some(block)) => {
+                        null_lanes(block).map_or(0, |n| n.iter().filter(|&&n| n).count())
+                    }
+                    _ => unreachable!("COUNT(x) requires input"),
+                };
+                counts[0] += (rows - nulls) as i64;
+            }
+            GroupedAccumulator::Sum {
+                sums, saw_value, ..
+            } => {
+                let block = flat::<DoubleBlock>(input.expect("sum input"));
+                let (sum, saw) = fold(&block.values, &block.nulls, sums[0], |s, v| s + v);
+                sums[0] = sum;
+                saw_value[0] |= saw;
+            }
+            GroupedAccumulator::SumLong {
+                sums, saw_value, ..
+            } => {
+                let block = flat::<LongBlock>(input.expect("sum input"));
+                let add = |(s, over): (i64, bool), v: i64| {
+                    let (s, o) = s.overflowing_add(v);
+                    (s, over | o)
+                };
+                let ((sum, overflow), saw) =
+                    fold(&block.values, &block.nulls, (sums[0], false), add);
+                sums[0] = sum;
+                saw_value[0] |= saw;
+                if overflow {
+                    return Err(PrestoError::user("bigint addition overflow"));
+                }
+            }
+            GroupedAccumulator::Avg { sums, counts, .. } => {
+                let block = input.expect("avg input");
+                let acc = (sums[0], counts[0]);
+                let ((sum, count), _) = if block.physical_type() == PhysicalType::Double {
+                    let b = flat::<DoubleBlock>(block);
+                    fold(&b.values, &b.nulls, acc, |(s, c), v| (s + v, c + 1))
+                } else {
+                    let b = flat::<LongBlock>(block);
+                    fold(&b.values, &b.nulls, acc, |(s, c), v| (s + v as f64, c + 1))
+                };
+                sums[0] = sum;
+                counts[0] = count;
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
     /// Merge intermediate state produced by [`GroupedAccumulator::write_intermediate`].
-    pub fn add_intermediate(
-        &mut self,
-        blocks: &[Block],
-        group_ids: &[u32],
-        max_group: u32,
-    ) -> Result<()> {
+    pub fn add_intermediate(&mut self, blocks: &[Block], groups: Groups<'_>) -> Result<()> {
         // Min/max and sum intermediates use the input representation verbatim.
         if let GroupedAccumulator::MinMax { .. }
         | GroupedAccumulator::Sum { .. }
         | GroupedAccumulator::SumLong { .. } = self
         {
-            return self.add_input(Some(&blocks[0]), group_ids, max_group);
+            return self.add_input(Some(&blocks[0]), groups);
         }
-        self.ensure_groups(max_group as usize + 1);
+        self.ensure_groups(groups.count());
+        let group_ids = groups.ids();
+        let group_ids = group_ids.as_ref();
         match self {
             GroupedAccumulator::Count { counts, .. } => {
                 let c = flat::<LongBlock>(&blocks[0]);
@@ -605,6 +689,26 @@ impl GroupedAccumulator {
     }
 }
 
+/// Fold the non-NULL lanes of `values` into `acc` in row order; also
+/// whether any lane was folded.
+#[inline]
+fn fold<T: Copy, A>(values: &[T], nulls: &NullMask, acc: A, f: impl Fn(A, T) -> A) -> (A, bool) {
+    match nulls {
+        None => (values.iter().fold(acc, |a, &v| f(a, v)), !values.is_empty()),
+        Some(nulls) => {
+            let mut saw = false;
+            let mut acc = acc;
+            for (&v, &null) in values.iter().zip(nulls) {
+                if !null {
+                    acc = f(acc, v);
+                    saw = true;
+                }
+            }
+            (acc, saw)
+        }
+    }
+}
+
 /// Visit the non-NULL rows of flat lanes as (group, value).
 #[inline]
 fn each<T: Copy>(values: &[T], nulls: &NullMask, group_ids: &[u32], mut f: impl FnMut(usize, T)) {
@@ -713,8 +817,7 @@ pub fn aggregate_single(
     rows: usize,
 ) -> Result<Value> {
     let mut acc = function.create_accumulator();
-    let group_ids = vec![0u32; rows];
-    acc.add_input(input, &group_ids, 0)?;
+    acc.add_input(input, Groups::Global(rows))?;
     let out = acc.write_final();
     Ok(out.value_at(function.output_type(), 0))
 }
@@ -777,14 +880,57 @@ mod tests {
         );
         // Merging partial sums checks too.
         let mut fin = f.create_accumulator();
-        fin.add_intermediate(&[bigints(&[Some(i64::MAX)])], &[0], 0)
+        fin.add_intermediate(&[bigints(&[Some(i64::MAX)])], Groups::Ids(&[0], 0))
             .unwrap();
         let err = fin
-            .add_intermediate(&[bigints(&[Some(1)])], &[0], 0)
+            .add_intermediate(&[bigints(&[Some(1)])], Groups::Ids(&[0], 0))
             .unwrap_err();
         assert!(
             err.to_string().contains("bigint addition overflow"),
             "{err}"
+        );
+    }
+
+    #[test]
+    fn global_sum_folds_in_row_order_bit_for_bit() {
+        // Order-sensitive: the small terms vanish or survive depending on
+        // where they meet the large ones.
+        let values = [
+            1e16, 1.0, -1e16, 1.0, 0.1, 1e16, -0.0, 3.0, -1e16, 0.7, 1e-3, 2.5e15, -2.5e15, 1.0,
+        ];
+        let nulls: Vec<bool> = (0..values.len()).map(|i| i % 5 == 3).collect();
+        let row_order = |skip: &[bool]| {
+            let cells = values.iter().zip(skip);
+            cells
+                .filter(|(_, &null)| !null)
+                .fold(0.0f64, |s, (&v, _)| s + v)
+        };
+        let f = AggregateFunction::new(AggregateKind::Sum, Some(DataType::Double)).unwrap();
+        for nulls in [None, Some(nulls.clone())] {
+            let block = Block::from(DoubleBlock::new(values.to_vec(), nulls.clone()));
+            let expected = row_order(nulls.as_deref().unwrap_or(&[false; 14]));
+            let global = aggregate_single(f, Some(&block), values.len()).unwrap();
+            assert_eq!(global.as_f64().unwrap().to_bits(), expected.to_bits());
+            // Split across two pages, and through the grouped loop.
+            let mut split = f.create_accumulator();
+            let (head, tail) = (
+                block.filter(&(0..5).collect::<Vec<_>>()),
+                block.filter(&(5..14).collect::<Vec<_>>()),
+            );
+            split.add_input(Some(&head), Groups::Global(5)).unwrap();
+            split.add_input(Some(&tail), Groups::Global(9)).unwrap();
+            let mut grouped = f.create_accumulator();
+            grouped
+                .add_input(Some(&block), Groups::Ids(&[0; 14], 0))
+                .unwrap();
+            for acc in [split, grouped] {
+                assert_eq!(acc.write_final().f64_at(0).to_bits(), expected.to_bits());
+            }
+        }
+        assert_ne!(
+            row_order(&[false; 14]),
+            values.iter().rev().sum::<f64>(),
+            "order matters here"
         );
     }
 
@@ -835,7 +981,7 @@ mod tests {
             let f = AggregateFunction::new(kind, Some(DataType::Bigint)).unwrap();
             let run = |block: &Block| {
                 let mut acc = f.create_accumulator();
-                acc.add_input(Some(block), &ids, 1).unwrap();
+                acc.add_input(Some(block), Groups::Ids(&ids, 1)).unwrap();
                 let out = acc.write_final();
                 (0..2)
                     .map(|g| out.value_at(f.output_type(), g))
@@ -857,7 +1003,8 @@ mod tests {
         let f = AggregateFunction::new(AggregateKind::Max, Some(DataType::Bigint)).unwrap();
         let mut acc = f.create_accumulator();
         let block = Block::from(LongBlock::from_values(vec![5, 1, 9, 3]));
-        acc.add_input(Some(&block), &[0, 1, 0, 1], 1).unwrap();
+        acc.add_input(Some(&block), Groups::Ids(&[0, 1, 0, 1], 1))
+            .unwrap();
         let out = acc.write_final();
         assert_eq!(out.i64_at(0), 9);
         assert_eq!(out.i64_at(1), 3);
@@ -870,18 +1017,20 @@ mod tests {
         let mut p1 = f.create_accumulator();
         p1.add_input(
             Some(&Block::from(LongBlock::from_values(vec![1, 2]))),
-            &[0, 0],
-            0,
+            Groups::Ids(&[0, 0], 0),
         )
         .unwrap();
         let mut p2 = f.create_accumulator();
-        p2.add_input(Some(&Block::from(LongBlock::from_values(vec![3]))), &[0], 0)
-            .unwrap();
+        p2.add_input(
+            Some(&Block::from(LongBlock::from_values(vec![3]))),
+            Groups::Ids(&[0], 0),
+        )
+        .unwrap();
         // Final merges both intermediates.
         let mut fin = f.create_accumulator();
-        fin.add_intermediate(&p1.write_intermediate(), &[0], 0)
+        fin.add_intermediate(&p1.write_intermediate(), Groups::Ids(&[0], 0))
             .unwrap();
-        fin.add_intermediate(&p2.write_intermediate(), &[0], 0)
+        fin.add_intermediate(&p2.write_intermediate(), Groups::Ids(&[0], 0))
             .unwrap();
         assert_eq!(fin.write_final().f64_at(0), 2.0);
     }
@@ -897,21 +1046,19 @@ mod tests {
         let mut p1 = f.create_accumulator();
         p1.add_input(
             Some(&Block::from(LongBlock::from_values(data[..3].to_vec()))),
-            &[0; 3],
-            0,
+            Groups::Ids(&[0; 3], 0),
         )
         .unwrap();
         let mut p2 = f.create_accumulator();
         p2.add_input(
             Some(&Block::from(LongBlock::from_values(data[3..].to_vec()))),
-            &[0; 5],
-            0,
+            Groups::Ids(&[0; 5], 0),
         )
         .unwrap();
         let mut fin = f.create_accumulator();
-        fin.add_intermediate(&p1.write_intermediate(), &[0], 0)
+        fin.add_intermediate(&p1.write_intermediate(), Groups::Ids(&[0], 0))
             .unwrap();
-        fin.add_intermediate(&p2.write_intermediate(), &[0], 0)
+        fin.add_intermediate(&p2.write_intermediate(), Groups::Ids(&[0], 0))
             .unwrap();
         let merged = fin.write_final().f64_at(0);
         // Known value: stddev_pop of this set is exactly 2.

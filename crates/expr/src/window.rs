@@ -10,7 +10,7 @@
 use presto_common::{DataType, PrestoError, Result};
 use presto_page::{Block, BlockBuilder};
 
-use crate::agg::{AggregateFunction, AggregateKind};
+use crate::agg::{AggregateFunction, AggregateKind, Groups};
 
 /// A resolved window function.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,14 +115,13 @@ impl WindowFunction {
                 }
                 for &(start, end) in &results {
                     // Add this group's rows to the running accumulator...
-                    let ids: Vec<u32> = vec![0; end - start];
                     match input {
                         Some(block) => {
                             let positions: Vec<u32> = (start as u32..end as u32).collect();
                             let slice = block.filter(&positions);
-                            acc.add_input(Some(&slice), &ids, 0)?;
+                            acc.add_input(Some(&slice), Groups::Global(end - start))?;
                         }
-                        None => acc.add_input(None, &ids, 0)?,
+                        None => acc.add_input(None, Groups::Global(end - start))?,
                     }
                     // ...then every row in the group sees the cumulative value.
                     let value_block = acc.write_final();

@@ -102,21 +102,23 @@ fn encode_null_mask(mask: &NullMask, buf: &mut Vec<u8>) {
     }
 }
 
-fn decode_null_mask(buf: &mut &[u8]) -> Result<NullMask> {
+fn decode_null_mask(buf: &mut &[u8], rows: usize) -> Result<NullMask> {
     match read_u8(buf)? {
         0 => Ok(None),
         1 => {
             let len = read_u32(buf)? as usize;
-            let bytes = len.div_ceil(8);
-            if buf.remaining() < bytes {
-                return Err(truncated());
+            if len != rows {
+                return Err(PrestoError::internal(
+                    "page codec: null mask length differs from the block's",
+                ));
             }
-            let mut mask = Vec::with_capacity(len);
-            for i in 0..len {
-                let byte = buf[i / 8];
-                mask.push(byte & (1 << (i % 8)) != 0);
+            let bits = take_bytes(buf, len.div_ceil(8))?;
+            let mut mask = vec![false; len];
+            for (nulls, &byte) in mask.chunks_mut(8).zip(bits) {
+                for (bit, null) in nulls.iter_mut().enumerate() {
+                    *null = byte & (1 << bit) != 0;
+                }
             }
-            buf.advance(bytes);
             Ok(Some(mask))
         }
         t => Err(PrestoError::internal(format!(
@@ -170,45 +172,50 @@ fn encode_block(block: &Block, buf: &mut Vec<u8>) {
     }
 }
 
+/// Decode one block and check it: the result upholds every invariant the
+/// block types assume (PORC chunks carry no checksum, so this is where file
+/// input is validated).
 fn decode_block(buf: &mut &[u8]) -> Result<Block> {
     let tag = read_u8(buf)?;
     match tag {
         TAG_LONG => {
             let len = read_u32(buf)? as usize;
-            let nulls = decode_null_mask(buf)?;
+            let nulls = decode_null_mask(buf, len)?;
             let values = get_le(buf, len, i64::from_le_bytes)?;
             Ok(Block::Long(LongBlock::new(values, nulls)))
         }
         TAG_DOUBLE => {
             let len = read_u32(buf)? as usize;
-            let nulls = decode_null_mask(buf)?;
+            let nulls = decode_null_mask(buf, len)?;
             let values = get_le(buf, len, f64::from_le_bytes)?;
             Ok(Block::Double(DoubleBlock::new(values, nulls)))
         }
         TAG_BOOL => {
             let len = read_u32(buf)? as usize;
-            let nulls = decode_null_mask(buf)?;
-            let mut values = Vec::with_capacity(len);
-            for _ in 0..len {
-                values.push(read_u8(buf)? != 0);
-            }
+            let nulls = decode_null_mask(buf, len)?;
+            let values = take_bytes(buf, len)?.iter().map(|&b| b != 0).collect();
             Ok(Block::Bool(BoolBlock::new(values, nulls)))
         }
         TAG_VARCHAR => {
             let len = read_u32(buf)? as usize;
-            let nulls = decode_null_mask(buf)?;
+            let nulls = decode_null_mask(buf, len)?;
             let offsets = get_le(buf, len + 1, u32::from_le_bytes)?;
             let nbytes = read_u32(buf)? as usize;
-            if buf.remaining() < nbytes {
-                return Err(truncated());
-            }
-            let bytes = buf[..nbytes].to_vec();
-            buf.advance(nbytes);
-            std::str::from_utf8(&bytes)
+            let bytes = take_bytes(buf, nbytes)?;
+            let text = std::str::from_utf8(bytes)
                 .map_err(|_| PrestoError::internal("page codec: invalid utf-8"))?;
+            // Each string is `text[offsets[i]..offsets[i + 1]]`, read
+            // unchecked by `VarcharBlock::value`.
+            let starts_at_zero = offsets.first() == Some(&0);
+            let ends_at_len = offsets.last() == Some(&(nbytes as u32));
+            let ascending = offsets.windows(2).all(|w| w[0] <= w[1]);
+            let on_chars = offsets.iter().all(|&o| text.is_char_boundary(o as usize));
+            if !(starts_at_zero && ends_at_len && ascending && on_chars) {
+                return Err(PrestoError::internal("page codec: bad varchar offsets"));
+            }
             Ok(Block::Varchar(VarcharBlock {
                 offsets,
-                bytes,
+                bytes: bytes.to_vec(),
                 nulls,
             }))
         }
@@ -246,7 +253,7 @@ fn decode_block(buf: &mut &[u8]) -> Result<Block> {
 }
 
 /// Append the `W`-byte little-endian encodings of `values` in one resize.
-fn put_le<T: Copy, const W: usize>(buf: &mut Vec<u8>, values: &[T], to_le: fn(T) -> [u8; W]) {
+fn put_le<T: Copy, const W: usize>(buf: &mut Vec<u8>, values: &[T], to_le: impl Fn(T) -> [u8; W]) {
     let start = buf.len();
     buf.resize(start + W * values.len(), 0);
     for (out, &v) in buf[start..].chunks_exact_mut(W).zip(values) {
@@ -255,22 +262,28 @@ fn put_le<T: Copy, const W: usize>(buf: &mut Vec<u8>, values: &[T], to_le: fn(T)
 }
 
 /// Read `n` `W`-byte little-endian values: all of them, or a truncation
-/// error when fewer remain.
+/// error when fewer remain. `from_le` inlines into the loop, which then
+/// runs at copy speed.
 fn get_le<T, const W: usize>(
     buf: &mut &[u8],
     n: usize,
-    from_le: fn([u8; W]) -> T,
+    from_le: impl Fn([u8; W]) -> T,
 ) -> Result<Vec<T>> {
-    let bytes = n
-        .checked_mul(W)
-        .filter(|&bytes| bytes <= buf.len())
-        .ok_or_else(truncated)?;
-    let (values, rest) = buf.split_at(bytes);
-    *buf = rest;
-    Ok(values
+    let bytes = take_bytes(buf, n.checked_mul(W).ok_or_else(truncated)?)?;
+    Ok(bytes
         .chunks_exact(W)
         .map(|c| from_le(c.try_into().expect("chunks are W bytes")))
         .collect())
+}
+
+/// The next `n` bytes of `buf`, or a truncation error when fewer remain.
+fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8]> {
+    if n > buf.len() {
+        return Err(truncated());
+    }
+    let (bytes, rest) = buf.split_at(n);
+    *buf = rest;
+    Ok(bytes)
 }
 
 fn truncated() -> PrestoError {
@@ -357,6 +370,58 @@ mod tests {
         let mut bad = good.to_vec();
         bad.truncate(bad.len() - 3);
         assert!(deserialize_page(&bad).is_err());
+    }
+
+    /// A varchar block body: `rows`, no null mask, `offsets`, `bytes`.
+    fn varchar_block(rows: u32, offsets: &[u32], bytes: &[u8]) -> Vec<u8> {
+        let mut buf = vec![TAG_VARCHAR];
+        buf.put_u32_le(rows);
+        buf.put_u8(0);
+        for &o in offsets {
+            buf.put_u32_le(o);
+        }
+        buf.put_u32_le(bytes.len() as u32);
+        buf.put_slice(bytes);
+        buf
+    }
+
+    #[test]
+    fn crafted_blocks_are_errors_not_undefined_behaviour() {
+        let e_acute = "é".as_bytes();
+        assert!(deserialize_block(&varchar_block(2, &[0, 2, 2], e_acute)).is_ok());
+        // Offsets that split "é" would hand half a character to
+        // `from_utf8_unchecked`.
+        assert!(deserialize_block(&varchar_block(2, &[0, 1, 2], e_acute)).is_err());
+        // An offset past the bytes would panic on first access.
+        assert!(deserialize_block(&varchar_block(2, &[0, 9, 2], e_acute)).is_err());
+        assert!(deserialize_block(&varchar_block(1, &[0, 9], e_acute)).is_err());
+        // Offsets that do not start at 0 or end at the byte length.
+        assert!(deserialize_block(&varchar_block(1, &[1, 2], e_acute)).is_err());
+        assert!(deserialize_block(&varchar_block(1, &[0, 0], e_acute)).is_err());
+        // A null mask longer than its block.
+        let mut long = vec![TAG_LONG];
+        long.put_u32_le(1);
+        long.put_u8(1);
+        long.put_u32_le(9);
+        long.put_slice(&[0, 0]);
+        long.put_i64_le(7);
+        assert!(deserialize_block(&long).is_err());
+    }
+
+    #[test]
+    fn bool_lanes_and_null_masks_round_trip() {
+        for rows in [0usize, 1, 7, 8, 9, 64, 1000] {
+            let values: Vec<bool> = (0..rows).map(|i| i % 3 == 1).collect();
+            let nulls: Vec<bool> = (0..rows).map(|i| i % 5 == 2).collect();
+            let block = Block::from(BoolBlock::new(values, Some(nulls)));
+            let decoded = deserialize_block(&serialize_block(&block)).expect("round trip");
+            for i in 0..rows {
+                assert_eq!(decoded.is_null(i), block.is_null(i), "row {i} of {rows}");
+                if !block.is_null(i) {
+                    assert_eq!(decoded.bool_at(i), block.bool_at(i), "row {i} of {rows}");
+                }
+            }
+        }
     }
 
     #[test]

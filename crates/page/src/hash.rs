@@ -15,7 +15,7 @@ use crate::blocks::NullMask;
 /// Seed for combining multiple columns into one row hash.
 const COLUMN_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Hash used for NULL cells; any fixed odd constant works.
-const NULL_HASH: u64 = 0x7FFF_FFFF_FFFF_FFC5;
+pub const NULL_HASH: u64 = 0x7FFF_FFFF_FFFF_FFC5;
 
 #[inline]
 fn mix(mut h: u64) -> u64 {
