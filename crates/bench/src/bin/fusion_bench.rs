@@ -20,13 +20,9 @@
 //! cargo run --release -p presto-bench --bin fusion_bench
 //! cargo run -p presto-bench --bin fusion_bench -- --smoke
 //! ```
-//!
-//! Emits `BENCH_fusion.json` in the working directory.
 
-use presto_bench::report::BenchReport;
 use presto_bench::{bench_config, ms, worker_count};
 use presto_cluster::Cluster;
-use presto_common::json::Json;
 use presto_common::{DataType, Schema, Session, Value};
 use presto_connector::{CatalogManager, Connector};
 use presto_connectors::MemoryConnector;
@@ -152,37 +148,12 @@ fn main() {
         );
     }
 
-    println!();
-    BenchReport::new("fusion")
-        .config(
-            "mode",
-            Json::Str(if smoke { "smoke" } else { "full" }.into()),
-        )
-        .config("lineitem_rows", Json::Int(rows as i64))
-        .config("page_rows", Json::Int(PAGE_ROWS as i64))
-        .config("iterations", Json::Int(iterations as i64))
-        .metric("q6_result_rows", Json::Int(q6.result_rows as i64))
-        .metric("q6_wall_ms_off", Json::Num(q6.off_wall.as_secs_f64() * 1e3))
-        .metric("q6_wall_ms_on", Json::Num(q6.on_wall.as_secs_f64() * 1e3))
-        .metric("q6_speedup", Json::Num(q6_speedup))
-        .metric("q1_result_rows", Json::Int(q1.result_rows as i64))
-        .metric("q1_wall_ms_off", Json::Num(q1.off_wall.as_secs_f64() * 1e3))
-        .metric("q1_wall_ms_on", Json::Num(q1.on_wall.as_secs_f64() * 1e3))
-        .metric("q1_speedup", Json::Num(q1_speedup))
-        .metric("fused_pipelines", Json::Int(fused_after.pipelines as i64))
-        .metric("fused_scan_rows", Json::Int(fused_after.scan_rows as i64))
-        .metric(
-            "fused_filter_rows",
-            Json::Int(fused_after.filter_rows as i64),
-        )
-        .write();
-    println!("fusion_bench: ok");
+    println!("\nfusion_bench: ok");
 }
 
 struct Comparison {
     off_wall: Duration,
     on_wall: Duration,
-    result_rows: usize,
 }
 
 impl Comparison {
@@ -220,11 +191,7 @@ fn compare(
         assert_eq!(rows, warm_on.1, "{name}: fusion-on result drifted");
         on_wall = on_wall.min(w);
     }
-    Comparison {
-        off_wall,
-        on_wall,
-        result_rows: warm_on.1.len(),
-    }
+    Comparison { off_wall, on_wall }
 }
 
 /// Run once; rows come back sorted and rendered so the differential

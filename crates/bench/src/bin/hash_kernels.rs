@@ -9,14 +9,10 @@
 //! ```sh
 //! cargo run --release -p presto-bench --bin hash_kernels [-- --smoke]
 //! ```
-//!
-//! Emits `BENCH_hash_kernels.json` in the working directory.
 
 use presto_bench::kernels::{
     baseline_group_by, baseline_join, flat_group_by, flat_join, make_pages, KernelRun, KeyEncoding,
 };
-use presto_bench::report::BenchReport;
-use presto_common::json::Json;
 
 fn mrps(r: &KernelRun) -> String {
     format!("{:8.2} Mrows/s", r.rows_per_sec() / 1e6)
@@ -43,9 +39,6 @@ fn main() {
          join cardinality {join_cardinality}, group cardinality {group_cardinality}{}",
         if smoke { " (smoke)" } else { "" }
     );
-
-    let mut join_report = Vec::new();
-    let mut group_report = Vec::new();
 
     println!("\njoin build+probe (inner, bigint key):");
     for encoding in [KeyEncoding::Flat, KeyEncoding::Dictionary, KeyEncoding::Rle] {
@@ -77,13 +70,6 @@ fn main() {
             speedup,
             f.output_rows,
         );
-        join_report.push(Json::obj([
-            ("encoding", Json::Str(encoding.label().into())),
-            ("baseline_mrows_per_sec", Json::Num(b.rows_per_sec() / 1e6)),
-            ("flat_mrows_per_sec", Json::Num(f.rows_per_sec() / 1e6)),
-            ("speedup", Json::Num(speedup)),
-            ("output_rows", Json::Int(f.output_rows as i64)),
-        ]));
     }
 
     println!("\ngroup-by (bigint key):");
@@ -115,25 +101,7 @@ fn main() {
             speedup,
             f.output_rows,
         );
-        group_report.push(Json::obj([
-            ("encoding", Json::Str(encoding.label().into())),
-            ("baseline_mrows_per_sec", Json::Num(b.rows_per_sec() / 1e6)),
-            ("flat_mrows_per_sec", Json::Num(f.rows_per_sec() / 1e6)),
-            ("speedup", Json::Num(speedup)),
-            ("groups", Json::Int(f.output_rows as i64)),
-        ]));
     }
 
-    println!();
-    BenchReport::new("hash_kernels")
-        .config(
-            "mode",
-            Json::Str(if smoke { "smoke" } else { "full" }.into()),
-        )
-        .config("build_rows", Json::Int(build_rows as i64))
-        .config("probe_rows", Json::Int(probe_rows as i64))
-        .config("group_rows", Json::Int(group_rows as i64))
-        .metric("join", Json::Arr(join_report))
-        .metric("group_by", Json::Arr(group_report))
-        .write();
+    println!("\nhash_kernels: ok");
 }

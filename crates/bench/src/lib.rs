@@ -1,10 +1,11 @@
 //! Shared harness for the paper-reproduction benchmarks.
 //!
-//! Every figure and table in the paper's evaluation (§VI) plus every
-//! measured claim in §V has a binary in `src/bin/` that regenerates it; see
-//! EXPERIMENTS.md for the index. This module provides the common cluster
-//! fixtures (one per connector configuration in Table I) and small stats
-//! helpers.
+//! Every figure and table in the paper's evaluation (§VI) and the §V-B/D/E
+//! claims have a binary in `src/bin/` that regenerates them, as do the
+//! `hash_kernels` and `fusion_bench` kernel comparisons; see EXPERIMENTS.md
+//! for the index. Other mechanisms are checked by tier-1 tests and measured
+//! by the `bench/` ledger. This module provides the common cluster fixture
+//! (the four Table I connectors) and small stats helpers.
 
 use presto_cache::MetadataCache;
 use presto_cluster::{Cluster, ClusterConfig};
@@ -18,7 +19,6 @@ use std::sync::Arc;
 use std::time::Duration;
 
 pub mod kernels;
-pub mod report;
 
 /// Scale factor for benchmark data; override with `PRESTO_SF`.
 pub fn scale_factor() -> f64 {
@@ -57,10 +57,7 @@ pub fn scratch_dir(name: &str) -> std::path::PathBuf {
 pub struct BenchCluster {
     pub cluster: Cluster,
     pub hive: Arc<HiveConnector>,
-    pub raptor: Arc<RaptorConnector>,
-    pub sharded: Arc<ShardedSqlConnector>,
-    pub memory: Arc<MemoryConnector>,
-    pub dir: std::path::PathBuf,
+    dir: std::path::PathBuf,
 }
 
 impl BenchCluster {
@@ -92,19 +89,12 @@ impl BenchCluster {
         load_ads_table(&sharded, scale);
 
         let mut catalogs = CatalogManager::new();
-        catalogs.register("memory", Arc::clone(&memory) as Arc<dyn Connector>);
+        catalogs.register("memory", memory as Arc<dyn Connector>);
         catalogs.register("hive", Arc::clone(&hive) as Arc<dyn Connector>);
-        catalogs.register("raptor", Arc::clone(&raptor) as Arc<dyn Connector>);
-        catalogs.register("sharded", Arc::clone(&sharded) as Arc<dyn Connector>);
+        catalogs.register("raptor", raptor as Arc<dyn Connector>);
+        catalogs.register("sharded", sharded as Arc<dyn Connector>);
         let cluster = Cluster::start_with_cache(config, catalogs, cache).expect("cluster");
-        BenchCluster {
-            cluster,
-            hive,
-            raptor,
-            sharded,
-            memory,
-            dir,
-        }
+        BenchCluster { cluster, hive, dir }
     }
 }
 
@@ -116,7 +106,7 @@ impl Drop for BenchCluster {
 
 /// exposure/conversion tables for the A/B Testing use case, bucketed on
 /// uid in Raptor so joins run co-located (§II-C).
-pub fn load_abtest_tables(raptor: &RaptorConnector, scale: f64) {
+fn load_abtest_tables(raptor: &RaptorConnector, scale: f64) {
     use presto_common::{DataType, Schema, Value};
     let schema = Schema::of(&[
         ("uid", DataType::Bigint),
@@ -154,7 +144,7 @@ pub fn load_abtest_tables(raptor: &RaptorConnector, scale: f64) {
 
 /// ads table for the Developer/Advertiser Analytics use case, sharded on
 /// advertiser_id (§II-D).
-pub fn load_ads_table(sharded: &ShardedSqlConnector, scale: f64) {
+fn load_ads_table(sharded: &ShardedSqlConnector, scale: f64) {
     use presto_common::{DataType, Schema, Value};
     let schema = Schema::of(&[
         ("ad_id", DataType::Bigint),

@@ -4,7 +4,7 @@
 //! prompt clean query failure, graceful drain — is only trustworthy if it
 //! is exercised under faults. [`ChaosSchedule`] generates a seeded,
 //! reproducible timeline of worker-level faults (crashes, scheduler hangs,
-//! resumes) that tests and `chaos_bench` replay against a live
+//! resumes) that tests replay against a live
 //! [`Cluster`](crate::Cluster). The same seed always produces the same
 //! schedule; `PRESTO_CHAOS_SEED` overrides the seed from the environment
 //! (see [`presto_common::chaos::seed_from_env`]).

@@ -279,16 +279,28 @@ impl Cluster {
         self.workers.iter().map(|w| w.live_tasks().len()).collect()
     }
 
+    /// Live spill run files per worker: zero once every spilling task has
+    /// retired (another invariant [`await_quiescent`](Self::await_quiescent)
+    /// checks).
+    pub fn worker_spill_files(&self) -> Vec<usize> {
+        self.workers
+            .iter()
+            .map(|w| w.spill_files.load(Ordering::Relaxed))
+            .collect()
+    }
+
     /// Wait until no query has anything left in the cluster: no live task,
     /// no general or reserved pool byte, no query registered with a node
     /// pool (usage, limits or revocable memory), no running or queued query, no
-    /// live history record, and no byte parked in an output buffer or an
-    /// exchange client nor a request in flight. Returns how long that took, or names the
-    /// residue once `grace` has passed.
+    /// live history record, no byte parked in an output buffer or an
+    /// exchange client nor a request in flight, and no spill run file.
+    /// Returns how long that took, or names the residue once `grace` has
+    /// passed.
     pub fn await_quiescent(&self, grace: Duration) -> std::result::Result<Duration, String> {
         let started = Instant::now();
         loop {
             let live = self.worker_live_tasks();
+            let spill_files = self.worker_spill_files();
             let snap = self.metrics_snapshot();
             let pools: Vec<(i64, i64)> = snap
                 .workers
@@ -315,6 +327,7 @@ impl Cluster {
                 && registered.iter().all(|&n| n == 0)
                 && queries == (0, 0, 0)
                 && shuffle == (0, 0, 0)
+                && spill_files.iter().all(|&n| n == 0)
             {
                 return Ok(started.elapsed());
             }
@@ -322,7 +335,8 @@ impl Cluster {
                 return Err(format!(
                     "not quiescent after {grace:?}: live_tasks={live:?} (general,reserved)={pools:?} \
                      registered_queries={registered:?} (running,queued,live_queries)={queries:?} \
-                     (output_buffered_bytes,exchange_buffered_bytes,in_flight_requests)={shuffle:?}"
+                     (output_buffered_bytes,exchange_buffered_bytes,in_flight_requests)={shuffle:?} \
+                     spill_files={spill_files:?}"
                 ));
             }
             std::thread::sleep(Duration::from_millis(1));

@@ -482,6 +482,7 @@ impl Coordinator {
                     trace: self.trace.clone(),
                     dynamic_filters: dyn_filters.clone(),
                     faults: self.config.faults.clone(),
+                    spill_files: Arc::clone(&self.workers[worker_index].spill_files),
                 };
                 fragment_tasks.push(create_task(fragment, &ctx)?);
             }

@@ -308,6 +308,9 @@ counter_set! {
 pub struct Worker {
     pub node: NodeId,
     pub pool: Arc<NodeMemoryPool>,
+    /// Live spill run files of every task placed here (§IV-F2); each task's
+    /// spill manager keeps it in step with its own registry.
+    pub spill_files: Arc<AtomicUsize>,
     queue: Arc<MultilevelQueue<DriverRun>>,
     blocked: Arc<Mutex<VecDeque<Parked>>>,
     /// What idle executor threads sleep on. Rung once per driver that
@@ -351,6 +354,7 @@ impl Worker {
         let worker = Arc::new(Worker {
             node,
             pool,
+            spill_files: Arc::default(),
             queue: Arc::new(MultilevelQueue::new()),
             blocked: Arc::new(Mutex::new(VecDeque::new())),
             bell: Bell::new(),

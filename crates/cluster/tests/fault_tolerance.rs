@@ -5,7 +5,9 @@
 
 #![allow(clippy::unwrap_used)]
 
-use presto_cluster::{Cluster, ClusterConfig, QueryError, WorkerState};
+use presto_cluster::{
+    ChaosProfile, ChaosSchedule, Cluster, ClusterConfig, QueryError, WorkerState,
+};
 use presto_common::chaos::{seed_from_env, Effect, FaultPlane, Site, Trigger, CHAOS_SEED_ENV};
 use presto_common::{DataType, ErrorCode, Schema, Session, Value};
 use presto_connector::CatalogManager;
@@ -21,12 +23,17 @@ const SLOW_JOIN: &str = "SELECT o1.orderkey FROM orders o1 CROSS JOIN orders o2 
      WHERE o1.orderkey + o2.orderkey = 3999";
 
 fn test_catalogs() -> CatalogManager {
+    orders_catalogs(4000)
+}
+
+/// `orders(orderkey, custkey)` with keys `0..rows`, in 50-row pages.
+fn orders_catalogs(rows: i64) -> CatalogManager {
     let mem = MemoryConnector::new();
     let schema = Schema::of(&[
         ("orderkey", DataType::Bigint),
         ("custkey", DataType::Bigint),
     ]);
-    let rows: Vec<Vec<Value>> = (0..4000)
+    let rows: Vec<Vec<Value>> = (0..rows)
         .map(|i| vec![Value::Bigint(i), Value::Bigint(i % 100)])
         .collect();
     let pages: Vec<presto_page::Page> = rows
@@ -176,6 +183,98 @@ fn stress_mixed_faults_leave_no_residue() {
     assert_clean(&c, Duration::from_secs(10));
 }
 
+/// A seeded [`ChaosSchedule`] (two hang blips, a permanent hang, a crash)
+/// replayed against a concurrent workload while the fault plane fails
+/// split opens, delays page reads and corrupts shuffle frames: every query
+/// terminates with rows or a fault-shaped error, none is still active
+/// after `liveness_timeout` + grace, and nothing leaks. The seed is
+/// `PRESTO_CHAOS_SEED`, 42 when unset.
+#[test]
+fn seeded_chaos_storm_ends_every_query() {
+    let seed = seed_from_env(42);
+    let liveness = Duration::from_millis(150);
+    let grace = Duration::from_secs(10);
+    let workers = 4;
+    let plane = FaultPlane::new(seed)
+        .rule(Site::SplitOpen, Trigger::Chance(0.05), Effect::Transient)
+        .rule(
+            Site::PageRead,
+            Trigger::Chance(0.10),
+            Effect::Delay(Duration::from_micros(500)),
+        )
+        // Every 97th decode fails; the period exceeds the largest
+        // re-fetched batch (1200 rows / 50 per page = 24 frames), so the
+        // client's retry absorbs it and the fault stays transient.
+        .rule(Site::FrameDecode, Trigger::Every(97), Effect::Transient);
+    let config = ClusterConfig {
+        workers,
+        liveness_timeout: liveness,
+        faults: Some(Arc::new(plane)),
+        ..ClusterConfig::test()
+    };
+    // A smaller `orders` than the other tests, so the storm's cross joins
+    // are mid-flight, not minutes long, when its faults land.
+    let c = Arc::new(Cluster::start(config, orders_catalogs(1200)).unwrap());
+    let profile = ChaosProfile {
+        span: Duration::from_millis(400),
+        blips: 2,
+        blip_max: Duration::from_millis(40),
+        permanent_hang: true,
+        crash: true,
+    };
+    let schedule = ChaosSchedule::generate(seed, workers, &profile);
+    let stop = Arc::new(AtomicBool::new(false));
+    let storm = {
+        let (c, stop, schedule) = (Arc::clone(&c), Arc::clone(&stop), schedule.clone());
+        std::thread::spawn(move || schedule.run(&c, &stop))
+    };
+    // A grouped scan and a cross join scanning 1.44M pairs, alternating.
+    const QUERIES: [&str; 2] = [
+        "SELECT custkey, COUNT(*) FROM orders GROUP BY custkey",
+        "SELECT o1.orderkey FROM orders o1 CROSS JOIN orders o2 \
+         WHERE o1.orderkey + o2.orderkey = 1199",
+    ];
+    let clients: Vec<_> = (0..4)
+        .map(|t| {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                let session = Session {
+                    query_retry_attempts: 3,
+                    query_retry_backoff: Duration::from_millis(10),
+                    ..Session::default()
+                };
+                for i in 0..3 {
+                    let sql = QUERIES[(t + i) % 2];
+                    if let Err(e) = c.execute_with_session(sql, &session) {
+                        assert!(
+                            matches!(
+                                e.error.code,
+                                ErrorCode::Killed
+                                    | ErrorCode::WorkerFailed
+                                    | ErrorCode::External { .. }
+                            ),
+                            "seed {seed}: the storm caused a non-fault error: {e}"
+                        );
+                    }
+                }
+            })
+        })
+        .collect();
+    // Every client returning is every query terminating.
+    clients.into_iter().for_each(|t| t.join().unwrap());
+    stop.store(true, Ordering::SeqCst);
+    storm.join().unwrap();
+    let quiet = Instant::now() + liveness + grace;
+    while !c.active_queries().is_empty() {
+        assert!(
+            Instant::now() < quiet,
+            "seed {seed}: queries still active after liveness_timeout + grace"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    assert_clean(&c, grace);
+}
+
 /// Opt-in coordinator retry (§IV-G deviation knob): a query that loses a
 /// worker mid-run succeeds transparently on the second attempt, placed on
 /// the survivors.
@@ -201,6 +300,7 @@ fn query_retry_recovers_from_worker_loss() {
     assert_eq!(out.row_count(), 4000);
     // Queries after the loss keep working without the retry knob, too.
     assert!(c.execute("SELECT COUNT(*) FROM orders").is_ok());
+    assert_clean(&c, Duration::from_secs(5));
 }
 
 /// The failure detector: a hung scheduler stops heartbeating and is
@@ -249,6 +349,7 @@ fn short_hang_below_timeout_is_tolerated() {
     std::thread::sleep(Duration::from_millis(200));
     assert_eq!(c.worker_states()[1], WorkerState::Active);
     assert!(c.execute("SELECT COUNT(*) FROM orders").is_ok());
+    assert_clean(&c, Duration::from_secs(5));
 }
 
 /// Graceful drain (§IV-G "shutting down"): mid-workload, a drained worker
@@ -300,6 +401,7 @@ fn cross_join_residual_filter_finds_all_matches() {
     let c = start(config);
     let out = c.execute(SLOW_JOIN).unwrap();
     assert_eq!(out.row_count(), 4000);
+    assert_clean(&c, Duration::from_secs(5));
 }
 
 /// Dynamic filtering under faults: the worker building the join's hash

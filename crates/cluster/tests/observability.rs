@@ -61,6 +61,13 @@ fn cluster() -> Cluster {
     Cluster::start(ClusterConfig::test(), catalogs).unwrap()
 }
 
+/// Every query has ended and left nothing behind on `c`.
+fn assert_quiescent(c: &Cluster) {
+    if let Err(residue) = c.await_quiescent(std::time::Duration::from_secs(10)) {
+        panic!("cluster not quiescent after the queries: {residue}");
+    }
+}
+
 #[test]
 fn explain_analyze_join_agg_has_populated_stats() {
     let c = cluster();
@@ -90,6 +97,7 @@ fn explain_analyze_join_agg_has_populated_stats() {
     // Blocked/memory columns render.
     assert!(text.contains("blocked"), "{text}");
     assert!(text.contains("peak mem"), "{text}");
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -105,6 +113,7 @@ fn explain_analyze_row_counts_reconcile_across_exchange() {
     assert!(text.contains("out 100 rows"), "{text}");
     // Operator-specific counters surface (group-by hash table counters).
     assert!(text.contains("="), "{text}");
+    assert_quiescent(&c);
 }
 
 /// Acceptance: EXPLAIN ANALYZE of a fusable scan→filter→agg query renders
@@ -135,6 +144,7 @@ fn explain_analyze_fused_chain_shows_per_stage_rows() {
     assert!(fusion.pipelines >= 1, "{fusion:?}");
     assert_eq!(fusion.scan_rows, 1000, "{fusion:?}");
     assert_eq!(fusion.filter_rows, 100, "{fusion:?}");
+    assert_quiescent(&c);
 }
 
 /// Disabling the session knob leaves the partial aggregate out of the leaf
@@ -162,6 +172,7 @@ fn fusion_knob_off_runs_discrete_operators() {
         .to_string();
     assert!(text.contains("FusedPipeline"), "{text}");
     assert!(text.contains("AggregatePartial: in"), "{text}");
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -202,6 +213,7 @@ fn metrics_snapshot_changes_across_mid_query_samples() {
             .any(|l| l.entries > 0 && l.quanta_granted > 0)),
         "the MLFQ dispatched quanta"
     );
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -213,6 +225,7 @@ fn collected_snapshot_round_trips_through_json() {
     let text = snap.to_json().to_string();
     let back = ClusterSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, snap);
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -239,6 +252,7 @@ fn chrome_trace_export_is_structurally_valid() {
         }
     }
     assert!(saw_span, "driver quanta export as complete-span events");
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -263,6 +277,7 @@ fn tracing_can_be_disabled() {
     c.execute("SELECT * FROM t").unwrap();
     assert!(c.trace().is_none());
     assert_eq!(c.metrics_snapshot().trace_events, 0);
+    assert_quiescent(&c);
 }
 
 #[test]
@@ -298,6 +313,7 @@ fn failed_queries_settle_gauges_and_tag_errors() {
         (0, std::time::Duration::ZERO)
     );
     assert_eq!(history.get(planning.query).unwrap().attempts, 1);
+    assert_quiescent(&c);
 }
 
 /// Satellite: a *collected* (not hand-built) snapshot with populated
@@ -336,6 +352,7 @@ fn populated_snapshot_round_trips_with_df_fusion_and_latency() {
     let text = snap.to_json().to_string();
     let back = ClusterSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, snap);
+    assert_quiescent(&c);
 }
 
 /// Satellite: scraping `ClusterSnapshot` while 8 threads run queries must
@@ -393,6 +410,7 @@ fn concurrent_scrape_under_load_is_consistent() {
         end.queries.finished + end.queries.failed,
         end.queries.submitted
     );
+    assert_quiescent(&c);
 }
 
 // --- proptest: serialization round-trip over arbitrary snapshots ---

@@ -61,6 +61,13 @@ fn cluster_with(config: ClusterConfig) -> Cluster {
     Cluster::start(config, catalogs).unwrap()
 }
 
+/// Every query has ended and left nothing behind on `c`.
+fn assert_quiescent(c: &Cluster) {
+    if let Err(residue) = c.await_quiescent(Duration::from_secs(10)) {
+        panic!("cluster not quiescent after the queries: {residue}");
+    }
+}
+
 fn i64_at(row: &[Value], col: usize) -> i64 {
     row[col]
         .as_i64()
@@ -105,6 +112,7 @@ fn every_system_table_scans() {
     }
     // Unknown tables fail with a user error, not a panic.
     assert!(c.execute("SELECT * FROM system.runtime.nope").is_err());
+    assert_quiescent(&c);
 }
 
 /// The acceptance scenario: run a background workload (successes,
@@ -297,6 +305,20 @@ fn system_tables_agree_with_snapshot_after_workload() {
     assert!(retained <= c.config().trace_capacity as i64);
     assert!(i64_at(&trace_rows[0], 1) >= snap.trace_overwritten as i64);
 
+    // -- The operators table keeps every retained operator summary (the
+    // queries-table and join floors are the per-state and per-query
+    // agreements above and below).
+    let retained_ops: i64 = history
+        .snapshot()
+        .iter()
+        .flat_map(|e| &e.tasks)
+        .map(|t| t.operators.len() as i64)
+        .sum();
+    let operators = c
+        .execute("SELECT COUNT(*) FROM system.runtime.operators")
+        .unwrap();
+    assert!(i64_at(&operators.rows()[0], 0) >= retained_ops);
+
     // -- The tentpole: a join BETWEEN two system tables. Per finished
     // workload query, roll up the operator stats and compare row counts
     // against the history store.
@@ -335,6 +357,7 @@ fn system_tables_agree_with_snapshot_after_workload() {
         assert_eq!(sql_rows, out_rows, "output_rows mismatch for {:?}", e.query);
         assert!(sql_ops >= 1);
     }
+    assert_quiescent(&c);
 }
 
 /// Live queries are visible: while background threads keep the cluster
@@ -387,6 +410,7 @@ fn live_queries_appear_in_system_tables() {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         assert!(seen_live >= 2, "never observed in-flight queries via SQL");
     });
+    assert_quiescent(&c);
 }
 
 /// `system.runtime.queries` read straight from the `system` connector,
@@ -486,6 +510,7 @@ fn live_states_come_from_the_one_record() {
         !c.cancel_query(QueryId(a_id)),
         "a finished query is no longer running"
     );
+    assert_quiescent(&c);
 }
 
 /// The queue bound counts only queries that must wait. With one run slot
@@ -525,7 +550,7 @@ fn queue_bound_counts_only_waiting_queries() {
         for query in admitted {
             query.join().unwrap().unwrap();
         }
-        c.await_quiescent(Duration::from_secs(10)).unwrap();
+        assert_quiescent(&c);
     }
 }
 
@@ -591,4 +616,5 @@ fn every_scan_lists_each_query_exactly_once() {
             received.lock().push(out.query.0);
         }
     });
+    assert_quiescent(&c);
 }

@@ -214,6 +214,37 @@ mod tests {
         assert_eq!(part.retained_bytes(), 0);
     }
 
+    /// 160 000 rows in 128-row pages, spread over 4, 16 and 64 consumers:
+    /// the pages delivered average at least half the 1 024-row target, and
+    /// every row arrives once.
+    #[test]
+    fn coalesced_pages_average_at_least_half_the_target() {
+        let target = 1024;
+        let pages: Vec<Page> = (0..1250i64)
+            .map(|p| {
+                Page::new(vec![Block::from(LongBlock::from_values(
+                    (0..128).map(|r| p * 128 + r).collect(),
+                ))])
+            })
+            .collect();
+        for consumers in [4, 16, 64] {
+            let mut part = PagePartitioner::new(vec![0], consumers, target, usize::MAX);
+            let mut out: Vec<(usize, Page)> = Vec::new();
+            for page in &pages {
+                out.extend(part.route(page.clone()));
+            }
+            out.extend(part.finish());
+            let delivered = out.len();
+            let rows = drain_rows(out);
+            assert_eq!(rows, 160_000, "{consumers} consumers");
+            let mean = rows / delivered;
+            assert!(
+                mean >= target / 2,
+                "{consumers} consumers: mean {mean} rows per page"
+            );
+        }
+    }
+
     #[test]
     fn routing_matches_naive_hash_partitioning() {
         use presto_page::hash::hash_columns;

@@ -30,7 +30,7 @@ use presto_page::{decode_framed_page, frame_page, Page};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Process-unique monotonic run ids. Never reused within a process, unlike
@@ -59,25 +59,39 @@ pub struct SpillManager {
     /// Live run files: id → path. Runs unregister when consumed or
     /// dropped; [`SpillManager::remove_all`] deletes whatever remains.
     files: Mutex<HashMap<u64, PathBuf>>,
+    /// Live run files of every manager sharing this gauge (a worker's
+    /// tasks), kept in step with `files`.
+    files_gauge: Arc<AtomicUsize>,
 }
 
 impl SpillManager {
     /// A manager writing to `dir` (OS temp dir when `None`) under a byte
     /// budget (0 = unlimited).
     pub fn new(dir: Option<PathBuf>, max_bytes: u64) -> Arc<SpillManager> {
-        SpillManager::build(dir, max_bytes, None)
+        SpillManager::build(dir, max_bytes, None, Arc::default())
     }
 
     /// The manager a task runs with: the session's directory and disk
-    /// budget, writing under the cluster's fault plane.
-    pub fn for_session(session: &Session, faults: Option<Arc<FaultPlane>>) -> Arc<SpillManager> {
-        SpillManager::build(session.spill_dir.clone(), session.spill_max_bytes, faults)
+    /// budget, writing under the cluster's fault plane, its live run files
+    /// counted on `files_gauge` as well.
+    pub fn for_session(
+        session: &Session,
+        faults: Option<Arc<FaultPlane>>,
+        files_gauge: Arc<AtomicUsize>,
+    ) -> Arc<SpillManager> {
+        SpillManager::build(
+            session.spill_dir.clone(),
+            session.spill_max_bytes,
+            faults,
+            files_gauge,
+        )
     }
 
     fn build(
         dir: Option<PathBuf>,
         max_bytes: u64,
         faults: Option<Arc<FaultPlane>>,
+        files_gauge: Arc<AtomicUsize>,
     ) -> Arc<SpillManager> {
         Arc::new(SpillManager {
             dir: dir.unwrap_or_else(std::env::temp_dir),
@@ -87,6 +101,7 @@ impl SpillManager {
             spill_events: AtomicU64::new(0),
             faults,
             files: Mutex::new(HashMap::new()),
+            files_gauge,
         })
     }
 
@@ -140,6 +155,7 @@ impl SpillManager {
             }
             let _ = std::fs::remove_file(path);
         }
+        self.files_gauge.fetch_sub(files.len(), Ordering::Relaxed);
         sub_saturating(&self.used_bytes, freed);
     }
 
@@ -167,12 +183,18 @@ impl SpillManager {
         self.spill_events.fetch_add(1, Ordering::Relaxed);
     }
 
+    // A file is counted before it is listed and un-counted only once
+    // deleted: the gauge never drops below zero, and at zero no run file is
+    // left.
     fn register(&self, id: u64, path: &Path) {
+        self.files_gauge.fetch_add(1, Ordering::Relaxed);
         self.files.lock().insert(id, path.to_path_buf());
     }
 
     fn unregister(&self, id: u64, bytes: u64) {
-        self.files.lock().remove(&id);
+        if self.files.lock().remove(&id).is_some() {
+            self.files_gauge.fetch_sub(1, Ordering::Relaxed);
+        }
         sub_saturating(&self.used_bytes, bytes);
     }
 }
@@ -405,18 +427,28 @@ mod tests {
     #[test]
     fn remove_all_cleans_leaked_runs() {
         let dir = scratch_dir("removeall");
-        let mgr = SpillManager::new(Some(dir.clone()), 0);
+        // Two tasks' managers on one worker share its gauge.
+        let gauge = Arc::new(AtomicUsize::new(0));
+        let mgr = SpillManager::build(Some(dir.clone()), 0, None, Arc::clone(&gauge));
+        let other = SpillManager::build(Some(dir.clone()), 0, None, Arc::clone(&gauge));
         let mut a = mgr.create_run("a");
         let mut b = mgr.create_run("b");
+        let mut c = other.create_run("c");
         a.append(&page(5)).unwrap();
         b.append(&page(5)).unwrap();
+        c.append(&page(5)).unwrap();
+        assert_eq!(gauge.load(Ordering::Relaxed), 3);
         // Abort path: the manager deletes files out from under live runs.
         mgr.remove_all();
         assert_eq!(mgr.live_files(), 0);
         assert_eq!(mgr.used_bytes(), 0);
-        assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
+        assert_eq!(gauge.load(Ordering::Relaxed), 1, "the other task's run");
         drop(a);
         drop(b);
+        assert_eq!(gauge.load(Ordering::Relaxed), 1, "removed runs count once");
+        drop(c);
+        assert_eq!(gauge.load(Ordering::Relaxed), 0);
+        assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -450,7 +482,7 @@ mod tests {
                 spill_dir: Some(dir.clone()),
                 ..Session::default()
             };
-            let mgr = SpillManager::for_session(&session, Some(Arc::clone(&plane)));
+            let mgr = SpillManager::for_session(&session, Some(Arc::clone(&plane)), Arc::default());
             let mut run = mgr.create_run("test");
             for _ in 1..every {
                 run.append(&page(10)).unwrap();

@@ -63,6 +63,9 @@ pub struct TaskContext {
     /// The cluster's fault plane, handed to every scan, spill manager and
     /// exchange client of the task.
     pub faults: Option<Arc<FaultPlane>>,
+    /// The worker's live spill-file gauge: the task's spill manager counts
+    /// its run files here too.
+    pub spill_files: Arc<AtomicUsize>,
 }
 
 /// A scan inside a task: the coordinator feeds its split queue.
@@ -131,7 +134,11 @@ pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
         ctx.session.shuffle_compression_min_bytes,
     );
     let memory = TaskMemoryContext::new(ctx.task_id.stage.query, Arc::clone(&ctx.memory_pool));
-    let spill = SpillManager::for_session(&ctx.session, ctx.faults.clone());
+    let spill = SpillManager::for_session(
+        &ctx.session,
+        ctx.faults.clone(),
+        Arc::clone(&ctx.spill_files),
+    );
     let mut compiler = Compiler {
         ctx,
         spill: ctx.session.spill_enabled.then(|| Arc::clone(&spill)),

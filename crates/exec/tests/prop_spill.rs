@@ -458,7 +458,7 @@ fn spill_write_failure_is_retryable() {
         spill_dir: Some(dir.clone()),
         ..Session::default()
     };
-    let manager = SpillManager::for_session(&session, Some(Arc::new(plane)));
+    let manager = SpillManager::for_session(&session, Some(Arc::new(plane)), Arc::default());
     let sum = AggregateFunction::new(AggregateKind::Sum, Some(DataType::Double)).unwrap();
     let mut op = HashAggregationOperator::new(
         AggPhase::Single,

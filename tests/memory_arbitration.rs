@@ -63,6 +63,36 @@ fn overcommit_survives_via_reserved_pool() {
 }
 
 #[test]
+fn kill_policy_fails_queries_instead_of_blocking() {
+    // The same overcommit under the kill policy: once the reserved pool is
+    // taken, an exhausted general pool kills a query instead of blocking
+    // it. Every query ends, each failure is the out-of-memory kill, and
+    // the node serves the next query.
+    let cluster = tight_cluster(1 << 20, true);
+    let handles: Vec<_> = (0..8)
+        .map(|_| cluster.submit(HUNGRY, Session::default()))
+        .collect();
+    let mut killed = 0;
+    for h in handles {
+        if let Err(e) = h.join().unwrap() {
+            assert_eq!(
+                e.error.code,
+                presto::common::ErrorCode::InsufficientResources
+            );
+            assert!(e.error.message.contains("out of memory"), "{e}");
+            killed += 1;
+        }
+    }
+    assert!(
+        killed >= 1,
+        "eight hungry queries on a 1 MiB pool kill none"
+    );
+    let out = cluster.execute("SELECT COUNT(*) FROM lineitem").unwrap();
+    assert!(matches!(out.rows()[0][0], Value::Bigint(n) if n > 0));
+    assert_quiescent(&cluster);
+}
+
+#[test]
 fn per_query_limit_kills_only_the_offender() {
     let cluster = tight_cluster(64 << 20, false);
     // Each of the three §IV-F2 limits, set absurdly low on its own.
