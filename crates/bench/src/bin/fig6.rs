@@ -9,6 +9,11 @@
 //! slowest. The queries here are the DESIGN.md stand-ins (TPC-H tables,
 //! TPC-DS-shaped queries, labels preserved).
 //!
+//! One pass's geomean moves more than the gap it reports, so the whole
+//! query set runs [`PASSES`] times per configuration: the table shows each
+//! query's median, and the summary the median geomean ratio with its
+//! min–max over the passes.
+//!
 //! ```sh
 //! cargo run --release -p presto-bench --bin fig6
 //! ```
@@ -24,6 +29,17 @@ use presto_connectors::{HiveConnector, RaptorConnector};
 use presto_workload::{TpchGenerator, FIG6_QUERIES};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Runs of the whole query set per configuration.
+const PASSES: usize = 5;
+
+/// The median of `values` and their range, as `1.23x (1.10–1.40x)`.
+fn median_with_range(mut values: Vec<f64>) -> String {
+    values.sort_by(f64::total_cmp);
+    let median = values[values.len() / 2];
+    let (min, max) = (values[0], values[values.len() - 1]);
+    format!("{median:.2}x ({min:.2}–{max:.2}x)")
+}
 
 fn main() {
     let scale = scale_factor();
@@ -73,37 +89,66 @@ fn main() {
     hive_nostats.join_reordering = true; // CBO on, but stats are hidden
     let hive_stats = Session::for_catalog("hive");
 
+    // Per pass, per query: (raptor, hive no stats, hive stats).
+    let passes: Vec<Vec<[Duration; 3]>> = (0..PASSES)
+        .map(|_| {
+            (FIG6_QUERIES.iter())
+                .map(|(label, sql)| {
+                    // Warm the Raptor path once so first-run effects don't
+                    // skew q09.
+                    let r = {
+                        let a = run(label, sql, &raptor_session);
+                        let b = run(label, sql, &raptor_session);
+                        a.min(b)
+                    };
+                    hive.set_statistics_enabled(false);
+                    let hn = run(label, sql, &hive_nostats);
+                    hive.set_statistics_enabled(true);
+                    let hs = run(label, sql, &hive_stats);
+                    [r, hn, hs]
+                })
+                .collect()
+        })
+        .collect();
+
+    println!("median of {PASSES} passes:");
     println!(
         "{:<6} {:>12} {:>18} {:>16}",
         "query", "raptor_ms", "hive_nostats_ms", "hive_stats_ms"
     );
-    let mut ratios_nostats = Vec::new();
-    let mut ratios_stats = Vec::new();
-    for (label, sql) in FIG6_QUERIES {
-        // Warm the Raptor path once so first-run effects don't skew q09.
-        let r = {
-            let a = run(label, sql, &raptor_session);
-            let b = run(label, sql, &raptor_session);
-            a.min(b)
+    for (q, (label, _)) in FIG6_QUERIES.iter().enumerate() {
+        let median = |config: usize| {
+            let mut times: Vec<Duration> = passes.iter().map(|p| p[q][config]).collect();
+            times.sort();
+            ms(times[PASSES / 2])
         };
-        hive.set_statistics_enabled(false);
-        let hn = run(label, sql, &hive_nostats);
-        hive.set_statistics_enabled(true);
-        let hs = run(label, sql, &hive_stats);
-        println!("{label:<6} {:>12} {:>18} {:>16}", ms(r), ms(hn), ms(hs));
-        if r > Duration::ZERO {
-            ratios_nostats.push(hn.as_secs_f64() / r.as_secs_f64());
-            ratios_stats.push(hs.as_secs_f64() / r.as_secs_f64());
-        }
+        println!(
+            "{label:<6} {:>12} {:>18} {:>16}",
+            median(0),
+            median(1),
+            median(2)
+        );
     }
-    println!("\ngeomean slowdown vs Raptor:");
+    // One geomean per pass and configuration, over the queries that ran.
+    let ratios = |config: usize| -> Vec<f64> {
+        (passes.iter())
+            .map(|pass| {
+                let ran = pass.iter().filter(|t| t[0] > Duration::ZERO);
+                let per_query: Vec<f64> = ran
+                    .map(|t| t[config].as_secs_f64() / t[0].as_secs_f64())
+                    .collect();
+                geomean(&per_query)
+            })
+            .collect()
+    };
+    println!("\ngeomean slowdown vs Raptor, median of {PASSES} passes (min–max):");
     println!(
-        "  Hive/HDFS (no stats):          {:.2}x",
-        geomean(&ratios_nostats)
+        "  Hive/HDFS (no stats):          {}",
+        median_with_range(ratios(1))
     );
     println!(
-        "  Hive/HDFS (table/column stats): {:.2}x",
-        geomean(&ratios_stats)
+        "  Hive/HDFS (table/column stats): {}",
+        median_with_range(ratios(2))
     );
     println!("\nexpected shape (paper): Raptor fastest; statistics close much of the gap.");
     println!();

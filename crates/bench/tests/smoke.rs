@@ -9,12 +9,9 @@
 use presto_bench::kernels::{
     baseline_group_by, baseline_join, flat_group_by, flat_join, make_pages, KeyEncoding,
 };
-use presto_cluster::{Cluster, ClusterConfig};
+use presto_cluster::ClusterConfig;
 use presto_common::{Session, Value};
-use presto_connector::{CatalogManager, Connector};
-use presto_connectors::MemoryConnector;
-use presto_workload::TpchGenerator;
-use std::sync::Arc;
+use presto_testkit::{tpch_catalog, TestCluster};
 
 /// Run one benchmark binary in `--smoke` mode and assert that it exits
 /// cleanly and prints the given stdout markers.
@@ -78,12 +75,8 @@ fn fusion_bench_smoke_mode_runs() {
     );
 }
 
-fn smoke_cluster() -> Cluster {
-    let mem = MemoryConnector::new();
-    TpchGenerator::new(0.001).load_memory(&mem);
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn Connector>);
-    Cluster::start(ClusterConfig::test(), catalogs).unwrap()
+fn smoke_cluster() -> TestCluster {
+    TestCluster::start(ClusterConfig::test(), tpch_catalog(0.001))
 }
 
 #[test]

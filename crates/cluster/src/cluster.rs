@@ -293,9 +293,9 @@ impl Cluster {
     /// no general or reserved pool byte, no query registered with a node
     /// pool (usage, limits or revocable memory), no running or queued query, no
     /// live history record, no byte parked in an output buffer or an
-    /// exchange client nor a request in flight, and no spill run file.
-    /// Returns how long that took, or names the residue once `grace` has
-    /// passed.
+    /// exchange client nor a request in flight, no spill run file, and no
+    /// query state still alive. Returns how long that took, or names the
+    /// residue once `grace` has passed.
     pub fn await_quiescent(&self, grace: Duration) -> std::result::Result<Duration, String> {
         let started = Instant::now();
         loop {
@@ -316,6 +316,7 @@ impl Cluster {
                 snap.queries.running,
                 snap.queries.queued,
                 self.query_history().live_len(),
+                self.coordinator.live_query_states(),
             );
             let shuffle = (
                 snap.shuffle.output_buffered_bytes,
@@ -325,7 +326,7 @@ impl Cluster {
             if live.iter().all(|&n| n == 0)
                 && pools.iter().all(|&p| p == (0, 0))
                 && registered.iter().all(|&n| n == 0)
-                && queries == (0, 0, 0)
+                && queries == (0, 0, 0, 0)
                 && shuffle == (0, 0, 0)
                 && spill_files.iter().all(|&n| n == 0)
             {
@@ -334,7 +335,8 @@ impl Cluster {
             if started.elapsed() >= grace {
                 return Err(format!(
                     "not quiescent after {grace:?}: live_tasks={live:?} (general,reserved)={pools:?} \
-                     registered_queries={registered:?} (running,queued,live_queries)={queries:?} \
+                     registered_queries={registered:?} \
+                     (running,queued,live_queries,live_query_states)={queries:?} \
                      (output_buffered_bytes,exchange_buffered_bytes,in_flight_requests)={shuffle:?} \
                      spill_files={spill_files:?}"
                 ));

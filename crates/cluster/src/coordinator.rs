@@ -13,6 +13,7 @@ use presto_page::Page;
 use presto_planner::{OutputPartitioning, PhysicalPlan};
 use presto_sql::ast::Statement;
 use presto_sql::parse_statement;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -126,6 +127,8 @@ pub struct Coordinator {
     trace: Option<Arc<TraceBuffer>>,
     ids: QueryIdGenerator,
     admission: Admission,
+    /// Query states not yet freed, one per attempt (see [`QueryState`]).
+    live_query_states: Arc<AtomicUsize>,
 }
 
 impl Coordinator {
@@ -149,7 +152,14 @@ impl Coordinator {
             trace,
             ids: QueryIdGenerator::new(),
             admission,
+            live_query_states: Arc::default(),
         }
+    }
+
+    /// Query states still alive. Zero once every query has ended and
+    /// nothing holds an ended query's state.
+    pub(crate) fn live_query_states(&self) -> usize {
+        self.live_query_states.load(Ordering::Relaxed)
     }
 
     /// Queries currently executing (admitted, planned, tasks possibly
@@ -360,7 +370,7 @@ impl Coordinator {
             Err(e) => return (Err(e), Duration::ZERO, planning_started.elapsed()),
         };
         let planning = planning_started.elapsed();
-        let state = QueryState::new(query);
+        let state = QueryState::new(query, &self.live_query_states);
         self.history.set_attempt(query, Some(Arc::clone(&state)));
         // Register memory limits on every node.
         let limits = QueryMemoryLimits::new(
@@ -498,9 +508,7 @@ impl Coordinator {
                             .client
                             .add_source(Arc::clone(&producer.output), consumer_index);
                     }
-                    exchange
-                        .no_more_sources
-                        .store(true, std::sync::atomic::Ordering::SeqCst);
+                    exchange.no_more_sources.store(true, Ordering::SeqCst);
                 }
             }
         }

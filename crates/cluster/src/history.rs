@@ -349,7 +349,7 @@ mod tests {
         h.start(q);
         assert!(h.scan().0[0].1.started);
         assert!(h.running().is_empty(), "no attempt while planning");
-        h.set_attempt(q, Some(QueryState::new(q)));
+        h.set_attempt(q, Some(QueryState::new(q, &Arc::default())));
         assert_eq!(h.running(), vec![q]);
         assert!(h.attempt(q).is_some());
         h.set_attempt(q, None);

@@ -472,7 +472,7 @@ mod tests {
             None,
             &config,
         );
-        let state = QueryState::new(QueryId(0));
+        let state = QueryState::new(QueryId(0), &Arc::default());
         assert_eq!(feeder.feed(&state).unwrap(), Feed::Done);
         assert_eq!(queues[0].1.queued_len(), 0);
         assert_eq!(queues[1].1.queued_len(), 1);
@@ -482,7 +482,7 @@ mod tests {
     fn split_feeder_prefers_shortest_queue() {
         let config = ClusterConfig::test();
         let queues = task_queues(&[0, 1]);
-        let state = QueryState::new(QueryId(0));
+        let state = QueryState::new(QueryId(0), &Arc::default());
         let mut feeder = fixed_feeder(40, &queues, &config);
         assert_eq!(feeder.feed(&state).unwrap(), Feed::Done);
         assert_eq!(feeder.assigned(), 40);
@@ -494,7 +494,7 @@ mod tests {
     #[test]
     fn small_source_is_assigned_inline() {
         let queues = task_queues(&[0, 1]);
-        let state = QueryState::new(QueryId(0));
+        let state = QueryState::new(QueryId(0), &Arc::default());
         let mut feeder = fixed_feeder(3, &queues, &tight());
         // Three splits fit two queues of two: one pass, no waiting, and the
         // tasks learn that enumeration is over.
@@ -506,7 +506,7 @@ mod tests {
     #[test]
     fn large_source_hands_off_and_completes() {
         let queues = task_queues(&[0, 1]);
-        let state = QueryState::new(QueryId(0));
+        let state = QueryState::new(QueryId(0), &Arc::default());
         let mut feeder = fixed_feeder(50, &queues, &tight());
         assert_eq!(feeder.feed(&state).unwrap(), Feed::Full);
         assert_eq!(feeder.assigned(), 4);
@@ -523,7 +523,7 @@ mod tests {
         // pass waited for space, the build scan would never be fed.
         let probe = task_queues(&[0, 1]);
         let build = task_queues(&[0, 1]);
-        let state = QueryState::new(QueryId(0));
+        let state = QueryState::new(QueryId(0), &Arc::default());
         let mut feeders = Vec::new();
         for queues in [&probe, &build] {
             let mut feeder = fixed_feeder(20, queues, &tight());
@@ -556,7 +556,9 @@ mod tests {
             None,
             &ClusterConfig::test(),
         );
-        let err = feeder.feed(&QueryState::new(QueryId(0))).unwrap_err();
+        let err = feeder
+            .feed(&QueryState::new(QueryId(0), &Arc::default()))
+            .unwrap_err();
         assert_eq!(err.code, presto_common::ErrorCode::Internal, "{err}");
     }
 }

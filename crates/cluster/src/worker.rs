@@ -87,10 +87,15 @@ pub struct QueryState {
     /// Threads waiting for tasks to complete (the phased-stage wait, the
     /// stats drain): fired by each task that does.
     task_done_waiters: WakeList,
+    /// The cluster's count of live query states, moved here and in `drop`:
+    /// quiescence requires it at zero, so nothing may keep an ended
+    /// query's state alive.
+    live: Arc<AtomicUsize>,
 }
 
 impl QueryState {
-    pub fn new(query: QueryId) -> Arc<QueryState> {
+    pub fn new(query: QueryId, live: &Arc<AtomicUsize>) -> Arc<QueryState> {
+        live.fetch_add(1, Ordering::Relaxed);
         Arc::new(QueryState {
             query,
             error: Mutex::new(None),
@@ -100,6 +105,7 @@ impl QueryState {
             tasks: Mutex::new(Vec::new()),
             cancel_waiters: WakeList::new(),
             task_done_waiters: WakeList::new(),
+            live: Arc::clone(live),
         })
     }
 
@@ -166,6 +172,12 @@ impl QueryState {
 
     pub fn cpu(&self) -> Duration {
         Duration::from_nanos(self.cpu_nanos.load(Ordering::Relaxed))
+    }
+}
+
+impl Drop for QueryState {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -411,12 +423,8 @@ impl Worker {
             handle.abort();
             return handle;
         }
-        {
-            // Prune completed tasks so a long-lived worker does not retain
-            // every task (and its buffers) it ever ran.
-            let mut tasks = self.tasks.lock();
-            tasks.retain(|t| !t.is_done());
-            tasks.push(Arc::clone(&handle));
+        if !handle.is_done() {
+            self.tasks.lock().push(Arc::clone(&handle));
         }
         for driver in drivers {
             self.enqueue(
@@ -440,6 +448,7 @@ impl Worker {
             drop(self.queue.drain());
             self.blocked.lock().clear();
             handle.abort();
+            self.tasks.lock().retain(|t| !t.is_done());
         }
         handle
     }
@@ -496,7 +505,7 @@ impl Worker {
             return;
         }
         self.set_state(WorkerState::Lost);
-        let tasks: Vec<Arc<TaskHandle>> = self.tasks.lock().clone();
+        let tasks = std::mem::take(&mut *self.tasks.lock());
         for task in tasks {
             if !task.is_done() {
                 task.query_state.fail(PrestoError::worker_failed(format!(
@@ -645,15 +654,31 @@ impl Worker {
         next
     }
 
+    /// Retire one of `run`'s drivers. The worker keeps only live tasks:
+    /// once a task's last driver is done, the task, and with it its
+    /// query's state and buffers, is let go.
+    fn driver_done(&self, run: &DriverRun) {
+        run.task.driver_done(Some(&run.driver));
+        if run.task.is_done() {
+            self.tasks.lock().retain(|t| !t.is_done());
+        }
+    }
+
     fn run_executor(&self, thread_index: u32) {
         while !self.shutdown.load(Ordering::SeqCst) {
             // Read before looking for work: a ring from here on ends the
             // wait below at once.
             let seen = self.bell.seq();
-            // A dead worker runs nothing. A hung scheduler (chaos
-            // injection) stops taking quanta AND stops heartbeating — the
-            // detector must notice.
-            if self.dead.load(Ordering::SeqCst) || self.paused.load(Ordering::SeqCst) {
+            // A dead worker runs nothing: its tasks were aborted, so it
+            // drops what a thread still mid-quantum at the kill queued
+            // after it. A hung scheduler (chaos injection) stops taking
+            // quanta AND stops heartbeating — the detector must notice.
+            let dead = self.dead.load(Ordering::SeqCst);
+            if dead {
+                drop(self.queue.drain());
+                self.blocked.lock().clear();
+            }
+            if dead || self.paused.load(Ordering::SeqCst) {
                 self.bell.wait(seen, IDLE_WAIT);
                 continue;
             }
@@ -677,8 +702,7 @@ impl Worker {
     fn run_driver(&self, mut run: DriverRun, thread_index: u32) {
         for look in 0..2 {
             if run.task.is_cancelled() || run.task.query_state.is_cancelled() {
-                run.task.driver_done(Some(&run.driver));
-                return;
+                return self.driver_done(&run);
             }
             self.running_drivers.fetch_add(1, Ordering::Relaxed);
             let cpu_before = run.task.cpu();
@@ -734,10 +758,10 @@ impl Worker {
             let reason = match result {
                 Ok(DriverState::Blocked(reason)) => reason,
                 Ok(DriverState::Ready) => return self.enqueue(run, task_cpu),
-                Ok(DriverState::Finished) => return run.task.driver_done(Some(&run.driver)),
+                Ok(DriverState::Finished) => return self.driver_done(&run),
                 Err(e) => {
                     run.task.query_state.fail(e);
-                    return run.task.driver_done(Some(&run.driver));
+                    return self.driver_done(&run);
                 }
             };
             if reason == BlockedReason::Memory {
@@ -748,7 +772,7 @@ impl Worker {
                     Ok(_) => {}
                     Err(e) => {
                         run.task.query_state.fail(e);
-                        return run.task.driver_done(Some(&run.driver));
+                        return self.driver_done(&run);
                     }
                 }
             }
@@ -929,7 +953,7 @@ mod tests {
                 NodeMemoryPool::new(NodeId(0), 1 << 30, 1 << 30, false, ReservedPoolLock::new());
             Rig {
                 worker: Worker::start(NodeId(0), 0, 2, pool, ClusterTelemetry::new(1), None),
-                state: QueryState::new(QueryId(1)),
+                state: QueryState::new(QueryId(1), &Arc::default()),
             }
         }
 

@@ -2,23 +2,17 @@
 
 #![allow(clippy::unwrap_used)]
 
-use presto_cluster::{Cluster, ClusterConfig};
+use presto_cluster::ClusterConfig;
 use presto_common::chaos::{Effect, FaultPlane, Site, Trigger};
 use presto_common::{DataType, Schema, Session, Value};
 use presto_connector::CatalogManager;
 use presto_connector::ConnectorMetadata;
 use presto_connectors::{MemoryConnector, RaptorConnector, ShardedSqlConnector};
+use presto_testkit::{memory_catalog, run_sorted, sorted, ScratchDir, TestCluster, GRACE};
 use std::sync::Arc;
 use std::time::Duration;
 
 fn test_catalogs() -> (CatalogManager, Arc<MemoryConnector>) {
-    let mem = MemoryConnector::new();
-    let orders_schema = Schema::of(&[
-        ("orderkey", DataType::Bigint),
-        ("custkey", DataType::Bigint),
-        ("totalprice", DataType::Double),
-        ("orderstatus", DataType::Varchar),
-    ]);
     let orders: Vec<Vec<Value>> = (0..1000)
         .map(|i| {
             vec![
@@ -29,17 +23,6 @@ fn test_catalogs() -> (CatalogManager, Arc<MemoryConnector>) {
             ]
         })
         .collect();
-    // Load in several pages so scans parallelize.
-    let pages: Vec<presto_page::Page> = orders
-        .chunks(100)
-        .map(|chunk| presto_page::Page::from_rows(&orders_schema, chunk))
-        .collect();
-    mem.load_table("orders", orders_schema, pages);
-    let lineitem_schema = Schema::of(&[
-        ("orderkey", DataType::Bigint),
-        ("tax", DataType::Double),
-        ("discount", DataType::Double),
-    ]);
     let lineitem: Vec<Vec<Value>> = (0..5000)
         .map(|i| {
             vec![
@@ -49,34 +32,27 @@ fn test_catalogs() -> (CatalogManager, Arc<MemoryConnector>) {
             ]
         })
         .collect();
-    let pages: Vec<presto_page::Page> = lineitem
-        .chunks(500)
-        .map(|chunk| presto_page::Page::from_rows(&lineitem_schema, chunk))
-        .collect();
-    mem.load_table("lineitem", lineitem_schema, pages);
-    mem.analyze("orders").unwrap();
-    mem.analyze("lineitem").unwrap();
-    let mut catalogs = CatalogManager::new();
-    catalogs.register(
-        "memory",
-        Arc::clone(&mem) as Arc<dyn presto_connector::Connector>,
-    );
-    (catalogs, mem)
+    // Several pages per table, so scans parallelize.
+    let orders_schema = Schema::of(&[
+        ("orderkey", DataType::Bigint),
+        ("custkey", DataType::Bigint),
+        ("totalprice", DataType::Double),
+        ("orderstatus", DataType::Varchar),
+    ]);
+    let lineitem_schema = Schema::of(&[
+        ("orderkey", DataType::Bigint),
+        ("tax", DataType::Double),
+        ("discount", DataType::Double),
+    ]);
+    memory_catalog()
+        .table("orders", orders_schema, &orders, 100)
+        .table("lineitem", lineitem_schema, &lineitem, 500)
+        .build()
 }
 
-/// Every query has ended and left nothing behind on `c`.
-fn assert_quiescent(c: &Cluster) {
-    if let Err(residue) = c.await_quiescent(Duration::from_secs(10)) {
-        panic!("cluster not quiescent after the queries: {residue}");
-    }
-}
-
-fn cluster() -> (Cluster, Arc<MemoryConnector>) {
+fn cluster() -> (TestCluster, Arc<MemoryConnector>) {
     let (catalogs, mem) = test_catalogs();
-    (
-        Cluster::start(ClusterConfig::test(), catalogs).unwrap(),
-        mem,
-    )
+    (TestCluster::start(ClusterConfig::test(), catalogs), mem)
 }
 
 #[test]
@@ -85,7 +61,6 @@ fn select_star_returns_all_rows() {
     let out = c.execute("SELECT * FROM orders").unwrap();
     assert_eq!(out.row_count(), 1000);
     assert_eq!(out.schema.len(), 4);
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -94,12 +69,10 @@ fn filter_and_projection() {
     let out = c
         .execute("SELECT orderkey, totalprice * 2.0 AS doubled FROM orders WHERE orderkey < 5")
         .unwrap();
-    let mut rows = out.rows();
-    rows.sort();
+    let rows = sorted(out.rows());
     assert_eq!(rows.len(), 5);
     assert_eq!(rows[3], vec![Value::Bigint(3), Value::Double(6.0)]);
     assert_eq!(out.schema.field(1).name, "doubled");
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -115,7 +88,6 @@ fn global_aggregation() {
     assert_eq!(rows[0][1], Value::Double(expected_sum));
     assert_eq!(rows[0][2], Value::Bigint(0));
     assert_eq!(rows[0][3], Value::Bigint(999));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -126,13 +98,11 @@ fn group_by_aggregation() {
             "SELECT orderstatus, COUNT(*) AS n, AVG(totalprice) FROM orders GROUP BY orderstatus",
         )
         .unwrap();
-    let mut rows = out.rows();
-    rows.sort();
+    let rows = sorted(out.rows());
     assert_eq!(rows.len(), 2);
     assert_eq!(rows[0][0], Value::varchar("F"));
     assert_eq!(rows[0][1], Value::Bigint(500));
     assert_eq!(rows[1][0], Value::varchar("O"));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -157,7 +127,6 @@ fn the_paper_example_query() {
     for row in out.rows() {
         assert_eq!(row[1], Value::Double(0.05 * 5.0));
     }
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -177,7 +146,6 @@ fn inner_join_with_aggregation() {
     assert_eq!(total, 5000);
     // ORDER BY respected.
     assert_eq!(rows[0][0], Value::varchar("F"));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -191,7 +159,6 @@ fn order_by_and_limit() {
     assert_eq!(rows[0][0], Value::Bigint(999));
     assert_eq!(rows[1][0], Value::Bigint(998));
     assert_eq!(rows[2][0], Value::Bigint(997));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -200,10 +167,8 @@ fn distinct_and_in_list() {
     let out = c
         .execute("SELECT DISTINCT orderstatus FROM orders WHERE custkey IN (1, 2, 3)")
         .unwrap();
-    let mut rows = out.rows();
-    rows.sort();
+    let rows = sorted(out.rows());
     assert_eq!(rows.len(), 2);
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -223,7 +188,6 @@ fn window_functions() {
     assert_eq!(rows[0][2], Value::Bigint(1));
     assert_eq!(rows[1][2], Value::Bigint(1));
     assert_eq!(rows[2][2], Value::Bigint(2));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -236,7 +200,6 @@ fn union_all_combines() {
         )
         .unwrap();
     assert_eq!(out.row_count(), 6);
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -260,7 +223,6 @@ fn insert_into_select() {
     // And the copy is queryable.
     let check = c.execute("SELECT COUNT(*) FROM orders_copy").unwrap();
     assert_eq!(check.rows()[0][0], Value::Bigint(1000));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -272,7 +234,6 @@ fn explain_returns_plan_text() {
     let text = out.rows()[0][0].as_str().unwrap().to_string();
     assert!(text.contains("Fragment"), "{text}");
     assert!(text.contains("Aggregate"), "{text}");
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -292,7 +253,6 @@ fn user_errors_are_reported() {
         c.execute("SELECT 1").unwrap().rows()[0][0],
         Value::Bigint(1)
     );
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -311,7 +271,6 @@ fn concurrent_queries() {
         assert_eq!(out.rows()[0][0], Value::Bigint(10));
     }
     assert_eq!(c.telemetry().finished_queries(), 8);
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -320,11 +279,10 @@ fn transient_connector_failures_recovered_by_retries() {
     // Every 2nd split open fails.
     let plane =
         Arc::new(FaultPlane::new(0).rule(Site::SplitOpen, Trigger::Every(2), Effect::Transient));
-    let c = Cluster::start(faulty_config(&plane), catalogs).unwrap();
+    let c = TestCluster::start(faulty_config(&plane), catalogs);
     let out = c.execute("SELECT COUNT(*) FROM orders").unwrap();
     assert_eq!(out.rows()[0][0], Value::Bigint(1000));
     assert!(plane.fired(Site::SplitOpen) > 0, "chaos should have fired");
-    assert_quiescent(&c);
 }
 
 fn faulty_config(plane: &Arc<FaultPlane>) -> ClusterConfig {
@@ -342,13 +300,13 @@ fn shuffle_counters_outlive_the_query() {
     let (catalogs, _) = test_catalogs();
     let plane =
         Arc::new(FaultPlane::new(0).rule(Site::FrameDecode, Trigger::First(2), Effect::Transient));
-    let c = Cluster::start(faulty_config(&plane), catalogs).unwrap();
+    let c = TestCluster::start(faulty_config(&plane), catalogs);
     let out = c
         .execute("SELECT custkey, COUNT(*) FROM orders GROUP BY custkey")
         .unwrap();
     assert_eq!(out.row_count(), 100);
     assert_eq!(plane.fired(Site::FrameDecode), 2);
-    c.await_quiescent(Duration::from_secs(5)).unwrap();
+    c.quiescent_within(GRACE);
     let shuffle = c.metrics_snapshot().shuffle;
     assert!(shuffle.retries >= 2, "{shuffle:?}");
     assert!(shuffle.wire_bytes_received > 0, "{shuffle:?}");
@@ -382,11 +340,11 @@ fn hash_join_rows_hold_across_local_and_framed_edges() {
             workers,
             ..ClusterConfig::test()
         };
-        let c = Cluster::start(config, catalogs).unwrap();
+        let c = TestCluster::start(config, catalogs);
         let out = c.execute_with_session(sql, session).unwrap();
         let mut rows = out.rows();
         rows.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
-        c.await_quiescent(Duration::from_secs(5)).unwrap();
+        c.quiescent_within(GRACE);
         let entry = c.query_history().get(out.query).unwrap();
         // The root stage's output is the result drain, framed by design.
         let root = entry.tasks.iter().map(|t| t.stage).max();
@@ -413,7 +371,7 @@ fn permanent_split_failure_fails_the_query_without_retries() {
     let (catalogs, _) = test_catalogs();
     let plane =
         Arc::new(FaultPlane::new(0).rule(Site::SplitOpen, Trigger::First(1), Effect::Permanent));
-    let c = Cluster::start(faulty_config(&plane), catalogs).unwrap();
+    let c = TestCluster::start(faulty_config(&plane), catalogs);
     let session = Session {
         query_retry_attempts: 2,
         ..Session::default()
@@ -425,14 +383,13 @@ fn permanent_split_failure_fails_the_query_without_retries() {
     assert!(err.error.message.contains("injected permanent"), "{err}");
     assert_eq!(plane.fired(Site::SplitOpen), 1);
     assert_eq!(c.query_history().get(err.query).unwrap().attempts, 1);
-    c.await_quiescent(Duration::from_secs(5)).unwrap();
-    assert_eq!(c.metrics_snapshot().lost_wakeups(), 0);
+    c.assert_no_lost_wakeups();
 }
 
 #[test]
 fn worker_crash_fails_running_queries() {
     let (catalogs, _) = test_catalogs();
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     // A long-running-ish query stream.
     let handle = c.submit(
         "SELECT o1.orderkey FROM orders o1 CROSS JOIN orders o2 WHERE o1.orderkey + o2.orderkey = 100000",
@@ -451,13 +408,12 @@ fn worker_crash_fails_running_queries() {
     }
     // New queries on remaining workers still work? (Dead node keeps its
     // tasks failing; the cluster has no resurrection, matching the paper.)
-    assert_quiescent(&c);
 }
 
 #[test]
 fn memory_limit_kills_query() {
     let (catalogs, _) = test_catalogs();
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     let session = Session {
         query_max_memory_per_node: 1, // absurd: first reservation dies
         ..Session::default()
@@ -472,13 +428,12 @@ fn memory_limit_kills_query() {
         err.error.code,
         presto_common::ErrorCode::InsufficientResources
     );
-    assert_quiescent(&c);
 }
 
 #[test]
 fn spill_enables_memory_constrained_aggregation() {
     let (catalogs, _) = test_catalogs();
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     let session = Session {
         spill_enabled: true,
         ..Session::default()
@@ -490,7 +445,6 @@ fn spill_enables_memory_constrained_aggregation() {
         )
         .unwrap();
     assert_eq!(out.row_count(), 100);
-    assert_quiescent(&c);
 }
 
 /// A cluster whose node pools are small enough that any sizeable hash
@@ -526,43 +480,33 @@ fn catalogs_with_unholdable_groups() -> CatalogManager {
 
 const UNHOLDABLE_GROUPS_SQL: &str = "SELECT k, COUNT(*), SUM(v) FROM events GROUP BY k";
 
-fn unique_spill_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("presto-spill-test-{tag}-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    dir
-}
-
-fn spill_dir_file_count(dir: &std::path::Path) -> usize {
-    std::fs::read_dir(dir).map(|d| d.count()).unwrap_or(0)
-}
-
 /// The acceptance scenario: under a memory budget far below the working
 /// set, a spilling query produces results identical to an unconstrained
 /// run, the snapshot reports the spill totals and the session knobs, and
 /// normal completion leaves zero run files in the spill directory.
 #[test]
 fn spilling_query_matches_unconstrained_run_and_cleans_up() {
-    let dir = unique_spill_dir("agg-join");
+    let dir = ScratchDir::new("spill-agg-join");
     let sql = "SELECT o.orderkey, COUNT(*), SUM(l.tax) FROM orders o \
                JOIN lineitem l ON o.orderkey = l.orderkey \
                GROUP BY o.orderkey";
     let (catalogs, _) = test_catalogs();
-    let c = Cluster::start(tiny_memory_config(), catalogs).unwrap();
+    let c = TestCluster::start(tiny_memory_config(), catalogs);
     let session = Session {
         spill_enabled: true,
-        spill_dir: Some(dir.clone()),
+        spill_dir: Some(dir.to_path_buf()),
         spill_max_bytes: 64 << 20,
         ..Session::default()
     };
     let constrained = c.execute_with_session(sql, &session).unwrap();
     let (reference_catalogs, _) = test_catalogs();
-    let unconstrained = Cluster::start(ClusterConfig::test(), reference_catalogs).unwrap();
+    let unconstrained = TestCluster::start(ClusterConfig::test(), reference_catalogs);
     let reference = unconstrained.execute(sql).unwrap();
-    let mut a = constrained.rows();
-    let mut b = reference.rows();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b, "spilled results must match the unconstrained run");
+    assert_eq!(
+        sorted(constrained.rows()),
+        sorted(reference.rows()),
+        "spilled results must match the unconstrained run"
+    );
 
     let snap = c.metrics_snapshot();
     assert_eq!(snap.lost_wakeups(), 0);
@@ -580,10 +524,7 @@ fn spilling_query_matches_unconstrained_run_and_cleans_up() {
         .sum();
     assert!(requests >= 0);
     // Normal completion re-ingested or deleted every run file.
-    assert_eq!(spill_dir_file_count(&dir), 0, "no run files may remain");
-    std::fs::remove_dir_all(&dir).ok();
-    assert_quiescent(&c);
-    assert_quiescent(&unconstrained);
+    assert_eq!(dir.file_count(), 0, "no run files may remain");
 }
 
 /// Chaos: spill writes fail transiently — every one, or every third, so
@@ -593,7 +534,7 @@ fn spilling_query_matches_unconstrained_run_and_cleans_up() {
 #[test]
 fn spill_write_failure_surfaces_retryable_error() {
     for every in [1, 3] {
-        let dir = unique_spill_dir(&format!("chaos-write-{every}"));
+        let dir = ScratchDir::new(&format!("spill-chaos-write-{every}"));
         let plane = Arc::new(FaultPlane::new(0).rule(
             Site::SpillWrite,
             Trigger::Every(every),
@@ -603,10 +544,10 @@ fn spill_write_failure_surfaces_retryable_error() {
             faults: Some(Arc::clone(&plane)),
             ..tiny_memory_config()
         };
-        let c = Cluster::start(config, catalogs_with_unholdable_groups()).unwrap();
+        let c = TestCluster::start(config, catalogs_with_unholdable_groups());
         let session = Session {
             spill_enabled: true,
-            spill_dir: Some(dir.clone()),
+            spill_dir: Some(dir.to_path_buf()),
             ..Session::default()
         };
         let err = c
@@ -618,9 +559,8 @@ fn spill_write_failure_surfaces_retryable_error() {
             err.error
         );
         assert!(plane.fired(Site::SpillWrite) > 0);
-        c.await_quiescent(Duration::from_secs(5)).unwrap();
-        assert_eq!(spill_dir_file_count(&dir), 0, "failed query must clean up");
-        std::fs::remove_dir_all(&dir).ok();
+        c.quiescent_within(GRACE);
+        assert_eq!(dir.file_count(), 0, "failed query must clean up");
     }
 }
 
@@ -630,12 +570,12 @@ fn spill_write_failure_surfaces_retryable_error() {
 /// is repeated, up to 20 times.
 #[test]
 fn cancelled_spilling_query_leaves_no_spill_files() {
-    let dir = unique_spill_dir("cancel");
+    let dir = ScratchDir::new("spill-cancel");
     let (catalogs, _) = test_catalogs();
-    let c = Cluster::start(tiny_memory_config(), catalogs).unwrap();
+    let c = TestCluster::start(tiny_memory_config(), catalogs);
     let session = Session {
         spill_enabled: true,
-        spill_dir: Some(dir.clone()),
+        spill_dir: Some(dir.to_path_buf()),
         ..Session::default()
     };
     let sql = "SELECT o.orderkey, COUNT(*), SUM(l.tax) FROM orders o \
@@ -655,13 +595,12 @@ fn cancelled_spilling_query_leaves_no_spill_files() {
         if let Err(e) = handle.join().unwrap() {
             assert_eq!(e.error.code, presto_common::ErrorCode::Killed, "{e}");
         }
-        assert_quiescent(&c);
-        assert_eq!(spill_dir_file_count(&dir), 0, "spill files left in {dir:?}");
+        c.quiescent_within(GRACE);
+        assert_eq!(dir.file_count(), 0, "spill files left in {:?}", &*dir);
         if cancelled_mid_spill {
             break;
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
     assert!(
         cancelled_mid_spill,
         "no cancel landed while a run file was live"
@@ -686,18 +625,12 @@ fn phased_scheduling_produces_same_results() {
              ON o.orderkey = l.orderkey GROUP BY o.orderstatus",
         )
         .unwrap();
-    let mut a = phased.rows();
-    let mut b = allatonce.rows();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
-    assert_quiescent(&c);
+    assert_eq!(sorted(phased.rows()), sorted(allatonce.rows()));
 }
 
 #[test]
 fn raptor_co_located_join_end_to_end() {
-    let dir = std::env::temp_dir().join(format!("raptor-e2e-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("raptor-e2e");
     let nodes: Vec<presto_common::NodeId> = (0..2).map(presto_common::NodeId).collect();
     let raptor = RaptorConnector::new(&dir, nodes).unwrap();
     let schema = Schema::of(&[("uid", DataType::Bigint), ("v", DataType::Bigint)]);
@@ -721,7 +654,7 @@ fn raptor_co_located_join_end_to_end() {
         .unwrap();
     let mut catalogs = CatalogManager::new();
     catalogs.register("raptor", raptor as Arc<dyn presto_connector::Connector>);
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     let session = Session::for_catalog("raptor");
     let out = c
         .execute_with_session(
@@ -731,8 +664,6 @@ fn raptor_co_located_join_end_to_end() {
         .unwrap();
     // Each uid occurs 4 times in each table → 50 uids × 16 pairs.
     assert_eq!(out.rows()[0][0], Value::Bigint(800));
-    std::fs::remove_dir_all(&dir).ok();
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -752,13 +683,12 @@ fn sharded_sql_index_join_end_to_end() {
         &[vec![Value::Bigint(7)], vec![Value::Bigint(9)]],
     );
     mem.analyze("targets").unwrap();
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     let out = c
         .execute("SELECT SUM(a.clicks) FROM targets t JOIN sharded.ads a ON t.id = a.ad_id")
         .unwrap();
     // Each ad_id occurs 100 times with clicks = 1.
     assert_eq!(out.rows()[0][0], Value::Bigint(200));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -768,7 +698,7 @@ fn queue_policy_limits_concurrency() {
         max_concurrent_queries: 1,
         ..ClusterConfig::test()
     };
-    let c = Cluster::start(config, catalogs).unwrap();
+    let c = TestCluster::start(config, catalogs);
     let handles: Vec<_> = (0..4)
         .map(|_| c.submit("SELECT COUNT(*) FROM orders", Session::default()))
         .collect();
@@ -780,7 +710,6 @@ fn queue_policy_limits_concurrency() {
     assert!(entries
         .iter()
         .any(|e| e.queued > std::time::Duration::from_micros(50)));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -798,7 +727,6 @@ fn case_cast_and_functions_end_to_end() {
     assert_eq!(rows[0][0], Value::varchar("OPEN"));
     assert_eq!(rows[0][1], Value::varchar("2"));
     assert_eq!(rows[0][2], Value::Double(98.0));
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -812,7 +740,6 @@ fn having_filters_groups() {
         .execute("SELECT custkey, COUNT(*) AS n FROM orders GROUP BY custkey HAVING COUNT(*) > 10")
         .unwrap();
     assert_eq!(out.row_count(), 0);
-    assert_quiescent(&c);
 }
 
 /// Dynamic filtering end-to-end (tentpole): a selective dimension build
@@ -822,8 +749,7 @@ fn having_filters_groups() {
 #[test]
 fn dynamic_filtering_prunes_and_matches_baseline() {
     use presto_connectors::HiveConnector;
-    let dir = std::env::temp_dir().join(format!("presto-df-cluster-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("df-cluster");
     let hive = HiveConnector::new(&dir).unwrap();
     let fact_schema = Schema::of(&[("k", DataType::Bigint), ("v", DataType::Bigint)]);
     // Clustered ascending on k so stripe min/max summaries are narrow.
@@ -848,7 +774,7 @@ fn dynamic_filtering_prunes_and_matches_baseline() {
         "hive",
         Arc::clone(&hive) as Arc<dyn presto_connector::Connector>,
     );
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     let sql = "SELECT f.v FROM fact f JOIN dim d ON f.k = d.k";
     let mut off = Session::for_catalog("hive");
     off.dynamic_filtering = false;
@@ -861,10 +787,8 @@ fn dynamic_filtering_prunes_and_matches_baseline() {
         "disabled run publishes nothing"
     );
     let filtered = c.execute_with_session(sql, &on).unwrap();
-    let mut expect = baseline.rows();
-    let mut got = filtered.rows();
-    expect.sort();
-    got.sort();
+    let expect = sorted(baseline.rows());
+    let got = sorted(filtered.rows());
     assert_eq!(got.len(), 400, "100 dim keys x 4 fact rows each");
     assert_eq!(got, expect, "dynamic filtering must not change results");
     let m = c.telemetry().dynamic_filter_metrics();
@@ -873,8 +797,6 @@ fn dynamic_filtering_prunes_and_matches_baseline() {
         m.splits_pruned + m.stripes_pruned + m.rows_filtered > 0,
         "filter pruned at some level: {m:?}"
     );
-    c.await_quiescent(Duration::from_secs(5)).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Dynamic filtering cuts what a Hive/PORC probe scan reads: a fact table
@@ -885,8 +807,7 @@ fn dynamic_filtering_prunes_and_matches_baseline() {
 fn dynamic_filtering_cuts_hive_scan_bytes_threefold() {
     use presto_connectors::HiveConnector;
     use presto_page::Page;
-    let dir = std::env::temp_dir().join(format!("presto-df-bytes-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("df-bytes");
     let hive = HiveConnector::new(&dir).unwrap();
     let fact_schema = Schema::of(&[
         ("fk", DataType::Bigint),
@@ -915,7 +836,7 @@ fn dynamic_filtering_cuts_hive_scan_bytes_threefold() {
         "hive",
         Arc::clone(&hive) as Arc<dyn presto_connector::Connector>,
     );
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     let sql = "SELECT f.v FROM fact f JOIN dim d ON f.fk = d.k";
     let scan = |dynamic_filtering: bool| {
         let session = Session {
@@ -924,8 +845,7 @@ fn dynamic_filtering_cuts_hive_scan_bytes_threefold() {
             ..Session::for_catalog("hive")
         };
         let before = hive.io_stats().snapshot().0;
-        let mut rows = c.execute_with_session(sql, &session).unwrap().rows();
-        rows.sort();
+        let rows = run_sorted(&c, sql, &session);
         (rows, hive.io_stats().snapshot().0 - before)
     };
     let (rows_off, bytes_off) = scan(false);
@@ -939,8 +859,6 @@ fn dynamic_filtering_cuts_hive_scan_bytes_threefold() {
         bytes_on * 3 <= bytes_off,
         "scan bytes {bytes_on} with filtering, {bytes_off} without"
     );
-    assert_quiescent(&c);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Dynamic filtering on every key type: a Hive fact table joins a small
@@ -954,8 +872,7 @@ fn dynamic_filtering_cuts_hive_scan_bytes_threefold() {
 fn dynamic_filtering_checks_rows_on_every_key_type() {
     use presto_connectors::HiveConnector;
     use presto_page::Page;
-    let dir = std::env::temp_dir().join(format!("presto-df-types-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("df-types");
     let hive = HiveConnector::new(&dir).unwrap();
     let day0 = presto_common::time::days_from_civil(2021, 1, 1);
     // Key `j` of each type, as the fact table holds it.
@@ -1009,19 +926,17 @@ fn dynamic_filtering_checks_rows_on_every_key_type() {
         "hive",
         Arc::clone(&hive) as Arc<dyn presto_connector::Connector>,
     );
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     let mut off = Session::for_catalog("hive");
     off.dynamic_filtering = false;
     let mut on = Session::for_catalog("hive");
     on.dynamic_filter_wait = Duration::from_secs(5);
     for (name, _) in columns {
         let sql = format!("SELECT f.v FROM fact f JOIN dim_{name} d ON f.{name} = d.k");
-        let mut expect = c.execute_with_session(&sql, &off).unwrap().rows();
+        let expect = run_sorted(&c, &sql, &off);
         let before = c.telemetry().dynamic_filter_metrics();
-        let mut got = c.execute_with_session(&sql, &on).unwrap().rows();
+        let got = run_sorted(&c, &sql, &on);
         let after = c.telemetry().dynamic_filter_metrics();
-        expect.sort();
-        got.sort();
         assert_eq!(got.len(), 21 * 20, "{name}: 21 keys x 20 fact rows each");
         assert_eq!(
             got, expect,
@@ -1032,6 +947,4 @@ fn dynamic_filtering_checks_rows_on_every_key_type() {
             "{name}: the row check dropped rows: {after:?}"
         );
     }
-    c.await_quiescent(Duration::from_secs(5)).unwrap();
-    std::fs::remove_dir_all(&dir).ok();
 }

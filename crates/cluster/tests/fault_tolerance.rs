@@ -5,13 +5,11 @@
 
 #![allow(clippy::unwrap_used)]
 
-use presto_cluster::{
-    ChaosProfile, ChaosSchedule, Cluster, ClusterConfig, QueryError, WorkerState,
-};
+use presto_cluster::{ChaosProfile, ChaosSchedule, ClusterConfig, WorkerState};
 use presto_common::chaos::{seed_from_env, Effect, FaultPlane, Site, Trigger, CHAOS_SEED_ENV};
 use presto_common::{DataType, ErrorCode, Schema, Session, Value};
 use presto_connector::CatalogManager;
-use presto_connectors::MemoryConnector;
+use presto_testkit::{memory_catalog, sorted_rows, ScratchDir, TestCluster};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -22,13 +20,8 @@ use std::time::{Duration, Instant};
 const SLOW_JOIN: &str = "SELECT o1.orderkey FROM orders o1 CROSS JOIN orders o2 \
      WHERE o1.orderkey + o2.orderkey = 3999";
 
-fn test_catalogs() -> CatalogManager {
-    orders_catalogs(4000)
-}
-
 /// `orders(orderkey, custkey)` with keys `0..rows`, in 50-row pages.
 fn orders_catalogs(rows: i64) -> CatalogManager {
-    let mem = MemoryConnector::new();
     let schema = Schema::of(&[
         ("orderkey", DataType::Bigint),
         ("custkey", DataType::Bigint),
@@ -36,26 +29,18 @@ fn orders_catalogs(rows: i64) -> CatalogManager {
     let rows: Vec<Vec<Value>> = (0..rows)
         .map(|i| vec![Value::Bigint(i), Value::Bigint(i % 100)])
         .collect();
-    let pages: Vec<presto_page::Page> = rows
-        .chunks(50)
-        .map(|chunk| presto_page::Page::from_rows(&schema, chunk))
-        .collect();
-    mem.load_table("orders", schema, pages);
-    mem.analyze("orders").unwrap();
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn presto_connector::Connector>);
-    catalogs
+    memory_catalog()
+        .table("orders", schema, &rows, 50)
+        .build()
+        .0
 }
 
-fn start(config: ClusterConfig) -> Cluster {
-    Cluster::start(config, test_catalogs()).unwrap()
-}
-
-/// The clean-teardown invariant: within `grace` the cluster is quiescent,
-/// and no fault, though each ends waits from outside, was slept through.
-fn assert_clean(c: &Cluster, grace: Duration) {
-    c.await_quiescent(grace).unwrap();
-    assert_eq!(c.metrics_snapshot().lost_wakeups(), 0);
+/// A cluster over 4 000 orders. Each test ends with the clean-teardown
+/// invariant: no fault, though each ends waits from outside, was slept
+/// through ([`TestCluster::assert_no_lost_wakeups`]), and the cluster is
+/// quiescent.
+fn start(config: ClusterConfig) -> TestCluster {
+    TestCluster::start(config, orders_catalogs(4000))
 }
 
 #[test]
@@ -78,7 +63,7 @@ fn mid_query_cancel_releases_everything() {
         Ok(_) => panic!("cancelled query must not succeed"),
     }
     assert!(!c.cancel_query(query), "finished query is no longer active");
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 #[test]
@@ -93,7 +78,7 @@ fn worker_crash_releases_everything() {
         assert_eq!(e.error.code, ErrorCode::WorkerFailed, "{e}");
     }
     assert_eq!(c.worker_states()[1], WorkerState::Lost);
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 #[test]
@@ -110,7 +95,7 @@ fn memory_kill_releases_everything() {
         )
         .unwrap_err();
     assert_eq!(err.error.code, ErrorCode::InsufficientResources);
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 /// Eight threads hammering the cluster while cancels and a worker crash
@@ -180,7 +165,7 @@ fn stress_mixed_faults_leave_no_residue() {
     stop.store(true, Ordering::SeqCst);
     chaos.join().unwrap();
     assert_eq!(ok + failed, 48, "every query must terminate");
-    assert_clean(&c, Duration::from_secs(10));
+    c.assert_no_lost_wakeups();
 }
 
 /// A seeded [`ChaosSchedule`] (two hang blips, a permanent hang, a crash)
@@ -214,7 +199,7 @@ fn seeded_chaos_storm_ends_every_query() {
     };
     // A smaller `orders` than the other tests, so the storm's cross joins
     // are mid-flight, not minutes long, when its faults land.
-    let c = Arc::new(Cluster::start(config, orders_catalogs(1200)).unwrap());
+    let c = Arc::new(TestCluster::start(config, orders_catalogs(1200)));
     let profile = ChaosProfile {
         span: Duration::from_millis(400),
         blips: 2,
@@ -272,7 +257,7 @@ fn seeded_chaos_storm_ends_every_query() {
         );
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_clean(&c, grace);
+    c.assert_no_lost_wakeups();
 }
 
 /// Opt-in coordinator retry (§IV-G deviation knob): a query that loses a
@@ -300,7 +285,7 @@ fn query_retry_recovers_from_worker_loss() {
     assert_eq!(out.row_count(), 4000);
     // Queries after the loss keep working without the retry knob, too.
     assert!(c.execute("SELECT COUNT(*) FROM orders").is_ok());
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 /// The failure detector: a hung scheduler stops heartbeating and is
@@ -330,7 +315,7 @@ fn liveness_detector_declares_hung_worker_lost() {
     if let Err(e) = handle.join().unwrap() {
         assert_eq!(e.error.code, ErrorCode::WorkerFailed, "{e}");
     }
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 /// A short hang (GC-pause blip) under the liveness timeout must NOT get
@@ -349,7 +334,7 @@ fn short_hang_below_timeout_is_tolerated() {
     std::thread::sleep(Duration::from_millis(200));
     assert_eq!(c.worker_states()[1], WorkerState::Active);
     assert!(c.execute("SELECT COUNT(*) FROM orders").is_ok());
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 /// Graceful drain (§IV-G "shutting down"): mid-workload, a drained worker
@@ -385,7 +370,7 @@ fn drain_worker_mid_workload_fails_nothing() {
     stop.store(true, Ordering::SeqCst);
     let ran: u32 = threads.into_iter().map(|t| t.join().unwrap()).sum();
     assert!(ran > 0, "workload should have made progress");
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 /// Regression: a cross join whose predicate becomes a residual filter is
@@ -401,7 +386,7 @@ fn cross_join_residual_filter_finds_all_matches() {
     let c = start(config);
     let out = c.execute(SLOW_JOIN).unwrap();
     assert_eq!(out.row_count(), 4000);
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 /// Dynamic filtering under faults: the worker building the join's hash
@@ -438,7 +423,7 @@ fn dynamic_filter_publisher_hang_degrades_to_unpruned_scan() {
     // Same query, no faults, for reference: identical answer.
     let out = c.execute_with_session(sql, &session).unwrap();
     assert_eq!(out.rows()[0][0], Value::Bigint(400));
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 /// Worker loss mid-flight through a *fused* pipeline (§V-B whole-pipeline
@@ -453,7 +438,7 @@ fn worker_crash_mid_fused_pipeline_releases_everything() {
 
     // A table large enough that the fused scan+filter+SUM is still running
     // when the crash lands, built from blocks directly so setup stays fast.
-    let mem = MemoryConnector::new();
+    let mem = presto_connectors::MemoryConnector::new();
     let schema = Schema::of(&[("k", DataType::Bigint), ("v", DataType::Bigint)]);
     const ROWS: i64 = 2_000_000;
     const PAGE: i64 = 4096;
@@ -473,7 +458,7 @@ fn worker_crash_mid_fused_pipeline_releases_everything() {
     mem.analyze("big").unwrap();
     let mut catalogs = CatalogManager::new();
     catalogs.register("memory", mem as Arc<dyn presto_connector::Connector>);
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
 
     // `pipeline_fusion` defaults on; prove this plan actually takes the
     // fused path by running it to completion once and watching the fused
@@ -501,7 +486,7 @@ fn worker_crash_mid_fused_pipeline_releases_everything() {
         Err(e) => assert_eq!(e.error.code, ErrorCode::WorkerFailed, "{e}"),
     }
     assert_eq!(c.worker_states()[1], WorkerState::Lost);
-    assert_clean(&c, Duration::from_secs(5));
+    c.assert_no_lost_wakeups();
 }
 
 /// The seeded sweep's faults: a transient-failure chance per site, low
@@ -523,14 +508,6 @@ const SWEEP_QUERIES: [&str; 2] = [
 /// A join whose build side no 8 KiB pool holds: it spills.
 const SWEEP_SPILL_QUERY: &str = "SELECT o1.custkey, COUNT(*), SUM(o2.custkey) FROM orders o1 \
      JOIN orders o2 ON o1.orderkey = o2.orderkey GROUP BY o1.custkey";
-
-fn sorted_rows(c: &Cluster, sql: &str, session: &Session) -> Result<Vec<Vec<Value>>, QueryError> {
-    c.execute_with_session(sql, session).map(|out| {
-        let mut rows = out.rows();
-        rows.sort();
-        rows
-    })
-}
 
 /// Under a seeded fault plane that draws transient faults at every site,
 /// every query returns the fault-free rows or a retryable error, and each
@@ -560,13 +537,13 @@ fn seeded_fault_sweep_returns_reference_rows_or_retryable_errors() {
                     p.rule(site, Trigger::Chance(chance), Effect::Transient)
                 }),
         );
-        let dir =
-            std::env::temp_dir().join(format!("presto-fault-sweep-{}-{seed}", std::process::id()));
+        eprintln!("seed {seed}");
+        let dir = ScratchDir::new(&format!("fault-sweep-{seed}"));
         let session = Session {
             query_retry_attempts: 2,
             query_retry_backoff: Duration::from_millis(1),
             spill_enabled: true,
-            spill_dir: Some(dir.clone()),
+            spill_dir: Some(dir.to_path_buf()),
             ..Session::default()
         };
         let tiny_pool = ClusterConfig {
@@ -593,14 +570,9 @@ fn seeded_fault_sweep_returns_reference_rows_or_retryable_errors() {
                     Err(e) => assert!(e.error.is_retryable(), "seed {seed}: {e}: {sql}"),
                 }
             }
-            if let Err(residue) = c.await_quiescent(Duration::from_secs(10)) {
-                panic!("seed {seed}: {residue}");
-            }
-            assert_eq!(c.metrics_snapshot().lost_wakeups(), 0, "seed {seed}");
+            c.assert_no_lost_wakeups();
         }
-        let left = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-        assert_eq!(left, 0, "seed {seed}: spill files left");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(dir.file_count(), 0, "seed {seed}: spill files left");
         for (i, (site, _)) in SWEEP_FAULTS.into_iter().enumerate() {
             reached[i] += plane.hits(site);
             fired += plane.fired(site);

@@ -11,61 +11,16 @@ use presto_cluster::metrics::{
 use presto_cluster::mlfq::{LevelSnapshot, SchedulerSnapshot};
 use presto_cluster::worker::WakeupSnapshot;
 use presto_cluster::{
-    Cluster, ClusterConfig, DynamicFilterMetrics, FusionMetrics, QueryLatencyMetrics, SpillMetrics,
+    ClusterConfig, DynamicFilterMetrics, FusionMetrics, QueryLatencyMetrics, SpillMetrics,
 };
 use presto_common::counters::JsonCodec;
 use presto_common::json::Json;
 use presto_common::{DataType, LatencySummary, Schema, Session, Value};
-use presto_connector::CatalogManager;
-use presto_connectors::MemoryConnector;
+use presto_testkit::{memory_catalog, orders_and_lineitem, TestCluster};
 use proptest::prelude::*;
-use std::sync::Arc;
 
-fn cluster() -> Cluster {
-    let mem = MemoryConnector::new();
-    let orders_schema = Schema::of(&[
-        ("orderkey", DataType::Bigint),
-        ("custkey", DataType::Bigint),
-        ("totalprice", DataType::Double),
-    ]);
-    let orders: Vec<Vec<Value>> = (0..1000)
-        .map(|i| {
-            vec![
-                Value::Bigint(i),
-                Value::Bigint(i % 100),
-                Value::Double((i % 500) as f64),
-            ]
-        })
-        .collect();
-    let pages: Vec<presto_page::Page> = orders
-        .chunks(100)
-        .map(|chunk| presto_page::Page::from_rows(&orders_schema, chunk))
-        .collect();
-    mem.load_table("orders", orders_schema, pages);
-    let lineitem_schema = Schema::of(&[("orderkey", DataType::Bigint), ("tax", DataType::Double)]);
-    let lineitem: Vec<Vec<Value>> = (0..5000)
-        .map(|i| vec![Value::Bigint(i % 1000), Value::Double(0.05)])
-        .collect();
-    let pages: Vec<presto_page::Page> = lineitem
-        .chunks(500)
-        .map(|chunk| presto_page::Page::from_rows(&lineitem_schema, chunk))
-        .collect();
-    mem.load_table("lineitem", lineitem_schema, pages);
-    mem.analyze("orders").unwrap();
-    mem.analyze("lineitem").unwrap();
-    let mut catalogs = CatalogManager::new();
-    catalogs.register(
-        "memory",
-        Arc::clone(&mem) as Arc<dyn presto_connector::Connector>,
-    );
-    Cluster::start(ClusterConfig::test(), catalogs).unwrap()
-}
-
-/// Every query has ended and left nothing behind on `c`.
-fn assert_quiescent(c: &Cluster) {
-    if let Err(residue) = c.await_quiescent(std::time::Duration::from_secs(10)) {
-        panic!("cluster not quiescent after the queries: {residue}");
-    }
+fn cluster() -> TestCluster {
+    TestCluster::start(ClusterConfig::test(), orders_and_lineitem())
 }
 
 #[test]
@@ -97,7 +52,6 @@ fn explain_analyze_join_agg_has_populated_stats() {
     // Blocked/memory columns render.
     assert!(text.contains("blocked"), "{text}");
     assert!(text.contains("peak mem"), "{text}");
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -113,7 +67,6 @@ fn explain_analyze_row_counts_reconcile_across_exchange() {
     assert!(text.contains("out 100 rows"), "{text}");
     // Operator-specific counters surface (group-by hash table counters).
     assert!(text.contains("="), "{text}");
-    assert_quiescent(&c);
 }
 
 /// Acceptance: EXPLAIN ANALYZE of a fusable scan→filter→agg query renders
@@ -144,7 +97,6 @@ fn explain_analyze_fused_chain_shows_per_stage_rows() {
     assert!(fusion.pipelines >= 1, "{fusion:?}");
     assert_eq!(fusion.scan_rows, 1000, "{fusion:?}");
     assert_eq!(fusion.filter_rows, 100, "{fusion:?}");
-    assert_quiescent(&c);
 }
 
 /// Disabling the session knob leaves the partial aggregate out of the leaf
@@ -172,7 +124,6 @@ fn fusion_knob_off_runs_discrete_operators() {
         .to_string();
     assert!(text.contains("FusedPipeline"), "{text}");
     assert!(text.contains("AggregatePartial: in"), "{text}");
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -213,7 +164,6 @@ fn metrics_snapshot_changes_across_mid_query_samples() {
             .any(|l| l.entries > 0 && l.quanta_granted > 0)),
         "the MLFQ dispatched quanta"
     );
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -225,7 +175,6 @@ fn collected_snapshot_round_trips_through_json() {
     let text = snap.to_json().to_string();
     let back = ClusterSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, snap);
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -252,32 +201,22 @@ fn chrome_trace_export_is_structurally_valid() {
         }
     }
     assert!(saw_span, "driver quanta export as complete-span events");
-    assert_quiescent(&c);
 }
 
 #[test]
 fn tracing_can_be_disabled() {
-    let mem = MemoryConnector::new();
     let schema = Schema::of(&[("x", DataType::Bigint)]);
-    mem.load_table(
-        "t",
-        schema.clone(),
-        vec![presto_page::Page::from_rows(
-            &schema,
-            &[vec![Value::Bigint(1)]],
-        )],
-    );
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn presto_connector::Connector>);
+    let (catalogs, _) = memory_catalog()
+        .table("t", schema, &[vec![Value::Bigint(1)]], 1)
+        .build();
     let config = ClusterConfig {
         trace_capacity: 0,
         ..ClusterConfig::test()
     };
-    let c = Cluster::start(config, catalogs).unwrap();
+    let c = TestCluster::start(config, catalogs);
     c.execute("SELECT * FROM t").unwrap();
     assert!(c.trace().is_none());
     assert_eq!(c.metrics_snapshot().trace_events, 0);
-    assert_quiescent(&c);
 }
 
 #[test]
@@ -313,7 +252,6 @@ fn failed_queries_settle_gauges_and_tag_errors() {
         (0, std::time::Duration::ZERO)
     );
     assert_eq!(history.get(planning.query).unwrap().attempts, 1);
-    assert_quiescent(&c);
 }
 
 /// Satellite: a *collected* (not hand-built) snapshot with populated
@@ -352,7 +290,6 @@ fn populated_snapshot_round_trips_with_df_fusion_and_latency() {
     let text = snap.to_json().to_string();
     let back = ClusterSnapshot::from_json(&Json::parse(&text).unwrap()).unwrap();
     assert_eq!(back, snap);
-    assert_quiescent(&c);
 }
 
 /// Satellite: scraping `ClusterSnapshot` while 8 threads run queries must
@@ -410,7 +347,6 @@ fn concurrent_scrape_under_load_is_consistent() {
         end.queries.finished + end.queries.failed,
         end.queries.submitted
     );
-    assert_quiescent(&c);
 }
 
 // --- proptest: serialization round-trip over arbitrary snapshots ---

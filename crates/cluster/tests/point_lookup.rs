@@ -6,10 +6,13 @@
 
 #![allow(clippy::unwrap_used)]
 
-use presto_cluster::{Cluster, ClusterConfig};
+use presto_cluster::ClusterConfig;
 use presto_common::{DataType, Schema, Session, Value};
 use presto_connector::{CatalogManager, Connector, Domain, TupleDomain};
-use presto_connectors::{MemoryConnector, RaptorConnector, ShardedSqlConnector};
+use presto_connectors::{RaptorConnector, ShardedSqlConnector};
+use presto_testkit::{
+    memory_catalog, rows_equal, run_sorted, sorted, MemoryCatalog, ScratchDir, TestCluster,
+};
 use std::sync::Arc;
 
 const SHARDS: usize = 4;
@@ -41,28 +44,24 @@ fn ads_rows() -> Vec<Vec<Value>> {
         .collect()
 }
 
-/// A 30-row `days` table in three pages, so its scan has several splits.
-fn load_days(memory: &MemoryConnector) {
+/// Adds a 30-row `days` table in three pages, so its scan has several
+/// splits.
+fn with_days(catalog: MemoryCatalog) -> MemoryCatalog {
     let schema = Schema::of(&[("day", DataType::Bigint), ("weekend", DataType::Boolean)]);
     let rows: Vec<Vec<Value>> = (0..30i64)
         .map(|d| vec![Value::Bigint(d), Value::Boolean(d % 7 >= 5)])
         .collect();
-    let pages = rows
-        .chunks(10)
-        .map(|chunk| presto_page::Page::from_rows(&schema, chunk))
-        .collect();
-    memory.load_table("days", schema, pages);
-    memory.analyze("days").unwrap();
+    catalog.table("days", schema, &rows, 10)
 }
 
 struct Fixture {
     /// Four workers; `ads` (and `sparse`, all of whose rows sit in one
     /// shard) in the sharded catalog, `days` in memory.
-    cluster: Cluster,
+    cluster: TestCluster,
     sharded: Arc<ShardedSqlConnector>,
     /// One worker over the same rows in the memory catalog, with every
     /// optimisation that must never change an answer switched off.
-    oracle: Cluster,
+    oracle: TestCluster,
 }
 
 impl Fixture {
@@ -76,40 +75,27 @@ impl Fixture {
             .cloned()
             .collect();
         sharded.load_table("sparse", ads_schema(), KEY, &sparse);
-        let memory = MemoryConnector::new();
-        load_days(&memory);
-        let mut catalogs = CatalogManager::new();
+        let (mut catalogs, _) = with_days(memory_catalog()).build();
         catalogs.register("sharded", Arc::clone(&sharded) as Arc<dyn Connector>);
-        catalogs.register("memory", memory as Arc<dyn Connector>);
         let config = ClusterConfig {
             workers: 4,
             ..ClusterConfig::test()
         };
-        let cluster = Cluster::start(config, catalogs).unwrap();
+        let cluster = TestCluster::start(config, catalogs);
 
-        let reference = MemoryConnector::new();
-        reference.load_rows("ads", ads_schema(), &rows);
-        reference.load_rows("sparse", ads_schema(), &sparse);
-        reference.analyze("ads").unwrap();
-        load_days(&reference);
-        let mut catalogs = CatalogManager::new();
-        catalogs.register("memory", reference as Arc<dyn Connector>);
+        let reference = memory_catalog()
+            .table("ads", ads_schema(), &rows, rows.len())
+            .table("sparse", ads_schema(), &sparse, sparse.len());
         let config = ClusterConfig {
             workers: 1,
             ..ClusterConfig::test()
         };
-        let oracle = Cluster::start(config, catalogs).unwrap();
+        let oracle = TestCluster::start(config, with_days(reference).build().0);
         Fixture {
             cluster,
             sharded,
             oracle,
         }
-    }
-
-    /// Both clusters have ended every query and left nothing behind.
-    fn assert_quiescent(&self) {
-        assert_quiescent(&self.cluster);
-        assert_quiescent(&self.oracle);
     }
 
     /// Shards a scan of `table` under `advertiser_id IN keys` reads, with
@@ -164,7 +150,7 @@ impl Fixture {
         )
     }
 
-    fn reference(&self, sql: &str) -> Vec<Vec<Value>> {
+    fn assert_matches_reference(&self, sql: &str, rows: &[Vec<Value>]) {
         let session = Session {
             pipeline_fusion: false,
             dynamic_filtering: false,
@@ -172,43 +158,9 @@ impl Fixture {
             spill_enabled: false,
             ..Session::for_catalog("memory")
         };
-        sorted(
-            self.oracle
-                .execute_with_session(sql, &session)
-                .unwrap()
-                .rows(),
-        )
+        let want = run_sorted(&self.oracle, sql, &session);
+        assert!(rows_equal(rows, &want), "{sql}\n{rows:?}\nvs\n{want:?}");
     }
-
-    fn assert_matches_reference(&self, sql: &str, rows: &[Vec<Value>]) {
-        let want = self.reference(sql);
-        assert!(same_rows(rows, &want), "{sql}\n{rows:?}\nvs\n{want:?}");
-    }
-}
-
-fn assert_quiescent(cluster: &Cluster) {
-    if let Err(residue) = cluster.await_quiescent(std::time::Duration::from_secs(10)) {
-        panic!("cluster not quiescent after the queries: {residue}");
-    }
-}
-
-fn sorted(mut rows: Vec<Vec<Value>>) -> Vec<Vec<Value>> {
-    rows.sort();
-    rows
-}
-
-/// Equality up to float summation order.
-fn same_rows(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(ra, rb)| {
-            ra.len() == rb.len()
-                && ra.iter().zip(rb).all(|(x, y)| match (x, y) {
-                    (Value::Double(p), Value::Double(q)) => {
-                        (p - q).abs() <= p.abs().max(q.abs()).max(1.0) * 1e-9
-                    }
-                    _ => x == y,
-                })
-        })
 }
 
 /// The three query shapes of the `point_lookup` workload.
@@ -232,7 +184,6 @@ fn point_lookups_run_as_one_task_without_exchanges() {
         assert!(!rows.is_empty(), "{sql}");
         f.assert_matches_reference(sql, &rows);
     }
-    f.assert_quiescent();
 }
 
 #[test]
@@ -253,13 +204,11 @@ fn lookups_that_may_touch_several_buckets_stay_distributed() {
         assert!(fragments > 1 && remote > 0, "{sql}");
         f.assert_matches_reference(&sql, &rows);
     }
-    f.assert_quiescent();
 }
 
 #[test]
 fn a_pin_on_a_node_local_layout_stays_distributed() {
-    let dir = std::env::temp_dir().join(format!("raptor-pin-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("raptor-pin");
     let nodes = (0..2).map(presto_common::NodeId).collect();
     let raptor = RaptorConnector::new(&dir, nodes).unwrap();
     let schema = Schema::of(&[("uid", DataType::Bigint), ("v", DataType::Bigint)]);
@@ -274,7 +223,7 @@ fn a_pin_on_a_node_local_layout_stays_distributed() {
         .unwrap();
     let mut catalogs = CatalogManager::new();
     catalogs.register("raptor", raptor as Arc<dyn Connector>);
-    let c = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
+    let c = TestCluster::start(ClusterConfig::test(), catalogs);
     let out = c
         .execute_with_session(
             "SELECT SUM(v) FROM t WHERE uid = 3",
@@ -285,8 +234,6 @@ fn a_pin_on_a_node_local_layout_stays_distributed() {
     assert_eq!(out.rows(), vec![vec![Value::Bigint(312)]]);
     let tasks = c.query_history().get(out.query).unwrap().tasks.len();
     assert!(tasks > 1, "{tasks} tasks");
-    assert_quiescent(&c);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -322,5 +269,4 @@ fn pinned_queries_match_the_reference_engine() {
     let (rows, tasks, _) = f.run(&queries[4]);
     assert_eq!(rows, vec![vec![Value::Bigint(0), Value::Null]]);
     assert_eq!(tasks, 1);
-    f.assert_quiescent();
 }

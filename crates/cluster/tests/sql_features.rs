@@ -7,17 +7,9 @@
 use presto_cluster::{Cluster, ClusterConfig};
 use presto_common::time::days_from_civil;
 use presto_common::{DataType, Schema, Value};
-use presto_connector::CatalogManager;
-use presto_connectors::MemoryConnector;
-use std::sync::Arc;
-use std::time::Duration;
+use presto_testkit::{memory_catalog, TestCluster};
 
-/// How long a test waits, after its last query, for every task, buffer and
-/// pool reservation to drain.
-const QUIESCE: Duration = Duration::from_secs(5);
-
-fn cluster() -> Cluster {
-    let mem = MemoryConnector::new();
+fn cluster() -> TestCluster {
     let schema = Schema::of(&[
         ("id", DataType::Bigint),
         ("name", DataType::Varchar),
@@ -38,11 +30,8 @@ fn cluster() -> Cluster {
             ]
         })
         .collect();
-    mem.load_rows("items", schema, &rows);
-    mem.analyze("items").unwrap();
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn presto_connector::Connector>);
-    Cluster::start(ClusterConfig::test(), catalogs).unwrap()
+    let (catalogs, _) = memory_catalog().table("items", schema, &rows, 100).build();
+    TestCluster::start(ClusterConfig::test(), catalogs)
 }
 
 #[test]
@@ -63,7 +52,6 @@ fn date_literals_and_temporal_functions() {
     let total: i64 = rows.iter().map(|r| r[1].as_i64().unwrap()).sum();
     // Dates step 10 days: exactly 365/10 ≈ 36 or 37 rows in one year.
     assert!((35..=38).contains(&total), "{total}");
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 #[test]
@@ -83,7 +71,6 @@ fn like_and_string_functions() {
         .execute("SELECT COUNT(*) FROM items WHERE name LIKE '%gamma%'")
         .unwrap();
     assert_eq!(none.rows()[0][0], Value::Bigint(0));
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 #[test]
@@ -101,7 +88,6 @@ fn between_and_not_variants() {
         .execute("SELECT COUNT(*) FROM items WHERE id NOT IN (1, 2, 3)")
         .unwrap();
     assert_eq!(not_in.rows()[0][0], Value::Bigint(97));
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 #[test]
@@ -124,7 +110,6 @@ fn case_cast_coalesce() {
         .execute("SELECT coalesce(NULL, 7) FROM items WHERE id = 0")
         .unwrap();
     assert_eq!(coalesce.rows()[0][0], Value::Bigint(7));
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 #[test]
@@ -141,7 +126,6 @@ fn nested_derived_tables_with_window() {
     assert_eq!(rows.len(), 4);
     // All buckets have 25 items → every rank ties at 1.
     assert!(rows.iter().all(|r| r[2] == Value::Bigint(1)), "{rows:?}");
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 #[test]
@@ -155,7 +139,6 @@ fn order_by_ordinals_and_aliases() {
         .unwrap();
     assert_eq!(by_ordinal.rows()[0][0], by_alias.rows()[0][0]);
     assert_eq!(by_ordinal.rows()[0][1], Value::Double(99.0 * 1.5));
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 #[test]
@@ -178,7 +161,6 @@ fn aggregate_function_breadth() {
     };
     assert!((sd * sd - var).abs() < 1e-6);
     assert_eq!(rows[0][4], Value::Date(days_from_civil(1995, 1, 1)));
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 #[test]
@@ -192,7 +174,6 @@ fn division_by_zero_guarded_by_short_circuit() {
                                                      // Unguarded division by zero is a user error.
     let err = c.execute("SELECT 1 / (id - id) FROM items").unwrap_err();
     assert_eq!(err.error.code, presto_common::ErrorCode::User);
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 #[test]
@@ -215,32 +196,48 @@ fn right_join_normalizes_to_left() {
     assert_eq!(rows[2], vec![Value::Bigint(2), Value::Bigint(2)]);
     assert_eq!(rows[3], vec![Value::Null, Value::Bigint(3)]);
     assert_eq!(rows[4], vec![Value::Null, Value::Bigint(4)]);
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 /// A cluster over `ints(k bigint)` 0..20, `doubles(d double)` 0, 4, ..,
 /// 16, `dates(dt date)` ten days and `stamps(ts timestamp)` the same ten
 /// days at midnight: equi-joins between columns of two types.
-fn mixed_type_cluster() -> Cluster {
-    let mem = MemoryConnector::new();
-    let table = |name: &str, column: &str, data_type: DataType, values: Vec<Value>| {
-        let rows: Vec<Vec<Value>> = values.into_iter().map(|v| vec![v]).collect();
-        mem.load_rows(name, Schema::of(&[(column, data_type)]), &rows);
-        mem.analyze(name).unwrap();
-    };
-    let ints = (0..20).map(Value::Bigint).collect();
-    table("ints", "k", DataType::Bigint, ints);
-    let doubles = (0..5).map(|i| Value::Double(i as f64 * 4.0)).collect();
-    table("doubles", "d", DataType::Double, doubles);
+fn mixed_type_cluster() -> TestCluster {
     let day0 = days_from_civil(2020, 3, 1);
-    let dates = (0..10).map(|i| Value::Date(day0 + i)).collect();
-    table("dates", "dt", DataType::Date, dates);
     let midnight = |i: i64| Value::Timestamp((day0 + i) * 86_400_000);
-    let stamps = (0..10).map(midnight).collect();
-    table("stamps", "ts", DataType::Timestamp, stamps);
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn presto_connector::Connector>);
-    Cluster::start(ClusterConfig::test(), catalogs).unwrap()
+    let tables: [(&str, &str, DataType, Vec<Value>); 4] = [
+        (
+            "ints",
+            "k",
+            DataType::Bigint,
+            (0..20).map(Value::Bigint).collect(),
+        ),
+        (
+            "doubles",
+            "d",
+            DataType::Double,
+            (0..5).map(|i| Value::Double(i as f64 * 4.0)).collect(),
+        ),
+        (
+            "dates",
+            "dt",
+            DataType::Date,
+            (0..10).map(|i| Value::Date(day0 + i)).collect(),
+        ),
+        (
+            "stamps",
+            "ts",
+            DataType::Timestamp,
+            (0..10).map(midnight).collect(),
+        ),
+    ];
+    let catalog = tables.into_iter().fold(
+        memory_catalog(),
+        |catalog, (name, column, data_type, values)| {
+            let rows: Vec<Vec<Value>> = values.into_iter().map(|v| vec![v]).collect();
+            catalog.table(name, Schema::of(&[(column, data_type)]), &rows, 20)
+        },
+    );
+    TestCluster::start(ClusterConfig::test(), catalog.build().0)
 }
 
 /// Each query, as a comma join and as `JOIN ... ON`, counts `expected`.
@@ -261,7 +258,6 @@ fn bigint_equals_double_join() {
         "SELECT COUNT(*) FROM ints a JOIN doubles b ON a.k = b.d",
     ];
     assert_counts(&c, queries, 5);
-    c.await_quiescent(QUIESCE).unwrap();
 }
 
 /// `date = timestamp` compares the date as its midnight, so each day meets
@@ -275,5 +271,4 @@ fn date_equals_timestamp_join() {
         "SELECT COUNT(*) FROM dates c JOIN stamps t ON c.dt = t.ts",
     ];
     assert_counts(&c, queries, 10);
-    c.await_quiescent(QUIESCE).unwrap();
 }

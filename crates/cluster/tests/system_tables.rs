@@ -8,64 +8,20 @@
 
 use parking_lot::Mutex;
 use presto_cluster::{Cluster, ClusterConfig};
-use presto_common::{DataType, ErrorCode, QueryId, Schema, Session, Value};
-use presto_connector::{CatalogManager, ScanOptions, TupleDomain};
+use presto_common::{ErrorCode, QueryId, Session, Value};
+use presto_connector::{ScanOptions, TupleDomain};
 use presto_connectors::system::SystemTable;
-use presto_connectors::MemoryConnector;
+use presto_testkit::{orders_and_lineitem, TestCluster};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn cluster() -> Cluster {
+fn cluster() -> TestCluster {
     cluster_with(ClusterConfig::test())
 }
 
-fn cluster_with(config: ClusterConfig) -> Cluster {
-    let mem = MemoryConnector::new();
-    let orders_schema = Schema::of(&[
-        ("orderkey", DataType::Bigint),
-        ("custkey", DataType::Bigint),
-        ("totalprice", DataType::Double),
-    ]);
-    let orders: Vec<Vec<Value>> = (0..1000)
-        .map(|i| {
-            vec![
-                Value::Bigint(i),
-                Value::Bigint(i % 100),
-                Value::Double((i % 500) as f64),
-            ]
-        })
-        .collect();
-    let pages: Vec<presto_page::Page> = orders
-        .chunks(100)
-        .map(|chunk| presto_page::Page::from_rows(&orders_schema, chunk))
-        .collect();
-    mem.load_table("orders", orders_schema, pages);
-    let lineitem_schema = Schema::of(&[("orderkey", DataType::Bigint), ("tax", DataType::Double)]);
-    let lineitem: Vec<Vec<Value>> = (0..5000)
-        .map(|i| vec![Value::Bigint(i % 1000), Value::Double(0.05)])
-        .collect();
-    let pages: Vec<presto_page::Page> = lineitem
-        .chunks(500)
-        .map(|chunk| presto_page::Page::from_rows(&lineitem_schema, chunk))
-        .collect();
-    mem.load_table("lineitem", lineitem_schema, pages);
-    mem.analyze("orders").unwrap();
-    mem.analyze("lineitem").unwrap();
-    let mut catalogs = CatalogManager::new();
-    catalogs.register(
-        "memory",
-        Arc::clone(&mem) as Arc<dyn presto_connector::Connector>,
-    );
-    Cluster::start(config, catalogs).unwrap()
-}
-
-/// Every query has ended and left nothing behind on `c`.
-fn assert_quiescent(c: &Cluster) {
-    if let Err(residue) = c.await_quiescent(Duration::from_secs(10)) {
-        panic!("cluster not quiescent after the queries: {residue}");
-    }
+fn cluster_with(config: ClusterConfig) -> TestCluster {
+    TestCluster::start(config, orders_and_lineitem())
 }
 
 fn i64_at(row: &[Value], col: usize) -> i64 {
@@ -112,7 +68,6 @@ fn every_system_table_scans() {
     }
     // Unknown tables fail with a user error, not a panic.
     assert!(c.execute("SELECT * FROM system.runtime.nope").is_err());
-    assert_quiescent(&c);
 }
 
 /// The acceptance scenario: run a background workload (successes,
@@ -357,7 +312,6 @@ fn system_tables_agree_with_snapshot_after_workload() {
         assert_eq!(sql_rows, out_rows, "output_rows mismatch for {:?}", e.query);
         assert!(sql_ops >= 1);
     }
-    assert_quiescent(&c);
 }
 
 /// Live queries are visible: while background threads keep the cluster
@@ -410,7 +364,6 @@ fn live_queries_appear_in_system_tables() {
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
         assert!(seen_live >= 2, "never observed in-flight queries via SQL");
     });
-    assert_quiescent(&c);
 }
 
 /// `system.runtime.queries` read straight from the `system` connector,
@@ -510,7 +463,6 @@ fn live_states_come_from_the_one_record() {
         !c.cancel_query(QueryId(a_id)),
         "a finished query is no longer running"
     );
-    assert_quiescent(&c);
 }
 
 /// The queue bound counts only queries that must wait. With one run slot
@@ -550,7 +502,6 @@ fn queue_bound_counts_only_waiting_queries() {
         for query in admitted {
             query.join().unwrap().unwrap();
         }
-        assert_quiescent(&c);
     }
 }
 
@@ -616,5 +567,4 @@ fn every_scan_lists_each_query_exactly_once() {
             received.lock().push(out.query.0);
         }
     });
-    assert_quiescent(&c);
 }

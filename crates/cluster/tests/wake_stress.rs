@@ -8,16 +8,14 @@
 //! ever slept through an event (`safety_net_fires == 0`): a lost wakeup
 //! does not hang this engine, it stalls it for 20 ms, so only the counter
 //! can see one.
-//!
-//! (The root package compiles this same file as `tests/wake_stress.rs`, so
-//! the tier-1 command runs it.)
 
 #![allow(clippy::unwrap_used)]
 
 use presto_cluster::{Cluster, ClusterConfig, QueryError, QueryResult};
 use presto_common::{DataType, ErrorCode, Schema, Session, Value};
 use presto_connector::{CatalogManager, Connector};
-use presto_connectors::{MemoryConnector, ShardedSqlConnector};
+use presto_connectors::ShardedSqlConnector;
+use presto_testkit::{memory_catalog, sorted, ScratchDir, TestCluster};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,27 +49,12 @@ fn catalogs() -> CatalogManager {
         0,
         &rows(ADS, |i| (i % AD_KEYS, i)),
     );
-    let mem = MemoryConnector::new();
-    let load = |name: &str, schema: Schema, rows: Vec<Vec<Value>>| {
-        let pages = rows
-            .chunks(250)
-            .map(|chunk| presto_page::Page::from_rows(&schema, chunk))
-            .collect();
-        mem.load_table(name, schema, pages);
-        mem.analyze(name).unwrap();
-    };
-    load(
-        "orders",
-        bigint(["orderkey", "custkey"]),
-        rows(ORDERS, |i| (i, i % CUSTOMERS)),
-    );
-    load(
-        "lineitem",
-        bigint(["orderkey", "qty"]),
-        rows(LINEITEMS, |j| (j % ORDERS, j % 7)),
-    );
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn Connector>);
+    let orders = rows(ORDERS, |i| (i, i % CUSTOMERS));
+    let lineitem = rows(LINEITEMS, |j| (j % ORDERS, j % 7));
+    let (mut catalogs, _) = memory_catalog()
+        .table("orders", bigint(["orderkey", "custkey"]), &orders, 250)
+        .table("lineitem", bigint(["orderkey", "qty"]), &lineitem, 250)
+        .build();
     catalogs.register("sharded", sharded as Arc<dyn Connector>);
     catalogs
 }
@@ -214,16 +197,18 @@ fn check(
     }
 }
 
-/// No task, no pool byte and no query left; and no lost wakeup. Returns
-/// the drivers parked on events so far.
-fn assert_quiescent_and_no_wakeup_lost(c: &Cluster, context: &str) -> u64 {
-    if let Err(residue) = c.await_quiescent(Duration::from_secs(20)) {
-        panic!("{context}: {residue}");
-    }
+/// How long a round's cluster may take to become quiescent: its queries
+/// ran under injected pauses, cancels, kills and drains.
+const STRESS_GRACE: Duration = Duration::from_secs(20);
+
+/// Quiescent within [`STRESS_GRACE`] with no lost wakeup. Returns the
+/// drivers parked on events so far.
+fn quiescent_parks(c: &TestCluster) -> u64 {
+    c.quiescent_within(STRESS_GRACE);
+    c.assert_no_lost_wakeups();
     let snap = c.metrics_snapshot();
-    assert_eq!(snap.lost_wakeups(), 0, "{context}");
     for w in &snap.workers {
-        assert!(w.wakeups.event_wakeups <= w.wakeups.parks, "{context}");
+        assert!(w.wakeups.event_wakeups <= w.wakeups.parks, "{w:?}");
     }
     snap.workers.iter().map(|w| w.wakeups.parks).sum()
 }
@@ -239,7 +224,8 @@ fn no_wakeup_is_lost_under_mixed_load_and_disturbance() {
             threads_per_worker: 2,
             ..ClusterConfig::test()
         };
-        let c = Cluster::start(config, catalogs()).unwrap();
+        eprintln!("round {round} ({disturbance:?})");
+        let c = TestCluster::start(config, catalogs());
         let done = AtomicBool::new(false);
         std::thread::scope(|scope| {
             let clients: Vec<_> = (0..CLIENTS)
@@ -269,8 +255,7 @@ fn no_wakeup_is_lost_under_mixed_load_and_disturbance() {
                 result.unwrap();
             }
         });
-        parks +=
-            assert_quiescent_and_no_wakeup_lost(&c, &format!("round {round} ({disturbance:?})"));
+        parks += quiescent_parks(&c);
     }
     // The disturbances fail some queries; most must get through, and the
     // evented path must have carried them.
@@ -292,8 +277,7 @@ fn no_wakeup_is_lost_under_mixed_load_and_disturbance() {
 /// to spill while parked on something else, and lookups queue behind them.
 #[test]
 fn no_wakeup_is_lost_while_a_tiny_pool_query_spills() {
-    let dir = std::env::temp_dir().join(format!("presto-wake-stress-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = ScratchDir::new("wake-stress");
     let config = ClusterConfig {
         workers: 2,
         threads_per_worker: 2,
@@ -301,10 +285,10 @@ fn no_wakeup_is_lost_while_a_tiny_pool_query_spills() {
         reserved_pool_bytes: 8 << 10,
         ..ClusterConfig::test()
     };
-    let c = Cluster::start(config, catalogs()).unwrap();
+    let c = TestCluster::start(config, catalogs());
     let spilling = Session {
         spill_enabled: true,
-        spill_dir: Some(dir.clone()),
+        spill_dir: Some(dir.to_path_buf()),
         ..Session::default()
     };
     std::thread::scope(|scope| {
@@ -321,8 +305,7 @@ fn no_wakeup_is_lost_while_a_tiny_pool_query_spills() {
                 &spilling,
             )
             .unwrap();
-        let mut rows = out.rows();
-        rows.sort();
+        let rows = sorted(out.rows());
         let want: Vec<Vec<Value>> = (0..ORDERS)
             .map(|o| {
                 let items = || (0..LINEITEMS).filter(move |j| j % ORDERS == o);
@@ -332,12 +315,10 @@ fn no_wakeup_is_lost_while_a_tiny_pool_query_spills() {
         assert_eq!(rows, want);
         lookups.join().unwrap();
     });
-    assert_quiescent_and_no_wakeup_lost(&c, "tiny pool");
+    quiescent_parks(&c);
     let snap = c.metrics_snapshot();
     assert!(snap.spill.spilled_bytes > 0, "the join must have spilled");
     let timed: u64 = snap.workers.iter().map(|w| w.wakeups.timed_repolls).sum();
     assert!(timed > 0, "memory waits are timed re-polls");
-    let left = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-    assert_eq!(left, 0, "no spill file may remain");
-    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(dir.file_count(), 0, "no spill file may remain");
 }

@@ -12,31 +12,26 @@
 use presto::cluster::{Cluster, ClusterConfig};
 use presto::common::{DataType, Schema, Session, Value};
 use presto::connector::{CatalogManager, Connector, ConnectorMetadata};
-use presto::connectors::{HiveConnector, MemoryConnector};
+use presto::connectors::HiveConnector;
 use presto::page::Page;
 use presto::workload::TpchGenerator;
+use presto_testkit::{
+    memory_catalog, rows_equal, run_sorted, tpch_catalog, ScratchDir, TestCluster,
+};
 use std::sync::Arc;
-use std::time::Duration;
 
-fn make_cluster(workers: usize, leaf_parallelism: usize) -> Cluster {
-    let mem = MemoryConnector::new();
-    TpchGenerator::new(0.002).load_memory(&mem);
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn Connector>);
-    start(catalogs, workers, leaf_parallelism)
+fn make_cluster(workers: usize, leaf_parallelism: usize) -> TestCluster {
+    start(tpch_catalog(0.002), workers, leaf_parallelism)
 }
 
-fn start(catalogs: CatalogManager, workers: usize, leaf_parallelism: usize) -> Cluster {
-    Cluster::start(
-        ClusterConfig {
-            workers,
-            threads_per_worker: 2,
-            leaf_parallelism,
-            ..ClusterConfig::test()
-        },
-        catalogs,
-    )
-    .unwrap()
+fn start(catalogs: CatalogManager, workers: usize, leaf_parallelism: usize) -> TestCluster {
+    let config = ClusterConfig {
+        workers,
+        threads_per_worker: 2,
+        leaf_parallelism,
+        ..ClusterConfig::test()
+    };
+    TestCluster::start(config, catalogs)
 }
 
 const QUERIES: &[&str] = &[
@@ -64,41 +59,10 @@ const QUERIES: &[&str] = &[
      FROM orders WHERE orderkey < 100",
 ];
 
-/// Every query has ended and left nothing behind on `cluster`.
-fn assert_quiescent(cluster: &Cluster) {
-    if let Err(residue) = cluster.await_quiescent(Duration::from_secs(10)) {
-        panic!("cluster not quiescent after the queries: {residue}");
-    }
-}
-
-fn run_sorted(cluster: &Cluster, sql: &str, session: &Session) -> Vec<Vec<Value>> {
-    let mut rows = cluster.execute_with_session(sql, session).unwrap().rows();
-    rows.sort();
-    rows
-}
-
-/// Equality modulo floating-point summation order: distributed plans sum
-/// doubles in different orders, so compare with a relative tolerance.
-fn rows_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(ra, rb)| {
-            ra.len() == rb.len()
-                && ra.iter().zip(rb).all(|(x, y)| match (x, y) {
-                    (Value::Double(p), Value::Double(q)) => {
-                        let scale = p.abs().max(q.abs()).max(1.0);
-                        (p - q).abs() <= scale * 1e-9
-                    }
-                    _ => x == y,
-                })
-        })
-}
-
 #[test]
 fn results_invariant_across_configurations() {
     let (reference, wide) = (make_cluster(1, 2), make_cluster(4, 2));
     assert_invariant(&reference, &wide, &Session::for_catalog("memory"), QUERIES);
-    assert_quiescent(&reference);
-    assert_quiescent(&wide);
 }
 
 /// Queries whose inputs arrive dictionary- or RLE-encoded from PORC.
@@ -143,7 +107,6 @@ const PORC_QUERIES: &[&str] = &[
 /// The TPC-H tables plus `t` (4 000 rows of `s` alternating 'x' and '5')
 /// and `d` (two stripes of `k`, `s`; the second with NULL `s`) in PORC.
 fn porc_fixture(dir: &std::path::Path) -> Arc<HiveConnector> {
-    std::fs::remove_dir_all(dir).ok();
     let hive = HiveConnector::new(dir).unwrap();
     TpchGenerator::new(0.002).load_hive(&hive).unwrap();
     let t = Schema::of(&[("s", DataType::Varchar)]);
@@ -169,7 +132,7 @@ fn porc_fixture(dir: &std::path::Path) -> Arc<HiveConnector> {
 
 #[test]
 fn porc_results_invariant_across_configurations() {
-    let dir = std::env::temp_dir().join(format!("presto-differential-{}", std::process::id()));
+    let dir = ScratchDir::new("differential");
     let hive = porc_fixture(&dir);
     let cluster = |workers| {
         let mut catalogs = CatalogManager::new();
@@ -184,10 +147,6 @@ fn porc_results_invariant_across_configurations() {
     );
     let queries: Vec<&str> = QUERIES.iter().chain(PORC_QUERIES).copied().collect();
     assert_invariant(&reference, &wide, &base, &queries);
-    assert_quiescent(&reference);
-    assert_quiescent(&wide);
-    drop((reference, wide));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `INSERT INTO` a fresh Hive table, from a select whose columns reach the
@@ -198,8 +157,7 @@ fn porc_results_invariant_across_configurations() {
 /// stripes' min/max reads no stripe.
 #[test]
 fn insert_round_trips_through_porc() {
-    let dir =
-        std::env::temp_dir().join(format!("presto-differential-insert-{}", std::process::id()));
+    let dir = ScratchDir::new("differential-insert");
     let hive = porc_fixture(&dir);
     let select = "SELECT returnflag, 'etl' AS tag, \
                   CASE WHEN quantity > 25 THEN shipmode END AS big_mode, \
@@ -274,9 +232,7 @@ fn insert_round_trips_through_porc() {
             vec![vec![Value::Bigint(want as i64)]],
             "{workers} workers: pruning dropped rows"
         );
-        assert_quiescent(&cluster);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every query returns the same rows as `base` on `reference` under every
@@ -352,8 +308,6 @@ fn grouped_scans_invariant_across_leaf_parallelism() {
             "leaf_parallelism 4 diverged from 1 for: {sql}\n{rows:?}\nvs\n{expected:?}"
         );
     }
-    assert_quiescent(&serial);
-    assert_quiescent(&parallel);
 }
 
 /// `SUM(bigint)` is exact — it does not round through `f64` — and its
@@ -361,16 +315,17 @@ fn grouped_scans_invariant_across_leaf_parallelism() {
 /// (`bench/`'s oracle session).
 #[test]
 fn bigint_sum_is_exact_and_overflow_fails() {
-    let mem = MemoryConnector::new();
     let schema = Schema::of(&[("v", DataType::Bigint)]);
-    let load = |name: &str, values: &[i64]| {
-        let rows: Vec<Vec<Value>> = values.iter().map(|&v| vec![Value::Bigint(v)]).collect();
-        mem.load_rows(name, schema.clone(), &rows);
-    };
-    load("exact", &[9_007_199_254_740_993, 1]);
-    load("over", &[i64::MAX, 1]);
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", Arc::clone(&mem) as Arc<dyn Connector>);
+    let rows = |values: [i64; 2]| values.map(|v| vec![Value::Bigint(v)]);
+    let (catalogs, _) = memory_catalog()
+        .table(
+            "exact",
+            schema.clone(),
+            &rows([9_007_199_254_740_993, 1]),
+            2,
+        )
+        .table("over", schema, &rows([i64::MAX, 1]), 2)
+        .build();
     let cluster = start(catalogs, 2, 2);
     let base = Session::for_catalog("memory");
     let all_off = Session {
@@ -393,5 +348,4 @@ fn bigint_sum_is_exact_and_overflow_fails() {
             "{err:?}"
         );
     }
-    assert_quiescent(&cluster);
 }

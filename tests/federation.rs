@@ -3,32 +3,31 @@
 //! federated design"), plus connector-specific behaviours observable only
 //! through full queries.
 
-use presto::cluster::{Cluster, ClusterConfig};
+use presto::cluster::ClusterConfig;
 use presto::common::{DataType, NodeId, Schema, Session, Value};
-use presto::connector::{CatalogManager, Connector};
-use presto::connectors::{HiveConnector, MemoryConnector, RaptorConnector, ShardedSqlConnector};
+use presto::connector::Connector;
+use presto::connectors::{HiveConnector, RaptorConnector, ShardedSqlConnector};
+use presto_testkit::{memory_catalog, ScratchDir, TestCluster};
 use std::sync::Arc;
-use std::time::Duration;
 
+/// Fields drop in order: the cluster proves itself quiescent before its
+/// data directory goes.
 struct Fixture {
-    cluster: Cluster,
+    cluster: TestCluster,
     hive: Arc<HiveConnector>,
     sharded: Arc<ShardedSqlConnector>,
-    dir: std::path::PathBuf,
+    _dir: ScratchDir,
 }
 
 fn fixture(name: &str) -> Fixture {
-    let dir = std::env::temp_dir().join(format!("presto-federation-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    let mem = MemoryConnector::new();
-    mem.load_rows(
-        "users",
-        Schema::of(&[("uid", DataType::Bigint), ("name", DataType::Varchar)]),
-        &(0..50)
-            .map(|i| vec![Value::Bigint(i), Value::varchar(format!("u{i}"))])
-            .collect::<Vec<_>>(),
-    );
-    mem.analyze("users").unwrap();
+    let dir = ScratchDir::new(&format!("federation-{name}"));
+    let users: Vec<Vec<Value>> = (0..50)
+        .map(|i| vec![Value::Bigint(i), Value::varchar(format!("u{i}"))])
+        .collect();
+    let users_schema = Schema::of(&[("uid", DataType::Bigint), ("name", DataType::Varchar)]);
+    let (mut catalogs, _) = memory_catalog()
+        .table("users", users_schema, &users, 50)
+        .build();
 
     let hive = HiveConnector::new(dir.join("hive")).unwrap();
     let events = Schema::of(&[("uid", DataType::Bigint), ("amount", DataType::Double)]);
@@ -61,28 +60,14 @@ fn fixture(name: &str) -> Fixture {
         .collect();
     sharded.load_table("accounts", accounts, 0, &rows);
 
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn Connector>);
     catalogs.register("hive", Arc::clone(&hive) as Arc<dyn Connector>);
     catalogs.register("raptor", raptor as Arc<dyn Connector>);
     catalogs.register("sharded", Arc::clone(&sharded) as Arc<dyn Connector>);
-    let cluster = Cluster::start(ClusterConfig::test(), catalogs).unwrap();
     Fixture {
-        cluster,
+        cluster: TestCluster::start(ClusterConfig::test(), catalogs),
         hive,
         sharded,
-        dir,
-    }
-}
-
-impl Fixture {
-    /// Every query has ended and left nothing behind; then drop the data.
-    fn finish(self) {
-        if let Err(residue) = self.cluster.await_quiescent(Duration::from_secs(10)) {
-            panic!("cluster not quiescent after the queries: {residue}");
-        }
-        drop(self.cluster);
-        std::fs::remove_dir_all(&self.dir).ok();
+        _dir: dir,
     }
 }
 
@@ -107,7 +92,6 @@ fn four_catalog_join() {
     assert_eq!(rows[0][1], Value::Bigint(40));
     assert_eq!(rows[1][2], Value::Bigint(2)); // score = uid * 2
     assert_eq!(rows[2][3], Value::Double(2.0));
-    f.finish();
 }
 
 #[test]
@@ -123,7 +107,6 @@ fn predicate_pushdown_prunes_hive_stripes() {
     let (bytes_after, _, _pruned_after, _) = f.hive.io_stats().snapshot();
     assert!(bytes_after > bytes_before, "something was read");
     let _ = pruned_before;
-    f.finish();
 }
 
 #[test]
@@ -137,7 +120,6 @@ fn sharded_pushdown_reads_only_matching_rows() {
     assert_eq!(out.rows()[0][0], Value::Double(7.0));
     // §IV-B3-2: "only matching data is ever read from MySQL".
     assert_eq!(f.sharded.rows_scanned() - before, 1);
-    f.finish();
 }
 
 #[test]
@@ -172,5 +154,4 @@ fn cross_catalog_insert() {
         )
         .unwrap();
     assert_eq!(check.rows()[0][0], Value::Bigint(50));
-    f.finish();
 }

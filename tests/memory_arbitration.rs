@@ -5,38 +5,21 @@
 //! memory") because the reserved pool unblocks the biggest query, and
 //! per-query limits kill runaways instead of the cluster.
 
-use presto::cluster::{Cluster, ClusterConfig};
+use presto::cluster::ClusterConfig;
 use presto::common::{Session, Value};
-use presto::connector::{CatalogManager, Connector};
-use presto::connectors::MemoryConnector;
-use presto::workload::TpchGenerator;
+use presto_testkit::{run_sorted, tpch_catalog, TestCluster};
 use std::sync::Arc;
-use std::time::Duration;
 
-fn tight_cluster(node_memory: u64, kill: bool) -> Cluster {
-    let mem = MemoryConnector::new();
-    TpchGenerator::new(0.002).load_memory(&mem);
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn Connector>);
-    Cluster::start(
-        ClusterConfig {
-            workers: 2,
-            threads_per_worker: 2,
-            node_memory_bytes: node_memory,
-            reserved_pool_bytes: node_memory,
-            kill_on_memory_exhausted: kill,
-            ..ClusterConfig::test()
-        },
-        catalogs,
-    )
-    .unwrap()
-}
-
-/// Every query has ended and left nothing behind on `cluster`.
-fn assert_quiescent(cluster: &Cluster) {
-    if let Err(residue) = cluster.await_quiescent(Duration::from_secs(10)) {
-        panic!("cluster not quiescent after the queries: {residue}");
-    }
+fn tight_cluster(node_memory: u64, kill: bool) -> TestCluster {
+    let config = ClusterConfig {
+        workers: 2,
+        threads_per_worker: 2,
+        node_memory_bytes: node_memory,
+        reserved_pool_bytes: node_memory,
+        kill_on_memory_exhausted: kill,
+        ..ClusterConfig::test()
+    };
+    TestCluster::start(config, tpch_catalog(0.002))
 }
 
 /// Memory-hungry aggregation (one group per lineitem row pair).
@@ -59,7 +42,6 @@ fn overcommit_survives_via_reserved_pool() {
         }
     }
     assert_eq!(ok, 4, "all queries complete despite overcommit");
-    assert_quiescent(&cluster);
 }
 
 #[test]
@@ -89,7 +71,6 @@ fn kill_policy_fails_queries_instead_of_blocking() {
     );
     let out = cluster.execute("SELECT COUNT(*) FROM lineitem").unwrap();
     assert!(matches!(out.rows()[0][0], Value::Bigint(n) if n > 0));
-    assert_quiescent(&cluster);
 }
 
 #[test]
@@ -131,7 +112,6 @@ fn per_query_limit_kills_only_the_offender() {
         let out = cluster.execute("SELECT COUNT(*) FROM lineitem").unwrap();
         assert!(matches!(out.rows()[0][0], Value::Bigint(n) if n > 0));
     }
-    assert_quiescent(&cluster);
 }
 
 #[test]
@@ -152,7 +132,6 @@ fn cache_memory_is_charged_as_system_memory() {
     }
     cache.clear();
     assert!(cluster.worker_system_memory().iter().all(|&b| b == 0));
-    assert_quiescent(&cluster);
 }
 
 #[test]
@@ -167,19 +146,14 @@ fn spilling_lets_queries_run_under_the_limit() {
         ..Session::default()
     };
     assert_eq!(small_pool.metrics_snapshot().spill.queries_spilled, 0);
-    let out = small_pool.execute_with_session(HUNGRY, &spill);
-    let mut spilled = out.expect("spilling should allow completion").rows();
+    let spilled = run_sorted(&small_pool, HUNGRY, &spill);
     assert!(
         small_pool.metrics_snapshot().spill.queries_spilled >= 1,
         "the query spilled"
     );
     let roomy = tight_cluster(64 << 20, false);
-    let mut unspilled = roomy.execute(HUNGRY).unwrap().rows();
-    spilled.sort();
-    unspilled.sort();
+    let unspilled = run_sorted(&roomy, HUNGRY, &Session::default());
     assert_eq!(spilled, unspilled, "spilling changes no row");
-    assert_quiescent(&small_pool);
-    assert_quiescent(&roomy);
 }
 
 #[test]
@@ -200,19 +174,14 @@ fn window_spills_through_its_sort() {
         let sql =
             format!("SELECT orderkey, partkey, extendedprice, rank() OVER ({over}) FROM lineitem");
         let before = small_pool.metrics_snapshot().spill.queries_spilled;
-        let out = small_pool.execute_with_session(&sql, &spill);
-        let mut spilled = out.expect("spilling should allow completion").rows();
+        let spilled = run_sorted(&small_pool, &sql, &spill);
         assert!(
             small_pool.metrics_snapshot().spill.queries_spilled > before,
             "the window spilled: {over}"
         );
-        let mut unspilled = roomy.execute(&sql).unwrap().rows();
-        spilled.sort();
-        unspilled.sort();
+        let unspilled = run_sorted(&roomy, &sql, &Session::default());
         assert_eq!(spilled, unspilled, "spilling changes no row: {over}");
     }
-    assert_quiescent(&small_pool);
-    assert_quiescent(&roomy);
 }
 
 #[test]
@@ -358,5 +327,4 @@ fn joins_complete_under_tight_memory_with_exact_accounting() {
         )
         .unwrap();
     assert!(matches!(out.rows()[0][0], Value::Bigint(n) if n > 0));
-    assert_quiescent(&cluster);
 }

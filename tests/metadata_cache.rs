@@ -7,21 +7,18 @@
 //! readers never see stale metadata.
 
 use presto::cache::MetadataCache;
-use presto::cluster::{Cluster, ClusterConfig};
+use presto::cluster::ClusterConfig;
 use presto::common::{DataType, Schema, Session, Value};
 use presto::connector::{CatalogManager, Connector};
 use presto::connectors::HiveConnector;
 use presto::page::Page;
-use std::path::{Path, PathBuf};
+use presto_testkit::{ScratchDir, TestCluster};
 use std::sync::Arc;
-use std::time::Duration;
 
-fn fixture(name: &str) -> (Cluster, Arc<HiveConnector>, PathBuf) {
-    let dir = std::env::temp_dir().join(format!(
-        "presto-test-metacache-{name}-{}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&dir).ok();
+/// The cluster, its Hive connector, and the connector's directory, which
+/// goes when dropped.
+fn fixture(name: &str) -> (TestCluster, Arc<HiveConnector>, ScratchDir) {
+    let dir = ScratchDir::new(&format!("metacache-{name}"));
     std::fs::create_dir_all(&dir).unwrap();
     let config = ClusterConfig::test();
     let cache = MetadataCache::new(config.cache.clone());
@@ -40,22 +37,13 @@ fn fixture(name: &str) -> (Cluster, Arc<HiveConnector>, PathBuf) {
     .unwrap();
     let mut catalogs = CatalogManager::new();
     catalogs.register("hive", Arc::clone(&hive) as Arc<dyn Connector>);
-    let cluster = Cluster::start_with_cache(config, catalogs, cache).unwrap();
+    let cluster = TestCluster::start_with_cache(config, catalogs, cache);
     (cluster, hive, dir)
-}
-
-/// Every query has ended and left nothing behind; then drop the data.
-fn finish(cluster: Cluster, dir: &Path) {
-    if let Err(residue) = cluster.await_quiescent(Duration::from_secs(10)) {
-        panic!("cluster not quiescent after the queries: {residue}");
-    }
-    drop(cluster);
-    std::fs::remove_dir_all(dir).ok();
 }
 
 #[test]
 fn warm_query_parses_zero_footers() {
-    let (cluster, hive, dir) = fixture("warm");
+    let (cluster, hive, _dir) = fixture("warm");
     let session = Session::for_catalog("hive");
     let sql = "SELECT COUNT(*) FROM events";
     let out = cluster.execute_with_session(sql, &session).unwrap();
@@ -73,12 +61,11 @@ fn warm_query_parses_zero_footers() {
         cluster.telemetry().cache_counters().hits > 0,
         "warm run is served from the cache"
     );
-    finish(cluster, &dir);
 }
 
 #[test]
 fn insert_invalidates_footer_and_stats_entries() {
-    let (cluster, hive, dir) = fixture("insert");
+    let (cluster, hive, _dir) = fixture("insert");
     let session = Session::for_catalog("hive");
     // Warm every cache layer: stats, listing, footers.
     let stats = hive.metadata().table_statistics("events");
@@ -105,5 +92,4 @@ fn insert_invalidates_footer_and_stats_entries() {
         Some(1000.0),
         "statistics recomputed after the write"
     );
-    finish(cluster, &dir);
 }

@@ -5,56 +5,25 @@
 //! bugs (partial/final aggregation, shuffle routing, join sides) that no
 //! fixed query list would.
 
-use once_cell_lite::Lazy;
-use presto::cluster::{Cluster, ClusterConfig};
-use presto::common::{Session, Value};
-use presto::connector::{CatalogManager, Connector};
-use presto::connectors::MemoryConnector;
-use presto::workload::TpchGenerator;
+use presto::cluster::ClusterConfig;
+use presto::common::Session;
+use presto_testkit::{run_sorted, tpch_catalog, TestCluster, GRACE};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::LazyLock;
 
-/// Tiny once-cell so the clusters build once per process.
-mod once_cell_lite {
-    use std::sync::OnceLock;
-
-    pub struct Lazy<T> {
-        cell: OnceLock<T>,
-        init: fn() -> T,
-    }
-
-    impl<T> Lazy<T> {
-        pub const fn new(init: fn() -> T) -> Lazy<T> {
-            Lazy {
-                cell: OnceLock::new(),
-                init,
-            }
-        }
-
-        pub fn get(&self) -> &T {
-            self.cell.get_or_init(self.init)
-        }
-    }
+/// Built once per process and never dropped, so each case checks
+/// quiescence itself.
+fn build_cluster(workers: usize) -> TestCluster {
+    let config = ClusterConfig {
+        workers,
+        threads_per_worker: 2,
+        ..ClusterConfig::test()
+    };
+    TestCluster::start(config, tpch_catalog(0.001))
 }
 
-fn build_cluster(workers: usize) -> Cluster {
-    let mem = MemoryConnector::new();
-    TpchGenerator::new(0.001).load_memory(&mem);
-    let mut catalogs = CatalogManager::new();
-    catalogs.register("memory", mem as Arc<dyn Connector>);
-    Cluster::start(
-        ClusterConfig {
-            workers,
-            threads_per_worker: 2,
-            ..ClusterConfig::test()
-        },
-        catalogs,
-    )
-    .unwrap()
-}
-
-static NARROW: Lazy<Cluster> = Lazy::new(|| build_cluster(1));
-static WIDE: Lazy<Cluster> = Lazy::new(|| build_cluster(4));
+static NARROW: LazyLock<TestCluster> = LazyLock::new(|| build_cluster(1));
+static WIDE: LazyLock<TestCluster> = LazyLock::new(|| build_cluster(4));
 
 #[derive(Debug, Clone)]
 struct GeneratedQuery {
@@ -92,29 +61,20 @@ fn arb_query() -> impl Strategy<Value = GeneratedQuery> {
     })
 }
 
-fn run_sorted(cluster: &Cluster, sql: &str, session: &Session) -> Vec<Vec<Value>> {
-    let mut rows = cluster
-        .execute_with_session(sql, session)
-        .unwrap_or_else(|e| panic!("{sql}: {e}"))
-        .rows();
-    rows.sort();
-    rows
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn distributed_results_match_single_worker(q in arb_query()) {
         let base = Session::default();
-        let expected = run_sorted(NARROW.get(), &q.sql, &base);
-        let wide = run_sorted(WIDE.get(), &q.sql, &base);
+        let expected = run_sorted(&NARROW, &q.sql, &base);
+        let wide = run_sorted(&WIDE, &q.sql, &base);
         prop_assert_eq!(&wide, &expected, "4-worker diverged: {}", q.sql);
         // Ablations on the wide cluster.
         let mut interpreted = base.clone();
         interpreted.compiled_expressions = false;
         prop_assert_eq!(
-            &run_sorted(WIDE.get(), &q.sql, &interpreted),
+            &run_sorted(&WIDE, &q.sql, &interpreted),
             &expected,
             "interpreted diverged: {}",
             q.sql
@@ -123,10 +83,12 @@ proptest! {
         eager.lazy_loading = false;
         eager.process_compressed = false;
         prop_assert_eq!(
-            &run_sorted(WIDE.get(), &q.sql, &eager),
+            &run_sorted(&WIDE, &q.sql, &eager),
             &expected,
             "eager/decoded diverged: {}",
             q.sql
         );
+        NARROW.quiescent_within(GRACE);
+        WIDE.quiescent_within(GRACE);
     }
 }
