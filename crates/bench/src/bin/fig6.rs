@@ -73,12 +73,14 @@ fn main() {
     catalogs.register("hive", Arc::clone(&hive) as Arc<dyn Connector>);
     let cluster = Cluster::start_with_cache(config, catalogs, cache).expect("cluster");
 
-    let run = |label: &str, sql: &str, session: &Session| -> Duration {
+    // A failed query has no runtime to plot: stop, naming it.
+    let run = |label: &str, config: &str, sql: &str, session: &Session| -> Duration {
         match cluster.execute_with_session(sql, session) {
             Ok(out) => out.wall_time,
             Err(e) => {
-                eprintln!("{label}: FAILED: {e}");
-                Duration::ZERO
+                eprintln!("fig6: {label} failed on {config}: {e}");
+                std::fs::remove_dir_all(&dir).ok();
+                std::process::exit(1);
             }
         }
     };
@@ -97,14 +99,14 @@ fn main() {
                     // Warm the Raptor path once so first-run effects don't
                     // skew q09.
                     let r = {
-                        let a = run(label, sql, &raptor_session);
-                        let b = run(label, sql, &raptor_session);
+                        let a = run(label, "raptor", sql, &raptor_session);
+                        let b = run(label, "raptor", sql, &raptor_session);
                         a.min(b)
                     };
                     hive.set_statistics_enabled(false);
-                    let hn = run(label, sql, &hive_nostats);
+                    let hn = run(label, "hive (no stats)", sql, &hive_nostats);
                     hive.set_statistics_enabled(true);
-                    let hs = run(label, sql, &hive_stats);
+                    let hs = run(label, "hive (stats)", sql, &hive_stats);
                     [r, hn, hs]
                 })
                 .collect()
@@ -129,12 +131,11 @@ fn main() {
             median(2)
         );
     }
-    // One geomean per pass and configuration, over the queries that ran.
+    // One geomean per pass and configuration.
     let ratios = |config: usize| -> Vec<f64> {
         (passes.iter())
             .map(|pass| {
-                let ran = pass.iter().filter(|t| t[0] > Duration::ZERO);
-                let per_query: Vec<f64> = ran
+                let per_query: Vec<f64> = (pass.iter())
                     .map(|t| t[config].as_secs_f64() / t[0].as_secs_f64())
                     .collect();
                 geomean(&per_query)

@@ -13,6 +13,7 @@ use presto_page::Page;
 use presto_planner::{OutputPartitioning, PhysicalPlan};
 use presto_sql::ast::Statement;
 use presto_sql::parse_statement;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -182,108 +183,49 @@ impl Coordinator {
         }
     }
 
-    /// Execute a SQL statement to completion on the calling thread.
+    /// Execute a SQL statement to completion on the calling thread. The
+    /// query's guard ends it on every exit, an unwinding one included.
     pub fn execute(
         &self,
         sql: &str,
         session: &Session,
     ) -> std::result::Result<QueryOutput, QueryError> {
-        let query = self.ids.next_id();
-        let queued_at = Instant::now();
-        self.telemetry.query_queued();
-        self.history.open(query, queued_at);
+        let mut query = QueryGuard::open(self);
+        let result = self.run_query(&mut query, sql, session);
+        query.end(result)
+    }
+
+    /// Parse, admit and run a statement, retrying it as the session allows.
+    fn run_query(
+        &self,
+        query: &mut QueryGuard<'_>,
+        sql: &str,
+        session: &Session,
+    ) -> Result<(Schema, Vec<Page>)> {
         // Parse before admission so syntax errors fail fast. Either failure
         // ends the query while still queued: it never started running.
         let admitted = parse_statement(sql).and_then(|s| self.admission.acquire().map(|()| s));
-        let mut run = Progress {
-            queued: queued_at.elapsed(),
-            ..Progress::default()
-        };
-        let statement = match admitted {
-            Ok(statement) => statement,
-            Err(e) => return self.finish(query, run, Err(e)),
-        };
-        self.telemetry.query_started();
-        self.history.start(query);
-        run.started_at = Some(Instant::now());
+        query.run.queued = query.queued_at.elapsed();
+        let statement = admitted?;
+        query.admitted();
+        let (id, run) = (query.id, &mut query.run);
         // Coordinator-level query retry (§IV-G). The paper leaves whole-query
         // retry to external clients; sessions opt in via
         // `query_retry_attempts` for retryable failures (worker loss,
         // exhausted transient externals). Each attempt replans and replaces
         // tasks — a lost worker is excluded the second time around.
-        let result = loop {
-            match self.run_attempt(query, &statement, session, &mut run) {
+        loop {
+            match self.run_attempt(id, &statement, session, run) {
                 Err(e) if e.is_retryable() && run.attempts <= session.query_retry_attempts => {
                     self.telemetry.record_error("QUERY_RETRY");
-                    let backoff = retry_backoff(session.query_retry_backoff, run.attempts, query.0);
+                    let backoff = retry_backoff(session.query_retry_backoff, run.attempts, id.0);
                     // Backoff counts as execution-side wall so retried
                     // queries do not inflate the queueing numbers.
                     run.executing += backoff;
                     std::thread::sleep(backoff);
                 }
-                other => break other,
+                other => return other,
             }
-        };
-        self.finish(query, run, result)
-    }
-
-    /// End a query, whatever the exit: settle its gauges, error tally and
-    /// phase histograms, and close its record in the history.
-    fn finish(
-        &self,
-        query: QueryId,
-        run: Progress,
-        result: Result<(Schema, Vec<Page>)>,
-    ) -> std::result::Result<QueryOutput, QueryError> {
-        let wall = run.started_at.map_or(Duration::ZERO, |s| s.elapsed());
-        let started = run.started_at.is_some();
-        if started {
-            self.admission.release();
-            self.telemetry
-                .record_query_phases(run.queued, run.planning, run.executing);
-        }
-        let error = result.as_ref().err();
-        if let Some(e) = error {
-            self.telemetry.record_error(e.code.tag());
-        }
-        let rows_returned = result.as_ref().map_or(0, |(_, pages)| {
-            pages.iter().map(Page::row_count).sum::<usize>() as u64
-        });
-        let (tasks, peak_memory_bytes) = run
-            .stats
-            .as_ref()
-            .map(history::summarize_stats)
-            .unwrap_or_default();
-        self.history.record(QueryHistoryEntry {
-            query,
-            state: if error.is_some() {
-                "failed"
-            } else {
-                "finished"
-            },
-            error_tag: error.map(|e| e.code.tag()),
-            error_message: error.map(|e| e.message.clone()),
-            queued: run.queued,
-            planning: run.planning,
-            executing: run.executing,
-            cpu: run.cpu,
-            wall,
-            attempts: run.attempts,
-            peak_memory_bytes,
-            rows_returned,
-            tasks,
-        });
-        self.telemetry.query_finished(started, error.is_some());
-        match result {
-            Ok((schema, pages)) => Ok(QueryOutput {
-                query,
-                schema,
-                pages,
-                wall_time: wall,
-                queued_time: run.queued,
-                cpu_time: run.cpu,
-            }),
-            Err(error) => Err(QueryError { query, error }),
         }
     }
 
@@ -298,126 +240,72 @@ impl Coordinator {
         session: &Session,
         run: &mut Progress,
     ) -> Result<(Schema, Vec<Page>)> {
-        fn plan_page(text: String) -> (Schema, Vec<Page>) {
-            let schema = Schema::of(&[("plan", DataType::Varchar)]);
-            let page = Page::from_rows(&schema, &[vec![Value::varchar(text)]]);
-            (schema, vec![page])
-        }
         let attempt_started = Instant::now();
         run.attempts += 1;
-        let (result, planning) = match statement {
-            // EXPLAIN returns the distributed plan as text, without running.
-            Statement::Explain(inner) => {
-                let result = presto_planner::plan_statement(inner, session, &self.catalogs)
-                    .map(|plan| plan_page(plan.explain()));
-                (result, attempt_started.elapsed())
-            }
-            // Everything else runs. EXPLAIN ANALYZE executes the inner
-            // statement, discards its rows, and renders the fragment tree
-            // annotated with the statistics collected while it ran.
-            _ => {
-                let (analyze, statement) = match statement {
-                    Statement::ExplainAnalyze(inner) => (true, inner.as_ref()),
-                    other => (false, other),
-                };
-                let (res, cpu, planning) = self.execute_plan(query, statement, session, analyze);
-                run.cpu += cpu;
-                let result = res.map(|(plan, pages, mut stats)| {
-                    stats.phases = QueryPhases {
-                        queued: run.queued,
-                        planning,
-                        execution: stats.wall_time,
-                        attempts: run.attempts,
-                    };
-                    let output = if analyze {
-                        plan_page(crate::analyze::render_explain_analyze(
-                            &plan,
-                            &stats,
-                            &self.telemetry.latency_metrics(),
-                        ))
-                    } else {
-                        (plan.output_schema(), pages)
-                    };
-                    run.stats = Some(stats);
-                    output
-                });
-                (result, planning)
-            }
+        // EXPLAIN returns the distributed plan as text, without running.
+        // Everything else runs. EXPLAIN ANALYZE executes the inner
+        // statement, discards its rows, and renders the fragment tree
+        // annotated with the statistics collected while it ran.
+        let (explain, analyze, statement) = match statement {
+            Statement::Explain(inner) => (true, false, inner.as_ref()),
+            Statement::ExplainAnalyze(inner) => (false, true, inner.as_ref()),
+            other => (false, false, other),
+        };
+        let plan = presto_planner::plan_statement(statement, session, &self.catalogs);
+        let planning = attempt_started.elapsed();
+        let result = match plan {
+            Ok(plan) if explain => Ok(plan_page(plan.explain())),
+            Ok(plan) => self.execute_plan(query, &plan, session, analyze, planning, run),
+            Err(e) => Err(e),
         };
         run.planning += planning;
         run.executing += attempt_started.elapsed().saturating_sub(planning);
         result
     }
 
-    /// Plan and run a statement. The returned `Duration`s are the query's
-    /// total thread time and the planning wall time, available for
-    /// successes and failures alike.
-    #[allow(clippy::type_complexity)]
+    /// Run a planned statement: its CPU and, when it ran to the end, its
+    /// final statistics accumulate into `run`.
     fn execute_plan(
-        &self,
-        query: QueryId,
-        statement: &Statement,
-        session: &Session,
-        drain_for_stats: bool,
-    ) -> (
-        Result<(PhysicalPlan, Vec<Page>, QueryStats)>,
-        Duration,
-        Duration,
-    ) {
-        let planning_started = Instant::now();
-        let plan = match presto_planner::plan_statement(statement, session, &self.catalogs) {
-            Ok(plan) => plan,
-            Err(e) => return (Err(e), Duration::ZERO, planning_started.elapsed()),
-        };
-        let planning = planning_started.elapsed();
-        let state = QueryState::new(query, &self.live_query_states);
-        self.history.set_attempt(query, Some(Arc::clone(&state)));
-        // Register memory limits on every node.
-        let limits = QueryMemoryLimits::new(
-            query,
-            session.query_max_memory,
-            session.query_max_memory_per_node,
-            session.query_max_total_memory_per_node,
-        );
-        for w in &self.workers {
-            w.pool.register_query(Arc::clone(&limits));
-        }
-        let run = self.run_tasks(query, &plan, session, &state, drain_for_stats);
-        // Cleanup regardless of outcome: cancel first so stragglers (e.g.
-        // leaf drivers of a LIMIT query that finished early) stop before
-        // their memory registration disappears — and drop the task list, or
-        // the state ↔ task cycle keeps every task of every query alive.
-        let tasks = state.retire();
-        // Roll the query's exchange traffic into the cluster-lifetime
-        // shuffle counters; from here on snapshots no longer count its
-        // tasks as running.
-        let mut received = crate::metrics::ShuffleMetrics::default();
-        for e in tasks.iter().flat_map(|t| &t.task.exchanges) {
-            received.add_received(&e.client);
-        }
-        self.telemetry.record_shuffle(received);
-        self.history.set_attempt(query, None);
-        for w in &self.workers {
-            w.pool.unregister_query(query);
-        }
-        self.reserved.release(query);
-        let cpu = state.cpu();
-        (
-            run.map(|(pages, stats)| (plan, pages, stats)),
-            cpu,
-            planning,
-        )
-    }
-
-    fn run_tasks(
         &self,
         query: QueryId,
         plan: &PhysicalPlan,
         session: &Session,
-        state: &Arc<QueryState>,
+        analyze: bool,
+        planning: Duration,
+        run: &mut Progress,
+    ) -> Result<(Schema, Vec<Page>)> {
+        let mut attempt = Attempt::start(self, query, session);
+        let result = self.run_tasks(plan, session, &mut attempt, analyze);
+        run.cpu += attempt.state.cpu();
+        let (pages, mut stats) = result?;
+        stats.phases = QueryPhases {
+            queued: run.queued,
+            planning,
+            execution: stats.wall_time,
+            attempts: run.attempts,
+        };
+        let output = if analyze {
+            let metrics = self.telemetry.latency_metrics();
+            plan_page(crate::analyze::render_explain_analyze(
+                plan, &stats, &metrics,
+            ))
+        } else {
+            (plan.output_schema(), pages)
+        };
+        run.stats = Some(stats);
+        Ok(output)
+    }
+
+    fn run_tasks(
+        &self,
+        plan: &PhysicalPlan,
+        session: &Session,
+        attempt: &mut Attempt<'_>,
         drain_for_stats: bool,
     ) -> Result<(Vec<Page>, QueryStats)> {
         let started = Instant::now();
+        let (state, handles) = (&attempt.state, &mut attempt.tasks);
+        let query = state.query;
         // Lease every worker for the placement-to-submission window, THEN
         // read availability. Ordering matters: a graceful drain first flips
         // the worker to Draining, then waits for leases to reach zero — so
@@ -531,8 +419,7 @@ impl Coordinator {
             presto_common::session::SchedulingPolicy::Phased => phased_order(plan),
         };
         // Handles per fragment, for phased waiting.
-        let mut handles: Vec<Vec<Arc<TaskHandle>>> =
-            (0..plan.fragments.len()).map(|_| Vec::new()).collect();
+        handles.resize_with(plan.fragments.len(), Vec::new);
         // Pre-compute phased dependencies.
         let deps: Vec<Vec<u32>> = plan.fragments.iter().map(build_side_sources).collect();
         let phased = session.scheduling_policy == presto_common::session::SchedulingPolicy::Phased;
@@ -775,7 +662,11 @@ impl Coordinator {
             std::thread::Builder::new()
                 .name(format!("split-feed-{fid}-{scan_idx}"))
                 .spawn(move || {
-                    if let Err(e) = feeder.run(&state) {
+                    // A connector that panics here fails the query like
+                    // one that returns an error; nothing else would end it.
+                    let fed = std::panic::catch_unwind(AssertUnwindSafe(|| feeder.run(&state)));
+                    let panicked = || PrestoError::internal("split enumeration panicked");
+                    if let Err(e) = fed.unwrap_or_else(|_| Err(panicked())) {
                         state.fail(e);
                         feeder.close();
                     }
@@ -786,7 +677,7 @@ impl Coordinator {
     }
 }
 
-/// What a query has accumulated by the time it ends; `finish` turns it
+/// What a query has accumulated by the time it ends; its guard turns it
 /// into the history entry. Explicit phase measurements (§VII): queued is
 /// measured once, at admission; planning, executing and CPU sum over
 /// attempts.
@@ -802,6 +693,175 @@ struct Progress {
     attempts: u32,
     /// The last attempt's final statistics, when one ran tasks.
     stats: Option<QueryStats>,
+}
+
+impl Progress {
+    fn wall(&self) -> Duration {
+        self.started_at.map_or(Duration::ZERO, |s| s.elapsed())
+    }
+}
+
+/// A query from submission to its end. It owns the query's open history
+/// record, its place in the queued or running gauge and, once admitted, its
+/// admission slot; its `Drop` gives all three back and records how the
+/// query ended. A query whose thread unwinds before [`end`](Self::end) is
+/// recorded as an internal failure, so a return, an error and a panic all
+/// end a query the same way.
+struct QueryGuard<'a> {
+    coordinator: &'a Coordinator,
+    id: QueryId,
+    queued_at: Instant,
+    run: Progress,
+    /// Set by `end`: the wall time and the rows returned, or the error.
+    outcome: Option<(Duration, Result<u64>)>,
+}
+
+impl<'a> QueryGuard<'a> {
+    fn open(coordinator: &'a Coordinator) -> QueryGuard<'a> {
+        let id = coordinator.ids.next_id();
+        let queued_at = Instant::now();
+        coordinator.telemetry.query_queued();
+        coordinator.history.open(id, queued_at);
+        QueryGuard {
+            coordinator,
+            id,
+            queued_at,
+            run: Progress::default(),
+            outcome: None,
+        }
+    }
+
+    /// The query took an admission slot: it runs from now on, and the
+    /// guard gives the slot back.
+    fn admitted(&mut self) {
+        self.coordinator.telemetry.query_started();
+        self.coordinator.history.start(self.id);
+        self.run.started_at = Some(Instant::now());
+    }
+
+    /// Close the query with its result, which the caller gets back.
+    fn end(
+        mut self,
+        result: Result<(Schema, Vec<Page>)>,
+    ) -> std::result::Result<QueryOutput, QueryError> {
+        let (query, wall) = (self.id, self.run.wall());
+        let rows = result
+            .as_ref()
+            .map(|(_, pages)| pages.iter().map(Page::row_count).sum::<usize>() as u64);
+        self.outcome = Some((wall, rows.map_err(PrestoError::clone)));
+        match result {
+            Ok((schema, pages)) => Ok(QueryOutput {
+                query,
+                schema,
+                pages,
+                wall_time: wall,
+                queued_time: self.run.queued,
+                cpu_time: self.run.cpu,
+            }),
+            Err(error) => Err(QueryError { query, error }),
+        }
+    }
+}
+
+impl Drop for QueryGuard<'_> {
+    fn drop(&mut self) {
+        let (c, run) = (self.coordinator, &self.run);
+        let (wall, outcome) = self.outcome.take().unwrap_or_else(|| {
+            let panicked = PrestoError::internal("the query's thread panicked");
+            (run.wall(), Err(panicked))
+        });
+        let started = run.started_at.is_some();
+        if started {
+            c.admission.release();
+            c.telemetry
+                .record_query_phases(run.queued, run.planning, run.executing);
+        }
+        let error = outcome.as_ref().err();
+        let failed = error.is_some();
+        if let Some(e) = error {
+            c.telemetry.record_error(e.code.tag());
+        }
+        let (tasks, peak_memory_bytes) = run
+            .stats
+            .as_ref()
+            .map(history::summarize_stats)
+            .unwrap_or_default();
+        c.history.record(QueryHistoryEntry {
+            query: self.id,
+            state: if failed { "failed" } else { "finished" },
+            error_tag: error.map(|e| e.code.tag()),
+            error_message: error.map(|e| e.message.clone()),
+            queued: run.queued,
+            planning: run.planning,
+            executing: run.executing,
+            cpu: run.cpu,
+            wall,
+            attempts: run.attempts,
+            peak_memory_bytes,
+            rows_returned: *outcome.as_ref().unwrap_or(&0),
+            tasks,
+        });
+        c.telemetry.query_finished(started, failed);
+    }
+}
+
+/// One attempt at running a planned query, from task creation to its end.
+/// It owns the attempt's [`QueryState`] (attached to the history record, so
+/// the query can be cancelled), the query's registration in every worker's
+/// memory pool, its claim on the reserved pool, and a handle on every task
+/// it submitted. Its `Drop` ends the attempt on return, error and unwind
+/// alike.
+struct Attempt<'a> {
+    coordinator: &'a Coordinator,
+    state: Arc<QueryState>,
+    /// The submitted tasks, by fragment.
+    tasks: Vec<Vec<Arc<TaskHandle>>>,
+}
+
+impl<'a> Attempt<'a> {
+    fn start(c: &'a Coordinator, query: QueryId, session: &Session) -> Attempt<'a> {
+        let state = QueryState::new(query, &c.live_query_states);
+        c.history.set_attempt(query, Some(Arc::clone(&state)));
+        let limits = QueryMemoryLimits::new(
+            query,
+            session.query_max_memory,
+            session.query_max_memory_per_node,
+            session.query_max_total_memory_per_node,
+        );
+        for w in &c.workers {
+            w.pool.register_query(Arc::clone(&limits));
+        }
+        Attempt {
+            coordinator: c,
+            state,
+            tasks: Vec::new(),
+        }
+    }
+}
+
+impl Drop for Attempt<'_> {
+    fn drop(&mut self) {
+        let (c, query) = (self.coordinator, self.state.query);
+        // Cancel first so stragglers (e.g. leaf drivers of a LIMIT query
+        // that finished early) stop before their memory registration
+        // disappears.
+        self.state.retire();
+        // Roll the query's exchange traffic into the cluster-lifetime
+        // shuffle counters; from here on snapshots no longer count its
+        // tasks as running.
+        let mut received = crate::metrics::ShuffleMetrics::default();
+        for e in self.tasks.iter().flatten().flat_map(|t| &t.task.exchanges) {
+            received.add_received(&e.client);
+        }
+        c.telemetry.record_shuffle(received);
+        c.history.set_attempt(query, None);
+        for w in &c.workers {
+            w.pool.unregister_query(query);
+        }
+        // Only once no node holds the query's balance: a node that still
+        // did could promote the ended query again.
+        c.reserved.release(query);
+    }
 }
 
 /// RAII guard over the placement-to-submission window: holds one lease on
@@ -838,6 +898,13 @@ impl Drop for PlacementLease<'_> {
             w.release_lease();
         }
     }
+}
+
+/// A one-row result holding `text`, as EXPLAIN returns it.
+fn plan_page(text: String) -> (Schema, Vec<Page>) {
+    let schema = Schema::of(&[("plan", DataType::Varchar)]);
+    let page = Page::from_rows(&schema, &[vec![Value::varchar(text)]]);
+    (schema, vec![page])
 }
 
 /// Exponential backoff with deterministic jitter for coordinator-level

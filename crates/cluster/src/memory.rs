@@ -267,7 +267,9 @@ impl NodeMemoryPool {
         self.state.lock().per_query.entry(query).or_default();
     }
 
-    /// Drop a finished query's accounting.
+    /// Drop an ended query's accounting on this node. The cluster-wide
+    /// reserved-pool claim is the query's own to release, once every node
+    /// has let go of it.
     pub fn unregister_query(&self, query: QueryId) {
         self.revocables.lock().remove(&query);
         let mut state = self.state.lock();
@@ -279,13 +281,7 @@ impl NodeMemoryPool {
             }
         }
         drop(state);
-        if let Some(limits) = self.limits.lock().remove(&query) {
-            // Roll back this node's contribution to the global counter.
-            // (Usage was already removed above; global counter adjusts as
-            // tasks released, so nothing further here.)
-            let _ = limits;
-        }
-        self.reserved.release(query);
+        self.limits.lock().remove(&query);
     }
 
     /// Queries this node still holds any registration of: usage, limits
@@ -635,8 +631,11 @@ mod tests {
             Ok(ReservationResult::Blocked)
         ));
         assert!(pool.blocked_reservations() > 0);
-        // When q1 finishes, the reserved pool frees.
+        // When q1 ends, the node lets go of its balance; the claim stays
+        // q1's until q1 releases it.
         pool.unregister_query(QueryId(1));
+        assert_eq!(lock.owner(), Some(QueryId(1)));
+        lock.release(QueryId(1));
         assert_eq!(lock.owner(), None);
     }
 
@@ -663,8 +662,8 @@ mod tests {
             (b.snapshot().general_used, b.snapshot().reserved_used),
             (0, 20)
         );
-        // Node a ends the query first and releases the reserved pool; b
-        // still returns q1's balance from where it lives.
+        // Node a ends the query first; b still returns q1's balance from
+        // where it lives.
         a.unregister_query(QueryId(1));
         b.reserve(QueryId(1), -5, 0).unwrap();
         b.unregister_query(QueryId(1));

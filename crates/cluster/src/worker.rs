@@ -14,7 +14,7 @@ use presto_common::{counter_set, NodeId, PrestoError, QueryId, TaskId, TraceBuff
 use presto_exec::{BlockedReason, Driver, DriverState, Task};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use crate::memory::NodeMemoryPool;
@@ -77,10 +77,9 @@ pub struct QueryState {
     /// Set by [`retire`](Self::retire): the query has ended.
     retired: AtomicBool,
     cpu_nanos: AtomicU64,
-    /// The query's tasks, for the cancel fan-out. Tasks point back at this
-    /// state, so [`retire`](Self::retire) empties the list when the query
-    /// ends — otherwise the cycle keeps every task alive for good.
-    tasks: Mutex<Vec<Arc<TaskHandle>>>,
+    /// The query's tasks, for the cancel fan-out. Weak: each task holds
+    /// this state, and the coordinator's attempt owns the tasks.
+    tasks: Mutex<Vec<Weak<TaskHandle>>>,
     /// Threads that must hear of the query's end (the coordinator's drain,
     /// split feeders): fired by a failure or cancel.
     cancel_waiters: WakeList,
@@ -121,10 +120,6 @@ impl QueryState {
         self.task_done_waiters.register(waker);
     }
 
-    pub fn register_task(&self, task: Arc<TaskHandle>) {
-        self.tasks.lock().push(task);
-    }
-
     /// Record a failure and cancel every task of the query. First error
     /// wins.
     pub fn fail(&self, error: PrestoError) {
@@ -139,18 +134,16 @@ impl QueryState {
 
     pub fn cancel(&self) {
         self.cancelled.store(true, Ordering::SeqCst);
-        for task in self.tasks.lock().iter() {
+        for task in self.tasks.lock().iter().filter_map(Weak::upgrade) {
             task.cancel();
         }
         self.cancel_waiters.wake_all();
     }
 
-    /// End of the query: cancel whatever still runs, then let go of the
-    /// tasks, handing them to the caller.
-    pub fn retire(&self) -> Vec<Arc<TaskHandle>> {
+    /// End of the query: cancel whatever still runs.
+    pub fn retire(&self) {
         self.retired.store(true, Ordering::SeqCst);
         self.cancel();
-        std::mem::take(&mut *self.tasks.lock())
     }
 
     pub fn is_retired(&self) -> bool {
@@ -232,12 +225,6 @@ impl TaskHandle {
             e.client.cancel();
         }
         if !self.done.swap(true, Ordering::SeqCst) {
-            self.task.memory.release_all();
-            // Guaranteed spill cleanup: any run file this task wrote (agg,
-            // sort, grace join — including runs still referenced by a
-            // published hash table) is deleted here, not when the last Arc
-            // happens to drop.
-            self.task.spill.remove_all();
             self.query_state.task_done_waiters.wake_all();
         }
         self.bell.ring();
@@ -260,9 +247,6 @@ impl TaskHandle {
         }
         if self.remaining_drivers.fetch_sub(1, Ordering::SeqCst) == 1 {
             self.done.store(true, Ordering::SeqCst);
-            self.task.memory.release_all();
-            // All drivers retired: no operator can read a spill run again.
-            self.task.spill.remove_all();
             self.query_state.task_done_waiters.wake_all();
         }
     }
@@ -321,7 +305,7 @@ pub struct Worker {
     pub node: NodeId,
     pub pool: Arc<NodeMemoryPool>,
     /// Live spill run files of every task placed here (§IV-F2); each task's
-    /// spill manager keeps it in step with its own registry.
+    /// spill manager keeps it in step with its own count.
     pub spill_files: Arc<AtomicUsize>,
     queue: Arc<MultilevelQueue<DriverRun>>,
     blocked: Arc<Mutex<VecDeque<Parked>>>,
@@ -411,7 +395,7 @@ impl Worker {
             done: AtomicBool::new(drivers.is_empty()),
             bell: Arc::clone(&self.bell),
         });
-        query_state.register_task(Arc::clone(&handle));
+        query_state.tasks.lock().push(Arc::downgrade(&handle));
         // A dead or stopped worker will never run these drivers; fail the
         // query promptly instead of letting the task hang forever.
         if self.is_dead() || self.state() == WorkerState::Shutdown {
@@ -963,15 +947,14 @@ mod tests {
                 stage: QueryId(1).stage(0),
                 task: 0,
             };
-            let memory = || TaskMemoryContext::new(QueryId(1), Arc::new(UnlimitedPool));
-            let driver = Driver::new(vec![Box::new(source), Box::new(sink)], memory());
+            let memory = TaskMemoryContext::new(QueryId(1), Arc::new(UnlimitedPool));
+            let driver = Driver::new(vec![Box::new(source), Box::new(sink)], memory);
             let task = Task {
                 id,
                 output: OutputBuffer::new(1, 1 << 20),
                 scans: Vec::new(),
                 exchanges: Vec::new(),
                 drivers: Mutex::new(vec![driver]),
-                memory: memory(),
                 spill: SpillManager::new(None, 0),
                 stats: TaskStatsCollector::new(vec![PipelineMeta {
                     description: "test".to_string(),

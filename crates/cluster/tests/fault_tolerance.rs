@@ -8,7 +8,10 @@
 use presto_cluster::{ChaosProfile, ChaosSchedule, ClusterConfig, WorkerState};
 use presto_common::chaos::{seed_from_env, Effect, FaultPlane, Site, Trigger, CHAOS_SEED_ENV};
 use presto_common::{DataType, ErrorCode, Schema, Session, Value};
-use presto_connector::CatalogManager;
+use presto_connector::{
+    CatalogManager, Connector, ConnectorMetadata, PageSourceFactory, Split, SplitSource,
+    TupleDomain,
+};
 use presto_testkit::{memory_catalog, sorted_rows, ScratchDir, TestCluster};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -590,5 +593,110 @@ fn seeded_fault_sweep_returns_reference_rows_or_retryable_errors() {
         // Same-worker edges skip the codec; the cross-worker ones must
         // still carry enough frames for decode faults to fire.
         assert!(decode_faults > 0, "no frame decode fault fired");
+    }
+}
+
+/// Wraps a connector, but its split enumeration panics: a connector bug.
+/// Early, it panics at its first batch, on the coordinator's query thread,
+/// after the scan's tasks are running. Late, it hands out the table's
+/// splits and panics when they run out, on the scan's split-feeder thread.
+struct PanickingSplits {
+    inner: Arc<dyn Connector>,
+    late: bool,
+}
+
+/// Panics at once, or once `.0` has no splits left.
+struct PanickingSource(Option<Box<dyn SplitSource>>);
+
+impl SplitSource for PanickingSource {
+    fn next_batch(&mut self, max: usize) -> presto_common::Result<Vec<Split>> {
+        let batch = match &mut self.0 {
+            Some(inner) => inner.next_batch(max)?,
+            None => Vec::new(),
+        };
+        if batch.is_empty() {
+            panic!("split enumeration panicked");
+        }
+        Ok(batch)
+    }
+
+    fn is_finished(&self) -> bool {
+        false
+    }
+}
+
+impl Connector for PanickingSplits {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn metadata(&self) -> &dyn ConnectorMetadata {
+        self.inner.metadata()
+    }
+
+    fn split_source(
+        &self,
+        table: &str,
+        layout: &str,
+        predicate: &TupleDomain,
+    ) -> presto_common::Result<Box<dyn SplitSource>> {
+        let inner = match self.late {
+            true => Some(self.inner.split_source(table, layout, predicate)?),
+            false => None,
+        };
+        Ok(Box::new(PanickingSource(inner)))
+    }
+
+    fn page_source_factory(&self) -> &dyn PageSourceFactory {
+        self.inner.page_source_factory()
+    }
+}
+
+/// A panic in a connector ends the query like any failure, on whichever
+/// thread it unwinds. On the query's own thread it reaches the submitter;
+/// on a split feeder's thread it fails the query. Either way the query is
+/// recorded as an internal failure and the cluster is left quiescent.
+#[test]
+fn panicking_split_source_leaves_the_cluster_quiescent() {
+    for late in [false, true] {
+        let inner = orders_catalogs(4000).catalog("memory").unwrap();
+        let mut catalogs = CatalogManager::new();
+        catalogs.register("memory", Arc::new(PanickingSplits { inner, late }));
+        // One split per batch and per task queue: the inline feeding pass
+        // fills the queues, and a feeder thread enumerates the rest.
+        let config = ClusterConfig {
+            split_batch_size: 1,
+            max_queued_splits_per_task: 1,
+            ..ClusterConfig::test()
+        };
+        let c = TestCluster::start(config, catalogs);
+        let handle = c.submit(
+            "SELECT custkey, COUNT(*) FROM orders GROUP BY custkey",
+            Session::default(),
+        );
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() {
+            assert!(
+                Instant::now() < deadline,
+                "late={late}: the query never ended"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        match handle.join() {
+            Err(_) => assert!(!late, "a feeder's panic must not reach the submitter"),
+            Ok(result) => {
+                assert!(late, "the query thread's panic reaches the submitter");
+                let err = result.expect_err("a panicked split source fails the query");
+                assert_eq!(err.error.code, ErrorCode::Internal, "{err}");
+            }
+        }
+        let history = c.query_history().snapshot();
+        let entry = history.last().expect("the query is recorded");
+        assert_eq!(
+            (entry.state, entry.error_tag),
+            ("failed", Some(ErrorCode::Internal.tag())),
+            "late={late}"
+        );
+        assert!(c.active_queries().is_empty());
     }
 }

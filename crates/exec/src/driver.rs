@@ -236,7 +236,6 @@ impl Driver {
     fn process_until(&mut self, start: Instant, quanta: Duration) -> Result<DriverState> {
         loop {
             if self.is_finished() {
-                self.memory.release_all();
                 return Ok(DriverState::Finished);
             }
             let mut progressed = false;
@@ -301,7 +300,6 @@ impl Driver {
             if !progressed {
                 // Determine why we are stuck.
                 if self.is_finished() {
-                    self.memory.release_all();
                     return Ok(DriverState::Finished);
                 }
                 for op in &self.operators {

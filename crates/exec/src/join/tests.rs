@@ -802,9 +802,10 @@ fn grace_run(
     drain(&mut op, &mut rows);
     rows.sort();
     assert!(op.is_finished());
+    // Every holder of a run drops: the builder, the probe and the bridge.
+    drop(b);
     drop(op);
     drop(bridge);
-    manager.remove_all();
     assert_eq!(
         std::fs::read_dir(&dir).unwrap().count(),
         0,

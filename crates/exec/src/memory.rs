@@ -106,7 +106,9 @@ impl MemoryPool for UnlimitedPool {
     }
 }
 
-/// Per-task ledger of reserved memory, shared by the task's drivers.
+/// One driver's ledger of the memory it has reserved for its query on its
+/// node's pool. The driver owns it; dropping it, when the driver retires,
+/// returns the balance to the pool.
 pub struct TaskMemoryContext {
     query: QueryId,
     pool: Arc<dyn MemoryPool>,
@@ -157,33 +159,14 @@ impl TaskMemoryContext {
             ReservationResult::Blocked => Ok(ReservationResult::Blocked),
         }
     }
-
-    /// Release everything (task end).
-    pub fn release_all(&self) {
-        self.revocation.set_bytes(0);
-        let user = self.user.swap(0, Ordering::Relaxed);
-        let system = self.system.swap(0, Ordering::Relaxed);
-        if user != 0 || system != 0 {
-            let _ = self.pool.reserve(self.query, -user, -system);
-        }
-    }
-
-    pub fn reserved_user(&self) -> i64 {
-        self.user.load(Ordering::Relaxed)
-    }
-
-    pub fn reserved_system(&self) -> i64 {
-        self.system.load(Ordering::Relaxed)
-    }
-
-    pub fn query(&self) -> QueryId {
-        self.query
-    }
 }
 
 impl Drop for TaskMemoryContext {
     fn drop(&mut self) {
-        self.release_all();
+        let (user, system) = (*self.user.get_mut(), *self.system.get_mut());
+        if user != 0 || system != 0 {
+            let _ = self.pool.reserve(self.query, -user, -system);
+        }
         self.pool.unregister_revocable(self.query, &self.revocation);
     }
 }
@@ -224,7 +207,7 @@ mod tests {
         // Shrinking succeeds even while blocked.
         assert_eq!(ctx.update(10, 0).unwrap(), ReservationResult::Granted);
         assert_eq!(*pool.used.lock(), 10);
-        ctx.release_all();
+        drop(ctx);
         assert_eq!(*pool.used.lock(), 0);
     }
 

@@ -4,9 +4,11 @@
 //! Every operator that spills — hash aggregation, sort, grace hash join —
 //! writes its runs through one task-owned [`SpillManager`]: a configurable
 //! spill directory (`Session::spill_dir`, OS temp dir by default), a disk
-//! budget (`Session::spill_max_bytes`) enforced at write time, and a live
-//! registry of every run file so task teardown can guarantee nothing leaks
-//! when a spilling query is aborted or its worker dies mid-run.
+//! budget (`Session::spill_max_bytes`) enforced at write time, and a count
+//! of live run files. Each [`SpillRun`] owns its file and deletes it when
+//! it is consumed or dropped, so a run file lives exactly as long as the
+//! operator (or published hash table) holding it: an aborted query, or one
+//! whose worker died mid-run, leaves none behind once its drivers drop.
 //!
 //! Run files hold framed pages: each record is a `u32` length followed by
 //! the §IV-E2 wire frame (`presto_page::frame_page`) — xxh64-checksummed
@@ -23,13 +25,11 @@
 //! a query whose spill disk misbehaves degrades exactly like one whose
 //! network does.
 
-use parking_lot::Mutex;
 use presto_common::chaos::{key_of, FaultPlane, Site};
 use presto_common::{PrestoError, Result, Session};
 use presto_page::{decode_framed_page, frame_page, Page};
-use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -41,8 +41,8 @@ static NEXT_RUN_ID: AtomicU64 = AtomicU64::new(0);
 const SPILL_COMPRESSION_MIN_BYTES: usize = 8 << 10;
 
 /// Task-owned coordinator of all spill I/O: directory, disk budget,
-/// lifetime counters, fault injection, and the live-file registry that
-/// backs guaranteed cleanup on abort.
+/// lifetime counters, fault injection, and the live-file count. Every run
+/// holds the manager, so it outlives every file written through it.
 pub struct SpillManager {
     dir: PathBuf,
     /// Disk budget in bytes; 0 = unlimited. Exceeding it is an
@@ -56,9 +56,8 @@ pub struct SpillManager {
     /// Lifetime spill write operations.
     spill_events: AtomicU64,
     faults: Option<Arc<FaultPlane>>,
-    /// Live run files: id → path. Runs unregister when consumed or
-    /// dropped; [`SpillManager::remove_all`] deletes whatever remains.
-    files: Mutex<HashMap<u64, PathBuf>>,
+    /// Live run files written through this manager.
+    files: AtomicUsize,
     /// Live run files of every manager sharing this gauge (a worker's
     /// tasks), kept in step with `files`.
     files_gauge: Arc<AtomicUsize>,
@@ -100,7 +99,7 @@ impl SpillManager {
             spilled_bytes: AtomicU64::new(0),
             spill_events: AtomicU64::new(0),
             faults,
-            files: Mutex::new(HashMap::new()),
+            files: AtomicUsize::new(0),
             files_gauge,
         })
     }
@@ -122,7 +121,7 @@ impl SpillManager {
 
     /// Live (not yet consumed or removed) run files.
     pub fn live_files(&self) -> usize {
-        self.files.lock().len()
+        self.files.load(Ordering::Relaxed)
     }
 
     /// Start a new empty run. No I/O happens until the first append.
@@ -134,29 +133,12 @@ impl SpillManager {
         ));
         SpillRun {
             manager: Arc::clone(self),
-            id,
             path,
             file: None,
             bytes: 0,
             pages: 0,
             rows: 0,
         }
-    }
-
-    /// Delete every live run file. Called from the task teardown cascade so
-    /// an aborted or killed spilling task leaves zero files behind, and from
-    /// the manager's own `Drop` as a last resort.
-    pub fn remove_all(&self) {
-        let files = std::mem::take(&mut *self.files.lock());
-        let mut freed = 0u64;
-        for path in files.values() {
-            if let Ok(meta) = std::fs::metadata(path) {
-                freed += meta.len();
-            }
-            let _ = std::fs::remove_file(path);
-        }
-        self.files_gauge.fetch_sub(files.len(), Ordering::Relaxed);
-        sub_saturating(&self.used_bytes, freed);
     }
 
     /// Pre-write gate: the fault plane, then the disk budget. A write is
@@ -183,45 +165,25 @@ impl SpillManager {
         self.spill_events.fetch_add(1, Ordering::Relaxed);
     }
 
-    // A file is counted before it is listed and un-counted only once
-    // deleted: the gauge never drops below zero, and at zero no run file is
-    // left.
-    fn register(&self, id: u64, path: &Path) {
+    // A file is counted once created and un-counted only once deleted: at
+    // zero no run file is left.
+    fn register(&self) {
+        self.files.fetch_add(1, Ordering::Relaxed);
         self.files_gauge.fetch_add(1, Ordering::Relaxed);
-        self.files.lock().insert(id, path.to_path_buf());
     }
 
-    fn unregister(&self, id: u64, bytes: u64) {
-        if self.files.lock().remove(&id).is_some() {
-            self.files_gauge.fetch_sub(1, Ordering::Relaxed);
-        }
-        sub_saturating(&self.used_bytes, bytes);
-    }
-}
-
-impl Drop for SpillManager {
-    fn drop(&mut self) {
-        self.remove_all();
-    }
-}
-
-fn sub_saturating(counter: &AtomicU64, v: u64) {
-    let mut cur = counter.load(Ordering::Relaxed);
-    loop {
-        let next = cur.saturating_sub(v);
-        match counter.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(now) => cur = now,
-        }
+    fn unregister(&self, bytes: u64) {
+        self.files.fetch_sub(1, Ordering::Relaxed);
+        self.files_gauge.fetch_sub(1, Ordering::Relaxed);
+        self.used_bytes.fetch_sub(bytes, Ordering::Relaxed);
     }
 }
 
 /// One checksummed run file of framed pages. Append during revocation,
-/// read back on re-ingest; the file is deleted when the run is consumed,
-/// dropped, or the owning manager tears down — whichever comes first.
+/// read back on re-ingest. The run owns its file: it is deleted when the
+/// run is consumed or dropped, whichever comes first.
 pub struct SpillRun {
     manager: Arc<SpillManager>,
-    id: u64,
     path: PathBuf,
     file: Option<std::fs::File>,
     bytes: u64,
@@ -238,7 +200,7 @@ impl SpillRun {
         if self.file.is_none() {
             std::fs::create_dir_all(&self.manager.dir)?;
             self.file = Some(std::fs::File::create(&self.path)?);
-            self.manager.register(self.id, &self.path);
+            self.manager.register();
         }
         let file = self.file.as_mut().expect("spill file just opened");
         file.write_all(&(frame.len() as u32).to_le_bytes())?;
@@ -316,7 +278,7 @@ impl SpillRun {
     pub fn remove(&mut self) {
         if self.file.take().is_some() {
             let _ = std::fs::remove_file(&self.path);
-            self.manager.unregister(self.id, self.bytes);
+            self.manager.unregister(self.bytes);
             self.bytes = 0;
             self.pages = 0;
             self.rows = 0;
@@ -424,10 +386,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Two tasks' managers on one worker share its gauge: it counts every
+    /// live run of either, and reaches zero only when the last run drops.
     #[test]
-    fn remove_all_cleans_leaked_runs() {
-        let dir = scratch_dir("removeall");
-        // Two tasks' managers on one worker share its gauge.
+    fn shared_gauge_counts_runs_until_the_last_drops() {
+        let dir = scratch_dir("gauge");
         let gauge = Arc::new(AtomicUsize::new(0));
         let mgr = SpillManager::build(Some(dir.clone()), 0, None, Arc::clone(&gauge));
         let other = SpillManager::build(Some(dir.clone()), 0, None, Arc::clone(&gauge));
@@ -438,14 +401,17 @@ mod tests {
         b.append(&page(5)).unwrap();
         c.append(&page(5)).unwrap();
         assert_eq!(gauge.load(Ordering::Relaxed), 3);
-        // Abort path: the manager deletes files out from under live runs.
-        mgr.remove_all();
-        assert_eq!(mgr.live_files(), 0);
-        assert_eq!(mgr.used_bytes(), 0);
-        assert_eq!(gauge.load(Ordering::Relaxed), 1, "the other task's run");
+        assert_eq!((mgr.live_files(), other.live_files()), (2, 1));
+        drop(mgr);
         drop(a);
         drop(b);
-        assert_eq!(gauge.load(Ordering::Relaxed), 1, "removed runs count once");
+        assert_eq!(gauge.load(Ordering::Relaxed), 1, "the other task's run");
+        drop(other);
+        assert_eq!(
+            gauge.load(Ordering::Relaxed),
+            1,
+            "a run outlives its manager handle"
+        );
         drop(c);
         assert_eq!(gauge.load(Ordering::Relaxed), 0);
         assert!(std::fs::read_dir(&dir).unwrap().next().is_none());
@@ -507,11 +473,7 @@ mod tests {
         let mut run = mgr.create_run("test");
         run.append(&page(50)).unwrap();
         // Flip a byte past the length prefix: the frame checksum must catch it.
-        let path = dir.join(format!(
-            "presto-spill-{}-test-{}.run",
-            std::process::id(),
-            run.id
-        ));
+        let path = run.path.clone();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -527,7 +489,6 @@ mod tests {
         let mgr = SpillManager::new(None, 0);
         let a = mgr.create_run("x");
         let b = mgr.create_run("x");
-        assert_ne!(a.id, b.id);
         assert_ne!(a.path, b.path);
     }
 }

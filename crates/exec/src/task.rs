@@ -95,10 +95,10 @@ pub struct Task {
     pub scans: Vec<ScanSource>,
     pub exchanges: Vec<ExchangeInput>,
     pub drivers: Mutex<Vec<Driver>>,
-    pub memory: Arc<TaskMemoryContext>,
     /// Task-owned spill coordinator shared by every spilling operator
-    /// (§IV-F2). Abort calls [`SpillManager::remove_all`] so no run file
-    /// outlives the task.
+    /// (§IV-F2). It counts the task's run files; each run deletes its own
+    /// file when the operator holding it drops, so none outlives the
+    /// task's drivers.
     pub spill: Arc<SpillManager>,
     /// Per-driver statistics recorded by the worker as drivers retire.
     pub stats: TaskStatsCollector,
@@ -133,7 +133,6 @@ pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
         OUTPUT_BUFFER_BYTES,
         ctx.session.shuffle_compression_min_bytes,
     );
-    let memory = TaskMemoryContext::new(ctx.task_id.stage.query, Arc::clone(&ctx.memory_pool));
     let spill = SpillManager::for_session(
         &ctx.session,
         ctx.faults.clone(),
@@ -208,7 +207,6 @@ pub fn create_task(fragment: &PlanFragment, ctx: &TaskContext) -> Result<Task> {
         scans: compiler.scans,
         exchanges: compiler.exchanges,
         drivers: Mutex::new(drivers),
-        memory,
         spill,
         stats,
     })

@@ -262,7 +262,6 @@ fn join_run(
     drop(op);
     drop(ops);
     drop(bridge);
-    manager.remove_all();
     drop(manager);
     assert_dir_empty_and_remove(&dir);
     rows
@@ -306,7 +305,6 @@ fn agg_run(pages: &[Page], spill: bool) -> Vec<String> {
     );
     rows.sort();
     drop(op);
-    manager.remove_all();
     drop(manager);
     assert_dir_empty_and_remove(&dir);
     rows
@@ -342,7 +340,6 @@ fn sort_run(pages: &[Page], spill: bool) -> Vec<String> {
     // Sorted output: order matters, no re-sort.
     let rows = render(&pages_out, &[DataType::Bigint, DataType::Double]);
     drop(op);
-    manager.remove_all();
     drop(manager);
     assert_dir_empty_and_remove(&dir);
     rows
@@ -478,7 +475,6 @@ fn spill_write_failure_is_retryable() {
         "spill write fault must be retryable: {err}"
     );
     drop(op);
-    manager.remove_all();
     drop(manager);
     assert_dir_empty_and_remove(&dir);
 }
@@ -561,7 +557,6 @@ fn operator_spill_counters_sum_to_the_manager() {
     assert_eq!(total("spilled_bytes"), manager.spilled_bytes());
     drop(ops);
     drop(bridge);
-    manager.remove_all();
     drop(manager);
     assert_dir_empty_and_remove(&dir);
 }
