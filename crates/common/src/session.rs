@@ -54,8 +54,10 @@ pub struct Session {
     pub join_distribution: JoinDistribution,
     /// Stage scheduling policy.
     pub scheduling_policy: SchedulingPolicy,
-    /// Serialized shuffle pages at least this long are LZ-compressed on
-    /// the wire (`usize::MAX` disables compression).
+    /// Serialized shuffle pages at least this long also pass through the
+    /// frame's opt-in LZ stage. The page codec's lane encodings already
+    /// size every column to its data (§V-E), so the default, `usize::MAX`,
+    /// leaves LZ off.
     pub shuffle_compression_min_bytes: usize,
     /// Allow spilling revocable state (hash aggregations, sorts, grace
     /// hash joins) to disk.
@@ -106,7 +108,7 @@ impl Default for Session {
             join_reordering: true,
             join_distribution: JoinDistribution::Automatic,
             scheduling_policy: SchedulingPolicy::AllAtOnce,
-            shuffle_compression_min_bytes: 8 << 10,
+            shuffle_compression_min_bytes: usize::MAX,
             spill_enabled: false,
             spill_dir: None,
             spill_max_bytes: 16 << 30,
@@ -159,8 +161,9 @@ mod tests {
         // latency cost of waiting for the build side.
         assert!(s.dynamic_filtering);
         assert!(s.dynamic_filter_wait > Duration::ZERO);
-        // Shuffle pages above a few KiB are compressed on the wire (§IV-E2).
-        assert!(s.shuffle_compression_min_bytes < usize::MAX);
+        // Shuffle frames carry lane-encoded pages (§V-E); the byte-level LZ
+        // stage is opt-in, off by default.
+        assert_eq!(s.shuffle_compression_min_bytes, usize::MAX);
         // The §IV-F2 limits: the cluster-wide per-query limit is the
         // largest, and a node's total (user + system) limit is at least its
         // user limit.

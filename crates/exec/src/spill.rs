@@ -11,14 +11,14 @@
 //! whose worker died mid-run, leaves none behind once its drivers drop.
 //!
 //! Run files hold framed pages: each record is a `u32` length followed by
-//! the §IV-E2 wire frame (`presto_page::frame_page`) — xxh64-checksummed
-//! and LZ-compressed above a threshold — so a torn or corrupted run is
-//! detected on re-ingest and surfaces as a *transient* error instead of
-//! silently wrong results. File names are crash-safe: they embed the
-//! process id plus a process-unique monotonic id, so a recycled operator
-//! address can never collide with a leaked file from an earlier operator
-//! (the ABA class of bug), and leftovers of a crashed process are
-//! attributable by pid.
+//! the §IV-E2 wire frame (`presto_page::frame_page`) — the page codec's
+//! lane encodings under an xxh64 checksum, with the frame's LZ stage off —
+//! so a torn or corrupted run is detected on re-ingest and surfaces as a
+//! *transient* error instead of silently wrong results. File names are
+//! crash-safe: they embed the process id plus a process-unique monotonic
+//! id, so a recycled operator address can never collide with a leaked file
+//! from an earlier operator (the ABA class of bug), and leftovers of a
+//! crashed process are attributable by pid.
 //!
 //! Every write consults the cluster's fault plane (`Site::SpillWrite`), if
 //! one is installed: an injected failure surfaces as a retryable error, so
@@ -36,9 +36,6 @@ use std::sync::Arc;
 /// Process-unique monotonic run ids. Never reused within a process, unlike
 /// the operator addresses the file names previously embedded.
 static NEXT_RUN_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Spill records at least this long are LZ-compressed inside their frame.
-const SPILL_COMPRESSION_MIN_BYTES: usize = 8 << 10;
 
 /// Task-owned coordinator of all spill I/O: directory, disk budget,
 /// lifetime counters, fault injection, and the live-file count. Every run
@@ -194,7 +191,7 @@ pub struct SpillRun {
 impl SpillRun {
     /// Frame and append one page. Returns the bytes written.
     pub fn append(&mut self, page: &Page) -> Result<u64> {
-        let frame = frame_page(page, SPILL_COMPRESSION_MIN_BYTES);
+        let frame = frame_page(page, usize::MAX);
         let record_len = frame.len() as u64 + 4;
         self.manager.check_write(record_len, self.pages)?;
         if self.file.is_none() {

@@ -418,15 +418,14 @@ proptest! {
 
 proptest! {
     /// Spill runs hold the shuffle's frames: pages of every encoding, small
-    /// (raw frames) and large enough to compress, read back identical, and
-    /// consuming the run deletes its file.
+    /// and many times larger, read back identical, and consuming the run
+    /// deletes its file.
     #[test]
     fn spill_run_round_trips_framed_pages(input in arb_pages(400), copies in 2usize..32) {
         let dir = scratch_dir();
         let manager = SpillManager::new(Some(dir.clone()), 0);
         let mut pages = encoded_pages(&input);
-        // Repeating a page past the compression threshold makes its frame
-        // compress; the originals stay small and raw.
+        // Repeating a page makes one frame many times the others' length.
         if let Some(first) = pages.first().cloned() {
             pages.push(Page::concat(&vec![first; copies]));
         }

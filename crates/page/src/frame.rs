@@ -19,10 +19,14 @@
 //! detected cheaply and surfaces as a retryable error (the producer retains
 //! the page until the token acknowledges it, so a re-fetch can succeed).
 //!
-//! Compression is an in-crate, dependency-free LZ77 variant using the LZ4
-//! block layout (token / extended lengths / little-endian u16 offsets,
-//! minimum match 4). It is only applied above a caller-chosen threshold and
-//! only kept when it actually shrinks the payload.
+//! The payload is already compact: the codec writes every column in lanes
+//! sized to its data (§V-E), so a frame normally costs one pass that writes
+//! the lanes and one that checksums them. A byte-level LZ stage is opt-in:
+//! an in-crate, dependency-free LZ77 variant using the LZ4 block layout
+//! (token / extended lengths / little-endian u16 offsets, minimum match 4),
+//! applied only at or above a caller-chosen threshold (`usize::MAX`, the
+//! shuffle's and spill's default, turns it off) and kept only when it
+//! actually shrinks the payload.
 
 use bytes::{Buf, Bytes};
 use presto_common::{PrestoError, Result};
@@ -53,6 +57,12 @@ pub struct FrameInfo {
 /// compressor writes straight after another, so no body is copied between
 /// buffers: the raw frame is the serialization buffer itself.
 pub fn frame_page(page: &Page, compression_min_bytes: usize) -> Bytes {
+    Bytes::from(framed(page, compression_min_bytes))
+}
+
+/// [`frame_page`]'s buffer. Its capacity is its length: a retained frame
+/// holds only the bytes the shuffle's buffer accounting charges for it.
+fn framed(page: &Page, compression_min_bytes: usize) -> Vec<u8> {
     let mut raw = Vec::with_capacity(FRAME_HEADER_BYTES + page.size_in_bytes() + 64);
     raw.resize(FRAME_HEADER_BYTES, 0);
     encode_page(page, &mut raw);
@@ -62,12 +72,10 @@ pub fn frame_page(page: &Page, compression_min_bytes: usize) -> Bytes {
         packed.resize(FRAME_HEADER_BYTES, 0);
         lz_compress(&raw[FRAME_HEADER_BYTES..], &mut packed);
         if packed.len() < raw.len() {
-            seal(&mut packed, FLAG_COMPRESSED, payload_len);
-            return Bytes::from(packed);
+            return seal(packed, FLAG_COMPRESSED, payload_len);
         }
     }
-    seal(&mut raw, 0, payload_len);
-    Bytes::from(raw)
+    seal(raw, 0, payload_len)
 }
 
 /// The payload length before compression that a frame's header declares,
@@ -76,13 +84,17 @@ pub fn framed_payload_len(frame: &[u8]) -> usize {
     read_u32(&frame[1..]) as usize
 }
 
-/// Fill the reserved header of `frame` for the body that follows it.
-fn seal(frame: &mut [u8], flags: u8, uncompressed_len: usize) {
+/// Fill the reserved header of `frame` for the body that follows it, and
+/// give back the capacity past its end (the reservation is sized for the
+/// page in memory, which lanes often shrink to a fraction).
+fn seal(mut frame: Vec<u8>, flags: u8, uncompressed_len: usize) -> Vec<u8> {
+    frame.shrink_to_fit();
     let (header, body) = frame.split_at_mut(FRAME_HEADER_BYTES);
     header[0] = flags;
     header[1..5].copy_from_slice(&(uncompressed_len as u32).to_le_bytes());
     header[5..9].copy_from_slice(&(body.len() as u32).to_le_bytes());
     header[9..].copy_from_slice(&xxh64(body, 0).to_le_bytes());
+    frame
 }
 
 /// Parse and checksum-validate a frame header without decompressing.
@@ -468,6 +480,19 @@ mod tests {
         }
         // Compression actually pays on this page.
         assert!(frame_page(&page, 0).len() < frame_page(&page, usize::MAX).len());
+    }
+
+    #[test]
+    fn a_frame_holds_only_the_bytes_it_is_charged_for() {
+        // Narrow lanes encode this page far below its in-memory size.
+        let page = Page::new(vec![Block::from(LongBlock::from_values(
+            (0..4_000).map(|i| i % 100).collect::<Vec<i64>>(),
+        ))]);
+        for threshold in [0usize, usize::MAX] {
+            let frame = framed(&page, threshold);
+            assert!(frame.len() * 4 < page.size_in_bytes());
+            assert_eq!(frame.capacity(), frame.len(), "threshold {threshold}");
+        }
     }
 
     #[test]

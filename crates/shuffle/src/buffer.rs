@@ -520,8 +520,10 @@ mod tests {
     #[test]
     fn wire_bytes_drive_accounting_and_compression_is_tracked() {
         use presto_page::frame_info;
-        // Highly repetitive page: compresses well once framed.
-        let rows: Vec<Vec<Value>> = (0..512).map(|_| vec![Value::Bigint(7)]).collect();
+        // Highly repetitive page: compresses well once framed. (512 equal
+        // rows would be a width-0 lane, below the 64-byte threshold; a
+        // period of four takes a byte a row and repeats every four.)
+        let rows: Vec<Vec<Value>> = (0..512).map(|i| vec![Value::Bigint(i % 4)]).collect();
         let big = Page::from_rows(&Schema::of(&[("x", DataType::Bigint)]), &rows);
         let buf = OutputBuffer::with_placement(vec![false], 1 << 20, 64);
         buf.enqueue(0, big);
@@ -531,7 +533,7 @@ mod tests {
             panic!("a remote partition serves frames");
         };
         let info = frame_info(frame).expect("valid frame");
-        assert!(info.compressed, "512 identical rows must compress");
+        assert!(info.compressed, "512 rows of period four must compress");
         // Retained bytes are the wire size of the frame, not the logical
         // serialized size — the backpressure signal sees real memory.
         assert_eq!(buf.retained_bytes(), frame.len());

@@ -6,7 +6,7 @@
 //! source count (virtual round trips overlap instead of serializing).
 
 use presto_common::chaos::{Effect, FaultPlane, Site, Trigger};
-use presto_page::{Block, LongBlock, Page};
+use presto_page::{frame_page, Block, LongBlock, Page};
 use presto_shuffle::{ExchangeClient, OutputBuffer};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -36,16 +36,18 @@ fn fill(
     rows_per_page: usize,
 ) -> Arc<OutputBuffer> {
     for p in 0..pages {
-        let values: Vec<i64> = (0..rows_per_page)
-            .map(|r| ((source << 20) | (p * rows_per_page + r)) as i64)
-            .collect();
-        buffer.enqueue(
-            0,
-            Page::new(vec![Block::from(LongBlock::from_values(values))]),
-        );
+        buffer.enqueue(0, source_page(source, p, rows_per_page));
     }
     buffer.set_no_more_pages();
     buffer
+}
+
+/// Page `p` of `source`.
+fn source_page(source: usize, p: usize, rows_per_page: usize) -> Page {
+    let values: Vec<i64> = (0..rows_per_page)
+        .map(|r| ((source << 20) | (p * rows_per_page + r)) as i64)
+        .collect();
+    Page::new(vec![Block::from(LongBlock::from_values(values))])
 }
 
 /// Every `n`th frame decode fails transiently.
@@ -103,7 +105,8 @@ fn drain_exactly_once(local: fn(usize) -> bool) {
     // sources. Tokens must not advance past undecoded batches (the
     // at-least-once guarantee) while retries must not re-deliver decoded
     // ones.
-    let mut client = ExchangeClient::with_config(512, Duration::from_millis(2), 8, 10);
+    let one_frame = frame_page(&source_page(0, 0, rows), usize::MAX).len();
+    let mut client = ExchangeClient::with_config(one_frame, Duration::from_millis(2), 8, 10);
     client.set_faults(decode_faults(7));
     let client = Arc::new(client);
     for s in 0..sources {

@@ -3,7 +3,7 @@
 //! under every engine configuration — compiled vs interpreted expressions,
 //! lazy vs eager loading, compressed vs decoded processing, 1 vs 4 workers,
 //! broadcast vs partitioned joins, all-at-once vs phased scheduling, spill
-//! on vs off, compressed vs uncompressed shuffle pages, 1 vs 4 leaf drivers.
+//! on vs off, shuffle frames with and without LZ, 1 vs 4 leaf drivers.
 //! This pins the semantics all the §V/§VI ablations rely on. The memory
 //! connector yields only flat blocks, so the same axes also run over a
 //! Hive/PORC fixture, whose low-cardinality varchar columns arrive as
@@ -271,8 +271,8 @@ fn assert_invariant(
     s.join_reordering = false;
     sessions.push(("no-cbo".into(), s));
     let mut s = base.clone();
-    s.shuffle_compression_min_bytes = usize::MAX;
-    sessions.push(("uncompressed".into(), s));
+    s.shuffle_compression_min_bytes = 0;
+    sessions.push(("lz-frames".into(), s));
 
     for sql in queries {
         let expected = run_sorted(reference_cluster, sql, base);
